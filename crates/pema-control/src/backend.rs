@@ -4,11 +4,11 @@
 //! Fig. 9 shows PEMA between two external systems: Prometheus (the
 //! telemetry source it *measures* from) and Kubernetes (the actuator it
 //! *applies* allocations through). A [`ClusterBackend`] bundles exactly
-//! those two roles behind one trait — [`measure_window`] is the
+//! those two roles behind one trait — [`poll_window`] is the
 //! Prometheus scrape, [`apply`] is the `kubectl patch` — so the loop in
 //! [`ControlLoop`](crate::ControlLoop) never knows whether it is
 //! driving the discrete-event simulator, the analytic fluid model, a
-//! recorded-trace replayer, or (future work) a live cluster.
+//! recorded-trace replayer, or a live cluster (`pema_live::LiveBackend`).
 //!
 //! Two backends live in this crate (the trace replayer is
 //! `pema_trace::TraceBackend`, one crate up):
@@ -23,12 +23,11 @@
 //!   (e.g. the `cluster_scale` scenario's policy sweep over the
 //!   120-service topology).
 //!
-//! [`measure_window`]: ClusterBackend::measure_window
+//! [`poll_window`]: ClusterBackend::poll_window
 //! [`apply`]: ClusterBackend::apply
 
 use pema_sim::{
-    Allocation, AppSpec, ClusterSim, Evaluator as _, FluidEvaluator, OpenWindow, TailModel,
-    WindowStats,
+    Allocation, AppSpec, ClusterSim, Evaluator as _, FluidEvaluator, OpenWindow, WindowStats,
 };
 
 /// The §6 early-check parameters of one monitoring window: the running
@@ -42,13 +41,11 @@ pub struct EarlyCheck {
     pub slo_ms: f64,
 }
 
-/// Everything one monitoring window needs, as one value — the same
-/// parameters [`ClusterBackend::measure_window`] /
-/// [`measure_window_abortable`](ClusterBackend::measure_window_abortable)
-/// take as separate arguments, bundled so the non-blocking seam
-/// ([`begin_window`](ClusterBackend::begin_window) /
-/// [`poll_window`](ClusterBackend::poll_window)) can stay stateless in
-/// its default implementation.
+/// Everything one monitoring window needs, as one value. The caller
+/// passes the same request to [`begin_window`](ClusterBackend::begin_window)
+/// and to every [`poll_window`](ClusterBackend::poll_window) of that
+/// window, so a backend that measures in one poll keeps no state
+/// between calls.
 #[derive(Debug, Clone, Copy)]
 pub struct WindowRequest {
     /// Offered load, requests/second.
@@ -106,28 +103,30 @@ pub enum WindowPoll {
 /// The telemetry-source + actuator pair of Fig. 9, as one object.
 ///
 /// A backend owns a (virtual or real) cluster running one application.
-/// The control loop talks to it through two equivalent seams, mirroring
-/// the paper's architecture:
+/// It is four methods, plus `begin`/`cancel` if it keeps a window in
+/// flight between polls:
 ///
 /// | method | Fig. 9 role |
 /// |---|---|
 /// | [`apply`](Self::apply) | Kubernetes: set CPU limits |
 /// | [`allocation`](Self::allocation) | Kubernetes: read CPU limits |
-/// | [`measure_window`](Self::measure_window) | Prometheus: scrape one monitoring window |
-/// | [`measure_window_abortable`](Self::measure_window_abortable) | §6 high-resolution monitoring |
-/// | [`begin_window`](Self::begin_window) / [`poll_window`](Self::poll_window) | both of the above, non-blocking |
+/// | [`poll_window`](Self::poll_window) | Prometheus: scrape one monitoring window, with the §6 early checks when the request carries them |
+/// | [`now_s`](Self::now_s) | the clock the window ran on |
+/// | [`begin_window`](Self::begin_window) / [`cancel_window`](Self::cancel_window) | open / abandon a window served over several polls |
 ///
-/// The blocking seam (`measure_window*`) is what single-loop runs use;
-/// the non-blocking seam is how a [`Fleet`](crate::Fleet) drives many
-/// loops from one process. Default implementations make the
-/// non-blocking seam an exact wrapper of the blocking one, so a
-/// backend only ever implements the blocking methods and gets both.
+/// [`ControlLoop`](crate::ControlLoop) and [`Fleet`](crate::Fleet) drive
+/// `begin_window`, then `poll_window` until it is
+/// [`Ready`](WindowPoll::Ready); between polls a fleet services other
+/// loops. [`measure_window`](Self::measure_window) and
+/// [`measure_window_abortable`](Self::measure_window_abortable) are
+/// that same loop, provided for callers that want one window and have
+/// nothing else to do meanwhile — a backend never implements them.
 ///
 /// Implementations must make `apply` take effect before the next
-/// measurement, must report the *actual* measured duration in
+/// measurement and must report the *actual* measured duration in
 /// [`WindowStats::duration_s`] (shorter than requested when an early
-/// check aborts), and must keep both seams result-identical — the
-/// conformance suite in `tests/backend_conformance.rs` pins all three.
+/// check aborts) — the conformance suite in
+/// `tests/backend_conformance.rs` pins both.
 pub trait ClusterBackend {
     /// Applies an allocation (cores per service) to the cluster. Takes
     /// effect before the next measurement.
@@ -136,88 +135,38 @@ pub trait ClusterBackend {
     /// The allocation currently in force.
     fn allocation(&self) -> Allocation;
 
-    /// Drives offered load `rps` for `warmup_s` (settling, discarded)
-    /// plus `window_s` (measured) virtual seconds and returns the
-    /// window's observables.
-    fn measure_window(&mut self, rps: f64, warmup_s: f64, window_s: f64) -> WindowStats;
-
-    /// Like [`measure_window`](Self::measure_window), but the running
-    /// p95 is checked against `slo_ms` every `check_s` seconds and the
-    /// window aborts on a breach (the paper's §6 high-resolution
-    /// monitoring extension). Returns the (possibly shortened) stats
-    /// and whether the window aborted.
-    ///
-    /// The default implementation measures the full window and never
-    /// aborts — correct for backends without intra-window visibility.
-    fn measure_window_abortable(
-        &mut self,
-        rps: f64,
-        warmup_s: f64,
-        window_s: f64,
-        check_s: f64,
-        slo_ms: f64,
-    ) -> (WindowStats, bool) {
-        let _ = (check_s, slo_ms);
-        (self.measure_window(rps, warmup_s, window_s), false)
-    }
-
     /// Current virtual time, seconds. Strictly increases across
     /// measurements.
     fn now_s(&self) -> f64;
 
-    /// Starts the monitoring window described by `req` without blocking
-    /// for it — the non-blocking half of the seam that lets one process
-    /// drive many loops (see [`Fleet`](crate::Fleet)). Poll the result
-    /// out with [`poll_window`](Self::poll_window), passing the *same*
-    /// request.
+    /// Advances the window described by `req` — offered load `req.rps`
+    /// for `req.warmup_s` (settling, discarded) plus `req.window_s`
+    /// (measured) seconds — and returns [`WindowPoll::Ready`] once it
+    /// completed, or aborted because the running p95 breached
+    /// `req.early`'s SLO at one of its checks (the paper's §6
+    /// high-resolution monitoring extension). `req` must be the request
+    /// passed to [`begin_window`](Self::begin_window).
     ///
-    /// The default implementation prepares nothing: the default
-    /// [`poll_window`](Self::poll_window) measures the whole window in
-    /// its first poll through the blocking methods, so backends that
-    /// only implement the blocking seam keep working unchanged (and
-    /// behave identically — the conformance suite pins the
-    /// equivalence).
+    /// A backend without intra-window visibility measures the whole
+    /// window in its first poll and needs no `begin_window`. One with it
+    /// (the DES, a live cluster) advances to the next check per poll and
+    /// answers [`WindowPoll::Pending`] in between: the caller is free to
+    /// service other loops, and a breach cancels the window at the next
+    /// poll boundary. A poll must bound its own wait; a caller may
+    /// re-poll immediately.
+    fn poll_window(&mut self, req: &WindowRequest) -> WindowPoll;
+
+    /// Starts the monitoring window described by `req` without blocking
+    /// for it. The default prepares nothing, for backends whose
+    /// [`poll_window`](Self::poll_window) measures in one shot.
     fn begin_window(&mut self, req: &WindowRequest) {
         let _ = req;
-    }
-
-    /// Advances the in-progress window and returns [`WindowPoll::Ready`]
-    /// once it completed (or aborted on an early check). `req` must be
-    /// the request passed to [`begin_window`](Self::begin_window).
-    ///
-    /// The default implementation completes the window in one poll by
-    /// delegating to [`measure_window`](Self::measure_window) (or
-    /// [`measure_window_abortable`](Self::measure_window_abortable)
-    /// when `req.early` is set), so its results are *exactly* the
-    /// blocking seam's. Backends with intra-window visibility (the DES)
-    /// override it to advance one check period per poll, which is what
-    /// replaces the blocking early-check spin: between polls the caller
-    /// is free to service other loops, and a breach cancels the window
-    /// at the next poll boundary.
-    fn poll_window(&mut self, req: &WindowRequest) -> WindowPoll {
-        match req.early {
-            Some(e) => {
-                let (stats, aborted) = self.measure_window_abortable(
-                    req.rps,
-                    req.warmup_s,
-                    req.window_s,
-                    e.check_s,
-                    e.slo_ms,
-                );
-                WindowPoll::Ready { stats, aborted }
-            }
-            None => WindowPoll::Ready {
-                stats: self.measure_window(req.rps, req.warmup_s, req.window_s),
-                aborted: false,
-            },
-        }
     }
 
     /// Abandons an in-progress window without producing statistics
     /// (fleet-level cancellation: a loop being torn down mid-window
     /// must not poison the backend for later use). The default is a
-    /// no-op — backends whose default [`poll_window`](Self::poll_window)
-    /// measures in one shot never have a window in flight between
+    /// no-op, for backends that never have a window in flight between
     /// calls.
     fn cancel_window(&mut self) {}
 
@@ -227,6 +176,39 @@ pub trait ClusterBackend {
     /// different silicon.
     fn set_speed(&mut self, speed: f64) {
         let _ = speed;
+    }
+
+    /// One full-length window, start to finish: `begin_window`, then
+    /// `poll_window` until ready.
+    fn measure_window(&mut self, rps: f64, warmup_s: f64, window_s: f64) -> WindowStats {
+        run_window(self, &WindowRequest::new(rps, warmup_s, window_s)).0
+    }
+
+    /// Like [`measure_window`](Self::measure_window) with §6 early
+    /// checks every `check_s` seconds against `slo_ms`. Returns the
+    /// (possibly shortened) stats and whether the window aborted.
+    fn measure_window_abortable(
+        &mut self,
+        rps: f64,
+        warmup_s: f64,
+        window_s: f64,
+        check_s: f64,
+        slo_ms: f64,
+    ) -> (WindowStats, bool) {
+        let req = WindowRequest::new(rps, warmup_s, window_s).with_early_check(check_s, slo_ms);
+        run_window(self, &req)
+    }
+}
+
+fn run_window<B: ClusterBackend + ?Sized>(
+    backend: &mut B,
+    req: &WindowRequest,
+) -> (WindowStats, bool) {
+    backend.begin_window(req);
+    loop {
+        if let WindowPoll::Ready { stats, aborted } = backend.poll_window(req) {
+            return (stats, aborted);
+        }
     }
 }
 
@@ -243,31 +225,16 @@ impl<B: ClusterBackend + ?Sized> ClusterBackend for Box<B> {
         (**self).allocation()
     }
 
-    fn measure_window(&mut self, rps: f64, warmup_s: f64, window_s: f64) -> WindowStats {
-        (**self).measure_window(rps, warmup_s, window_s)
-    }
-
-    fn measure_window_abortable(
-        &mut self,
-        rps: f64,
-        warmup_s: f64,
-        window_s: f64,
-        check_s: f64,
-        slo_ms: f64,
-    ) -> (WindowStats, bool) {
-        (**self).measure_window_abortable(rps, warmup_s, window_s, check_s, slo_ms)
-    }
-
     fn now_s(&self) -> f64 {
         (**self).now_s()
     }
 
-    fn begin_window(&mut self, req: &WindowRequest) {
-        (**self).begin_window(req)
-    }
-
     fn poll_window(&mut self, req: &WindowRequest) -> WindowPoll {
         (**self).poll_window(req)
+    }
+
+    fn begin_window(&mut self, req: &WindowRequest) {
+        (**self).begin_window(req)
     }
 
     fn cancel_window(&mut self) {
@@ -318,12 +285,6 @@ impl SimBackend {
             inflight: None,
         }
     }
-
-    /// Changes the cluster's CPU speed factor mid-run (the Fig. 19
-    /// clock-change experiments).
-    pub fn set_speed(&mut self, speed: f64) {
-        self.sim.set_speed(speed);
-    }
 }
 
 impl ClusterBackend for SimBackend {
@@ -333,22 +294,6 @@ impl ClusterBackend for SimBackend {
 
     fn allocation(&self) -> Allocation {
         self.sim.allocation()
-    }
-
-    fn measure_window(&mut self, rps: f64, warmup_s: f64, window_s: f64) -> WindowStats {
-        self.sim.run_window(rps, warmup_s, window_s)
-    }
-
-    fn measure_window_abortable(
-        &mut self,
-        rps: f64,
-        warmup_s: f64,
-        window_s: f64,
-        check_s: f64,
-        slo_ms: f64,
-    ) -> (WindowStats, bool) {
-        self.sim
-            .run_window_abortable(rps, warmup_s, window_s, check_s, slo_ms)
     }
 
     fn now_s(&self) -> f64 {
@@ -362,21 +307,20 @@ impl ClusterBackend for SimBackend {
         );
         if let Some(e) = req.early {
             // `EarlyCheck` fields are public; catch a hand-built zero
-            // period here like the blocking path does, instead of
-            // letting poll_window spin at a fixed virtual time.
+            // period here instead of letting poll_window spin at a
+            // fixed virtual time.
             assert!(e.check_s > 0.0, "check interval must be positive");
         }
         self.inflight = Some(self.sim.open_window(req.rps, req.warmup_s, req.window_s));
     }
 
-    /// Incremental override: without early checks the single poll runs
-    /// the window to its end exactly like [`ClusterSim::run_window`];
-    /// with early checks each poll advances one check period and a
-    /// breach cancels the window at that poll boundary, replicating
-    /// [`ClusterSim::run_window_abortable`] slice for slice — so the
-    /// seam is bit-identical to the blocking one (the conformance
-    /// suite and the `pema-bench` goldens pin it) while letting a
-    /// fleet interleave other loops between checks.
+    /// Without early checks the single poll runs the window to its end
+    /// exactly like [`ClusterSim::run_window`]; with early checks each
+    /// poll advances one check period and a breach cancels the window
+    /// at that poll boundary, replicating
+    /// [`ClusterSim::run_window_abortable`] slice for slice (the
+    /// conformance suite and the `pema-bench` goldens pin both) while
+    /// letting a fleet interleave other loops between checks.
     fn poll_window(&mut self, req: &WindowRequest) -> WindowPoll {
         let w = self
             .inflight
@@ -415,7 +359,7 @@ impl ClusterBackend for SimBackend {
     }
 
     fn set_speed(&mut self, speed: f64) {
-        SimBackend::set_speed(self, speed);
+        self.sim.set_speed(speed);
     }
 }
 
@@ -446,66 +390,6 @@ impl FluidBackend {
         }
     }
 
-    /// Builds the fluid backend with a non-default synthetic
-    /// burstiness factor (see [`FluidEvaluator::burst_p90`]).
-    pub fn with_burstiness(app: &AppSpec, burst_p90: f64) -> Self {
-        let mut b = Self::new(app);
-        b.set_burstiness(burst_p90);
-        b
-    }
-
-    /// Builds the fluid backend with a non-default tail model (see
-    /// [`FluidBackend::set_tail_model`]).
-    pub fn with_tail_model(app: &AppSpec, tail: TailModel) -> Self {
-        let mut b = Self::new(app);
-        b.set_tail_model(tail);
-        b
-    }
-
-    /// Changes the modelled CPU speed factor (mirrors
-    /// [`SimBackend::set_speed`]).
-    pub fn set_speed(&mut self, speed: f64) {
-        self.eval.speed = speed;
-    }
-
-    /// Changes the synthetic burstiness factor: the reported p90 of
-    /// per-second usage as a multiple of the mean rate. The default is
-    /// calibrated against DES windows
-    /// ([`pema_sim::BURST_P90_DEFAULT`]); raise it to model spikier
-    /// workloads than the DES's Poisson arrivals.
-    pub fn set_burstiness(&mut self, burst_p90: f64) {
-        assert!(burst_p90 >= 1.0, "p90 cannot be below the mean rate");
-        self.eval.burst_p90 = burst_p90;
-    }
-
-    /// Changes the synthetic peak factor: the reported per-second
-    /// usage peak as a multiple of the mean rate (default
-    /// [`pema_sim::PEAK_FACTOR_DEFAULT`]). The reported peak never
-    /// sits below the reported p90 regardless of the two knobs.
-    pub fn set_peak_factor(&mut self, peak_factor: f64) {
-        assert!(peak_factor >= 1.0, "peak cannot be below the mean rate");
-        self.eval.peak_factor = peak_factor;
-    }
-
-    /// Changes the mean-to-quantile tail model. The default is
-    /// [`TailModel::calibrated`] — load-dependent p95/p99/max
-    /// multipliers evaluated at the bottleneck utilization, fitted
-    /// against DES knee sweeps (the `tail_knee` probe). Pass
-    /// `TailModel::constant(pema_sim::LEGACY_P95_FACTOR)` to reproduce
-    /// the pre-calibration flat-factor backend exactly.
-    pub fn set_tail_model(&mut self, tail: TailModel) {
-        assert!(
-            tail.p95.base > 0.0 && tail.p95.gain >= 0.0 && tail.p95.sharp > 0.0,
-            "tail curves need a positive base, non-negative gain, positive sharpness"
-        );
-        self.eval.tail = tail;
-    }
-
-    /// The tail model currently in force.
-    pub fn tail_model(&self) -> TailModel {
-        self.eval.tail
-    }
-
     fn evaluate(&mut self, rps: f64, warmup_s: f64, window_s: f64) -> WindowStats {
         self.eval.window_s = window_s;
         let mut stats = self.eval.evaluate(&self.alloc, rps);
@@ -529,18 +413,13 @@ impl ClusterBackend for FluidBackend {
         self.alloc.clone()
     }
 
-    fn measure_window(&mut self, rps: f64, warmup_s: f64, window_s: f64) -> WindowStats {
-        self.evaluate(rps, warmup_s, window_s)
-    }
-
-    fn measure_window_abortable(
-        &mut self,
-        rps: f64,
-        warmup_s: f64,
-        window_s: f64,
-        check_s: f64,
-        slo_ms: f64,
-    ) -> (WindowStats, bool) {
+    fn poll_window(&mut self, req: &WindowRequest) -> WindowPoll {
+        let Some(e) = req.early else {
+            return WindowPoll::Ready {
+                stats: self.evaluate(req.rps, req.warmup_s, req.window_s),
+                aborted: false,
+            };
+        };
         // The fluid model has no intra-window dynamics: a violating
         // window violates from its first second, so an early check at
         // `check_s` catches it immediately and the interval shrinks to
@@ -548,14 +427,20 @@ impl ClusterBackend for FluidBackend {
         // full-window result; only the abort branch re-evaluates (at
         // the shortened window, so the reported counters stay
         // duration-consistent).
-        self.eval.window_s = window_s;
-        let mut probe = self.eval.evaluate(&self.alloc, rps);
-        if probe.violates(slo_ms) && check_s < window_s {
-            (self.evaluate(rps, warmup_s, check_s), true)
+        self.eval.window_s = req.window_s;
+        let mut probe = self.eval.evaluate(&self.alloc, req.rps);
+        if probe.violates(e.slo_ms) && e.check_s < req.window_s {
+            WindowPoll::Ready {
+                stats: self.evaluate(req.rps, req.warmup_s, e.check_s),
+                aborted: true,
+            }
         } else {
-            probe.start_s = self.clock_s + warmup_s;
-            self.clock_s += warmup_s + window_s;
-            (probe, false)
+            probe.start_s = self.clock_s + req.warmup_s;
+            self.clock_s += req.warmup_s + req.window_s;
+            WindowPoll::Ready {
+                stats: probe,
+                aborted: false,
+            }
         }
     }
 
@@ -564,6 +449,6 @@ impl ClusterBackend for FluidBackend {
     }
 
     fn set_speed(&mut self, speed: f64) {
-        FluidBackend::set_speed(self, speed);
+        self.eval.speed = speed;
     }
 }

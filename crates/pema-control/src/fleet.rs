@@ -2,9 +2,9 @@
 //! from one process, optionally arbitrating a shared CPU budget
 //! across them.
 //!
-//! The paper's Fig. 9 loop controls a single application, and the
-//! blocking [`ClusterBackend::measure_window`] seam means one thread
-//! can drive one loop. Production controllers are deployed fleet-wide:
+//! The paper's Fig. 9 loop controls a single application, and a call
+//! that blocks for a whole monitoring window means one thread can
+//! drive one loop. Production controllers are deployed fleet-wide:
 //! one process watching thousands of applications, each with its own
 //! monitoring windows, policy state, and virtual clock. This module is
 //! that multiplexer, built on the non-blocking
@@ -99,9 +99,8 @@
 //! Two levels, both poll-boundary, neither spinning:
 //!
 //! * **early-check** — a window begun with an [`EarlyCheck`] aborts at
-//!   the first poll whose running p95 breaches the SLO (§6 semantics,
-//!   previously only available inside the blocking
-//!   `measure_window_abortable` spin). Per-shard heaps preserve this:
+//!   the first poll whose running p95 breaches the SLO (§6 semantics).
+//!   Per-shard heaps preserve this:
 //!   the abort decision is a function of the member's own window state
 //!   alone, so it fires at the same virtual poll boundary no matter
 //!   which shard (or how many) the member runs in;

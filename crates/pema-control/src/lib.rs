@@ -9,22 +9,23 @@
 //!
 //! | Fig. 9 role | paper component | here |
 //! |---|---|---|
-//! | telemetry source | Prometheus + cAdvisor scrape | [`ClusterBackend::measure_window`] |
+//! | telemetry source | Prometheus + cAdvisor scrape | [`ClusterBackend::poll_window`] |
 //! | actuator | Kubernetes CPU-limit patch | [`ClusterBackend::apply`] |
 //! | decision logic | PEMA / manager / baselines | [`Policy`] implementations |
 //! | control cycle | measure → observe → act → apply | [`ControlLoop`] |
 //! | experiment wiring | testbed scripts | [`Experiment`] builder facade |
 //! | fleet-wide deployment | one controller, many apps | [`Fleet`] cooperative scheduler |
 //!
-//! Three [`ClusterBackend`]s ship today: [`SimBackend`] (the
+//! Two [`ClusterBackend`]s live here: [`SimBackend`] (the
 //! discrete-event simulator — full fidelity, byte-identical to the
-//! pre-refactor harness), [`FluidBackend`] (the analytic fluid model
-//! — orders of magnitude faster, for large-scale sweeps), and
-//! `pema_trace::TraceBackend` (replays a recorded run for
+//! pre-refactor harness) and [`FluidBackend`] (the analytic fluid model
+//! — orders of magnitude faster, for large-scale sweeps). Two more sit
+//! one crate up: `pema_trace::TraceBackend` (replays a recorded run for
 //! counterfactual policy evaluation — its `apply` is a no-op that
-//! logs divergence from the tape). A live Kubernetes adapter slots in
-//! by implementing the same four methods; nothing above the trait
-//! changes.
+//! logs divergence from the tape) and `pema_live::LiveBackend`
+//! (Prometheus + Kubernetes). Each is the trait's four required
+//! methods, plus `begin_window`/`cancel_window` where a window stays
+//! in flight between polls; nothing above the trait changes.
 //!
 //! ## Constructing runs
 //!
@@ -52,7 +53,7 @@
 //! members can instead be handed to a [`Fleet`]
 //! (`Fleet::new().member(…).member(…).run()`, each member a
 //! [`MemberSpec`] or bare builder), which drives them all concurrently
-//! from one process over the non-blocking
+//! from one process over the
 //! [`ClusterBackend::begin_window`]/[`poll_window`] seam — a fleet of
 //! one is byte-identical to `.run()`, and per-member results are
 //! scheduling-invariant (see the [`fleet`](Fleet) docs and
@@ -79,9 +80,6 @@
 //! | `runner.sim.set_speed(f)` | `runner.backend.set_speed(f)` (after `.build()`) |
 //! | ad-hoc CSV row collection around `step_once` | `….observer(\|log, stats\| …)` |
 //! | `stats_to_obs`, `optimum_for` | re-exported here, unchanged |
-//!
-//! The old paths still exist as a deprecated re-export module in the
-//! root crate for one transition period.
 
 mod arbitration;
 mod backend;

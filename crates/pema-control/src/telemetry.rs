@@ -18,9 +18,8 @@
 //!   arbitration rounds, and *wall-clock* barrier park time.
 //! * [`Instrumented`] — a pass-through [`ClusterBackend`] wrapper that
 //!   counts method invocations by operation. Bit-invisible by
-//!   construction (every method forwards verbatim, including the
-//!   overridden non-blocking seam); the backend-conformance suite pins
-//!   it.
+//!   construction (every method forwards verbatim); the
+//!   backend-conformance suite pins it.
 //!
 //! ## Determinism contract
 //!
@@ -44,7 +43,7 @@
 
 use crate::backend::{ClusterBackend, WindowPoll, WindowRequest};
 use crate::control::IterationLog;
-use pema_sim::{Allocation, WindowStats};
+use pema_sim::Allocation;
 use pema_telemetry::{
     Counter, EventField, EventSink, Gauge, Histogram, Telemetry, DEFAULT_SECONDS_BUCKETS,
 };
@@ -210,14 +209,15 @@ impl ShardTelemetry {
 
 /// A pass-through [`ClusterBackend`] that counts method invocations as
 /// `pema_backend_calls_total{op=…,target=…}`. Every method forwards
-/// verbatim (including the non-blocking seam and `set_speed`), so
-/// wrapping a backend cannot change any run output — the conformance
-/// suite drives a wrapped backend through the shared property tests to
-/// pin exactly that.
+/// verbatim (including `set_speed`), so wrapping a backend cannot
+/// change any run output — the conformance suite drives a wrapped
+/// backend through the shared property tests to pin exactly that. The
+/// provided `measure_window*` are not forwarded: on the wrapper they
+/// run as the `begin_window` + `poll_window` calls they are made of,
+/// and are counted as those.
 pub struct Instrumented<B> {
     inner: B,
     apply: Counter,
-    measure: Counter,
     begin: Counter,
     poll: Counter,
     cancel: Counter,
@@ -237,7 +237,6 @@ impl<B> Instrumented<B> {
         Self {
             inner,
             apply: op("apply"),
-            measure: op("measure"),
             begin: op("begin_window"),
             poll: op("poll_window"),
             cancel: op("cancel_window"),
@@ -263,24 +262,6 @@ impl<B: ClusterBackend> ClusterBackend for Instrumented<B> {
 
     fn allocation(&self) -> Allocation {
         self.inner.allocation()
-    }
-
-    fn measure_window(&mut self, rps: f64, warmup_s: f64, window_s: f64) -> WindowStats {
-        self.measure.inc();
-        self.inner.measure_window(rps, warmup_s, window_s)
-    }
-
-    fn measure_window_abortable(
-        &mut self,
-        rps: f64,
-        warmup_s: f64,
-        window_s: f64,
-        check_s: f64,
-        slo_ms: f64,
-    ) -> (WindowStats, bool) {
-        self.measure.inc();
-        self.inner
-            .measure_window_abortable(rps, warmup_s, window_s, check_s, slo_ms)
     }
 
     fn now_s(&self) -> f64 {

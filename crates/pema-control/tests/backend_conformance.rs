@@ -3,8 +3,10 @@
 //! against all four shipped backends ([`SimBackend`], [`FluidBackend`],
 //! `pema_trace::TraceBackend` replaying a freshly recorded DES run, and
 //! `pema_live::LiveBackend` scraping a loopback
-//! [`FakeCluster`](pema_live::FakeCluster) over real HTTP); any further
-//! adapter should be added to [`each_backend`] and pass unchanged.
+//! [`FakeCluster`](pema_live::FakeCluster) over real HTTP) and against
+//! [`FourMethod`], an in-test backend that implements the trait's four
+//! required methods and nothing else; any further adapter should be
+//! added to [`each_backend`] and pass unchanged.
 //!
 //! Pinned invariants:
 //! * `apply` takes effect before the next measurement (both directly
@@ -15,19 +17,25 @@
 //! * violation accounting: a permanently starved run marks every
 //!   interval violated and `violating_time_s` sums the (shortened)
 //!   interval lengths;
-//! * the non-blocking seam (`begin_window`/`poll_window`) is
-//!   result-identical to the blocking one — plain windows match
-//!   `measure_window`, early-check cancellation matches
+//! * a window polled by hand (`begin_window`/`poll_window`, as the
+//!   fleet does) is result-identical to its reference — for the DES
+//!   the engine's own `ClusterSim::run_window` /
+//!   `run_window_abortable`, for every other backend an identically
+//!   built twin driven through the provided `measure_window` /
 //!   `measure_window_abortable` — and `now_s` stays monotone while
 //!   windows of several backends are polled interleaved (the fleet
-//!   scheduler's contract).
+//!   scheduler's contract);
+//! * the provided blocking calls drive a `Pending`-returning poll to
+//!   its end.
 
 use pema_control::{
     ClusterBackend, ControlLoop, Experiment, FluidBackend, HarnessConfig, HoldPolicy, Instrumented,
     SimBackend, WindowPoll, WindowRequest,
 };
 use pema_live::{live_over_fake, Fault};
-use pema_sim::{Allocation, AppSpec, WindowStats, MIN_ALLOC};
+use pema_sim::{
+    Allocation, AppSpec, ClusterSim, Evaluator as _, FluidEvaluator, WindowStats, MIN_ALLOC,
+};
 use pema_telemetry::Telemetry;
 use pema_trace::{TraceBackend, TraceRecorder};
 
@@ -61,15 +69,78 @@ fn conformance_trace(app: &AppSpec) -> pema_trace::Trace {
 /// fake's telemetry consistent across checks.
 const LIVE_RPS: f64 = 120.0;
 
-/// Runs `check` once per shipped backend, labelled for assertions —
-/// then once more per backend wrapped in [`Instrumented`], which must
-/// pass every check unchanged (the wrapper's bit-invisibility
-/// contract).
+/// The least a backend can be: the four required methods and no
+/// `begin_window`/`cancel_window`, over the fluid model. Its early-check
+/// windows advance one check period per poll and answer `Pending` in
+/// between, so everything that reaches it through the provided
+/// `measure_window*` exercises their poll loop.
+struct FourMethod {
+    eval: FluidEvaluator,
+    alloc: Allocation,
+    clock_s: f64,
+    /// Measured seconds of the window in progress; 0 between windows.
+    checked_s: f64,
+}
+
+impl FourMethod {
+    fn new(app: &AppSpec) -> Self {
+        FourMethod {
+            eval: FluidEvaluator::new(app),
+            alloc: Allocation::new(app.generous_alloc.clone()),
+            clock_s: 0.0,
+            checked_s: 0.0,
+        }
+    }
+}
+
+impl ClusterBackend for FourMethod {
+    fn apply(&mut self, alloc: &Allocation) {
+        self.alloc = alloc.clone();
+    }
+
+    fn allocation(&self) -> Allocation {
+        self.alloc.clone()
+    }
+
+    fn now_s(&self) -> f64 {
+        self.clock_s
+    }
+
+    fn poll_window(&mut self, req: &WindowRequest) -> WindowPoll {
+        if self.checked_s == 0.0 {
+            self.clock_s += req.warmup_s;
+        }
+        let left = req.window_s - self.checked_s;
+        let step = req.early.map_or(left, |e| e.check_s.min(left));
+        self.checked_s += step;
+        self.clock_s += step;
+        self.eval.window_s = self.checked_s;
+        let mut stats = self.eval.evaluate(&self.alloc, req.rps);
+        let breached = req.early.is_some_and(|e| stats.violates(e.slo_ms));
+        if !breached && self.checked_s < req.window_s {
+            return WindowPoll::Pending {
+                resume_at_s: self.clock_s,
+            };
+        }
+        stats.start_s = self.clock_s - self.checked_s;
+        self.checked_s = 0.0;
+        WindowPoll::Ready {
+            stats,
+            aborted: breached,
+        }
+    }
+}
+
+/// Runs `check` once per shipped backend and once for [`FourMethod`],
+/// labelled for assertions — then once more per backend wrapped in
+/// [`Instrumented`], which must pass every check unchanged (the
+/// wrapper's bit-invisibility contract).
 fn each_backend(app: &AppSpec, check: impl Fn(&str, Box<dyn ClusterBackend>)) {
     check("sim", Box::new(SimBackend::new(app, 42)));
     check("fluid", Box::new(FluidBackend::new(app)));
     check("trace", Box::new(TraceBackend::new(conformance_trace(app))));
     check("live", Box::new(live_over_fake(app, LIVE_RPS)));
+    check("four-method", Box::new(FourMethod::new(app)));
     let hub = Telemetry::new();
     check(
         "sim+instrumented",
@@ -126,10 +197,14 @@ fn each_backend_pair(
         Box::new(live_over_fake(app, LIVE_RPS)),
         Box::new(live_over_fake(app, LIVE_RPS)),
     );
-    // Asymmetric instrumentation: the blocking instance stays bare
-    // while the polled one is wrapped — the two seams must *still*
-    // agree, which is the sharpest bit-invisibility check the pair
-    // helpers can express.
+    check(
+        "four-method",
+        Box::new(FourMethod::new(app)),
+        Box::new(FourMethod::new(app)),
+    );
+    // Asymmetric instrumentation: the first instance stays bare while
+    // the second is wrapped — the two must *still* agree, which is the
+    // sharpest bit-invisibility check the pair helpers can express.
     let hub = Telemetry::new();
     check(
         "sim+instrumented",
@@ -141,6 +216,61 @@ fn each_backend_pair(
         Box::new(FluidBackend::new(app)),
         Box::new(Instrumented::new(FluidBackend::new(app), &hub, "fluid")),
     );
+}
+
+/// What a hand-polled window is compared against.
+enum Reference {
+    /// The DES engine itself, configured as [`SimBackend::new`]
+    /// configures it: `run_window*` share no code with the poll seam.
+    Engine(Box<ClusterSim>),
+    /// An identically built twin, driven through the trait's provided
+    /// blocking calls.
+    Twin(Box<dyn ClusterBackend>),
+}
+
+impl Reference {
+    fn measure(&mut self, req: &WindowRequest) -> (WindowStats, bool) {
+        let (rps, warmup_s, window_s) = (req.rps, req.warmup_s, req.window_s);
+        match (self, req.early) {
+            (Reference::Engine(sim), None) => (sim.run_window(rps, warmup_s, window_s), false),
+            (Reference::Engine(sim), Some(e)) => {
+                sim.run_window_abortable(rps, warmup_s, window_s, e.check_s, e.slo_ms)
+            }
+            (Reference::Twin(b), None) => (b.measure_window(rps, warmup_s, window_s), false),
+            (Reference::Twin(b), Some(e)) => {
+                b.measure_window_abortable(rps, warmup_s, window_s, e.check_s, e.slo_ms)
+            }
+        }
+    }
+
+    fn apply(&mut self, alloc: &Allocation) {
+        match self {
+            Reference::Engine(sim) => sim.set_allocation(alloc),
+            Reference::Twin(b) => b.apply(alloc),
+        }
+    }
+
+    fn now_s(&self) -> f64 {
+        match self {
+            Reference::Engine(sim) => sim.now().as_secs(),
+            Reference::Twin(b) => b.now_s(),
+        }
+    }
+}
+
+/// [`each_backend_pair`] with the first instance as the second's
+/// [`Reference`] — the engine in its place on the DES legs. The
+/// provided blocking calls *are* the poll seam, so only a reference
+/// outside it keeps those legs from comparing the seam with itself.
+fn each_reference_pair(app: &AppSpec, check: impl Fn(&str, Reference, Box<dyn ClusterBackend>)) {
+    each_backend_pair(app, |name, twin, polled| {
+        let reference = if name.starts_with("sim") {
+            Reference::Engine(Box::new(SimBackend::new(app, 42).sim))
+        } else {
+            Reference::Twin(twin)
+        };
+        check(name, reference, polled)
+    });
 }
 
 /// Drives one window through the non-blocking seam to completion,
@@ -277,19 +407,19 @@ fn loop_applies_pre_interval_allocation_before_measuring() {
 #[test]
 fn nonblocking_seam_matches_measure_window() {
     // Three consecutive plain windows driven through begin/poll must be
-    // result-identical to the blocking measure_window path, interval by
+    // result-identical to the reference's blocking windows, interval by
     // interval, with the same virtual timeline — the fleet scheduler
     // changes nothing about what a window measures.
     let app = app();
-    each_backend_pair(&app, |name, mut blocking, mut polled| {
+    each_reference_pair(&app, |name, mut blocking, mut polled| {
         for i in 0..3 {
             let req = WindowRequest::new(120.0, 1.0, 5.0);
-            let want = blocking.measure_window(req.rps, req.warmup_s, req.window_s);
+            let (want, _) = blocking.measure(&req);
             let (got, aborted, _) = poll_to_ready(&mut *polled, &req);
             assert!(!aborted, "{name}: plain window {i} must not abort");
             assert_eq!(
                 want, got,
-                "{name}: window {i} differs between the blocking and non-blocking seams"
+                "{name}: window {i} differs between the reference and the polled window"
             );
             assert_eq!(
                 blocking.now_s().to_bits(),
@@ -303,19 +433,18 @@ fn nonblocking_seam_matches_measure_window() {
 #[test]
 fn nonblocking_cancellation_matches_measure_window_abortable() {
     let app = app();
-    each_backend_pair(&app, |name, mut blocking, mut polled| {
+    each_reference_pair(&app, |name, mut blocking, mut polled| {
         // Healthy window under early checks: no cancellation, and for
         // backends with intra-window visibility (the DES) the window
         // must actually be served in several polls — that is what lets
         // a fleet interleave other loops between checks instead of
-        // spinning inside measure_window_abortable.
+        // spinning inside one blocking call.
         let req = WindowRequest::new(120.0, 1.0, 8.0).with_early_check(2.0, app.slo_ms);
-        let (want, want_abort) =
-            blocking.measure_window_abortable(120.0, 1.0, 8.0, 2.0, app.slo_ms);
+        let (want, want_abort) = blocking.measure(&req);
         let (got, got_abort, pendings) = poll_to_ready(&mut *polled, &req);
         assert!(!want_abort && !got_abort, "{name}: healthy window aborted");
         assert_eq!(want, got, "{name}: healthy early-check window differs");
-        if name == "sim" {
+        if name == "sim" || name == "four-method" {
             assert!(
                 pendings >= 2,
                 "{name}: an 8 s window at 2 s checks must take several polls, got {pendings}"
@@ -323,18 +452,17 @@ fn nonblocking_cancellation_matches_measure_window_abortable() {
         }
 
         // Starved window: the breach must cancel it at a check boundary
-        // with exactly the stats the blocking abortable path reports.
+        // with exactly the stats the reference's abortable path reports.
         blocking.apply(&starved(&app));
         polled.apply(&starved(&app));
         let req = WindowRequest::new(150.0, 1.0, 8.0).with_early_check(2.0, app.slo_ms);
-        let (want, want_abort) =
-            blocking.measure_window_abortable(150.0, 1.0, 8.0, 2.0, app.slo_ms);
+        let (want, want_abort) = blocking.measure(&req);
         let (got, got_abort, _) = poll_to_ready(&mut *polled, &req);
-        assert!(want_abort, "{name}: starved window must abort (blocking)");
+        assert!(want_abort, "{name}: starved window must abort (reference)");
         assert!(got_abort, "{name}: starved window must abort (polled)");
         assert_eq!(
             want, got,
-            "{name}: cancelled window differs between the seams"
+            "{name}: cancelled window differs from its reference"
         );
         assert_eq!(
             blocking.now_s().to_bits(),
@@ -438,6 +566,24 @@ fn violation_accounting_sums_shortened_intervals() {
             );
         }
     });
+}
+
+#[test]
+fn provided_blocking_calls_drive_a_pending_poll_to_ready() {
+    // A backend that implements only the required methods still gets
+    // `measure_window_abortable`: the provided loop must keep polling
+    // through `Pending` (three of them for an 8 s window at 2 s checks)
+    // and hand back exactly what polling by hand yields.
+    let app = app();
+    let (mut provided, mut by_hand) = (FourMethod::new(&app), FourMethod::new(&app));
+    let req = WindowRequest::new(120.0, 1.0, 8.0).with_early_check(2.0, app.slo_ms);
+    let (want, _, pendings) = poll_to_ready(&mut by_hand, &req);
+    assert_eq!(pendings, 3, "the by-hand window must have pended");
+    let (got, aborted) = provided.measure_window_abortable(120.0, 1.0, 8.0, 2.0, app.slo_ms);
+    assert!(!aborted, "healthy window aborted");
+    assert_eq!(want, got);
+    assert_eq!(got.duration_s.to_bits(), 8.0f64.to_bits());
+    assert_eq!(provided.now_s().to_bits(), 9.0f64.to_bits());
 }
 
 #[test]

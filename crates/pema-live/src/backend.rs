@@ -12,9 +12,9 @@
 //! * **Windows are schedules, not sleeps.** `begin_window` computes
 //!   the window's boundary times; `poll_window` waits toward the next
 //!   boundary through a [`TimeSource`] and scrapes when it arrives.
-//!   The blocking seam is *literally* a begin + poll loop, so the two
-//!   seams are equivalent by construction (the conformance suite pins
-//!   `now_s` equality down to the bit).
+//!   The trait's provided blocking calls are that same begin + poll
+//!   loop, and `poll_window` bounds its own wait, so nothing here
+//!   blocks for a whole window.
 //! * **Errors degrade, never panic.** Scrapes retry with exponential
 //!   backoff + deterministic jitter; an exhausted retry records a
 //!   typed [`LiveError`] and yields a degraded window (zero
@@ -409,17 +409,6 @@ impl LiveBackend {
         };
         rebase_stats(&window_from_scrape(&scraped), &self.alloc)
     }
-
-    /// The blocking seam as a begin + poll loop (see the module docs).
-    fn run_blocking(&mut self, req: &WindowRequest) -> (WindowStats, bool) {
-        self.begin_window(req);
-        loop {
-            match self.poll_window(req) {
-                WindowPoll::Pending { resume_at_s } => self.clock.block_until(resume_at_s),
-                WindowPoll::Ready { stats, aborted } => return (stats, aborted),
-            }
-        }
-    }
 }
 
 impl ClusterBackend for LiveBackend {
@@ -460,23 +449,6 @@ impl ClusterBackend for LiveBackend {
 
     fn allocation(&self) -> Allocation {
         self.alloc.clone()
-    }
-
-    fn measure_window(&mut self, rps: f64, warmup_s: f64, window_s: f64) -> WindowStats {
-        self.run_blocking(&WindowRequest::new(rps, warmup_s, window_s))
-            .0
-    }
-
-    fn measure_window_abortable(
-        &mut self,
-        rps: f64,
-        warmup_s: f64,
-        window_s: f64,
-        check_s: f64,
-        slo_ms: f64,
-    ) -> (WindowStats, bool) {
-        let req = WindowRequest::new(rps, warmup_s, window_s).with_early_check(check_s, slo_ms);
-        self.run_blocking(&req)
     }
 
     fn now_s(&self) -> f64 {

@@ -4,8 +4,8 @@
 //! deterministic and fast. [`TimeSource`] is the seam: the production
 //! backend runs on [`WallClock`], the test harness on [`FakeClock`],
 //! and both implement identical semantics — time only moves forward,
-//! and waits land *exactly* on their requested target so the blocking
-//! and polled measurement paths report bit-identical `now_s` values
+//! and waits land *exactly* on their requested target so two
+//! identically driven backends report bit-identical `now_s` values
 //! (the backend-conformance suite compares them with `to_bits`).
 
 use std::sync::{Arc, Mutex};
@@ -17,10 +17,9 @@ pub trait TimeSource: Send {
     /// Current time, seconds since this source's epoch.
     fn now_s(&self) -> f64;
 
-    /// Blocks until `target_s`. Used by the blocking measurement path
-    /// and by retry backoff. Must leave `now_s() >= target_s`, and when
-    /// the source controls its own time it must land exactly on
-    /// `target_s`.
+    /// Blocks until `target_s`. Used by retry backoff. Must leave
+    /// `now_s() >= target_s`, and when the source controls its own
+    /// time it must land exactly on `target_s`.
     fn block_until(&self, target_s: f64);
 
     /// A *bounded* wait toward `target_s`, used inside

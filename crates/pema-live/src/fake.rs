@@ -1,9 +1,10 @@
 //! An in-process fake of the Prometheus + Kubernetes pair, for testing
 //! [`LiveBackend`] without a cluster.
 //!
-//! `FakeCluster` binds a real `TcpListener` on a loopback port and
-//! speaks actual HTTP/1.1, so the backend under test exercises its
-//! production wire path byte for byte. Behind the socket sits the
+//! `FakeCluster` is a handler on the shared [`http::Server`](Server):
+//! a real listening socket on a loopback port speaking actual HTTP/1.1,
+//! so the backend under test exercises its production wire path byte
+//! for byte. Behind the socket sits the
 //! analytic [`FluidEvaluator`]: every `query_range` evaluates the
 //! current allocation under the configured constant workload and
 //! serializes the matching Prometheus matrix, and every deployments
@@ -16,21 +17,20 @@
 //! request: drop the connection, delay past the client's timeout,
 //! answer 500, or answer garbage. Since the client opens one connection
 //! per request (`Connection: close`), a single injected fault maps to
-//! exactly one failed query attempt.
+//! exactly one failed query attempt. Every fault is answered *after*
+//! the request was read in full, so the client sees the injected
+//! failure itself and never a TCP reset racing it.
 
 use crate::backend::{LiveBackend, LiveConfig};
 use crate::clock::FakeClock;
-use crate::http::{urldecode, Endpoint, HttpClient};
+use crate::http::{urldecode, Endpoint, HttpClient, Reply, Request, Server};
 use crate::kube::{KubeClient, KubeConfigLite};
 use crate::prom::PromClient;
 use pema_control::{ClusterBackend, WindowPoll, WindowRequest};
 use pema_sim::{Allocation, AppSpec, Evaluator as _, FluidEvaluator, WindowStats};
 use pema_trace::{json, prom};
 use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// One injected failure, consumed by the next incoming request.
@@ -92,62 +92,41 @@ struct State {
     stats: FaultStats,
 }
 
-struct Inner {
-    state: Mutex<State>,
-    addr: SocketAddr,
-    shutdown: AtomicBool,
-}
-
-impl Drop for Inner {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the accept loop so it notices the shutdown; it holds
-        // only a Weak to us, so it exits as soon as it fails to
-        // upgrade.
-        let _ = TcpStream::connect(self.addr);
-    }
-}
-
 /// Handle to a running fake cluster. Clones share the server; the
 /// server stops when the last handle drops.
 #[derive(Clone)]
 pub struct FakeCluster {
-    inner: Arc<Inner>,
+    state: Arc<Mutex<State>>,
+    server: Server,
 }
 
 impl FakeCluster {
     /// Boots the server for `app` under a constant `rps` workload.
     pub fn start(app: &AppSpec, rps: f64) -> FakeCluster {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().expect("local addr");
-        let inner = Arc::new(Inner {
-            state: Mutex::new(State {
-                app: app.clone(),
-                eval: FluidEvaluator::new(app),
-                alloc: Allocation::new(app.generous_alloc.clone()),
-                rps,
-                token: None,
-                patches: Vec::new(),
-                scrapes: Vec::new(),
-                faults: VecDeque::new(),
-                stats: FaultStats::default(),
-            }),
-            addr,
-            shutdown: AtomicBool::new(false),
-        });
-        let weak: Weak<Inner> = Arc::downgrade(&inner);
-        std::thread::Builder::new()
-            .name("fake-cluster".into())
-            .spawn(move || accept_loop(listener, weak))
-            .expect("spawn fake-cluster thread");
-        FakeCluster { inner }
+        let state = Arc::new(Mutex::new(State {
+            app: app.clone(),
+            eval: FluidEvaluator::new(app),
+            alloc: Allocation::new(app.generous_alloc.clone()),
+            rps,
+            token: None,
+            patches: Vec::new(),
+            scrapes: Vec::new(),
+            faults: VecDeque::new(),
+            stats: FaultStats::default(),
+        }));
+        let served = Arc::clone(&state);
+        let server = Server::serve("127.0.0.1:0", "fake-cluster", move |req| {
+            handle(&served, req)
+        })
+        .expect("serve on loopback");
+        FakeCluster { state, server }
     }
 
     /// The server's HTTP endpoint.
     pub fn endpoint(&self) -> Endpoint {
         Endpoint {
             host: "127.0.0.1".into(),
-            port: self.inner.addr.port(),
+            port: self.server.local_addr().port(),
         }
     }
 
@@ -196,25 +175,15 @@ impl FakeCluster {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, State> {
-        self.inner.state.lock().expect("fake cluster poisoned")
+        self.state.lock().expect("fake cluster poisoned")
     }
 }
 
-fn accept_loop(listener: TcpListener, weak: Weak<Inner>) {
-    for stream in listener.incoming() {
-        let Some(inner) = weak.upgrade() else { return };
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok(stream) = stream else { continue };
-        handle(stream, &inner);
-    }
-}
-
-fn handle(mut stream: TcpStream, inner: &Inner) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
+/// Serves one request: the next queued fault if there is one, the
+/// routed answer otherwise (and after a [`Fault::Delay`]).
+fn handle(state: &Mutex<State>, req: &Request) -> Option<Reply> {
     let fault = {
-        let mut st = inner.state.lock().expect("fake cluster poisoned");
+        let mut st = state.lock().expect("fake cluster poisoned");
         st.stats.requests += 1;
         let fault = st.faults.pop_front();
         match &fault {
@@ -227,99 +196,16 @@ fn handle(mut stream: TcpStream, inner: &Inner) {
         fault
     };
     match fault {
-        Some(Fault::DropConnection) => return,
+        Some(Fault::DropConnection) => return None,
+        // Slept with the state unlocked: the test thread may inspect
+        // the cluster meanwhile.
         Some(Fault::Delay(d)) => std::thread::sleep(d),
-        Some(Fault::Http500) => {
-            respond(&mut stream, 500, "injected failure");
-            return;
-        }
-        Some(Fault::GarbageBody) => {
-            respond(&mut stream, 200, "}{ this is not json");
-            return;
-        }
+        Some(Fault::Http500) => return Some(Reply::text(500, "injected failure")),
+        Some(Fault::GarbageBody) => return Some(Reply::text(200, "}{ this is not json")),
         None => {}
     }
-    let Some(req) = read_request(&mut stream) else {
-        respond(&mut stream, 400, "bad request");
-        return;
-    };
-    let mut st = inner.state.lock().expect("fake cluster poisoned");
-    let (status, body) = route(&mut st, &req);
-    drop(st);
-    respond(&mut stream, status, &body);
-}
-
-struct Request {
-    method: String,
-    path: String,
-    authorization: Option<String>,
-    body: String,
-}
-
-fn read_request(stream: &mut TcpStream) -> Option<Request> {
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 1024];
-    let header_end = loop {
-        if let Some(pos) = find_blank_line(&buf) {
-            break pos;
-        }
-        let n = stream.read(&mut chunk).ok()?;
-        if n == 0 {
-            return None;
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = std::str::from_utf8(&buf[..header_end]).ok()?;
-    let mut lines = head.lines();
-    let mut request_line = lines.next()?.split_whitespace();
-    let method = request_line.next()?.to_string();
-    let path = request_line.next()?.to_string();
-    let mut content_length = 0usize;
-    let mut authorization = None;
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        if name.eq_ignore_ascii_case("content-length") {
-            content_length = value.trim().parse().ok()?;
-        } else if name.eq_ignore_ascii_case("authorization") {
-            authorization = Some(value.trim().to_string());
-        }
-    }
-    let mut body = buf[header_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk).ok()?;
-        if n == 0 {
-            return None;
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
-    Some(Request {
-        method,
-        path,
-        authorization,
-        body: String::from_utf8(body).ok()?,
-    })
-}
-
-fn find_blank_line(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
-fn respond(stream: &mut TcpStream, status: u16, body: &str) {
-    let reason = match status {
-        200 => "OK",
-        400 => "Bad Request",
-        401 => "Unauthorized",
-        404 => "Not Found",
-        _ => "Internal Server Error",
-    };
-    let resp = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    let _ = stream.write_all(resp.as_bytes());
+    let (status, body) = route(&mut state.lock().expect("fake cluster poisoned"), req);
+    Some(Reply::text(status, body))
 }
 
 fn route(st: &mut State, req: &Request) -> (u16, String) {
@@ -495,48 +381,24 @@ fn patch_deployment(st: &mut State, name: &str, req: &Request) -> (u16, String) 
 /// Extracts `spec.template.spec.containers[name].resources.limits.cpu`
 /// from a strategic-merge-patch body.
 fn parse_patch_cores(body: &str, name: &str) -> Result<f64, String> {
+    fn descend<'a>(mut v: &'a json::Value, keys: &[&str]) -> Result<&'a json::Value, String> {
+        for key in keys {
+            v = v.get(key).ok_or_else(|| format!("missing \"{key}\""))?;
+        }
+        Ok(v)
+    }
     let root = json::parse(body)?;
-    let mut v = root;
-    for key in ["spec", "template", "spec", "containers"] {
-        let json::Value::Obj(fields) = v else {
-            return Err(format!("expected object around \"{key}\""));
-        };
-        v = fields
-            .into_iter()
-            .find(|(k, _)| k == key)
-            .ok_or_else(|| format!("missing \"{key}\""))?
-            .1;
-    }
-    let json::Value::Arr(containers) = v else {
-        return Err("containers is not an array".into());
-    };
-    for c in containers {
-        let json::Value::Obj(fields) = c else {
-            continue;
-        };
-        let is_target = fields
-            .iter()
-            .any(|(k, v)| k == "name" && v.as_str() == Some(name));
-        if !is_target {
-            continue;
-        }
-        let mut v = json::Value::Obj(fields);
-        for key in ["resources", "limits", "cpu"] {
-            let json::Value::Obj(fields) = v else {
-                return Err(format!("expected object around \"{key}\""));
-            };
-            v = fields
-                .into_iter()
-                .find(|(k, _)| k == key)
-                .ok_or_else(|| format!("missing \"{key}\""))?
-                .1;
-        }
-        let cpu = v.as_str().ok_or("cpu quantity is not a string")?;
-        return cpu
-            .parse()
-            .map_err(|_| format!("bad cpu quantity \"{cpu}\""));
-    }
-    Err(format!("no container named \"{name}\" in patch"))
+    let container = descend(&root, &["spec", "template", "spec", "containers"])?
+        .as_array()
+        .ok_or("containers is not an array")?
+        .iter()
+        .find(|c| c.get("name").and_then(json::Value::as_str) == Some(name))
+        .ok_or_else(|| format!("no container named \"{name}\" in patch"))?;
+    let cpu = descend(container, &["resources", "limits", "cpu"])?
+        .as_str()
+        .ok_or("cpu quantity is not a string")?;
+    cpu.parse()
+        .map_err(|_| format!("bad cpu quantity \"{cpu}\""))
 }
 
 /// A [`LiveBackend`] wired to a [`FakeCluster`], as one value: the
@@ -596,22 +458,6 @@ impl ClusterBackend for FakeLive {
 
     fn allocation(&self) -> Allocation {
         self.backend.allocation()
-    }
-
-    fn measure_window(&mut self, rps: f64, warmup_s: f64, window_s: f64) -> WindowStats {
-        self.backend.measure_window(rps, warmup_s, window_s)
-    }
-
-    fn measure_window_abortable(
-        &mut self,
-        rps: f64,
-        warmup_s: f64,
-        window_s: f64,
-        check_s: f64,
-        slo_ms: f64,
-    ) -> (WindowStats, bool) {
-        self.backend
-            .measure_window_abortable(rps, warmup_s, window_s, check_s, slo_ms)
     }
 
     fn now_s(&self) -> f64 {

@@ -112,6 +112,7 @@ impl KubeClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pema_trace::json::Value;
 
     fn client() -> KubeClient {
         KubeClient {
@@ -137,34 +138,14 @@ mod tests {
         let body = KubeClient::cpu_limit_body("fe", 1.35);
         let root = pema_trace::json::parse(&body).unwrap();
         // Walk spec.template.spec.containers[0].resources.limits.cpu.
-        let mut v = &root;
-        for key in ["spec", "template", "spec"] {
-            let pema_trace::json::Value::Obj(fields) = v else {
-                panic!("not an object at {key}")
-            };
-            v = &fields.iter().find(|(k, _)| k == key).unwrap().1;
+        fn at<'a>(v: &'a Value, keys: &[&str]) -> &'a Value {
+            keys.iter().fold(v, |v, key| v.get(key).expect(key))
         }
-        let pema_trace::json::Value::Obj(fields) = v else {
-            panic!()
-        };
-        let containers = fields.iter().find(|(k, _)| k == "containers").unwrap();
-        let arr = containers.1.as_array().unwrap();
-        let pema_trace::json::Value::Obj(c0) = &arr[0] else {
-            panic!()
-        };
-        let name = c0.iter().find(|(k, _)| k == "name").unwrap();
-        assert_eq!(name.1.as_str(), Some("fe"));
-        let resources = &c0.iter().find(|(k, _)| k == "resources").unwrap().1;
-        let pema_trace::json::Value::Obj(r) = resources else {
-            panic!()
-        };
-        let pema_trace::json::Value::Obj(limits) =
-            &r.iter().find(|(k, _)| k == "limits").unwrap().1
-        else {
-            panic!()
-        };
-        let cpu = limits.iter().find(|(k, _)| k == "cpu").unwrap();
-        let parsed: f64 = cpu.1.as_str().unwrap().parse().unwrap();
+        let containers = at(&root, &["spec", "template", "spec", "containers"]);
+        let c0 = &containers.as_array().unwrap()[0];
+        assert_eq!(at(c0, &["name"]).as_str(), Some("fe"));
+        let cpu = at(c0, &["resources", "limits", "cpu"]);
+        let parsed: f64 = cpu.as_str().unwrap().parse().unwrap();
         assert_eq!(parsed.to_bits(), 1.35f64.to_bits());
     }
 }

@@ -13,10 +13,10 @@
 //! |---|---|
 //! | [`backend`] | [`LiveBackend`], [`LiveConfig`], [`RetryPolicy`], typed [`LiveError`]s |
 //! | [`clock`] | the [`TimeSource`] seam: [`WallClock`] in production, [`FakeClock`] in tests |
-//! | [`http`] | hand-rolled blocking HTTP/1.1 client (`std::net::TcpStream`, explicit timeouts, no async runtime) |
+//! | [`http`] | re-export of [`pema_telemetry::http`], the workspace's one hand-rolled HTTP/1.1 client + server (explicit timeouts, no async runtime) |
 //! | [`prom`] | `query_range` client + matrix parsing |
 //! | [`kube`] | kubeconfig-lite bearer-token auth + CPU-limit PATCHes |
-//! | [`fake`] | [`FakeCluster`]: an in-process fluid-model-backed HTTP server with fault injection |
+//! | [`fake`] | [`FakeCluster`]: an in-process fluid-model-backed handler on that server, with fault injection |
 //!
 //! The wire protocol, the retry/backoff policy, dry-run semantics, and
 //! FakeCluster usage are documented in `docs/live-backend.md`. The
@@ -25,9 +25,10 @@
 pub mod backend;
 pub mod clock;
 pub mod fake;
-pub mod http;
 pub mod kube;
 pub mod prom;
+
+pub use pema_telemetry::http;
 
 pub use backend::{LiveBackend, LiveConfig, LiveError, RetryPolicy};
 pub use clock::{FakeClock, TimeSource, WallClock};

@@ -1,13 +1,12 @@
-//! Minimal JSON reader/writer shared by the trace and telemetry
-//! subsystems.
+//! The workspace's one JSON reader/writer: traces, the event log, the
+//! live wire path and the perf harness's baselines all go through it.
 //!
-//! The build environment has no route to a crates registry, so — like
-//! the perf harness in `pema-bench` — JSON is hand-rolled. This module
-//! started life in `pema-trace` (which still re-exports it as
-//! `pema_trace::json`) and moved here so the telemetry event sink can
-//! reuse it without a dependency cycle: `pema-telemetry` sits below
-//! `pema-control` in the graph, `pema-trace` above. Two requirements
-//! push it beyond a copy of the perf reader:
+//! The build environment has no route to a crates registry, so JSON is
+//! hand-rolled. This module started life in `pema-trace` (which still
+//! re-exports it as `pema_trace::json`) and moved here so the telemetry
+//! event sink can reuse it without a dependency cycle:
+//! `pema-telemetry` sits below `pema-control` in the graph,
+//! `pema-trace` above. Two requirements shape it:
 //!
 //! * **bit-exact `f64` round trips.** Numbers are *written* with
 //!   Rust's shortest-round-trip `Display` and *kept as raw tokens*
@@ -39,6 +38,14 @@ pub enum Value {
 }
 
 impl Value {
+    /// The value under `key`, if this is an object that has one.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
     /// The value as an `f64`, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -443,8 +450,26 @@ mod tests {
     }
 
     #[test]
+    fn get_descends_nested_objects_only() {
+        let v = parse(r#"{"a": [1, -2.5e3], "b": {"c": null, "d": true}}"#).unwrap();
+        let a = v.get("a").and_then(Value::as_array).unwrap();
+        assert_eq!(a[1].as_f64(), Some(-2500.0));
+        assert_eq!(v.get("b").and_then(|b| b.get("c")), Some(&Value::Null));
+        assert_eq!(v.get("missing"), None);
+        assert_eq!(a[0].get("a"), None);
+    }
+
+    #[test]
     fn malformed_inputs_error() {
-        for bad in ["{", "[1,", "{\"a\" 1}", "12x", "\"open", "{\"a\":}"] {
+        for bad in [
+            "{",
+            "[1,",
+            "{\"a\" 1}",
+            "12x",
+            "\"open",
+            "{\"a\":}",
+            "{} extra",
+        ] {
             assert!(parse(bad).is_err(), "{bad} should not parse");
         }
     }

@@ -12,9 +12,11 @@
 //!   and never touches the registry again.
 //! * [`render`](Telemetry::render) — Prometheus text exposition format
 //!   0.0.4 with deterministic series ordering and label escaping.
-//! * [`MetricsServer`] — a hand-rolled `std::net` threaded HTTP
-//!   listener (same pattern as `pema-live`'s `FakeCluster`; no tokio)
-//!   serving `GET /metrics`.
+//! * [`http`] — the workspace's one hand-rolled `std::net` HTTP/1.1
+//!   stack (no tokio): the blocking client `pema-live` scrapes and
+//!   PATCHes with, and the small threaded server that both
+//!   [`MetricsServer`] (`GET /metrics`) and `pema-live`'s `FakeCluster`
+//!   are handlers on.
 //! * [`lint()`](lint::lint) — a hand-rolled exposition-format lint (HELP/TYPE
 //!   presence, label escaping, counter monotonicity across scrapes,
 //!   histogram bucket cumulativity) used by tests and CI smoke.
@@ -30,6 +32,7 @@
 //! telemetry leaves every golden byte-identical.
 
 pub mod events;
+pub mod http;
 pub mod json;
 pub mod lint;
 pub mod registry;

@@ -445,11 +445,14 @@ fn render_series(fam: &Family, s: &Series) -> String {
         }
         SeriesValue::Hist(core) => {
             let h = Histogram { core: core.clone() };
-            for (bound, cum) in h.cumulative_buckets() {
+            // One read of the cells serves both: `_count` re-read from
+            // them could have moved past the `+Inf` bucket meanwhile.
+            let buckets = h.cumulative_buckets();
+            for (bound, cum) in &buckets {
                 out.push_str(&format!(
                     "{}_bucket{} {cum}\n",
                     fam.name,
-                    label_block_le(&s.labels, &fmt_bound(bound))
+                    label_block_le(&s.labels, &fmt_bound(*bound))
                 ));
             }
             out.push_str(&format!(
@@ -462,7 +465,7 @@ fn render_series(fam: &Family, s: &Series) -> String {
                 "{}_count{} {}\n",
                 fam.name,
                 label_block(&s.labels),
-                h.count()
+                buckets.last().map_or(0, |&(_, cum)| cum)
             ));
         }
     }
@@ -575,6 +578,39 @@ mod tests {
         assert!(text.contains("h_seconds_bucket{phase=\"decide\",le=\"+Inf\"} 2"));
         assert!(text.contains("h_seconds_sum{phase=\"decide\"} 2.25"));
         assert!(text.contains("h_seconds_count{phase=\"decide\"} 2"));
+    }
+
+    #[test]
+    fn concurrent_scrapes_are_never_torn() {
+        let t = Telemetry::new();
+        let h = t.histogram("torn_seconds", "test", &[], &[0.5]);
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let (started, first) = std::sync::mpsc::channel();
+        let writer = {
+            let (h, stop) = (h.clone(), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                h.observe(1.0);
+                started.send(()).unwrap();
+                while !stop.load(Ordering::Relaxed) {
+                    h.observe(1.0);
+                }
+            })
+        };
+        first.recv().unwrap();
+        let field = |text: &str, series: &str| -> u64 {
+            let line = text.lines().find(|l| l.starts_with(series)).unwrap();
+            line.rsplit(' ').next().unwrap().parse().unwrap()
+        };
+        for _ in 0..1000 {
+            let text = t.render();
+            assert_eq!(
+                field(&text, "torn_seconds_count"),
+                field(&text, "torn_seconds_bucket{le=\"+Inf\"}"),
+                "{text}"
+            );
+        }
+        stop.store(true, Ordering::Relaxed);
+        writer.join().unwrap();
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! against production history: the *telemetry* comes from the tape,
 //! the *actuation* is hypothetical. Concretely:
 //!
-//! * [`measure_window`](ClusterBackend::measure_window) returns the
+//! * [`poll_window`](ClusterBackend::poll_window) returns the
 //!   next recorded [`WindowStats`]; virtual time is reconstructed from
 //!   the recorded timeline (not from the caller's requested window).
 //! * [`apply`](ClusterBackend::apply) is a **no-op against the tape**:
@@ -38,7 +38,9 @@
 //! is the "same policy ⇒ same run" acceptance check CI enforces.
 
 use crate::format::{Trace, TraceRecord};
-use pema_control::{ClusterBackend, ControlLoop, HarnessConfig, Policy, RunResult};
+use pema_control::{
+    ClusterBackend, ControlLoop, HarnessConfig, Policy, RunResult, WindowPoll, WindowRequest,
+};
 use pema_sim::{Allocation, TailModel, WindowStats};
 
 /// What a replay does when the tape runs out.
@@ -418,54 +420,39 @@ impl ClusterBackend for TraceBackend {
         self.alloc.clone()
     }
 
-    fn measure_window(&mut self, _rps: f64, _warmup_s: f64, _window_s: f64) -> WindowStats {
+    /// The next recorded window, whatever `req` asks for in load and
+    /// length: only its early-check mode is honoured.
+    fn poll_window(&mut self, req: &WindowRequest) -> WindowPoll {
         let (idx, offset) = self.advance();
-        let stats = self.counterfactual_window(idx, offset);
-        self.clock_s = stats.start_s + stats.duration_s;
-        stats
-    }
-
-    fn measure_window_abortable(
-        &mut self,
-        rps: f64,
-        warmup_s: f64,
-        window_s: f64,
-        check_s: f64,
-        slo_ms: f64,
-    ) -> (WindowStats, bool) {
-        let (idx, offset) = self.advance();
-        let recorded_aborted = self.trace.records[idx].action.starts_with("early-");
         let mut stats = self.counterfactual_window(idx, offset);
-        // A window the recording itself aborted is already truncated
-        // (duration ≈ one check period): report it aborted as-is, so
-        // replays of early-check runs reproduce the recorded
-        // `early-…` action tags.
-        if recorded_aborted {
-            self.clock_s = stats.start_s + stats.duration_s;
-            return (stats, true);
-        }
-        // Otherwise the recorded window ran full length and has no
-        // intra-window trajectory left, so — like the fluid backend —
-        // a violating window is caught at the first early check and
-        // the interval shrinks to one check period, with
-        // duration-proportional counters.
-        if stats.violates(slo_ms) && check_s < stats.duration_s {
-            let ratio = check_s / stats.duration_s;
-            stats.duration_s = check_s;
-            stats.completed = (stats.completed as f64 * ratio) as u64;
-            stats.arrivals = (stats.arrivals as f64 * ratio) as u64;
-            for svc in &mut stats.per_service {
-                svc.cpu_used_s *= ratio;
-                svc.throttled_s *= ratio;
-                svc.visits = (svc.visits as f64 * ratio) as u64;
+        let mut aborted = false;
+        if let Some(e) = req.early {
+            if self.trace.records[idx].action.starts_with("early-") {
+                // A window the recording itself aborted is already
+                // truncated (duration ≈ one check period): report it
+                // aborted as-is, so replays of early-check runs
+                // reproduce the recorded `early-…` action tags.
+                aborted = true;
+            } else if stats.violates(e.slo_ms) && e.check_s < stats.duration_s {
+                // The recorded window ran full length and has no
+                // intra-window trajectory left, so — like the fluid
+                // backend — a violating window is caught at the first
+                // early check and the interval shrinks to one check
+                // period, with duration-proportional counters.
+                let ratio = e.check_s / stats.duration_s;
+                stats.duration_s = e.check_s;
+                stats.completed = (stats.completed as f64 * ratio) as u64;
+                stats.arrivals = (stats.arrivals as f64 * ratio) as u64;
+                for svc in &mut stats.per_service {
+                    svc.cpu_used_s *= ratio;
+                    svc.throttled_s *= ratio;
+                    svc.visits = (svc.visits as f64 * ratio) as u64;
+                }
+                aborted = true;
             }
-            self.clock_s = stats.start_s + stats.duration_s;
-            (stats, true)
-        } else {
-            let _ = (rps, warmup_s, window_s);
-            self.clock_s = stats.start_s + stats.duration_s;
-            (stats, false)
         }
+        self.clock_s = stats.start_s + stats.duration_s;
+        WindowPoll::Ready { stats, aborted }
     }
 
     fn now_s(&self) -> f64 {

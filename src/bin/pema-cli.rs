@@ -228,47 +228,31 @@ fn telemetry_wires(flags: &HashMap<String, String>) -> TelemetryWires {
     }
 }
 
-/// Scrapes `http://ADDR/metrics` once with a plain `TcpStream` GET and
-/// lints the exposition format (`pema-cli metrics --addr H:P`). With
-/// `--out F` the raw scrape is also written to `F`. Exits 1 when the
-/// lint finds violations — CI pipes a mid-run scrape through this.
+/// Scrapes `http://ADDR/metrics` once and lints the exposition format
+/// (`pema-cli metrics --addr H:P`). With `--out F` the raw scrape is
+/// also written to `F`. Exits 1 when the lint finds violations — CI
+/// pipes a mid-run scrape through this.
 fn cmd_metrics(flags: &HashMap<String, String>) {
-    use std::io::{Read as _, Write as _};
+    use pema::pema_telemetry::http::{Endpoint, HttpClient};
     let addr = flags.get("addr").unwrap_or_else(|| {
         eprintln!("--addr is required (host:port of a running --metrics-addr listener)");
         exit(2);
     });
-    let mut stream = std::net::TcpStream::connect(addr).unwrap_or_else(|e| {
-        eprintln!("cannot connect to {addr}: {e}");
-        exit(1);
+    let endpoint = Endpoint::parse(addr).unwrap_or_else(|e| {
+        eprintln!("bad --addr: {e}");
+        exit(2);
     });
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
-        .ok();
-    stream
-        .write_all(
-            format!("GET /metrics HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")
-                .as_bytes(),
-        )
+    let resp = HttpClient::default()
+        .request(&endpoint, "GET", "/metrics", &[], None)
         .unwrap_or_else(|e| {
-            eprintln!("request to {addr} failed: {e}");
+            eprintln!("scrape of {addr} failed: {e}");
             exit(1);
         });
-    let mut raw = Vec::new();
-    if let Err(e) = stream.read_to_end(&mut raw) {
-        eprintln!("reading scrape from {addr} failed: {e}");
+    if resp.status != 200 {
+        eprintln!("scrape failed: HTTP {}", resp.status);
         exit(1);
     }
-    let text = String::from_utf8_lossy(&raw);
-    let Some((head, body)) = text.split_once("\r\n\r\n") else {
-        eprintln!("malformed HTTP response from {addr}");
-        exit(1);
-    };
-    let status = head.lines().next().unwrap_or_default();
-    if !status.contains("200") {
-        eprintln!("scrape failed: {status}");
-        exit(1);
-    }
+    let body = resp.body.as_str();
     if let Some(out) = flags.get("out") {
         if let Err(e) = std::fs::write(out, body) {
             eprintln!("cannot write --out '{out}': {e}");

@@ -61,12 +61,6 @@
 //! assert_eq!(result.log.len(), 5);
 //! ```
 
-#[deprecated(
-    since = "0.2.0",
-    note = "the harness moved to the `pema-control` crate; import from `pema::prelude` or `pema_control` (see its crate docs for the migration table)"
-)]
-pub mod runner;
-
 pub use pema_apps;
 pub use pema_baselines;
 pub use pema_classifier;
