@@ -15,7 +15,6 @@
 //! between the cluster floor and the service's generous allocation.
 
 use pema_sim::{Allocation, AppSpec, WindowStats, MIN_ALLOC};
-use std::collections::VecDeque;
 
 /// Kubernetes-flavoured rule-based vertical scaler.
 #[derive(Debug, Clone)]
@@ -23,12 +22,22 @@ pub struct RuleScaler {
     /// Target utilization: allocation is sized so the p90 usage sits at
     /// this fraction of it (HPA-style; 0.65 by default).
     pub target_util: f64,
-    /// Number of recent windows whose p90 samples are retained.
+    /// Number of recent windows whose p90 samples are retained (read at
+    /// every step; 0 is treated as 1, the current window alone).
     pub window: usize,
     /// Per-service upper clamp (the generous allocation).
     cap: Vec<f64>,
-    /// Recent p90-of-1s-usage samples, per service.
-    history: Vec<VecDeque<f64>>,
+    /// Recent p90-of-1s-usage samples: one ring of `ring_window` slots
+    /// per service, service `i` at `i * ring_window..`. A slot not yet
+    /// written holds 0.0, which the max below cannot tell from absent.
+    ring: Vec<f64>,
+    /// The `window` the ring is laid out for.
+    ring_window: usize,
+    /// Slot the next sample overwrites — the oldest once the ring is
+    /// full. All services advance together.
+    head: usize,
+    /// Samples retained per service, at most `ring_window`.
+    seen: usize,
 }
 
 impl RuleScaler {
@@ -39,7 +48,10 @@ impl RuleScaler {
             target_util: 0.65,
             window: 5,
             cap: app.generous_alloc.clone(),
-            history: vec![VecDeque::new(); app.services.len()],
+            ring: Vec::new(),
+            ring_window: 0,
+            head: 0,
+            seen: 0,
         }
     }
 
@@ -50,33 +62,55 @@ impl RuleScaler {
         self
     }
 
+    /// Lays the ring out for `window` slots per service, keeping the
+    /// most recent samples that fit.
+    fn resize_ring(&mut self, window: usize) {
+        let (old, keep) = (self.ring_window, self.seen.min(window));
+        let mut ring = vec![0.0; window * self.cap.len()];
+        for (i, h) in ring.chunks_exact_mut(window).enumerate() {
+            for (j, slot) in h[..keep].iter_mut().enumerate() {
+                *slot = self.ring[i * old + (self.head + old - keep + j) % old];
+            }
+        }
+        self.ring = ring;
+        self.ring_window = window;
+        self.head = keep % window;
+        self.seen = keep;
+    }
+
     /// Ingests one monitoring window and returns the allocation for the
     /// next interval.
     ///
     /// # Panics
     /// Panics if the window's service count differs from the app's.
     pub fn step(&mut self, stats: &WindowStats) -> Allocation {
-        assert_eq!(stats.per_service.len(), self.history.len());
-        let mut next = Vec::with_capacity(self.history.len());
-        for (i, s) in stats.per_service.iter().enumerate() {
-            let h = &mut self.history[i];
-            if h.len() == self.window {
-                h.pop_front();
-            }
-            h.push_back(s.usage_p90_cores);
+        assert_eq!(stats.per_service.len(), self.cap.len());
+        let window = self.window.max(1);
+        if window != self.ring_window {
+            self.resize_ring(window);
+        }
+        let mut next = Vec::with_capacity(self.cap.len());
+        for ((s, h), cap) in stats
+            .per_service
+            .iter()
+            .zip(self.ring.chunks_exact_mut(window))
+            .zip(&self.cap)
+        {
+            h[self.head] = s.usage_p90_cores;
             // Max over the retained p90 samples: a spike in any recent
             // window keeps the allocation up (the rule errs safe).
             let p90 = h.iter().copied().fold(0.0f64, f64::max);
-            let target = (p90 / self.target_util).clamp(MIN_ALLOC, self.cap[i]);
-            next.push(target);
+            next.push((p90 / self.target_util).clamp(MIN_ALLOC, *cap));
         }
+        self.head = (self.head + 1) % window;
+        self.seen = (self.seen + 1).min(window);
         Allocation::new(next)
     }
 
-    /// Number of windows ingested so far for service 0 (all services
-    /// advance together).
+    /// Number of windows currently retained (all services advance
+    /// together).
     pub fn windows_seen(&self) -> usize {
-        self.history.first().map(|h| h.len()).unwrap_or(0)
+        self.seen
     }
 }
 
@@ -169,6 +203,71 @@ mod tests {
         // Sixth window: spike evicted.
         let a = r.step(&window(&[0.05, 0.05, 0.05]));
         assert!((a.get(0) - 0.1).abs() < 1e-9);
+    }
+
+    /// The rule as first written: one deque of p90 samples per service,
+    /// trimmed to the last `window`.
+    struct DequeRule {
+        window: usize,
+        history: Vec<std::collections::VecDeque<f64>>,
+    }
+
+    impl DequeRule {
+        fn step(&mut self, p90s: &[f64], target_util: f64, cap: &[f64]) -> Vec<f64> {
+            let mut next = Vec::new();
+            for (i, &p) in p90s.iter().enumerate() {
+                let h = &mut self.history[i];
+                h.push_back(p);
+                while h.len() > self.window {
+                    h.pop_front();
+                }
+                let p90 = h.iter().copied().fold(0.0f64, f64::max);
+                next.push((p90 / target_util).clamp(MIN_ALLOC, cap[i]));
+            }
+            next
+        }
+    }
+
+    /// A deterministic, spiky p90 series (LCG; spikes decay out of the
+    /// window at different times per service).
+    fn sample(state: &mut u64) -> f64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (*state >> 40) as f64 / (1u64 << 24) as f64
+    }
+
+    #[test]
+    fn ring_matches_per_service_deques() {
+        let app = app();
+        let n = app.services.len();
+        // Each schedule is the `window` in force at successive steps:
+        // constant 1…7, then grown, shrunk and bounced mid-run.
+        let mut schedules: Vec<Vec<usize>> = (1..=7).map(|w| vec![w; 30]).collect();
+        schedules.push([vec![3; 8], vec![7; 12], vec![2; 10]].concat());
+        schedules.push([vec![5; 3], vec![1; 4], vec![6; 9], vec![4; 9]].concat());
+        for (k, schedule) in schedules.iter().enumerate() {
+            let mut rule = RuleScaler::new(&app);
+            let mut reference = DequeRule {
+                window: 0,
+                history: vec![Default::default(); n],
+            };
+            let mut state = 0x5EED + k as u64;
+            for (step, &w) in schedule.iter().enumerate() {
+                rule.window = w;
+                reference.window = w;
+                let p90s: Vec<f64> = (0..n).map(|_| sample(&mut state)).collect();
+                let got = rule.step(&window(&p90s));
+                let want = reference.step(&p90s, rule.target_util, &app.generous_alloc);
+                assert_eq!(got.0, want, "schedule {k}, step {step}, window {w}");
+                assert_eq!(
+                    rule.windows_seen(),
+                    reference.history[0].len(),
+                    "schedule {k}, step {step}"
+                );
+                assert!(rule.windows_seen() <= w);
+            }
+        }
     }
 
     #[test]

@@ -406,7 +406,7 @@ impl ClusterBackend for FluidBackend {
             self.alloc.len(),
             "allocation length must match the app"
         );
-        self.alloc = alloc.clone();
+        self.alloc.0.clone_from(&alloc.0);
     }
 
     fn allocation(&self) -> Allocation {

@@ -204,6 +204,9 @@ pub struct ControlLoop<P: Policy, B: ClusterBackend = SimBackend> {
     /// exactly 1.0 when nothing was ever cut, in which case no
     /// allocation is ever rescaled (slack budgets stay bit-identical).
     grant_scale: f64,
+    /// Scratch for the allocation handed to the backend (the decided
+    /// vector, floored), so applying one costs no allocation.
+    applied: Allocation,
     /// Self-instrumentation, when attached: per-interval counters and
     /// phase-span histograms. A pure side channel — nothing it records
     /// flows back into decisions or logs (see [`crate::telemetry`]).
@@ -286,6 +289,7 @@ impl<P: Policy, B: ClusterBackend> ControlLoop<P, B> {
             propose_mode: false,
             staged: None,
             grant_scale: 1.0,
+            applied: Allocation(Vec::new()),
             telemetry: None,
         }
     }
@@ -353,8 +357,12 @@ impl<P: Policy, B: ClusterBackend> ControlLoop<P, B> {
                 // unless a round actually cut this member, so the
                 // rescale branch never runs on slack budgets.
                 if self.grant_scale < 1.0 {
-                    let scaled: Vec<f64> = pre.0.iter().map(|a| a * self.grant_scale).collect();
-                    self.backend.apply(&Allocation::new(scaled));
+                    self.applied.0.clear();
+                    self.applied
+                        .0
+                        .extend(pre.0.iter().map(|a| a * self.grant_scale));
+                    self.applied.clamp_floor();
+                    self.backend.apply(&self.applied);
                 } else {
                     self.backend.apply(&pre);
                 }
@@ -479,7 +487,11 @@ impl<P: Policy, B: ClusterBackend> ControlLoop<P, B> {
                 self.grant_scale = 1.0;
             }
         }
-        self.backend.apply(&Allocation::new(alloc.clone()));
+        // The log keeps the vector as decided; the backend gets it
+        // floored.
+        self.applied.0.clone_from(&alloc);
+        self.applied.clamp_floor();
+        self.backend.apply(&self.applied);
         let entry = IterationLog {
             iter: self.iter,
             time_s,

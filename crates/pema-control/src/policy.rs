@@ -9,25 +9,46 @@
 //! neither.
 
 use pema_baselines::RuleScaler;
-use pema_core::{Action, Observation, PemaController, WorkloadAwarePema};
+use pema_core::{Action, Observation, PemaController, ServiceObs, WorkloadAwarePema};
 use pema_sim::{Allocation, AppSpec, WindowStats};
+use std::cell::RefCell;
 
 /// Converts a measured window into the controller's observation — the
 /// single place the telemetry vocabulary ([`WindowStats`]) is mapped
 /// onto the controller vocabulary ([`Observation`]).
 pub fn stats_to_obs(stats: &WindowStats) -> Observation {
+    observe_into(stats, Vec::new())
+}
+
+/// [`stats_to_obs`] into a recycled service vector.
+fn observe_into(stats: &WindowStats, mut services: Vec<ServiceObs>) -> Observation {
+    services.clear();
+    services.extend(stats.per_service.iter().map(|s| ServiceObs {
+        util_pct: s.util_pct,
+        throttle_s: s.throttled_s,
+    }));
     Observation {
         p95_ms: stats.p95_ms,
         rps: stats.offered_rps,
-        services: stats
-            .per_service
-            .iter()
-            .map(|s| pema_core::ServiceObs {
-                util_pct: s.util_pct,
-                throttle_s: s.throttled_s,
-            })
-            .collect(),
+        services,
     }
+}
+
+thread_local! {
+    /// The service vector of the last observation the bundled PEMA
+    /// policies built on this thread. A controller only reads its
+    /// observation during the step, so a fleet worker's members take
+    /// turns with one buffer instead of allocating one per interval.
+    static OBS_SERVICES: RefCell<Vec<ServiceObs>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `step` on the observation of `stats`, built in this thread's
+/// recycled buffer.
+fn with_observation<R>(stats: &WindowStats, step: impl FnOnce(&Observation) -> R) -> R {
+    let obs = observe_into(stats, OBS_SERVICES.take());
+    let out = step(&obs);
+    OBS_SERVICES.set(obs.services);
+    out
 }
 
 /// What a policy decided at the end of one control interval.
@@ -59,7 +80,7 @@ pub trait Policy {
 
 impl Policy for PemaController {
     fn decide(&mut self, stats: &WindowStats) -> Decision {
-        let out = self.step(&stats_to_obs(stats));
+        let out = with_observation(stats, |obs| self.step(obs));
         Decision {
             action: action_name(&out.action),
             alloc: out.alloc,
@@ -78,7 +99,7 @@ impl Policy for WorkloadAwarePema {
     }
 
     fn decide(&mut self, stats: &WindowStats) -> Decision {
-        let out = self.step(&stats_to_obs(stats));
+        let out = with_observation(stats, |obs| self.step(obs));
         Decision {
             action: out
                 .action

@@ -87,6 +87,11 @@ pub struct PemaController {
     /// and is overridden per-step by the workload-aware manager
     /// (Eqn. 9).
     target_ms: f64,
+    /// Scratch reused across steps: the reduction candidates `I_t`,
+    /// their normalized utilizations, and the services drawn from them.
+    candidates: Vec<usize>,
+    u_star: Vec<f64>,
+    chosen: Vec<usize>,
 }
 
 impl PemaController {
@@ -111,6 +116,9 @@ impl PemaController {
             alloc: initial_alloc,
             target_ms: target,
             params,
+            candidates: Vec::with_capacity(n),
+            u_star: Vec::with_capacity(n),
+            chosen: Vec::with_capacity(n),
         }
     }
 
@@ -230,12 +238,8 @@ impl PemaController {
             //    load — under a rising workload, feasibility records
             //    from lower loads are stale (§3.4's workload-awareness
             //    applied to rollback).
-            let proven = self
-                .rhdb
-                .best_proven_at_load(cap, obs.rps * 0.98)
-                .map(|r| r.alloc.clone());
-            if let Some(a) = proven {
-                self.alloc = a;
+            if let Some(r) = self.rhdb.best_proven_at_load(cap, obs.rps * 0.98) {
+                self.alloc.clone_from(&r.alloc);
             } else {
                 // 2. No evidence at this load. A record from a lower
                 //    load only helps if it is meaningfully *larger*
@@ -246,10 +250,9 @@ impl PemaController {
                 let fallback = self
                     .rhdb
                     .best_with_margin(cap)
-                    .map(|r| r.alloc.clone())
-                    .filter(|a| a.iter().sum::<f64>() > cur_total * 1.05);
+                    .filter(|r| r.total() > cur_total * 1.05);
                 match fallback {
-                    Some(a) => self.alloc = a,
+                    Some(r) => self.alloc.clone_from(&r.alloc),
                     None => {
                         for x in &mut self.alloc {
                             *x *= 1.25;
@@ -280,11 +283,10 @@ impl PemaController {
         // into the threshold after a single interval and the filter
         // could never fire again.
         let band = |th: f64| (0.5 * th).max(0.05);
-        let candidates: Vec<usize> = (0..self.alloc.len())
-            .filter(|&i| {
-                obs.services[i].throttle_s <= self.throttle_th[i] + band(self.throttle_th[i])
-            })
-            .collect();
+        self.candidates.clear();
+        self.candidates.extend((0..self.alloc.len()).filter(|&i| {
+            obs.services[i].throttle_s <= self.throttle_th[i] + band(self.throttle_th[i])
+        }));
 
         // Lines 5: opportunistically raise thresholds (Eqns. 6/7),
         // unless frozen for the threshold-learning ablation.
@@ -305,12 +307,8 @@ impl PemaController {
         // response approaches the target.
         let p_e = self.params.explore_a * self.headroom(r_ma) + self.params.explore_b;
         if self.rng.gen::<f64>() < p_e {
-            let jump = self
-                .rhdb
-                .random_feasible(&mut self.rng)
-                .map(|r| r.alloc.clone());
-            if let Some(alloc) = jump {
-                self.alloc = alloc;
+            if let Some(r) = self.rhdb.random_feasible(&mut self.rng) {
+                self.alloc.clone_from(&r.alloc);
                 return StepOutcome {
                     action: Action::Explored {
                         to_total: self.total_alloc(),
@@ -327,7 +325,7 @@ impl PemaController {
         let h = self.headroom(r_ma);
         let n_t = ((self.alloc.len() as f64) * h).floor() as usize;
         let delta = self.params.beta * h;
-        if n_t == 0 || delta <= 1e-6 || candidates.is_empty() {
+        if n_t == 0 || delta <= 1e-6 || self.candidates.is_empty() {
             return StepOutcome {
                 action: Action::Held,
                 alloc: self.alloc.clone(),
@@ -338,23 +336,22 @@ impl PemaController {
 
         // Line 9: inclusion probabilities (Eqn. 5) over normalized
         // utilization — low-utilization services are preferred targets.
-        let u_star: Vec<f64> = candidates
-            .iter()
-            .map(|&i| {
-                let th = self.util_th[i].max(1e-9);
-                obs.services[i].util_pct / th
-            })
-            .collect();
-        let u_min = u_star.iter().copied().fold(f64::INFINITY, f64::min);
-        let mut chosen: Vec<usize> = Vec::new();
-        for (k, &i) in candidates.iter().enumerate() {
-            let p = if u_star[k] >= 1.0 {
+        self.u_star.clear();
+        self.u_star.extend(self.candidates.iter().map(|&i| {
+            let th = self.util_th[i].max(1e-9);
+            obs.services[i].util_pct / th
+        }));
+        let u_min = self.u_star.iter().copied().fold(f64::INFINITY, f64::min);
+        let chosen = &mut self.chosen;
+        chosen.clear();
+        for (&i, &u) in self.candidates.iter().zip(&self.u_star) {
+            let p = if u >= 1.0 {
                 0.0
             } else if (1.0 - u_min).abs() < 1e-12 {
                 // Every candidate sits at its threshold.
                 0.0
             } else {
-                (1.0 - (u_star[k] - u_min) / (1.0 - u_min)).clamp(0.0, 1.0)
+                (1.0 - (u - u_min) / (1.0 - u_min)).clamp(0.0, 1.0)
             };
             if self.rng.gen::<f64>() < p {
                 chosen.push(i);
@@ -379,13 +376,13 @@ impl PemaController {
             };
         }
 
-        for &i in &chosen {
+        for &i in chosen.iter() {
             self.alloc[i] = (self.alloc[i] * (1.0 - delta)).max(self.params.min_cpu);
         }
         chosen.sort_unstable();
         StepOutcome {
             action: Action::Reduced {
-                services: chosen,
+                services: chosen.clone(),
                 delta,
             },
             alloc: self.alloc.clone(),

@@ -11,9 +11,12 @@
 //!
 //! The paper stresses RHDb's lightweight single-table design; this is a
 //! bounded ring of records with linear scans, which at the paper's
-//! iteration counts (tens to hundreds) costs microseconds.
+//! iteration counts (tens to hundreds) costs microseconds. Each
+//! record's total allocation is summed once, at insert, so a scan
+//! compares stored totals instead of re-adding every vector.
 
 use rand::Rng;
+use std::collections::VecDeque;
 
 /// One logged control interval.
 #[derive(Debug, Clone)]
@@ -37,10 +40,17 @@ impl RhdbRecord {
     }
 }
 
+/// A stored record beside its [`RhdbRecord::total`] as of insertion.
+#[derive(Debug, Clone)]
+struct Entry {
+    rec: RhdbRecord,
+    total: f64,
+}
+
 /// Bounded history of control intervals.
 #[derive(Debug, Clone)]
 pub struct Rhdb {
-    records: Vec<RhdbRecord>,
+    records: VecDeque<Entry>,
     capacity: usize,
 }
 
@@ -50,7 +60,7 @@ impl Rhdb {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "RHDb capacity must be positive");
         Self {
-            records: Vec::new(),
+            records: VecDeque::new(),
             capacity,
         }
     }
@@ -68,18 +78,26 @@ impl Rhdb {
     /// Appends a record, evicting the oldest when full.
     pub fn insert(&mut self, rec: RhdbRecord) {
         if self.records.len() == self.capacity {
-            self.records.remove(0);
+            self.records.pop_front();
         }
-        self.records.push(rec);
+        let total = rec.total();
+        self.records.push_back(Entry { rec, total });
+    }
+
+    /// The cheapest record passing `keep` — the oldest such record on a
+    /// tie.
+    fn cheapest(&self, keep: impl Fn(&RhdbRecord) -> bool) -> Option<&RhdbRecord> {
+        self.records
+            .iter()
+            .filter(|e| keep(&e.rec))
+            .min_by(|a, b| a.total.partial_cmp(&b.total).unwrap())
+            .map(|e| &e.rec)
     }
 
     /// The feasible (non-violating) record with the smallest total
     /// allocation — the rollback target of Algorithm 1 line 4.
     pub fn best_feasible(&self) -> Option<&RhdbRecord> {
-        self.records
-            .iter()
-            .filter(|r| !r.violated)
-            .min_by(|a, b| a.total().partial_cmp(&b.total()).unwrap())
+        self.cheapest(|r| !r.violated)
     }
 
     /// The cheapest record whose response stayed at or below
@@ -88,21 +106,19 @@ impl Rhdb {
     /// and violation — the failure mode §6 of the paper discusses.
     /// Falls back to [`Self::best_feasible`] when nothing has margin.
     pub fn best_with_margin(&self, response_cap_ms: f64) -> Option<&RhdbRecord> {
-        self.records
-            .iter()
-            .filter(|r| !r.violated && r.response_ms <= response_cap_ms)
-            .min_by(|a, b| a.total().partial_cmp(&b.total()).unwrap())
+        self.cheapest(|r| !r.violated && r.response_ms <= response_cap_ms)
             .or_else(|| self.best_feasible())
     }
 
     /// A uniformly random feasible record — the exploration target of
     /// Eqn. 8.
     pub fn random_feasible<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<&RhdbRecord> {
-        let feasible: Vec<&RhdbRecord> = self.records.iter().filter(|r| !r.violated).collect();
-        if feasible.is_empty() {
+        let feasible = || self.records.iter().map(|e| &e.rec).filter(|r| !r.violated);
+        let n = feasible().count();
+        if n == 0 {
             return None;
         }
-        Some(feasible[rng.gen_range(0..feasible.len())])
+        feasible().nth(rng.gen_range(0..n))
     }
 
     /// The cheapest record with margin that was observed at a workload
@@ -116,10 +132,7 @@ impl Rhdb {
         response_cap_ms: f64,
         min_rps: f64,
     ) -> Option<&RhdbRecord> {
-        self.records
-            .iter()
-            .filter(|r| !r.violated && r.response_ms <= response_cap_ms && r.rps >= min_rps)
-            .min_by(|a, b| a.total().partial_cmp(&b.total()).unwrap())
+        self.best_proven_at_load(response_cap_ms, min_rps)
             .or_else(|| self.best_with_margin(response_cap_ms))
     }
 
@@ -127,10 +140,7 @@ impl Rhdb {
     /// `None` instead of falling back when no record with margin was
     /// observed at ≥ `min_rps`.
     pub fn best_proven_at_load(&self, response_cap_ms: f64, min_rps: f64) -> Option<&RhdbRecord> {
-        self.records
-            .iter()
-            .filter(|r| !r.violated && r.response_ms <= response_cap_ms && r.rps >= min_rps)
-            .min_by(|a, b| a.total().partial_cmp(&b.total()).unwrap())
+        self.cheapest(|r| !r.violated && r.response_ms <= response_cap_ms && r.rps >= min_rps)
     }
 
     /// Marks every feasible record whose allocation is component-wise
@@ -145,7 +155,7 @@ impl Rhdb {
     /// mode). Returns the number of records invalidated.
     pub fn invalidate_dominated(&mut self, alloc: &[f64]) -> usize {
         let mut n = 0;
-        for r in &mut self.records {
+        for Entry { rec: r, .. } in &mut self.records {
             if !r.violated
                 && r.alloc.len() == alloc.len()
                 && r.alloc.iter().zip(alloc).all(|(a, b)| *a <= *b + 1e-12)
@@ -159,12 +169,12 @@ impl Rhdb {
 
     /// Iterates over records, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &RhdbRecord> {
-        self.records.iter()
+        self.records.iter().map(|e| &e.rec)
     }
 
     /// The most recent record.
     pub fn last(&self) -> Option<&RhdbRecord> {
-        self.records.last()
+        self.records.back().map(|e| &e.rec)
     }
 }
 
@@ -172,7 +182,7 @@ impl Rhdb {
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn rec(t: u64, total: f64, violated: bool) -> RhdbRecord {
         RhdbRecord {
@@ -266,6 +276,83 @@ mod tests {
         let n = db.invalidate_dominated(&[3.0, 3.0]); // dominates t=1 only
         assert_eq!(n, 1);
         assert_eq!(db.best_feasible().unwrap().t, 0);
+    }
+
+    /// Brute force over a plain oldest-first list: re-sums every
+    /// allocation and keeps the first minimum.
+    fn brute_cheapest(records: &[RhdbRecord], keep: impl Fn(&RhdbRecord) -> bool) -> Option<u64> {
+        let mut best: Option<&RhdbRecord> = None;
+        for r in records.iter().filter(|r| keep(r)) {
+            if best.is_none_or(|b| r.total() < b.total()) {
+                best = Some(r);
+            }
+        }
+        best.map(|r| r.t)
+    }
+
+    #[test]
+    fn ring_at_capacity_agrees_with_brute_force() {
+        // Capacity 4, six inserts: the two oldest go, oldest first.
+        let mut db = Rhdb::new(4);
+        for t in 0..6 {
+            db.insert(rec(t, 10.0 + t as f64, false));
+            let kept: Vec<u64> = db.iter().map(|r| r.t).collect();
+            let oldest = (t + 1).saturating_sub(4);
+            assert_eq!(kept, (oldest..=t).collect::<Vec<_>>());
+            assert_eq!(db.last().unwrap().t, t);
+        }
+
+        // A seeded random history pushed through a small ring, every
+        // query checked against the mirror after every insert. Totals
+        // come from a coarse grid so ties are common.
+        let mut rng = SmallRng::seed_from_u64(0xA110C);
+        let mut db = Rhdb::new(16);
+        let mut mirror: Vec<RhdbRecord> = Vec::new();
+        for t in 0..400 {
+            let alloc: Vec<f64> = (0..3).map(|_| rng.gen_range(1..5) as f64 * 0.5).collect();
+            let r = RhdbRecord {
+                t,
+                alloc,
+                response_ms: rng.gen_range(100.0..320.0),
+                violated: rng.gen::<f64>() < 0.3,
+                rps: rng.gen_range(1..4) as f64 * 100.0,
+            };
+            db.insert(r.clone());
+            mirror.push(r);
+            if mirror.len() > 16 {
+                mirror.remove(0);
+            }
+            if t % 7 == 3 {
+                let at: Vec<f64> = (0..3).map(|_| rng.gen_range(1..5) as f64 * 0.5).collect();
+                let mut n = 0;
+                for m in &mut mirror {
+                    if !m.violated && m.alloc.iter().zip(&at).all(|(a, b)| *a <= *b + 1e-12) {
+                        m.violated = true;
+                        n += 1;
+                    }
+                }
+                assert_eq!(db.invalidate_dominated(&at), n);
+            }
+            let flags = |db: &Rhdb| db.iter().map(|r| (r.t, r.violated)).collect::<Vec<_>>();
+            assert_eq!(
+                flags(&db),
+                mirror.iter().map(|r| (r.t, r.violated)).collect::<Vec<_>>()
+            );
+            let cap = 100.0 + (t % 5) as f64 * 50.0;
+            let min_rps = (t % 4) as f64 * 100.0;
+            let feasible = brute_cheapest(&mirror, |r| !r.violated);
+            let margin = brute_cheapest(&mirror, |r| !r.violated && r.response_ms <= cap);
+            let proven = brute_cheapest(&mirror, |r| {
+                !r.violated && r.response_ms <= cap && r.rps >= min_rps
+            });
+            assert_eq!(db.best_feasible().map(|r| r.t), feasible);
+            assert_eq!(db.best_with_margin(cap).map(|r| r.t), margin.or(feasible));
+            assert_eq!(db.best_proven_at_load(cap, min_rps).map(|r| r.t), proven);
+            assert_eq!(
+                db.best_with_margin_at_load(cap, min_rps).map(|r| r.t),
+                proven.or(margin).or(feasible)
+            );
+        }
     }
 
     #[test]

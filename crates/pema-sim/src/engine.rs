@@ -36,7 +36,7 @@ use crate::runtime::{
 };
 use crate::stats::{ServiceWindowStats, WindowStats};
 use crate::time::SimTime;
-use crate::topology::{Allocation, AppSpec};
+use crate::topology::{Allocation, AppSpec, CallTable};
 use crate::trace::{RequestTrace, TraceSpan};
 use pema_metrics::LatencyHistogram;
 
@@ -131,12 +131,9 @@ pub struct ClusterSim {
     /// transcendentals precomputed (bit-identical to sampling through
     /// [`crate::rng::lognormal_mean_cv`] per visit).
     ep_sampler: Vec<LogNormal>,
-    /// Flattened fan-out plan: all call groups of all endpoints as
-    /// spans into one contiguous `(child endpoint, probability)`
-    /// table. `ep_group_start[ep]..ep_group_start[ep + 1]` indexes
-    /// `group_spans`; each span `[lo, hi)` indexes `flat_calls`.
-    /// Replaces the pointer-chasing walk of the nested `AppSpec`
-    /// vectors on the per-visit fan-out path.
+    /// Flattened fan-out plan — the fields of the spec's
+    /// [`CallTable`], held directly so the per-visit fan-out path
+    /// reads them without another hop.
     ep_group_start: Vec<u32>,
     group_spans: Vec<(u32, u32)>,
     flat_calls: Vec<(u32, f64)>,
@@ -217,18 +214,11 @@ impl ClusterSim {
                 LogNormal::from_mean_cv(spec.demand_s * e.work_scale, spec.demand_cv)
             })
             .collect();
-        let mut ep_group_start = Vec::with_capacity(app.endpoints.len() + 1);
-        let mut group_spans = Vec::new();
-        let mut flat_calls = Vec::new();
-        for e in &app.endpoints {
-            ep_group_start.push(group_spans.len() as u32);
-            for g in &e.groups {
-                let lo = flat_calls.len() as u32;
-                flat_calls.extend(g.calls.iter().map(|&(ep, p)| (ep as u32, p)));
-                group_spans.push((lo, flat_calls.len() as u32));
-            }
-        }
-        ep_group_start.push(group_spans.len() as u32);
+        let CallTable {
+            ep_group_start,
+            group_spans,
+            flat_calls,
+        } = app.call_table();
         ClusterSim {
             app: app.clone(),
             services,

@@ -12,11 +12,52 @@
 //! bottleneck allocation — but its absolute numbers are approximate.
 //! It backs property tests and the `ablation_fluid` bench; headline
 //! results always come from the DES.
+//!
+//! ## The evaluation plan
+//!
+//! [`FluidEvaluator::new`] compiles the [`AppSpec`] once into a flat
+//! plan and keeps no copy of the spec, so a fleet member's model is a
+//! handful of contiguous arrays instead of a few hundred small heap
+//! blocks:
+//!
+//! * `services` — per service, side by side: expected visits and CPU
+//!   demand per user request, and the memory floor;
+//! * `order` — the endpoints reachable from a class root, children
+//!   before parents (the spec is validated acyclic), each with its
+//!   service index, its `work_scale.max(0.0)` and its span of call
+//!   groups. An endpoint no root reaches is not in the plan;
+//! * `calls` — the spec's `CallTable` (see `topology.rs`), the same
+//!   flattened `(child, probability)` table the DES fans out from;
+//! * `classes` — `(weight, root)` pairs and the weight total;
+//! * `sojourn`, `ep_latency` — scratch reused across evaluations.
+//!
+//! One evaluation is two loops and no recursion: a pass over
+//! `services` computes each per-visit demand once and one
+//! `normal_tail` (an `exp`), shared by the sojourn and the throttle
+//! fraction; a pass over `order` computes each endpoint's latency
+//! exactly once, however many parents call it. Because the plan is
+//! compiled at construction, later edits to the `AppSpec` do not reach
+//! an evaluator built from it; the model's knobs (`speed`, `window_s`,
+//! `burst_p90`, `peak_factor`, `tail`) are fields of the evaluator and
+//! are read at evaluation time.
+//!
+//! ## Why the operand order is frozen
+//!
+//! Goldens, the backend conformance suite and the benchmark's digests
+//! pin this model's output bit for bit, and floating-point arithmetic
+//! is not associative. Every expression below therefore keeps the
+//! operands and the order the recursive evaluator used —
+//! `demand / visits / speed`, `p * (child + 2.0 * net_delay_s)`,
+//! `weight / total * latency`, `f64::max` dropping the NaN that
+//! `0 × ∞` makes of a never-taken call to a saturated child — and
+//! `tests/fluid_oracle.rs` holds that evaluator and compares the two
+//! `to_bits()` for `to_bits()`. Memoising a shared child is exact: its
+//! latency is a pure function of the sojourns.
 
 use crate::evaluator::Evaluator;
 use crate::runtime::CFS_PERIOD_S;
 use crate::stats::{ServiceWindowStats, WindowStats};
-use crate::topology::{Allocation, AppSpec};
+use crate::topology::{Allocation, AppSpec, CallTable};
 
 /// The historical constant multiplier from mean end-to-end latency to
 /// estimated p95 (the pre-calibration model: `p95 = 2.6 × mean`,
@@ -190,12 +231,43 @@ impl Default for TailModel {
 /// [`FluidEvaluator::burst_p90`].
 pub const BURST_P90_DEFAULT: f64 = 1.15;
 
+/// One service's constants: expected visits and CPU-seconds per user
+/// request over the class mix, and the resident memory floor.
+struct ServicePlan {
+    visits: f64,
+    demand: f64,
+    mem_base_bytes: f64,
+}
+
+/// One reachable endpoint, in bottom-up order.
+struct EndpointPlan {
+    /// Index into the spec's endpoint arena (and `ep_latency`).
+    ep: u32,
+    service: u32,
+    /// `work_scale.max(0.0)`.
+    work_scale: f64,
+    /// This endpoint's range of [`CallTable::group_spans`].
+    groups: (u32, u32),
+}
+
 /// Analytic evaluator implementing the same [`Evaluator`] interface as
-/// the DES-backed one.
+/// the DES-backed one. Compiles the spec at construction (see the
+/// module docs): change the model through the public fields here, not
+/// through the `AppSpec` it was built from.
 pub struct FluidEvaluator {
-    app: AppSpec,
-    visits: Vec<f64>,
-    demand: Vec<f64>,
+    services: Vec<ServicePlan>,
+    order: Vec<EndpointPlan>,
+    calls: CallTable,
+    /// `(weight, root endpoint)` per request class.
+    classes: Vec<(f64, u32)>,
+    class_weight_total: f64,
+    net_delay_s: f64,
+    slo_ms: f64,
+    /// Scratch: mean sojourn per visit, by service.
+    sojourn: Vec<f64>,
+    /// Scratch: mean latency by endpoint (unreachable entries stay 0
+    /// and are never read).
+    ep_latency: Vec<f64>,
     /// CPU speed factor, mirroring [`crate::ClusterSim::set_speed`].
     pub speed: f64,
     /// Pretend window length used for reporting counters, seconds.
@@ -216,14 +288,73 @@ pub struct FluidEvaluator {
     pub tail: TailModel,
 }
 
+/// The endpoints reachable from the class roots, every child before
+/// any of its parents.
+fn bottom_up_order(app: &AppSpec, calls: &CallTable) -> Vec<EndpointPlan> {
+    let groups_of = |ep: usize| (calls.ep_group_start[ep], calls.ep_group_start[ep + 1]);
+    let children_of = |ep: usize| {
+        let (lo, hi) = groups_of(ep);
+        calls.group_spans[lo as usize..hi as usize]
+            .iter()
+            .flat_map(|&(lo, hi)| &calls.flat_calls[lo as usize..hi as usize])
+            .map(|&(child, _)| child as usize)
+    };
+    let mut order = Vec::new();
+    let mut seen = vec![false; app.endpoints.len()];
+    // Depth-first with an explicit stack: an endpoint is emitted when
+    // it is popped the second time, after everything below it.
+    let mut stack: Vec<(usize, bool)> = Vec::new();
+    for c in &app.classes {
+        stack.push((c.root, false));
+        while let Some((ep, expanded)) = stack.pop() {
+            if expanded {
+                let e = &app.endpoints[ep];
+                order.push(EndpointPlan {
+                    ep: ep as u32,
+                    service: e.service.0 as u32,
+                    work_scale: e.work_scale.max(0.0),
+                    groups: groups_of(ep),
+                });
+            } else if !seen[ep] {
+                seen[ep] = true;
+                stack.push((ep, true));
+                stack.extend(children_of(ep).filter(|&c| !seen[c]).map(|c| (c, false)));
+            }
+        }
+    }
+    order
+}
+
 impl FluidEvaluator {
     /// Builds the fluid model for an application.
     pub fn new(app: &AppSpec) -> Self {
         app.validate().expect("invalid AppSpec");
+        let services = app
+            .expected_visits()
+            .into_iter()
+            .zip(app.expected_demand())
+            .zip(&app.services)
+            .map(|((visits, demand), s)| ServicePlan {
+                visits,
+                demand,
+                mem_base_bytes: s.mem_base_bytes,
+            })
+            .collect();
+        let calls = app.call_table();
         Self {
-            app: app.clone(),
-            visits: app.expected_visits(),
-            demand: app.expected_demand(),
+            services,
+            order: bottom_up_order(app, &calls),
+            calls,
+            classes: app
+                .classes
+                .iter()
+                .map(|c| (c.weight, c.root as u32))
+                .collect(),
+            class_weight_total: app.classes.iter().map(|c| c.weight).sum(),
+            net_delay_s: app.net_delay_s,
+            slo_ms: app.slo_ms,
+            sojourn: vec![0.0; app.services.len()],
+            ep_latency: vec![0.0; app.endpoints.len()],
             speed: 1.0,
             window_s: 20.0,
             burst_p90: BURST_P90_DEFAULT,
@@ -232,99 +363,25 @@ impl FluidEvaluator {
         }
     }
 
-    /// Per-visit service demand (seconds of CPU) at service `i`, or 0
-    /// when the service is never visited.
-    fn visit_demand(&self, i: usize) -> f64 {
-        if self.visits[i] > 0.0 {
-            self.demand[i] / self.visits[i] / self.speed
+    /// Per-visit service demand (seconds of CPU) of `s`, or 0 when the
+    /// service is never visited.
+    fn visit_demand(&self, s: &ServicePlan) -> f64 {
+        if s.visits > 0.0 {
+            s.demand / s.visits / self.speed
         } else {
             0.0
         }
-    }
-
-    /// Utilization ρ of service `i` under allocation `alloc` and
-    /// per-service arrival rate `lambda_i`.
-    fn utilization(&self, i: usize, alloc: f64, lambda_i: f64) -> f64 {
-        lambda_i * self.visit_demand(i) / alloc
     }
 
     /// Bottleneck utilization of the app under `alloc` at `rps` — the
     /// ρ the [`TailModel`] is evaluated at. ≥ 1 means some service
     /// cannot carry its offered work (the mean is infinite there).
     pub fn bottleneck_rho(&self, alloc: &Allocation, rps: f64) -> f64 {
-        (0..self.app.services.len())
-            .map(|i| self.utilization(i, alloc.get(i), rps * self.visits[i]))
+        self.services
+            .iter()
+            .enumerate()
+            .map(|(i, s)| rps * s.visits * self.visit_demand(s) / alloc.get(i))
             .fold(0.0, f64::max)
-    }
-
-    /// Mean sojourn time (seconds) for one visit at service `i` under
-    /// allocation `alloc` and per-service arrival rate `lambda_i`.
-    fn visit_sojourn(&self, i: usize, alloc: f64, lambda_i: f64) -> f64 {
-        let d_visit = self.visit_demand(i);
-        if d_visit == 0.0 {
-            return 0.0;
-        }
-        let rho = lambda_i * d_visit / alloc;
-        if rho >= 1.0 {
-            return f64::INFINITY;
-        }
-        // M/G/1-PS sojourn.
-        let base = d_visit / (1.0 - rho);
-        // Burst-throttling penalty: probability that the CPU work
-        // arriving within one CFS period exceeds the quota, times the
-        // mean residual stall of half a period.
-        let quota = alloc * CFS_PERIOD_S;
-        let nu = lambda_i * CFS_PERIOD_S; // arrivals per period
-        let p_throttle = if nu > 0.0 && d_visit > 0.0 {
-            let thresh = quota / d_visit; // #jobs that exhaust quota
-            normal_tail((thresh - nu) / nu.sqrt().max(1e-9))
-        } else {
-            0.0
-        };
-        base + p_throttle * CFS_PERIOD_S * 0.5
-    }
-
-    /// Estimated throttle fraction of wall time for service `i`.
-    fn throttle_fraction(&self, i: usize, alloc: f64, lambda_i: f64) -> f64 {
-        let d_visit = self.visit_demand(i);
-        if d_visit == 0.0 {
-            return 0.0;
-        }
-        let rho = lambda_i * d_visit / alloc;
-        if rho >= 1.0 {
-            return 1.0;
-        }
-        let quota = alloc * CFS_PERIOD_S;
-        let nu = lambda_i * CFS_PERIOD_S;
-        if nu <= 0.0 || d_visit <= 0.0 {
-            return 0.0;
-        }
-        let thresh = quota / d_visit;
-        normal_tail((thresh - nu) / nu.sqrt().max(1e-9))
-    }
-
-    /// Mean end-to-end latency (seconds) of one class under the given
-    /// per-visit sojourns.
-    fn class_latency(&self, root: usize, sojourn: &[f64]) -> f64 {
-        self.endpoint_latency(root, sojourn)
-    }
-
-    fn endpoint_latency(&self, e: usize, sojourn: &[f64]) -> f64 {
-        let ep = &self.app.endpoints[e];
-        let own = sojourn[ep.service.0] * ep.work_scale.max(0.0);
-        let mut total = own;
-        for g in &ep.groups {
-            // Parallel calls: expected makespan ≈ max of expected child
-            // latencies (slightly optimistic; acceptable for a fluid
-            // model), weighted by call probability.
-            let mut group_latency: f64 = 0.0;
-            for &(child, p) in &g.calls {
-                let l = p * (self.endpoint_latency(child, sojourn) + 2.0 * self.app.net_delay_s);
-                group_latency = group_latency.max(l);
-            }
-            total += group_latency;
-        }
-        total
     }
 }
 
@@ -362,48 +419,94 @@ fn erfc(x: f64) -> f64 {
 
 impl Evaluator for FluidEvaluator {
     fn n_services(&self) -> usize {
-        self.app.services.len()
+        self.services.len()
     }
 
     fn slo_ms(&self) -> f64 {
-        self.app.slo_ms
+        self.slo_ms
     }
 
     fn evaluate(&mut self, alloc: &Allocation, rps: f64) -> WindowStats {
-        assert_eq!(alloc.len(), self.app.services.len());
-        let n = self.app.services.len();
-        let mut sojourn = vec![0.0; n];
-        let mut per_service = Vec::with_capacity(n);
+        assert_eq!(alloc.len(), self.services.len());
+        let peak_factor = self.peak_factor.max(self.burst_p90);
+        let mut per_service = Vec::with_capacity(self.services.len());
         let mut rho_max: f64 = 0.0;
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..n {
-            let lambda_i = rps * self.visits[i];
-            sojourn[i] = self.visit_sojourn(i, alloc.get(i), lambda_i);
-            rho_max = rho_max.max(self.utilization(i, alloc.get(i), lambda_i));
-            let cpu_rate = (rps * self.demand[i] / self.speed).min(alloc.get(i));
-            let util = cpu_rate / alloc.get(i) * 100.0;
-            let thr_frac = self.throttle_fraction(i, alloc.get(i), lambda_i);
+        for (i, s) in self.services.iter().enumerate() {
+            let a = alloc.get(i);
+            let lambda_i = rps * s.visits;
+            let d_visit = self.visit_demand(s);
+            // Utilization ρ of the service as an M/G/1-PS station.
+            let rho = lambda_i * d_visit / a;
+            rho_max = rho_max.max(rho);
+            // Mean sojourn of one visit, and the fraction of wall time
+            // the service spends throttled.
+            let (sojourn, thr_frac) = if d_visit == 0.0 {
+                (0.0, 0.0)
+            } else if rho >= 1.0 {
+                (f64::INFINITY, 1.0)
+            } else {
+                // Burst throttling: the probability that the CPU work
+                // arriving within one CFS period exceeds the quota.
+                let quota = a * CFS_PERIOD_S;
+                let nu = lambda_i * CFS_PERIOD_S; // arrivals per period
+                let p_throttle = if nu <= 0.0 || d_visit <= 0.0 {
+                    0.0
+                } else {
+                    let thresh = quota / d_visit; // #jobs that exhaust quota
+                    normal_tail((thresh - nu) / nu.sqrt().max(1e-9))
+                };
+                // The sojourn's stall term has always been guarded by
+                // the positive form of that test; the two disagree
+                // only when `nu` or `d_visit` is NaN.
+                let stall = if nu > 0.0 && d_visit > 0.0 {
+                    p_throttle
+                } else {
+                    0.0
+                };
+                // M/G/1-PS sojourn, plus the mean residual stall of
+                // half a period when throttled.
+                let base = d_visit / (1.0 - rho);
+                (base + stall * CFS_PERIOD_S * 0.5, p_throttle)
+            };
+            self.sojourn[i] = sojourn;
+            let cpu_rate = (rps * s.demand / self.speed).min(a);
             per_service.push(ServiceWindowStats {
-                alloc_cores: alloc.get(i),
-                util_pct: util,
+                alloc_cores: a,
+                util_pct: cpu_rate / a * 100.0,
                 cpu_used_s: cpu_rate * self.window_s,
                 throttled_s: thr_frac * self.window_s,
                 usage_p90_cores: cpu_rate * self.burst_p90,
                 // Peak can never sit below the p90, however the two
                 // knobs are set.
-                usage_peak_cores: cpu_rate * self.peak_factor.max(self.burst_p90),
-                mem_bytes: self.app.services[i].mem_base_bytes,
+                usage_peak_cores: cpu_rate * peak_factor,
+                mem_bytes: s.mem_base_bytes,
                 // The DES counts actual events; round the expected
                 // count instead of flooring it.
                 visits: (lambda_i * self.window_s).round() as u64,
-                mean_self_ms: self.visit_demand(i) * 1e3,
-                mean_visit_ms: sojourn[i] * 1e3,
+                mean_self_ms: d_visit * 1e3,
+                mean_visit_ms: sojourn * 1e3,
             });
         }
-        let total_w: f64 = self.app.classes.iter().map(|c| c.weight).sum();
+        // Endpoint latencies, children first.
+        let hop_s = 2.0 * self.net_delay_s;
+        for e in &self.order {
+            let mut total = self.sojourn[e.service as usize] * e.work_scale;
+            for &(lo, hi) in &self.calls.group_spans[e.groups.0 as usize..e.groups.1 as usize] {
+                // Parallel calls: expected makespan ≈ max of expected child
+                // latencies (slightly optimistic; acceptable for a fluid
+                // model), weighted by call probability.
+                let mut group_latency: f64 = 0.0;
+                for &(child, p) in &self.calls.flat_calls[lo as usize..hi as usize] {
+                    let l = p * (self.ep_latency[child as usize] + hop_s);
+                    group_latency = group_latency.max(l);
+                }
+                total += group_latency;
+            }
+            self.ep_latency[e.ep as usize] = total;
+        }
         let mut mean_s = 0.0;
-        for c in &self.app.classes {
-            mean_s += c.weight / total_w * self.class_latency(c.root, &sojourn);
+        for &(weight, root) in &self.classes {
+            mean_s += weight / self.class_weight_total * self.ep_latency[root as usize];
         }
         let p95 = mean_s * self.tail.p95.factor(rho_max);
         let p99 = mean_s * self.tail.p99.factor(rho_max);
@@ -677,7 +780,7 @@ mod tests {
         flat.tail = TailModel::constant(LEGACY_P95_FACTOR);
         let mut cal = FluidEvaluator::new(&app());
         let rps = 120.0; // b demands 0.36 cores
-        // Allocations putting b's ρ at 0.3 / 0.8 / 0.95.
+                         // Allocations putting b's ρ at 0.3 / 0.8 / 0.95.
         let light = Allocation::new(vec![1.2, 1.2]);
         let mid = Allocation::new(vec![1.0, 0.45]);
         let tight = Allocation::new(vec![1.0, 0.379]);
@@ -707,10 +810,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid AppSpec")]
     fn cyclic_endpoint_graph_is_rejected_not_recursed() {
-        // `endpoint_latency` recurses over the call graph with no depth
-        // guard: a cyclic spec must be rejected by `AppSpec::validate`
-        // at construction (clean panic here) instead of overflowing the
-        // stack later in `evaluate`.
+        // The bottom-up plan only exists for an acyclic call graph: a
+        // cyclic spec must be rejected by `AppSpec::validate` at
+        // construction (clean panic here).
         let mut spec = app();
         spec.endpoints[1].groups = vec![CallGroup {
             calls: vec![(0, 1.0)],

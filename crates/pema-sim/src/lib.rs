@@ -91,8 +91,7 @@ pub mod trace;
 pub use engine::{ClusterSim, OpenWindow};
 pub use evaluator::{Evaluator, SimEvaluator};
 pub use fluid::{
-    FluidEvaluator, TailCurve, TailModel, BURST_P90_DEFAULT, LEGACY_P95_FACTOR,
-    PEAK_FACTOR_DEFAULT,
+    FluidEvaluator, TailCurve, TailModel, BURST_P90_DEFAULT, LEGACY_P95_FACTOR, PEAK_FACTOR_DEFAULT,
 };
 pub use queue::CalendarQueue;
 pub use stats::{ServiceWindowStats, WindowStats};

@@ -211,7 +211,42 @@ impl std::fmt::Display for TopologyError {
 
 impl std::error::Error for TopologyError {}
 
+/// Every call group of every endpoint as spans into one contiguous
+/// `(child endpoint, probability)` table, in spec order:
+/// `ep_group_start[ep]..ep_group_start[ep + 1]` indexes `group_spans`,
+/// and each span `[lo, hi)` indexes `flat_calls`. Both evaluators walk
+/// this instead of the nested `AppSpec` vectors — the DES on its
+/// per-visit fan-out path, the fluid model once per endpoint per
+/// evaluation.
+#[derive(Debug, Clone)]
+pub(crate) struct CallTable {
+    pub(crate) ep_group_start: Vec<u32>,
+    pub(crate) group_spans: Vec<(u32, u32)>,
+    pub(crate) flat_calls: Vec<(u32, f64)>,
+}
+
 impl AppSpec {
+    /// Flattens the endpoints' call groups (see [`CallTable`]).
+    pub(crate) fn call_table(&self) -> CallTable {
+        let mut ep_group_start = Vec::with_capacity(self.endpoints.len() + 1);
+        let mut group_spans = Vec::new();
+        let mut flat_calls = Vec::new();
+        for e in &self.endpoints {
+            ep_group_start.push(group_spans.len() as u32);
+            for g in &e.groups {
+                let lo = flat_calls.len() as u32;
+                flat_calls.extend(g.calls.iter().map(|&(ep, p)| (ep as u32, p)));
+                group_spans.push((lo, flat_calls.len() as u32));
+            }
+        }
+        ep_group_start.push(group_spans.len() as u32);
+        CallTable {
+            ep_group_start,
+            group_spans,
+            flat_calls,
+        }
+    }
+
     /// Number of services.
     pub fn n_services(&self) -> usize {
         self.services.len()
