@@ -39,11 +39,12 @@ use pema_sim::ServiceSpec;
 /// cluster rather than a single demo app.
 ///
 /// This is the ROADMAP's "production-scale" direction made concrete
-/// and is the workload the `bench perf` macro suite uses to measure
-/// how engine cost scales with topology size: per simulated request
-/// the engine must handle deep fan-out across many co-located
-/// services, dense per-node contention bookkeeping, and hundreds of
-/// armed timers. Drive it at roughly `40 × replicas` rps.
+/// and is the workload the repo benchmark uses to measure how engine
+/// cost scales with topology size (`sim.engine.ns_per_event_120svc`
+/// on `des_closed_loop`): per simulated request the engine must handle
+/// deep fan-out across many co-located services, dense per-node
+/// contention bookkeeping, and hundreds of armed timers. Drive it at
+/// roughly `40 × replicas` rps.
 pub fn cluster_scale(replicas: usize) -> AppSpec {
     assert!(replicas >= 1, "need at least one replica");
     let services = replicas * 5;
@@ -137,7 +138,7 @@ pub fn all_apps() -> Vec<AppSpec> {
 
 /// The `(app, nominal rps)` mix every fleet surface cycles through —
 /// the `fleet_scale` scenario, `pema-cli fleet --app mixed`, and the
-/// `bench perf` fleet throughput benches all share this one list so a
+/// repo benchmark's fleet workloads all share this one list so a
 /// retuned nominal load cannot leave them measuring different
 /// workloads.
 pub fn fleet_mix() -> Vec<(AppSpec, f64)> {

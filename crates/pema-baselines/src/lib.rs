@@ -5,50 +5,9 @@
 //!   violates the SLO). The efficiency upper bound of Fig. 15.
 //! * [`rule`] — RULE: Kubernetes-style rule-based vertical scaling
 //!   (p90 of recent usage × 1.15 headroom), latency-blind.
-//! * [`StaticAllocation`] — trivial fixed-allocation policy, useful as
-//!   a control in experiments.
 
 pub mod optm;
 pub mod rule;
 
 pub use optm::{find_optimum, OptmConfig, OptmError, OptmResult};
 pub use rule::RuleScaler;
-
-use pema_sim::{Allocation, WindowStats};
-
-/// A fixed allocation that never changes — the "do nothing" control.
-#[derive(Debug, Clone)]
-pub struct StaticAllocation(pub Allocation);
-
-impl StaticAllocation {
-    /// Returns the fixed allocation regardless of observations.
-    pub fn step(&mut self, _stats: &WindowStats) -> Allocation {
-        self.0.clone()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn static_allocation_is_constant() {
-        let a = Allocation::new(vec![1.0, 2.0]);
-        let mut s = StaticAllocation(a.clone());
-        let w = WindowStats {
-            start_s: 0.0,
-            duration_s: 1.0,
-            offered_rps: 0.0,
-            achieved_rps: 0.0,
-            completed: 0,
-            arrivals: 0,
-            mean_ms: 0.0,
-            p50_ms: 0.0,
-            p95_ms: 0.0,
-            p99_ms: 0.0,
-            max_ms: 0.0,
-            per_service: vec![],
-        };
-        assert_eq!(s.step(&w), a);
-    }
-}

@@ -12,7 +12,7 @@
 //! `$PEMA_RESULTS_DIR` (default `results/`); already-written scenarios
 //! are skipped unless `--force` is given.
 
-use pema_bench::{registry, run_perf, run_suite, BackendSel, Outcome, PerfConfig, SuiteConfig};
+use pema_bench::{registry, run_suite, BackendSel, Outcome, SuiteConfig};
 use std::process::exit;
 
 fn main() {
@@ -21,7 +21,6 @@ fn main() {
         Some("list") => cmd_list(),
         Some("all") => cmd_run(&args[1..], true),
         Some("run") => cmd_run(&args[1..], false),
-        Some("perf") => cmd_perf(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => usage(None),
         Some(other) => usage(Some(other)),
     }
@@ -46,12 +45,6 @@ fn usage(unknown: Option<&str>) -> ! {
          \x20      --fleet-threads N                shard fleet scenarios across N\n\
          \x20                                       workers (0 = auto; CSVs identical\n\
          \x20                                       for every value)\n\
-         \x20 perf [--smoke] [--label L] [--out F] [--check BASELINE.json] [--only a,b]\n\
-         \x20                                       perf harness → benchmarks/BENCH_<L>.json;\n\
-         \x20                                       --check fails on >25% macro regression;\n\
-         \x20                                       --only restricts to the named macro\n\
-         \x20                                       entries (micro benches are skipped and\n\
-         \x20                                       the baseline check covers only those)\n\
          \n\
          CSVs land under $PEMA_RESULTS_DIR (default ./results); existing\n\
          results are skipped unless --force is given. Output is identical\n\
@@ -84,39 +77,6 @@ fn cmd_list() {
         for d in &duplicates {
             eprintln!("error: {d}");
         }
-        exit(1);
-    }
-}
-
-fn cmd_perf(args: &[String]) {
-    let mut cfg = PerfConfig::default();
-    let mut it = args.iter();
-    let need = |flag: &str, v: Option<&String>| -> String {
-        v.cloned().unwrap_or_else(|| {
-            eprintln!("{flag} needs a value");
-            exit(2);
-        })
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => cfg.smoke = true,
-            "--label" => cfg.label = need("--label", it.next()),
-            "--out" => cfg.out = Some(need("--out", it.next()).into()),
-            "--check" => cfg.check = Some(need("--check", it.next()).into()),
-            "--only" => {
-                let v = need("--only", it.next());
-                cfg.only
-                    .get_or_insert_with(Vec::new)
-                    .extend(v.split(',').map(|s| s.trim().to_string()));
-            }
-            other => {
-                eprintln!("unexpected argument '{other}'");
-                exit(2);
-            }
-        }
-    }
-    if let Err(e) = run_perf(&cfg) {
-        eprintln!("bench perf: {e}");
         exit(1);
     }
 }

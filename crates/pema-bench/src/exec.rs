@@ -256,24 +256,6 @@ fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Entry point for the one-line per-figure shim binaries: runs a
-/// single scenario at full fidelity and exits non-zero on failure.
-pub fn scenario_main(id: &str) -> ! {
-    let cfg = SuiteConfig {
-        only: Some(vec![id.to_string()]),
-        force: true,
-        ..SuiteConfig::default()
-    };
-    match run_suite(&cfg) {
-        Ok(reports) if reports.iter().all(|r| r.ok()) => std::process::exit(0),
-        Ok(_) => std::process::exit(1),
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

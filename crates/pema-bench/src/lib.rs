@@ -2,16 +2,13 @@
 //!
 //! Every table and figure of the paper's evaluation (plus the
 //! ablations DESIGN.md calls out) is a registered [`Scenario`]: a
-//! ~30-line module with a `run(ctx)` function. The scenario registry
-//! replaces the old one-binary-per-figure layout; the binaries remain
-//! as one-line shims for muscle memory (`cargo run --release -p
-//! pema-bench --bin fig05`), and the `bench` driver runs any subset in
-//! parallel:
+//! ~30-line module with a `run(ctx)` function, and the `bench` driver
+//! is the one way to run any subset of them, in parallel:
 //!
 //! ```text
 //! bench list                          show every scenario
 //! bench all  [--jobs N] [--smoke] [--force]
-//! bench run  --only fig05,fig11 [--jobs N] [--smoke] [--force]
+//! bench run  fig05 fig11 [--jobs N] [--smoke] [--force]
 //! ```
 //!
 //! Runs are **deterministic regardless of parallelism**: each scenario
@@ -20,25 +17,16 @@
 //! (round-tripped) values — so `--jobs 1` and `--jobs N` produce
 //! byte-identical CSVs under `$PEMA_RESULTS_DIR` (default `results/`).
 //!
-//! The `perf` module is the repo's performance harness (`bench perf`):
-//! calibrated micro benches (engine event throughput, histogram
-//! insert, MMPP stepping) plus macro benches (full windows on the
-//! three paper apps and three representative scenarios end-to-end),
-//! emitted as a machine-readable `BENCH_<label>.json` and gated in CI
-//! against `benchmarks/BENCH_baseline.json` (>25% macro regressions
-//! fail the build).
-//!
-//! Criterion micro-benchmarks live under `benches/` (`cargo bench`).
+//! Performance is not measured here: the repo's perf ledger is
+//! `BENCHMARK.json` and the standalone harness under `benchmarks/e2e`.
 
 pub mod ctx;
 pub mod exec;
 pub mod optm;
-pub mod perf;
 pub mod registry;
 pub mod scenarios;
 
 pub use ctx::{default_results_dir, paper_apps, ExperimentCtx};
-pub use exec::{run_suite, scenario_main, BackendSel, Outcome, ScenarioReport, SuiteConfig};
+pub use exec::{run_suite, BackendSel, Outcome, ScenarioReport, SuiteConfig};
 pub use optm::{CachedOptimum, OptmCache};
-pub use perf::{run_perf, PerfConfig, PerfReport};
 pub use registry::{by_id, registry, Scenario};

@@ -115,10 +115,8 @@ pub fn fit_curve(points: &[KneePoint], des: impl Fn(&KneePoint) -> f64 + Copy) -
         let mut best = TailCurve::flat(LEGACY_P95_FACTOR);
         let mut best_rms = f64::INFINITY;
         for &sharp in sharps {
-            let powed: Vec<(f64, f64, f64)> = data
-                .iter()
-                .map(|&(r, t)| (r, r.powf(sharp), t))
-                .collect();
+            let powed: Vec<(f64, f64, f64)> =
+                data.iter().map(|&(r, t)| (r, r.powf(sharp), t)).collect();
             for &base in bases {
                 for &slope in slopes {
                     for &gain in gains {
@@ -203,6 +201,9 @@ pub fn probe(scales: &[f64], warmup_s: f64, window_s: f64) -> (Vec<String>, Vec<
     (rows, points)
 }
 
+/// Reads one DES latency quantile (p95, p99 or max) off a probe point.
+type DesQuantile = fn(&KneePoint) -> f64;
+
 fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let scales: &[f64] = if ctx.smoke() {
         &SMOKE_SCALES
@@ -222,7 +223,7 @@ fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let pinned = TailModel::calibrated();
     let baseline = TailModel::constant(LEGACY_P95_FACTOR);
     let mut tbl = Vec::new();
-    let quantiles: [(&str, fn(&KneePoint) -> f64, TailCurve, TailCurve); 3] = [
+    let quantiles: [(&str, DesQuantile, TailCurve, TailCurve); 3] = [
         ("p95", |p| p.des_p95_ms, pinned.p95, baseline.p95),
         ("p99", |p| p.des_p99_ms, pinned.p99, baseline.p99),
         ("max", |p| p.des_max_ms, pinned.max, baseline.max),

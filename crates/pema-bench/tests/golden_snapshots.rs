@@ -5,12 +5,12 @@
 //! preserving*: the committed CSVs under `tests/goldens/` were
 //! generated before the optimization and every run since must
 //! reproduce them exactly. Three representative scenarios are pinned —
-//! one figure (`fig06`), one ablation (`ablation_ma`), and `table1` —
-//! the same trio `bench perf` runs as its macro scenario suite.
+//! one figure (`fig06`), one ablation (`ablation_ma`), and `table1`.
 
-use pema_bench::perf::MACRO_SCENARIOS;
 use pema_bench::{run_suite, SuiteConfig};
 use std::path::{Path, PathBuf};
+
+const TRIO: [&str; 3] = ["fig06", "ablation_ma", "table1"];
 
 fn tmp_dir(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("pema-golden-{name}"));
@@ -21,7 +21,7 @@ fn tmp_dir(name: &str) -> PathBuf {
 fn run_trio(dir: &Path, jobs: usize) {
     let cfg = SuiteConfig {
         jobs,
-        only: Some(MACRO_SCENARIOS.iter().map(|s| s.to_string()).collect()),
+        only: Some(TRIO.iter().map(|s| s.to_string()).collect()),
         smoke: true,
         force: true,
         results_dir: Some(dir.to_path_buf()),

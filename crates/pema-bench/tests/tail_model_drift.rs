@@ -28,7 +28,9 @@ use pema_sim::{TailModel, LEGACY_P95_FACTOR};
 use std::path::{Path, PathBuf};
 
 fn testdata(rel: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests").join(rel)
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join(rel)
 }
 
 /// Parses `tail_knee.csv` rows back into probe points.
@@ -103,7 +105,8 @@ fn pinned_model_stays_in_des_plausible_band() {
         rows.join("\n")
     );
     assert_eq!(
-        golden, fresh,
+        golden,
+        fresh,
         "tail_knee smoke sweep diverged from {} — the DES or fluid \
          model changed behavior; regenerate per docs/fluid-tail.md",
         golden_path.display()

@@ -249,14 +249,15 @@ impl FleetPolicy for WeightedFairShare {
 /// bit-identity like the others.
 #[derive(Debug, Clone, Copy)]
 pub struct AimdBackoff {
-    /// Multiplicative cut factor applied on breach (default 0.5).
-    pub cut: f64,
-    /// Additive recovery per breach-free round (default 0.05).
-    pub recover: f64,
-    /// Lower bound on the scale (default 0.05).
-    pub min_scale: f64,
     scale: f64,
 }
+
+/// Multiplicative cut applied to the scale on a budget breach.
+const AIMD_CUT: f64 = 0.5;
+/// Additive recovery per breach-free round.
+const AIMD_RECOVER: f64 = 0.05;
+/// Lower bound on the scale.
+const AIMD_MIN_SCALE: f64 = 0.05;
 
 impl Default for AimdBackoff {
     fn default() -> Self {
@@ -265,35 +266,10 @@ impl Default for AimdBackoff {
 }
 
 impl AimdBackoff {
-    /// The standard AIMD arbiter (cut ×0.5 on breach, recover +0.05 per
-    /// clean round, scale floor 0.05).
+    /// The AIMD arbiter (cut ×0.5 on breach, recover +0.05 per clean
+    /// round, scale floor 0.05), starting at full scale.
     pub fn new() -> Self {
-        Self {
-            cut: 0.5,
-            recover: 0.05,
-            min_scale: 0.05,
-            scale: 1.0,
-        }
-    }
-
-    /// Overrides the control-law constants.
-    ///
-    /// # Panics
-    /// Panics unless `0 < cut < 1`, `recover > 0`, and
-    /// `0 < min_scale <= 1`.
-    pub fn with_laws(cut: f64, recover: f64, min_scale: f64) -> Self {
-        assert!(cut > 0.0 && cut < 1.0, "cut must be in (0, 1)");
-        assert!(recover > 0.0, "recovery step must be positive");
-        assert!(
-            min_scale > 0.0 && min_scale <= 1.0,
-            "min_scale must be in (0, 1]"
-        );
-        Self {
-            cut,
-            recover,
-            min_scale,
-            scale: 1.0,
-        }
+        Self { scale: 1.0 }
     }
 
     /// The current multiplicative scale (1.0 = no backoff).
@@ -322,10 +298,10 @@ impl FleetPolicy for AimdBackoff {
             })
             .collect();
         if grants.iter().sum::<f64>() > budget {
-            self.scale = (self.scale * self.cut).max(self.min_scale);
+            self.scale = (self.scale * AIMD_CUT).max(AIMD_MIN_SCALE);
             squeeze_to_budget(&mut grants, requests, budget);
         } else {
-            self.scale = (self.scale + self.recover).min(1.0);
+            self.scale = (self.scale + AIMD_RECOVER).min(1.0);
         }
         grants
     }

@@ -264,15 +264,6 @@ pub enum LoopPoll {
     Proposed,
 }
 
-impl<P: Policy> ControlLoop<P, SimBackend> {
-    /// Builds a DES-backed loop around an explicit policy, starting the
-    /// cluster from the app's generous allocation with the standard
-    /// request timeout (see [`SimBackend::new`]).
-    pub fn from_parts(app: &AppSpec, policy: P, cfg: HarnessConfig) -> Self {
-        Self::new(SimBackend::new(app, cfg.seed), policy, cfg)
-    }
-}
-
 impl<P: Policy, B: ClusterBackend> ControlLoop<P, B> {
     /// Wires a policy to a backend. The backend arrives fully
     /// configured; `cfg` only carries the loop timing.
@@ -572,18 +563,6 @@ impl<P: Policy, B: ClusterBackend> ControlLoop<P, B> {
         }
     }
 }
-
-/// DES-backed harness for a single
-/// [`PemaController`](pema_core::PemaController) — kept as a named
-/// alias for the migration from the old root-crate `runner` module.
-pub type PemaRunner<B = SimBackend> = ControlLoop<pema_core::PemaController, B>;
-
-/// DES-backed harness for the workload-aware manager
-/// ([`WorkloadAwarePema`](pema_core::WorkloadAwarePema)).
-pub type ManagedRunner<B = SimBackend> = ControlLoop<pema_core::WorkloadAwarePema, B>;
-
-/// DES-backed harness for the rule-based baseline.
-pub type RuleRunner<B = SimBackend> = ControlLoop<crate::policy::RulePolicy, B>;
 
 /// Convenience: OPTM search for an app at one workload, starting from
 /// the generous allocation.

@@ -64,22 +64,6 @@
 //! at a deterministic window-boundary barrier.
 //!
 //! [`poll_window`]: ClusterBackend::poll_window
-//!
-//! ## Migrating from the old root-crate `runner` module
-//!
-//! | old (`pema::runner`) | new (`pema_control`) |
-//! |---|---|
-//! | `PemaRunner::new(&app, params, cfg)` | `Experiment::builder().app(&app).policy(Pema(params)).config(cfg)` |
-//! | `ManagedRunner::new(&app, params, rc, cfg)` | `….policy(Managed(params, rc))…` |
-//! | `RuleRunner::new(&app, cfg)` | `….policy(Rule)…` |
-//! | `ControlLoop::from_parts(&app, policy, cfg)` | `….policy(policy)…` (any [`Policy`] instance) |
-//! | `runner.run_const(rps, n)` | `….rps(rps).iters(n).run()` |
-//! | `runner.run_workload(&w, n)` | `….workload(w).iters(n).run()` |
-//! | `runner.with_early_check(s)` | `….early_check(s)` |
-//! | `runner.step_once(rps)` | `….build()` then `step_once(rps)` |
-//! | `runner.sim.set_speed(f)` | `runner.backend.set_speed(f)` (after `.build()`) |
-//! | ad-hoc CSV row collection around `step_once` | `….observer(\|log, stats\| …)` |
-//! | `stats_to_obs`, `optimum_for` | re-exported here, unchanged |
 
 mod arbitration;
 mod backend;
@@ -97,8 +81,7 @@ pub use backend::{
     ClusterBackend, EarlyCheck, FluidBackend, SimBackend, WindowPoll, WindowRequest,
 };
 pub use control::{
-    optimum_for, ControlLoop, HarnessConfig, IterationLog, LoopPoll, ManagedRunner, Observer,
-    PemaRunner, RuleRunner, RunResult,
+    optimum_for, ControlLoop, HarnessConfig, IterationLog, LoopPoll, Observer, RunResult,
 };
 pub use experiment::{
     Experiment, ExperimentBuilder, IntoBackend, IntoPolicy, Managed, Pema, Rule, Unset, UseFluid,

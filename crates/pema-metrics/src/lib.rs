@@ -1,30 +1,24 @@
 //! Metric primitives for the PEMA reproduction.
 //!
-//! The paper's controller consumes three observables, all of which are
-//! produced by metric machinery in this crate:
+//! Two of the observables the paper's controller consumes are produced
+//! by metric machinery in this crate:
 //!
 //! * end-to-end latency percentiles (Linkerd in the paper) — served by
-//!   [`histogram::LatencyHistogram`] and the streaming estimator
-//!   [`p2::P2Quantile`];
-//! * per-service CPU utilization and CFS throttling time (Prometheus
-//!   `cpu_usage_seconds_total` / `cpu_cfs_throttled_seconds_total`) —
-//!   served by [`registry::MetricRegistry`] counters and gauges;
+//!   [`histogram::LatencyHistogram`];
 //! * moving averages of the response time (Eqns. 10/11 of the paper) —
 //!   served by [`window::MovingAvg`] and [`window::RollingWindow`].
 //!
-//! Everything here is deterministic and allocation-conscious: histograms
-//! are fixed-size log-bucketed arrays, windows are ring buffers, and the
-//! registry hands out integer handles rather than string lookups on the
-//! hot path.
+//! Counters, gauges and their Prometheus exposition live in
+//! `pema-telemetry`, the workspace's one metrics registry.
+//!
+//! Everything here is deterministic and allocation-conscious:
+//! histograms are fixed-size log-bucketed arrays and windows are ring
+//! buffers.
 
 pub mod histogram;
-pub mod p2;
-pub mod registry;
 pub mod stats;
 pub mod window;
 
 pub use histogram::LatencyHistogram;
-pub use p2::P2Quantile;
-pub use registry::{CounterHandle, GaugeHandle, MetricRegistry, MetricSnapshot};
-pub use stats::{linear_regression, mean, percentile_sorted, std_dev, Summary};
+pub use stats::{linear_regression, mean, percentile_sorted};
 pub use window::{MovingAvg, RollingWindow};

@@ -14,16 +14,6 @@ pub fn mean(xs: &[f64]) -> Option<f64> {
     }
 }
 
-/// Sample standard deviation (n-1 denominator); `None` with < 2 samples.
-pub fn std_dev(xs: &[f64]) -> Option<f64> {
-    if xs.len() < 2 {
-        return None;
-    }
-    let m = mean(xs)?;
-    let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64;
-    Some(var.sqrt())
-}
-
 /// Nearest-rank percentile of an already **sorted** slice, `q` in 0..=1.
 ///
 /// # Panics
@@ -55,42 +45,6 @@ pub fn linear_regression(xs: &[f64], ys: &[f64]) -> Option<(f64, f64)> {
     Some((slope, my - slope * mx))
 }
 
-/// Five-number style summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub n: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Minimum value.
-    pub min: f64,
-    /// Median (nearest rank).
-    pub p50: f64,
-    /// 95th percentile (nearest rank).
-    pub p95: f64,
-    /// Maximum value.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Computes a summary; `None` when the sample is empty.
-    pub fn of(xs: &[f64]) -> Option<Summary> {
-        if xs.is_empty() {
-            return None;
-        }
-        let mut v = xs.to_vec();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        Some(Summary {
-            n: v.len(),
-            mean: mean(&v).unwrap(),
-            min: v[0],
-            p50: percentile_sorted(&v, 0.5),
-            p95: percentile_sorted(&v, 0.95),
-            max: v[v.len() - 1],
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,13 +54,6 @@ mod tests {
     fn mean_basic() {
         assert_eq!(mean(&[]), None);
         assert_eq!(mean(&[2.0, 4.0]), Some(3.0));
-    }
-
-    #[test]
-    fn std_dev_basic() {
-        assert_eq!(std_dev(&[1.0]), None);
-        let s = std_dev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]).unwrap();
-        assert!((s - 2.138).abs() < 1e-3);
     }
 
     #[test]
@@ -138,16 +85,6 @@ mod tests {
         assert_eq!(linear_regression(&[1.0], &[1.0]), None);
         assert_eq!(linear_regression(&[2.0, 2.0], &[1.0, 3.0]), None);
         assert_eq!(linear_regression(&[1.0, 2.0], &[1.0]), None);
-    }
-
-    #[test]
-    fn summary_fields() {
-        let s = Summary::of(&[5.0, 1.0, 3.0]).unwrap();
-        assert_eq!(s.n, 3);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 5.0);
-        assert_eq!(s.p50, 3.0);
-        assert_eq!(Summary::of(&[]), None);
     }
 
     proptest! {

@@ -1202,11 +1202,11 @@ impl ClusterSim {
     /// Total scheduled events *resolved* since construction: events
     /// dispatched from the queue/slots plus timer and arrival
     /// deadlines superseded in place by a reschedule. This is the
-    /// workload-invariant throughput numerator `bench perf` divides by
-    /// wall time: the pre-optimization single-heap engine resolved the
-    /// same scheduled events for the same workload (superseded ones as
-    /// deferred stale pops), so events/second is directly comparable
-    /// across engine generations.
+    /// workload-invariant count the repo benchmark divides wall time by
+    /// (`sim.engine.ns_per_event`): the pre-optimization single-heap
+    /// engine resolved the same scheduled events for the same workload
+    /// (superseded ones as deferred stale pops), so events/second is
+    /// directly comparable across engine generations.
     pub fn events_processed(&self) -> u64 {
         self.events_dispatched + self.events_superseded
     }

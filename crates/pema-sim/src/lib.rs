@@ -44,8 +44,8 @@
 //!   handling allocation-free.
 //!
 //! `ClusterSim::events_processed` counts scheduled events resolved;
-//! `bench perf` (in `pema-bench`) divides it by wall time and gates
-//! regressions in CI.
+//! the repo benchmark (`BENCHMARK.json`, `sim.engine.ns_per_event` on
+//! `des_closed_loop`) divides wall time by it.
 //!
 //! ## Quick start
 //!

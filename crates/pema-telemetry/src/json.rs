@@ -1,5 +1,5 @@
-//! The workspace's one JSON reader/writer: traces, the event log, the
-//! live wire path and the perf harness's baselines all go through it.
+//! The workspace's one JSON reader/writer: traces, the event log and
+//! the live wire path all go through it.
 //!
 //! The build environment has no route to a crates registry, so JSON is
 //! hand-rolled. This module started life in `pema-trace` (which still

@@ -384,9 +384,7 @@ fn parse_sample(l: &str) -> Result<Sample, String> {
             if key.is_empty() {
                 return Err("empty label name".into());
             }
-            if !key
-                .bytes()
-                .all(|b| b.is_ascii_alphanumeric() || b == b'_')
+            if !key.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_')
                 || key.as_bytes()[0].is_ascii_digit()
             {
                 return Err(format!("invalid label name {key:?}"));

@@ -49,7 +49,7 @@ fn main() {
     );
 }
 
-fn report(runner: &mut PemaRunner) {
+fn report(runner: &mut ControlLoop<PemaController>) {
     let last = runner.step_once(700.0).clone();
     println!(
         "  → settled near {:.2} cores, p95 {:.1} ms (SLO 250 ms)",

@@ -38,8 +38,7 @@
 //! The scenario subcommands (`list`, `all`, and `run` with scenario
 //! ids) surface `pema-bench`'s registry. Because `pema-bench` sits
 //! *above* this crate in the dependency graph, they delegate to the
-//! sibling `bench` binary — same pattern the old `all` binary used for
-//! the per-figure executables. Build it with
+//! sibling `bench` binary. Build it with
 //! `cargo build --release -p pema-bench`.
 
 use pema::prelude::*;
@@ -57,19 +56,18 @@ fn main() {
         // `run` is overloaded: scenario ids → suite subset; `--app` →
         // the classic single-controller run.
         "run" if scenario_invocation(&args[1..]) => delegate_bench("run", &args[1..]),
-        "run" => cmd_run(&parse_flags(&args[1..])),
-        "rule" => cmd_rule(&parse_flags(&args[1..])),
-        "optimum" => cmd_optimum(&parse_flags(&args[1..])),
-        "classify" => cmd_classify(&parse_flags(&args[1..])),
-        "trace" => cmd_trace(&parse_flags(&args[1..])),
-        "record" => cmd_record(&parse_flags(&args[1..])),
-        "replay" => cmd_replay(&parse_flags(&args[1..])),
-        "fleet" => cmd_fleet(&parse_flags(&args[1..])),
-        "live" => cmd_live(&parse_flags(&args[1..])),
-        "metrics" => cmd_metrics(&parse_flags(&args[1..])),
+        "run" => cmd_run(&parse_flags("run", RUN_FLAGS, &args[1..])),
+        "rule" => cmd_rule(&parse_flags("rule", RULE_FLAGS, &args[1..])),
+        "optimum" => cmd_optimum(&parse_flags("optimum", OPTIMUM_FLAGS, &args[1..])),
+        "classify" => cmd_classify(&parse_flags("classify", CLASSIFY_FLAGS, &args[1..])),
+        "trace" => cmd_trace(&parse_flags("trace", TRACE_FLAGS, &args[1..])),
+        "record" => cmd_record(&parse_flags("record", RECORD_FLAGS, &args[1..])),
+        "replay" => cmd_replay(&parse_flags("replay", REPLAY_FLAGS, &args[1..])),
+        "fleet" => cmd_fleet(&parse_flags("fleet", FLEET_FLAGS, &args[1..])),
+        "live" => cmd_live(&parse_flags("live", LIVE_FLAGS, &args[1..])),
+        "metrics" => cmd_metrics(&parse_flags("metrics", METRICS_FLAGS, &args[1..])),
         "list" => delegate_bench("list", &args[1..]),
         "all" => delegate_bench("all", &args[1..]),
-        "perf" => delegate_bench("perf", &args[1..]),
         "help" | "--help" | "-h" => usage(),
         other => {
             eprintln!("unknown command '{other}'");
@@ -134,8 +132,7 @@ fn usage() {
          \x20 list                                 list registered scenarios\n\
          \x20 all  [--jobs N] [--smoke] [--force] [--backend B]  run the whole suite\n\
          \x20 run  <id>… [--jobs N] [--smoke] [--force] [--backend sim|fluid|trace:F]\n\
-         \x20                                      run selected scenarios\n\
-         \x20 perf [--smoke] [--label L] [--check BASE.json]  perf harness → benchmarks/BENCH_<L>.json"
+         \x20                                      run selected scenarios"
     );
 }
 
@@ -170,12 +167,19 @@ fn delegate_bench(sub: &str, args: &[String]) -> ! {
     exit(status.code().unwrap_or(1));
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// Parses `--name [value]` pairs, accepting only the flags `cmd` reads
+/// (its `*_FLAGS` list) so a misspelled flag is an error and not a
+/// silently applied default.
+fn parse_flags(cmd: &str, accepted: &[&str], args: &[String]) -> HashMap<String, String> {
     let mut m = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
         if let Some(name) = a.strip_prefix("--") {
+            if !accepted.contains(&name) {
+                eprintln!("unknown flag '{a}' for '{cmd}' (see `pema-cli help`)");
+                exit(2);
+            }
             if i + 1 < args.len() && !args[i + 1].starts_with("--") {
                 m.insert(name.to_string(), args[i + 1].clone());
                 i += 2;
@@ -227,6 +231,8 @@ fn telemetry_wires(flags: &HashMap<String, String>) -> TelemetryWires {
         _server: server,
     }
 }
+
+const METRICS_FLAGS: &[&str] = &["addr", "out", "print"];
 
 /// Scrapes `http://ADDR/metrics` once and lints the exposition format
 /// (`pema-cli metrics --addr H:P`). With `--out F` the raw scrape is
@@ -292,16 +298,34 @@ fn get_app(flags: &HashMap<String, String>) -> AppSpec {
     })
 }
 
-fn get_f64(flags: &HashMap<String, String>, key: &str, default: f64) -> f64 {
+/// Reads `--key` as a `T`, or `default` when absent; a value that does
+/// not parse is a usage error saying `what` was expected.
+fn get_parsed<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    key: &str,
+    what: &str,
+    default: T,
+) -> T {
     flags
         .get(key)
         .map(|v| {
             v.parse().unwrap_or_else(|_| {
-                eprintln!("--{key} must be a number, got '{v}'");
+                eprintln!("--{key} must be {what}, got '{v}'");
                 exit(2);
             })
         })
         .unwrap_or(default)
+}
+
+fn get_f64(flags: &HashMap<String, String>, key: &str, default: f64) -> f64 {
+    get_parsed(flags, key, "a number", default)
+}
+
+/// An integer flag (`--seed`, `--iters`, `--count`, `--threads`), parsed
+/// as the integer it is: no detour through `f64`, which rounds above
+/// 2^53 and accepts fractions and negatives.
+fn get_uint<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default: T) -> T {
+    get_parsed(flags, key, "a non-negative integer", default)
 }
 
 fn require_f64(flags: &HashMap<String, String>, key: &str) -> f64 {
@@ -331,14 +355,27 @@ fn cmd_apps() {
     );
 }
 
+const RUN_FLAGS: &[&str] = &[
+    "app",
+    "rps",
+    "iters",
+    "seed",
+    "interval",
+    "early-check",
+    "alpha",
+    "beta",
+    "metrics-addr",
+    "events-out",
+];
+
 fn cmd_run(flags: &HashMap<String, String>) {
     let app = get_app(flags);
     let rps = require_f64(flags, "rps");
-    let iters = get_f64(flags, "iters", 40.0) as usize;
+    let iters: usize = get_uint(flags, "iters", 40);
     let mut params = PemaParams::defaults(app.slo_ms);
     params.alpha = get_f64(flags, "alpha", params.alpha);
     params.beta = get_f64(flags, "beta", params.beta);
-    params.seed = get_f64(flags, "seed", 7.0) as u64;
+    params.seed = get_uint(flags, "seed", 7);
     let seed = params.seed ^ 0x5EED;
     let mut builder = Experiment::builder()
         .app(&app)
@@ -388,17 +425,19 @@ fn cmd_run(flags: &HashMap<String, String>) {
     }
 }
 
+const RULE_FLAGS: &[&str] = &["app", "rps", "iters", "interval", "seed"];
+
 fn cmd_rule(flags: &HashMap<String, String>) {
     let app = get_app(flags);
     let rps = require_f64(flags, "rps");
-    let iters = get_f64(flags, "iters", 12.0) as usize;
+    let iters: usize = get_uint(flags, "iters", 12);
     let r = Experiment::builder()
         .app(&app)
         .policy(Rule)
         .config(HarnessConfig {
             interval_s: get_f64(flags, "interval", 40.0),
             warmup_s: 4.0,
-            seed: get_f64(flags, "seed", 7.0) as u64,
+            seed: get_uint(flags, "seed", 7),
         })
         .rps(rps)
         .iters(iters)
@@ -413,10 +452,12 @@ fn cmd_rule(flags: &HashMap<String, String>) {
     );
 }
 
+const OPTIMUM_FLAGS: &[&str] = &["app", "rps", "seed"];
+
 fn cmd_optimum(flags: &HashMap<String, String>) {
     let app = get_app(flags);
     let rps = require_f64(flags, "rps");
-    let seed = get_f64(flags, "seed", 7.0) as u64;
+    let seed: u64 = get_uint(flags, "seed", 7);
     println!("searching OPTM for {} @ {rps} rps…", app.name);
     match optimum_for(&app, rps, seed) {
         Ok(opt) => {
@@ -434,6 +475,8 @@ fn cmd_optimum(flags: &HashMap<String, String>) {
         }
     }
 }
+
+const CLASSIFY_FLAGS: &[&str] = &["app", "service", "rps"];
 
 fn cmd_classify(flags: &HashMap<String, String>) {
     let app = get_app(flags);
@@ -457,6 +500,18 @@ fn cmd_classify(flags: &HashMap<String, String>) {
     }
 }
 
+const RECORD_FLAGS: &[&str] = &[
+    "app",
+    "rps",
+    "out",
+    "iters",
+    "policy",
+    "interval",
+    "warmup",
+    "seed",
+    "early-check",
+];
+
 /// Records a DES run into a trace file (`pema-cli record`). The trace
 /// carries everything `replay` needs: app identity, harness timing,
 /// seeds, and the full per-interval telemetry.
@@ -467,12 +522,12 @@ fn cmd_record(flags: &HashMap<String, String>) {
         eprintln!("--out is required (path the .jsonl trace is written to)");
         exit(2);
     });
-    let iters = get_f64(flags, "iters", 20.0) as usize;
+    let iters: usize = get_uint(flags, "iters", 20);
     let policy_name = flags.get("policy").map(String::as_str).unwrap_or("pema");
     let cfg = HarnessConfig {
         interval_s: get_f64(flags, "interval", 40.0),
         warmup_s: get_f64(flags, "warmup", 4.0),
-        seed: get_f64(flags, "seed", 7.0) as u64,
+        seed: get_uint(flags, "seed", 7),
     };
     let early_check = flags.get("early-check").map(|s| s.parse().unwrap_or(10.0));
 
@@ -528,6 +583,8 @@ fn cmd_record(flags: &HashMap<String, String>) {
         result.violation_rate() * 100.0,
     );
 }
+
+const REPLAY_FLAGS: &[&str] = &["trace", "lenient", "policy", "assert-zero-divergence"];
 
 /// Replays a recorded trace under a (possibly different) policy and
 /// prints the counterfactual comparison (`pema-cli replay`).
@@ -637,22 +694,40 @@ fn cmd_replay(flags: &HashMap<String, String>) {
     }
 }
 
+const FLEET_FLAGS: &[&str] = &[
+    "count",
+    "iters",
+    "interval",
+    "seed",
+    "app",
+    "policy",
+    "backend",
+    "threads",
+    "pace",
+    "rps",
+    "budget",
+    "arbitration",
+    "priority",
+    "metrics-addr",
+    "events-out",
+];
+
 /// Drives `--count` control loops concurrently from this one process
 /// (`pema-cli fleet`): the CLI face of `pema_control::Fleet`. Apps,
 /// policies, and loads cycle deterministically when `mixed`.
 fn cmd_fleet(flags: &HashMap<String, String>) {
-    let count = get_f64(flags, "count", 8.0) as usize;
+    let count: usize = get_uint(flags, "count", 8);
     if count == 0 {
         eprintln!("--count must be at least 1");
         exit(2);
     }
-    let iters = get_f64(flags, "iters", 10.0) as usize;
+    let iters: usize = get_uint(flags, "iters", 10);
     if iters == 0 {
         eprintln!("--iters must be at least 1");
         exit(2);
     }
     let interval_s = get_f64(flags, "interval", 40.0);
-    let seed0 = get_f64(flags, "seed", 7.0) as u64;
+    let seed0: u64 = get_uint(flags, "seed", 7);
     let app_sel = flags.get("app").map(String::as_str).unwrap_or("mixed");
     let policy_sel = flags.get("policy").map(String::as_str).unwrap_or("mixed");
     let backend_sel = flags.get("backend").map(String::as_str).unwrap_or("fluid");
@@ -661,7 +736,7 @@ fn cmd_fleet(flags: &HashMap<String, String>) {
         exit(2);
     }
     // 0 = one shard per core; output is byte-identical for any value.
-    let threads = get_f64(flags, "threads", 1.0) as usize;
+    let threads: usize = get_uint(flags, "threads", 1);
     let pace = match flags.get("pace").map(String::as_str).unwrap_or("virtual") {
         "virtual" => Clock::Virtual,
         "wall" => Clock::Wall,
@@ -856,6 +931,24 @@ fn cmd_fleet(flags: &HashMap<String, String>) {
     }
 }
 
+const LIVE_FLAGS: &[&str] = &[
+    "app",
+    "rps",
+    "iters",
+    "interval",
+    "warmup",
+    "seed",
+    "fake",
+    "dry-run",
+    "prometheus",
+    "kube",
+    "token",
+    "namespace",
+    "out",
+    "metrics-addr",
+    "events-out",
+];
+
 /// Drives the PEMA controller against the live-cluster adapter
 /// (`pema-cli live`): Prometheus range queries for measurement and
 /// Kubernetes CPU-limit PATCHes for actuation — or, with `--fake`, an
@@ -865,11 +958,11 @@ fn cmd_fleet(flags: &HashMap<String, String>) {
 fn cmd_live(flags: &HashMap<String, String>) {
     let app = get_app(flags);
     let rps = require_f64(flags, "rps");
-    let iters = get_f64(flags, "iters", 6.0) as usize;
+    let iters: usize = get_uint(flags, "iters", 6);
     let cfg = HarnessConfig {
         interval_s: get_f64(flags, "interval", 8.0),
         warmup_s: get_f64(flags, "warmup", 1.0),
-        seed: get_f64(flags, "seed", 7.0) as u64,
+        seed: get_uint(flags, "seed", 7),
     };
     let fake = flags.contains_key("fake");
     let live_cfg = LiveConfig {
@@ -987,10 +1080,12 @@ fn cmd_live(flags: &HashMap<String, String>) {
     }
 }
 
+const TRACE_FLAGS: &[&str] = &["app", "rps", "seed", "starve"];
+
 fn cmd_trace(flags: &HashMap<String, String>) {
     let app = get_app(flags);
     let rps = require_f64(flags, "rps");
-    let mut sim = ClusterSim::new(&app, get_f64(flags, "seed", 7.0) as u64);
+    let mut sim = ClusterSim::new(&app, get_uint(flags, "seed", 7));
     let mut alloc = Allocation::new(app.generous_alloc.clone());
     if let Some(spec) = flags.get("starve") {
         let (name, frac) = spec.split_once('=').unwrap_or_else(|| {

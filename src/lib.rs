@@ -81,9 +81,9 @@ pub mod prelude {
         ArbitrationEvent, ArbitrationRequest, Clock, ClusterBackend, ControlLoop, Decision,
         EarlyCheck, Experiment, ExperimentBuilder, Fleet, FleetArbitration, FleetPolicy,
         FleetResult, FleetRun, FluidBackend, HarnessConfig, HoldPolicy, Instrumented, IterationLog,
-        LoopPoll, LoopTelemetry, Managed, ManagedRunner, MemberArbitration, MemberSpec, Observer,
-        Pema, PemaRunner, Policy, Rule, RulePolicy, RuleRunner, RunResult, SimBackend, Unlimited,
-        UseFluid, UseSim, WeightedFairShare, WindowPoll, WindowRequest,
+        LoopPoll, LoopTelemetry, Managed, MemberArbitration, MemberSpec, Observer, Pema, Policy,
+        Rule, RulePolicy, RunResult, SimBackend, Unlimited, UseFluid, UseSim, WeightedFairShare,
+        WindowPoll, WindowRequest,
     };
     pub use pema_core::{
         Action, Observation, PemaController, PemaParams, RangeConfig, ServiceObs, WorkloadAwarePema,

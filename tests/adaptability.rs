@@ -11,7 +11,11 @@ fn cfg(seed: u64) -> HarnessConfig {
     }
 }
 
-fn pema_runner(app: &AppSpec, params: PemaParams, cfg: HarnessConfig) -> PemaRunner {
+fn pema_runner(
+    app: &AppSpec,
+    params: PemaParams,
+    cfg: HarnessConfig,
+) -> ControlLoop<PemaController> {
     Experiment::builder()
         .app(app)
         .policy(Pema(params))
@@ -106,8 +110,8 @@ fn slo_violation_detection_follows_current_slo() {
     assert_eq!(log.action, "rollback");
 }
 
-fn avg_tail(runner: &PemaRunner, k: usize) -> f64 {
-    // `PemaRunner` does not expose its internal log directly; rely on
+fn avg_tail(runner: &ControlLoop<PemaController>, k: usize) -> f64 {
+    // The loop does not expose its internal log directly; rely on
     // the controller's current allocation as the settled proxy.
     let _ = k;
     runner.policy.total_alloc()

@@ -16,7 +16,7 @@ fn managed_runner(
     params: PemaParams,
     ranges: RangeConfig,
     cfg: HarnessConfig,
-) -> ManagedRunner {
+) -> ControlLoop<WorkloadAwarePema> {
     Experiment::builder()
         .app(app)
         .policy(Managed(params, ranges))
