@@ -138,12 +138,12 @@ impl LoopTelemetry {
                 "interval",
                 entry.time_s,
                 &[
-                    ("member", EventField::Str(self.member.clone())),
+                    ("member", EventField::Str(&self.member)),
                     ("iter", EventField::U64(entry.iter as u64)),
                     ("rps", EventField::F64(entry.rps)),
                     ("p95_ms", EventField::F64(entry.p95_ms)),
                     ("violated", EventField::U64(entry.violated as u64)),
-                    ("action", EventField::Str(entry.action.clone())),
+                    ("action", EventField::Str(&entry.action)),
                     ("measure_s", EventField::F64(spans.measure_s)),
                     ("decide_s", EventField::F64(spans.decide_s)),
                     (

@@ -3,13 +3,18 @@
 //! any host, so it guards the allocation-lean interval (flat fluid
 //! plan, ring-buffered RULE history, scratch reuse in the controller,
 //! the backend and the loop) where a timer would need a quiet machine.
+//! The same loops are then run observed, with a telemetry hub and an
+//! event sink attached, which must not allocate anything more.
 //!
 //! Its own test binary, with a single test: a `#[global_allocator]` is
 //! per binary, and a second test running beside this one would be
 //! counted with it.
 
-use pema_control::{ControlLoop, FluidBackend, HarnessConfig, HoldPolicy, Policy, RulePolicy};
+use pema_control::{
+    ControlLoop, FluidBackend, HarnessConfig, HoldPolicy, LoopTelemetry, Policy, RulePolicy,
+};
 use pema_core::{PemaController, PemaParams};
+use pema_telemetry::{EventSink, Telemetry};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -49,10 +54,17 @@ const SETTLE: usize = 40;
 /// Allocations per interval over the last `INTERVALS - SETTLE` of a
 /// 200-interval run. The interval log and PEMA's history double their
 /// capacity a few times in that stretch; that is part of the steady
-/// state and is counted.
-fn per_interval<P: Policy>(policy: P, rps: f64) -> f64 {
+/// state and is counted. `observed` attaches a hub and an event sink
+/// over an in-memory log with room for the whole run.
+fn per_interval<P: Policy>(policy: P, rps: f64, observed: bool) -> f64 {
     let app = pema_apps::sockshop();
     let mut lp = ControlLoop::new(FluidBackend::new(&app), policy, HarnessConfig::with_seed(7));
+    let log = observed.then(|| {
+        let (sink, log) = EventSink::memory();
+        log.lock().unwrap().reserve(256 * INTERVALS);
+        lp.set_telemetry(LoopTelemetry::new(&Telemetry::new(), &app.name).with_events(sink));
+        log
+    });
     for _ in 0..SETTLE {
         lp.step_once(rps);
     }
@@ -62,6 +74,10 @@ fn per_interval<P: Policy>(policy: P, rps: f64) -> f64 {
     }
     let counted = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(lp.log().len(), INTERVALS);
+    if let Some(log) = log {
+        let log = log.lock().unwrap();
+        assert_eq!(log.iter().filter(|&&b| b == b'\n').count(), INTERVALS);
+    }
     counted as f64 / (INTERVALS - SETTLE) as f64
 }
 
@@ -71,9 +87,22 @@ fn steady_state_interval_stays_within_its_allocation_budget() {
     let rps = 700.0;
     let mut params = PemaParams::defaults(app.slo_ms);
     params.seed = 11;
-    let rule = per_interval(RulePolicy::new(&app), rps);
-    let hold = per_interval(HoldPolicy::new(app.generous_alloc.clone(), app.slo_ms), rps);
-    let pema = per_interval(PemaController::new(params, app.generous_alloc.clone()), rps);
+    let run = |observed: bool| {
+        [
+            per_interval(RulePolicy::new(&app), rps, observed),
+            per_interval(
+                HoldPolicy::new(app.generous_alloc.clone(), app.slo_ms),
+                rps,
+                observed,
+            ),
+            per_interval(
+                PemaController::new(params.clone(), app.generous_alloc.clone()),
+                rps,
+                observed,
+            ),
+        ]
+    };
+    let [rule, hold, pema] = run(false);
     println!("allocations per interval: RULE {rule:.3}, HOLD {hold:.3}, PEMA {pema:.3}");
 
     // What an interval still has to allocate:
@@ -89,4 +118,21 @@ fn steady_state_interval_stays_within_its_allocation_budget() {
     assert!(rule <= 4.1, "RULE allocates {rule:.3} times per interval");
     assert!(hold <= 5.1, "HOLD allocates {hold:.3} times per interval");
     assert!(pema <= 6.1, "PEMA allocates {pema:.3} times per interval");
+
+    // Observing an interval allocates nothing: the counters and
+    // histograms are atomics, the event's fields are borrowed and its
+    // line is built in a buffer that grew during the settling
+    // intervals. (Two clones and a fresh line made this +3.)
+    let observed = run(true);
+    println!("with hub and event sink: {observed:.3?}");
+    for (name, bare, seen) in [
+        ("RULE", rule, observed[0]),
+        ("HOLD", hold, observed[1]),
+        ("PEMA", pema, observed[2]),
+    ] {
+        assert!(
+            seen <= bare + 0.05,
+            "{name} allocates {seen:.3} times per observed interval, {bare:.3} bare"
+        );
+    }
 }

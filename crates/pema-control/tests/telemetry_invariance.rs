@@ -299,6 +299,65 @@ fn event_stream_is_byte_identical_across_identical_runs() {
     assert_eq!(a, b, "identical runs must emit identical JSONL bytes");
 }
 
+/// Run-to-run identity (above) holds across a change of the line
+/// format; this pins the format itself. The fixture was written by the
+/// commit *before* the event path was rebuilt (borrowed fields, reused
+/// line buffer, integer-fast number kernels), from exactly this fleet:
+/// the three `fleet_mix` applications on the fluid backend under
+/// PEMA/RULE/HOLD, one thread, `WeightedFairShare` over 45 cores for
+/// the ≈ 50 they propose each round, four intervals each. One member
+/// name needs every kind of escape, one load is not an integer.
+#[test]
+fn event_log_matches_the_fixture_written_before_the_encoder_changed() {
+    let mix = pema_apps::fleet_mix();
+    let names = [
+        "sockshop-0",
+        "train\"ticket\\1\n\u{1}é",
+        "hotelreservation-2",
+    ];
+    let loads = [560.0, 212.5, 480.0];
+    let mut fleet = Fleet::new().threads(1);
+    for (i, ((app, _), name)) in mix.iter().zip(names).enumerate() {
+        let spec = MemberSpec::new()
+            .name(name)
+            .app(app)
+            .config(HarnessConfig {
+                interval_s: 40.0,
+                warmup_s: 4.0,
+                seed: 7 + i as u64,
+            })
+            .backend(UseFluid)
+            .rps(loads[i])
+            .iters(4);
+        fleet = match i {
+            0 => {
+                let mut params = PemaParams::defaults(app.slo_ms);
+                params.seed = 7;
+                fleet.member(spec.policy(Pema(params)))
+            }
+            1 => fleet.member(spec.policy(Rule)),
+            _ => fleet.member(spec.policy(HoldPolicy::new(app.generous_alloc.clone(), app.slo_ms))),
+        };
+    }
+    let hub = Telemetry::new();
+    let (sink, buf) = EventSink::memory();
+    let result = fleet
+        .arbitration(45.0, WeightedFairShare::new())
+        .telemetry(&hub)
+        .events(sink.clone())
+        .run();
+    sink.flush();
+    let arb = result.arbitration.expect("the fleet ran arbitrated");
+    assert!(arb.total_cuts() > 0, "the budget must bind");
+    let log = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+    assert_eq!(log.lines().count(), 12);
+    assert_eq!(
+        log,
+        include_str!("fixtures/interval_events.jsonl"),
+        "the event log is no longer byte-identical to the fixture"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

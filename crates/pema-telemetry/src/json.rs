@@ -141,32 +141,80 @@ pub fn quote(s: &str) -> String {
 
 /// Appends `s` escaped and quoted, without the intermediate allocation
 /// of [`quote`] — the event log formats a line per control interval,
-/// so its keys and values go through here.
+/// so its keys and values go through here. A string with nothing to
+/// escape (keys, action tags, ordinary member names) is appended
+/// whole; otherwise the runs between escapes are.
 pub fn push_quoted(out: &mut String, s: &str) {
     use std::fmt::Write as _;
+    let needs_escape = |b: u8| (b < 0x20) | (b == b'"') | (b == b'\\');
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Without a branch in its body this scan compiles to vector
+    // compares, which beats stopping at the first hit on the 4 to 20
+    // bytes a key or a name has.
+    if !s.bytes().fold(false, |any, b| any | needs_escape(b)) {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
+    // Everything that needs an escape is a single ASCII byte, so
+    // `from` and `at` only ever sit on character boundaries.
+    let mut from = 0;
+    while let Some(i) = s.as_bytes()[from..].iter().position(|&b| needs_escape(b)) {
+        let at = from + i;
+        out.push_str(&s[from..at]);
+        match s.as_bytes()[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
+        }
+        from = at + 1;
+    }
+    out.push_str(&s[from..]);
+    out.push('"');
+}
+
+/// Appends `v` in decimal, without going through `core::fmt`.
+pub fn push_u64(out: &mut String, mut v: u64) {
+    // u64::MAX has 20 digits.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
-    out.push('"');
+    out.extend(buf[at..].iter().map(|&d| d as char));
 }
 
 /// Appends an `f64` in the trace encoding: shortest-round-trip decimal
 /// for finite values, the strings `"inf"` / `"-inf"` / `"nan"`
 /// otherwise.
+///
+/// An integer-valued float below 2^53 takes a digits-only route:
+/// `Display` prints exactly its integer digits for such a value (no
+/// point, no exponent), and on a virtual clock nearly every timestamp
+/// and span is one. `-0.0` is left to `Display`, which prints `-0`.
 pub fn push_f64(out: &mut String, v: f64) {
     use std::fmt::Write as _;
-    if v.is_finite() {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    let mag = v.abs();
+    // NaN and the infinities fail `mag < EXACT`; below it `as u64`
+    // truncates, so surviving the round trip means no fraction.
+    if mag < EXACT && (mag as u64) as f64 == mag && (mag != 0.0 || v.is_sign_positive()) {
+        if v < 0.0 {
+            out.push('-');
+        }
+        push_u64(out, mag as u64);
+    } else if v.is_finite() {
         let _ = write!(out, "{v}");
     } else if v.is_nan() {
         out.push_str("\"nan\"");
@@ -390,6 +438,136 @@ fn parse_num(b: &[u8], pos: &mut usize) -> Result<Value, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `push_quoted` as it was before the run-copying rewrite, one
+    /// `char` at a time: the oracle for the property below.
+    fn push_quoted_reference(out: &mut String, s: &str) {
+        use std::fmt::Write as _;
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// What `push_f64` must print, from `Display` alone, and that it
+    /// reads back to the same bits.
+    fn check_f64(v: f64) -> Result<(), String> {
+        let mut got = String::new();
+        push_f64(&mut got, v);
+        let want = if v.is_finite() {
+            format!("{v}")
+        } else if v.is_nan() {
+            "\"nan\"".to_string()
+        } else if v > 0.0 {
+            "\"inf\"".to_string()
+        } else {
+            "\"-inf\"".to_string()
+        };
+        if got != want {
+            return Err(format!("{v:?} printed {got}, Display prints {want}"));
+        }
+        let back = read_f64(&parse(&got)?)?;
+        if back.to_bits() != v.to_bits() && !(v.is_nan() && back.is_nan()) {
+            return Err(format!("{v:?} -> {got} -> {back:?}"));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn push_f64_pinned_cases_match_display() {
+        const TWO_53: f64 = 9_007_199_254_740_992.0;
+        for v in [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            44.0,
+            TWO_53 - 1.0,
+            -(TWO_53 - 1.0),
+            TWO_53,
+            TWO_53 + 2.0,
+            1e15,
+            1e21,
+            0.1,
+            -0.5,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            check_f64(v).unwrap();
+        }
+        let mut s = String::new();
+        push_f64(&mut s, -0.0);
+        assert_eq!(s, "-0");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn push_f64_matches_display_for_any_bit_pattern(bits in 0u64..=u64::MAX) {
+            check_f64(f64::from_bits(bits)).map_err(TestCaseError::fail)?;
+        }
+
+        /// Random bit patterns are almost never integer-valued; these
+        /// are, on both sides of 2^53, with halves mixed in.
+        #[test]
+        fn push_f64_matches_display_around_the_integer_route(
+            n in -(1i64 << 55)..(1i64 << 55),
+            shift in 0u32..56,
+            half in 0u32..2,
+        ) {
+            check_f64((n >> shift) as f64 + 0.5 * half as f64).map_err(TestCaseError::fail)?;
+        }
+
+        #[test]
+        fn push_u64_matches_to_string(n in 0u64..=u64::MAX, shift in 0u32..64) {
+            for v in [n, n >> shift, 0, u64::MAX] {
+                let mut got = String::from("x");
+                push_u64(&mut got, v);
+                prop_assert_eq!(got, format!("x{v}"));
+            }
+        }
+
+        #[test]
+        fn push_quoted_matches_the_char_by_char_reference(
+            chars in proptest::collection::vec(
+                prop_oneof![
+                    Just('"'),
+                    Just('\\'),
+                    (0u32..0x20).prop_map(|c| char::from_u32(c).unwrap()),
+                    (0x20u32..0x7f).prop_map(|c| char::from_u32(c).unwrap()),
+                    (0x20u32..0x7f).prop_map(|c| char::from_u32(c).unwrap()),
+                    (0x7fu32..0xd800).prop_map(|c| char::from_u32(c).unwrap()),
+                    (0x1_0000u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap()),
+                ],
+                0..24,
+            ),
+        ) {
+            let s: String = chars.into_iter().collect();
+            let (mut got, mut want) = (String::from("x"), String::from("x"));
+            push_quoted(&mut got, &s);
+            push_quoted_reference(&mut want, &s);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(parse(&got[1..]).unwrap(), Value::Str(s));
+        }
+    }
 
     #[test]
     fn f64_round_trip_is_bit_exact() {
