@@ -185,12 +185,6 @@ impl ExperimentCtx {
         cfg
     }
 
-    /// The backend selection this suite run was launched with
-    /// (`--backend`; DES by default).
-    pub fn backend(&self) -> &BackendSel {
-        &self.backend
-    }
-
     /// Builds the selected backend for a closed-loop run of `app`,
     /// seeded like the default DES path ([`SimBackend::new`] with
     /// `cfg.seed`) so `--backend sim` stays byte-identical to the

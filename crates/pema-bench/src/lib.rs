@@ -1,14 +1,18 @@
-//! # pema-bench — the experiment harness
+//! # pema-bench — the experiment harness, and the `pema-cli` executable
 //!
-//! Every table and figure of the paper's evaluation (plus the
-//! ablations DESIGN.md calls out) is a registered [`Scenario`]: a
-//! ~30-line module with a `run(ctx)` function, and the `bench` driver
-//! is the one way to run any subset of them, in parallel:
+//! Every table and figure of the paper's evaluation (plus five
+//! ablations and the beyond-paper fleet and scale studies) is a
+//! registered [`Scenario`]: a ~30-line module with a `run(ctx)`
+//! function, and [`run_suite`] is the one way to run any subset of
+//! them, in parallel. `pema-cli` (`src/bin/pema-cli.rs`, the
+//! workspace's only executable — it lives here because this crate is
+//! the one that links both the product and the registry) calls it
+//! in-process:
 //!
 //! ```text
-//! bench list                          show every scenario
-//! bench all  [--jobs N] [--smoke] [--force]
-//! bench run  fig05 fig11 [--jobs N] [--smoke] [--force]
+//! pema-cli list                       show every scenario
+//! pema-cli all  [--jobs N] [--smoke] [--force]
+//! pema-cli run  fig05 fig11 [--jobs N] [--smoke] [--force]
 //! ```
 //!
 //! Runs are **deterministic regardless of parallelism**: each scenario
@@ -29,4 +33,4 @@ pub mod scenarios;
 pub use ctx::{default_results_dir, paper_apps, ExperimentCtx};
 pub use exec::{run_suite, BackendSel, Outcome, ScenarioReport, SuiteConfig};
 pub use optm::{CachedOptimum, OptmCache};
-pub use registry::{by_id, registry, Scenario};
+pub use registry::{registry, Scenario};

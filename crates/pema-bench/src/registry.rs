@@ -15,7 +15,7 @@ pub trait Scenario: Sync {
     /// Stable id: CSV base name, CLI selector, RNG-stream root.
     fn id(&self) -> &'static str;
 
-    /// One-line description shown by `bench list`.
+    /// One-line description shown by `pema-cli list`.
     fn about(&self) -> &'static str;
 
     /// CSV files (without `.csv`) this scenario writes — used to skip
@@ -116,9 +116,4 @@ pub fn registry() -> &'static [&'static dyn Scenario] {
         &fleet_contention::FleetContention,
     ];
     REGISTRY
-}
-
-/// Looks a scenario up by id.
-pub fn by_id(id: &str) -> Option<&'static dyn Scenario> {
-    registry().iter().copied().find(|s| s.id() == id)
 }

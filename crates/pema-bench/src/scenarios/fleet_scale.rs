@@ -56,8 +56,12 @@ fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
         let cfg = ctx.harness_cfg(0xF1EE7 + i as u64);
         let sink = Arc::clone(&interval_rows);
         let app_name = app.name.clone();
-        let builder = Experiment::builder()
+        let built = policy_by_name(policy, app, 0xF1EE7 ^ i as u64)
+            .expect("the mix names bundled policies");
+        let member = Experiment::builder()
+            .name(format!("{}-{i}", app.name))
             .app(app)
+            .policy(built)
             .backend(UseFluid)
             .config(cfg)
             .rps(rps)
@@ -68,18 +72,7 @@ fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
                     log.iter, log.rps, log.total_cpu, log.p95_ms, log.violated as u8, log.action
                 ));
             });
-        let name = format!("{}-{i}", app.name);
-        let builder = MemberSpec::from(builder).name(name);
-        fleet = match policy {
-            "pema" => {
-                let mut params = PemaParams::defaults(app.slo_ms);
-                params.seed = 0xF1EE7 ^ i as u64;
-                fleet.member(builder.policy(Pema(params)))
-            }
-            "rule" => fleet.member(builder.policy(Rule)),
-            _ => fleet
-                .member(builder.policy(HoldPolicy::new(app.generous_alloc.clone(), app.slo_ms))),
-        };
+        fleet = fleet.member(member);
         labels.push((app.name.clone(), policy.to_string(), rps));
     }
 

@@ -71,7 +71,7 @@ fn fleet_csvs_match_committed_goldens() {
             golden, fresh,
             "{name} diverged from the committed golden — the fleet scheduler, \
              arbitration barrier, or fluid backend changed behavior (run \
-             `bench run fleet_scale fleet_contention --smoke --force` and \
+             `pema-cli run fleet_scale fleet_contention --smoke --force` and \
              diff against tests/goldens/fleet/)"
         );
         compared += 1;

@@ -60,7 +60,7 @@ fn scenario_csvs_match_committed_goldens() {
         assert_eq!(
             golden, fresh,
             "{name} diverged from the committed golden — the engine \
-             changed behavior (run `bench run fig06 ablation_ma table1 \
+             changed behavior (run `pema-cli run fig06 ablation_ma table1 \
              --smoke --force` and diff against tests/goldens/)"
         );
         compared += 1;

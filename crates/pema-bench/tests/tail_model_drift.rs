@@ -8,7 +8,7 @@
 //! to what a fresh fit on today's DES would produce. Two guards:
 //!
 //! * against the **committed calibration fixture**
-//!   (`tests/fixtures/tail_knee_full.csv`, the full `bench run
+//!   (`tests/fixtures/tail_knee_full.csv`, the full `pema-cli run
 //!   tail_knee` sweep) — fast, pins fit quality on the exact data the
 //!   coefficients were fitted on;
 //! * against a **live smoke probe** (the `tail_knee` smoke sweep
@@ -18,7 +18,7 @@
 //!   `tests/goldens/`, which the golden-snapshot test reserves for the
 //!   macro trio's own outputs).
 //!
-//! If these fail after an intentional engine change: re-run `bench run
+//! If these fail after an intentional engine change: re-run `pema-cli run
 //! tail_knee --force`, re-pin the `TAIL_*` constants in
 //! `pema-sim/src/fluid.rs` from the printed fresh fit, and regenerate
 //! the fixture + golden (see `docs/fluid-tail.md`).

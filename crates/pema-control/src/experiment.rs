@@ -41,6 +41,7 @@
 
 use crate::backend::{ClusterBackend, FluidBackend, SimBackend};
 use crate::control::{ControlLoop, HarnessConfig, Observer, RunResult};
+use crate::fleet::ArbMeta;
 use crate::policy::{Policy, RulePolicy};
 use crate::telemetry::LoopTelemetry;
 use pema_core::{PemaController, PemaParams, RangeConfig, WorkloadAwarePema};
@@ -52,28 +53,10 @@ use pema_workload::Workload;
 pub struct Experiment;
 
 impl Experiment {
-    /// Starts an empty fleet — many run descriptions driven
-    /// concurrently from one process (see [`Fleet`](crate::Fleet)).
-    pub fn fleet() -> crate::Fleet {
-        crate::Fleet::new()
-    }
-
     /// Starts a run description. Policy slot is empty (filling it is
     /// mandatory); backend slot defaults to the DES ([`UseSim`]).
     pub fn builder() -> ExperimentBuilder<Unset, UseSim> {
-        ExperimentBuilder {
-            app: None,
-            cfg: HarnessConfig::default(),
-            policy: Unset,
-            backend: UseSim,
-            slo_ms: None,
-            early_check_s: None,
-            load: None,
-            iters: 0,
-            observers: Vec::new(),
-            telemetry: None,
-            events: None,
-        }
+        ExperimentBuilder::new()
     }
 }
 
@@ -206,12 +189,21 @@ pub(crate) enum Load {
 }
 
 /// The run description — see [`Experiment::builder`] for the grammar
-/// and the crate docs for a full example.
+/// and the crate docs for a full example. Under the name
+/// [`MemberSpec`](crate::MemberSpec) it is also what a
+/// [`Fleet`](crate::Fleet) member is described by: [`name`](Self::name),
+/// [`priority`](Self::priority), [`weight`](Self::weight) and
+/// [`floor`](Self::floor) are read by the fleet and inert outside one.
 pub struct ExperimentBuilder<P = Unset, B = UseSim> {
-    app: Option<AppSpec>,
-    cfg: HarnessConfig,
     policy: P,
     backend: B,
+    pub(crate) run: RunSpec,
+}
+
+/// What a run description holds whatever fills its two slots.
+pub(crate) struct RunSpec {
+    app: Option<AppSpec>,
+    cfg: HarnessConfig,
     slo_ms: Option<f64>,
     early_check_s: Option<f64>,
     load: Option<Load>,
@@ -219,54 +211,91 @@ pub struct ExperimentBuilder<P = Unset, B = UseSim> {
     observers: Vec<Box<dyn Observer + Send>>,
     telemetry: Option<Telemetry>,
     events: Option<EventSink>,
+    /// Read by [`Fleet::member`](crate::Fleet::member) only.
+    pub(crate) name: Option<String>,
+    pub(crate) arb: ArbMeta,
+}
+
+impl ExperimentBuilder {
+    /// An empty run description (policy slot unset, DES backend) —
+    /// what [`Experiment::builder`] returns.
+    pub fn new() -> Self {
+        Self {
+            policy: Unset,
+            backend: UseSim,
+            run: RunSpec {
+                app: None,
+                cfg: HarnessConfig::default(),
+                slo_ms: None,
+                early_check_s: None,
+                load: None,
+                iters: 0,
+                observers: Vec::new(),
+                telemetry: None,
+                events: None,
+                name: None,
+                arb: ArbMeta {
+                    priority: 0,
+                    weight: 1.0,
+                    floor: 0.0,
+                },
+            },
+        }
+    }
+}
+
+impl Default for ExperimentBuilder {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<P, B> ExperimentBuilder<P, B> {
     /// The application under test (required).
     pub fn app(mut self, app: &AppSpec) -> Self {
-        self.app = Some(app.clone());
+        self.run.app = Some(app.clone());
         self
     }
 
     /// Full harness timing configuration (interval, warmup, seed).
     pub fn config(mut self, cfg: HarnessConfig) -> Self {
-        self.cfg = cfg;
+        self.run.cfg = cfg;
         self
     }
 
     /// Backend seed, keeping the current interval/warmup.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
+        self.run.cfg.seed = seed;
         self
     }
 
     /// Monitoring window per control interval, seconds.
     pub fn interval_s(mut self, interval_s: f64) -> Self {
-        self.cfg.interval_s = interval_s;
+        self.run.cfg.interval_s = interval_s;
         self
     }
 
     /// Settling time before each measurement, seconds.
     pub fn warmup_s(mut self, warmup_s: f64) -> Self {
-        self.cfg.warmup_s = warmup_s;
+        self.run.cfg.warmup_s = warmup_s;
         self
     }
 
     /// Overrides the SLO the policy targets (marker policies only).
     pub fn slo_ms(mut self, slo_ms: f64) -> Self {
-        self.slo_ms = Some(slo_ms);
+        self.run.slo_ms = Some(slo_ms);
         self
     }
 
     /// Enables §6 early violation checks every `check_s` seconds.
     pub fn early_check(mut self, check_s: f64) -> Self {
-        self.early_check_s = Some(check_s);
+        self.run.early_check_s = Some(check_s);
         self
     }
 
     /// Constant offered load for [`run`](Self::run).
     pub fn rps(mut self, rps: f64) -> Self {
-        self.load = Some(Load::Const(rps));
+        self.run.load = Some(Load::Const(rps));
         self
     }
 
@@ -274,13 +303,13 @@ impl<P, B> ExperimentBuilder<P, B> {
     /// each interval start (backend virtual time). `Send` so the run
     /// can join a sharded [`Fleet`](crate::Fleet).
     pub fn workload(mut self, w: impl Workload + Send + 'static) -> Self {
-        self.load = Some(Load::Pattern(Box::new(w)));
+        self.run.load = Some(Load::Pattern(Box::new(w)));
         self
     }
 
     /// Number of control intervals [`run`](Self::run) executes.
     pub fn iters(mut self, iters: usize) -> Self {
-        self.iters = iters;
+        self.run.iters = iters;
         self
     }
 
@@ -289,7 +318,7 @@ impl<P, B> ExperimentBuilder<P, B> {
     /// so the run can join a sharded [`Fleet`](crate::Fleet) — share
     /// state through `Arc<Mutex<…>>`).
     pub fn observer(mut self, obs: impl Observer + Send + 'static) -> Self {
-        self.observers.push(Box::new(obs));
+        self.run.observers.push(Box::new(obs));
         self
     }
 
@@ -298,8 +327,11 @@ impl<P, B> ExperimentBuilder<P, B> {
     /// app's name), e.g. for a scrapeable
     /// [`MetricsServer`](pema_telemetry::MetricsServer). A pure side
     /// channel — run output is byte-identical with or without it.
+    /// Superseded by [`Fleet::telemetry`](crate::Fleet::telemetry) when
+    /// that is also set (the fleet re-labels members by their fleet
+    /// names).
     pub fn telemetry(mut self, hub: &Telemetry) -> Self {
-        self.telemetry = Some(hub.clone());
+        self.run.telemetry = Some(hub.clone());
         self
     }
 
@@ -307,24 +339,58 @@ impl<P, B> ExperimentBuilder<P, B> {
     /// `sink` (only meaningful together with
     /// [`telemetry`](Self::telemetry)).
     pub fn events(mut self, sink: EventSink) -> Self {
-        self.events = Some(sink);
+        self.run.events = Some(sink);
+        self
+    }
+
+    /// The name [`FleetResult`](crate::FleetResult) reports this member
+    /// by (default `app<i>` by insertion index).
+    pub fn name(mut self, name: impl Into<String>) -> Self {
+        self.run.name = Some(name.into());
+        self
+    }
+
+    /// Arbitration priority class — higher classes are served first
+    /// under contention (default 0).
+    pub fn priority(mut self, priority: i32) -> Self {
+        self.run.arb.priority = priority;
+        self
+    }
+
+    /// Weighted-fair-share weight under contention (default 1.0).
+    ///
+    /// # Panics
+    /// Panics unless the weight is finite and non-negative.
+    pub fn weight(mut self, weight: f64) -> Self {
+        assert!(
+            weight.is_finite() && weight >= 0.0,
+            "MemberSpec::weight: must be finite and non-negative"
+        );
+        self.run.arb.weight = weight;
+        self
+    }
+
+    /// Guaranteed minimum total cores under contention (default 0.0;
+    /// a member is never forced above its own proposal — the effective
+    /// floor is `min(floor, proposed)`).
+    ///
+    /// # Panics
+    /// Panics unless the floor is finite and non-negative.
+    pub fn floor(mut self, floor: f64) -> Self {
+        assert!(
+            floor.is_finite() && floor >= 0.0,
+            "MemberSpec::floor: must be finite and non-negative"
+        );
+        self.run.arb.floor = floor;
         self
     }
 
     /// Fills the policy slot (marker or explicit [`Policy`] instance).
     pub fn policy<Q>(self, policy: Q) -> ExperimentBuilder<Q, B> {
         ExperimentBuilder {
-            app: self.app,
-            cfg: self.cfg,
             policy,
             backend: self.backend,
-            slo_ms: self.slo_ms,
-            early_check_s: self.early_check_s,
-            load: self.load,
-            iters: self.iters,
-            observers: self.observers,
-            telemetry: self.telemetry,
-            events: self.events,
+            run: self.run,
         }
     }
 
@@ -332,43 +398,36 @@ impl<P, B> ExperimentBuilder<P, B> {
     /// instance).
     pub fn backend<C>(self, backend: C) -> ExperimentBuilder<P, C> {
         ExperimentBuilder {
-            app: self.app,
-            cfg: self.cfg,
             policy: self.policy,
             backend,
-            slo_ms: self.slo_ms,
-            early_check_s: self.early_check_s,
-            load: self.load,
-            iters: self.iters,
-            observers: self.observers,
-            telemetry: self.telemetry,
-            events: self.events,
+            run: self.run,
         }
     }
 }
 
 impl<P: IntoPolicy, B: IntoBackend> ExperimentBuilder<P, B> {
     pub(crate) fn into_parts(self) -> (ControlLoop<P::Policy, B::Backend>, Option<Load>, usize) {
-        let app = self
+        let run = self.run;
+        let app = run
             .app
             .expect("Experiment::builder(): call .app(..) before .build()/.run()");
-        let policy = self.policy.into_policy(&app, self.slo_ms);
-        let backend = self.backend.into_backend(&app, &self.cfg);
-        let mut control = ControlLoop::new(backend, policy, self.cfg);
-        if let Some(check_s) = self.early_check_s {
+        let policy = self.policy.into_policy(&app, run.slo_ms);
+        let backend = self.backend.into_backend(&app, &run.cfg);
+        let mut control = ControlLoop::new(backend, policy, run.cfg);
+        if let Some(check_s) = run.early_check_s {
             control = control.with_early_check(check_s);
         }
-        for obs in self.observers {
+        for obs in run.observers {
             control.push_observer(obs);
         }
-        if let Some(hub) = self.telemetry {
+        if let Some(hub) = run.telemetry {
             let mut tel = LoopTelemetry::new(&hub, &app.name);
-            if let Some(sink) = self.events {
+            if let Some(sink) = run.events {
                 tel = tel.with_events(sink);
             }
             control.set_telemetry(tel);
         }
-        (control, self.load, self.iters)
+        (control, run.load, run.iters)
     }
 
     /// Wires everything up and hands back the loop for manual stepping

@@ -148,15 +148,11 @@ use crate::arbitration::{
     ArbitrationEvent, ArbitrationRequest, FleetArbitration, FleetPolicy, MemberArbitration,
 };
 use crate::backend::ClusterBackend;
-use crate::control::{ControlLoop, HarnessConfig, LoopPoll, Observer, RunResult};
-use crate::experiment::{
-    Experiment, ExperimentBuilder, IntoBackend, IntoPolicy, Load, Unset, UseSim,
-};
+use crate::control::{ControlLoop, LoopPoll, RunResult};
+use crate::experiment::{ExperimentBuilder, IntoBackend, IntoPolicy, Load, Unset, UseSim};
 use crate::policy::Policy;
 use crate::telemetry::{LoopTelemetry, ShardTelemetry};
-use pema_sim::AppSpec;
 use pema_telemetry::{EventSink, Telemetry};
-use pema_workload::Workload;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::{Condvar, Mutex};
@@ -294,7 +290,7 @@ impl<P: Policy + Send, B: ClusterBackend + Send> FleetDriver for LoopDriver<P, B
 #[derive(Debug, Clone)]
 pub struct FleetRun {
     /// The member's name (auto-assigned `app<i>` unless
-    /// [`MemberSpec::name`] gave one).
+    /// [`MemberSpec::name`](ExperimentBuilder::name) gave one).
     pub name: String,
     /// The member's run, logged like any single-loop run.
     pub result: RunResult,
@@ -381,204 +377,22 @@ struct Member {
 
 /// Arbitration metadata of one member, captured from its
 /// [`MemberSpec`] at insertion.
-struct ArbMeta {
-    priority: i32,
-    weight: f64,
-    floor: f64,
+#[derive(Clone, Copy)]
+pub(crate) struct ArbMeta {
+    pub(crate) priority: i32,
+    pub(crate) weight: f64,
+    pub(crate) floor: f64,
 }
 
-/// One fleet member under construction: a full run description (the
-/// same grammar as [`Experiment::builder`]) plus fleet-level metadata —
-/// the member's [`name`](Self::name) and its arbitration attributes
-/// ([`priority`](Self::priority) class, fair-share
-/// [`weight`](Self::weight), guaranteed [`floor`](Self::floor)).
-///
-/// Built either from scratch (`MemberSpec::new()`) or from an existing
-/// [`ExperimentBuilder`] via `From`/`Into` — `fleet.member(builder)`
-/// accepts both. Hand it to [`Fleet::member`].
-pub struct MemberSpec<P = Unset, B = UseSim> {
-    exp: ExperimentBuilder<P, B>,
-    name: Option<String>,
-    priority: i32,
-    weight: f64,
-    floor: f64,
-}
-
-impl MemberSpec {
-    /// Starts an empty member description (policy slot unset, DES
-    /// backend) — the fleet-member twin of [`Experiment::builder`].
-    pub fn new() -> Self {
-        Experiment::builder().into()
-    }
-}
-
-impl Default for MemberSpec {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<P, B> From<ExperimentBuilder<P, B>> for MemberSpec<P, B> {
-    fn from(exp: ExperimentBuilder<P, B>) -> Self {
-        Self {
-            exp,
-            name: None,
-            priority: 0,
-            weight: 1.0,
-            floor: 0.0,
-        }
-    }
-}
-
-impl<P, B> MemberSpec<P, B> {
-    /// The name [`FleetResult`] reports this member by (default
-    /// `app<i>` by insertion index).
-    pub fn name(mut self, name: impl Into<String>) -> Self {
-        self.name = Some(name.into());
-        self
-    }
-
-    /// Arbitration priority class — higher classes are served first
-    /// under contention (default 0).
-    pub fn priority(mut self, priority: i32) -> Self {
-        self.priority = priority;
-        self
-    }
-
-    /// Weighted-fair-share weight under contention (default 1.0).
-    ///
-    /// # Panics
-    /// Panics unless the weight is finite and non-negative.
-    pub fn weight(mut self, weight: f64) -> Self {
-        assert!(
-            weight.is_finite() && weight >= 0.0,
-            "MemberSpec::weight: must be finite and non-negative"
-        );
-        self.weight = weight;
-        self
-    }
-
-    /// Guaranteed minimum total cores under contention (default 0.0;
-    /// a member is never forced above its own proposal — the effective
-    /// floor is `min(floor, proposed)`).
-    ///
-    /// # Panics
-    /// Panics unless the floor is finite and non-negative.
-    pub fn floor(mut self, floor: f64) -> Self {
-        assert!(
-            floor.is_finite() && floor >= 0.0,
-            "MemberSpec::floor: must be finite and non-negative"
-        );
-        self.floor = floor;
-        self
-    }
-
-    /// The application under test (required).
-    pub fn app(mut self, app: &AppSpec) -> Self {
-        self.exp = self.exp.app(app);
-        self
-    }
-
-    /// Full harness timing configuration (interval, warmup, seed).
-    pub fn config(mut self, cfg: HarnessConfig) -> Self {
-        self.exp = self.exp.config(cfg);
-        self
-    }
-
-    /// Backend seed, keeping the current interval/warmup.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.exp = self.exp.seed(seed);
-        self
-    }
-
-    /// Monitoring window per control interval, seconds.
-    pub fn interval_s(mut self, interval_s: f64) -> Self {
-        self.exp = self.exp.interval_s(interval_s);
-        self
-    }
-
-    /// Settling time before each measurement, seconds.
-    pub fn warmup_s(mut self, warmup_s: f64) -> Self {
-        self.exp = self.exp.warmup_s(warmup_s);
-        self
-    }
-
-    /// Overrides the SLO the policy targets (marker policies only).
-    pub fn slo_ms(mut self, slo_ms: f64) -> Self {
-        self.exp = self.exp.slo_ms(slo_ms);
-        self
-    }
-
-    /// Enables §6 early violation checks every `check_s` seconds.
-    pub fn early_check(mut self, check_s: f64) -> Self {
-        self.exp = self.exp.early_check(check_s);
-        self
-    }
-
-    /// Constant offered load (required unless
-    /// [`workload`](Self::workload) is set).
-    pub fn rps(mut self, rps: f64) -> Self {
-        self.exp = self.exp.rps(rps);
-        self
-    }
-
-    /// Time-varying offered load, sampled at each interval start.
-    pub fn workload(mut self, w: impl Workload + Send + 'static) -> Self {
-        self.exp = self.exp.workload(w);
-        self
-    }
-
-    /// Number of control intervals the member runs (required).
-    pub fn iters(mut self, iters: usize) -> Self {
-        self.exp = self.exp.iters(iters);
-        self
-    }
-
-    /// Registers a per-interval observer on the member's loop.
-    pub fn observer(mut self, obs: impl Observer + Send + 'static) -> Self {
-        self.exp = self.exp.observer(obs);
-        self
-    }
-
-    /// Attaches self-instrumentation to this member alone, labelled by
-    /// its app name. Superseded by [`Fleet::telemetry`] when that is
-    /// also set (the fleet re-labels members by their fleet names).
-    pub fn telemetry(mut self, hub: &Telemetry) -> Self {
-        self.exp = self.exp.telemetry(hub);
-        self
-    }
-
-    /// Streams this member's interval events to `sink` (see
-    /// [`ExperimentBuilder::events`]).
-    pub fn events(mut self, sink: EventSink) -> Self {
-        self.exp = self.exp.events(sink);
-        self
-    }
-
-    /// Fills the policy slot (marker or explicit
-    /// [`Policy`](crate::Policy) instance).
-    pub fn policy<Q>(self, policy: Q) -> MemberSpec<Q, B> {
-        MemberSpec {
-            exp: self.exp.policy(policy),
-            name: self.name,
-            priority: self.priority,
-            weight: self.weight,
-            floor: self.floor,
-        }
-    }
-
-    /// Fills the backend slot (marker or explicit
-    /// [`ClusterBackend`] instance).
-    pub fn backend<C>(self, backend: C) -> MemberSpec<P, C> {
-        MemberSpec {
-            exp: self.exp.backend(backend),
-            name: self.name,
-            priority: self.priority,
-            weight: self.weight,
-            floor: self.floor,
-        }
-    }
-}
+/// One fleet member under construction. A member *is* a run
+/// description, so this is [`ExperimentBuilder`] under the name the
+/// fleet API uses for it: the same grammar as
+/// [`Experiment::builder`](crate::Experiment::builder), including the
+/// fleet-level [`name`](ExperimentBuilder::name) and the arbitration
+/// attributes ([`priority`](ExperimentBuilder::priority) class,
+/// fair-share [`weight`](ExperimentBuilder::weight), guaranteed
+/// [`floor`](ExperimentBuilder::floor)). Hand it to [`Fleet::member`].
+pub type MemberSpec<P = Unset, B = UseSim> = ExperimentBuilder<P, B>;
 
 /// How a fleet shard treats a member's ready-at time (see the module
 /// docs, "Pacing").
@@ -602,7 +416,7 @@ pub enum Clock {
 /// [`run`](Self::run).
 #[derive(Default)]
 pub struct Fleet {
-    members: Vec<Option<(String, Box<dyn FleetDriver>)>>,
+    members: Vec<(String, Box<dyn FleetDriver>)>,
     meta: Vec<ArbMeta>,
     tie_break: Option<Vec<usize>>,
     /// Worker threads for [`run`](Self::run); 0 = one per core.
@@ -659,8 +473,8 @@ impl Fleet {
         self
     }
 
-    /// Adds a member. Accepts a [`MemberSpec`] or (via `Into`) a bare
-    /// [`ExperimentBuilder`]; unnamed members are auto-named `app<i>`.
+    /// Adds a member: a [`MemberSpec`], i.e. any [`ExperimentBuilder`];
+    /// unnamed members are auto-named `app<i>`.
     /// Members must be `Send` — every shipped policy and backend is,
     /// and observers/workloads share state through `Arc<Mutex<…>>` —
     /// so shards can run on worker threads.
@@ -676,19 +490,14 @@ impl Fleet {
         P::Policy: Send + 'static,
         B::Backend: Send + 'static,
     {
-        let spec = spec.into();
-        let name = spec
-            .name
-            .unwrap_or_else(|| format!("app{}", self.members.len()));
-        let (control, load, iters) = spec.exp.into_parts();
+        let mut spec = spec.into();
+        let name = spec.run.name.take();
+        let name = name.unwrap_or_else(|| format!("app{}", self.members.len()));
+        self.meta.push(spec.run.arb);
+        let (control, load, iters) = spec.into_parts();
         assert!(iters > 0, "Fleet: set .iters(..) on every member");
         let load = load.expect("Fleet: set .rps(..) or .workload(..) on every member");
-        self.meta.push(ArbMeta {
-            priority: spec.priority,
-            weight: spec.weight,
-            floor: spec.floor,
-        });
-        self.members.push(Some((
+        self.members.push((
             name,
             Box::new(LoopDriver {
                 control,
@@ -697,7 +506,7 @@ impl Fleet {
                 completed: 0,
                 current_rps: None,
             }),
-        )));
+        ));
         self
     }
 
@@ -819,8 +628,7 @@ impl Fleet {
         let hub = self.telemetry;
         let events = self.events;
         let mut shards: Vec<Vec<Member>> = (0..shards_n).map(|_| Vec::new()).collect();
-        for (idx, slot) in self.members.into_iter().enumerate() {
-            let (name, mut driver) = slot.expect("members are present until run");
+        for (idx, (name, mut driver)) in self.members.into_iter().enumerate() {
             if arb.is_some() {
                 driver.set_propose_mode();
             }

@@ -51,8 +51,8 @@
 //! stepping runs that script the policy or backend mid-flight (SLO
 //! changes, CPU-clock changes, bursty traces). Many fully-described
 //! members can instead be handed to a [`Fleet`]
-//! (`Fleet::new().member(…).member(…).run()`, each member a
-//! [`MemberSpec`] or bare builder), which drives them all concurrently
+//! (`Fleet::new().member(…).member(…).run()`, each member a builder —
+//! [`MemberSpec`] is the same type), which drives them all concurrently
 //! from one process over the
 //! [`ClusterBackend::begin_window`]/[`poll_window`] seam — a fleet of
 //! one is byte-identical to `.run()`, and per-member results are
@@ -88,5 +88,5 @@ pub use experiment::{
     UseSim,
 };
 pub use fleet::{resolve_threads, Clock, Fleet, FleetResult, FleetRun, MemberSpec};
-pub use policy::{stats_to_obs, Decision, HoldPolicy, Policy, RulePolicy};
-pub use telemetry::{Instrumented, LoopTelemetry};
+pub use policy::{policy_by_name, stats_to_obs, Decision, HoldPolicy, Policy, RulePolicy};
+pub use telemetry::LoopTelemetry;

@@ -9,7 +9,7 @@
 //! neither.
 
 use pema_baselines::RuleScaler;
-use pema_core::{Action, Observation, PemaController, ServiceObs, WorkloadAwarePema};
+use pema_core::{Action, Observation, PemaController, PemaParams, ServiceObs, WorkloadAwarePema};
 use pema_sim::{Allocation, AppSpec, WindowStats};
 use std::cell::RefCell;
 
@@ -76,6 +76,42 @@ pub trait Policy {
 
     /// The SLO currently in force, ms (may change mid-run, Fig. 20).
     fn slo_ms(&self) -> f64;
+}
+
+/// Boxed policies (including `Box<dyn Policy + Send>` chosen at run
+/// time by [`policy_by_name`]) drive the loop directly, as boxed
+/// backends do.
+impl<P: Policy + ?Sized> Policy for Box<P> {
+    fn pre_interval(&mut self, rps: f64) -> Option<Allocation> {
+        (**self).pre_interval(rps)
+    }
+
+    fn decide(&mut self, stats: &WindowStats) -> Decision {
+        (**self).decide(stats)
+    }
+
+    fn slo_ms(&self) -> f64 {
+        (**self).slo_ms()
+    }
+}
+
+/// Builds a bundled policy for `app` from the name the CLI and the
+/// fleet scenarios know it by: `"pema"` ([`PemaController`] with
+/// [`PemaParams::defaults`] and `seed`, starting from the generous
+/// allocation), `"rule"` ([`RulePolicy::new`]; takes no seed) or
+/// `"hold"` ([`HoldPolicy`] at the generous allocation). `None` for
+/// any other name.
+pub fn policy_by_name(name: &str, app: &AppSpec, seed: u64) -> Option<Box<dyn Policy + Send>> {
+    Some(match name {
+        "pema" => {
+            let mut params = PemaParams::defaults(app.slo_ms);
+            params.seed = seed;
+            Box::new(PemaController::new(params, app.generous_alloc.clone()))
+        }
+        "rule" => Box::new(RulePolicy::new(app)),
+        "hold" => Box::new(HoldPolicy::new(app.generous_alloc.clone(), app.slo_ms)),
+        _ => return None,
+    })
 }
 
 impl Policy for PemaController {

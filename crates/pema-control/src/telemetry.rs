@@ -1,9 +1,9 @@
 //! Self-instrumentation of the control plane: where the controller's
-//! *own* behavior — phase timings, interval counts, scheduler activity,
-//! backend call volume — is measured and handed to a
-//! [`pema_telemetry::Telemetry`] registry.
+//! *own* behavior — phase timings, interval counts, scheduler activity
+//! — is measured and handed to a [`pema_telemetry::Telemetry`]
+//! registry.
 //!
-//! Three instruments live here:
+//! Two instruments live here:
 //!
 //! * [`LoopTelemetry`] — per-member counters plus phase-span histograms
 //!   for one [`ControlLoop`](crate::ControlLoop): how long each control
@@ -16,10 +16,6 @@
 //!   per-shard metrics for
 //!   [`Fleet`](crate::Fleet) workers: polls serviced, ready-heap depth,
 //!   arbitration rounds, and *wall-clock* barrier park time.
-//! * [`Instrumented`] — a pass-through [`ClusterBackend`] wrapper that
-//!   counts method invocations by operation. Bit-invisible by
-//!   construction (every method forwards verbatim); the
-//!   backend-conformance suite pins it.
 //!
 //! ## Determinism contract
 //!
@@ -27,7 +23,7 @@
 //! ever flows back into a decision, a CSV, or a trace, so a run with
 //! telemetry attached is byte-identical to one without (pinned by
 //! `tests/telemetry_invariance.rs`). Phase spans are measured on the
-//! *backend's* clock ([`ClusterBackend::now_s`]) — virtual seconds for
+//! *backend's* clock ([`ClusterBackend::now_s`](crate::ClusterBackend::now_s)) — virtual seconds for
 //! the DES/fluid backends, the live `TimeSource` for a real cluster —
 //! so a deterministic run reports deterministic span values (a measure
 //! span is exactly `warmup_s + interval_s` on a virtual backend). The
@@ -41,9 +37,7 @@
 //! under control); phase histograms are labelled by phase *only* — a
 //! 10 000-member fleet produces four histogram series, not 40 000.
 
-use crate::backend::{ClusterBackend, WindowPoll, WindowRequest};
 use crate::control::IterationLog;
-use pema_sim::Allocation;
 use pema_telemetry::{
     Counter, EventField, EventSink, Gauge, Histogram, Telemetry, DEFAULT_SECONDS_BUCKETS,
 };
@@ -204,86 +198,5 @@ impl ShardTelemetry {
                 labels,
             ),
         }
-    }
-}
-
-/// A pass-through [`ClusterBackend`] that counts method invocations as
-/// `pema_backend_calls_total{op=…,target=…}`. Every method forwards
-/// verbatim (including `set_speed`), so wrapping a backend cannot
-/// change any run output — the conformance suite drives a wrapped
-/// backend through the shared property tests to pin exactly that. The
-/// provided `measure_window*` are not forwarded: on the wrapper they
-/// run as the `begin_window` + `poll_window` calls they are made of,
-/// and are counted as those.
-pub struct Instrumented<B> {
-    inner: B,
-    apply: Counter,
-    begin: Counter,
-    poll: Counter,
-    cancel: Counter,
-}
-
-impl<B> Instrumented<B> {
-    /// Wraps `inner`, registering its call counters on `hub` under the
-    /// given `target` label (e.g. `"sim"`, `"live"`).
-    pub fn new(inner: B, hub: &Telemetry, target: &str) -> Self {
-        let op = |op: &str| {
-            hub.counter(
-                "pema_backend_calls_total",
-                "ClusterBackend method invocations, by operation.",
-                &[("op", op), ("target", target)],
-            )
-        };
-        Self {
-            inner,
-            apply: op("apply"),
-            begin: op("begin_window"),
-            poll: op("poll_window"),
-            cancel: op("cancel_window"),
-        }
-    }
-
-    /// Unwraps back into the inner backend.
-    pub fn into_inner(self) -> B {
-        self.inner
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-}
-
-impl<B: ClusterBackend> ClusterBackend for Instrumented<B> {
-    fn apply(&mut self, alloc: &Allocation) {
-        self.apply.inc();
-        self.inner.apply(alloc)
-    }
-
-    fn allocation(&self) -> Allocation {
-        self.inner.allocation()
-    }
-
-    fn now_s(&self) -> f64 {
-        self.inner.now_s()
-    }
-
-    fn begin_window(&mut self, req: &WindowRequest) {
-        self.begin.inc();
-        self.inner.begin_window(req)
-    }
-
-    fn poll_window(&mut self, req: &WindowRequest) -> WindowPoll {
-        self.poll.inc();
-        self.inner.poll_window(req)
-    }
-
-    fn cancel_window(&mut self) {
-        self.cancel.inc();
-        self.inner.cancel_window()
-    }
-
-    fn set_speed(&mut self, speed: f64) {
-        self.inner.set_speed(speed)
     }
 }

@@ -29,14 +29,13 @@
 //!   its end.
 
 use pema_control::{
-    ClusterBackend, ControlLoop, Experiment, FluidBackend, HarnessConfig, HoldPolicy, Instrumented,
-    SimBackend, WindowPoll, WindowRequest,
+    ClusterBackend, ControlLoop, Experiment, FluidBackend, HarnessConfig, HoldPolicy, SimBackend,
+    WindowPoll, WindowRequest,
 };
 use pema_live::{live_over_fake, Fault};
 use pema_sim::{
     Allocation, AppSpec, ClusterSim, Evaluator as _, FluidEvaluator, WindowStats, MIN_ALLOC,
 };
-use pema_telemetry::Telemetry;
 use pema_trace::{TraceBackend, TraceRecorder};
 
 /// Records a healthy DES run of `app` to replay in the conformance
@@ -132,40 +131,13 @@ impl ClusterBackend for FourMethod {
 }
 
 /// Runs `check` once per shipped backend and once for [`FourMethod`],
-/// labelled for assertions — then once more per backend wrapped in
-/// [`Instrumented`], which must pass every check unchanged (the
-/// wrapper's bit-invisibility contract).
+/// labelled for assertions.
 fn each_backend(app: &AppSpec, check: impl Fn(&str, Box<dyn ClusterBackend>)) {
     check("sim", Box::new(SimBackend::new(app, 42)));
     check("fluid", Box::new(FluidBackend::new(app)));
     check("trace", Box::new(TraceBackend::new(conformance_trace(app))));
     check("live", Box::new(live_over_fake(app, LIVE_RPS)));
     check("four-method", Box::new(FourMethod::new(app)));
-    let hub = Telemetry::new();
-    check(
-        "sim+instrumented",
-        Box::new(Instrumented::new(SimBackend::new(app, 42), &hub, "sim")),
-    );
-    check(
-        "fluid+instrumented",
-        Box::new(Instrumented::new(FluidBackend::new(app), &hub, "fluid")),
-    );
-    check(
-        "trace+instrumented",
-        Box::new(Instrumented::new(
-            TraceBackend::new(conformance_trace(app)),
-            &hub,
-            "trace",
-        )),
-    );
-    check(
-        "live+instrumented",
-        Box::new(Instrumented::new(
-            live_over_fake(app, LIVE_RPS),
-            &hub,
-            "live",
-        )),
-    );
 }
 
 /// Runs `check` once per shipped backend with *two* identically
@@ -201,20 +173,6 @@ fn each_backend_pair(
         "four-method",
         Box::new(FourMethod::new(app)),
         Box::new(FourMethod::new(app)),
-    );
-    // Asymmetric instrumentation: the first instance stays bare while
-    // the second is wrapped — the two must *still* agree, which is the
-    // sharpest bit-invisibility check the pair helpers can express.
-    let hub = Telemetry::new();
-    check(
-        "sim+instrumented",
-        Box::new(SimBackend::new(app, 42)),
-        Box::new(Instrumented::new(SimBackend::new(app, 42), &hub, "sim")),
-    );
-    check(
-        "fluid+instrumented",
-        Box::new(FluidBackend::new(app)),
-        Box::new(Instrumented::new(FluidBackend::new(app), &hub, "fluid")),
     );
 }
 

@@ -5,8 +5,6 @@
 //!   [`Experiment`] or a [`Fleet`] (at any thread count, with or
 //!   without arbitration) changes **nothing** about the run output —
 //!   every logged float is bit-identical to the bare run;
-//! * wrapping a backend in [`Instrumented`] is equally invisible, for
-//!   arbitrary seeds/loads/lengths (property test);
 //! * on a virtual-clock backend the phase spans are *deterministic
 //!   values*, not just stable: a fluid member's measure span is exactly
 //!   `warmup_s + interval_s` and its decide/commit spans are exactly
@@ -16,13 +14,12 @@
 //!   lint.
 
 use pema_control::{
-    ClusterBackend, ControlLoop, Experiment, Fleet, HarnessConfig, HoldPolicy, Instrumented,
-    MemberSpec, Pema, Rule, RunResult, SimBackend, UseFluid, WeightedFairShare,
+    Experiment, Fleet, HarnessConfig, HoldPolicy, MemberSpec, Pema, Rule, RunResult, UseFluid,
+    WeightedFairShare,
 };
 use pema_core::PemaParams;
 use pema_sim::AppSpec;
 use pema_telemetry::{lint, EventSink, Telemetry, DEFAULT_SECONDS_BUCKETS};
-use proptest::prelude::*;
 
 /// Bit-faithful rendering (see `fleet_behaviour.rs`): f64 `Debug` is
 /// shortest-roundtrip, so equal strings ⇔ bit-equal runs.
@@ -356,60 +353,4 @@ fn event_log_matches_the_fixture_written_before_the_encoder_changed() {
         include_str!("fixtures/interval_events.jsonl"),
         "the event log is no longer byte-identical to the fixture"
     );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// For arbitrary seeds, loads, lengths, and early-check modes, a
-    /// loop driven over an [`Instrumented`]-wrapped DES backend is
-    /// bit-identical to one over the bare backend — the wrapper only
-    /// counts, never perturbs — and its call counters tally the seam
-    /// traffic exactly.
-    #[test]
-    fn instrumented_backend_is_bit_invisible(
-        seed in 0u64..1_000,
-        rps in 90.0f64..160.0,
-        iters in 1usize..5,
-        early in 0usize..2,
-        scale in 0.3f64..1.2,
-    ) {
-        let early = early == 1;
-        let app = pema_apps::toy_chain();
-        // Hold at a generated fraction of the generous allocation:
-        // small scales starve the chain (exercising early aborts and
-        // shortened windows), large ones stay healthy.
-        let held: Vec<f64> = app.generous_alloc.iter().map(|c| c * scale).collect();
-        let build = |backend: Box<dyn ClusterBackend>| {
-            let mut c = ControlLoop::new(
-                backend,
-                HoldPolicy::new(held.clone(), app.slo_ms),
-                HarnessConfig { interval_s: 6.0, warmup_s: 1.0, seed },
-            );
-            if early {
-                c = c.with_early_check(2.0);
-            }
-            c
-        };
-        let hub = Telemetry::new();
-        let mut bare = build(Box::new(SimBackend::new(&app, seed)));
-        let mut wrapped = build(Box::new(Instrumented::new(
-            SimBackend::new(&app, seed),
-            &hub,
-            "sim",
-        )));
-        for _ in 0..iters {
-            bare.step_once(rps);
-            wrapped.step_once(rps);
-        }
-        let want = render(&bare.into_result());
-        let got = render(&wrapped.into_result());
-        prop_assert_eq!(want, got);
-
-        let op = |o: &str| counter_value(&hub, "pema_backend_calls_total", &[("op", o), ("target", "sim")]);
-        prop_assert_eq!(op("begin_window") as usize, iters);
-        prop_assert!(op("poll_window") as usize >= iters, "at least one poll per interval");
-        // Pre-interval switch plus the commit-path apply: two per interval.
-        prop_assert_eq!(op("apply") as usize, 2 * iters);
-    }
 }

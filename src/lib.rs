@@ -13,7 +13,7 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | `pema` (this crate) | umbrella re-exports + `pema-cli` |
+//! | `pema` (this crate) | umbrella re-exports, the [`prelude`], the examples |
 //! | [`pema_control`] | backend-agnostic control plane: [`ClusterBackend`](pema_control::ClusterBackend), [`ControlLoop`](pema_control::ControlLoop), [`Experiment`](pema_control::Experiment) facade |
 //! | [`pema_core`] | the PEMA controller (Algorithm 1, Eqns. 3–11) |
 //! | [`pema_sim`] | DES cluster: CFS throttling, thread pools, tail latency |
@@ -24,20 +24,23 @@
 //! | [`pema_metrics`] | histograms, quantiles, counters, windows |
 //! | [`pema_trace`] | trace record/replay: versioned JSONL traces, [`TraceBackend`](pema_trace::TraceBackend) counterfactual replayer |
 //! | [`pema_live`] | live-cluster adapter: [`LiveBackend`](pema_live::LiveBackend) scrapes Prometheus / patches Kubernetes over hand-rolled HTTP, plus the in-process [`FakeCluster`](pema_live::FakeCluster) test server |
-//! | `pema-bench` | scenario registry + parallel deterministic executor |
+//! | `pema-bench` | scenario registry + parallel deterministic executor; hosts `pema-cli`, the one executable |
 //!
 //! ## The experiment suite
 //!
 //! Every figure/table of the paper's evaluation is a registered
-//! *scenario* in `pema-bench`; the `bench` driver (and `pema-cli
-//! list|run|all`, which delegates to it) runs any subset across worker
-//! threads with byte-identical results for any `--jobs` value. CSVs
-//! land under `$PEMA_RESULTS_DIR` (default `./results`):
+//! *scenario* in `pema-bench`, and `pema-cli list|all|run <id>…` runs
+//! any subset across worker threads with byte-identical results for
+//! any `--jobs` value. `pema-bench` sits above this crate (its
+//! scenarios are written against the [`prelude`]), which is why the
+//! executable lives there. CSVs land under `$PEMA_RESULTS_DIR`
+//! (default `./results`):
 //!
 //! ```text
 //! pema-cli list                 show the registry
 //! pema-cli all  --jobs 4        run the full suite
 //! pema-cli run  fig05 --smoke   tiny-duration sanity pass of one figure
+//! pema-cli help                 every command; `<command> --help` its flags
 //! ```
 //!
 //! ## Quick start
@@ -77,12 +80,12 @@ pub use pema_workload;
 pub mod prelude {
     pub use pema_baselines::{find_optimum, OptmConfig, RuleScaler};
     pub use pema_control::{
-        optimum_for, resolve_threads, squeeze_to_budget, stats_to_obs, AimdBackoff,
+        optimum_for, policy_by_name, resolve_threads, squeeze_to_budget, stats_to_obs, AimdBackoff,
         ArbitrationEvent, ArbitrationRequest, Clock, ClusterBackend, ControlLoop, Decision,
         EarlyCheck, Experiment, ExperimentBuilder, Fleet, FleetArbitration, FleetPolicy,
-        FleetResult, FleetRun, FluidBackend, HarnessConfig, HoldPolicy, Instrumented, IterationLog,
-        LoopPoll, LoopTelemetry, Managed, MemberArbitration, MemberSpec, Observer, Pema, Policy,
-        Rule, RulePolicy, RunResult, SimBackend, Unlimited, UseFluid, UseSim, WeightedFairShare,
+        FleetResult, FleetRun, FluidBackend, HarnessConfig, HoldPolicy, IterationLog, LoopPoll,
+        LoopTelemetry, Managed, MemberArbitration, MemberSpec, Observer, Pema, Policy, Rule,
+        RulePolicy, RunResult, SimBackend, Unlimited, UseFluid, UseSim, WeightedFairShare,
         WindowPoll, WindowRequest,
     };
     pub use pema_core::{
