@@ -7,7 +7,7 @@
 //! requested window.
 
 use crate::http::{urlencode, Endpoint, HttpClient, HttpError, Response};
-use pema_trace::json::{self, Value};
+use pema_trace::json::Reader;
 
 /// One series of a matrix response: the `container` label (empty when
 /// absent) and the window-averaged sample value.
@@ -88,70 +88,128 @@ pub fn parse_matrix(resp: &Response) -> Result<Vec<Series>, PromError> {
     parse_matrix_body(&resp.body).map_err(PromError::Malformed)
 }
 
+// The body is read in one pass with no tree built. Keys may come in
+// any order, and a key met a second time is skipped like any other key
+// nobody asked for (the first wins); whatever is skipped is still
+// syntax-checked, so a body is `Malformed` exactly when it is not JSON,
+// nests deeper than `Reader::MAX_DEPTH`, or is not a successful matrix
+// response.
 fn parse_matrix_body(body: &str) -> Result<Vec<Series>, String> {
-    let root = json::parse(body)?;
-    let mut top = json::ObjReader::new(root)?;
-    let status = json::read_string(&top.take("status")?)?;
-    if status != "success" {
-        return Err(format!("status \"{status}\""));
-    }
-    let mut data = json::ObjReader::new(top.take("data")?)?;
-    let rt = json::read_string(&data.take("resultType")?)?;
-    if rt != "matrix" {
-        return Err(format!("resultType \"{rt}\" (want matrix)"));
-    }
-    let result = data.take("result")?;
-    let result = result
-        .as_array()
-        .ok_or_else(|| "result is not an array".to_string())?;
-    let mut out = Vec::with_capacity(result.len());
-    for series in result {
-        let mut s = json::ObjReader::new(series.clone())?;
-        let container = match s.take_opt("metric") {
-            Some(metric) => {
-                let mut m = json::ObjReader::new(metric)?;
-                m.take_opt("container")
-                    .map(|v| json::read_string(&v))
-                    .transpose()?
-                    .unwrap_or_default()
+    let mut r = Reader::new(body);
+    let (mut succeeded, mut series) = (false, None);
+    r.begin_object()?;
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "status" if !succeeded => {
+                let status = r.string()?;
+                if status != "success" {
+                    return Err(format!("status \"{status}\""));
+                }
+                succeeded = true;
             }
-            None => String::new(),
-        };
-        let values = s.take("values")?;
-        let values = values
-            .as_array()
-            .ok_or_else(|| "values is not an array".to_string())?;
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for pair in values {
-            let pair = pair
-                .as_array()
-                .ok_or_else(|| "sample is not a [ts, value] pair".to_string())?;
-            if pair.len() != 2 {
-                return Err("sample is not a [ts, value] pair".to_string());
-            }
-            sum += parse_sample(&pair[1])?;
-            n += 1;
+            "data" if series.is_none() => series = Some(parse_data(&mut r)?),
+            _ => r.skip_value()?,
         }
-        if n == 0 {
-            continue; // series present but empty: treat as absent
-        }
-        out.push(Series {
-            container,
-            value: sum / n as f64,
-        });
     }
-    Ok(out)
+    r.end()?;
+    if !succeeded {
+        return Err(missing("status"));
+    }
+    series.ok_or_else(|| missing("data"))
 }
 
-/// Parses one Prometheus sample value: a decimal string, `"+Inf"`,
-/// `"-Inf"`, or `"NaN"` (all of which Rust's `f64::from_str` accepts).
-fn parse_sample(v: &Value) -> Result<f64, String> {
-    let s = v
-        .as_str()
-        .ok_or_else(|| format!("sample value is {}, want string", v.kind()))?;
-    s.parse::<f64>()
-        .map_err(|_| format!("bad sample value \"{s}\""))
+fn missing(key: &str) -> String {
+    format!("missing required key \"{key}\"")
+}
+
+fn parse_data(r: &mut Reader<'_>) -> Result<Vec<Series>, String> {
+    let (mut is_matrix, mut series) = (false, None);
+    r.begin_object()?;
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "resultType" if !is_matrix => {
+                let rt = r.string()?;
+                if rt != "matrix" {
+                    return Err(format!("resultType \"{rt}\" (want matrix)"));
+                }
+                is_matrix = true;
+            }
+            "result" if series.is_none() => {
+                let mut out = Vec::new();
+                r.begin_array()?;
+                while r.next_element()? {
+                    out.extend(parse_series(r)?);
+                }
+                series = Some(out);
+            }
+            _ => r.skip_value()?,
+        }
+    }
+    if !is_matrix {
+        return Err(missing("resultType"));
+    }
+    series.ok_or_else(|| missing("result"))
+}
+
+/// One element of `result`; `None` for a series that is present but
+/// has no samples, which is treated as absent.
+fn parse_series(r: &mut Reader<'_>) -> Result<Option<Series>, String> {
+    let (mut container, mut samples) = (None, None);
+    r.begin_object()?;
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "metric" if container.is_none() => container = Some(parse_container(r)?),
+            "values" if samples.is_none() => samples = Some(sum_samples(r)?),
+            _ => r.skip_value()?,
+        }
+    }
+    let (sum, n) = samples.ok_or_else(|| missing("values"))?;
+    Ok((n > 0).then(|| Series {
+        container: container.unwrap_or_default(),
+        value: sum / n as f64,
+    }))
+}
+
+/// The `container` label of a `metric` object, `""` when it has none.
+fn parse_container(r: &mut Reader<'_>) -> Result<String, String> {
+    let mut container = None;
+    r.begin_object()?;
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "container" if container.is_none() => container = Some(r.string()?.into_owned()),
+            _ => r.skip_value()?,
+        }
+    }
+    Ok(container.unwrap_or_default())
+}
+
+/// Sum and count of a `values` array of `[timestamp, "value"]` pairs.
+/// The timestamps are skipped unparsed.
+fn sum_samples(r: &mut Reader<'_>) -> Result<(f64, usize), String> {
+    const NOT_A_PAIR: &str = "sample is not a [ts, value] pair";
+    let (mut sum, mut n) = (0.0, 0);
+    r.begin_array()?;
+    while r.next_element()? {
+        r.begin_array().map_err(|_| NOT_A_PAIR)?;
+        if !r.next_element()? {
+            return Err(NOT_A_PAIR.to_string());
+        }
+        r.skip_value()?;
+        if !r.next_element()? {
+            return Err(NOT_A_PAIR.to_string());
+        }
+        // A decimal string, `"+Inf"`, `"-Inf"` or `"NaN"`, all of which
+        // Rust's `f64::from_str` accepts.
+        let s = r.string().map_err(|e| format!("sample value: {e}"))?;
+        sum += s
+            .parse::<f64>()
+            .map_err(|_| format!("bad sample value \"{s}\""))?;
+        n += 1;
+        if r.next_element()? {
+            return Err(NOT_A_PAIR.to_string());
+        }
+    }
+    Ok((sum, n))
 }
 
 #[cfg(test)]
@@ -219,6 +277,90 @@ mod tests {
             )),
             Err(PromError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn keys_come_in_any_order_and_the_first_of_a_repeat_wins() {
+        let body = r#"{"warnings":["x",{"y":[1,2]}],
+            "data":{"result":[
+                {"values":[[0,"1.5"],[1.5e0,"2.5"]],"extra":null,"metric":{"pod":"p","container":"fe","container":"ignored"},
+                 "values":[[0,"100"]],"metric":{"container":"ignored too"}},
+                {"values":[],"metric":{"container":"empty series are dropped"}}
+            ],"result":"ignored","resultType":"matrix","resultType":"vector"},
+            "status":"success","status":"error","data":7}"#;
+        assert_eq!(
+            parse_matrix(&ok(body)).unwrap(),
+            [Series {
+                container: "fe".into(),
+                value: 2.0
+            }]
+        );
+    }
+
+    #[test]
+    fn what_is_not_a_successful_matrix_is_malformed() {
+        for bad in [
+            // not a response
+            r#"[]"#,
+            r#"{"status":"success"}"#,
+            r#"{"data":{"resultType":"matrix","result":[]}}"#,
+            r#"{"status":"success","data":{"resultType":"matrix"}}"#,
+            r#"{"status":"success","data":{"result":[]}}"#,
+            r#"{"status":"success","data":{"resultType":"matrix","result":{}}}"#,
+            r#"{"status":7,"data":{"resultType":"matrix","result":[]}}"#,
+            // not a series
+            r#"{"status":"success","data":{"resultType":"matrix","result":[7]}}"#,
+            r#"{"status":"success","data":{"resultType":"matrix","result":[{"metric":{}}]}}"#,
+            r#"{"status":"success","data":{"resultType":"matrix","result":[{"metric":7,"values":[]}]}}"#,
+            r#"{"status":"success","data":{"resultType":"matrix","result":[{"metric":{"container":7},"values":[]}]}}"#,
+            // not a sample
+            r#"{"status":"success","data":{"resultType":"matrix","result":[{"values":[7]}]}}"#,
+            r#"{"status":"success","data":{"resultType":"matrix","result":[{"values":[[0]]}]}}"#,
+            r#"{"status":"success","data":{"resultType":"matrix","result":[{"values":[[0,"1",2]]}]}}"#,
+            r#"{"status":"success","data":{"resultType":"matrix","result":[{"values":[[0,1]]}]}}"#,
+            r#"{"status":"success","data":{"resultType":"matrix","result":[{"values":[[0,"one"]]}]}}"#,
+            // not JSON, in a part nobody reads
+            r#"{"status":"success","data":{"resultType":"matrix","result":[]},"warnings":[1,]}"#,
+            r#"{"status":"success","data":{"resultType":"matrix","result":[{"values":[[0x,"1"]]}]}}"#,
+            r#"{"status":"success","data":{"resultType":"matrix","result":[]}} trailing"#,
+        ] {
+            let got = parse_matrix(&ok(bad));
+            assert!(
+                matches!(got, Err(PromError::Malformed(_))),
+                "{bad}: {got:?}"
+            );
+        }
+    }
+
+    /// A body is whatever the far end sent. One that nests deeper than
+    /// the reader follows is `Malformed` (and so retried) like any
+    /// other garbage; it used to overflow the stack of the thread that
+    /// parsed it.
+    #[test]
+    fn hostile_nesting_is_malformed_not_a_stack_overflow() {
+        let limit = pema_trace::json::Reader::MAX_DEPTH;
+        let response = |warnings: &str| {
+            format!(
+                r#"{{"status":"success","warnings":{warnings},"data":{{"resultType":"matrix","result":[]}}}}"#
+            )
+        };
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        // The response object itself is one level.
+        assert_eq!(parse_matrix(&ok(&response(&nested(limit - 1)))), Ok(vec![]));
+        for hostile in [
+            response(&nested(limit)),
+            response(&"[".repeat(1 << 20)),
+            "[".repeat(1 << 20),
+            "{\"a\":".repeat(1 << 20),
+        ] {
+            match parse_matrix(&ok(&hostile)) {
+                Err(PromError::Malformed(e)) if hostile.starts_with('{') => {
+                    assert!(e.contains("nesting deeper than 128 levels"), "{e}")
+                }
+                Err(PromError::Malformed(_)) => {}
+                other => panic!("{other:?}"),
+            }
+        }
     }
 
     #[test]

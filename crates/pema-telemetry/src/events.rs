@@ -140,26 +140,23 @@ mod tests {
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        let mut obj = json::ObjReader::new(json::parse(lines[0]).unwrap()).unwrap();
-        assert_eq!(obj.take("event").unwrap().as_str(), Some("phase"));
+        let obj = json::parse(lines[0]).unwrap();
+        let field = |key: &str| obj.get(key).unwrap();
+        assert_eq!(field("event").as_str(), Some("phase"));
         assert_eq!(
-            json::read_f64(&obj.take("t_s").unwrap()).unwrap().to_bits(),
-            40.125f64.to_bits()
+            field("t_s").as_f64().map(f64::to_bits),
+            Some(40.125f64.to_bits())
         );
         assert_eq!(
-            json::read_f64(&obj.take("span_s").unwrap())
-                .unwrap()
-                .to_bits(),
-            (1.0f64 / 3.0).to_bits()
+            field("span_s").as_f64().map(f64::to_bits),
+            Some((1.0f64 / 3.0).to_bits())
         );
-        assert_eq!(obj.take("iter").unwrap().as_u64(), Some(u64::MAX - 1));
-        assert_eq!(obj.take("member").unwrap().as_str(), Some("carts-0"));
-        obj.finish(true).unwrap();
-        let mut obj = json::ObjReader::new(json::parse(lines[1]).unwrap()).unwrap();
-        assert_eq!(
-            json::read_f64(&obj.take("t_s").unwrap()).unwrap(),
-            f64::INFINITY
-        );
+        assert_eq!(field("iter").as_u64(), Some(u64::MAX - 1));
+        assert_eq!(field("member").as_str(), Some("carts-0"));
+        assert!(matches!(&obj, json::Value::Obj(fields) if fields.len() == 5));
+        // A non-finite time is one of the string tokens.
+        let obj = json::parse(lines[1]).unwrap();
+        assert_eq!(obj.get("t_s").unwrap().as_str(), Some("inf"));
     }
 
     /// A file sink over a fresh path, and the path.

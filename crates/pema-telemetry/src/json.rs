@@ -9,15 +9,28 @@
 //! `pema-trace` above. Two requirements shape it:
 //!
 //! * **bit-exact `f64` round trips.** Numbers are *written* with
-//!   Rust's shortest-round-trip `Display` and *kept as raw tokens*
-//!   when parsed ([`Value::Num`] stores the token, not an `f64`), so
-//!   `u64` counters survive above 2^53 and every finite float parses
-//!   back to the identical bits. Non-finite floats (a saturated
-//!   window's `p95_ms` is `inf`) have no JSON literal; the format
-//!   layer encodes them as the strings `"inf"` / `"-inf"` / `"nan"`.
-//! * **strict schema checks.** [`ObjReader`] drains an object's keys
-//!   one by one and can reject unknown leftovers, which is how the
-//!   strict reading mode detects schema drift.
+//!   Rust's shortest-round-trip `Display` and *read from the token in
+//!   place*: [`Reader::f64`] and [`Reader::u64`] parse the slice of
+//!   the input once, so `u64` counters survive above 2^53 and every
+//!   finite float parses back to the identical bits. The tree keeps
+//!   the token raw for the same reason ([`Value::Num`] stores it, not
+//!   an `f64`). Non-finite floats (a saturated window's `p95_ms` is
+//!   `inf`) have no JSON literal; they are written as the strings
+//!   `"inf"` / `"-inf"` / `"nan"`, which [`Reader::f64`] accepts
+//!   wherever it accepts a number.
+//! * **one tokenizer, and no tree to read a record.** [`Reader`] is a
+//!   borrowing, single-pass pull reader: it hands out structure, keys,
+//!   strings and number tokens in document order, as slices of the
+//!   input wherever the text allows. The trace decoder and the
+//!   Prometheus matrix parser fill their structs straight from it, and
+//!   checking the schema (unknown, repeated and missing keys) is theirs
+//!   to do as the keys go by; [`parse`] is a short recursive builder
+//!   over the same reader for the callers that do want a [`Value`]
+//!   tree. Nesting is followed [`Reader::MAX_DEPTH`] levels deep and no
+//!   further: the text may come off a socket, and a document of nothing
+//!   but `[` must be an error, not a stack overflow.
+
+use std::borrow::Cow;
 
 /// A parsed JSON value. Numbers keep their raw token (see the module
 /// docs); objects preserve key order.
@@ -88,45 +101,6 @@ impl Value {
             Value::Bool(_) => "bool",
             Value::Null => "null",
         }
-    }
-}
-
-/// Consumes an object's fields by name, tracking what is left over so
-/// strict readers can reject unknown keys.
-pub struct ObjReader {
-    fields: Vec<(String, Value)>,
-}
-
-impl ObjReader {
-    /// Wraps a parsed value; errors unless it is an object.
-    pub fn new(v: Value) -> Result<Self, String> {
-        match v {
-            Value::Obj(fields) => Ok(Self { fields }),
-            other => Err(format!("expected an object, found {}", other.kind())),
-        }
-    }
-
-    /// Removes and returns a required field.
-    pub fn take(&mut self, key: &str) -> Result<Value, String> {
-        self.take_opt(key)
-            .ok_or_else(|| format!("missing required key \"{key}\""))
-    }
-
-    /// Removes and returns an optional field.
-    pub fn take_opt(&mut self, key: &str) -> Option<Value> {
-        let i = self.fields.iter().position(|(k, _)| k == key)?;
-        Some(self.fields.remove(i).1)
-    }
-
-    /// Finishes the read: in strict mode any remaining (unknown) key
-    /// is an error; in lenient mode leftovers are ignored.
-    pub fn finish(self, strict: bool) -> Result<(), String> {
-        if strict {
-            if let Some((k, _)) = self.fields.first() {
-                return Err(format!("unknown key \"{k}\" (strict mode)"));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -225,220 +199,557 @@ pub fn push_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Reads an `f64` in the trace encoding (number, or one of the
-/// non-finite string tokens).
-pub fn read_f64(v: &Value) -> Result<f64, String> {
-    if let Some(x) = v.as_f64() {
-        return Ok(x);
+// ---- reading ----
+
+/// A borrowing, single-pass pull reader over one JSON document — the
+/// module's one tokenizer.
+///
+/// The caller walks the document in order and says what it expects
+/// next: [`begin_object`](Self::begin_object), then
+/// [`next_key`](Self::next_key) until it returns `None`, each key
+/// followed by exactly one value read — [`f64`](Self::f64),
+/// [`u64`](Self::u64), [`string`](Self::string), a nested `begin_…`,
+/// or [`skip_value`](Self::skip_value) for a value nobody wants, which
+/// is checked all the same; arrays likewise with
+/// [`begin_array`](Self::begin_array) and
+/// [`next_element`](Self::next_element); and [`end`](Self::end) after
+/// the top-level value. Text that is not what was asked for is an
+/// error `String`. Nothing is allocated except for a string that
+/// contains an escape.
+///
+/// The grammar is the lenient one this module has always read: a
+/// number is a run of `0-9 . e E + -` that `str::parse::<f64>` accepts
+/// (so `+1`, `.5` and `1.` pass), control characters may sit unescaped
+/// in strings, whitespace is space, tab, CR and LF.
+pub struct Reader<'a> {
+    src: &'a str,
+    pos: usize,
+    depth: usize,
+    /// Set by `begin_*`, cleared by the `next_*` call that follows: no
+    /// comma is due before a container's first member.
+    fresh: bool,
+}
+
+impl<'a> Reader<'a> {
+    /// How deep arrays and objects may nest. A trace line nests 4
+    /// deep, a Prometheus matrix 6, a Kubernetes Deployment about a
+    /// dozen; recursion over a document (the tree builder's, a typed
+    /// reader's, [`skip_value`](Self::skip_value)'s own) is bounded by
+    /// this whatever the input holds.
+    pub const MAX_DEPTH: usize = 128;
+
+    /// A reader at the start of `src`.
+    pub fn new(src: &'a str) -> Self {
+        Self {
+            src,
+            pos: 0,
+            depth: 0,
+            fresh: false,
+        }
     }
-    match v.as_str() {
-        Some("inf") => Ok(f64::INFINITY),
-        Some("-inf") => Ok(f64::NEG_INFINITY),
-        Some("nan") => Ok(f64::NAN),
-        _ => Err(format!("expected a number, found {}", v.kind())),
+
+    /// Skips whitespace and returns the byte the next token starts
+    /// with.
+    fn peek(&mut self) -> Option<u8> {
+        loop {
+            let c = *self.src.as_bytes().get(self.pos)?;
+            if c > b' ' || !matches!(c, b' ' | b'\t' | b'\n' | b'\r') {
+                return Some(c);
+            }
+            self.pos += 1;
+        }
+    }
+
+    /// What the next value is, for "expected …, found …" messages.
+    fn found(&mut self) -> &'static str {
+        match self.peek() {
+            Some(b'{') => "object",
+            Some(b'[') => "array",
+            Some(b'"') => "string",
+            Some(b't' | b'f') => "bool",
+            Some(b'n') => "null",
+            Some(b'0'..=b'9' | b'-' | b'+' | b'.') => "number",
+            Some(_) => "garbage",
+            None => "end of input",
+        }
+    }
+
+    fn open(&mut self, bracket: u8, what: &str) -> Result<(), String> {
+        if self.peek() != Some(bracket) {
+            return Err(format!("expected {what}, found {}", self.found()));
+        }
+        if self.depth == Self::MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {} levels at byte {}",
+                Self::MAX_DEPTH,
+                self.pos
+            ));
+        }
+        self.pos += 1;
+        self.depth += 1;
+        self.fresh = true;
+        Ok(())
+    }
+
+    /// Steps to the next member of the innermost open container: past
+    /// the comma when one is due (`true`), or past the closing bracket
+    /// (`false`).
+    fn next_member(&mut self, close: u8) -> Result<bool, String> {
+        let first = std::mem::take(&mut self.fresh);
+        match self.peek() {
+            Some(c) if c == close => {
+                self.pos += 1;
+                self.depth = self.depth.saturating_sub(1);
+                Ok(false)
+            }
+            _ if first => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(format!(
+                "expected ',' or '{}' at byte {}",
+                close as char, self.pos
+            )),
+        }
+    }
+
+    /// Enters an object: consumes its `{`.
+    pub fn begin_object(&mut self) -> Result<(), String> {
+        self.open(b'{', "an object")
+    }
+
+    /// The next key of the innermost open object with its `:`
+    /// consumed, or `None` once the object's `}` is. Keys come in
+    /// document order, repeats included.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        if !self.next_member(b'}')? {
+            return Ok(None);
+        }
+        let key = self.string()?;
+        if self.peek() != Some(b':') {
+            return Err(format!("expected ':' at byte {}", self.pos));
+        }
+        self.pos += 1;
+        Ok(Some(key))
+    }
+
+    /// Enters an array: consumes its `[`.
+    pub fn begin_array(&mut self) -> Result<(), String> {
+        self.open(b'[', "an array")
+    }
+
+    /// Whether the innermost open array has another element to read;
+    /// consumes its `]` when it has not.
+    pub fn next_element(&mut self) -> Result<bool, String> {
+        self.next_member(b']')
+    }
+
+    /// Reads a string: a slice of the input when it holds no escape
+    /// (every key and action tag this workspace writes), an owned copy
+    /// when it does. A `\u` escape is exactly four hex digits; a high
+    /// surrogate followed by an escaped low one is the one scalar they
+    /// encode, a surrogate on its own is U+FFFD.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        if self.peek() != Some(b'"') {
+            return Err(format!("expected a string, found {}", self.found()));
+        }
+        // `"` and `\` are ASCII, so every index sliced at here and in
+        // `unescape` is a character boundary.
+        let start = self.pos + 1;
+        let rest = &self.src.as_bytes()[start..];
+        match rest.iter().position(|&c| c == b'"' || c == b'\\') {
+            Some(n) if rest[n] == b'"' => {
+                self.pos = start + n + 1;
+                Ok(Cow::Borrowed(&self.src[start..start + n]))
+            }
+            Some(n) => self.unescape(start, start + n).map(Cow::Owned),
+            None => Err("unterminated string".to_string()),
+        }
+    }
+
+    /// The rest of [`string`](Self::string) for one that opened at
+    /// `start` and has its first backslash at `at`.
+    fn unescape(&mut self, start: usize, mut at: usize) -> Result<String, String> {
+        let (src, b) = (self.src, self.src.as_bytes());
+        let mut out = String::with_capacity(at - start + 16);
+        let mut run = start;
+        loop {
+            match b.get(at) {
+                Some(b'"') => {
+                    out.push_str(&src[run..at]);
+                    self.pos = at + 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    out.push_str(&src[run..at]);
+                    let esc = *b.get(at + 1).ok_or("unterminated escape")?;
+                    at += 2;
+                    out.push(match esc {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'/' => '/',
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
+                        b'u' => {
+                            let mut code = hex4(b, at)?;
+                            at += 4;
+                            if (0xD800..0xDC00).contains(&code) && b[at..].starts_with(b"\\u") {
+                                if let Ok(low @ 0xDC00..=0xDFFF) = hex4(b, at + 2) {
+                                    code = 0x1_0000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                    at += 6;
+                                }
+                            }
+                            char::from_u32(code).unwrap_or('\u{FFFD}')
+                        }
+                        other => return Err(format!("bad escape '\\{}'", other as char)),
+                    });
+                    run = at;
+                }
+                Some(_) => at += 1,
+                None => return Err("unterminated string".to_string()),
+            }
+        }
+    }
+
+    /// The number token at the reader's position (the caller has
+    /// peeked), unparsed.
+    fn number(&mut self) -> Result<&'a str, String> {
+        let rest = &self.src.as_bytes()[self.pos..];
+        let n = rest
+            .iter()
+            .position(|c| !matches!(c, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+            .unwrap_or(rest.len());
+        if n == 0 {
+            return Err(format!("bad number at byte {}", self.pos));
+        }
+        self.pos += n;
+        Ok(&self.src[self.pos - n..self.pos])
+    }
+
+    /// The next number token and its value: the grammar check and the
+    /// conversion are the one `str::parse`.
+    fn parsed_number(&mut self) -> Result<(&'a str, f64), String> {
+        let raw = self.number()?;
+        match raw.parse() {
+            Ok(v) => Ok((raw, v)),
+            Err(_) => Err(format!("bad number at byte {}", self.pos - raw.len())),
+        }
+    }
+
+    /// Reads an `f64` in the trace encoding: a number, or one of the
+    /// strings `"inf"` / `"-inf"` / `"nan"`.
+    pub fn f64(&mut self) -> Result<f64, String> {
+        match self.peek() {
+            Some(b'"') => match &*self.string()? {
+                "inf" => Ok(f64::INFINITY),
+                "-inf" => Ok(f64::NEG_INFINITY),
+                "nan" => Ok(f64::NAN),
+                _ => Err("expected a number, found string".to_string()),
+            },
+            Some(b'{' | b'[' | b't' | b'f' | b'n') | None => {
+                Err(format!("expected a number, found {}", self.found()))
+            }
+            Some(_) => Ok(self.parsed_number()?.1),
+        }
+    }
+
+    /// Reads a `u64` from the token itself, never through a float:
+    /// `1.0`, `1e3` and `-1` are errors.
+    pub fn u64(&mut self) -> Result<u64, String> {
+        let found = self.found();
+        self.number()
+            .ok()
+            .and_then(|raw| raw.parse().ok())
+            .ok_or_else(|| format!("expected a non-negative integer, found {found}"))
+    }
+
+    /// Consumes a `null` if that is the next value.
+    pub fn null(&mut self) -> Result<bool, String> {
+        if self.peek() != Some(b'n') {
+            return Ok(false);
+        }
+        self.literal("null")?;
+        Ok(true)
+    }
+
+    fn literal(&mut self, lit: &str) -> Result<(), String> {
+        if !self.src.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
+            return Err(format!("bad literal at byte {}", self.pos));
+        }
+        self.pos += lit.len();
+        Ok(())
+    }
+
+    /// Reads past one value of any kind, checking its syntax (and its
+    /// nesting depth) exactly as if it had been wanted.
+    pub fn skip_value(&mut self) -> Result<(), String> {
+        match self.peek() {
+            Some(b'{') => {
+                self.begin_object()?;
+                while self.next_key()?.is_some() {
+                    self.skip_value()?;
+                }
+            }
+            Some(b'[') => {
+                self.begin_array()?;
+                while self.next_element()? {
+                    self.skip_value()?;
+                }
+            }
+            Some(b'"') => drop(self.string()?),
+            Some(b't') => self.literal("true")?,
+            Some(b'f') => self.literal("false")?,
+            Some(b'n') => self.literal("null")?,
+            Some(_) => drop(self.parsed_number()?),
+            None => return Err("unexpected end of input".to_string()),
+        }
+        Ok(())
+    }
+
+    /// Checks that nothing but whitespace follows the document.
+    pub fn end(&mut self) -> Result<(), String> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(format!("trailing garbage at byte {}", self.pos)),
+        }
     }
 }
 
-/// Reads a required `u64`.
-pub fn read_u64(v: &Value) -> Result<u64, String> {
-    v.as_u64()
-        .ok_or_else(|| format!("expected a non-negative integer, found {}", v.kind()))
+/// The four hex digits of a `\u` escape at `b[at..]`.
+fn hex4(b: &[u8], at: usize) -> Result<u32, String> {
+    let digits = b.get(at..at + 4).ok_or("truncated \\u escape")?;
+    digits.iter().try_fold(0, |code, &d| {
+        let d = (d as char).to_digit(16).ok_or("bad \\u escape")?;
+        Ok(code << 4 | d)
+    })
 }
 
-/// Reads a required string.
-pub fn read_string(v: &Value) -> Result<String, String> {
-    v.as_str()
-        .map(str::to_owned)
-        .ok_or_else(|| format!("expected a string, found {}", v.kind()))
-}
-
-/// Reads an array of trace-encoded `f64`s.
-pub fn read_f64_array(v: &Value) -> Result<Vec<f64>, String> {
-    v.as_array()
-        .ok_or_else(|| format!("expected an array, found {}", v.kind()))?
-        .iter()
-        .map(read_f64)
-        .collect()
-}
-
-// ---- parsing ----
-
-/// Parses one complete JSON document (one trace line).
+/// Parses one complete JSON document into a tree.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
+    let mut r = Reader::new(text);
+    let v = build(&mut r)?;
+    r.end()?;
     Ok(v)
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {}", c as char, *pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
-        Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Value::Null),
-        Some(_) => parse_num(b, pos),
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("bad literal at byte {}", *pos))
-    }
-}
-
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    expect(b, pos, b'{')?;
-    let mut kv = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Obj(kv));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
-        expect(b, pos, b':')?;
-        let val = parse_value(b, pos)?;
-        kv.push((key, val));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Obj(kv));
+/// The tree under the reader's next value; [`Reader::MAX_DEPTH`]
+/// bounds the recursion.
+fn build(r: &mut Reader<'_>) -> Result<Value, String> {
+    Ok(match r.peek() {
+        Some(b'{') => {
+            r.begin_object()?;
+            let mut fields = Vec::new();
+            while let Some(key) = r.next_key()? {
+                fields.push((key.into_owned(), build(r)?));
             }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
+            Value::Obj(fields)
         }
-    }
-}
-
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    expect(b, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Arr(items));
+        Some(b'[') => {
+            r.begin_array()?;
+            let mut items = Vec::new();
+            while r.next_element()? {
+                items.push(build(r)?);
             }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
+            Value::Arr(items)
         }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    skip_ws(b, pos);
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {}", *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let esc = b.get(*pos).copied().ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        if *pos + 4 > b.len() {
-                            return Err("truncated \\u escape".to_string());
-                        }
-                        let hex = std::str::from_utf8(&b[*pos..*pos + 4])
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        *pos += 4;
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                    }
-                    other => return Err(format!("bad escape '\\{}'", other as char)),
-                }
-            }
-            c => {
-                // Re-assemble multi-byte UTF-8 sequences.
-                let len = match c {
-                    0x00..=0x7F => {
-                        out.push(c as char);
-                        continue;
-                    }
-                    0xC0..=0xDF => 2,
-                    0xE0..=0xEF => 3,
-                    _ => 4,
-                };
-                let start = *pos - 1;
-                let end = (start + len).min(b.len());
-                let s = std::str::from_utf8(&b[start..end])
-                    .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                out.push_str(s);
-                *pos = end;
-            }
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_num(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-        *pos += 1;
-    }
-    let raw = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad number".to_string())?;
-    if raw.is_empty() || raw.parse::<f64>().is_err() {
-        return Err(format!("bad number at byte {start}"));
-    }
-    Ok(Value::Num(raw.to_string()))
+        Some(b'"') => Value::Str(r.string()?.into_owned()),
+        Some(b't') => r.literal("true").map(|()| Value::Bool(true))?,
+        Some(b'f') => r.literal("false").map(|()| Value::Bool(false))?,
+        Some(b'n') => r.literal("null").map(|()| Value::Null)?,
+        Some(_) => Value::Num(r.parsed_number()?.0.to_owned()),
+        None => return Err("unexpected end of input".to_string()),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The tokenizer as it was before [`Reader`] — a recursive tree
+    /// builder, one `String` per key and per number, every number
+    /// parsed to be checked and parsed again to be read — kept verbatim
+    /// as the oracle for the properties below. It has no nesting limit:
+    /// keep deep documents away from it.
+    mod reference {
+        use super::Value;
+
+        /// Parses one complete JSON document (one trace line).
+        pub fn parse(text: &str) -> Result<Value, String> {
+            let bytes = text.as_bytes();
+            let mut pos = 0usize;
+            let v = parse_value(bytes, &mut pos)?;
+            skip_ws(bytes, &mut pos);
+            if pos != bytes.len() {
+                return Err(format!("trailing garbage at byte {pos}"));
+            }
+            Ok(v)
+        }
+
+        fn skip_ws(b: &[u8], pos: &mut usize) {
+            while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
+                *pos += 1;
+            }
+        }
+
+        fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
+            skip_ws(b, pos);
+            if *pos < b.len() && b[*pos] == c {
+                *pos += 1;
+                Ok(())
+            } else {
+                Err(format!("expected '{}' at byte {}", c as char, *pos))
+            }
+        }
+
+        fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+            skip_ws(b, pos);
+            match b.get(*pos) {
+                Some(b'{') => parse_obj(b, pos),
+                Some(b'[') => parse_arr(b, pos),
+                Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
+                Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
+                Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
+                Some(b'n') => parse_lit(b, pos, "null", Value::Null),
+                Some(_) => parse_num(b, pos),
+                None => Err("unexpected end of input".to_string()),
+            }
+        }
+
+        fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, String> {
+            if b[*pos..].starts_with(lit.as_bytes()) {
+                *pos += lit.len();
+                Ok(v)
+            } else {
+                Err(format!("bad literal at byte {}", *pos))
+            }
+        }
+
+        fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+            expect(b, pos, b'{')?;
+            let mut kv = Vec::new();
+            skip_ws(b, pos);
+            if b.get(*pos) == Some(&b'}') {
+                *pos += 1;
+                return Ok(Value::Obj(kv));
+            }
+            loop {
+                skip_ws(b, pos);
+                let key = parse_string(b, pos)?;
+                expect(b, pos, b':')?;
+                let val = parse_value(b, pos)?;
+                kv.push((key, val));
+                skip_ws(b, pos);
+                match b.get(*pos) {
+                    Some(b',') => *pos += 1,
+                    Some(b'}') => {
+                        *pos += 1;
+                        return Ok(Value::Obj(kv));
+                    }
+                    _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
+                }
+            }
+        }
+
+        fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+            expect(b, pos, b'[')?;
+            let mut items = Vec::new();
+            skip_ws(b, pos);
+            if b.get(*pos) == Some(&b']') {
+                *pos += 1;
+                return Ok(Value::Arr(items));
+            }
+            loop {
+                items.push(parse_value(b, pos)?);
+                skip_ws(b, pos);
+                match b.get(*pos) {
+                    Some(b',') => *pos += 1,
+                    Some(b']') => {
+                        *pos += 1;
+                        return Ok(Value::Arr(items));
+                    }
+                    _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
+                }
+            }
+        }
+
+        fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+            skip_ws(b, pos);
+            if b.get(*pos) != Some(&b'"') {
+                return Err(format!("expected string at byte {}", *pos));
+            }
+            *pos += 1;
+            let mut out = String::new();
+            while let Some(&c) = b.get(*pos) {
+                *pos += 1;
+                match c {
+                    b'"' => return Ok(out),
+                    b'\\' => {
+                        let esc = b.get(*pos).copied().ok_or("unterminated escape")?;
+                        *pos += 1;
+                        match esc {
+                            b'"' => out.push('"'),
+                            b'\\' => out.push('\\'),
+                            b'/' => out.push('/'),
+                            b'n' => out.push('\n'),
+                            b'r' => out.push('\r'),
+                            b't' => out.push('\t'),
+                            b'u' => {
+                                if *pos + 4 > b.len() {
+                                    return Err("truncated \\u escape".to_string());
+                                }
+                                let hex = std::str::from_utf8(&b[*pos..*pos + 4])
+                                    .map_err(|_| "bad \\u escape".to_string())?;
+                                let code = u32::from_str_radix(hex, 16)
+                                    .map_err(|_| "bad \\u escape".to_string())?;
+                                *pos += 4;
+                                out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                            }
+                            other => return Err(format!("bad escape '\\{}'", other as char)),
+                        }
+                    }
+                    c => {
+                        // Re-assemble multi-byte UTF-8 sequences.
+                        let len = match c {
+                            0x00..=0x7F => {
+                                out.push(c as char);
+                                continue;
+                            }
+                            0xC0..=0xDF => 2,
+                            0xE0..=0xEF => 3,
+                            _ => 4,
+                        };
+                        let start = *pos - 1;
+                        let end = (start + len).min(b.len());
+                        let s = std::str::from_utf8(&b[start..end])
+                            .map_err(|_| "invalid UTF-8 in string".to_string())?;
+                        out.push_str(s);
+                        *pos = end;
+                    }
+                }
+            }
+            Err("unterminated string".to_string())
+        }
+
+        fn parse_num(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+            let start = *pos;
+            if b.get(*pos) == Some(&b'-') {
+                *pos += 1;
+            }
+            while *pos < b.len()
+                && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+            {
+                *pos += 1;
+            }
+            let raw = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad number".to_string())?;
+            if raw.is_empty() || raw.parse::<f64>().is_err() {
+                return Err(format!("bad number at byte {start}"));
+            }
+            Ok(Value::Num(raw.to_string()))
+        }
+    }
 
     /// `push_quoted` as it was before the run-copying rewrite, one
     /// `char` at a time: the oracle for the property below.
@@ -461,6 +772,14 @@ mod tests {
         out.push('"');
     }
 
+    /// One whole document holding one trace-encoded `f64`.
+    fn read_f64(text: &str) -> Result<f64, String> {
+        let mut r = Reader::new(text);
+        let v = r.f64()?;
+        r.end()?;
+        Ok(v)
+    }
+
     /// What `push_f64` must print, from `Display` alone, and that it
     /// reads back to the same bits.
     fn check_f64(v: f64) -> Result<(), String> {
@@ -478,7 +797,7 @@ mod tests {
         if got != want {
             return Err(format!("{v:?} printed {got}, Display prints {want}"));
         }
-        let back = read_f64(&parse(&got)?)?;
+        let back = read_f64(&got)?;
         if back.to_bits() != v.to_bits() && !(v.is_nan() && back.is_nan()) {
             return Err(format!("{v:?} -> {got} -> {back:?}"));
         }
@@ -583,7 +902,7 @@ mod tests {
         ] {
             let mut s = String::new();
             push_f64(&mut s, v);
-            let back = read_f64(&parse(&s).unwrap()).unwrap();
+            let back = read_f64(&s).unwrap();
             assert_eq!(v.to_bits(), back.to_bits(), "{v} -> {s} -> {back}");
         }
     }
@@ -593,31 +912,427 @@ mod tests {
         for v in [f64::INFINITY, f64::NEG_INFINITY] {
             let mut s = String::new();
             push_f64(&mut s, v);
-            assert_eq!(read_f64(&parse(&s).unwrap()).unwrap(), v);
+            assert_eq!(read_f64(&s).unwrap(), v);
         }
         let mut s = String::new();
         push_f64(&mut s, f64::NAN);
-        assert!(read_f64(&parse(&s).unwrap()).unwrap().is_nan());
+        assert!(read_f64(&s).unwrap().is_nan());
     }
 
     #[test]
     fn u64_survives_above_2_pow_53() {
         let v = u64::MAX - 1;
-        let parsed = parse(&format!("{{\"n\":{v}}}")).unwrap();
-        let mut obj = ObjReader::new(parsed).unwrap();
-        assert_eq!(read_u64(&obj.take("n").unwrap()).unwrap(), v);
-        obj.finish(true).unwrap();
+        let text = format!("{{\"n\":{v}}}");
+        let mut r = Reader::new(&text);
+        r.begin_object().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("n"));
+        assert_eq!(r.u64().unwrap(), v);
+        assert_eq!(r.next_key().unwrap(), None);
+        r.end().unwrap();
+        // The tree keeps the token, so the same holds through it.
+        assert_eq!(parse(&text).unwrap().get("n").unwrap().as_u64(), Some(v));
+    }
+
+    // ---- the reader ----
+
+    #[test]
+    fn reader_walks_a_document_in_order_and_borrows_what_it_can() {
+        let text = " { \"plain\" : [1, \"inf\", -2.5e3 ] ,\n\t\"esc\\n\" : \"a\\\"b\",\r\n \
+                    \"skip\": {\"x\":[true,null,{\"y\":\"z\"}], \"w\": 1e-3},\"none\":null,\"n\":7 } ";
+        let mut r = Reader::new(text);
+        r.begin_object().unwrap();
+        assert!(matches!(r.next_key(), Ok(Some(Cow::Borrowed("plain")))));
+        r.begin_array().unwrap();
+        let mut items = Vec::new();
+        while r.next_element().unwrap() {
+            items.push(r.f64().unwrap());
+        }
+        assert_eq!(items, [1.0, f64::INFINITY, -2500.0]);
+        // An escape is the one thing that costs a copy.
+        assert!(matches!(r.next_key(), Ok(Some(Cow::Owned(k))) if k == "esc\n"));
+        assert!(matches!(r.string(), Ok(Cow::Owned(s)) if s == "a\"b"));
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("skip"));
+        r.skip_value().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("none"));
+        assert!(r.null().unwrap());
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("n"));
+        assert!(!r.null().unwrap(), "a 7 is not a null, and is not consumed");
+        assert_eq!(r.u64().unwrap(), 7);
+        assert_eq!(r.next_key().unwrap(), None);
+        r.end().unwrap();
     }
 
     #[test]
-    fn obj_reader_strict_rejects_unknown_keys() {
-        let v = parse("{\"a\":1,\"b\":2}").unwrap();
-        let mut r = ObjReader::new(v.clone()).unwrap();
-        r.take("a").unwrap();
-        assert!(r.finish(true).is_err());
-        let mut r = ObjReader::new(v).unwrap();
-        r.take("a").unwrap();
-        r.finish(false).unwrap();
+    fn typed_reads_reject_the_wrong_kind() {
+        let read = |text: &'static str| Reader::new(text);
+        for not_u64 in ["1.0", "1e3", "-1", "\"1\"", "null", "[1]", ""] {
+            assert!(read(not_u64).u64().is_err(), "{not_u64} is not a u64");
+        }
+        assert_eq!(read("+7").u64(), Ok(7), "the lenient grammar allows a sign");
+        for not_f64 in [
+            "\"Inf\"", "\"1\"", "true", "null", "{}", "[1]", "1-2", "e5", "-", "",
+        ] {
+            assert!(read(not_f64).f64().is_err(), "{not_f64} is not an f64");
+        }
+        assert!(read("\"\\u0069nf\"").f64().unwrap().is_infinite());
+        for not_a_string in ["1", "null", "{}", "\"open", "\"bad \\x escape\""] {
+            assert!(read(not_a_string).string().is_err(), "{not_a_string}");
+        }
+        assert_eq!(
+            read("7").begin_object().unwrap_err(),
+            "expected an object, found number"
+        );
+        assert_eq!(
+            read("{}").begin_array().unwrap_err(),
+            "expected an array, found object"
+        );
+        let mut r = read("1 2");
+        r.f64().unwrap();
+        assert_eq!(r.end().unwrap_err(), "trailing garbage at byte 2");
+    }
+
+    #[test]
+    fn skipping_a_value_checks_it_like_reading_it() {
+        for ok in [
+            "1",
+            "\"s\"",
+            "null",
+            "[]",
+            "{}",
+            "[1,[2,{\"a\":[]}],\"x\"]",
+            " {\"a\" : .5 } ",
+        ] {
+            let mut r = Reader::new(ok);
+            r.skip_value().unwrap();
+            r.end().unwrap();
+        }
+        for bad in [
+            "[1,]",
+            "[1 2]",
+            "{\"a\":[1,}",
+            "{\"a\":tru}",
+            "{\"a\":1e}",
+            "{\"a\" 1}",
+            "{\"a\":\"\\x\"}",
+            "{a:1}",
+            "{\"a\":1,}",
+            "[",
+            "{\"a\":",
+            "",
+        ] {
+            assert!(
+                Reader::new(bad).skip_value().is_err(),
+                "{bad} should not pass"
+            );
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        const LIMIT: usize = Reader::MAX_DEPTH;
+        // Both of these ended the process when `parse` recursed freely.
+        for open in ["[", "{\"a\":"] {
+            let deep = open.repeat(1 << 20);
+            for e in [
+                parse(&deep).unwrap_err(),
+                Reader::new(&deep).skip_value().unwrap_err(),
+            ] {
+                assert!(e.starts_with("nesting deeper than 128 levels"), "{e}");
+            }
+        }
+        // Arrays and objects count against the one limit.
+        let nested = |depth: usize| -> String {
+            let open: String = (0..depth).map(|i| ["[", "{\"a\":"][i % 2]).collect();
+            let close: String = (0..depth).rev().map(|i| ["]", "}"][i % 2]).collect();
+            format!("{open}{close}").replace("{\"a\":}", "{}")
+        };
+        let at_limit = nested(LIMIT);
+        assert_eq!(reference::parse(&at_limit), parse(&at_limit));
+        parse(&at_limit).unwrap();
+        let mut r = Reader::new(&at_limit);
+        r.skip_value().unwrap();
+        r.end().unwrap();
+        let past = nested(LIMIT + 1);
+        assert!(reference::parse(&past).is_ok(), "deeper is still JSON");
+        for e in [
+            parse(&past).unwrap_err(),
+            Reader::new(&past).skip_value().unwrap_err(),
+        ] {
+            assert!(e.starts_with("nesting deeper than 128 levels"), "{e}");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_pair_up_and_take_exactly_four_hex_digits() {
+        let read =
+            |body: &str| parse(&format!("\"{body}\"")).map(|v| v.as_str().unwrap().to_owned());
+        assert_eq!(read("\\ud83d\\ude00").unwrap(), "😀");
+        assert_eq!(read("\\uD83D\\uDE00!").unwrap(), "😀!");
+        assert_eq!(read("\\u00e9\\u0041").unwrap(), "éA");
+        // A surrogate without its other half stays U+FFFD.
+        assert_eq!(read("\\ud83d").unwrap(), "\u{FFFD}");
+        assert_eq!(read("\\ude00").unwrap(), "\u{FFFD}");
+        assert_eq!(read("\\ude00\\ud83d").unwrap(), "\u{FFFD}\u{FFFD}");
+        assert_eq!(read("\\ud83d\\u0041").unwrap(), "\u{FFFD}A");
+        assert_eq!(read("\\ud83dx\\ude00").unwrap(), "\u{FFFD}x\u{FFFD}");
+        assert_eq!(read("\\ud83d\\ud83d\\ude00").unwrap(), "\u{FFFD}😀");
+        // `u32::from_str_radix` took a sign for a digit.
+        assert!(reference::parse("\"\\u+041\"").is_ok());
+        for bad in [
+            "\\u+041",
+            "\\u 041",
+            "\\u-041",
+            "\\u12",
+            "\\u12g4",
+            "\\ud83d\\u+e00",
+            "\\u",
+        ] {
+            assert!(read(bad).is_err(), "{bad} is not an escape");
+        }
+    }
+
+    #[test]
+    fn what_push_quoted_writes_the_reader_reads_back() {
+        let s = "ctl\u{1}\u{1f} \"quoted\" back\\slash \n\r\t é 😀";
+        let mut text = String::new();
+        push_quoted(&mut text, s);
+        let mut r = Reader::new(&text);
+        assert_eq!(r.string().unwrap(), s);
+        r.end().unwrap();
+    }
+
+    // ---- the reader against the tokenizer it replaced ----
+
+    /// splitmix64; the two properties below grow a whole document
+    /// from one drawn seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<'a>(&mut self, from: &[&'a str]) -> &'a str {
+            from[self.below(from.len())]
+        }
+    }
+
+    const NUMBERS: &[&str] = &[
+        "0",
+        "-0",
+        "1",
+        "42",
+        "-7",
+        "+1",
+        ".5",
+        "5.",
+        "1e5",
+        "1E-3",
+        "-2.5e+3",
+        "1e999",
+        "0.1",
+        "18446744073709551615",
+        "3.141592653589793",
+        "5e-324",
+        "-",
+        "+",
+        "--1",
+        "1-2",
+        "1e",
+        "e5",
+        ".",
+        "0x10",
+        "1_0",
+        "NaN",
+        "inf",
+        "Infinity",
+    ];
+    const LITERALS: &[&str] = &[
+        "true", "false", "null", "tru", "nul", "True", "nullx", "falsey",
+    ];
+    /// Pieces of a string's body: plain text, every escape, `\u` in
+    /// and out of pairs, and the ways an escape goes wrong.
+    const PIECES: &[&str] = &[
+        "a",
+        "key",
+        " ",
+        "é",
+        "😀",
+        "inf",
+        "-inf",
+        "nan",
+        "\\n",
+        "\\t",
+        "\\r",
+        "\\\"",
+        "\\\\",
+        "\\/",
+        "\\u0041",
+        "\\u00e9",
+        "\\u00E9",
+        "\\u0000",
+        "\u{1}",
+        "\t",
+        "\\ud83d\\ude00",
+        "\\uD83D\\uDE00",
+        "\\ud83d",
+        "\\ude00",
+        "\\ude00\\ud83d",
+        "\\ud83d\\u0041",
+        "\\ud83dx",
+        "\\u+041",
+        "\\u 041",
+        "\\u12",
+        "\\uzzzz",
+        "\\x",
+        "\\b",
+        "\\",
+        "\"",
+    ];
+    const SPACE: &[&str] = &["", "", "", "", " ", "\t", "\n", "\r", " \r\n "];
+
+    fn push_string(rng: &mut Rng, out: &mut String) {
+        out.push('"');
+        for _ in 0..rng.below(4) {
+            // Mostly what both readers read alike: the first 20.
+            let pieces = if rng.below(8) == 0 {
+                PIECES
+            } else {
+                &PIECES[..20]
+            };
+            out.push_str(rng.pick(pieces));
+        }
+        out.push('"');
+    }
+
+    /// A JSON value, or — now and then, at any level — something that
+    /// is nearly one.
+    fn push_value(rng: &mut Rng, depth: usize, out: &mut String) {
+        out.push_str(rng.pick(SPACE));
+        let broken = rng.below(24) == 0;
+        let kind = match depth {
+            0 => 5 + rng.below(3),
+            1..=4 => rng.below(8),
+            _ => rng.below(5),
+        };
+        match kind {
+            0 | 1 => out.push_str(rng.pick(if broken { NUMBERS } else { &NUMBERS[..16] })),
+            2 | 3 => push_string(rng, out),
+            4 => out.push_str(rng.pick(if broken { LITERALS } else { &LITERALS[..3] })),
+            kind @ (5 | 6) => {
+                let (open, close) = [("[", "]"), ("{", "}")][kind - 5];
+                out.push_str(open);
+                let n = rng.below(4);
+                for i in 0..n {
+                    if kind == 6 {
+                        out.push_str(rng.pick(SPACE));
+                        push_string(rng, out);
+                        out.push_str(rng.pick(SPACE));
+                        out.push_str(if broken && i == 0 { "" } else { ":" });
+                    }
+                    push_value(rng, depth + 1, out);
+                    let last = i + 1 == n;
+                    out.push_str(if last == (broken && i > 0) { "," } else { "" });
+                }
+                out.push_str(rng.pick(SPACE));
+                out.push_str(if broken && n == 0 { "" } else { close });
+            }
+            _ => {
+                // A trace-shaped object: the keys a typed reader meets.
+                out.push_str("{\"iter\":");
+                out.push_str(rng.pick(&NUMBERS[..16]));
+                out.push_str(",\"p95_ms\":\"inf\",\"alloc\":[");
+                push_value(rng, depth + 1, out);
+                out.push_str("]}");
+            }
+        }
+        out.push_str(rng.pick(SPACE));
+    }
+
+    fn arbitrary_document(seed: u64) -> String {
+        let mut out = String::new();
+        push_value(&mut Rng(seed), 0, &mut out);
+        out
+    }
+
+    /// `doc` with a few bytes overwritten, dropped or inserted, drawn
+    /// from the bytes JSON gives a meaning to.
+    fn mutated(doc: &str, seed: u64) -> String {
+        const BYTES: &[u8] = b"{}[]\",:\\/unrtfalse0123456789+-.eE \t\n\x01\xc3\xa9";
+        let mut rng = Rng(seed);
+        let mut bytes = doc.as_bytes().to_vec();
+        for _ in 0..1 + rng.below(3) {
+            let at = rng.below(bytes.len() + 1);
+            let byte = BYTES[rng.below(BYTES.len())];
+            match rng.below(3) {
+                0 if at < bytes.len() => bytes[at] = byte,
+                1 if at < bytes.len() => drop(bytes.remove(at)),
+                _ => bytes.insert(at, byte),
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// Whether `doc` holds one of the two things [`Reader`] reads
+    /// differently from the reference on purpose: a `\u` escape whose
+    /// first "digit" is a `+` (an error now), or an escaped high
+    /// surrogate directly followed by an escaped low one (one scalar
+    /// now, two U+FFFD before). The third, nesting past the limit,
+    /// has its own test: the reference cannot be shown such a document.
+    fn reads_differently_on_purpose(doc: &str) -> bool {
+        let hex = |at: usize| {
+            doc.get(at..at + 4)
+                .and_then(|h| u32::from_str_radix(h, 16).ok())
+        };
+        doc.match_indices("\\u").any(|(at, _)| {
+            doc[at + 2..].starts_with('+')
+                || (matches!(hex(at + 2), Some(0xD800..=0xDBFF))
+                    && doc[at + 6..].starts_with("\\u")
+                    && matches!(hex(at + 8), Some(0xDC00..=0xDFFF)))
+        })
+    }
+
+    fn check_against_reference(doc: &str) -> Result<(), TestCaseError> {
+        match (parse(doc), reference::parse(doc)) {
+            (Ok(new), Ok(old)) if new == old => {}
+            (Err(_), Err(_)) => {}
+            (new, old) => {
+                prop_assert!(
+                    reads_differently_on_purpose(doc),
+                    "{doc:?}: reader {new:?}, reference {old:?}"
+                );
+                prop_assert!(old.is_ok(), "{doc:?}: the reference rejects it: {old:?}");
+            }
+        }
+        // What `skip_value` lets through is what `parse` does.
+        let mut r = Reader::new(doc);
+        let skipped = r.skip_value().and_then(|()| r.end());
+        prop_assert_eq!(skipped.is_ok(), parse(doc).is_ok());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn parse_agrees_with_the_reference_on_generated_documents(seed in 0u64..=u64::MAX) {
+            check_against_reference(&arbitrary_document(seed))?;
+        }
+
+        #[test]
+        fn parse_agrees_with_the_reference_on_mutated_documents(
+            seed in 0u64..=u64::MAX,
+            mutation in 0u64..=u64::MAX,
+        ) {
+            check_against_reference(&mutated(&arbitrary_document(seed), mutation))?;
+        }
     }
 
     #[test]

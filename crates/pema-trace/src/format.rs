@@ -17,21 +17,25 @@
 //! write → read cycle reproduces every field to the bit — the property
 //! the replay determinism guarantee rests on.
 //!
-//! Readers run in one of two [`ReadMode`]s:
+//! A line is read in a single pass, straight into the structs (no
+//! tree in between), with its keys in any order. Readers run in one of
+//! two [`ReadMode`]s:
 //!
 //! * [`Strict`](ReadMode::Strict) — the version must equal
-//!   [`FORMAT_VERSION`] and unknown keys are rejected. Use for traces
-//!   this build of the code wrote (CI, tests, goldens).
-//! * [`Lenient`](ReadMode::Lenient) — unknown keys are ignored and
-//!   any version up to [`FORMAT_VERSION`] is accepted, so files from
-//!   older writers (or newer writers that only *added* optional keys)
-//!   still load. Structural invariants (per-service array lengths,
-//!   parseable numbers) are enforced in both modes.
+//!   [`FORMAT_VERSION`] and unknown or repeated keys are rejected. Use
+//!   for traces this build of the code wrote (CI, tests, goldens).
+//! * [`Lenient`](ReadMode::Lenient) — unknown keys are ignored (of a
+//!   repeated key the first occurrence counts) and any version up to
+//!   [`FORMAT_VERSION`] is accepted, so files from older writers (or
+//!   newer writers that only *added* optional keys) still load.
+//!   Structural invariants (per-service array lengths, parseable
+//!   numbers, well-formed JSON even in what is ignored) are enforced
+//!   in both modes.
 //!
 //! The full spec, including the compatibility rules for evolving the
 //! schema, lives in `docs/trace-format.md`.
 
-use crate::json::{self, ObjReader, Value};
+use crate::json::{self, Reader};
 use pema_sim::{ServiceWindowStats, WindowStats};
 use std::fmt;
 use std::io;
@@ -219,9 +223,22 @@ impl Trace {
 
     /// Serializes the trace to JSON lines.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(256 + self.records.len() * 512);
+        // Room for the header and one record, then the tape is sized
+        // from that record. A run's records are about one size, but the
+        // first is the short one (round allocations and a virtual clock
+        // at zero print in fewer digits than what follows), hence the
+        // quarter on top: spare capacity is never touched, a tape that
+        // outgrows its buffer is copied whole.
+        let mut out = String::with_capacity(512 * (self.n_services() + 2));
         self.write_header(&mut out);
-        for r in &self.records {
+        let mut records = self.records.iter();
+        if let Some(first) = records.next() {
+            let at = out.len();
+            write_record(&mut out, first);
+            let record_len = out.len() - at;
+            out.reserve((record_len + record_len / 4) * records.len());
+        }
+        for r in records {
             write_record(&mut out, r);
         }
         out
@@ -236,24 +253,27 @@ impl Trace {
 
     fn write_header(&self, out: &mut String) {
         let m = &self.meta;
-        out.push_str(&format!(
-            "{{\"format\":{},\"version\":{FORMAT_VERSION},\"app\":{},\"services\":[",
-            json::quote(FORMAT_NAME),
-            json::quote(&m.app),
-        ));
-        push_join(out, &m.services, |out, s| out.push_str(&json::quote(s)));
+        out.push_str("{\"format\":");
+        json::push_quoted(out, FORMAT_NAME);
+        out.push_str(",\"version\":");
+        json::push_u64(out, FORMAT_VERSION);
+        out.push_str(",\"app\":");
+        json::push_quoted(out, &m.app);
+        out.push_str(",\"services\":[");
+        push_join(out, &m.services, |out, s| json::push_quoted(out, s));
         out.push_str("],\"slo_ms\":");
         json::push_f64(out, m.slo_ms);
         out.push_str(",\"interval_s\":");
         json::push_f64(out, m.interval_s);
         out.push_str(",\"warmup_s\":");
         json::push_f64(out, m.warmup_s);
-        out.push_str(&format!(
-            ",\"backend_seed\":{},\"policy\":{},\"policy_seed\":{},\"early_check_s\":",
-            m.backend_seed,
-            json::quote(&m.policy),
-            m.policy_seed,
-        ));
+        out.push_str(",\"backend_seed\":");
+        json::push_u64(out, m.backend_seed);
+        out.push_str(",\"policy\":");
+        json::push_quoted(out, &m.policy);
+        out.push_str(",\"policy_seed\":");
+        json::push_u64(out, m.policy_seed);
+        out.push_str(",\"early_check_s\":");
         match m.early_check_s {
             Some(s) => json::push_f64(out, s),
             None => out.push_str("null"),
@@ -276,10 +296,11 @@ impl Trace {
         let (header_idx, header) = lines.next().ok_or_else(|| err(0, "empty trace file"))?;
         let header_line = header_idx + 1;
         let meta = parse_header(header, strict).map_err(|m| err(header_line, m))?;
+        let n = meta.n_services();
         let mut records = Vec::new();
         let mut record_lines = Vec::new();
         for (idx, line) in lines {
-            let record = parse_record(line, strict).map_err(|m| err(idx + 1, m))?;
+            let record = parse_record(line, n, strict).map_err(|m| err(idx + 1, m))?;
             records.push(record);
             record_lines.push(idx + 1);
         }
@@ -312,15 +333,17 @@ fn push_join<T>(out: &mut String, items: &[T], mut push: impl FnMut(&mut String,
 }
 
 fn write_record(out: &mut String, r: &TraceRecord) {
-    out.push_str(&format!("{{\"iter\":{},\"time_s\":", r.iter));
+    out.push_str("{\"iter\":");
+    json::push_u64(out, r.iter);
+    out.push_str(",\"time_s\":");
     json::push_f64(out, r.time_s);
     out.push_str(",\"rps\":");
     json::push_f64(out, r.rps);
-    out.push_str(&format!(
-        ",\"action\":{},\"pema_id\":{},\"alloc\":[",
-        json::quote(&r.action),
-        r.pema_id
-    ));
+    out.push_str(",\"action\":");
+    json::push_quoted(out, &r.action);
+    out.push_str(",\"pema_id\":");
+    json::push_u64(out, r.pema_id);
+    out.push_str(",\"alloc\":[");
     push_join(out, &r.alloc, |out, v| json::push_f64(out, *v));
     out.push_str("],\"stats\":");
     write_stats(out, &r.stats);
@@ -328,157 +351,312 @@ fn write_record(out: &mut String, r: &TraceRecord) {
 }
 
 fn write_stats(out: &mut String, s: &WindowStats) {
-    out.push_str("{\"start_s\":");
-    json::push_f64(out, s.start_s);
     for (key, v) in [
-        ("duration_s", s.duration_s),
-        ("offered_rps", s.offered_rps),
-        ("achieved_rps", s.achieved_rps),
+        ("{\"start_s\":", s.start_s),
+        (",\"duration_s\":", s.duration_s),
+        (",\"offered_rps\":", s.offered_rps),
+        (",\"achieved_rps\":", s.achieved_rps),
     ] {
-        out.push_str(&format!(",\"{key}\":"));
+        out.push_str(key);
         json::push_f64(out, v);
     }
-    out.push_str(&format!(
-        ",\"completed\":{},\"arrivals\":{}",
-        s.completed, s.arrivals
-    ));
+    out.push_str(",\"completed\":");
+    json::push_u64(out, s.completed);
+    out.push_str(",\"arrivals\":");
+    json::push_u64(out, s.arrivals);
     for (key, v) in [
-        ("mean_ms", s.mean_ms),
-        ("p50_ms", s.p50_ms),
-        ("p95_ms", s.p95_ms),
-        ("p99_ms", s.p99_ms),
-        ("max_ms", s.max_ms),
+        (",\"mean_ms\":", s.mean_ms),
+        (",\"p50_ms\":", s.p50_ms),
+        (",\"p95_ms\":", s.p95_ms),
+        (",\"p99_ms\":", s.p99_ms),
+        (",\"max_ms\":", s.max_ms),
     ] {
-        out.push_str(&format!(",\"{key}\":"));
+        out.push_str(key);
         json::push_f64(out, v);
     }
     out.push_str(",\"per_service\":[");
     push_join(out, &s.per_service, |out, svc| {
-        out.push_str("{\"alloc_cores\":");
-        json::push_f64(out, svc.alloc_cores);
         for (key, v) in [
-            ("util_pct", svc.util_pct),
-            ("cpu_used_s", svc.cpu_used_s),
-            ("throttled_s", svc.throttled_s),
-            ("usage_p90_cores", svc.usage_p90_cores),
-            ("usage_peak_cores", svc.usage_peak_cores),
-            ("mem_bytes", svc.mem_bytes),
+            ("{\"alloc_cores\":", svc.alloc_cores),
+            (",\"util_pct\":", svc.util_pct),
+            (",\"cpu_used_s\":", svc.cpu_used_s),
+            (",\"throttled_s\":", svc.throttled_s),
+            (",\"usage_p90_cores\":", svc.usage_p90_cores),
+            (",\"usage_peak_cores\":", svc.usage_peak_cores),
+            (",\"mem_bytes\":", svc.mem_bytes),
         ] {
-            out.push_str(&format!(",\"{key}\":"));
+            out.push_str(key);
             json::push_f64(out, v);
         }
-        out.push_str(&format!(",\"visits\":{}", svc.visits));
-        for (key, v) in [
-            ("mean_self_ms", svc.mean_self_ms),
-            ("mean_visit_ms", svc.mean_visit_ms),
-        ] {
-            out.push_str(&format!(",\"{key}\":"));
-            json::push_f64(out, v);
-        }
+        out.push_str(",\"visits\":");
+        json::push_u64(out, svc.visits);
+        out.push_str(",\"mean_self_ms\":");
+        json::push_f64(out, svc.mean_self_ms);
+        out.push_str(",\"mean_visit_ms\":");
+        json::push_f64(out, svc.mean_visit_ms);
         out.push('}');
     });
     out.push_str("]}");
 }
 
+// The keys of the four kinds of object in a trace file, in the order
+// the writer above emits them. The readers below dispatch on a key's
+// position in its list.
+const HEADER_KEYS: [&str; 12] = [
+    "format",
+    "version",
+    "app",
+    "services",
+    "slo_ms",
+    "interval_s",
+    "warmup_s",
+    "backend_seed",
+    "policy",
+    "policy_seed",
+    "early_check_s",
+    "initial_alloc",
+];
+const RECORD_KEYS: [&str; 7] = [
+    "iter", "time_s", "rps", "action", "pema_id", "alloc", "stats",
+];
+const STATS_KEYS: [&str; 12] = [
+    "start_s",
+    "duration_s",
+    "offered_rps",
+    "achieved_rps",
+    "completed",
+    "arrivals",
+    "mean_ms",
+    "p50_ms",
+    "p95_ms",
+    "p99_ms",
+    "max_ms",
+    "per_service",
+];
+const SERVICE_KEYS: [&str; 10] = [
+    "alloc_cores",
+    "util_pct",
+    "cpu_used_s",
+    "throttled_s",
+    "usage_p90_cores",
+    "usage_peak_cores",
+    "mem_bytes",
+    "visits",
+    "mean_self_ms",
+    "mean_visit_ms",
+];
+
+/// Walks the object `r` is at, handing the value of `keys[i]` to
+/// `field(r, i)` as it goes by; `field` is called exactly once for
+/// every `i` or the read fails.
+///
+/// Keys may come in any order: each is first held against the one the
+/// writer would emit next — a file this code wrote never takes the
+/// search. Every key of `keys` is required in both modes. A key outside
+/// the list is an error to a strict reader and skipped, its value still
+/// syntax-checked, by a lenient one; so is the second occurrence of a
+/// key (lenient: the first wins).
+fn read_fields<'a>(
+    r: &mut Reader<'a>,
+    keys: &[&str],
+    strict: bool,
+    mut field: impl FnMut(&mut Reader<'a>, usize) -> Result<(), String>,
+) -> Result<(), String> {
+    debug_assert!(keys.len() <= u32::BITS as usize, "`seen` is a u32");
+    r.begin_object()?;
+    let mut seen = 0u32;
+    let mut next = 0;
+    while let Some(key) = r.next_key()? {
+        let at = match keys.get(next) {
+            Some(k) if *k == key => Some(next),
+            _ => keys.iter().position(|k| *k == key),
+        };
+        match at {
+            Some(i) if seen & (1 << i) == 0 => {
+                seen |= 1 << i;
+                next = i + 1;
+                field(r, i)?;
+            }
+            _ if strict => return Err(format!("unknown key \"{key}\" (strict mode)")),
+            _ => r.skip_value()?,
+        }
+    }
+    match (0..keys.len()).find(|i| seen & (1 << i) == 0) {
+        Some(i) => Err(format!("missing required key \"{}\"", keys[i])),
+        None => Ok(()),
+    }
+}
+
+/// Reads an array of trace-encoded `f64`s expected to hold `n`.
+fn read_f64_array(r: &mut Reader<'_>, n: usize) -> Result<Vec<f64>, String> {
+    let mut out = Vec::with_capacity(n);
+    r.begin_array()?;
+    while r.next_element()? {
+        out.push(r.f64()?);
+    }
+    Ok(out)
+}
+
 fn parse_header(line: &str, strict: bool) -> Result<TraceMeta, String> {
-    let mut obj = ObjReader::new(json::parse(line)?)?;
-    let format = json::read_string(&obj.take("format")?)?;
-    if format != FORMAT_NAME {
-        return Err(format!("not a {FORMAT_NAME} file (format = \"{format}\")"));
-    }
-    let version = json::read_u64(&obj.take("version")?)?;
-    if version > FORMAT_VERSION {
-        return Err(format!(
-            "version {version} is newer than this reader (max {FORMAT_VERSION})"
-        ));
-    }
-    if strict && version != FORMAT_VERSION {
-        return Err(format!(
-            "version {version} != {FORMAT_VERSION} (strict mode; use lenient to read older traces)"
-        ));
-    }
-    let meta = TraceMeta {
-        app: json::read_string(&obj.take("app")?)?,
-        services: obj
-            .take("services")?
-            .as_array()
-            .ok_or("services must be an array")?
-            .iter()
-            .map(json::read_string)
-            .collect::<Result<_, _>>()?,
-        slo_ms: json::read_f64(&obj.take("slo_ms")?)?,
-        interval_s: json::read_f64(&obj.take("interval_s")?)?,
-        warmup_s: json::read_f64(&obj.take("warmup_s")?)?,
-        backend_seed: json::read_u64(&obj.take("backend_seed")?)?,
-        policy: json::read_string(&obj.take("policy")?)?,
-        policy_seed: json::read_u64(&obj.take("policy_seed")?)?,
-        early_check_s: match obj.take("early_check_s")? {
-            Value::Null => None,
-            v => Some(json::read_f64(&v)?),
+    let mut m = TraceMeta {
+        app: String::new(),
+        services: Vec::new(),
+        slo_ms: 0.0,
+        interval_s: 0.0,
+        warmup_s: 0.0,
+        backend_seed: 0,
+        policy: String::new(),
+        policy_seed: 0,
+        early_check_s: None,
+        initial_alloc: Vec::new(),
+    };
+    let mut r = Reader::new(line);
+    read_fields(&mut r, &HEADER_KEYS, strict, |r, i| {
+        match i {
+            0 => {
+                let format = r.string()?;
+                if format != FORMAT_NAME {
+                    return Err(format!("not a {FORMAT_NAME} file (format = \"{format}\")"));
+                }
+            }
+            1 => {
+                let version = r.u64()?;
+                if version > FORMAT_VERSION {
+                    return Err(format!(
+                        "version {version} is newer than this reader (max {FORMAT_VERSION})"
+                    ));
+                }
+                if strict && version != FORMAT_VERSION {
+                    return Err(format!(
+                        "version {version} != {FORMAT_VERSION} (strict mode; use lenient to read older traces)"
+                    ));
+                }
+            }
+            2 => m.app = r.string()?.into_owned(),
+            3 => {
+                r.begin_array()?;
+                while r.next_element()? {
+                    m.services.push(r.string()?.into_owned());
+                }
+            }
+            4 => m.slo_ms = r.f64()?,
+            5 => m.interval_s = r.f64()?,
+            6 => m.warmup_s = r.f64()?,
+            7 => m.backend_seed = r.u64()?,
+            8 => m.policy = r.string()?.into_owned(),
+            9 => m.policy_seed = r.u64()?,
+            10 => m.early_check_s = if r.null()? { None } else { Some(r.f64()?) },
+            _ => m.initial_alloc = read_f64_array(r, m.services.len())?,
+        }
+        Ok(())
+    })?;
+    r.end()?;
+    Ok(m)
+}
+
+/// Decodes one record line of a trace with `n` services (what `alloc`
+/// and `per_service` are reserved for; their lengths are checked by
+/// [`Trace::validate`], not here).
+fn parse_record(line: &str, n: usize, strict: bool) -> Result<TraceRecord, String> {
+    let mut rec = TraceRecord {
+        iter: 0,
+        time_s: 0.0,
+        rps: 0.0,
+        action: String::new(),
+        pema_id: 0,
+        alloc: Vec::new(),
+        stats: WindowStats {
+            start_s: 0.0,
+            duration_s: 0.0,
+            offered_rps: 0.0,
+            achieved_rps: 0.0,
+            completed: 0,
+            arrivals: 0,
+            mean_ms: 0.0,
+            p50_ms: 0.0,
+            p95_ms: 0.0,
+            p99_ms: 0.0,
+            max_ms: 0.0,
+            per_service: Vec::new(),
         },
-        initial_alloc: json::read_f64_array(&obj.take("initial_alloc")?)?,
     };
-    obj.finish(strict)?;
-    Ok(meta)
+    let mut r = Reader::new(line);
+    read_fields(&mut r, &RECORD_KEYS, strict, |r, i| {
+        match i {
+            0 => rec.iter = r.u64()?,
+            1 => rec.time_s = r.f64()?,
+            2 => rec.rps = r.f64()?,
+            3 => rec.action = r.string()?.into_owned(),
+            4 => rec.pema_id = r.u64()?,
+            5 => rec.alloc = read_f64_array(r, n)?,
+            _ => parse_stats(r, &mut rec.stats, n, strict)?,
+        }
+        Ok(())
+    })?;
+    r.end()?;
+    Ok(rec)
 }
 
-fn parse_record(line: &str, strict: bool) -> Result<TraceRecord, String> {
-    let mut obj = ObjReader::new(json::parse(line)?)?;
-    let record = TraceRecord {
-        iter: json::read_u64(&obj.take("iter")?)?,
-        time_s: json::read_f64(&obj.take("time_s")?)?,
-        rps: json::read_f64(&obj.take("rps")?)?,
-        action: json::read_string(&obj.take("action")?)?,
-        pema_id: json::read_u64(&obj.take("pema_id")?)?,
-        alloc: json::read_f64_array(&obj.take("alloc")?)?,
-        stats: parse_stats(obj.take("stats")?, strict)?,
-    };
-    obj.finish(strict)?;
-    Ok(record)
+fn parse_stats(
+    r: &mut Reader<'_>,
+    s: &mut WindowStats,
+    n: usize,
+    strict: bool,
+) -> Result<(), String> {
+    read_fields(r, &STATS_KEYS, strict, |r, i| {
+        match i {
+            0 => s.start_s = r.f64()?,
+            1 => s.duration_s = r.f64()?,
+            2 => s.offered_rps = r.f64()?,
+            3 => s.achieved_rps = r.f64()?,
+            4 => s.completed = r.u64()?,
+            5 => s.arrivals = r.u64()?,
+            6 => s.mean_ms = r.f64()?,
+            7 => s.p50_ms = r.f64()?,
+            8 => s.p95_ms = r.f64()?,
+            9 => s.p99_ms = r.f64()?,
+            10 => s.max_ms = r.f64()?,
+            _ => {
+                s.per_service.reserve(n);
+                r.begin_array()?;
+                while r.next_element()? {
+                    s.per_service.push(parse_service(r, strict)?);
+                }
+            }
+        }
+        Ok(())
+    })
 }
 
-fn parse_stats(v: Value, strict: bool) -> Result<WindowStats, String> {
-    let mut obj = ObjReader::new(v)?;
-    let stats = WindowStats {
-        start_s: json::read_f64(&obj.take("start_s")?)?,
-        duration_s: json::read_f64(&obj.take("duration_s")?)?,
-        offered_rps: json::read_f64(&obj.take("offered_rps")?)?,
-        achieved_rps: json::read_f64(&obj.take("achieved_rps")?)?,
-        completed: json::read_u64(&obj.take("completed")?)?,
-        arrivals: json::read_u64(&obj.take("arrivals")?)?,
-        mean_ms: json::read_f64(&obj.take("mean_ms")?)?,
-        p50_ms: json::read_f64(&obj.take("p50_ms")?)?,
-        p95_ms: json::read_f64(&obj.take("p95_ms")?)?,
-        p99_ms: json::read_f64(&obj.take("p99_ms")?)?,
-        max_ms: json::read_f64(&obj.take("max_ms")?)?,
-        per_service: obj
-            .take("per_service")?
-            .as_array()
-            .ok_or("per_service must be an array")?
-            .iter()
-            .map(|svc| parse_service(svc.clone(), strict))
-            .collect::<Result<_, _>>()?,
+fn parse_service(r: &mut Reader<'_>, strict: bool) -> Result<ServiceWindowStats, String> {
+    let mut s = ServiceWindowStats {
+        alloc_cores: 0.0,
+        util_pct: 0.0,
+        cpu_used_s: 0.0,
+        throttled_s: 0.0,
+        usage_p90_cores: 0.0,
+        usage_peak_cores: 0.0,
+        mem_bytes: 0.0,
+        visits: 0,
+        mean_self_ms: 0.0,
+        mean_visit_ms: 0.0,
     };
-    obj.finish(strict)?;
-    Ok(stats)
-}
-
-fn parse_service(v: Value, strict: bool) -> Result<ServiceWindowStats, String> {
-    let mut obj = ObjReader::new(v)?;
-    let svc = ServiceWindowStats {
-        alloc_cores: json::read_f64(&obj.take("alloc_cores")?)?,
-        util_pct: json::read_f64(&obj.take("util_pct")?)?,
-        cpu_used_s: json::read_f64(&obj.take("cpu_used_s")?)?,
-        throttled_s: json::read_f64(&obj.take("throttled_s")?)?,
-        usage_p90_cores: json::read_f64(&obj.take("usage_p90_cores")?)?,
-        usage_peak_cores: json::read_f64(&obj.take("usage_peak_cores")?)?,
-        mem_bytes: json::read_f64(&obj.take("mem_bytes")?)?,
-        visits: json::read_u64(&obj.take("visits")?)?,
-        mean_self_ms: json::read_f64(&obj.take("mean_self_ms")?)?,
-        mean_visit_ms: json::read_f64(&obj.take("mean_visit_ms")?)?,
-    };
-    obj.finish(strict)?;
-    Ok(svc)
+    read_fields(r, &SERVICE_KEYS, strict, |r, i| {
+        match i {
+            0 => s.alloc_cores = r.f64()?,
+            1 => s.util_pct = r.f64()?,
+            2 => s.cpu_used_s = r.f64()?,
+            3 => s.throttled_s = r.f64()?,
+            4 => s.usage_p90_cores = r.f64()?,
+            5 => s.usage_peak_cores = r.f64()?,
+            6 => s.mem_bytes = r.f64()?,
+            7 => s.visits = r.u64()?,
+            8 => s.mean_self_ms = r.f64()?,
+            _ => s.mean_visit_ms = r.f64()?,
+        }
+        Ok(())
+    })?;
+    Ok(s)
 }
 
 #[cfg(test)]
@@ -613,5 +791,103 @@ mod tests {
         let t = sample();
         let back = Trace::parse_jsonl(&t.to_jsonl(), ReadMode::Strict).unwrap();
         assert!(back.records[0].stats.p95_ms.is_infinite());
+    }
+
+    /// The readers try the key the writer emits next before searching
+    /// for it, and dispatch on its position: the four lists must be the
+    /// writer's keys in the writer's order.
+    #[test]
+    fn key_lists_are_the_writers_keys_in_the_writers_order() {
+        fn keys(v: &json::Value) -> Vec<&str> {
+            match v {
+                json::Value::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+                other => panic!("expected an object, found {}", other.kind()),
+            }
+        }
+        let text = sample().to_jsonl();
+        let (header, record) = text.split_once('\n').unwrap();
+        let (header, record) = (json::parse(header).unwrap(), json::parse(record).unwrap());
+        let stats = record.get("stats").unwrap();
+        let service = &stats.get("per_service").unwrap().as_array().unwrap()[0];
+        assert_eq!(keys(&header), HEADER_KEYS);
+        assert_eq!(keys(&record), RECORD_KEYS);
+        assert_eq!(keys(stats), STATS_KEYS);
+        assert_eq!(keys(service), SERVICE_KEYS);
+    }
+
+    #[test]
+    fn repeated_key_rejected_strict_first_wins_lenient() {
+        // The second `rps` is not even a number: a lenient reader
+        // checks its syntax and nothing else.
+        let text = sample()
+            .to_jsonl()
+            .replacen("\"rps\":120,", "\"rps\":120,\"rps\":[\"x\"],", 1);
+        let e = Trace::parse_jsonl(&text, ReadMode::Strict).unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (2, "unknown key \"rps\" (strict mode)")
+        );
+        assert_eq!(
+            Trace::parse_jsonl(&text, ReadMode::Lenient).unwrap(),
+            sample()
+        );
+        let broken = text.replacen("[\"x\"]", "[\"x\",]", 1);
+        assert!(Trace::parse_jsonl(&broken, ReadMode::Lenient).is_err());
+    }
+
+    #[test]
+    fn ill_typed_and_ill_formed_lines_are_typed_errors_on_their_line() {
+        let text = sample().to_jsonl();
+        for (from, to, what) in [
+            (
+                "\"action\":\"reduce(2)\"",
+                "\"action\":7",
+                "expected a string, found number",
+            ),
+            (
+                "\"p99_ms\":80",
+                "\"p99_ms\":\"Inf\"",
+                "expected a number, found string",
+            ),
+            (
+                "\"p99_ms\":80",
+                "\"p99_ms\":null",
+                "expected a number, found null",
+            ),
+            (
+                "\"completed\":956",
+                "\"completed\":956.0",
+                "expected a non-negative integer",
+            ),
+            (
+                "\"completed\":956",
+                "\"completed\":-1",
+                "expected a non-negative integer",
+            ),
+            (
+                "\"alloc\":[1.4,1.9]",
+                "\"alloc\":1.4",
+                "expected an array, found number",
+            ),
+            (
+                "\"stats\":{",
+                "\"stats\":[{",
+                "expected an object, found array",
+            ),
+            (
+                "{\"iter\":0,",
+                "[{\"iter\":0,",
+                "expected an object, found array",
+            ),
+            ("]}}\n", "]}}}\n", "trailing garbage"),
+            ("]}}\n", "]}\n", "expected ',' or '}'"),
+        ] {
+            assert!(text.contains(from), "{from}");
+            for mode in [ReadMode::Strict, ReadMode::Lenient] {
+                let e = Trace::parse_jsonl(&text.replacen(from, to, 1), mode).unwrap_err();
+                assert_eq!(e.line, 2, "{to}: {e}");
+                assert!(e.message.contains(what), "{to}: {e}");
+            }
+        }
     }
 }
