@@ -339,8 +339,19 @@ impl<P: Policy, B: ClusterBackend> ControlLoop<P, B> {
     /// decision/apply/log tail. `rps` is captured when the interval
     /// starts; later polls of the same interval ignore it.
     pub fn poll_step(&mut self, rps: f64) -> LoopPoll {
+        self.poll_load(&Load::Const(rps))
+    }
+
+    /// [`poll_step`](Self::poll_step) with the offered load sampled
+    /// from `load` when an interval starts, at the backend time the
+    /// interval is logged under.
+    fn poll_load(&mut self, load: &Load) -> LoopPoll {
         if self.pending.is_none() {
             let time_s = self.backend.now_s();
+            let rps = match load {
+                Load::Const(rps) => *rps,
+                Load::Pattern(w) => w.rps_at(time_s),
+            };
             if let Some(pre) = self.policy.pre_interval(rps) {
                 // Under an arbitration cut, the grant stays in force
                 // until the next round — a pre-interval reapply must
@@ -536,24 +547,6 @@ impl<P: Policy, B: ClusterBackend> ControlLoop<P, B> {
         self.staged = None;
     }
 
-    /// Runs `iters` intervals at constant load.
-    pub fn run_const(mut self, rps: f64, iters: usize) -> RunResult {
-        for _ in 0..iters {
-            self.step_once(rps);
-        }
-        self.into_result()
-    }
-
-    /// Runs `iters` intervals sampling the workload at each interval
-    /// start (backend virtual time).
-    pub fn run_workload(mut self, w: &dyn Workload, iters: usize) -> RunResult {
-        for _ in 0..iters {
-            let rps = w.rps_at(self.backend.now_s());
-            self.step_once(rps);
-        }
-        self.into_result()
-    }
-
     /// Finalizes into a [`RunResult`].
     pub fn into_result(self) -> RunResult {
         RunResult {
@@ -561,6 +554,66 @@ impl<P: Policy, B: ClusterBackend> ControlLoop<P, B> {
             slo_ms: self.policy.slo_ms(),
             log: self.log,
         }
+    }
+}
+
+/// The load a [`Run`] is offered.
+pub(crate) enum Load {
+    /// The same rate every interval.
+    Const(f64),
+    /// Sampled at each interval start (backend virtual time).
+    Pattern(Box<dyn Workload + Send>),
+}
+
+/// A run: the loop, the load it is offered and how many intervals it
+/// lasts. [`Experiment::run`](crate::ExperimentBuilder::run) drives one
+/// to completion on the calling thread; a [`Fleet`](crate::Fleet)
+/// polls many, interleaved.
+pub(crate) struct Run<P: Policy, B: ClusterBackend> {
+    pub(crate) control: ControlLoop<P, B>,
+    load: Load,
+    iters: usize,
+}
+
+impl<P: Policy, B: ClusterBackend> Run<P, B> {
+    /// # Panics
+    /// Panics unless the description carried a load and a positive
+    /// interval count.
+    pub(crate) fn new(mut control: ControlLoop<P, B>, load: Option<Load>, iters: usize) -> Self {
+        assert!(
+            iters > 0,
+            "a run needs .iters(..) before .run() / Fleet::member"
+        );
+        let load =
+            load.expect("a run needs .rps(..) or .workload(..) before .run() / Fleet::member");
+        // The one growth of the log, made where the run is built: a
+        // fleet member's log regrowing 4 → 8 → 16 → 32 on a worker
+        // thread is what made peak RSS swing by a fifth with the size
+        // of this struct (docs/fleet.md, "Memory per member").
+        control.log.reserve_exact(iters);
+        Self {
+            control,
+            load,
+            iters,
+        }
+    }
+
+    /// True once every interval is logged.
+    pub(crate) fn done(&self) -> bool {
+        self.control.iter >= self.iters
+    }
+
+    /// Services the run once. Must not be called once [`done`](Self::done).
+    pub(crate) fn poll(&mut self) -> LoopPoll {
+        self.control.poll_load(&self.load)
+    }
+
+    /// Polls to completion.
+    pub(crate) fn drive(mut self) -> RunResult {
+        while !self.done() {
+            self.poll();
+        }
+        self.control.into_result()
     }
 }
 

@@ -40,7 +40,7 @@
 //! [`build`]: ExperimentBuilder::build
 
 use crate::backend::{ClusterBackend, FluidBackend, SimBackend};
-use crate::control::{ControlLoop, HarnessConfig, Observer, RunResult};
+use crate::control::{ControlLoop, HarnessConfig, Load, Observer, Run, RunResult};
 use crate::fleet::ArbMeta;
 use crate::policy::{Policy, RulePolicy};
 use crate::telemetry::LoopTelemetry;
@@ -181,11 +181,6 @@ impl<B: ClusterBackend> IntoBackend for B {
     fn into_backend(self, _app: &AppSpec, _cfg: &HarnessConfig) -> B {
         self
     }
-}
-
-pub(crate) enum Load {
-    Const(f64),
-    Pattern(Box<dyn Workload + Send>),
 }
 
 /// The run description — see [`Experiment::builder`] for the grammar
@@ -406,7 +401,7 @@ impl<P, B> ExperimentBuilder<P, B> {
 }
 
 impl<P: IntoPolicy, B: IntoBackend> ExperimentBuilder<P, B> {
-    pub(crate) fn into_parts(self) -> (ControlLoop<P::Policy, B::Backend>, Option<Load>, usize) {
+    fn wire(self) -> (ControlLoop<P::Policy, B::Backend>, Option<Load>, usize) {
         let run = self.run;
         let app = run
             .app
@@ -433,7 +428,18 @@ impl<P: IntoPolicy, B: IntoBackend> ExperimentBuilder<P, B> {
     /// Wires everything up and hands back the loop for manual stepping
     /// (mid-run SLO / clock scripting, per-interval branching, …).
     pub fn build(self) -> ControlLoop<P::Policy, B::Backend> {
-        self.into_parts().0
+        self.wire().0
+    }
+
+    /// The described run, ready to drive — what [`run`](Self::run)
+    /// drives and [`Fleet::member`](crate::Fleet::member) boxes.
+    ///
+    /// # Panics
+    /// Panics unless both a load (`.rps(..)` / `.workload(..)`) and a
+    /// positive `.iters(..)` were set.
+    pub(crate) fn into_run(self) -> Run<P::Policy, B::Backend> {
+        let (control, load, iters) = self.wire();
+        Run::new(control, load, iters)
     }
 
     /// Wires everything up and drives the configured workload for the
@@ -443,11 +449,6 @@ impl<P: IntoPolicy, B: IntoBackend> ExperimentBuilder<P, B> {
     /// Panics unless both a load (`.rps(..)` / `.workload(..)`) and a
     /// positive `.iters(..)` were set.
     pub fn run(self) -> RunResult {
-        let (control, load, iters) = self.into_parts();
-        assert!(iters > 0, "Experiment: set .iters(..) before .run()");
-        match load.expect("Experiment: set .rps(..) or .workload(..) before .run()") {
-            Load::Const(rps) => control.run_const(rps, iters),
-            Load::Pattern(w) => control.run_workload(&*w, iters),
-        }
+        self.into_run().drive()
     }
 }

@@ -16,15 +16,17 @@
 //! The offline vendor set has no async runtime, and none is needed:
 //! every shipped backend runs on *virtual* time, so "concurrency" means
 //! interleaving loops along the reconstructed shared clock, not real
-//! I/O parallelism. Instead of futures + waker plumbing, each loop is a
-//! plain state machine ([`ControlLoop::poll_step`]) that reports when
-//! it next wants service (`ready-at`, in its backend's virtual
-//! seconds), and [`Fleet::run`] partitions members **by member id**
-//! (`id % threads`) into shards, each shard a `pollster`-style
-//! block-on: a min-heap over `(ready_at, tie_rank)` that services
-//! whichever of its loops is furthest behind in virtual time until
-//! every loop completes. One core caps a single cooperative scheduler
-//! at a few hundred thousand app-intervals/sec; with
+//! I/O parallelism. Instead of futures + waker plumbing, each member is
+//! a plain state machine: the same `Run` (loop, load, interval budget)
+//! that [`Experiment::run`](crate::ExperimentBuilder::run) drives to
+//! completion in one call, here polled one step at a time. A poll
+//! reports when the member next wants service (`ready-at`, in its
+//! backend's virtual seconds), and [`Fleet::run`] partitions members
+//! **by member id** (`id % threads`) into shards, each shard a
+//! `pollster`-style block-on: a min-heap over `(ready_at, tie_rank)`
+//! that services whichever of its loops is furthest behind in virtual
+//! time until every loop completes. One core caps a single cooperative
+//! scheduler at a few hundred thousand app-intervals/sec; with
 //! [`threads`](Fleet::threads) the shards run on `std::thread::scope`
 //! workers and the ceiling scales with cores.
 //!
@@ -104,9 +106,11 @@
 //!   the abort decision is a function of the member's own window state
 //!   alone, so it fires at the same virtual poll boundary no matter
 //!   which shard (or how many) the member runs in;
-//! * **loop teardown** — [`ControlLoop::cancel_interval`] abandons an
-//!   in-flight window via [`ClusterBackend::cancel_window`], leaving
-//!   the backend reusable and completed intervals logged.
+//! * **loop teardown** —
+//!   [`ControlLoop::cancel_interval`](crate::ControlLoop::cancel_interval)
+//!   abandons an in-flight window via
+//!   [`ClusterBackend::cancel_window`], leaving the backend reusable
+//!   and completed intervals logged.
 //!
 //! ## Example
 //!
@@ -148,8 +152,8 @@ use crate::arbitration::{
     ArbitrationEvent, ArbitrationRequest, FleetArbitration, FleetPolicy, MemberArbitration,
 };
 use crate::backend::ClusterBackend;
-use crate::control::{ControlLoop, LoopPoll, RunResult};
-use crate::experiment::{ExperimentBuilder, IntoBackend, IntoPolicy, Load, Unset, UseSim};
+use crate::control::{LoopPoll, Run, RunResult};
+use crate::experiment::{ExperimentBuilder, IntoBackend, IntoPolicy, Unset, UseSim};
 use crate::policy::Policy;
 use crate::telemetry::{LoopTelemetry, ShardTelemetry};
 use pema_telemetry::{EventSink, Telemetry};
@@ -173,12 +177,15 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Object-safe view of one loop under fleet control: the type-erased
-/// form of `ControlLoop<P, B> + load + iteration budget`. `Send` so
-/// shards can run on scoped worker threads.
+/// Object-safe view of one member's [`Run`]: the type-erased form of
+/// `Run<P, B>`, so one heap can hold members of any policy and
+/// backend. `Send` so shards can run on scoped worker threads.
 trait FleetDriver: Send {
-    /// Services the loop once.
-    fn poll(&mut self) -> DriverPoll;
+    /// Services the run once ([`Run::poll`]).
+    fn poll(&mut self) -> LoopPoll;
+
+    /// True once every interval is logged ([`Run::done`]).
+    fn done(&self) -> bool;
 
     /// The loop's backend virtual time, seconds.
     fn now_s(&self) -> f64;
@@ -189,13 +196,12 @@ trait FleetDriver: Send {
     fn set_propose_mode(&mut self);
 
     /// Total cores of the staged proposal. Only valid while parked
-    /// (after a [`DriverPoll::Proposed`], before the commit).
+    /// (after a [`LoopPoll::Proposed`], before the commit).
     fn proposed_total(&self) -> f64;
 
     /// Applies an arbitration grant to the staged interval and logs
-    /// it. Returns `true` when the member has completed all its
-    /// intervals.
-    fn commit_granted(&mut self, granted: f64, event: &ArbitrationEvent) -> bool;
+    /// it.
+    fn commit_granted(&mut self, granted: f64, event: &ArbitrationEvent);
 
     /// Attaches self-instrumentation to the member's loop (see
     /// [`Fleet::telemetry`]). Called before the first poll.
@@ -205,55 +211,13 @@ trait FleetDriver: Send {
     fn finish(self: Box<Self>) -> RunResult;
 }
 
-/// What servicing a driver once did.
-enum DriverPoll {
-    /// Mid-window; service again at this backend virtual time.
-    Pending { resume_at_s: f64 },
-    /// Completed one interval; more remain.
-    Logged,
-    /// (Propose mode.) Window closed, decision staged; the member is
-    /// parked at the arbitration barrier awaiting its grant.
-    Proposed,
-    /// All intervals done.
-    Done,
-}
+impl<P: Policy + Send, B: ClusterBackend + Send> FleetDriver for Run<P, B> {
+    fn poll(&mut self) -> LoopPoll {
+        Run::poll(self)
+    }
 
-/// The concrete driver: decomposes `run_const` / `run_workload` at
-/// window-poll granularity, sampling time-varying workloads at each
-/// interval start (backend virtual time) exactly like the blocking
-/// runner does.
-struct LoopDriver<P: Policy, B: ClusterBackend> {
-    control: ControlLoop<P, B>,
-    load: Load,
-    iters: usize,
-    completed: usize,
-    /// Offered load of the interval in flight (sampled once at its
-    /// start; `None` between intervals).
-    current_rps: Option<f64>,
-}
-
-impl<P: Policy + Send, B: ClusterBackend + Send> FleetDriver for LoopDriver<P, B> {
-    fn poll(&mut self) -> DriverPoll {
-        if self.completed >= self.iters {
-            return DriverPoll::Done;
-        }
-        let rps = *self.current_rps.get_or_insert_with(|| match &self.load {
-            Load::Const(rps) => *rps,
-            Load::Pattern(w) => w.rps_at(self.control.backend.now_s()),
-        });
-        match self.control.poll_step(rps) {
-            LoopPoll::Pending { resume_at_s } => DriverPoll::Pending { resume_at_s },
-            LoopPoll::Proposed => DriverPoll::Proposed,
-            LoopPoll::Logged => {
-                self.completed += 1;
-                self.current_rps = None;
-                if self.completed >= self.iters {
-                    DriverPoll::Done
-                } else {
-                    DriverPoll::Logged
-                }
-            }
-        }
+    fn done(&self) -> bool {
+        Run::done(self)
     }
 
     fn now_s(&self) -> f64 {
@@ -270,11 +234,8 @@ impl<P: Policy + Send, B: ClusterBackend + Send> FleetDriver for LoopDriver<P, B
             .expect("proposed_total: member is parked with a staged decision")
     }
 
-    fn commit_granted(&mut self, granted: f64, event: &ArbitrationEvent) -> bool {
+    fn commit_granted(&mut self, granted: f64, event: &ArbitrationEvent) {
         self.control.commit_granted(granted, event);
-        self.completed += 1;
-        self.current_rps = None;
-        self.completed >= self.iters
     }
 
     fn set_telemetry(&mut self, telemetry: LoopTelemetry) {
@@ -494,19 +455,7 @@ impl Fleet {
         let name = spec.run.name.take();
         let name = name.unwrap_or_else(|| format!("app{}", self.members.len()));
         self.meta.push(spec.run.arb);
-        let (control, load, iters) = spec.into_parts();
-        assert!(iters > 0, "Fleet: set .iters(..) on every member");
-        let load = load.expect("Fleet: set .rps(..) or .workload(..) on every member");
-        self.members.push((
-            name,
-            Box::new(LoopDriver {
-                control,
-                load,
-                iters,
-                completed: 0,
-                current_rps: None,
-            }),
-        ));
+        self.members.push((name, Box::new(spec.into_run())));
         self
     }
 
@@ -646,7 +595,7 @@ impl Fleet {
                 driver,
             });
         }
-        let mut shard_tel: Vec<Option<ShardTelemetry>> = (0..shards_n)
+        let shard_tel: Vec<Option<ShardTelemetry>> = (0..shards_n)
             .map(|s| hub.as_ref().map(|h| ShardTelemetry::new(h, s)))
             .collect();
 
@@ -654,34 +603,28 @@ impl Fleet {
         let mut polls = 0u64;
         let arb_ref = arb.as_ref();
         let pace = self.pace;
-        if shards_n <= 1 {
+        let shards = shards.into_iter().zip(shard_tel);
+        let outcomes: Vec<_> = if shards_n <= 1 {
             // Single-threaded: run the one shard inline (the barrier
             // degenerates to "every arrival is the leader").
-            for shard in shards {
-                let tel = shard_tel[0].take();
-                let (runs, shard_polls) = run_shard(shard, arb_ref, pace, tel);
-                polls += shard_polls;
-                for (idx, run) in runs {
-                    results[idx] = Some(run);
-                }
-            }
+            shards
+                .map(|(shard, tel)| run_shard(shard, arb_ref, pace, tel))
+                .collect()
         } else {
-            let outcomes = std::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = shards
-                    .into_iter()
-                    .zip(shard_tel.iter_mut().map(std::mem::take))
                     .map(|(shard, tel)| scope.spawn(move || run_shard(shard, arb_ref, pace, tel)))
                     .collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("fleet shard worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for (runs, shard_polls) in outcomes {
-                polls += shard_polls;
-                for (idx, run) in runs {
-                    results[idx] = Some(run);
-                }
+                    .collect()
+            })
+        };
+        for (runs, shard_polls) in outcomes {
+            polls += shard_polls;
+            for (idx, run) in runs {
+                results[idx] = Some(run);
             }
         }
 
@@ -733,9 +676,23 @@ struct ArbState {
     telemetry: FleetArbitration,
 }
 
-/// Leader duty: assembles this round's requests in pinned fleet order,
-/// runs the policy, validates and records the grants. Caller holds the
-/// state lock and is responsible for waking the other shards.
+/// Round-leader duty, run by whichever shard finds that every live
+/// shard has arrived (the last to [`rendezvous`], or one that
+/// [`deregister`]s while the rest wait): resolves the round and wakes
+/// the waiters. Returns whether it led. Caller holds the state lock.
+fn lead_if_all_arrived(shared: &ArbShared, state: &mut ArbState) -> bool {
+    let all_arrived = state.waiting > 0 && state.waiting == state.live_shards;
+    if all_arrived {
+        run_round(state, shared.budget, &shared.meta);
+        state.waiting = 0;
+        state.generation += 1;
+        shared.cv.notify_all();
+    }
+    all_arrived
+}
+
+/// Assembles this round's requests in pinned fleet order, runs the
+/// policy, validates and records the grants.
 fn run_round(state: &mut ArbState, budget: f64, meta: &[ArbMeta]) {
     let requests: Vec<ArbitrationRequest> = state
         .proposals
@@ -822,12 +779,7 @@ fn rendezvous(shared: &ArbShared, proposals: &[(usize, f64)]) -> Vec<Arbitration
         state.proposals[idx] = Some(p);
     }
     state.waiting += 1;
-    if state.waiting == state.live_shards {
-        run_round(&mut state, shared.budget, &shared.meta);
-        state.waiting = 0;
-        state.generation += 1;
-        shared.cv.notify_all();
-    } else {
+    if !lead_if_all_arrived(shared, &mut state) {
         let gen = state.generation;
         while state.generation == gen {
             state = shared.cv.wait(state).expect("arbitration state poisoned");
@@ -853,11 +805,61 @@ fn rendezvous(shared: &ArbShared, proposals: &[(usize, f64)]) -> Vec<Arbitration
 fn deregister(shared: &ArbShared) {
     let mut state = shared.state.lock().expect("arbitration state poisoned");
     state.live_shards -= 1;
-    if state.live_shards > 0 && state.waiting == state.live_shards {
-        run_round(&mut state, shared.budget, &shared.meta);
-        state.waiting = 0;
-        state.generation += 1;
-        shared.cv.notify_all();
+    lead_if_all_arrived(shared, &mut state);
+}
+
+/// One shard's scheduler state. Local indices are positions in
+/// `members`; a retired member leaves `None` behind so they stay
+/// stable.
+struct Shard {
+    members: Vec<Option<Member>>,
+    heap: BinaryHeap<Slot>,
+    /// Finished runs, keyed by fleet-wide insertion index.
+    out: Vec<(usize, FleetRun)>,
+}
+
+impl Shard {
+    fn member(&mut self, local: usize) -> &mut Member {
+        self.members[local]
+            .as_mut()
+            .expect("retired members leave the heap")
+    }
+
+    /// Queues member `local` for service at `ready_at`.
+    fn requeue(&mut self, local: usize, ready_at: f64) {
+        let m = self.member(local);
+        assert!(
+            ready_at.is_finite(),
+            "member {} reports non-finite time",
+            m.idx
+        );
+        let rank = m.rank;
+        self.heap.push(Slot {
+            ready_at,
+            rank,
+            idx: local,
+        });
+    }
+
+    /// Member `local` is between intervals: retires it if its run is
+    /// complete, else queues it at its own clock.
+    fn settle(&mut self, local: usize) {
+        let driver = &self.member(local).driver;
+        let now_s = driver.now_s();
+        if !driver.done() {
+            return self.requeue(local, now_s);
+        }
+        let m = self.members[local]
+            .take()
+            .expect("retired members leave the heap");
+        self.out.push((
+            m.idx,
+            FleetRun {
+                name: m.name,
+                result: m.driver.finish(),
+                end_s: now_s,
+            },
+        ));
     }
 }
 
@@ -875,44 +877,27 @@ fn run_shard(
     tel: Option<ShardTelemetry>,
 ) -> (Vec<(usize, FleetRun)>, u64) {
     let n = members.len();
-    let mut names: Vec<String> = Vec::with_capacity(n);
-    let mut drivers: Vec<Option<Box<dyn FleetDriver>>> = Vec::with_capacity(n);
-    let mut fleet_idx: Vec<usize> = Vec::with_capacity(n);
-    let mut ranks: Vec<usize> = Vec::with_capacity(n);
-    let mut heap: BinaryHeap<Slot> = BinaryHeap::with_capacity(n);
-    for (local, m) in members.into_iter().enumerate() {
-        let ready_at = m.driver.now_s();
-        assert!(
-            ready_at.is_finite(),
-            "member {} reports non-finite time",
-            m.idx
-        );
-        heap.push(Slot {
-            ready_at,
-            rank: m.rank,
-            idx: local,
-        });
-        names.push(m.name);
-        drivers.push(Some(m.driver));
-        fleet_idx.push(m.idx);
-        ranks.push(m.rank);
+    let mut shard = Shard {
+        members: members.into_iter().map(Some).collect(),
+        heap: BinaryHeap::with_capacity(n),
+        out: Vec::with_capacity(n),
+    };
+    for local in 0..n {
+        shard.settle(local);
     }
 
     let mut polls = 0u64;
-    let mut out: Vec<(usize, FleetRun)> = Vec::with_capacity(n);
     // Members parked at the barrier (local indices), in park order.
     let mut parked: Vec<usize> = Vec::new();
     loop {
-        while let Some(slot) = heap.pop() {
+        while let Some(slot) = shard.heap.pop() {
             if let Some(t) = &tel {
                 // The popped slot still counts as live in the heap.
-                t.heap_depth.set(heap.len() as f64 + 1.0);
+                t.heap_depth.set(shard.heap.len() as f64 + 1.0);
                 t.polls.inc();
             }
             let local = slot.idx;
-            let driver = drivers[local]
-                .as_mut()
-                .expect("done members leave the heap");
+            let driver = &mut shard.member(local).driver;
             if pace == Clock::Wall {
                 // Live backends report wall timestamps: sleep the gap
                 // to this member's ready-at away instead of having its
@@ -925,38 +910,14 @@ fn run_shard(
                 }
             }
             polls += 1;
-            let ready_at = match driver.poll() {
-                DriverPoll::Pending { resume_at_s } => resume_at_s,
-                DriverPoll::Logged => driver.now_s(),
-                DriverPoll::Proposed => {
+            match driver.poll() {
+                LoopPoll::Pending { resume_at_s } => shard.requeue(local, resume_at_s),
+                LoopPoll::Logged => shard.settle(local),
+                LoopPoll::Proposed => {
                     assert!(arb.is_some(), "member proposed without arbitration");
                     parked.push(local);
-                    continue;
                 }
-                DriverPoll::Done => {
-                    let driver = drivers[local].take().unwrap();
-                    let end_s = driver.now_s();
-                    out.push((
-                        fleet_idx[local],
-                        FleetRun {
-                            name: std::mem::take(&mut names[local]),
-                            result: driver.finish(),
-                            end_s,
-                        },
-                    ));
-                    continue;
-                }
-            };
-            assert!(
-                ready_at.is_finite(),
-                "member {} reports non-finite time",
-                fleet_idx[local]
-            );
-            heap.push(Slot {
-                ready_at,
-                rank: slot.rank,
-                idx: local,
-            });
+            }
         }
         // Heap drained: every member is parked or finished.
         let Some(shared) = arb else { break };
@@ -966,7 +927,10 @@ fn run_shard(
         }
         let proposals: Vec<(usize, f64)> = parked
             .iter()
-            .map(|&l| (fleet_idx[l], drivers[l].as_ref().unwrap().proposed_total()))
+            .map(|&local| {
+                let m = shard.member(local);
+                (m.idx, m.driver.proposed_total())
+            })
             .collect();
         // Barrier park time is honest wall time (std::time::Instant):
         // it diagnoses shard imbalance on the host, so the modelled
@@ -978,38 +942,12 @@ fn run_shard(
             t.rounds.inc();
         }
         for (&local, ev) in parked.iter().zip(&events) {
-            let done = drivers[local]
-                .as_mut()
-                .unwrap()
-                .commit_granted(ev.granted, ev);
-            if done {
-                let driver = drivers[local].take().unwrap();
-                let end_s = driver.now_s();
-                out.push((
-                    fleet_idx[local],
-                    FleetRun {
-                        name: std::mem::take(&mut names[local]),
-                        result: driver.finish(),
-                        end_s,
-                    },
-                ));
-            } else {
-                let ready_at = drivers[local].as_ref().unwrap().now_s();
-                assert!(
-                    ready_at.is_finite(),
-                    "member {} reports non-finite time",
-                    fleet_idx[local]
-                );
-                heap.push(Slot {
-                    ready_at,
-                    rank: ranks[local],
-                    idx: local,
-                });
-            }
+            shard.member(local).driver.commit_granted(ev.granted, ev);
+            shard.settle(local);
         }
         parked.clear();
     }
-    (out, polls)
+    (shard.out, polls)
 }
 
 #[cfg(test)]

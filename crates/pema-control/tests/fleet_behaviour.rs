@@ -58,33 +58,108 @@ fn fleet_of_one_is_bit_identical_to_experiment_run() {
 }
 
 #[test]
-fn fleet_of_one_matches_run_workload_sampling() {
-    // Time-varying load: the fleet driver must sample the workload at
-    // each interval start (backend virtual time) exactly like
-    // `run_workload` does.
+fn fleet_of_one_samples_a_time_varying_load_like_a_plain_run() {
+    // Time-varying load: a polled member must sample the workload at
+    // each interval start (backend virtual time) exactly like a run
+    // driven to completion does, with and without early checks (an
+    // abort moves the next interval's start).
     let app = pema_apps::toy_chain();
     let pattern = || StepPattern::new(vec![(0.0, 120.0), (20.0, 180.0), (40.0, 90.0)]);
-    let build = || {
-        let mut params = PemaParams::defaults(app.slo_ms);
-        params.seed = 0xCD;
-        Experiment::builder()
+    for early in [false, true] {
+        let build = || {
+            let mut params = PemaParams::defaults(app.slo_ms);
+            params.seed = 0xCD;
+            let b = Experiment::builder()
+                .app(&app)
+                .policy(Pema(params))
+                .config(HarnessConfig {
+                    interval_s: 6.0,
+                    warmup_s: 1.0,
+                    seed: 11,
+                })
+                .workload(pattern())
+                .iters(6);
+            if early {
+                b.early_check(2.0)
+            } else {
+                b
+            }
+        };
+        let solo = build().run();
+        let fleet = Fleet::new().member(build()).run();
+        assert_eq!(
+            render(&solo),
+            render(&fleet.runs[0].result),
+            "early_check={early}"
+        );
+        // The pattern actually exercised more than one level.
+        let mut loads: Vec<u64> = solo.log.iter().map(|l| l.rps.to_bits()).collect();
+        loads.dedup();
+        assert!(loads.len() > 1, "step pattern never changed the load");
+    }
+}
+
+#[test]
+fn a_run_reserves_its_log_once_for_exactly_its_intervals() {
+    // The log is sized where the run is built, through either door: a
+    // log regrowing 4 → 8 → 16 → 32 on fleet worker threads is what
+    // peak RSS used to hang on (docs/fleet.md, "Memory per member").
+    let app = pema_apps::toy_chain();
+    let member = |iters: usize| {
+        MemberSpec::new()
             .app(&app)
-            .policy(Pema(params))
-            .config(HarnessConfig {
-                interval_s: 6.0,
-                warmup_s: 1.0,
-                seed: 11,
-            })
-            .workload(pattern())
-            .iters(6)
+            .policy(Rule)
+            .backend(UseFluid)
+            .rps(140.0)
+            .iters(iters)
     };
-    let solo = build().run();
-    let fleet = Fleet::new().member(build()).run();
-    assert_eq!(render(&solo), render(&fleet.runs[0].result));
-    // The pattern actually exercised more than one level.
-    let mut loads: Vec<u64> = solo.log.iter().map(|l| l.rps.to_bits()).collect();
-    loads.dedup();
-    assert!(loads.len() > 1, "step pattern never changed the load");
+    assert_eq!(member(20).run().log.capacity(), 20);
+    let fleet = Fleet::new()
+        .threads(2)
+        .member(member(20))
+        .member(member(3))
+        .member(member(33))
+        .run();
+    for r in &fleet.runs {
+        assert_eq!(r.result.log.capacity(), r.result.log.len(), "{}", r.name);
+    }
+}
+
+/// A run description complete but for what the caller leaves out.
+fn undescribed(load: bool, iters: bool) -> MemberSpec<Rule, UseFluid> {
+    let app = pema_apps::toy_chain();
+    let mut b = MemberSpec::new().app(&app).policy(Rule).backend(UseFluid);
+    if load {
+        b = b.rps(140.0);
+    }
+    if iters {
+        b = b.iters(3);
+    }
+    b
+}
+
+#[test]
+#[should_panic(expected = ".iters(..)")]
+fn run_without_iters_panics() {
+    undescribed(true, false).run();
+}
+
+#[test]
+#[should_panic(expected = ".rps(..) or .workload(..)")]
+fn run_without_a_load_panics() {
+    undescribed(false, true).run();
+}
+
+#[test]
+#[should_panic(expected = ".iters(..)")]
+fn fleet_member_without_iters_panics() {
+    let _ = Fleet::new().member(undescribed(true, false));
+}
+
+#[test]
+#[should_panic(expected = ".rps(..) or .workload(..)")]
+fn fleet_member_without_a_load_panics() {
+    let _ = Fleet::new().member(undescribed(false, true));
 }
 
 #[test]

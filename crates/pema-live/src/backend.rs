@@ -6,9 +6,8 @@
 //! trace recorder drive a real cluster unchanged. Three design points:
 //!
 //! * **Shared metric mapping.** Queries are built from
-//!   [`pema_trace::prom`], the same module that names the CSV
-//!   importer's columns — a live scrape and an offline Prometheus
-//!   export cannot drift apart.
+//!   [`pema_trace::prom`], the same module `FakeCluster` routes on —
+//!   the scraper and its test double cannot drift apart.
 //! * **Windows are schedules, not sleeps.** `begin_window` computes
 //!   the window's boundary times; `poll_window` waits toward the next
 //!   boundary through a [`TimeSource`] and scrapes when it arrives.
@@ -32,11 +31,84 @@ use crate::clock::TimeSource;
 use crate::kube::{KubeClient, KubeError};
 use crate::prom::{PromClient, PromError, Series};
 use pema_control::{ClusterBackend, WindowPoll, WindowRequest};
-use pema_sim::{Allocation, AppSpec, WindowStats};
+use pema_sim::{Allocation, AppSpec, ServiceWindowStats, WindowStats};
 use pema_telemetry::{Counter, Histogram, Telemetry, DEFAULT_SECONDS_BUCKETS};
 use pema_trace::prom as queries;
-use pema_trace::{rebase_stats, window_from_scrape, ScrapedService, ScrapedWindow};
+use pema_trace::rebase_stats;
 use std::time::Instant;
+
+/// One service's share of a scraped monitoring window: exactly the
+/// three Prometheus series of the paper's controller (see
+/// [`pema_trace::prom`]), reduced over the window.
+struct ScrapedService {
+    /// CPU limit in force, cores ([`queries::METRIC_CPU_LIMIT`]).
+    alloc_cores: f64,
+    /// CPU consumed over the window, seconds
+    /// ([`queries::METRIC_CPU_USAGE`] rate × window length).
+    cpu_used_s: f64,
+    /// CFS-throttled time over the window, seconds
+    /// ([`queries::METRIC_CPU_THROTTLED`] increase).
+    throttled_s: f64,
+}
+
+/// One monitoring window as Prometheus can report it: five window-wide
+/// quantities plus one [`ScrapedService`] per service, app service
+/// order.
+struct ScrapedWindow {
+    start_s: f64,
+    /// Window length, seconds (positive).
+    duration_s: f64,
+    offered_rps: f64,
+    p95_ms: f64,
+    mean_ms: f64,
+    services: Vec<ScrapedService>,
+}
+
+/// Builds a full [`WindowStats`] from the fields Prometheus can carry,
+/// deriving the rest conservatively: `p50` falls back to the mean,
+/// `p99`/`max` to the p95, per-second usage percentiles to the mean
+/// demand rate, completion counts to `offered_rps × duration`. A tape
+/// recorded from a live cluster inherits these derivations —
+/// divergence metrics, not latency tails, are its meaningful replay
+/// output.
+fn window_from_scrape(w: &ScrapedWindow) -> WindowStats {
+    let duration_s = w.duration_s;
+    let mut per_service = Vec::with_capacity(w.services.len());
+    for s in &w.services {
+        let demand = s.cpu_used_s / duration_s;
+        per_service.push(ServiceWindowStats {
+            alloc_cores: s.alloc_cores,
+            util_pct: if s.alloc_cores > 0.0 {
+                demand / s.alloc_cores * 100.0
+            } else {
+                0.0
+            },
+            cpu_used_s: s.cpu_used_s,
+            throttled_s: s.throttled_s,
+            usage_p90_cores: demand,
+            usage_peak_cores: demand,
+            mem_bytes: 0.0,
+            visits: (w.offered_rps * duration_s) as u64,
+            mean_self_ms: 0.0,
+            mean_visit_ms: 0.0,
+        });
+    }
+    let completed = (w.offered_rps * duration_s) as u64;
+    WindowStats {
+        start_s: w.start_s,
+        duration_s,
+        offered_rps: w.offered_rps,
+        achieved_rps: w.offered_rps,
+        completed,
+        arrivals: completed,
+        mean_ms: w.mean_ms,
+        p50_ms: w.mean_ms,
+        p95_ms: w.p95_ms,
+        p99_ms: w.p95_ms,
+        max_ms: w.p95_ms,
+        per_service,
+    }
+}
 
 /// Retry schedule for Prometheus scrapes: exponential backoff with
 /// deterministic jitter (an xorshift stream seeded from
@@ -370,8 +442,8 @@ impl LiveBackend {
     }
 
     /// Scrapes one `[start_s, end_s]` window (6 range queries), reduces
-    /// it through the shared [`ScrapedWindow`] mapping, and re-bases
-    /// the result onto the shadow allocation.
+    /// it through [`window_from_scrape`], and re-bases the result onto
+    /// the shadow allocation.
     fn scrape_window(&mut self, start_s: f64, end_s: f64) -> WindowStats {
         let dur = end_s - start_s;
         let ns = self.kube.config.namespace.clone();
@@ -518,5 +590,47 @@ impl ClusterBackend for LiveBackend {
 
     fn cancel_window(&mut self) {
         self.inflight = None;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scrape_derivations_are_the_documented_fallbacks() {
+        let scraped = ScrapedWindow {
+            start_s: 1.0,
+            duration_s: 8.0,
+            offered_rps: 120.0,
+            p95_ms: 73.25,
+            mean_ms: 41.5,
+            services: vec![
+                ScrapedService {
+                    alloc_cores: 1.6,
+                    cpu_used_s: 6.4,
+                    throttled_s: 0.25,
+                },
+                ScrapedService {
+                    alloc_cores: 0.0,
+                    cpu_used_s: 3.2,
+                    throttled_s: 0.0,
+                },
+            ],
+        };
+        let w = window_from_scrape(&scraped);
+        assert_eq!((w.start_s, w.duration_s), (1.0, 8.0));
+        assert_eq!((w.offered_rps, w.achieved_rps), (120.0, 120.0));
+        assert_eq!((w.completed, w.arrivals), (960, 960));
+        // What Prometheus cannot carry falls back to what it can.
+        assert_eq!((w.mean_ms, w.p50_ms), (41.5, 41.5));
+        assert_eq!((w.p95_ms, w.p99_ms, w.max_ms), (73.25, 73.25, 73.25));
+        let fe = &w.per_service[0];
+        // 6.4 s over 8 s is 0.8 cores of demand: half of 1.6 allocated.
+        assert_eq!(fe.util_pct, 0.8 / 1.6 * 100.0);
+        assert_eq!((fe.usage_p90_cores, fe.usage_peak_cores), (0.8, 0.8));
+        assert_eq!((fe.cpu_used_s, fe.throttled_s, fe.visits), (6.4, 0.25, 960));
+        // A limit of zero reads as idle, not as a division by zero.
+        assert_eq!(w.per_service[1].util_pct, 0.0);
     }
 }

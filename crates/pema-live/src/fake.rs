@@ -28,7 +28,8 @@ use crate::kube::{KubeClient, KubeConfigLite};
 use crate::prom::PromClient;
 use pema_control::{ClusterBackend, WindowPoll, WindowRequest};
 use pema_sim::{Allocation, AppSpec, Evaluator as _, FluidEvaluator, WindowStats};
-use pema_trace::{json, prom};
+use pema_telemetry::json;
+use pema_trace::prom;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;

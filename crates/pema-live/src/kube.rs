@@ -75,7 +75,7 @@ impl KubeClient {
                 r#"{{"spec":{{"template":{{"spec":{{"containers":"#,
                 r#"[{{"name":{},"resources":{{"limits":{{"cpu":"{}"}}}}}}]}}}}}}}}"#
             ),
-            pema_trace::json::quote(container),
+            pema_telemetry::json::quote(container),
             cores
         )
     }
@@ -112,7 +112,7 @@ impl KubeClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pema_trace::json::Value;
+    use pema_telemetry::json::Value;
 
     fn client() -> KubeClient {
         KubeClient {
@@ -136,7 +136,7 @@ mod tests {
     #[test]
     fn cpu_limit_body_round_trips_cores_exactly() {
         let body = KubeClient::cpu_limit_body("fe", 1.35);
-        let root = pema_trace::json::parse(&body).unwrap();
+        let root = pema_telemetry::json::parse(&body).unwrap();
         // Walk spec.template.spec.containers[0].resources.limits.cpu.
         fn at<'a>(v: &'a Value, keys: &[&str]) -> &'a Value {
             keys.iter().fold(v, |v, key| v.get(key).expect(key))

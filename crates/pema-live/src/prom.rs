@@ -7,7 +7,7 @@
 //! requested window.
 
 use crate::http::{urlencode, Endpoint, HttpClient, HttpError, Response};
-use pema_trace::json::Reader;
+use pema_telemetry::json::Reader;
 
 /// One series of a matrix response: the `container` label (empty when
 /// absent) and the window-averaged sample value.
@@ -338,7 +338,7 @@ mod tests {
     /// parsed it.
     #[test]
     fn hostile_nesting_is_malformed_not_a_stack_overflow() {
-        let limit = pema_trace::json::Reader::MAX_DEPTH;
+        let limit = pema_telemetry::json::Reader::MAX_DEPTH;
         let response = |warnings: &str| {
             format!(
                 r#"{{"status":"success","warnings":{warnings},"data":{{"resultType":"matrix","result":[]}}}}"#

@@ -16,7 +16,7 @@ use parent_reader::{parse, read_string, ObjReader};
 use pema_live::http::Response;
 use pema_live::prom::{parse_matrix, PromClient, PromError, Series};
 use pema_live::{FakeCluster, HttpClient};
-use pema_trace::json::Value;
+use pema_telemetry::json::Value;
 use pema_trace::prom as queries;
 use proptest::prelude::*;
 use std::sync::OnceLock;

@@ -1,126 +1,11 @@
-//! Rolling windows and moving averages.
+//! The K-step moving average of the response time.
 //!
 //! PEMA smooths the response-time feedback with a K-step moving average
 //! (Eqns. 10/11 in the paper) while still reacting to the *instantaneous*
-//! response time for SLO-violation rollback (Algorithm 1, line 4). The
-//! types here implement both views over one stream of observations.
+//! response time for SLO-violation rollback (Algorithm 1, line 4).
+//! [`MovingAvg`] implements both views over one stream of observations.
 
 use std::collections::VecDeque;
-
-/// Fixed-capacity rolling window over `f64` observations.
-///
-/// Stores the most recent `capacity` values; supports mean, min, max and
-/// percentile queries over the retained values.
-#[derive(Debug, Clone)]
-pub struct RollingWindow {
-    buf: VecDeque<f64>,
-    capacity: usize,
-    sum: f64,
-}
-
-impl RollingWindow {
-    /// Creates a window retaining the `capacity` most recent samples.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "window capacity must be positive");
-        Self {
-            buf: VecDeque::with_capacity(capacity),
-            capacity,
-            sum: 0.0,
-        }
-    }
-
-    /// Pushes a sample, evicting the oldest if full. Returns the evicted
-    /// sample, if any.
-    pub fn push(&mut self, v: f64) -> Option<f64> {
-        let evicted = if self.buf.len() == self.capacity {
-            let old = self.buf.pop_front();
-            if let Some(o) = old {
-                self.sum -= o;
-            }
-            old
-        } else {
-            None
-        };
-        self.buf.push_back(v);
-        self.sum += v;
-        evicted
-    }
-
-    /// Number of retained samples.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when no samples are retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// True when the window has reached capacity.
-    pub fn is_full(&self) -> bool {
-        self.buf.len() == self.capacity
-    }
-
-    /// Mean of retained samples, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.buf.is_empty() {
-            None
-        } else {
-            // Recompute from scratch only if the incremental sum drifted
-            // badly; the incremental sum is fine for our magnitudes.
-            Some(self.sum / self.buf.len() as f64)
-        }
-    }
-
-    /// Minimum retained sample, or `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        self.buf.iter().copied().fold(None, |acc, v| {
-            Some(match acc {
-                None => v,
-                Some(a) => a.min(v),
-            })
-        })
-    }
-
-    /// Maximum retained sample, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        self.buf.iter().copied().fold(None, |acc, v| {
-            Some(match acc {
-                None => v,
-                Some(a) => a.max(v),
-            })
-        })
-    }
-
-    /// The most recent sample, or `None` when empty.
-    pub fn last(&self) -> Option<f64> {
-        self.buf.back().copied()
-    }
-
-    /// Nearest-rank percentile over retained samples (`q` in 0..=1).
-    pub fn percentile(&self, q: f64) -> Option<f64> {
-        if self.buf.is_empty() {
-            return None;
-        }
-        let mut v: Vec<f64> = self.buf.iter().copied().collect();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        Some(crate::stats::percentile_sorted(&v, q))
-    }
-
-    /// Iterator over retained samples, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.buf.iter().copied()
-    }
-
-    /// Clears all retained samples.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.sum = 0.0;
-    }
-}
 
 /// K-step moving average as used by Eqns. (10) and (11) of the paper.
 ///
@@ -129,47 +14,70 @@ impl RollingWindow {
 /// first observation.
 #[derive(Debug, Clone)]
 pub struct MovingAvg {
-    window: RollingWindow,
+    buf: VecDeque<f64>,
+    k: usize,
+    /// Running sum of `buf`. Kept incrementally — subtract the evicted
+    /// sample, then add the new one — and that order is part of the
+    /// output: every golden's `r_ma` column depends on it to the bit.
+    sum: f64,
 }
 
 impl MovingAvg {
     /// Creates a moving average over the last `k` observations.
+    ///
+    /// # Panics
+    /// Panics if `k == 0`.
     pub fn new(k: usize) -> Self {
+        assert!(k > 0, "window capacity must be positive");
         Self {
-            window: RollingWindow::new(k),
+            buf: VecDeque::with_capacity(k),
+            k,
+            sum: 0.0,
         }
     }
 
-    /// Adds an observation and returns the updated average.
+    /// Adds an observation, evicting the oldest once `k` are held, and
+    /// returns the updated average.
     pub fn push(&mut self, v: f64) -> f64 {
-        self.window.push(v);
-        self.window.mean().unwrap()
+        if self.buf.len() == self.k {
+            if let Some(old) = self.buf.pop_front() {
+                self.sum -= old;
+            }
+        }
+        self.buf.push_back(v);
+        self.sum += v;
+        self.sum / self.buf.len() as f64
     }
 
     /// Current average, or `None` before any observation.
     pub fn value(&self) -> Option<f64> {
-        self.window.mean()
+        if self.buf.is_empty() {
+            None
+        } else {
+            Some(self.sum / self.buf.len() as f64)
+        }
     }
 
     /// Most recent raw observation (the *instantaneous* value the paper
     /// uses for violation detection).
     pub fn last(&self) -> Option<f64> {
-        self.window.last()
+        self.buf.back().copied()
     }
 
     /// Number of observations currently contributing to the average.
     pub fn len(&self) -> usize {
-        self.window.len()
+        self.buf.len()
     }
 
     /// True before any observation.
     pub fn is_empty(&self) -> bool {
-        self.window.is_empty()
+        self.buf.is_empty()
     }
 
     /// Discards history (used on workload-range switch).
     pub fn clear(&mut self) {
-        self.window.clear();
+        self.buf.clear();
+        self.sum = 0.0;
     }
 }
 
@@ -180,49 +88,25 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_capacity_panics() {
-        RollingWindow::new(0);
+        MovingAvg::new(0);
     }
 
     #[test]
     fn window_evicts_oldest() {
-        let mut w = RollingWindow::new(3);
-        assert_eq!(w.push(1.0), None);
-        assert_eq!(w.push(2.0), None);
-        assert_eq!(w.push(3.0), None);
-        assert_eq!(w.push(4.0), Some(1.0));
-        assert_eq!(w.len(), 3);
-        assert_eq!(w.mean(), Some(3.0));
-    }
-
-    #[test]
-    fn window_min_max_last() {
-        let mut w = RollingWindow::new(4);
-        for v in [5.0, 1.0, 3.0] {
-            w.push(v);
+        let mut m = MovingAvg::new(3);
+        for v in [1.0, 2.0, 3.0, 4.0] {
+            m.push(v);
         }
-        assert_eq!(w.min(), Some(1.0));
-        assert_eq!(w.max(), Some(5.0));
-        assert_eq!(w.last(), Some(3.0));
-    }
-
-    #[test]
-    fn window_percentile() {
-        let mut w = RollingWindow::new(100);
-        for i in 1..=100 {
-            w.push(i as f64);
-        }
-        assert_eq!(w.percentile(0.5), Some(50.0));
-        assert_eq!(w.percentile(0.95), Some(95.0));
-        assert_eq!(w.percentile(1.0), Some(100.0));
+        assert_eq!(m.len(), 3);
+        assert_eq!(m.value(), Some(3.0));
     }
 
     #[test]
     fn empty_window_queries() {
-        let w = RollingWindow::new(5);
-        assert!(w.is_empty());
-        assert_eq!(w.mean(), None);
-        assert_eq!(w.min(), None);
-        assert_eq!(w.percentile(0.5), None);
+        let m = MovingAvg::new(5);
+        assert!(m.is_empty());
+        assert_eq!(m.value(), None);
+        assert_eq!(m.last(), None);
     }
 
     #[test]
@@ -255,10 +139,10 @@ mod tests {
 
     #[test]
     fn window_clear_resets_sum() {
-        let mut w = RollingWindow::new(2);
-        w.push(10.0);
-        w.clear();
-        w.push(4.0);
-        assert_eq!(w.mean(), Some(4.0));
+        let mut m = MovingAvg::new(2);
+        m.push(10.0);
+        m.clear();
+        m.push(4.0);
+        assert_eq!(m.value(), Some(4.0));
     }
 }

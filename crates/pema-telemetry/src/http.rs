@@ -153,6 +153,11 @@ impl Default for HttpClient {
     }
 }
 
+/// Longest response (head and body) the client reads before giving up
+/// on the peer: a 100 000-member `/metrics` exposition is about a
+/// quarter of it, a Prometheus or Kubernetes answer a thousandth.
+const MAX_RESPONSE_BYTES: usize = 64 * 1024 * 1024;
+
 impl HttpClient {
     /// Issues one request and reads the full response.
     ///
@@ -199,7 +204,15 @@ impl HttpClient {
         stream.write_all(req.as_bytes()).map_err(io_err)?;
 
         let mut raw = Vec::new();
-        match stream.read_to_end(&mut raw) {
+        let read = (&stream)
+            .take(MAX_RESPONSE_BYTES as u64 + 1)
+            .read_to_end(&mut raw);
+        if raw.len() > MAX_RESPONSE_BYTES {
+            return Err(HttpError::Malformed(format!(
+                "response exceeds {MAX_RESPONSE_BYTES} bytes"
+            )));
+        }
+        match read {
             Ok(_) => parse_response(&raw, true),
             // A peer that answers and closes without reading the
             // request resets the connection; the response it sent
@@ -613,6 +626,33 @@ mod tests {
         let resp = get(addr, "/").expect("the complete response must survive the reset");
         assert_eq!((resp.status, resp.body.as_str()), (500, "oops"));
         peer.join().unwrap();
+    }
+
+    #[test]
+    fn a_peer_that_never_stops_sending_is_an_error_not_an_allocation() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.peek(&mut [0u8; 1]).unwrap();
+            stream.write_all(b"HTTP/1.1 200 OK\r\n\r\n").unwrap();
+            let chunk = [b'x'; 64 * 1024];
+            let mut sent = 0usize;
+            // Ends when the client hangs up on us.
+            while stream.write_all(&chunk).is_ok() {
+                sent += chunk.len();
+            }
+            sent
+        });
+        let err = get(addr, "/").expect_err("an endless body must not be a response");
+        assert_eq!(
+            err,
+            HttpError::Malformed(format!("response exceeds {MAX_RESPONSE_BYTES} bytes"))
+        );
+        // The client stopped reading at the cap; what the peer managed
+        // to send beyond it sat in socket buffers.
+        let sent = peer.join().unwrap();
+        assert!(sent < 2 * MAX_RESPONSE_BYTES, "client kept reading: {sent}");
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //! the live wire path all go through it.
 //!
 //! The build environment has no route to a crates registry, so JSON is
-//! hand-rolled. This module started life in `pema-trace` (which still
-//! re-exports it as `pema_trace::json`) and moved here so the telemetry
-//! event sink can reuse it without a dependency cycle:
-//! `pema-telemetry` sits below `pema-control` in the graph,
-//! `pema-trace` above. Two requirements shape it:
+//! hand-rolled. It lives here so the telemetry event sink and the
+//! trace format share it without a dependency cycle: `pema-telemetry`
+//! sits below `pema-control` in the graph, `pema-trace` above. Two
+//! requirements shape it:
 //!
 //! * **bit-exact `f64` round trips.** Numbers are *written* with
 //!   Rust's shortest-round-trip `Display` and *read from the token in

@@ -12,7 +12,7 @@
 //!   complete measured [`WindowStats`], per-service observations
 //!   included.
 //!
-//! Floats use the bit-exact encoding of [`crate::json`] (shortest
+//! Floats use the bit-exact encoding of [`pema_telemetry::json`] (shortest
 //! round-trip decimals, `"inf"`/`"-inf"`/`"nan"` string tokens), so a
 //! write → read cycle reproduces every field to the bit — the property
 //! the replay determinism guarantee rests on.
@@ -35,8 +35,8 @@
 //! The full spec, including the compatibility rules for evolving the
 //! schema, lives in `docs/trace-format.md`.
 
-use crate::json::{self, Reader};
 use pema_sim::{ServiceWindowStats, WindowStats};
+use pema_telemetry::json::{self, Reader};
 use std::fmt;
 use std::io;
 use std::path::Path;

@@ -5,8 +5,8 @@
 //! capability for the reproduction: it records control-loop runs into
 //! a versioned on-disk format and replays them through a
 //! [`ClusterBackend`](pema_control::ClusterBackend), so any policy can
-//! be A/B-evaluated against a recorded run — a DES run today, an
-//! imported Prometheus export from a live cluster tomorrow — without
+//! be A/B-evaluated against a recorded run — a DES run, or a
+//! `pema-cli live --dry-run --out` tape of a real cluster — without
 //! re-simulating (or re-running) anything.
 //!
 //! Three pieces:
@@ -14,7 +14,7 @@
 //! | piece | role |
 //! |---|---|
 //! | [`TraceRecorder`] | an [`Observer`](pema_control::Observer) that captures every interval (full [`WindowStats`](pema_sim::WindowStats), decision tag, applied allocation, timestamps) into a [`Trace`] |
-//! | [`Trace`] | the versioned, schema-checked JSONL format (strict + lenient readers, bit-exact floats) plus a Prometheus-range-style CSV [importer](from_prometheus_csv) |
+//! | [`Trace`] | the versioned, schema-checked JSONL format (strict + lenient readers, bit-exact floats) |
 //! | [`TraceBackend`] | a `ClusterBackend` that replays the tape: `apply` is a no-op that logs counterfactual allocations and [divergence metrics](IntervalDivergence) |
 //!
 //! ## Record, then replay
@@ -65,15 +65,8 @@
 
 pub mod backend;
 pub mod format;
-pub mod import;
 pub mod prom;
 pub mod recorder;
-
-/// The hand-rolled JSON reader/writer. Lives in `pema-telemetry` now
-/// (the telemetry event sink shares it and sits lower in the crate
-/// graph); re-exported here so `pema_trace::json` call sites keep
-/// working.
-pub use pema_telemetry::json;
 
 pub use backend::{
     rebase_stats, rebase_stats_with, replay, DivergenceSummary, IntervalDivergence, ReplayRun,
@@ -82,5 +75,4 @@ pub use backend::{
 pub use format::{
     ReadMode, Trace, TraceError, TraceMeta, TraceRecord, FORMAT_NAME, FORMAT_VERSION,
 };
-pub use import::{from_prometheus_csv, window_from_scrape, ScrapedService, ScrapedWindow};
 pub use recorder::{TraceHandle, TraceRecorder};

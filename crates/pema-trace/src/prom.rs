@@ -1,16 +1,13 @@
-//! The Prometheus metric-name mapping shared by the CSV
-//! [importer](crate::import) and the live backend (`pema-live`).
+//! The Prometheus metric names and query shapes the live backend
+//! (`pema-live`) scrapes.
 //!
 //! The paper's controller (Fig. 9) consumes three per-container CPU
-//! series plus application-level latency/throughput. Both consumers of
-//! that telemetry — the offline CSV importer and the live scraper —
-//! must agree on the series names and the query shapes, or an exported
-//! range query stops being replayable against what the live loop saw.
-//! This module is the single source of truth: the importer's column
-//! triples are named after [`SUFFIX_ALLOC`]/[`SUFFIX_USED`]/
-//! [`SUFFIX_THROTTLED`], and `pema_live::LiveBackend` builds its
-//! `query_range` expressions with the `*_query` constructors below
-//! (round-trip-pinned by tests on both sides).
+//! series plus application-level latency/throughput. The scraper and
+//! the `FakeCluster` that answers it in tests must agree on the series
+//! names and the query shapes. This module is the single source of
+//! truth: `pema_live::LiveBackend` builds its `query_range`
+//! expressions with the `*_query` constructors below, and `FakeCluster`
+//! routes on the `METRIC_*` names.
 
 /// Per-container CPU limit, cores — the actuator read-back
 /// (`kubectl get`-equivalent) series.
@@ -34,18 +31,6 @@ pub const METRIC_LATENCY_COUNT: &str = "pema_request_duration_seconds_count";
 /// Application request counter.
 pub const METRIC_REQUESTS: &str = "pema_requests_total";
 
-/// CSV column suffix for the [`METRIC_CPU_LIMIT`] series.
-pub const SUFFIX_ALLOC: &str = ":alloc_cores";
-
-/// CSV column suffix for the [`METRIC_CPU_USAGE`]-derived series.
-pub const SUFFIX_USED: &str = ":cpu_used_s";
-
-/// CSV column suffix for the [`METRIC_CPU_THROTTLED`]-derived series.
-pub const SUFFIX_THROTTLED: &str = ":throttled_s";
-
-/// The fixed CSV columns preceding the per-service triples.
-pub const CSV_FIXED: [&str; 5] = ["start_s", "duration_s", "offered_rps", "p95_ms", "mean_ms"];
-
 /// Formats a range-vector selector length. Rust's shortest-round-trip
 /// `Display` keeps whole-second windows in PromQL's integer form
 /// (`8s`, not `8.0s`); fractional windows (only the test harness uses
@@ -61,7 +46,7 @@ pub fn cpu_limit_query(namespace: &str) -> String {
 
 /// Per-service CPU usage rate over the window, cores: one series per
 /// `container` label. Multiplied by the window length this is the
-/// importer's `cpu_used_s` column.
+/// window's `cpu_used_s`.
 pub fn cpu_usage_query(namespace: &str, range_s: f64) -> String {
     format!(
         "rate({METRIC_CPU_USAGE}{{namespace=\"{namespace}\"}}[{}])",
@@ -70,7 +55,7 @@ pub fn cpu_usage_query(namespace: &str, range_s: f64) -> String {
 }
 
 /// Per-service throttled seconds accumulated over the window: the
-/// importer's `throttled_s` column, directly.
+/// window's `throttled_s`, directly.
 pub fn cpu_throttled_query(namespace: &str, range_s: f64) -> String {
     format!(
         "increase({METRIC_CPU_THROTTLED}{{namespace=\"{namespace}\"}}[{}])",
@@ -95,7 +80,7 @@ pub fn mean_latency_query(namespace: &str, range_s: f64) -> String {
 }
 
 /// Offered request rate over the window, requests/second: the
-/// importer's `offered_rps` column.
+/// window's `offered_rps`.
 pub fn request_rate_query(namespace: &str, range_s: f64) -> String {
     format!(
         "sum(rate({METRIC_REQUESTS}{{namespace=\"{namespace}\"}}[{}]))",

@@ -15,7 +15,7 @@
 mod parent_reader;
 
 use pema_sim::{ServiceWindowStats, WindowStats};
-use pema_trace::json::{self, Value};
+use pema_telemetry::json::{self, Value};
 use pema_trace::{ReadMode, Trace, TraceMeta, TraceRecord};
 use proptest::prelude::*;
 use proptest::strategy::{boxed, OneOf};

@@ -13,7 +13,7 @@
 #![allow(dead_code)]
 
 use pema_sim::{ServiceWindowStats, WindowStats};
-use pema_trace::json::Value;
+use pema_telemetry::json::Value;
 use pema_trace::{
     ReadMode, Trace, TraceError, TraceMeta, TraceRecord, FORMAT_NAME, FORMAT_VERSION,
 };
