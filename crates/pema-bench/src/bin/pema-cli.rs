@@ -13,7 +13,7 @@
 //! usage error.
 
 use pema::prelude::*;
-use pema_bench::{paper_apps, registry, run_suite, BackendSel, Outcome, SuiteConfig};
+use pema_bench::{fleet_member, paper_apps, registry, run_suite, BackendSel, Outcome, SuiteConfig};
 use std::fmt::{Display, Write as _};
 use std::process::exit;
 
@@ -844,34 +844,24 @@ fn cmd_fleet(args: &Args) {
     }
     let mut labels = Vec::new();
     for i in 0..count {
-        let (app, nominal) = &templates[i % templates.len()];
-        let rps =
-            rps_override.unwrap_or_else(|| pema_apps::fleet_rps(*nominal, i, templates.len()));
-        let policy_name = match policy_sel {
-            "mixed" => ["pema", "rule", "hold"][i % 3],
-            one => one,
+        let on = |app: &AppSpec, seed| {
+            let built = backend.backend(app, seed, &mut None);
+            built.expect("sim and fluid read no tape")
         };
-        let policy = policy_by_name(policy_name, app, seed0 ^ i as u64).unwrap_or_else(|| {
+        let member = fleet_member(&templates, i, policy_sel, seed0, on);
+        let (policy_name, rps, spec) = member.unwrap_or_else(|| {
             usage_error(format!(
                 "unknown --policy '{policy_sel}' (pema, rule, hold, mixed)"
             ));
         });
-        let spec = MemberSpec::new()
-            .name(format!("{}-{i}", app.name))
+        let rps = rps_override.unwrap_or(rps);
+        let spec = spec
             .priority(*priorities.get(i % priorities.len().max(1)).unwrap_or(&0))
-            .app(app)
-            .policy(policy)
-            .config(HarnessConfig {
-                interval_s,
-                warmup_s: 4.0,
-                seed: seed0.wrapping_add(i as u64),
-            })
+            .interval_s(interval_s)
+            .warmup_s(4.0)
             .rps(rps)
             .iters(iters);
-        fleet = match backend {
-            BackendSel::Fluid => fleet.member(spec.backend(UseFluid)),
-            _ => fleet.member(spec),
-        };
+        fleet = fleet.member(spec);
         labels.push((policy_name, rps));
     }
     if let Some(b) = budget {
@@ -1117,28 +1107,13 @@ fn cmd_trace(args: &Args) {
     }
 }
 
-/// Lists the registry and exits non-zero if any scenario id or output
-/// CSV name is claimed twice — `pema-cli list` doubles as the registry
-/// sanity gate CI runs.
+/// Lists the registry (`registry_suite.rs` is what keeps its ids and
+/// output names unique).
 fn cmd_list(_: &Args) {
-    let mut ids = std::collections::HashSet::new();
-    let mut outputs = std::collections::HashSet::new();
-    let mut duplicates = Vec::new();
     println!("{:<22} outputs", "scenario");
     for s in registry() {
-        println!("{:<22} {}", s.id(), s.outputs().join(", "));
-        println!("{:<22}   {}", "", s.about());
-        if !ids.insert(s.id()) {
-            duplicates.push(format!("duplicate scenario id '{}'", s.id()));
-        }
-        for o in s.outputs() {
-            if !outputs.insert(*o) {
-                duplicates.push(format!("output '{o}' claimed twice (by '{}')", s.id()));
-            }
-        }
-    }
-    if !duplicates.is_empty() {
-        fail(format!("error: {}", duplicates.join("\nerror: ")));
+        println!("{:<22} {}", s.id, s.outputs.join(", "));
+        println!("{:<22}   {}", "", s.about);
     }
 }
 

@@ -1,6 +1,14 @@
 //! [`ExperimentCtx`] — everything a scenario needs to run, in one
 //! place: buffered human output, CSV emission, the shared OPTM cache,
-//! harness timing, and a per-scenario deterministic RNG.
+//! harness timing, a per-scenario deterministic RNG, and the three
+//! pieces of the evaluation protocol every figure shares — a closed
+//! loop on the selected backend ([`closed_loop`]), a one-shot window
+//! measurement ([`measure`]) and the seed-replicated run fold
+//! ([`replicate`]).
+//!
+//! [`closed_loop`]: ExperimentCtx::closed_loop
+//! [`measure`]: ExperimentCtx::measure
+//! [`replicate`]: ExperimentCtx::replicate
 //!
 //! Scenarios never print or touch the filesystem directly; routing all
 //! side effects through the context is what makes the parallel
@@ -9,6 +17,8 @@
 
 use crate::exec::BackendSel;
 use crate::optm::{CachedOptimum, OptmCache};
+use crate::registry::Scenario;
+use pema::pema_control::Unset;
 use pema::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -16,7 +26,7 @@ use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Default results directory: `$PEMA_RESULTS_DIR` or `./results`.
 /// Nothing is created until a scenario writes.
@@ -39,8 +49,6 @@ pub(crate) fn seed_for(id: &str) -> u64 {
 }
 
 /// Per-scenario execution context handed to [`Scenario::run`].
-///
-/// [`Scenario::run`]: crate::registry::Scenario::run
 pub struct ExperimentCtx {
     id: &'static str,
     seed: u64,
@@ -57,8 +65,11 @@ pub struct ExperimentCtx {
 }
 
 impl ExperimentCtx {
+    /// The context of one registry row. `backend` is the suite's
+    /// `--backend`; it reaches the scenario only if the row's
+    /// `backend_matrix` says so — any other row runs on the DES.
     pub(crate) fn new(
-        id: &'static str,
+        scenario: &Scenario,
         smoke: bool,
         results_dir: PathBuf,
         optm: Arc<OptmCache>,
@@ -66,13 +77,17 @@ impl ExperimentCtx {
         fleet_threads: usize,
     ) -> Self {
         Self {
-            id,
-            seed: seed_for(id),
+            id: scenario.id,
+            seed: seed_for(scenario.id),
             smoke,
             results_dir,
             out: String::new(),
             optm,
-            backend,
+            backend: if scenario.backend_matrix {
+                backend
+            } else {
+                BackendSel::Sim
+            },
             fleet_threads,
             trace: RefCell::new(None),
         }
@@ -185,43 +200,40 @@ impl ExperimentCtx {
         cfg
     }
 
-    /// Builds the selected backend for a closed-loop run of `app`,
-    /// seeded like the default DES path ([`SimBackend::new`] with
-    /// `cfg.seed`) so `--backend sim` stays byte-identical to the
-    /// historical `UseSim` construction. `trace:<path>` backends are
-    /// read leniently, replay cycling (scenarios often run longer than
-    /// the tape), and must have been recorded from the same app.
+    /// A closed-loop run of `app`, described up to its policy and
+    /// load: the builder carries the app, [`harness_cfg`]`(cfg_seed)`
+    /// and the context's backend (see [`BackendSel::backend`]; the DES
+    /// is seeded with `cfg_seed`, as the builder's own default is).
     ///
-    /// Scenarios participating in the backend matrix pass the result
-    /// to `Experiment::builder().backend(..)`; the boxed trait object
-    /// drives the loop through the `Box` forwarding impl.
-    pub fn loop_backend(
+    /// [`harness_cfg`]: Self::harness_cfg
+    pub fn closed_loop(
         &self,
         app: &AppSpec,
-        cfg: &HarnessConfig,
-    ) -> io::Result<Box<dyn ClusterBackend>> {
-        match &self.backend {
-            BackendSel::Sim => Ok(Box::new(SimBackend::new(app, cfg.seed))),
-            BackendSel::Fluid => Ok(Box::new(FluidBackend::new(app))),
-            BackendSel::Trace(path) => {
-                let mut cached = self.trace.borrow_mut();
-                if cached.is_none() {
-                    *cached = Some(Trace::read_file(path, ReadMode::Lenient)?);
-                }
-                let trace = cached.as_ref().unwrap();
-                if trace.meta.app != app.name || trace.n_services() != app.n_services() {
-                    return Err(io::Error::other(format!(
-                        "trace {} was recorded from '{}' ({} services), scenario needs '{}' ({})",
-                        path.display(),
-                        trace.meta.app,
-                        trace.n_services(),
-                        app.name,
-                        app.n_services()
-                    )));
-                }
-                Ok(Box::new(TraceBackend::cycling(trace.clone())))
-            }
+        cfg_seed: u64,
+    ) -> io::Result<ExperimentBuilder<Unset, Box<dyn ClusterBackend + Send>>> {
+        let backend = self
+            .backend
+            .backend(app, cfg_seed, &mut self.trace.borrow_mut())?;
+        Ok(Experiment::builder()
+            .app(app)
+            .config(self.harness_cfg(cfg_seed))
+            .backend(backend))
+    }
+
+    /// Folds `reps` seed-replicated runs (shrunk in smoke mode) into
+    /// their [`Replicates`]; `run(rep)` is replicate `rep`'s completed
+    /// run and `settle` the tail length its settled total averages.
+    pub fn replicate(
+        &self,
+        reps: usize,
+        settle: usize,
+        mut run: impl FnMut(u64) -> io::Result<RunResult>,
+    ) -> io::Result<Replicates> {
+        let mut folded = Replicates::default();
+        for rep in 0..self.iters(reps) as u64 {
+            folded.push(&run(rep)?, settle);
         }
+        Ok(folded)
     }
 
     /// Scales an iteration/trial count for smoke mode (full count
@@ -244,44 +256,17 @@ impl ExperimentCtx {
     }
 
     /// Measures one fresh-cluster window of `alloc` at `rps` (fixed
-    /// seed, common random numbers across calls).
-    ///
-    /// Implemented as a one-interval [`Experiment`] run: a
-    /// [`HoldPolicy`] pins the allocation, a bare [`SimBackend`] (no
-    /// request timeout — an infinitely patient load generator) hosts
-    /// the cluster, and an observer captures the window's full stats.
-    /// Byte-identical to the historical direct `ClusterSim` path (the
-    /// golden-snapshot tests pin `fig06.csv` through this code).
-    ///
-    /// Under `--backend fluid` the window comes from the analytic
-    /// model instead (instant, approximate). A `trace:` selection
-    /// keeps the DES here: an arbitrary one-shot allocation probe has
-    /// no counterpart on a recorded tape.
+    /// seed, common random numbers across calls): a [`SimEvaluator`]
+    /// window on the DES — no request timeout, an infinitely patient
+    /// load generator — or, under `--backend fluid`, the analytic
+    /// model's (instant, approximate). A `trace:` selection keeps the
+    /// DES here: an arbitrary one-shot allocation probe has no
+    /// counterpart on a recorded tape.
     pub fn measure(&self, app: &AppSpec, alloc: &Allocation, rps: f64, seed: u64) -> WindowStats {
         let (warmup, window) = self.window(4.0, 20.0);
-        let captured: Arc<Mutex<Option<WindowStats>>> = Arc::new(Mutex::new(None));
-        let sink = Arc::clone(&captured);
-        let backend: Box<dyn ClusterBackend> = match self.backend {
-            BackendSel::Fluid => Box::new(FluidBackend::new(app)),
-            _ => Box::new(SimBackend::bare(app, seed)),
-        };
-        Experiment::builder()
-            .app(app)
-            .policy(HoldPolicy::new(alloc.0.clone(), app.slo_ms))
-            .backend(backend)
-            .config(HarnessConfig {
-                interval_s: window,
-                warmup_s: warmup,
-                seed,
-            })
-            .rps(rps)
-            .iters(1)
-            .observer(move |_log: &IterationLog, stats: &WindowStats| {
-                *sink.lock().unwrap() = Some(stats.clone());
-            })
-            .run();
-        let stats = captured.lock().unwrap().take();
-        stats.expect("one-interval run must observe exactly one window")
+        self.backend
+            .evaluator(app, seed, warmup, window)
+            .evaluate(alloc, rps)
     }
 
     /// Returns the OPTM allocation for `(app, rps)`, computing and
@@ -292,6 +277,48 @@ impl ExperimentCtx {
     pub fn optimum_cached(&mut self, app: &AppSpec, rps: f64) -> io::Result<CachedOptimum> {
         let cache = Arc::clone(&self.optm);
         cache.optimum(app, rps, &mut self.out)
+    }
+}
+
+/// The fold of a scenario's seed-replicated runs — the paper's "we
+/// run PEMA several times … and show the average" (§5), said once.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Replicates {
+    /// Runs folded in.
+    pub runs: usize,
+    /// Sum of the runs' settled totals, cores.
+    pub total_sum: f64,
+    /// Largest settled total of any run, cores.
+    pub worst_total: f64,
+    /// SLO-violating intervals across all runs.
+    pub violations: usize,
+    /// Intervals across all runs.
+    pub intervals: usize,
+    /// Time spent in violating intervals across all runs, seconds.
+    pub violating_s: f64,
+}
+
+impl Replicates {
+    /// Folds one completed run in, settled over its last `settle`
+    /// intervals.
+    fn push(&mut self, run: &RunResult, settle: usize) {
+        let total = run.settled_total(settle);
+        self.runs += 1;
+        self.total_sum += total;
+        self.worst_total = self.worst_total.max(total);
+        self.violations += run.violations();
+        self.intervals += run.log.len();
+        self.violating_s += run.violating_time_s();
+    }
+
+    /// Mean settled total over the runs, cores.
+    pub fn mean_total(&self) -> f64 {
+        self.total_sum / self.runs as f64
+    }
+
+    /// Share of all intervals that violated the SLO, percent.
+    pub fn violation_pct(&self) -> f64 {
+        self.violations as f64 / self.intervals as f64 * 100.0
     }
 }
 
@@ -321,15 +348,21 @@ pub fn paper_apps() -> Vec<(AppSpec, [f64; 3], [f64; 3])> {
 mod tests {
     use super::*;
 
+    /// A smoke context of an ad-hoc registry row, under `backend`.
+    fn row_ctx(dir: &Path, backend_matrix: bool, backend: BackendSel) -> ExperimentCtx {
+        let row = Scenario {
+            id: "unit",
+            about: "",
+            outputs: &["unit"],
+            backend_matrix,
+            run: |_| Ok(()),
+        };
+        let optm = Arc::new(OptmCache::new(dir.to_path_buf(), true));
+        ExperimentCtx::new(&row, true, dir.to_path_buf(), optm, backend, 1)
+    }
+
     fn test_ctx(dir: &Path) -> ExperimentCtx {
-        ExperimentCtx::new(
-            "unit",
-            true,
-            dir.to_path_buf(),
-            Arc::new(OptmCache::new(dir.to_path_buf(), true)),
-            BackendSel::default(),
-            1,
-        )
+        row_ctx(dir, false, BackendSel::default())
     }
 
     #[test]
@@ -370,6 +403,104 @@ mod tests {
         assert_eq!(r1.gen::<f64>().to_bits(), r2.gen::<f64>().to_bits());
         let mut r3 = a.rng(43);
         assert_ne!(r1.gen::<f64>().to_bits(), r3.gen::<f64>().to_bits());
+    }
+
+    /// The row's flag is the switch: `--backend fluid` reaches a
+    /// `true` row's loops and windows and never a `false` row's.
+    #[test]
+    fn backend_matrix_flag_decides_what_the_selection_reaches() {
+        let dir = std::env::temp_dir().join("pema-bench-ctx-switch");
+        let app = pema_apps::toy_chain();
+        let alloc = Allocation::new(app.generous_alloc.clone());
+        let numbers = |ctx: &ExperimentCtx| {
+            let hold = HoldPolicy::new(app.generous_alloc.clone(), app.slo_ms);
+            let run = ctx.closed_loop(&app, 7).unwrap().policy(hold);
+            let looped: Vec<u64> = run
+                .rps(150.0)
+                .iters(2)
+                .run()
+                .log
+                .iter()
+                .map(|l| l.p95_ms.to_bits())
+                .collect();
+            (looped, ctx.measure(&app, &alloc, 150.0, 7).p95_ms.to_bits())
+        };
+        let des = numbers(&row_ctx(&dir, true, BackendSel::Sim));
+        assert_eq!(numbers(&row_ctx(&dir, false, BackendSel::Fluid)), des);
+        let fluid = numbers(&row_ctx(&dir, true, BackendSel::Fluid));
+        assert_ne!(fluid.0, des.0, "closed_loop ignored the selection");
+        assert_ne!(fluid.1, des.1, "measure ignored the selection");
+        // And the DES a `false` row gets is the builder's own default.
+        let default = Experiment::builder()
+            .app(&app)
+            .policy(HoldPolicy::new(app.generous_alloc.clone(), app.slo_ms))
+            .config(row_ctx(&dir, false, BackendSel::Sim).harness_cfg(7))
+            .rps(150.0)
+            .iters(2)
+            .run();
+        let default: Vec<u64> = default.log.iter().map(|l| l.p95_ms.to_bits()).collect();
+        assert_eq!(des.0, default);
+    }
+
+    /// `Replicates` against a hand fold of two synthetic runs, one of
+    /// them empty.
+    #[test]
+    fn replicates_fold_matches_a_hand_fold() {
+        let interval = |total_cpu: f64, violated: bool, interval_s: f64| IterationLog {
+            iter: 0,
+            time_s: 0.0,
+            rps: 100.0,
+            total_cpu,
+            p95_ms: 10.0,
+            mean_ms: 5.0,
+            violated,
+            action: "hold".into(),
+            alloc: vec![total_cpu],
+            pema_id: 0,
+            interval_s,
+        };
+        let run = |log: Vec<IterationLog>| RunResult {
+            log,
+            final_alloc: Allocation::new(vec![1.0]),
+            slo_ms: 50.0,
+        };
+        let full = run(vec![
+            interval(8.0, false, 40.0),
+            interval(6.0, true, 12.5),
+            interval(4.0, false, 40.0),
+            interval(3.0, true, 40.0),
+        ]);
+        let mut folded = Replicates::default();
+        folded.push(&full, 2);
+        folded.push(&run(Vec::new()), 2);
+        // Settled totals: (4 + 3) / 2 = 3.5, and 0 for the empty run.
+        assert_eq!(
+            folded,
+            Replicates {
+                runs: 2,
+                total_sum: 3.5,
+                worst_total: 3.5,
+                violations: 2,
+                intervals: 4,
+                violating_s: 52.5,
+            }
+        );
+        assert_eq!(folded.mean_total(), 1.75);
+        assert_eq!(folded.violation_pct(), 50.0);
+
+        // `replicate` is that fold over `iters(reps)` runs (2 in smoke).
+        let ctx = test_ctx(&std::env::temp_dir().join("pema-bench-ctx-reps"));
+        let mut seen = Vec::new();
+        let via_ctx = ctx.replicate(5, 2, |rep| {
+            seen.push(rep);
+            Ok(if rep == 0 {
+                full.clone()
+            } else {
+                run(Vec::new())
+            })
+        });
+        assert_eq!(seen, [0, 1]);
+        assert_eq!(via_ctx.unwrap(), folded);
     }
 
     #[test]

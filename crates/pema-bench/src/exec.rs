@@ -15,23 +15,23 @@
 use crate::ctx::{default_results_dir, ExperimentCtx};
 use crate::optm::OptmCache;
 use crate::registry::{registry, Scenario};
+use pema::prelude::*;
 use std::collections::VecDeque;
 use std::io;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Which [`ClusterBackend`](pema::prelude::ClusterBackend) closed-loop
+/// Which [`ClusterBackend`] closed-loop
 /// scenario runs are driven against (the `--backend` flag). The DES
 /// default is authoritative — goldens and paper numbers come from it;
 /// the alternatives exist for instant suite iteration (`fluid`) and
 /// for replaying recorded history (`trace:<path>`).
 ///
-/// Scenarios opt in through
-/// [`ExperimentCtx::loop_backend`](crate::ExperimentCtx::loop_backend);
-/// scenarios with backend-specific semantics (e.g. `cluster_scale`'s
-/// explicit fluid sweep, `trace_replay`'s DES recording) ignore the
-/// selection and say so in their docs.
+/// The selection reaches the scenarios whose registry row says
+/// `backend_matrix: true`; the context of any other row (e.g.
+/// `cluster_scale`'s explicit fluid sweep, `trace_replay`'s DES
+/// recording) is built on the DES whatever the flag says.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum BackendSel {
     /// The discrete-event simulator (default, full fidelity).
@@ -67,6 +67,63 @@ impl BackendSel {
             Self::Sim => "sim".to_string(),
             Self::Fluid => "fluid".to_string(),
             Self::Trace(p) => format!("trace:{}", p.display()),
+        }
+    }
+
+    /// Builds the selected backend for a closed-loop run of `app` —
+    /// the one place a selection becomes a backend. The DES is seeded
+    /// as [`UseSim`] seeds it ([`SimBackend::new`] with the harness
+    /// seed), so `sim` is byte-identical to leaving the builder's
+    /// backend slot alone. A `trace:<path>` tape is read leniently
+    /// into `tape` on first use (a caller that builds several backends
+    /// keeps the slot and reads the file once), replays cycling (runs
+    /// often outlast it), and must have been recorded from `app`.
+    pub fn backend(
+        &self,
+        app: &AppSpec,
+        seed: u64,
+        tape: &mut Option<Trace>,
+    ) -> io::Result<Box<dyn ClusterBackend + Send>> {
+        let path = match self {
+            Self::Sim => return Ok(Box::new(SimBackend::new(app, seed))),
+            Self::Fluid => return Ok(Box::new(FluidBackend::new(app))),
+            Self::Trace(path) => path,
+        };
+        let trace = match tape {
+            Some(trace) => trace,
+            None => tape.insert(Trace::read_file(path, ReadMode::Lenient)?),
+        };
+        if trace.meta.app != app.name || trace.n_services() != app.n_services() {
+            return Err(io::Error::other(format!(
+                "trace {} was recorded from '{}' ({} services), scenario needs '{}' ({})",
+                path.display(),
+                trace.meta.app,
+                trace.n_services(),
+                app.name,
+                app.n_services()
+            )));
+        }
+        Ok(Box::new(TraceBackend::cycling(trace.clone())))
+    }
+
+    /// The one-shot counterpart of [`backend`](Self::backend): what
+    /// measures a single fresh window of an arbitrary allocation. The
+    /// fluid model under `fluid`, a single-replication DES window
+    /// otherwise (a tape cannot answer for an allocation it never saw).
+    pub(crate) fn evaluator(
+        &self,
+        app: &AppSpec,
+        seed: u64,
+        warmup_s: f64,
+        window_s: f64,
+    ) -> Box<dyn Evaluator> {
+        match self {
+            Self::Fluid => {
+                let mut eval = FluidEvaluator::new(app);
+                eval.window_s = window_s;
+                Box::new(eval)
+            }
+            _ => Box::new(SimEvaluator::new(app, seed).with_window(warmup_s, window_s)),
         }
     }
 }
@@ -138,23 +195,22 @@ impl ScenarioReport {
 
 /// Resolves `cfg.only` against the registry, preserving suite order.
 /// Unknown ids are an error (listing the known ones).
-fn resolve(cfg: &SuiteConfig) -> io::Result<Vec<&'static dyn Scenario>> {
+fn resolve(cfg: &SuiteConfig) -> io::Result<Vec<&'static Scenario>> {
     let all = registry();
     let Some(only) = &cfg.only else {
-        return Ok(all.to_vec());
+        return Ok(all.iter().collect());
     };
     for id in only {
-        if !all.iter().any(|s| s.id() == id) {
+        if !all.iter().any(|s| s.id == id) {
             return Err(io::Error::other(format!(
                 "unknown scenario '{id}' (known: {})",
-                all.iter().map(|s| s.id()).collect::<Vec<_>>().join(", ")
+                all.iter().map(|s| s.id).collect::<Vec<_>>().join(", ")
             )));
         }
     }
     Ok(all
         .iter()
-        .copied()
-        .filter(|s| only.iter().any(|id| id == s.id()))
+        .filter(|s| only.iter().any(|id| id == s.id))
         .collect())
 }
 
@@ -165,10 +221,9 @@ pub fn run_suite(cfg: &SuiteConfig) -> io::Result<Vec<ScenarioReport>> {
     let selected = resolve(cfg)?;
     let results_dir = cfg.results_dir.clone().unwrap_or_else(default_results_dir);
     let optm = Arc::new(OptmCache::new(results_dir.clone(), cfg.smoke));
-    let jobs = pema::prelude::resolve_threads(cfg.jobs).min(selected.len().max(1));
+    let jobs = resolve_threads(cfg.jobs).min(selected.len().max(1));
 
-    let queue: Mutex<VecDeque<&'static dyn Scenario>> =
-        Mutex::new(selected.iter().copied().collect());
+    let queue: Mutex<VecDeque<&'static Scenario>> = Mutex::new(selected.iter().copied().collect());
     let reports: Mutex<Vec<ScenarioReport>> = Mutex::new(Vec::with_capacity(selected.len()));
     let stdout = Mutex::new(());
 
@@ -187,21 +242,21 @@ pub fn run_suite(cfg: &SuiteConfig) -> io::Result<Vec<ScenarioReport>> {
 
     // Workers finish out of order; restore suite order for reporting.
     let mut reports = reports.into_inner().expect("executor lock poisoned");
-    reports.sort_by_key(|r| selected.iter().position(|s| s.id() == r.id));
+    reports.sort_by_key(|r| selected.iter().position(|s| s.id == r.id));
     Ok(reports)
 }
 
 fn run_one(
-    scenario: &'static dyn Scenario,
+    scenario: &'static Scenario,
     cfg: &SuiteConfig,
     results_dir: &std::path::Path,
     optm: &Arc<OptmCache>,
     stdout: &Mutex<()>,
 ) -> ScenarioReport {
-    let id = scenario.id();
+    let id = scenario.id;
     if !cfg.force
         && scenario
-            .outputs()
+            .outputs
             .iter()
             .all(|name| results_dir.join(format!("{name}.csv")).exists())
     {
@@ -215,7 +270,7 @@ fn run_one(
     }
 
     let mut ctx = ExperimentCtx::new(
-        id,
+        scenario,
         cfg.smoke,
         results_dir.to_path_buf(),
         Arc::clone(optm),
@@ -223,7 +278,8 @@ fn run_one(
         cfg.fleet_threads,
     );
     let t0 = Instant::now();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| scenario.run(&mut ctx)));
+    let result =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (scenario.run)(&mut ctx)));
     let wall = t0.elapsed();
     let outcome = match result {
         Ok(Ok(())) => Outcome::Completed,

@@ -17,7 +17,7 @@
 use pema::prelude::*;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -138,17 +138,19 @@ impl OptmCache {
             )
         })?;
         let path = self.cache_path();
-        let mut content = std::fs::read_to_string(&path).unwrap_or_default();
         let alloc_s: Vec<String> = c.alloc.0.iter().map(|v| format!("{v:.4}")).collect();
-        let _ = writeln!(
-            content,
-            "{app},{rps},{:.4},{:.3},{}",
+        let line = format!(
+            "{app},{rps},{:.4},{:.3},{}\n",
             c.total,
             c.p95_ms,
             alloc_s.join(";")
         );
-        std::fs::write(&path, content)
-            .map_err(|e| io::Error::new(e.kind(), format!("write {}: {e}", path.display())))
+        std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)
+            .and_then(|mut file| file.write_all(line.as_bytes()))
+            .map_err(|e| io::Error::new(e.kind(), format!("append to {}: {e}", path.display())))
     }
 
     /// Returns the optimum for `(app, rps)`, computing it at most once
@@ -255,18 +257,29 @@ mod tests {
     fn full_mode_roundtrips_through_disk() {
         let dir = toy_dir("pema-optm-disk");
         let app = pema_apps::toy_chain();
-        // Seed the disk cache with a canonical-format entry.
+        // Seed the disk cache with two canonical-format entries: each
+        // persist appends its one line and leaves the other alone.
         {
             let cache = OptmCache::new(dir.clone(), false);
             let value = CachedOptimum::canonical(&Allocation::new(vec![1.23456, 2.0]), 42.1234);
             cache.persist("toy-chain", 150.0, &value).unwrap();
+            let value = CachedOptimum::canonical(&Allocation::new(vec![0.5, 0.75]), 17.0);
+            cache.persist("toy-chain", 90.0, &value).unwrap();
+            let file = std::fs::read_to_string(cache.cache_path()).unwrap();
+            assert_eq!(
+                file,
+                "toy-chain,150,3.2346,42.123,1.2346;2.0000\n\
+                 toy-chain,90,1.2500,17.000,0.5000;0.7500\n"
+            );
         }
-        // A fresh cache must serve it without computing.
+        // A fresh cache must serve both without computing.
         let cache = OptmCache::new(dir, false);
         let mut log = String::new();
         let got = cache.optimum(&app, 150.0, &mut log).unwrap();
         assert_eq!(got.alloc.0, vec![1.2346, 2.0]);
         assert_eq!(got.p95_ms, 42.123);
+        let got = cache.optimum(&app, 90.0, &mut log).unwrap();
+        assert_eq!(got.alloc.0, vec![0.5, 0.75]);
         assert!(
             !log.contains("computing"),
             "disk hit must not recompute: {log}"

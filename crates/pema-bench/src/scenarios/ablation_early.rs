@@ -16,17 +16,10 @@ use crate::ExperimentCtx;
 use pema::prelude::*;
 use std::io;
 
-crate::declare_scenario!(
-    AblationEarly,
-    id: "ablation_early",
-    about: "extension: 10-second early violation checks vs full-interval monitoring",
-);
-
-fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
+pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let app = pema_apps::sockshop();
     let rps = 700.0;
     let iters = ctx.iters(50);
-    let reps = ctx.iters(3) as u64;
     let check_s = if ctx.smoke() { 2.0 } else { 10.0 };
     let opt = ctx.optimum_cached(&app, rps)?;
     let mut rows = Vec::new();
@@ -35,31 +28,19 @@ fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
         ("interval (paper)", None),
         ("10 s early check", Some(check_s)),
     ] {
-        let mut viol_time = 0.0;
-        let mut viols = 0;
-        let mut totals = Vec::new();
-        for rep in 0..reps {
+        let runs = ctx.replicate(3, 10, |rep| {
             let mut params = PemaParams::defaults(app.slo_ms);
             // Slightly aggressive so violations actually occur.
             params.alpha = 0.3;
             params.seed = 0xEA7 + rep * 17;
-            let mut runner = Experiment::builder()
-                .app(&app)
-                .policy(Pema(params))
-                .config(ctx.harness_cfg(0xEC + rep))
-                .build();
+            let mut run = ctx.closed_loop(&app, 0xEC + rep)?.policy(Pema(params));
             if let Some(s) = early {
-                runner = runner.with_early_check(s);
+                run = run.early_check(s);
             }
-            for _ in 0..iters {
-                runner.step_once(rps);
-            }
-            let result = runner.into_result();
-            viol_time += result.violating_time_s();
-            viols += result.violations();
-            totals.push(result.settled_total(10));
-        }
-        let avg_total = totals.iter().sum::<f64>() / totals.len() as f64;
+            Ok(run.rps(rps).iters(iters).run())
+        })?;
+        let (viols, viol_time) = (runs.violations, runs.violating_s);
+        let avg_total = runs.mean_total();
         rows.push(format!(
             "{label},{viols},{viol_time:.1},{:.3}",
             avg_total / opt.total

@@ -10,17 +10,10 @@ use crate::ExperimentCtx;
 use pema::prelude::*;
 use std::io;
 
-crate::declare_scenario!(
-    AblationExplore,
-    id: "ablation_explore",
-    about: "ablation: exploration off/low/high (Eqn. 8)",
-);
-
-fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
+pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let app = pema_apps::sockshop();
     let rps = 700.0;
     let iters = ctx.iters(60);
-    let reps = ctx.iters(4) as u64;
     let opt = ctx.optimum_cached(&app, rps)?;
     let mut rows = Vec::new();
     let mut tbl = Vec::new();
@@ -29,25 +22,15 @@ fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
         ("low", 0.05, 0.005),
         ("high", 0.10, 0.01),
     ] {
-        let mut totals = Vec::new();
-        let mut worst: f64 = 0.0;
-        for rep in 0..reps {
+        let runs = ctx.replicate(4, 10, |rep| {
             let mut params = PemaParams::defaults(app.slo_ms);
             params.explore_a = a;
             params.explore_b = b;
             params.seed = 0xAB2 + rep * 31;
-            let result = Experiment::builder()
-                .app(&app)
-                .policy(Pema(params))
-                .config(ctx.harness_cfg(0xE0 + rep))
-                .rps(rps)
-                .iters(iters)
-                .run();
-            let t = result.settled_total(10);
-            totals.push(t);
-            worst = worst.max(t);
-        }
-        let avg = totals.iter().sum::<f64>() / totals.len() as f64;
+            let run = ctx.closed_loop(&app, 0xE0 + rep)?.policy(Pema(params));
+            Ok(run.rps(rps).iters(iters).run())
+        })?;
+        let (avg, worst) = (runs.mean_total(), runs.worst_total);
         rows.push(format!(
             "{label},{a},{b},{:.3},{:.3}",
             avg / opt.total,

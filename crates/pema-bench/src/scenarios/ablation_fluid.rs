@@ -10,12 +10,6 @@ use crate::ExperimentCtx;
 use pema::prelude::*;
 use std::io;
 
-crate::declare_scenario!(
-    AblationFluid,
-    id: "ablation_fluid",
-    about: "ablation: fluid vs DES evaluator fidelity and speedup",
-);
-
 fn spearman(xs: &[f64], ys: &[f64]) -> f64 {
     fn ranks(v: &[f64]) -> Vec<f64> {
         let mut idx: Vec<usize> = (0..v.len()).collect();
@@ -33,7 +27,7 @@ fn spearman(xs: &[f64], ys: &[f64]) -> f64 {
     1.0 - 6.0 * d2 / (n * (n * n - 1.0))
 }
 
-fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
+pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let mut tbl = Vec::new();
     let mut rows = Vec::new();
     let full_scales = [1.0, 0.8, 0.65, 0.55, 0.48, 0.42, 0.37, 0.33];

@@ -9,41 +9,23 @@ use crate::ExperimentCtx;
 use pema::prelude::*;
 use std::io;
 
-crate::declare_scenario!(
-    AblationMa,
-    id: "ablation_ma",
-    about: "ablation: moving-average window K for reduction sizing",
-);
-
-fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
+pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let app = pema_apps::sockshop();
     let rps = 700.0;
     let iters = ctx.iters(50);
-    let reps = ctx.iters(3) as u64;
     let opt = ctx.optimum_cached(&app, rps)?;
     let mut rows = Vec::new();
     let mut tbl = Vec::new();
     for k in [1usize, 3, 5, 9] {
-        let mut viols = 0usize;
-        let mut n = 0usize;
-        let mut totals = Vec::new();
-        for rep in 0..reps {
+        let runs = ctx.replicate(3, 10, |rep| {
             let mut params = PemaParams::defaults(app.slo_ms);
             params.ma_window = k;
             params.seed = 0xAB1 + rep * 7;
-            let result = Experiment::builder()
-                .app(&app)
-                .policy(Pema(params))
-                .config(ctx.harness_cfg(0xAB + rep))
-                .rps(rps)
-                .iters(iters)
-                .run();
-            viols += result.violations();
-            n += result.log.len();
-            totals.push(result.settled_total(10));
-        }
-        let avg_total = totals.iter().sum::<f64>() / totals.len() as f64;
-        let viol_pct = viols as f64 / n as f64 * 100.0;
+            let run = ctx.closed_loop(&app, 0xAB + rep)?.policy(Pema(params));
+            Ok(run.rps(rps).iters(iters).run())
+        })?;
+        let avg_total = runs.mean_total();
+        let viol_pct = runs.violation_pct();
         rows.push(format!("{k},{:.3},{viol_pct:.2}", avg_total / opt.total));
         tbl.push(vec![
             format!("{k}"),

@@ -12,49 +12,27 @@ use crate::ExperimentCtx;
 use pema::prelude::*;
 use std::io;
 
-crate::declare_scenario!(
-    AblationThresholds,
-    id: "ablation_thresholds",
-    about: "ablation: adaptive vs frozen bottleneck thresholds (Eqns. 6/7)",
-);
-
-fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
+pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let app = pema_apps::sockshop();
     let rps = 700.0;
     let iters = ctx.iters(50);
-    let reps = ctx.iters(3) as u64;
     let opt = ctx.optimum_cached(&app, rps)?;
     let mut rows = Vec::new();
     let mut tbl = Vec::new();
     for (label, freeze) in [("adaptive", false), ("frozen", true)] {
-        let mut totals = Vec::new();
-        let mut viols = 0;
-        let mut n = 0;
-        for rep in 0..reps {
+        let runs = ctx.replicate(3, 10, |rep| {
             let mut params = PemaParams::defaults(app.slo_ms);
             params.freeze_thresholds = freeze;
             params.seed = 0xAB3 + rep * 13;
-            let result = Experiment::builder()
-                .app(&app)
-                .policy(Pema(params))
-                .config(ctx.harness_cfg(0x7E + rep))
-                .rps(rps)
-                .iters(iters)
-                .run();
-            totals.push(result.settled_total(10));
-            viols += result.violations();
-            n += result.log.len();
-        }
-        let avg = totals.iter().sum::<f64>() / totals.len() as f64;
-        rows.push(format!(
-            "{label},{:.3},{:.2}",
-            avg / opt.total,
-            viols as f64 / n as f64 * 100.0
-        ));
+            let run = ctx.closed_loop(&app, 0x7E + rep)?.policy(Pema(params));
+            Ok(run.rps(rps).iters(iters).run())
+        })?;
+        let (norm, viol_pct) = (runs.mean_total() / opt.total, runs.violation_pct());
+        rows.push(format!("{label},{norm:.3},{viol_pct:.2}"));
         tbl.push(vec![
             label.to_string(),
-            format!("{:.2}", avg / opt.total),
-            format!("{:.1}%", viols as f64 / n as f64 * 100.0),
+            format!("{norm:.2}"),
+            format!("{viol_pct:.1}%"),
         ]);
     }
     ctx.print_table(

@@ -25,13 +25,7 @@ use crate::ExperimentCtx;
 use pema::prelude::*;
 use std::io;
 
-crate::declare_scenario!(
-    ClusterScale,
-    id: "cluster_scale",
-    about: "120-service PEMA workload sweep vs fluid OPTM (fluid backend)",
-);
-
-fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
+pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let app = pema_apps::cluster_scale(24); // 120 services
     let generous: f64 = app.generous_alloc.iter().sum();
     // `cluster_scale` is sized for roughly 40 rps per replica chain

@@ -7,18 +7,16 @@
 //! paper reports up to 43.9% (TrainTicket), 91.3% (SockShop) and
 //! 256.2% (HotelReservation) latency increase from redistribution
 //! alone.
+//!
+//! Participates in the backend matrix: every window comes from
+//! `ctx.measure`, which `--backend fluid` moves onto the analytic
+//! model.
 
 use crate::{paper_apps, ExperimentCtx};
 use pema::prelude::*;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::io;
-
-crate::declare_scenario!(
-    Fig05,
-    id: "fig05",
-    about: "good vs bad resource distribution at equal totals (3 apps x 3 workloads)",
-);
 
 /// Randomly redistributes the total of `alloc` across services while
 /// preserving the sum: repeatedly moves a random fraction of a random
@@ -42,7 +40,7 @@ fn redistribute(alloc: &Allocation, rng: &mut SmallRng) -> Allocation {
     Allocation::new(v)
 }
 
-fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
+pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let mut rows_csv = Vec::new();
     let mut rows_tbl = Vec::new();
     for (app, workloads, _) in paper_apps() {

@@ -5,19 +5,16 @@
 //! has *no readily identifiable marker* — the starved services'
 //! utilizations remain below the front-end's, so no utilization rule
 //! can fix the distribution.
+//!
+//! Participates in the backend matrix through `ctx.measure`
+//! (`--backend fluid` measures both windows on the analytic model).
 
 use crate::ExperimentCtx;
 use pema::prelude::*;
 use rand::Rng;
 use std::io;
 
-crate::declare_scenario!(
-    Fig06,
-    id: "fig06",
-    about: "SockShop good vs bad per-service allocation/utilization at one total",
-);
-
-fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
+pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let app = pema_apps::sockshop();
     let rps = 550.0;
     let opt = ctx.optimum_cached(&app, rps)?;

@@ -9,20 +9,16 @@
 //! (b) Example monotonic reduction trajectories: response (normalized
 //!     to SLO) as total resource (normalized to optimum) shrinks toward
 //!     (1, 1).
+//!
+//! Participates in the backend matrix through `ctx.measure`
+//! (`--backend fluid` measures every window on the analytic model).
 
 use crate::{paper_apps, ExperimentCtx};
 use pema::prelude::*;
 use rand::Rng;
 use std::io;
 
-crate::declare_scenario!(
-    Fig07,
-    id: "fig07",
-    about: "monotonic-reduction evidence: latency-change CDF + reduction trajectories",
-    outputs: ["fig07a", "fig07b"],
-);
-
-fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
+pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     // ---- (a) CDF of latency change under monotonic reduction ----
     let trials = ctx.iters(60);
     let mut cdf_rows = Vec::new();

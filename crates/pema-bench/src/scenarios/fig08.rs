@@ -16,13 +16,7 @@ use crate::ExperimentCtx;
 use pema::prelude::*;
 use std::io;
 
-crate::declare_scenario!(
-    Fig08,
-    id: "fig08",
-    about: "bottleneck signatures: utilization vs throttling sweeps (TrainTicket)",
-);
-
-fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
+pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let app = pema_apps::trainticket();
     let rps = 225.0;
     let services = ["seat", "basic", "ticketinfo"];

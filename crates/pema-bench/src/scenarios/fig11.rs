@@ -6,22 +6,15 @@
 //! dashed optimum here is the cached OPTM result), with exploration
 //! occasionally jumping back to older allocations.
 //!
-//! Participates in the backend matrix: the closed-loop runs go
-//! through `ctx.loop_backend`, so `--backend fluid` (or
-//! `trace:<path>`) swaps the execution environment.
+//! Participates in the backend matrix: the closed-loop runs come from
+//! `ctx.closed_loop`, so `--backend fluid` (or `trace:<path>`) swaps
+//! the execution environment.
 
 use crate::ExperimentCtx;
 use pema::prelude::*;
 use std::io;
 
-crate::declare_scenario!(
-    Fig11,
-    id: "fig11",
-    about: "PEMA iterative execution on SockShop, high vs low exploration",
-    backend_matrix: true,
-);
-
-fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
+pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let app = pema_apps::sockshop();
     let rps = 700.0;
     let iters = ctx.iters(70);
@@ -35,12 +28,9 @@ fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     ] {
         let mut p = params;
         p.seed = 0xF111;
-        let cfg = ctx.harness_cfg(0x11);
-        let result = Experiment::builder()
-            .app(&app)
+        let result = ctx
+            .closed_loop(&app, 0x11)?
             .policy(Pema(p))
-            .backend(ctx.loop_backend(&app, &cfg)?)
-            .config(cfg)
             .rps(rps)
             .iters(iters)
             .run();

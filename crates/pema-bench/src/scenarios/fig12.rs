@@ -4,20 +4,13 @@
 //! unintentional SLO violations.
 //!
 //! Participates in the backend matrix (`--backend`, via
-//! `ctx.loop_backend`).
+//! `ctx.closed_loop`).
 
 use crate::ExperimentCtx;
 use pema::prelude::*;
 use std::io;
 
-crate::declare_scenario!(
-    Fig12,
-    id: "fig12",
-    about: "PEMA iterative execution on TrainTicket and HotelReservation",
-    backend_matrix: true,
-);
-
-fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
+pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let mut rows = Vec::new();
     let mut summary = Vec::new();
     for (app, rps, iters) in [
@@ -27,12 +20,9 @@ fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
         let opt = ctx.optimum_cached(&app, rps)?;
         let mut params = PemaParams::defaults(app.slo_ms);
         params.seed = 0xF112;
-        let cfg = ctx.harness_cfg(0x12);
-        let result = Experiment::builder()
-            .app(&app)
+        let result = ctx
+            .closed_loop(&app, 0x12)?
             .policy(Pema(params))
-            .backend(ctx.loop_backend(&app, &cfg)?)
-            .config(cfg)
             .rps(rps)
             .iters(iters)
             .run();

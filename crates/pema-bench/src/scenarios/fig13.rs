@@ -7,22 +7,15 @@
 //! Output: per-iteration total CPU, response, and the owning range /
 //! PEMA process id.
 //!
-//! Participates in the backend matrix: the closed-loop run goes
-//! through `ctx.loop_backend`, so `--backend fluid` (or
-//! `trace:<path>`) swaps the execution environment.
+//! Participates in the backend matrix: the closed-loop run comes from
+//! `ctx.closed_loop`, so `--backend fluid` (or `trace:<path>`) swaps
+//! the execution environment.
 
 use crate::ExperimentCtx;
 use pema::prelude::*;
 use std::io;
 
-crate::declare_scenario!(
-    Fig13,
-    id: "fig13",
-    about: "dynamic workload-range splitting on TrainTicket (200-300 rps)",
-    backend_matrix: true,
-);
-
-fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
+pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let app = pema_apps::trainticket();
     let mut params = PemaParams::defaults(app.slo_ms);
     params.seed = 0xF113;
@@ -38,12 +31,9 @@ fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
         250.0 + 50.0 * (phase.sin() * 0.9 + (2.3 * phase).sin() * 0.1)
     };
 
-    let cfg = ctx.harness_cfg(0x13);
-    let mut runner = Experiment::builder()
-        .app(&app)
+    let mut runner = ctx
+        .closed_loop(&app, 0x13)?
         .policy(Managed(params, range_cfg))
-        .backend(ctx.loop_backend(&app, &cfg)?)
-        .config(cfg)
         .build();
     let mut rows = Vec::new();
     let mut splits = Vec::new();

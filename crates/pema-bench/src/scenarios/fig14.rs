@@ -7,21 +7,14 @@
 //! faster in simulation). Reports workload, total CPU, and response
 //! (instantaneous + 5-interval moving average) per interval, plus
 //! violation statistics. Participates in the backend matrix via
-//! `ctx.loop_backend`.
+//! `ctx.closed_loop`.
 
 use crate::ExperimentCtx;
 use pema::prelude::*;
 use pema_metrics::MovingAvg;
 use std::io;
 
-crate::declare_scenario!(
-    Fig14,
-    id: "fig14",
-    about: "36-hour diurnal execution on SockShop (workload-aware manager)",
-    backend_matrix: true,
-);
-
-fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
+pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let app = pema_apps::sockshop();
     let trace = wikipedia_like_trace(200.0, 1100.0, 120.0, 0.03);
     let mut params = PemaParams::defaults(app.slo_ms);
@@ -40,19 +33,15 @@ fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     // Full-fidelity control interval: the paper's two minutes. Shorter
     // windows flag brief burst episodes as violations that a 2-minute
     // p95 dilutes.
-    let mut cfg = ctx.harness_cfg(0x14);
+    let mut run = ctx
+        .closed_loop(&app, 0x14)?
+        .policy(Managed(params, range_cfg));
     if !ctx.smoke() {
-        cfg.interval_s = 120.0;
-        cfg.warmup_s = 4.0;
+        run = run.interval_s(120.0).warmup_s(4.0);
     }
 
     let intervals = ctx.iters(1080); // 36 h at 2-minute intervals
-    let mut runner = Experiment::builder()
-        .app(&app)
-        .policy(Managed(params, range_cfg))
-        .backend(ctx.loop_backend(&app, &cfg)?)
-        .config(cfg)
-        .build();
+    let mut runner = run.build();
     let mut ma = MovingAvg::new(5);
     let mut rows = Vec::new();
     let t0 = std::time::Instant::now();

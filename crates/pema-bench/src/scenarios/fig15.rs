@@ -8,7 +8,7 @@
 //! times … and show the average").
 //!
 //! Participates in the backend matrix (`--backend`, via
-//! `ctx.loop_backend`) — note the OPTM reference stays DES-cached, so
+//! `ctx.closed_loop`) — note the OPTM reference stays DES-cached, so
 //! under `--backend fluid` the normalized columns mix models and only
 //! the PEMA-vs-RULE comparison is internally consistent.
 
@@ -16,15 +16,7 @@ use crate::{paper_apps, ExperimentCtx};
 use pema::prelude::*;
 use std::io;
 
-crate::declare_scenario!(
-    Fig15,
-    id: "fig15",
-    about: "efficiency comparison PEMA vs OPTM vs RULE (3 apps x 3 workloads)",
-    backend_matrix: true,
-);
-
-fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
-    let repeats = ctx.iters(3).max(1);
+pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let iters = ctx.iters(70);
     let mut rows = Vec::new();
     let mut tbl = Vec::new();
@@ -33,34 +25,18 @@ fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
             let opt = ctx.optimum_cached(&app, rps)?;
 
             // PEMA: average settled allocation over independent runs.
-            let mut pema_totals = Vec::new();
-            let mut pema_viol = 0usize;
-            let mut pema_n = 0usize;
-            for rep in 0..repeats {
+            let pema = ctx.replicate(3, 10, |rep| {
                 let mut params = PemaParams::defaults(app.slo_ms);
-                params.seed = 0xF115 + rep as u64 * 101;
-                let cfg = ctx.harness_cfg(0x15 + rep as u64);
-                let result = Experiment::builder()
-                    .app(&app)
-                    .policy(Pema(params))
-                    .backend(ctx.loop_backend(&app, &cfg)?)
-                    .config(cfg)
-                    .rps(rps)
-                    .iters(iters)
-                    .run();
-                pema_totals.push(result.settled_total(10));
-                pema_viol += result.violations();
-                pema_n += result.log.len();
-            }
-            let pema_avg = pema_totals.iter().sum::<f64>() / pema_totals.len() as f64;
+                params.seed = 0xF115 + rep * 101;
+                let run = ctx.closed_loop(&app, 0x15 + rep)?.policy(Pema(params));
+                Ok(run.rps(rps).iters(iters).run())
+            })?;
+            let pema_avg = pema.mean_total();
 
             // RULE: converges in a few windows; settled over the tail.
-            let rule_cfg = ctx.harness_cfg(0x5115);
-            let rule = Experiment::builder()
-                .app(&app)
+            let rule = ctx
+                .closed_loop(&app, 0x5115)?
                 .policy(Rule)
-                .backend(ctx.loop_backend(&app, &rule_cfg)?)
-                .config(rule_cfg)
                 .rps(rps)
                 .iters(ctx.iters(12))
                 .run();
@@ -80,7 +56,7 @@ fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
                 format!("{pema_n_norm:.2}"),
                 format!("{rule_norm:.2}"),
                 format!("{savings:.0}%"),
-                format!("{:.1}%", pema_viol as f64 / pema_n as f64 * 100.0),
+                format!("{:.1}%", pema.violation_pct()),
             ]);
         }
     }

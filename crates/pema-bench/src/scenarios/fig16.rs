@@ -4,23 +4,34 @@
 //! ⇒ sub-optimal settling; large α ⇒ premature slow-down ⇒ also
 //! sub-optimal, but with few violations. The U-shape in resource and
 //! the downward slope in violations are the paper's findings.
-//! Participates in the backend matrix via `ctx.loop_backend`.
+//! Participates in the backend matrix via `ctx.closed_loop`.
 
 use crate::ExperimentCtx;
 use pema::prelude::*;
 use std::io;
 
-crate::declare_scenario!(
-    Fig16,
-    id: "fig16",
-    about: "alpha sensitivity sweep (reduction aggressiveness), beta = 0.3",
-    backend_matrix: true,
-);
+pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
+    let title = "Fig. 16: α sensitivity (β = 0.3)";
+    sweep(ctx, "fig16", 0x16, "alpha", title, |params, alpha| {
+        params.alpha = alpha;
+        params.beta = 0.3;
+    })
+}
 
-fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
-    let alphas = [0.1, 0.3, 0.5, 0.7, 0.9];
+/// The sensitivity protocol of Figs. 16 and 17: one knob swept over
+/// five values on TrainTicket and SockShop, two seeds a point (PEMA
+/// `0xF100 + seed`, harness `seed`, stepped per replicate), settled
+/// resource normalized to OPTM beside the violation share. `set` turns
+/// the default parameters into the point's.
+pub(crate) fn sweep(
+    ctx: &mut ExperimentCtx,
+    fig: &str,
+    seed: u64,
+    knob: &str,
+    title: &str,
+    set: fn(&mut PemaParams, f64),
+) -> io::Result<()> {
     let iters = ctx.iters(55);
-    let reps = ctx.iters(2) as u64;
     let mut rows = Vec::new();
     let mut tbl = Vec::new();
     for (app, rps) in [
@@ -28,47 +39,27 @@ fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
         (pema_apps::sockshop(), 700.0),
     ] {
         let opt = ctx.optimum_cached(&app, rps)?;
-        for &alpha in &alphas {
-            let mut norms = Vec::new();
-            let mut viols = 0usize;
-            let mut n = 0usize;
-            for rep in 0..reps {
+        for value in [0.1, 0.3, 0.5, 0.7, 0.9] {
+            let runs = ctx.replicate(2, 8, |rep| {
                 let mut params = PemaParams::defaults(app.slo_ms);
-                params.alpha = alpha;
-                params.beta = 0.3;
-                params.seed = 0xF116 + rep * 977;
-                let cfg = ctx.harness_cfg(0x16 + rep);
-                let result = Experiment::builder()
-                    .app(&app)
-                    .policy(Pema(params))
-                    .backend(ctx.loop_backend(&app, &cfg)?)
-                    .config(cfg)
-                    .rps(rps)
-                    .iters(iters)
-                    .run();
-                norms.push(result.settled_total(8) / opt.total);
-                viols += result.violations();
-                n += result.log.len();
-            }
-            let norm = norms.iter().sum::<f64>() / norms.len() as f64;
-            let viol = viols as f64 / n as f64 * 100.0;
-            rows.push(format!("{},{alpha},{norm:.3},{viol:.1}", app.name));
+                set(&mut params, value);
+                params.seed = 0xF100 + seed + rep * 977;
+                let run = ctx.closed_loop(&app, seed + rep)?.policy(Pema(params));
+                Ok(run.rps(rps).iters(iters).run())
+            })?;
+            let norm = runs.mean_total() / opt.total;
+            let viol = runs.violation_pct();
+            rows.push(format!("{},{value},{norm:.3},{viol:.1}", app.name));
             tbl.push(vec![
                 app.name.clone(),
-                format!("{alpha}"),
+                format!("{value}"),
                 format!("{norm:.2}"),
                 format!("{viol:.0}%"),
             ]);
         }
     }
-    ctx.print_table(
-        "Fig. 16: α sensitivity (β = 0.3)",
-        &["app", "alpha", "resource/OPTM", "SLO violations"],
-        &tbl,
-    );
-    ctx.write_csv(
-        "fig16",
-        "app,alpha,resource_norm_optm,violations_pct",
-        &rows,
-    )
+    let header = ["app", knob, "resource/OPTM", "SLO violations"];
+    ctx.print_table(title, &header, &tbl);
+    let header = format!("app,{knob},resource_norm_optm,violations_pct");
+    ctx.write_csv(fig, &header, &rows)
 }

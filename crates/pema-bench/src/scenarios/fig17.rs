@@ -2,67 +2,15 @@
 //!
 //! Large β ⇒ big per-step cuts ⇒ overshoot, violations, and rollbacks
 //! to inefficient allocations; small β ⇒ slow but safe descent.
-//! Participates in the backend matrix via `ctx.loop_backend`.
+//! Participates in the backend matrix via `ctx.closed_loop`.
 
 use crate::ExperimentCtx;
-use pema::prelude::*;
 use std::io;
 
-crate::declare_scenario!(
-    Fig17,
-    id: "fig17",
-    about: "beta sensitivity sweep (max per-step reduction), alpha = 0.5",
-    backend_matrix: true,
-);
-
-fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
-    let betas = [0.1, 0.3, 0.5, 0.7, 0.9];
-    let iters = ctx.iters(55);
-    let reps = ctx.iters(2) as u64;
-    let mut rows = Vec::new();
-    let mut tbl = Vec::new();
-    for (app, rps) in [
-        (pema_apps::trainticket(), 225.0),
-        (pema_apps::sockshop(), 700.0),
-    ] {
-        let opt = ctx.optimum_cached(&app, rps)?;
-        for &beta in &betas {
-            let mut norms = Vec::new();
-            let mut viols = 0usize;
-            let mut n = 0usize;
-            for rep in 0..reps {
-                let mut params = PemaParams::defaults(app.slo_ms);
-                params.alpha = 0.5;
-                params.beta = beta;
-                params.seed = 0xF117 + rep * 977;
-                let cfg = ctx.harness_cfg(0x17 + rep);
-                let result = Experiment::builder()
-                    .app(&app)
-                    .policy(Pema(params))
-                    .backend(ctx.loop_backend(&app, &cfg)?)
-                    .config(cfg)
-                    .rps(rps)
-                    .iters(iters)
-                    .run();
-                norms.push(result.settled_total(8) / opt.total);
-                viols += result.violations();
-                n += result.log.len();
-            }
-            let norm = norms.iter().sum::<f64>() / norms.len() as f64;
-            let viol = viols as f64 / n as f64 * 100.0;
-            rows.push(format!("{},{beta},{norm:.3},{viol:.1}", app.name));
-            tbl.push(vec![
-                app.name.clone(),
-                format!("{beta}"),
-                format!("{norm:.2}"),
-                format!("{viol:.0}%"),
-            ]);
-        }
-    }
-    ctx.print_table(
-        "Fig. 17: β sensitivity (α = 0.5)",
-        &["app", "beta", "resource/OPTM", "SLO violations"],
-        &tbl,
-    );
-    ctx.write_csv("fig17", "app,beta,resource_norm_optm,violations_pct", &rows)
+pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
+    let title = "Fig. 17: β sensitivity (α = 0.5)";
+    super::fig16::sweep(ctx, "fig17", 0x17, "beta", title, |params, beta| {
+        params.alpha = 0.5;
+        params.beta = beta;
+    })
 }

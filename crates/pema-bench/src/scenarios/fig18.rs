@@ -6,20 +6,13 @@
 //! bursts: 400 → ~750 rps and 400 → ~650 rps. PEMA switches the
 //! allocation to the burst's workload range at the next interval,
 //! keeping response below the SLO. Participates in the backend matrix
-//! via `ctx.loop_backend`.
+//! via `ctx.closed_loop`.
 
 use crate::ExperimentCtx;
 use pema::prelude::*;
 use std::io;
 
-crate::declare_scenario!(
-    Fig18,
-    id: "fig18",
-    about: "bursty-workload handling on SockShop (pre-emptive range switching)",
-    backend_matrix: true,
-);
-
-fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
+pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let app = pema_apps::sockshop();
     let mut params = PemaParams::defaults(app.slo_ms);
     params.seed = 0xF118;
@@ -29,17 +22,13 @@ fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
         split_after: 8,
         m_learn_steps: 5,
     };
-    let mut cfg = ctx.harness_cfg(0x18);
+    let mut run = ctx
+        .closed_loop(&app, 0x18)?
+        .policy(Managed(params, range_cfg));
     if !ctx.smoke() {
-        cfg.interval_s = 30.0;
+        run = run.interval_s(30.0);
     }
-
-    let mut runner = Experiment::builder()
-        .app(&app)
-        .policy(Managed(params, range_cfg))
-        .backend(ctx.loop_backend(&app, &cfg)?)
-        .config(cfg)
-        .build();
+    let mut runner = run.build();
 
     // Training phase: wander over the whole band until ranges mature.
     let train_iters = ctx.iters(140);

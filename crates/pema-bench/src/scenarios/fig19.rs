@@ -6,7 +6,7 @@
 //! exploits the speedup). Speed factors here: 1.0 → 0.89 → 1.11
 //! (= 1.6/1.8 and 2.0/1.8).
 //!
-//! Participates in the backend matrix via `ctx.loop_backend`; the
+//! Participates in the backend matrix via `ctx.closed_loop`; the
 //! mid-run clock changes go through the trait-level
 //! `ClusterBackend::set_speed`, which the DES and fluid backends model
 //! and a trace replay ignores (a tape cannot re-run the past on
@@ -16,25 +16,12 @@ use crate::ExperimentCtx;
 use pema::prelude::*;
 use std::io;
 
-crate::declare_scenario!(
-    Fig19,
-    id: "fig19",
-    about: "adaptability to CPU clock changes (1.8 -> 1.6 -> 2.0 GHz)",
-    backend_matrix: true,
-);
-
-fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
+pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let app = pema_apps::sockshop();
     let rps = 700.0;
     let mut params = PemaParams::defaults(app.slo_ms);
     params.seed = 0xF119;
-    let cfg = ctx.harness_cfg(0x19);
-    let mut runner = Experiment::builder()
-        .app(&app)
-        .policy(Pema(params))
-        .backend(ctx.loop_backend(&app, &cfg)?)
-        .config(cfg)
-        .build();
+    let mut runner = ctx.closed_loop(&app, 0x19)?.policy(Pema(params)).build();
 
     // Phase boundaries: clock change at s1 and s2 of n intervals.
     let (n, s1, s2) = if ctx.smoke() { (6, 2, 4) } else { (76, 32, 54) };

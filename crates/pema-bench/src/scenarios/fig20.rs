@@ -8,31 +8,18 @@
 //! swings: 250 ms → 120 ms → 400 ms. The claim under test is the
 //! paper's: PEMA re-navigates after an SLO change without retraining —
 //! tighter SLO ⇒ more resources, looser ⇒ fewer. Participates in the
-//! backend matrix via `ctx.loop_backend`.
+//! backend matrix via `ctx.closed_loop`.
 
 use crate::ExperimentCtx;
 use pema::prelude::*;
 use std::io;
 
-crate::declare_scenario!(
-    Fig20,
-    id: "fig20",
-    about: "adaptability to dynamic SLO changes (250 -> 120 -> 400 ms)",
-    backend_matrix: true,
-);
-
-fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
+pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let app = pema_apps::sockshop();
     let rps = 700.0;
     let mut params = PemaParams::defaults(250.0);
     params.seed = 0xF121;
-    let cfg = ctx.harness_cfg(0x20);
-    let mut runner = Experiment::builder()
-        .app(&app)
-        .policy(Pema(params))
-        .backend(ctx.loop_backend(&app, &cfg)?)
-        .config(cfg)
-        .build();
+    let mut runner = ctx.closed_loop(&app, 0x20)?.policy(Pema(params)).build();
 
     // Phase boundaries: SLO change at s1 and s2 of n intervals.
     let (n, s1, s2) = if ctx.smoke() {

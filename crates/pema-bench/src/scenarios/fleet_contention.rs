@@ -30,21 +30,14 @@
 //! * `fleet_contention_rounds.csv` — one row per member per
 //!   arbitration round: proposed vs granted, fleet demand vs grant.
 //!
-//! Ignores `--backend` by design (the arbitrated fleet is the
-//! experiment); `backend_matrix: false` and the registry participation
-//! test record that decision.
+//! `--backend` never reaches it (registry row `backend_matrix:
+//! false`): the arbitrated fleet is the experiment.
 
+use crate::fleet::member_load;
 use crate::ExperimentCtx;
 use pema::prelude::*;
 use std::io;
 use std::sync::{Arc, Mutex};
-
-crate::declare_scenario!(
-    FleetContention,
-    id: "fleet_contention",
-    about: "arbitrated fleet under contention: overcommit (aimd), noisy neighbor + priority flash crowd (fair)",
-    outputs: ["fleet_contention", "fleet_contention_rounds"],
-);
 
 /// Observer capturing every arbitration event one member sees.
 #[derive(Clone)]
@@ -197,18 +190,18 @@ fn check_invariants(run: &CaseRun) {
     }
 }
 
-fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
+pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let iters = ctx.iters(24);
     let templates = pema_apps::fleet_mix();
     let plan = |i: usize, name: String, priority: i32, weight: f64, floor: f64, rps_scale: f64| {
-        let (app, base_rps) = &templates[i % templates.len()];
+        let (app, rps) = member_load(&templates, i);
         MemberPlan {
             app: app.clone(),
             name,
             priority,
             weight,
             floor,
-            rps: pema_apps::fleet_rps(*base_rps, i, templates.len()) * rps_scale,
+            rps: rps * rps_scale,
         }
     };
 

@@ -18,27 +18,21 @@
 //!   order, never completion order — scheduling must not leak into the
 //!   bytes) plus a final `fleet` roll-up row.
 //!
-//! Ignores `--backend` by design (the fleet *is* the experiment, the
-//! fluid backend is its substrate); `backend_matrix: false` and the
-//! registry participation test record that decision.
+//! `--backend` never reaches it (registry row `backend_matrix:
+//! false`): the fleet *is* the experiment, the fluid backend its
+//! substrate.
 
+use crate::fleet::{fleet_member, member_load};
 use crate::ExperimentCtx;
 use pema::prelude::*;
 use std::io;
 use std::sync::{Arc, Mutex};
 
-crate::declare_scenario!(
-    FleetScale,
-    id: "fleet_scale",
-    about: "64-app concurrent fleet, one control process (mixed PEMA/RULE/HOLD, fluid)",
-    outputs: ["fleet_scale", "fleet_scale_apps"],
-);
-
-fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
+pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let n_apps = if ctx.smoke() { 8 } else { 64 };
     let iters = ctx.iters(40);
     let templates = pema_apps::fleet_mix();
-    let policy_names = ["pema", "rule", "hold"];
+    let timing = ctx.harness_cfg(0);
 
     // Per-app interval rows, indexed by member — the observers append
     // as the scheduler (possibly across shard threads) interleaves, but
@@ -50,21 +44,14 @@ fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let mut fleet = Fleet::new().threads(ctx.fleet_threads());
     let mut labels: Vec<(String, String, f64)> = Vec::new(); // (app, policy, rps)
     for i in 0..n_apps {
-        let (app, base_rps) = &templates[i % templates.len()];
-        let rps = pema_apps::fleet_rps(*base_rps, i, templates.len());
-        let policy = policy_names[i % policy_names.len()];
-        let cfg = ctx.harness_cfg(0xF1EE7 + i as u64);
-        let sink = Arc::clone(&interval_rows);
-        let app_name = app.name.clone();
-        let built = policy_by_name(policy, app, 0xF1EE7 ^ i as u64)
+        let (policy, rps, member) = fleet_member(&templates, i, "mixed", 0xF1EE7, |_, _| UseFluid)
             .expect("the mix names bundled policies");
-        let member = Experiment::builder()
-            .name(format!("{}-{i}", app.name))
-            .app(app)
-            .policy(built)
-            .backend(UseFluid)
-            .config(cfg)
-            .rps(rps)
+        let sink = Arc::clone(&interval_rows);
+        let app_name = member_load(&templates, i).0.name.clone();
+        labels.push((app_name.clone(), policy.to_string(), rps));
+        let member = member
+            .interval_s(timing.interval_s)
+            .warmup_s(timing.warmup_s)
             .iters(iters)
             .observer(move |log: &IterationLog, _stats: &WindowStats| {
                 sink.lock().unwrap()[i].push(format!(
@@ -73,7 +60,6 @@ fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
                 ));
             });
         fleet = fleet.member(member);
-        labels.push((app.name.clone(), policy.to_string(), rps));
     }
 
     let t0 = std::time::Instant::now();

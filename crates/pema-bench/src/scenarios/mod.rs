@@ -1,10 +1,10 @@
 //! The registered scenarios — one module per table/figure/ablation.
 //!
 //! Every module follows the same shape: a `run(ctx)` function with the
-//! experiment logic (no CSV/table/cache plumbing of its own — that all
-//! lives in [`ExperimentCtx`](crate::ExperimentCtx)) and a
-//! [`declare_scenario!`](crate::declare_scenario) invocation binding
-//! it into the registry.
+//! experiment logic — what the paper varies. CSV/table/cache plumbing,
+//! the backend choice and the seed-replicated fold all live in
+//! [`ExperimentCtx`](crate::ExperimentCtx); the module's row in
+//! [`registry`](mod@crate::registry) binds it into the suite.
 
 pub mod ablation_early;
 pub mod ablation_explore;

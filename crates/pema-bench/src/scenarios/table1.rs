@@ -12,14 +12,7 @@ use pema::pema_classifier::{
 };
 use std::io;
 
-crate::declare_scenario!(
-    Table1,
-    id: "table1",
-    about: "bottleneck classification accuracy (util + throttling features)",
-    outputs: ["table1", "table1_feature_study"],
-);
-
-fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
+pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let rows_spec: Vec<(&str, f64, Vec<&str>)> = vec![
         ("trainticket", 225.0, vec!["seat"]),
         ("trainticket", 225.0, vec!["seat", "ticketinfo"]),

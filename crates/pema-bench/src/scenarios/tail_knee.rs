@@ -21,12 +21,6 @@ use pema::prelude::*;
 use pema_sim::LEGACY_P95_FACTOR;
 use std::io;
 
-crate::declare_scenario!(
-    TailKnee,
-    id: "tail_knee",
-    about: "DES p95 knee sweep — fluid tail-model calibration fixture",
-);
-
 /// Allocation scales swept per app (multiples of the generous
 /// allocation), spanning light load down to just above saturation.
 const FULL_SCALES: [f64; 12] = [
@@ -204,7 +198,7 @@ pub fn probe(scales: &[f64], warmup_s: f64, window_s: f64) -> (Vec<String>, Vec<
 /// Reads one DES latency quantile (p95, p99 or max) off a probe point.
 type DesQuantile = fn(&KneePoint) -> f64;
 
-fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
+pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let scales: &[f64] = if ctx.smoke() {
         &SMOKE_SCALES
     } else {

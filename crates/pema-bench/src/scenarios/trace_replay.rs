@@ -26,7 +26,8 @@
 //! next to the CSV as `trace_replay.jsonl` (CI uploads it as an
 //! artifact).
 //!
-//! Always records from the DES regardless of `--backend` — the
+//! Always records from the DES: its registry row is
+//! `backend_matrix: false`, so `--backend` never reaches it — the
 //! recording *is* the scenario's subject, and DES goldens stay
 //! authoritative.
 
@@ -34,13 +35,7 @@ use crate::ExperimentCtx;
 use pema::prelude::*;
 use std::io;
 
-crate::declare_scenario!(
-    TraceReplay,
-    id: "trace_replay",
-    about: "record a DES PEMA run, replay under PEMA/RULE/HOLD (counterfactual CSV)",
-);
-
-fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
+pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let app = pema_apps::sockshop();
     let rps = 700.0;
     let iters = ctx.iters(30);
@@ -52,10 +47,8 @@ fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let recorder = TraceRecorder::new(&app, "pema", params.seed, &cfg);
     let handle = recorder.handle();
     let t0 = std::time::Instant::now();
-    Experiment::builder()
-        .app(&app)
+    ctx.closed_loop(&app, cfg.seed)?
         .policy(Pema(params.clone()))
-        .config(cfg)
         .rps(rps)
         .iters(iters)
         .observer(recorder)

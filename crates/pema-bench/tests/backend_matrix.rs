@@ -3,7 +3,7 @@
 //! scenarios while `--backend sim` stays byte-identical to the
 //! historical default (DES goldens remain authoritative).
 
-use pema_bench::{run_suite, BackendSel, Outcome, SuiteConfig};
+use pema_bench::{registry, run_suite, BackendSel, Outcome, SuiteConfig};
 use std::path::{Path, PathBuf};
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -38,25 +38,39 @@ fn backend_sel_parses_the_cli_grammar() {
 
 #[test]
 fn fluid_backend_runs_participating_scenarios_instantly() {
-    let sim_dir = tmp_dir("sim");
-    let fluid_dir = tmp_dir("fluid");
-    let only = ["fig11"];
-    let sim = run_suite(&cfg(&sim_dir, BackendSel::Sim, &only)).unwrap();
-    let fluid = run_suite(&cfg(&fluid_dir, BackendSel::Fluid, &only)).unwrap();
-    assert!(matches!(sim[0].outcome, Outcome::Completed), "{sim:?}");
-    assert!(matches!(fluid[0].outcome, Outcome::Completed), "{fluid:?}");
+    let dir = tmp_dir("fluid");
+    let participants: Vec<&str> = registry()
+        .iter()
+        .filter(|s| s.backend_matrix)
+        .map(|s| s.id)
+        .collect();
+    let fluid = run_suite(&cfg(&dir, BackendSel::Fluid, &participants)).unwrap();
+    for report in &fluid {
+        assert!(matches!(report.outcome, Outcome::Completed), "{fluid:?}");
+    }
 
-    let sim_csv = std::fs::read_to_string(sim_dir.join("fig11.csv")).unwrap();
-    let fluid_csv = std::fs::read_to_string(fluid_dir.join("fig11.csv")).unwrap();
-    assert!(!fluid_csv.is_empty());
-    // The fluid model is approximate by design: same schema, different
-    // numbers. (Equality would mean the selection was ignored.)
-    assert_eq!(
-        sim_csv.lines().next(),
-        fluid_csv.lines().next(),
-        "CSV schema must not depend on the backend"
-    );
-    assert_ne!(sim_csv, fluid_csv, "fluid backend was silently ignored");
+    // Every CSV a participant writes is pinned under `--backend fluid`
+    // too (`goldens/fluid/`, written by the same parent binary as the
+    // DES goldens beside it) and differs from its DES golden: the
+    // fluid model is approximate by design — same schema, different
+    // numbers — so equality would mean the selection was ignored.
+    let goldens = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens");
+    for s in registry().iter().filter(|s| s.backend_matrix) {
+        for output in s.outputs {
+            let name = format!("{output}.csv");
+            let fresh = std::fs::read_to_string(dir.join(&name)).unwrap();
+            let fluid_golden = std::fs::read_to_string(goldens.join("fluid").join(&name))
+                .unwrap_or_else(|e| panic!("no fluid golden for {name}: {e}"));
+            let sim_golden = std::fs::read_to_string(goldens.join(&name)).unwrap();
+            assert!(fresh == fluid_golden, "{name} diverged from goldens/fluid");
+            assert_eq!(
+                fresh.lines().next(),
+                sim_golden.lines().next(),
+                "{name}: CSV schema must not depend on the backend"
+            );
+            assert_ne!(fresh, sim_golden, "{name}: fluid backend silently ignored");
+        }
+    }
 }
 
 #[test]

@@ -73,10 +73,8 @@ fn successful_scenario_exits_zero() {
 
 #[test]
 fn list_exits_zero_and_names_every_scenario() {
-    // `pema-cli list` doubles as CI's registry sanity gate: exit 0 with
-    // every id listed (it exits 1 on duplicate ids/outputs, which a
-    // healthy registry can't exhibit — the registry_suite test pins
-    // uniqueness at the library level).
+    // `pema-cli list` only lists: exit 0 with every id named (the
+    // registry_suite test is what pins unique ids and outputs).
     let out = cli("list");
     assert_eq!(
         out.status.code(),
@@ -86,7 +84,7 @@ fn list_exits_zero_and_names_every_scenario() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     for s in pema_bench::registry() {
-        assert!(stdout.contains(s.id()), "missing {} in:\n{stdout}", s.id());
+        assert!(stdout.contains(s.id), "missing {} in:\n{stdout}", s.id);
     }
 }
 

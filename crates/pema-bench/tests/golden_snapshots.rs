@@ -4,8 +4,10 @@
 //! pooling, precomputed samplers) is required to be *behavior
 //! preserving*: the committed CSVs under `tests/goldens/` were
 //! generated before the optimization and every run since must
-//! reproduce them exactly. Three representative scenarios are pinned —
-//! one figure (`fig06`), one ablation (`ablation_ma`), and `table1`.
+//! reproduce them exactly. Three representative scenarios are run here
+//! — one figure (`fig06`), one ablation (`ablation_ma`), and `table1`
+//! — sequentially and in parallel; `registry_suite.rs` compares the
+//! whole suite's smoke outputs against the same directory.
 
 use pema_bench::{run_suite, SuiteConfig};
 use std::path::{Path, PathBuf};
@@ -44,19 +46,16 @@ fn scenario_csvs_match_committed_goldens() {
     let dir = tmp_dir("trio");
     run_trio(&dir, 1);
     let mut compared = 0usize;
-    for entry in std::fs::read_dir(goldens_dir()).expect("goldens dir exists") {
-        let golden_path = entry.unwrap().path();
-        if golden_path.extension().is_none_or(|x| x != "csv") {
-            continue;
-        }
-        let name = golden_path
+    for entry in std::fs::read_dir(&dir).expect("the trio wrote its results") {
+        let fresh_path = entry.unwrap().path();
+        let name = fresh_path
             .file_name()
             .unwrap()
             .to_string_lossy()
             .into_owned();
-        let golden = std::fs::read(&golden_path).unwrap();
-        let fresh = std::fs::read(dir.join(&name))
-            .unwrap_or_else(|e| panic!("scenario run did not produce {name}: {e}"));
+        let fresh = std::fs::read(&fresh_path).unwrap();
+        let golden = std::fs::read(goldens_dir().join(&name))
+            .unwrap_or_else(|e| panic!("no committed golden for {name}: {e}"));
         assert_eq!(
             golden, fresh,
             "{name} diverged from the committed golden — the engine \
@@ -65,10 +64,7 @@ fn scenario_csvs_match_committed_goldens() {
         );
         compared += 1;
     }
-    assert!(
-        compared >= 3,
-        "expected at least 3 golden CSVs, found {compared}"
-    );
+    assert_eq!(compared, 4, "the trio writes four CSVs");
 }
 
 /// `--jobs` invariance still holds for the pinned trio: a parallel run

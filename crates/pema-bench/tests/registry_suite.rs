@@ -1,6 +1,7 @@
 //! Integration tests on the scenario registry and the parallel
 //! executor: unique ids, a full `--smoke` pass of every registered
-//! scenario, and byte-identical CSVs across `--jobs` values.
+//! scenario compared byte-for-byte against the committed goldens, and
+//! byte-identical CSVs across `--jobs` values.
 
 use pema_bench::{registry, run_suite, Outcome, SuiteConfig};
 use std::collections::HashMap;
@@ -23,12 +24,13 @@ fn smoke_cfg(dir: &Path, jobs: usize, only: Option<&[&str]>) -> SuiteConfig {
     }
 }
 
-/// Sorted `(file name, bytes)` of every CSV under `dir`.
-fn csv_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
+/// Sorted `(file name, bytes)` of every file (no directories) under
+/// `dir`.
+fn file_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
     let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
         .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
         .map(|entry| entry.unwrap())
-        .filter(|entry| entry.path().extension().is_some_and(|x| x == "csv"))
+        .filter(|entry| entry.path().is_file())
         .map(|entry| {
             (
                 entry.file_name().to_string_lossy().into_owned(),
@@ -46,18 +48,18 @@ fn registry_ids_and_outputs_are_unique() {
     let mut outputs = HashMap::new();
     for s in registry() {
         assert!(
-            ids.insert(s.id(), ()).is_none(),
+            ids.insert(s.id, ()).is_none(),
             "duplicate scenario id {}",
-            s.id()
+            s.id
         );
-        assert!(!s.about().is_empty(), "{} needs a description", s.id());
-        assert!(!s.outputs().is_empty(), "{} declares no outputs", s.id());
-        for o in s.outputs() {
+        assert!(!s.about.is_empty(), "{} needs a description", s.id);
+        assert!(!s.outputs.is_empty(), "{} declares no outputs", s.id);
+        for o in s.outputs {
             assert!(
-                outputs.insert(*o, s.id()).is_none(),
+                outputs.insert(*o, s.id).is_none(),
                 "output {o} claimed by both {} and {}",
                 outputs[o],
-                s.id()
+                s.id
             );
         }
     }
@@ -69,7 +71,8 @@ fn registry_ids_and_outputs_are_unique() {
     );
 }
 
-/// Pins exactly which scenarios participate in the `--backend` matrix.
+/// Pins exactly which scenarios `--backend` reaches (the row's flag is
+/// the switch: a context is built on the DES unless it says `true`).
 /// Every registered scenario must appear in one of the two lists, so a
 /// new scenario cannot silently opt out — adding one forces an explicit
 /// decision (and a diff here) either way.
@@ -77,30 +80,32 @@ fn registry_ids_and_outputs_are_unique() {
 fn backend_matrix_participation_is_pinned() {
     let participants: Vec<&str> = registry()
         .iter()
-        .filter(|s| s.backend_matrix())
-        .map(|s| s.id())
+        .filter(|s| s.backend_matrix)
+        .map(|s| s.id)
         .collect();
     assert_eq!(
         participants,
         [
+            // One-shot windows through ctx.measure, which reads the
+            // selection (fluid model under `--backend fluid`)…
+            "fig05", "fig06", "fig07",
+            // …and the closed-loop paper scenarios, through
+            // ctx.closed_loop.
             "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19",
             "fig20",
         ],
-        "the closed-loop paper scenarios drive through ctx.loop_backend"
+        "the scenarios that measure through ctx.measure / ctx.closed_loop"
     );
     let opted_out: Vec<&str> = registry()
         .iter()
-        .filter(|s| !s.backend_matrix())
-        .map(|s| s.id())
+        .filter(|s| !s.backend_matrix)
+        .map(|s| s.id)
         .collect();
     assert_eq!(
         opted_out,
         [
-            // Open-loop measurement sweeps (one-shot windows through
-            // ctx.measure, no closed loop to re-backend)…
-            "fig05",
-            "fig06",
-            "fig07",
+            // Sweeps that drive `ClusterSim` / the classifier's dataset
+            // generator directly…
             "fig08",
             "table1",
             // …ablations defined against the DES engine…
@@ -133,12 +138,31 @@ fn every_scenario_completes_a_smoke_run() {
     }
     // Every declared output CSV must exist and be non-empty.
     for s in registry() {
-        for o in s.outputs() {
+        for o in s.outputs {
             let p = dir.join(format!("{o}.csv"));
             let meta = std::fs::metadata(&p)
-                .unwrap_or_else(|e| panic!("{} missing output {}: {e}", s.id(), p.display()));
-            assert!(meta.len() > 0, "{} wrote an empty {}", s.id(), p.display());
+                .unwrap_or_else(|e| panic!("{} missing output {}: {e}", s.id, p.display()));
+            assert!(meta.len() > 0, "{} wrote an empty {}", s.id, p.display());
         }
+    }
+    // And the whole results directory — 29 CSVs and the recorded tape —
+    // is, byte for byte, the committed goldens (written by the binary
+    // of the commit before the suite's plumbing was replaced; the fleet
+    // CSVs keep their own directory).
+    let goldens = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens");
+    let mut golden = file_bytes(&goldens);
+    golden.extend(file_bytes(&goldens.join("fleet")));
+    golden.sort();
+    let fresh = file_bytes(&dir);
+    let names = |files: &[(String, Vec<u8>)]| -> Vec<String> {
+        files.iter().map(|(name, _)| name.clone()).collect()
+    };
+    assert_eq!(names(&fresh), names(&golden), "smoke outputs vs goldens");
+    for ((name, fresh), (_, golden)) in fresh.iter().zip(&golden) {
+        assert!(
+            fresh == golden,
+            "{name} diverged from tests/goldens (`pema-cli all --smoke --force` rewrites it)"
+        );
     }
 }
 
@@ -165,8 +189,8 @@ fn jobs1_and_jobs4_produce_identical_csv_bytes() {
     assert!(serial.iter().all(|r| r.ok()), "{serial:?}");
     assert!(parallel.iter().all(|r| r.ok()), "{parallel:?}");
 
-    let a = csv_bytes(&serial_dir);
-    let b = csv_bytes(&parallel_dir);
+    let a = file_bytes(&serial_dir);
+    let b = file_bytes(&parallel_dir);
     assert_eq!(
         a.iter().map(|(n, _)| n).collect::<Vec<_>>(),
         b.iter().map(|(n, _)| n).collect::<Vec<_>>(),
