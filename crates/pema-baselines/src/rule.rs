@@ -11,106 +11,70 @@
 //!
 //! Implementation: per service, take the p90 of per-second usage
 //! samples over the last few monitoring windows and allocate
-//! `p90_usage / target_utilization` (default target 65%), clamped
-//! between the cluster floor and the service's generous allocation.
+//! `p90_usage / target_utilization` (a 65% target over 5 windows),
+//! clamped between the cluster floor and the service's generous
+//! allocation.
 
 use pema_sim::{Allocation, AppSpec, WindowStats, MIN_ALLOC};
+
+/// Target utilization: an allocation is sized so the p90 usage sits
+/// at this fraction of it (HPA-style).
+const TARGET_UTIL: f64 = 0.65;
+/// Number of recent windows whose p90 samples are retained.
+const WINDOW: usize = 5;
 
 /// Kubernetes-flavoured rule-based vertical scaler.
 #[derive(Debug, Clone)]
 pub struct RuleScaler {
-    /// Target utilization: allocation is sized so the p90 usage sits at
-    /// this fraction of it (HPA-style; 0.65 by default).
-    pub target_util: f64,
-    /// Number of recent windows whose p90 samples are retained (read at
-    /// every step; 0 is treated as 1, the current window alone).
-    pub window: usize,
-    /// Per-service upper clamp (the generous allocation).
+    /// Per-service upper clamp.
     cap: Vec<f64>,
-    /// Recent p90-of-1s-usage samples: one ring of `ring_window` slots
-    /// per service, service `i` at `i * ring_window..`. A slot not yet
-    /// written holds 0.0, which the max below cannot tell from absent.
+    /// Recent p90-of-1s-usage samples: one ring of [`WINDOW`] slots per
+    /// service, service `i` at `i * WINDOW..`. A slot not yet written
+    /// holds 0.0, which the max below cannot tell from absent.
     ring: Vec<f64>,
-    /// The `window` the ring is laid out for.
-    ring_window: usize,
     /// Slot the next sample overwrites — the oldest once the ring is
     /// full. All services advance together.
     head: usize,
-    /// Samples retained per service, at most `ring_window`.
-    seen: usize,
 }
 
 impl RuleScaler {
-    /// Creates a scaler for an application with a 65% utilization
-    /// target over the last 5 windows.
+    /// Creates a scaler for an application, capped at its generous
+    /// allocation: a 65% utilization target over the last 5 windows.
     pub fn new(app: &AppSpec) -> Self {
+        Self::capped_at(app.generous_alloc.clone())
+    }
+
+    /// [`new`](Self::new) for any per-service upper clamp.
+    pub fn capped_at(cap: Vec<f64>) -> Self {
         Self {
-            target_util: 0.65,
-            window: 5,
-            cap: app.generous_alloc.clone(),
-            ring: Vec::new(),
-            ring_window: 0,
+            ring: vec![0.0; WINDOW * cap.len()],
+            cap,
             head: 0,
-            seen: 0,
         }
-    }
-
-    /// Sets the utilization target (must be in (0, 1]).
-    pub fn with_target_util(mut self, u: f64) -> Self {
-        assert!(u > 0.0 && u <= 1.0, "target utilization must be in (0,1]");
-        self.target_util = u;
-        self
-    }
-
-    /// Lays the ring out for `window` slots per service, keeping the
-    /// most recent samples that fit.
-    fn resize_ring(&mut self, window: usize) {
-        let (old, keep) = (self.ring_window, self.seen.min(window));
-        let mut ring = vec![0.0; window * self.cap.len()];
-        for (i, h) in ring.chunks_exact_mut(window).enumerate() {
-            for (j, slot) in h[..keep].iter_mut().enumerate() {
-                *slot = self.ring[i * old + (self.head + old - keep + j) % old];
-            }
-        }
-        self.ring = ring;
-        self.ring_window = window;
-        self.head = keep % window;
-        self.seen = keep;
     }
 
     /// Ingests one monitoring window and returns the allocation for the
     /// next interval.
     ///
     /// # Panics
-    /// Panics if the window's service count differs from the app's.
+    /// Panics if the window's service count differs from the cap's.
     pub fn step(&mut self, stats: &WindowStats) -> Allocation {
         assert_eq!(stats.per_service.len(), self.cap.len());
-        let window = self.window.max(1);
-        if window != self.ring_window {
-            self.resize_ring(window);
-        }
         let mut next = Vec::with_capacity(self.cap.len());
         for ((s, h), cap) in stats
             .per_service
             .iter()
-            .zip(self.ring.chunks_exact_mut(window))
+            .zip(self.ring.chunks_exact_mut(WINDOW))
             .zip(&self.cap)
         {
             h[self.head] = s.usage_p90_cores;
             // Max over the retained p90 samples: a spike in any recent
             // window keeps the allocation up (the rule errs safe).
             let p90 = h.iter().copied().fold(0.0f64, f64::max);
-            next.push((p90 / self.target_util).clamp(MIN_ALLOC, *cap));
+            next.push((p90 / TARGET_UTIL).clamp(MIN_ALLOC, *cap));
         }
-        self.head = (self.head + 1) % window;
-        self.seen = (self.seen + 1).min(window);
+        self.head = (self.head + 1) % WINDOW;
         Allocation::new(next)
-    }
-
-    /// Number of windows currently retained (all services advance
-    /// together).
-    pub fn windows_seen(&self) -> usize {
-        self.seen
     }
 }
 
@@ -156,11 +120,11 @@ mod tests {
 
     #[test]
     fn sizes_for_target_utilization() {
-        let mut r = RuleScaler::new(&app()).with_target_util(0.5);
-        let a = r.step(&window(&[0.4, 0.8, 0.2]));
-        assert!((a.get(0) - 0.8).abs() < 1e-9);
-        assert!((a.get(1) - 1.6).abs() < 1e-9);
-        assert!((a.get(2) - 0.4).abs() < 1e-9);
+        let mut r = RuleScaler::new(&app());
+        let a = r.step(&window(&[0.39, 0.78, 0.195]));
+        assert!((a.get(0) - 0.6).abs() < 1e-9);
+        assert!((a.get(1) - 1.2).abs() < 1e-9);
+        assert!((a.get(2) - 0.3).abs() < 1e-9);
     }
 
     #[test]
@@ -193,36 +157,35 @@ mod tests {
 
     #[test]
     fn remembers_spikes_within_window() {
-        let mut r = RuleScaler::new(&app()).with_target_util(0.5);
-        r.step(&window(&[0.6, 0.05, 0.05]));
+        let mut r = RuleScaler::new(&app());
+        r.step(&window(&[0.78, 0.065, 0.065]));
         // Four quiet windows: spike is still within the 5-window memory.
         for _ in 0..4 {
-            let a = r.step(&window(&[0.05, 0.05, 0.05]));
+            let a = r.step(&window(&[0.065, 0.065, 0.065]));
             assert!((a.get(0) - 1.2).abs() < 1e-9, "spike forgotten early");
         }
         // Sixth window: spike evicted.
-        let a = r.step(&window(&[0.05, 0.05, 0.05]));
+        let a = r.step(&window(&[0.065, 0.065, 0.065]));
         assert!((a.get(0) - 0.1).abs() < 1e-9);
     }
 
     /// The rule as first written: one deque of p90 samples per service,
-    /// trimmed to the last `window`.
+    /// trimmed to the last [`WINDOW`].
     struct DequeRule {
-        window: usize,
         history: Vec<std::collections::VecDeque<f64>>,
     }
 
     impl DequeRule {
-        fn step(&mut self, p90s: &[f64], target_util: f64, cap: &[f64]) -> Vec<f64> {
+        fn step(&mut self, p90s: &[f64], cap: &[f64]) -> Vec<f64> {
             let mut next = Vec::new();
             for (i, &p) in p90s.iter().enumerate() {
                 let h = &mut self.history[i];
                 h.push_back(p);
-                while h.len() > self.window {
+                while h.len() > WINDOW {
                     h.pop_front();
                 }
                 let p90 = h.iter().copied().fold(0.0f64, f64::max);
-                next.push((p90 / target_util).clamp(MIN_ALLOC, cap[i]));
+                next.push((p90 / TARGET_UTIL).clamp(MIN_ALLOC, cap[i]));
             }
             next
         }
@@ -241,38 +204,18 @@ mod tests {
     fn ring_matches_per_service_deques() {
         let app = app();
         let n = app.services.len();
-        // Each schedule is the `window` in force at successive steps:
-        // constant 1…7, then grown, shrunk and bounced mid-run.
-        let mut schedules: Vec<Vec<usize>> = (1..=7).map(|w| vec![w; 30]).collect();
-        schedules.push([vec![3; 8], vec![7; 12], vec![2; 10]].concat());
-        schedules.push([vec![5; 3], vec![1; 4], vec![6; 9], vec![4; 9]].concat());
-        for (k, schedule) in schedules.iter().enumerate() {
+        for k in 0..7 {
             let mut rule = RuleScaler::new(&app);
             let mut reference = DequeRule {
-                window: 0,
                 history: vec![Default::default(); n],
             };
-            let mut state = 0x5EED + k as u64;
-            for (step, &w) in schedule.iter().enumerate() {
-                rule.window = w;
-                reference.window = w;
+            let mut state = 0x5EED + k;
+            for step in 0..30 {
                 let p90s: Vec<f64> = (0..n).map(|_| sample(&mut state)).collect();
                 let got = rule.step(&window(&p90s));
-                let want = reference.step(&p90s, rule.target_util, &app.generous_alloc);
-                assert_eq!(got.0, want, "schedule {k}, step {step}, window {w}");
-                assert_eq!(
-                    rule.windows_seen(),
-                    reference.history[0].len(),
-                    "schedule {k}, step {step}"
-                );
-                assert!(rule.windows_seen() <= w);
+                let want = reference.step(&p90s, &app.generous_alloc);
+                assert_eq!(got.0, want, "series {k}, step {step}");
             }
         }
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_target_rejected() {
-        let _ = RuleScaler::new(&app()).with_target_util(0.0);
     }
 }

@@ -1,6 +1,8 @@
-//! `pema-cli` — the one executable of the PEMA reproduction: the
-//! controller commands, the fleet, trace record/replay, the live
-//! adapter and the experiment suite (`list`, `all`, `run <id>…`).
+//! `pema-cli` — the one executable of the PEMA reproduction: one
+//! control loop (`run`: a policy by name on a backend by name,
+//! optionally taped; `live`: the same loop on the live adapter), the
+//! fleet, trace replay and the experiment suite (`list`, `all`,
+//! `run <id>…`).
 //!
 //! Run `pema-cli help` for the commands and `pema-cli <command> --help`
 //! for a command's flags. Both texts, the argument parser and every
@@ -97,8 +99,10 @@ mod shared {
     pub const RPS: Flag = flag("rps", Num("R"), Req, "offered load, requests/s");
     pub const SEED: Flag = flag("seed", Uint("K"), Def("7"), "RNG seed");
     pub const INTERVAL: Flag = flag("interval", Num("S"), Def("40"), "monitoring window, seconds");
-    pub const EARLY_CHECK: Flag =
-        flag("early-check", Num("S"), Opt, "§6 early violation check every S seconds");
+    pub const POLICY: Flag =
+        flag("policy", Text("pema|rule|hold"), Def("pema"), "policy driving the loop");
+    pub const OUT: Flag =
+        flag("out", Text("FILE"), Opt, "write the run as a replayable .jsonl trace");
     pub const METRICS_ADDR: Flag = flag(
         "metrics-addr", Text("HOST:PORT"), Opt,
         "serve self-metrics on http://HOST:PORT/metrics (port 0 = any free)",
@@ -120,18 +124,17 @@ use shared::*;
 #[rustfmt::skip]
 const COMMANDS: &[Cmd] = &[
     cmd("apps", None, cmd_apps, "list the bundled application models", &[]),
-    cmd("run", None, cmd_run, "run the PEMA controller on one application (DES)", &[
+    cmd("run", None, cmd_run, "run one control loop: a policy on a backend, a row per interval", &[
         APP, RPS,
         flag("iters", Uint("N"), Def("40"), "control intervals to run"),
-        SEED, INTERVAL, EARLY_CHECK,
+        POLICY,
+        flag("backend", Text("sim|fluid|trace:FILE"), Def("sim"), "what the loop runs on"),
+        SEED, INTERVAL,
+        flag("warmup", Num("S"), Def("4"), "settling time before each window, seconds"),
+        flag("early-check", Num("S"), Opt, "§6 early violation check every S seconds"),
         flag("alpha", Num("A"), Opt, "override PEMA's alpha (default: the paper's)"),
         flag("beta", Num("B"), Opt, "override PEMA's beta (default: the paper's)"),
-        METRICS_ADDR, EVENTS_OUT,
-    ]),
-    cmd("rule", None, cmd_rule, "run the k8s-style rule baseline on one application (DES)", &[
-        APP, RPS,
-        flag("iters", Uint("N"), Def("12"), "control intervals to run"),
-        INTERVAL, SEED,
+        OUT, METRICS_ADDR, EVENTS_OUT,
     ]),
     cmd("optimum", None, cmd_optimum, "search the OPTM allocation for one application and load", &[
         APP, RPS, SEED,
@@ -144,17 +147,8 @@ const COMMANDS: &[Cmd] = &[
         APP, RPS, SEED,
         flag("starve", KeyNum("SERVICE=FRACTION"), Opt, "scale one service's generous allocation"),
     ]),
-    cmd("record", None, cmd_record, "record a DES run as a replayable .jsonl trace", &[
-        APP, RPS,
-        flag("out", Text("FILE"), Req, "path the .jsonl trace is written to"),
-        flag("iters", Uint("N"), Def("20"), "control intervals to record"),
-        flag("policy", Text("pema|rule"), Def("pema"), "policy driving the recorded run"),
-        INTERVAL,
-        flag("warmup", Num("S"), Def("4"), "settling time before each window, seconds"),
-        SEED, EARLY_CHECK,
-    ]),
     cmd("replay", None, cmd_replay, "replay a recorded trace under a policy; report divergence", &[
-        flag("trace", Text("FILE"), Req, "a .jsonl file written by `record` or `live --out`"),
+        flag("trace", Text("FILE"), Req, "a .jsonl file written by `run --out` or `live --out`"),
         flag("policy", Text("pema|rule|hold"), Opt, "counterfactual policy (default: the tape's)"),
         flag("lenient", Switch, Opt, "skip malformed records instead of failing"),
         flag("assert-zero-divergence", Switch, Opt, "exit 1 unless the replay tracked the tape"),
@@ -167,16 +161,16 @@ const COMMANDS: &[Cmd] = &[
         flag("policy", Text("pema|rule|hold|mixed"), Def("mixed"), "one, or all three cycled"),
         flag("backend", Text("sim|fluid"), Def("fluid"), "what every member runs on"),
         flag("threads", Uint("T"), Def("1"), "shard workers (0 = one per core; output identical)"),
-        flag("pace", Text("virtual|wall"), Def("virtual"), "wall sleeps until each window is due"),
         flag("rps", Num("R"), Opt, "load of every member (required with a single --app)"),
         flag("budget", Num("CORES"), Opt, "share a CPU budget across the members"),
-        flag("arbitration", Text("fair|aimd|off"), Opt, "budget policy (fair if --budget is set)"),
+        flag("arbitration", Text("fair|aimd"), Opt, "budget policy (fair if --budget is set)"),
         flag("priority", Ints("P1,P2,…"), Opt, "priority classes, cycled over the members"),
         METRICS_ADDR, EVENTS_OUT,
     ]),
-    cmd("live", None, cmd_live, "run PEMA against Prometheus + Kubernetes, or a FakeCluster", &[
+    cmd("live", None, cmd_live, "`run` against Prometheus + Kubernetes, or a FakeCluster", &[
         APP, RPS,
         flag("iters", Uint("N"), Def("6"), "control intervals to run"),
+        POLICY,
         flag("interval", Num("S"), Def("8"), "monitoring window, seconds"),
         flag("warmup", Num("S"), Def("1"), "settling time before each window, seconds"),
         SEED,
@@ -186,8 +180,7 @@ const COMMANDS: &[Cmd] = &[
         flag("kube", Text("URL"), Opt, "Kubernetes API endpoint, e.g. http://localhost:8443"),
         flag("token", Text("T"), Opt, "bearer token for the Kubernetes API"),
         flag("namespace", Text("NS"), Def("default"), "namespace of the deployments"),
-        flag("out", Text("FILE"), Opt, "write the run as a replayable .jsonl trace"),
-        METRICS_ADDR, EVENTS_OUT,
+        OUT, METRICS_ADDR, EVENTS_OUT,
     ]),
     cmd("metrics", None, cmd_metrics, "scrape a /metrics endpoint once and lint the exposition", &[
         flag("addr", Text("HOST:PORT"), Req, "a running --metrics-addr listener"),
@@ -434,13 +427,11 @@ fn get_app(args: &Args) -> AppSpec {
         .unwrap_or_else(|| usage_error(format!("unknown app '{name}' (try `pema-cli apps`)")))
 }
 
-/// `--interval` and `--seed`, with the command's settling time.
-fn harness_cfg(args: &Args, warmup_s: f64) -> HarnessConfig {
-    HarnessConfig {
-        interval_s: args.get("interval"),
-        warmup_s,
-        seed: args.get("seed"),
-    }
+/// `--policy` (or a tape's), wherever it appears: the one place this
+/// file turns a name into a policy.
+fn named_policy(name: &str, slo_ms: f64, start: &[f64], seed: u64) -> Box<dyn Policy + Send> {
+    policy_by_name(name, slo_ms, start, seed)
+        .unwrap_or_else(|| usage_error(format!("unknown --policy '{name}' (pema, rule, hold)")))
 }
 
 /// `--backend`, wherever it appears.
@@ -486,17 +477,6 @@ impl TelemetryWires {
         }
     }
 
-    /// Attaches the hub and the sink to a single-loop run.
-    fn attach<P, B>(&self, mut builder: ExperimentBuilder<P, B>) -> ExperimentBuilder<P, B> {
-        if let Some(hub) = &self.hub {
-            builder = builder.telemetry(hub);
-        }
-        if let Some(sink) = &self.events {
-            builder = builder.events(sink.clone());
-        }
-        builder
-    }
-
     fn flush(&self) {
         if let Some(sink) = &self.events {
             sink.flush();
@@ -504,12 +484,66 @@ impl TelemetryWires {
     }
 }
 
-/// Steps a loop through `iters` intervals at `rps`, one row each.
-fn step_and_print<P: Policy, B: ClusterBackend>(
-    mut control: ControlLoop<P, B>,
-    rps: f64,
-    iters: usize,
-) -> RunResult {
+/// The one loop of `run` and `live` — Fig. 9 with its three parts
+/// chosen by name: `--policy` decides, `backend` (`on` says what it is)
+/// measures and actuates, and `--out` tapes the run. One row per
+/// interval. `tuned` is `run`'s `--alpha/--beta` PEMA, `early_check_s`
+/// its `--early-check`; the policy and the backend share `--seed`.
+fn control_loop(
+    args: &Args,
+    app: &AppSpec,
+    wires: &TelemetryWires,
+    backend: Box<dyn ClusterBackend>,
+    on: &str,
+    tuned: Option<PemaParams>,
+    early_check_s: Option<f64>,
+) {
+    let rps: f64 = args.get("rps");
+    let iters: usize = args.get("iters");
+    let cfg = HarnessConfig {
+        interval_s: args.get("interval"),
+        warmup_s: args.get("warmup"),
+        seed: args.get("seed"),
+    };
+    let name: &str = args.get("policy");
+    let start = &app.generous_alloc;
+    let policy = match tuned {
+        Some(_) if name != "pema" => usage_error(format!(
+            "--alpha and --beta tune pema, not --policy '{name}'"
+        )),
+        Some(params) => Box::new(PemaController::new(params, start.clone())),
+        None => named_policy(name, app.slo_ms, start, cfg.seed),
+    };
+    // RULE and HOLD take no seed, and their tapes say 0.
+    let policy_seed = if name == "pema" { cfg.seed } else { 0 };
+    let mut recorder = TraceRecorder::new(app, name, policy_seed, &cfg);
+    let mut builder = Experiment::builder()
+        .app(app)
+        .policy(policy)
+        .backend(backend)
+        .config(cfg);
+    if let Some(s) = early_check_s {
+        builder = builder.early_check(s);
+        recorder = recorder.with_early_check(s);
+    }
+    let tape = recorder.handle();
+    let out: Option<&str> = args.opt("out");
+    if out.is_some() {
+        builder = builder.observer(recorder);
+    }
+    if let Some(hub) = &wires.hub {
+        builder = builder.telemetry(hub);
+    }
+    if let Some(sink) = &wires.events {
+        builder = builder.events(sink.clone());
+    }
+    let mut control = builder.build();
+
+    println!(
+        "{name} on {} @ {rps} rps, {iters} intervals on {on} (start {:.1} cores)",
+        app.name,
+        start.iter().sum::<f64>()
+    );
     println!(
         "{:>4} {:>9} {:>9} {:>12}",
         "iter", "totalCPU", "p95(ms)", "action"
@@ -521,7 +555,21 @@ fn step_and_print<P: Policy, B: ClusterBackend>(
             l.iter, l.total_cpu, l.p95_ms, l.action
         );
     }
-    control.into_result()
+    let r = control.into_result();
+    wires.flush();
+    println!(
+        "\nsettled: {:.2} cores | violations: {} ({:.1}%) | time in violation: {:.0}s",
+        r.settled_total(8),
+        r.violations(),
+        r.violation_rate() * 100.0,
+        r.violating_time_s()
+    );
+    if let Some(out) = out {
+        if let Err(e) = tape.take().write_file(out) {
+            fail(e);
+        }
+        println!("trace written → {out} (replay with `pema-cli replay --trace {out}`)");
+    }
 }
 
 fn cmd_apps(_: &Args) {
@@ -541,55 +589,28 @@ fn cmd_apps(_: &Args) {
 
 fn cmd_run(args: &Args) {
     let app = get_app(args);
-    let rps: f64 = args.get("rps");
-    let iters: usize = args.get("iters");
-    let mut params = PemaParams::defaults(app.slo_ms);
-    params.alpha = args.opt("alpha").unwrap_or(params.alpha);
-    params.beta = args.opt("beta").unwrap_or(params.beta);
-    let mut cfg = harness_cfg(args, 4.0);
-    params.seed = cfg.seed;
-    cfg.seed ^= 0x5EED;
-    let mut builder = Experiment::builder()
-        .app(&app)
-        .policy(Pema(params))
-        .config(cfg);
-    if let Some(s) = args.opt("early-check") {
-        builder = builder.early_check(s);
-    }
+    let seed: u64 = args.get("seed");
+    let sel = backend_sel(args);
+    let backend = sel.backend(&app, seed, &mut None);
+    let backend = backend.unwrap_or_else(|e| usage_error(e));
+    let (alpha, beta) = (args.opt("alpha"), args.opt("beta"));
+    let tuned = (alpha.is_some() || beta.is_some()).then(|| {
+        let mut params = PemaParams::defaults(app.slo_ms);
+        params.alpha = alpha.unwrap_or(params.alpha);
+        params.beta = beta.unwrap_or(params.beta);
+        params.seed = seed;
+        params
+    });
     let wires = TelemetryWires::new(args);
-    let runner = wires.attach(builder).build();
-    println!(
-        "PEMA on {} @ {rps} rps, {iters} intervals (start {:.1} cores)",
-        app.name,
-        app.generous_alloc.iter().sum::<f64>()
-    );
-    let r = step_and_print(runner, rps, iters);
-    println!(
-        "\nsettled: {:.2} cores | violations: {} ({:.1}%) | time in violation: {:.0}s",
-        r.settled_total(8),
-        r.violations(),
-        r.violation_rate() * 100.0,
-        r.violating_time_s()
-    );
-    wires.flush();
-}
-
-fn cmd_rule(args: &Args) {
-    let app = get_app(args);
-    let r = Experiment::builder()
-        .app(&app)
-        .policy(Rule)
-        .config(harness_cfg(args, 4.0))
-        .rps(args.get("rps"))
-        .iters(args.get("iters"))
-        .run();
-    for l in &r.log {
-        println!("{:>4} {:>9.2} {:>9.1}", l.iter, l.total_cpu, l.p95_ms);
-    }
-    println!(
-        "\nRULE settled: {:.2} cores | violations {:.1}%",
-        r.settled_total(4),
-        r.violation_rate() * 100.0
+    let early_check_s = args.opt("early-check");
+    control_loop(
+        args,
+        &app,
+        &wires,
+        backend,
+        &sel.label(),
+        tuned,
+        early_check_s,
     );
 }
 
@@ -626,53 +647,6 @@ fn cmd_classify(args: &Args) {
     }
 }
 
-/// Records a DES run into a trace file (`pema-cli record`). The trace
-/// carries everything `replay` needs: app identity, harness timing,
-/// seeds, and the full per-interval telemetry.
-fn cmd_record(args: &Args) {
-    let app = get_app(args);
-    let rps: f64 = args.get("rps");
-    let out: &str = args.get("out");
-    let cfg = harness_cfg(args, args.get("warmup"));
-    let policy_name: &str = args.get("policy");
-    if !matches!(policy_name, "pema" | "rule") {
-        usage_error(format!(
-            "unknown --policy '{policy_name}' (record supports pema, rule)"
-        ));
-    }
-    let policy = policy_by_name(policy_name, &app, cfg.seed).expect("pema and rule are bundled");
-    // RULE takes no seed, and its tapes say 0.
-    let policy_seed = if policy_name == "rule" { 0 } else { cfg.seed };
-
-    let mut recorder = TraceRecorder::new(&app, policy_name, policy_seed, &cfg);
-    let mut builder = Experiment::builder()
-        .app(&app)
-        .policy(policy)
-        .config(cfg)
-        .rps(rps)
-        .iters(args.get("iters"));
-    if let Some(s) = args.opt("early-check") {
-        builder = builder.early_check(s);
-        recorder = recorder.with_early_check(s);
-    }
-    let handle = recorder.handle();
-    let result = builder.observer(recorder).run();
-
-    let trace = handle.take();
-    if let Err(e) = trace.write_file(out) {
-        fail(e);
-    }
-    println!(
-        "recorded {} intervals of {policy_name} on {} @ {rps} rps → {out}\n\
-         settled: {:.2} cores | violations: {} ({:.1}%)",
-        trace.records.len(),
-        app.name,
-        result.settled_total(8),
-        result.violations(),
-        result.violation_rate() * 100.0,
-    );
-}
-
 /// Replays a recorded trace under a (possibly different) policy and
 /// prints the counterfactual comparison (`pema-cli replay`).
 fn cmd_replay(args: &Args) {
@@ -683,36 +657,15 @@ fn cmd_replay(args: &Args) {
     };
     let trace = Trace::read_file(args.get::<&str>("trace"), mode).unwrap_or_else(|e| fail(e));
     let meta = &trace.meta;
+    // Built from the tape's header, so any policy replays any tape.
     let policy_name = args.opt("policy").unwrap_or(meta.policy.as_str());
-
-    // Built from the tape's header, not from a bundled app (which
-    // `policy_by_name` needs): pema and hold replay any trace.
-    let rerun = match policy_name {
-        "pema" => {
-            let mut params = PemaParams::defaults(meta.slo_ms);
-            params.seed = meta.policy_seed;
-            replay(
-                &trace,
-                PemaController::new(params, meta.initial_alloc.clone()),
-            )
-        }
-        "rule" => {
-            let app = pema_apps::by_name(&meta.app).unwrap_or_else(|| {
-                usage_error(format!(
-                    "trace app '{}' is not a bundled app; the rule baseline needs its spec",
-                    meta.app
-                ));
-            });
-            replay(&trace, RulePolicy::new(&app).with_slo_ms(meta.slo_ms))
-        }
-        "hold" => replay(
-            &trace,
-            HoldPolicy::new(meta.initial_alloc.clone(), meta.slo_ms),
-        ),
-        other => usage_error(format!(
-            "unknown --policy '{other}' (replay supports pema, rule, hold)"
-        )),
-    };
+    let policy = named_policy(
+        policy_name,
+        meta.slo_ms,
+        &meta.initial_alloc,
+        meta.policy_seed,
+    );
+    let rerun = replay(&trace, policy);
 
     println!(
         "replayed {} recorded intervals ({} on {}) under {policy_name}",
@@ -792,11 +745,6 @@ fn cmd_fleet(args: &Args) {
     }
     // 0 = one shard per core; output is byte-identical for any value.
     let threads: usize = args.get("threads");
-    let pace = match args.get("pace") {
-        "virtual" => Clock::Virtual,
-        "wall" => Clock::Wall,
-        other => usage_error(format!("--pace must be virtual or wall, got '{other}'")),
-    };
 
     // (app, nominal rps) templates the members cycle through.
     let rps_override: Option<f64> = args.opt("rps");
@@ -814,28 +762,24 @@ fn cmd_fleet(args: &Args) {
         }
     };
 
-    // Arbitration: --budget enables it (default fair); --arbitration
-    // fair|aimd|off picks the policy; --priority P1,P2,… cycles
-    // priority classes across the members.
+    let priorities: &[i32] = args.opt("priority").unwrap_or_default();
+
+    // Arbitration: --budget enables it, --arbitration fair|aimd picks
+    // the policy (default fair).
     let budget: Option<f64> = args.opt("budget");
-    let arb_sel = args
-        .opt("arbitration")
-        .unwrap_or(if budget.is_some() { "fair" } else { "off" });
-    if !matches!(arb_sel, "fair" | "aimd" | "off") {
-        usage_error(format!(
-            "--arbitration must be fair, aimd, or off, got '{arb_sel}'"
-        ));
-    }
-    if arb_sel != "off" && budget.is_none() {
-        usage_error(format!("--arbitration {arb_sel} requires --budget <cores>"));
-    }
     if budget.is_some_and(|b| b <= 0.0) {
         usage_error("--budget must be positive");
     }
-    let priorities: &[i32] = args.opt("priority").unwrap_or_default();
-
+    let arbitration: Option<&str> = args.opt("arbitration").or(budget.map(|_| "fair"));
+    let mut fleet = Fleet::new().threads(threads);
+    fleet = match (arbitration, budget) {
+        (None, _) => fleet,
+        (Some(a), None) => usage_error(format!("--arbitration {a} requires --budget <cores>")),
+        (Some("fair"), Some(b)) => fleet.arbitration(b, WeightedFairShare::new()),
+        (Some("aimd"), Some(b)) => fleet.arbitration(b, AimdBackoff::new()),
+        (Some(a), _) => usage_error(format!("--arbitration must be fair or aimd, got '{a}'")),
+    };
     let wires = TelemetryWires::new(args);
-    let mut fleet = Fleet::new().threads(threads).pace(pace);
     if let Some(hub) = &wires.hub {
         fleet = fleet.telemetry(hub);
     }
@@ -864,26 +808,16 @@ fn cmd_fleet(args: &Args) {
         fleet = fleet.member(spec);
         labels.push((policy_name, rps));
     }
-    if let Some(b) = budget {
-        fleet = match arb_sel {
-            "fair" => fleet.arbitration(b, WeightedFairShare::new()),
-            "aimd" => fleet.arbitration(b, AimdBackoff::new()),
-            _ => {
-                println!("note: --budget {b} ignored (--arbitration off)");
-                fleet
-            }
-        };
-    }
 
     println!(
         "fleet: {count} loops × {iters} intervals on one process \
          ({} backend, {policy_sel} policies, {} worker thread(s){})",
         backend.label(),
         resolve_threads(threads).min(count),
-        match (arb_sel, budget) {
-            ("off", _) | (_, None) => String::new(),
-            (p, Some(b)) => format!(", {p} arbitration over {b} cores"),
-        }
+        arbitration
+            .zip(budget)
+            .map(|(p, b)| format!(", {p} arbitration over {b} cores"))
+            .unwrap_or_default()
     );
     let t0 = std::time::Instant::now();
     let result = fleet.run();
@@ -932,18 +866,14 @@ fn cmd_fleet(args: &Args) {
     }
 }
 
-/// Drives the PEMA controller against the live-cluster adapter
-/// (`pema-cli live`): Prometheus range queries for measurement and
-/// Kubernetes CPU-limit PATCHes for actuation — or, with `--fake`, an
-/// in-process `FakeCluster` over real loopback HTTP (virtual time, no
-/// cluster required). `--dry-run` records decisions without patching;
-/// `--out` writes the run as a trace replayable by `pema-cli replay`.
+/// `run`'s loop against the live-cluster adapter (`pema-cli live`):
+/// Prometheus range queries for measurement and Kubernetes CPU-limit
+/// PATCHes for actuation — or, with `--fake`, an in-process
+/// `FakeCluster` over real loopback HTTP (virtual time, no cluster
+/// required). `--dry-run` records decisions without patching.
 fn cmd_live(args: &Args) {
     use pema::pema_live::{live_over_fake_with, Endpoint, HttpClient, KubeClient, PromClient};
     let app = get_app(args);
-    let rps: f64 = args.get("rps");
-    let iters: usize = args.get("iters");
-    let cfg = harness_cfg(args, args.get("warmup"));
     let fake = args.on("fake");
     let live_cfg = LiveConfig {
         dry_run: args.on("dry-run"),
@@ -952,7 +882,7 @@ fn cmd_live(args: &Args) {
 
     let wires = TelemetryWires::new(args);
     let backend: Box<dyn ClusterBackend> = if fake {
-        let mut fl = live_over_fake_with(&app, rps, live_cfg.clone());
+        let mut fl = live_over_fake_with(&app, args.get("rps"), live_cfg.clone());
         if let Some(hub) = &wires.hub {
             fl.backend.set_telemetry(hub);
         }
@@ -986,42 +916,10 @@ fn cmd_live(args: &Args) {
         Box::new(lb)
     };
 
-    let mut params = PemaParams::defaults(app.slo_ms);
-    params.seed = cfg.seed;
-    let recorder = TraceRecorder::new(&app, "pema", params.seed, &cfg);
-    let handle = recorder.handle();
-    let builder = Experiment::builder()
-        .app(&app)
-        .policy(Pema(params))
-        .backend(backend)
-        .config(cfg)
-        .observer(recorder);
-    let control = wires.attach(builder).build();
-
-    println!(
-        "live PEMA on {} @ {rps} rps, {iters} intervals{}{}",
-        app.name,
-        if live_cfg.dry_run {
-            " (dry run: no PATCHes)"
-        } else {
-            ""
-        },
-        if fake { " [FakeCluster]" } else { "" },
-    );
-    let r = step_and_print(control, rps, iters);
-    wires.flush();
-    println!(
-        "\nsettled: {:.2} cores | violations: {} ({:.1}%)",
-        r.settled_total(8),
-        r.violations(),
-        r.violation_rate() * 100.0
-    );
-    if let Some(out) = args.opt::<&str>("out") {
-        if let Err(e) = handle.take().write_file(out) {
-            fail(e);
-        }
-        println!("trace written → {out} (replay with `pema-cli replay --trace {out}`)");
-    }
+    let cluster = if fake { "a FakeCluster" } else { "the cluster" };
+    let patches = if live_cfg.dry_run { " (dry run)" } else { "" };
+    let on = format!("{cluster}{patches}");
+    control_loop(args, &app, &wires, backend, &on, None, None);
 }
 
 /// Scrapes `http://ADDR/metrics` once and lints the exposition format

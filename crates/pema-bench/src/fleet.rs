@@ -37,10 +37,11 @@ pub fn fleet_member<'a, B>(
         one => one,
     };
     let seed = seed0.wrapping_add(i as u64);
+    let built = policy_by_name(policy, app.slo_ms, &app.generous_alloc, seed0 ^ i as u64)?;
     let spec = MemberSpec::new()
         .name(format!("{}-{i}", app.name))
         .app(app)
-        .policy(policy_by_name(policy, app, seed0 ^ i as u64)?)
+        .policy(built)
         .backend(on(app, seed))
         .seed(seed)
         .rps(rps);

@@ -36,7 +36,6 @@ pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
         .policy(Managed(params, range_cfg))
         .build();
     let mut rows = Vec::new();
-    let mut splits = Vec::new();
     for i in 0..ctx.iters(130) {
         let rps = wander(i as f64 * 44.0);
         let log = runner.step_once(rps).clone();
@@ -44,9 +43,6 @@ pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
             "{},{:.0},{:.3},{:.2},{},{}",
             log.iter, log.rps, log.total_cpu, log.p95_ms, log.pema_id, log.action
         ));
-        if log.action.contains("split") {
-            splits.push(log.iter);
-        }
     }
     let ranges = runner.policy.ranges();
     let result = runner.into_result();

@@ -18,6 +18,14 @@ fn cli(line: &str) -> Output {
         .expect("pema-cli runs")
 }
 
+/// Stdout of an invocation that must exit 0.
+fn ok(line: &str) -> String {
+    let out = cli(line);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "`pema-cli {line}`: {stderr}");
+    String::from_utf8(out.stdout).expect("output is UTF-8")
+}
+
 fn tmp(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("pema-bench-exit-{name}"));
     let _ = std::fs::remove_dir_all(&d);
@@ -137,10 +145,7 @@ fn rejected_invocations_exit_2_and_name_the_offender() {
             "--early-check must be a number, got 'abc'",
         ),
         // Used to write the trace to a file called `true`.
-        (
-            "record --app toy-chain --rps 120 --out",
-            "--out needs a value",
-        ),
+        ("run --app toy-chain --rps 120 --out", "--out needs a value"),
         (
             "trace --app sockshop --rps 300 --starve carts=abc",
             "--starve must be name=number, e.g. carts=0.45, got 'carts=abc'",
@@ -155,7 +160,30 @@ fn rejected_invocations_exit_2_and_name_the_offender() {
             "--backend trace:x.jsonl is not for 'fleet'",
         ),
         ("fleet --count 2 --backend quantum", "quantum"),
-        ("rule --rps 100", "--app is required"),
+        ("run --rps 100", "--app is required"),
+        // `run --policy rule` and `run --out` replaced these two.
+        ("rule --app toy-chain --rps 100", "unknown command 'rule'"),
+        (
+            "record --app toy-chain --rps 100 --out t.jsonl",
+            "unknown command 'record'",
+        ),
+        // Both values were the same program.
+        (
+            "fleet --count 2 --pace wall",
+            "unknown flag '--pace' for 'fleet'",
+        ),
+        (
+            "fleet --count 2 --budget 4 --arbitration off",
+            "--arbitration must be fair or aimd, got 'off'",
+        ),
+        (
+            "run --app toy-chain --rps 100 --policy rule --alpha 0.4",
+            "--alpha and --beta tune pema, not --policy 'rule'",
+        ),
+        (
+            "run --app toy-chain --rps 100 --policy managed",
+            "unknown --policy 'managed'",
+        ),
     ];
     for (line, complaint) in cases {
         let out = cli(line);
@@ -163,21 +191,56 @@ fn rejected_invocations_exit_2_and_name_the_offender() {
         assert_eq!(out.status.code(), Some(2), "`{line}`: {stderr}");
         assert!(stderr.contains(complaint), "`{line}`: {stderr}");
     }
-    assert!(!Path::new("true").exists(), "`record --out` wrote ./true");
+    assert!(!Path::new("true").exists(), "`run --out` wrote ./true");
+}
+
+/// `run --out` is what `record` was: the tapes the parent's `record`
+/// wrote with these flags (`tests/fixtures/record_*.jsonl`), byte for
+/// byte — one seeding (policy seed = backend seed = `--seed`), the
+/// early-check mirrored into the header, RULE's seed written as 0.
+#[test]
+fn run_out_writes_the_tapes_record_wrote() {
+    let flags = "run --app sockshop --rps 700 --iters 3 --interval 6 --warmup 1";
+    for (extra, fixture) in [
+        ("", "record_pema.jsonl"),
+        ("--policy rule --early-check 2", "record_rule.jsonl"),
+    ] {
+        let tape = tmp(fixture);
+        ok(&format!("{flags} {extra} --out {}", tape.display()));
+        let want = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+        assert!(
+            std::fs::read(&tape).unwrap() == std::fs::read(want.join(fixture)).unwrap(),
+            "`{flags} {extra}` differs from tests/fixtures/{fixture}"
+        );
+    }
+}
+
+/// The matrix `run` spans: every policy on the DES and on the fluid
+/// model prints one row per interval, and the tape of each run replays
+/// under its own policy (no `--policy`: `hold` included) without
+/// divergence.
+#[test]
+fn run_is_every_policy_on_every_backend() {
+    for policy in ["pema", "rule", "hold"] {
+        for backend in ["sim", "fluid"] {
+            let tape = tmp(&format!("{policy}-{backend}.jsonl"));
+            let tape = tape.display();
+            let stdout = ok(&format!(
+                "run --app toy-chain --rps 150 --iters 4 --interval 6 --warmup 1 \
+                 --policy {policy} --backend {backend} --out {tape}"
+            ));
+            // Header and column line, four rows, then the summary.
+            let rows = stdout.lines().skip(2).take_while(|l| !l.is_empty());
+            assert_eq!(rows.count(), 4, "{policy} on {backend}:\n{stdout}");
+            let replayed = ok(&format!("replay --trace {tape} --assert-zero-divergence"));
+            assert!(replayed.contains(&format!("under {policy}")), "{replayed}");
+        }
+    }
 }
 
 #[test]
 fn a_seed_above_2_pow_53_is_accepted() {
-    let out = cli("fleet --count 2 --iters 1 --backend fluid --seed 9007199254740993");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "{stderr}");
-}
-
-/// Stdout of a help invocation, which must exit 0.
-fn help_text(line: &str) -> String {
-    let out = cli(line);
-    assert_eq!(out.status.code(), Some(0), "`pema-cli {line}`");
-    String::from_utf8(out.stdout).expect("help is UTF-8")
+    ok("fleet --count 2 --iters 1 --backend fluid --seed 9007199254740993");
 }
 
 /// The `--flag` words of a text: `--`, a lowercase letter, then
@@ -196,24 +259,25 @@ fn flags_in(text: &str) -> BTreeSet<String> {
         .collect()
 }
 
-/// The commands `pema-cli help` lists.
+/// The commands `pema-cli help` lists: twelve rows, `run` on two.
 fn commands() -> BTreeSet<String> {
-    let overview = help_text("help");
-    let listed: BTreeSet<String> = overview
+    let overview = ok("help");
+    let rows: Vec<String> = overview
         .lines()
         .skip_while(|l| *l != "commands:")
         .skip(1)
         .take_while(|l| l.starts_with("  "))
         .filter_map(|l| l.split_whitespace().next().map(str::to_string))
         .collect();
-    assert!(listed.len() >= 13, "commands of:\n{overview}");
+    let listed: BTreeSet<String> = rows.iter().cloned().collect();
+    assert_eq!((rows.len(), listed.len()), (12, 11), "{overview}");
     listed
 }
 
 /// The flags `pema-cli <cmd> --help` lists: one at the head of each
 /// indented line.
 fn listed_flags(cmd: &str) -> BTreeSet<String> {
-    help_text(&format!("{cmd} --help"))
+    ok(&format!("{cmd} --help"))
         .lines()
         .filter(|l| l.starts_with("  --"))
         .flat_map(|l| flags_in(l.split_whitespace().next().unwrap()))
@@ -223,13 +287,13 @@ fn listed_flags(cmd: &str) -> BTreeSet<String> {
 #[test]
 fn help_is_answered_for_every_command() {
     for cmd in commands() {
-        let by_flag = help_text(&format!("{cmd} --help"));
+        let by_flag = ok(&format!("{cmd} --help"));
         assert!(by_flag.starts_with(&format!("pema-cli {cmd}")), "{by_flag}");
-        assert_eq!(by_flag, help_text(&format!("help {cmd}")));
+        assert_eq!(by_flag, ok(&format!("help {cmd}")));
         assert!(listed_flags(&cmd).contains("--help"), "{by_flag}");
     }
     // `--help` wins wherever it stands, and selects nothing else.
-    help_text("fleet --count 0 --help");
+    ok("fleet --count 0 --help");
 }
 
 /// The drift guard: every `pema-cli <command> --flag …` the docs, the
@@ -265,10 +329,19 @@ fn documented_invocations_use_only_flags_the_help_lists() {
                 let rest = &line[at + "pema-cli ".len()..];
                 let rest = rest.split(['`', '|', '&', ';']).next().unwrap();
                 let cmd = rest.split_whitespace().next().unwrap_or_default();
+                let used = flags_in(rest);
                 let Some(listed) = listed.get(cmd) else {
+                    // Prose or a `<placeholder>`, unless a bare word
+                    // passes flags: then a command that is gone
+                    // (`rule` and `record` were two).
+                    let word = cmd.chars().all(|c| c.is_ascii_lowercase());
+                    assert!(
+                        used.is_empty() || !word,
+                        "{}: `pema-cli {rest}` is not a command",
+                        file.display()
+                    );
                     continue;
                 };
-                let used = flags_in(rest);
                 let unknown: Vec<_> = used.difference(listed).collect();
                 assert!(
                     unknown.is_empty(),

@@ -271,13 +271,6 @@ impl SimBackend {
         Self::from_sim(sim)
     }
 
-    /// Backend without the request timeout — an infinitely patient load
-    /// generator. This is what one-shot open-loop measurements (the
-    /// `ExperimentCtx::measure` path in `pema-bench`) use.
-    pub fn bare(app: &AppSpec, seed: u64) -> Self {
-        Self::from_sim(ClusterSim::new(app, seed))
-    }
-
     /// Wraps an already-configured simulator.
     pub fn from_sim(sim: ClusterSim) -> Self {
         Self {

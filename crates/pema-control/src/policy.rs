@@ -6,7 +6,9 @@
 //! early-abort checks, logging, allocation application — lives once in
 //! [`ControlLoop`](crate::ControlLoop), and the cluster itself hides
 //! behind [`ClusterBackend`](crate::ClusterBackend); the policy sees
-//! neither.
+//! neither. Where the policy is a run-time choice (`pema-cli run`,
+//! `live`, `replay`, `fleet`), [`policy_by_name`] is the one place its
+//! name becomes a value.
 
 use pema_baselines::RuleScaler;
 use pema_core::{Action, Observation, PemaController, PemaParams, ServiceObs, WorkloadAwarePema};
@@ -95,21 +97,30 @@ impl<P: Policy + ?Sized> Policy for Box<P> {
     }
 }
 
-/// Builds a bundled policy for `app` from the name the CLI and the
-/// fleet scenarios know it by: `"pema"` ([`PemaController`] with
-/// [`PemaParams::defaults`] and `seed`, starting from the generous
-/// allocation), `"rule"` ([`RulePolicy::new`]; takes no seed) or
-/// `"hold"` ([`HoldPolicy`] at the generous allocation). `None` for
-/// any other name.
-pub fn policy_by_name(name: &str, app: &AppSpec, seed: u64) -> Option<Box<dyn Policy + Send>> {
+/// Builds a bundled policy from the name every surface knows it by —
+/// the one place a name becomes a policy. A policy needs the SLO it is
+/// judged against and the allocation the run starts from (an app's
+/// generous allocation, or a tape header's `initial_alloc`): `"pema"`
+/// ([`PemaController`] with [`PemaParams::defaults`] and `seed`) starts
+/// at `start`, `"rule"` ([`RulePolicy`]; takes no seed) caps at it and
+/// `"hold"` ([`HoldPolicy`]) holds it. `None` for any other name.
+pub fn policy_by_name(
+    name: &str,
+    slo_ms: f64,
+    start: &[f64],
+    seed: u64,
+) -> Option<Box<dyn Policy + Send>> {
     Some(match name {
         "pema" => {
-            let mut params = PemaParams::defaults(app.slo_ms);
+            let mut params = PemaParams::defaults(slo_ms);
             params.seed = seed;
-            Box::new(PemaController::new(params, app.generous_alloc.clone()))
+            Box::new(PemaController::new(params, start.to_vec()))
         }
-        "rule" => Box::new(RulePolicy::new(app)),
-        "hold" => Box::new(HoldPolicy::new(app.generous_alloc.clone(), app.slo_ms)),
+        "rule" => Box::new(RulePolicy {
+            rule: RuleScaler::capped_at(start.to_vec()),
+            slo_ms,
+        }),
+        "hold" => Box::new(HoldPolicy::new(start.to_vec(), slo_ms)),
         _ => return None,
     })
 }

@@ -4,8 +4,8 @@
 //! bit-identity guarantee the `pema-bench` golden snapshots build on.
 
 use pema_control::{
-    stats_to_obs, Decision, Experiment, HarnessConfig, HoldPolicy, IterationLog, Managed, Pema,
-    Policy, Rule, SimBackend,
+    policy_by_name, stats_to_obs, Decision, Experiment, HarnessConfig, HoldPolicy, IterationLog,
+    Managed, Pema, Policy, Rule, RulePolicy, SimBackend, UseFluid,
 };
 use pema_core::PemaParams;
 use pema_sim::{Allocation, ClusterSim, WindowStats};
@@ -159,9 +159,10 @@ fn observers_see_every_interval_with_full_stats() {
 }
 
 /// The guarantee the `pema-bench` golden snapshots (fig06 et al.) rest
-/// on: a one-interval `Experiment` run with a held allocation on a bare
-/// `SimBackend` produces *bit-identical* window stats to driving
-/// `ClusterSim` directly the way the pre-refactor harness did.
+/// on: a one-interval `Experiment` run with a held allocation on a
+/// `SimBackend` without the request timeout produces *bit-identical*
+/// window stats to driving `ClusterSim` directly the way the
+/// pre-refactor harness did.
 #[test]
 fn facade_one_shot_is_bit_identical_to_raw_cluster_sim() {
     let app = pema_apps::sockshop();
@@ -173,13 +174,13 @@ fn facade_one_shot_is_bit_identical_to_raw_cluster_sim() {
     sim.set_allocation(&alloc);
     let want = sim.run_window(rps, warmup, window);
 
-    // The facade path (what `ExperimentCtx::measure` runs today).
+    // The facade path.
     let captured: Arc<Mutex<Option<WindowStats>>> = Arc::default();
     let sink = Arc::clone(&captured);
     Experiment::builder()
         .app(&app)
         .policy(HoldPolicy::new(alloc.0.clone(), app.slo_ms))
-        .backend(SimBackend::bare(&app, seed))
+        .backend(SimBackend::from_sim(ClusterSim::new(&app, seed)))
         .config(HarnessConfig {
             interval_s: window,
             warmup_s: warmup,
@@ -236,4 +237,35 @@ fn loop_with_early_check_shortens_logged_intervals() {
     let log = runner.step_once(150.0).clone();
     assert!(log.violated);
     assert!(log.interval_s < 5.0, "early check must cut the interval");
+}
+
+/// `policy_by_name` is where the CLI, the fleet and `replay` get
+/// their policies: its `"rule"`, capped at the generous allocation,
+/// decides bit-identically to the `RulePolicy::new(&app)` the
+/// scenarios and the repo benchmark build, and a name it does not know
+/// is `None`, not a default.
+#[test]
+fn rule_by_name_decides_as_rule_policy_new() {
+    for (app, rps) in pema_apps::fleet_mix() {
+        let run = |policy: Box<dyn Policy + Send>| {
+            Experiment::builder()
+                .app(&app)
+                .policy(policy)
+                .backend(UseFluid)
+                .rps(rps)
+                .iters(30)
+                .run()
+        };
+        let named = policy_by_name("rule", app.slo_ms, &app.generous_alloc, 0);
+        let named = run(named.expect("rule is bundled"));
+        let direct = run(Box::new(RulePolicy::new(&app)));
+        assert_eq!(named.log.len(), 30);
+        for (n, d) in named.log.iter().zip(&direct.log) {
+            let bits = |alloc: &[f64]| alloc.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&n.alloc), bits(&d.alloc), "{} @ {}", app.name, n.iter);
+            assert_eq!(n.p95_ms.to_bits(), d.p95_ms.to_bits());
+            assert_eq!((n.violated, &n.action), (d.violated, &d.action));
+        }
+        assert!(policy_by_name("managed", app.slo_ms, &app.generous_alloc, 0).is_none());
+    }
 }

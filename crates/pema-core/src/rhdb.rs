@@ -122,23 +122,11 @@ impl Rhdb {
     }
 
     /// The cheapest record with margin that was observed at a workload
-    /// of at least `min_rps`. A record proving an allocation feasible
-    /// at 400 rps says nothing about 460 rps — so when the load is
-    /// rising, rollback should prefer evidence gathered at or above the
-    /// current load. Falls back through progressively weaker criteria
-    /// (margin at any load, feasible at any load).
-    pub fn best_with_margin_at_load(
-        &self,
-        response_cap_ms: f64,
-        min_rps: f64,
-    ) -> Option<&RhdbRecord> {
-        self.best_proven_at_load(response_cap_ms, min_rps)
-            .or_else(|| self.best_with_margin(response_cap_ms))
-    }
-
-    /// Strict variant of [`Self::best_with_margin_at_load`]: returns
-    /// `None` instead of falling back when no record with margin was
-    /// observed at ≥ `min_rps`.
+    /// of at least `min_rps`, `None` when there is none. A record
+    /// proving an allocation feasible at 400 rps says nothing about
+    /// 460 rps — so when the load is rising, rollback should prefer
+    /// evidence gathered at or above the current load, and fall back
+    /// to [`Self::best_with_margin`] only without it.
     pub fn best_proven_at_load(&self, response_cap_ms: f64, min_rps: f64) -> Option<&RhdbRecord> {
         self.cheapest(|r| !r.violated && r.response_ms <= response_cap_ms && r.rps >= min_rps)
     }
@@ -261,10 +249,12 @@ mod tests {
         };
         rec_at(0, 4.0, 300.0, 150.0); // cheap but low-load evidence
         rec_at(1, 6.0, 500.0, 180.0); // pricier, proven at high load
-        let r = db.best_with_margin_at_load(200.0, 450.0).unwrap();
+        let r = db.best_proven_at_load(200.0, 450.0).unwrap();
         assert_eq!(r.t, 1, "should prefer the record proven at >= 450 rps");
-        // No high-load record with margin: falls back to any margin.
-        let r = db.best_with_margin_at_load(200.0, 900.0).unwrap();
+        // No high-load record with margin: the caller falls back to any
+        // margin.
+        assert!(db.best_proven_at_load(200.0, 900.0).is_none());
+        let r = db.best_with_margin(200.0).unwrap();
         assert_eq!(r.t, 0, "fallback picks the cheapest with margin");
     }
 
@@ -348,10 +338,6 @@ mod tests {
             assert_eq!(db.best_feasible().map(|r| r.t), feasible);
             assert_eq!(db.best_with_margin(cap).map(|r| r.t), margin.or(feasible));
             assert_eq!(db.best_proven_at_load(cap, min_rps).map(|r| r.t), proven);
-            assert_eq!(
-                db.best_with_margin_at_load(cap, min_rps).map(|r| r.t),
-                proven.or(margin).or(feasible)
-            );
         }
     }
 

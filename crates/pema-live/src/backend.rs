@@ -357,11 +357,6 @@ impl LiveBackend {
         std::mem::take(&mut self.errors)
     }
 
-    /// Whether the backend suppresses PATCHes.
-    pub fn is_dry_run(&self) -> bool {
-        self.cfg.dry_run
-    }
-
     /// One query with the retry schedule. Backoff waits go through the
     /// [`TimeSource`], so virtual-clock tests replay the schedule
     /// instantly.

@@ -159,11 +159,6 @@ impl FakeCluster {
         self.lock().alloc.clone()
     }
 
-    /// Changes the constant workload.
-    pub fn set_rps(&self, rps: f64) {
-        self.lock().rps = rps;
-    }
-
     /// Requests served (faulted ones included).
     pub fn requests_served(&self) -> u64 {
         self.lock().stats.requests

@@ -60,7 +60,7 @@
 //! the SLO (via the work-conservation check described in
 //! [`backend`] — the tape cannot know counterfactual
 //! queueing, so saturation is the honest signal). The `trace_replay`
-//! bench scenario and `pema-cli record`/`replay` wrap exactly this
+//! bench scenario and `pema-cli run --out`/`replay` wrap exactly this
 //! flow; the format spec lives in `docs/trace-format.md`.
 
 pub mod backend;
