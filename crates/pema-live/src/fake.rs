@@ -14,12 +14,15 @@
 //! *zero* divergence.
 //!
 //! Fault injection is a FIFO of [`Fault`]s consumed one per incoming
-//! request: drop the connection, delay past the client's timeout,
-//! answer 500, or answer garbage. Since the client opens one connection
-//! per request (`Connection: close`), a single injected fault maps to
-//! exactly one failed query attempt. Every fault is answered *after*
-//! the request was read in full, so the client sees the injected
-//! failure itself and never a TCP reset racing it.
+//! request, whichever connection it arrives on: drop the connection,
+//! delay past the client's timeout, answer 500, or answer garbage. A
+//! single injected fault maps to exactly one failed request. Every fault
+//! is answered *after* the request was read in full, so the client sees
+//! the injected failure itself and never a TCP reset racing it. The
+//! client keeps its connection alive between requests, so a drop or a
+//! client timeout also costs that connection, and the next request
+//! opens another; a 500 or a garbage body leaves it open. The server's
+//! accept count is on the ledger ([`FaultStats::connections`]).
 
 use crate::backend::{LiveBackend, LiveConfig};
 use crate::clock::FakeClock;
@@ -37,7 +40,7 @@ use std::time::Duration;
 /// One injected failure, consumed by the next incoming request.
 #[derive(Debug, Clone)]
 pub enum Fault {
-    /// Accept, then close without responding.
+    /// Read the request, then close its connection without responding.
     DropConnection,
     /// Stall before handling the request (drive client timeouts).
     Delay(Duration),
@@ -58,8 +61,9 @@ pub struct PatchEvent {
 
 /// Ground truth of the server's fault injection, for asserting client
 /// retry behavior (and the live backend's retry *telemetry*) against
-/// what the cluster actually did: requests served and faults fired,
-/// by kind. Queryable via [`FakeCluster::fault_stats`].
+/// what the cluster actually did: requests served, faults fired by
+/// kind, and connections accepted. Queryable via
+/// [`FakeCluster::fault_stats`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Requests served, faulted ones included.
@@ -72,6 +76,8 @@ pub struct FaultStats {
     pub http500: u64,
     /// [`Fault::GarbageBody`]s fired.
     pub garbage: u64,
+    /// TCP connections the cluster accepted.
+    pub connections: u64,
 }
 
 impl FaultStats {
@@ -164,10 +170,13 @@ impl FakeCluster {
         self.lock().stats.requests
     }
 
-    /// Requests served and faults fired so far, by kind — the ground
-    /// truth retry counters are asserted against.
+    /// Requests served, faults fired by kind and connections accepted
+    /// so far — the ground truth retry counters are asserted against.
     pub fn fault_stats(&self) -> FaultStats {
-        self.lock().stats.clone()
+        FaultStats {
+            connections: self.server.connections(),
+            ..self.lock().stats.clone()
+        }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, State> {

@@ -11,6 +11,7 @@
 //! granularity (1m), which is below the controller's step sizes.
 
 use crate::http::{Endpoint, HttpClient, HttpError};
+use pema_telemetry::json::Reader;
 
 /// The subset of a kubeconfig the live actuator needs. No YAML
 /// parsing, no client certificates: host, bearer token, namespace.
@@ -37,6 +38,9 @@ pub enum KubeError {
         /// Response body (the API server's Status message).
         body: String,
     },
+    /// A 2xx answer that is not the patched Deployment, so nothing
+    /// shows the PATCH was applied.
+    Malformed(String),
 }
 
 impl std::fmt::Display for KubeError {
@@ -46,6 +50,7 @@ impl std::fmt::Display for KubeError {
             KubeError::Status { code, body } => {
                 write!(f, "kubernetes API returned HTTP {code}: {body}")
             }
+            KubeError::Malformed(e) => write!(f, "unparseable kubernetes API answer: {e}"),
         }
     }
 }
@@ -82,7 +87,10 @@ impl KubeClient {
 
     /// PATCHes one deployment's CPU limit. The deployment and its
     /// single app container are assumed to share the service name
-    /// (the repo's manifests generate them that way).
+    /// (the repo's manifests generate them that way). Success is a 2xx
+    /// whose body is the patched object, a JSON object with
+    /// `"kind":"Deployment"`: a status code alone does not show that
+    /// the limit is in force.
     pub fn patch_cpu_limit(&self, service: &str, cores: f64) -> Result<(), KubeError> {
         let mut headers = Vec::new();
         if let Some(token) = &self.config.token {
@@ -99,13 +107,34 @@ impl KubeClient {
             )
             .map_err(KubeError::Http)?;
         if resp.is_success() {
-            Ok(())
+            check_deployment(&resp.body).map_err(KubeError::Malformed)
         } else {
             Err(KubeError::Status {
                 code: resp.status,
                 body: resp.body,
             })
         }
+    }
+}
+
+/// `Ok` when `body` is a JSON object whose first `kind` is
+/// `"Deployment"`. The API server answers with the whole object, so
+/// the rest is skipped (syntax-checked) unread.
+fn check_deployment(body: &str) -> Result<(), String> {
+    let mut r = Reader::new(body);
+    let mut kind = None;
+    r.begin_object()?;
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "kind" if kind.is_none() => kind = Some(r.string()?),
+            _ => r.skip_value()?,
+        }
+    }
+    r.end()?;
+    match kind.as_deref() {
+        Some("Deployment") => Ok(()),
+        Some(other) => Err(format!("kind \"{other}\", not Deployment")),
+        None => Err("missing required key \"kind\"".into()),
     }
 }
 
@@ -147,5 +176,26 @@ mod tests {
         let cpu = at(c0, &["resources", "limits", "cpu"]);
         let parsed: f64 = cpu.as_str().unwrap().parse().unwrap();
         assert_eq!(parsed.to_bits(), 1.35f64.to_bits());
+    }
+
+    #[test]
+    fn only_the_patched_deployment_is_a_successful_answer() {
+        for ok in [
+            r#"{"kind":"Deployment"}"#,
+            r#"{"apiVersion":"apps/v1","metadata":{"name":"fe","labels":{"kind":"x"}},"kind":"Deployment","spec":{}}"#,
+        ] {
+            assert_eq!(check_deployment(ok), Ok(()), "{ok}");
+        }
+        for bad in [
+            "}{ this is not json",
+            "",
+            r#"["kind","Deployment"]"#,
+            r#"{"kind":"Status","status":"Failure"}"#,
+            r#"{"metadata":{"kind":"Deployment"}}"#,
+            r#"{"kind":"Deployment"} trailing"#,
+            r#"{"kind":7}"#,
+        ] {
+            assert!(check_deployment(bad).is_err(), "{bad}");
+        }
     }
 }

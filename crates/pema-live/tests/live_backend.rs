@@ -103,6 +103,38 @@ fn bearer_auth_rejection_is_a_typed_error_not_a_panic() {
 }
 
 #[test]
+fn a_garbage_answer_to_a_patch_is_an_error_and_the_shadow_keeps_its_value() {
+    // The cluster answers 200 without applying the PATCH; only the body
+    // shows that. Trusting the status code left the shadow at the
+    // decided value while the cluster stayed at the old one.
+    let mut live = live_over_fake(&app(), RPS);
+    let before = live.allocation().get(0);
+    let mut next = live.allocation();
+    next.set(0, before / 2.0);
+    live.cluster.inject_fault(Fault::GarbageBody);
+    live.apply(&next);
+    let errors = live.backend.take_errors();
+    assert!(
+        matches!(
+            errors.as_slice(),
+            [LiveError::Patch {
+                error: KubeError::Malformed(_),
+                ..
+            }]
+        ),
+        "want one malformed-PATCH error, got {errors:?}"
+    );
+    assert!(live.cluster.patches().is_empty());
+    assert_eq!(live.allocation().get(0).to_bits(), before.to_bits());
+    assert_eq!(live.cluster.allocation().get(0).to_bits(), before.to_bits());
+    // The next apply of the same decision lands.
+    live.apply(&next);
+    assert!(live.backend.errors().is_empty());
+    assert_eq!(live.cluster.allocation(), next);
+    assert_eq!(live.allocation(), next);
+}
+
+#[test]
 fn each_single_fault_is_absorbed_by_one_retry() {
     for fault in [Fault::DropConnection, Fault::Http500, Fault::GarbageBody] {
         let mut live = live_over_fake(&app(), RPS);

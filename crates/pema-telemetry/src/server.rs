@@ -1,9 +1,11 @@
-//! `GET /metrics` as a handler on the shared [`http::Server`](Server):
-//! one request per connection (`Connection: close`), which is exactly
-//! how Prometheus scrapes and how CI's `pema-cli metrics` reads it.
+//! `GET /metrics` as a handler on the shared [`http::Server`](Server).
+//! Prometheus keeps its scrape connection alive between scrapes, and
+//! each open connection has its own server thread, so a scraper that
+//! holds one cannot lock out another reader such as `pema-cli metrics`.
 //!
-//! Scrapes render the registry at request time on the server thread,
-//! so instrumented components never block on a scrape in progress.
+//! Scrapes render the registry at request time on the connection's
+//! server thread, one at a time, so instrumented components never block
+//! on a scrape in progress.
 
 use crate::http::{Reply, Server};
 use crate::registry::Telemetry;
@@ -72,5 +74,36 @@ mod tests {
         let r = lint(&second.body, Some(&first.body));
         assert!(r.is_clean(), "{:?}", r.violations);
         assert_eq!(get("/other").status, 404);
+    }
+
+    #[test]
+    fn two_keep_alive_scrapers_and_an_idle_connection_are_served_together() {
+        let t = Telemetry::new();
+        t.counter("pema_test_total", "test counter", &[]).inc();
+        let srv = MetricsServer::serve("127.0.0.1:0", t).unwrap();
+        // A connection that never sends a request: it must not hold up
+        // anyone else.
+        let _idle = std::net::TcpStream::connect(srv.local_addr()).unwrap();
+        let endpoint = Endpoint {
+            host: "127.0.0.1".into(),
+            port: srv.local_addr().port(),
+        };
+        // Each scraper keeps its connection open across rounds, and the
+        // barrier holds both open at once.
+        let rounds = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..3 {
+                        let scrape = HttpClient::default()
+                            .request(&endpoint, "GET", "/metrics", &[], None)
+                            .expect("scrape");
+                        assert!(scrape.body.contains("pema_test_total 1"));
+                        rounds.wait();
+                    }
+                });
+            }
+        });
+        assert_eq!(srv.server.connections(), 3);
     }
 }
