@@ -33,7 +33,8 @@ pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
             // Slightly aggressive so violations actually occur.
             params.alpha = 0.3;
             params.seed = 0xEA7 + rep * 17;
-            let mut run = ctx.closed_loop(&app, 0xEC + rep)?.policy(Pema(params));
+            let policy = PemaController::new(params, app.generous_alloc.clone());
+            let mut run = ctx.closed_loop(&app, 0xEC + rep)?.policy(policy);
             if let Some(s) = early {
                 run = run.early_check(s);
             }

@@ -27,7 +27,8 @@ pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
             params.explore_a = a;
             params.explore_b = b;
             params.seed = 0xAB2 + rep * 31;
-            let run = ctx.closed_loop(&app, 0xE0 + rep)?.policy(Pema(params));
+            let policy = PemaController::new(params, app.generous_alloc.clone());
+            let run = ctx.closed_loop(&app, 0xE0 + rep)?.policy(policy);
             Ok(run.rps(rps).iters(iters).run())
         })?;
         let (avg, worst) = (runs.mean_total(), runs.worst_total);

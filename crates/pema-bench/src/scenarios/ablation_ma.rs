@@ -21,7 +21,8 @@ pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
             let mut params = PemaParams::defaults(app.slo_ms);
             params.ma_window = k;
             params.seed = 0xAB1 + rep * 7;
-            let run = ctx.closed_loop(&app, 0xAB + rep)?.policy(Pema(params));
+            let policy = PemaController::new(params, app.generous_alloc.clone());
+            let run = ctx.closed_loop(&app, 0xAB + rep)?.policy(policy);
             Ok(run.rps(rps).iters(iters).run())
         })?;
         let avg_total = runs.mean_total();

@@ -24,7 +24,8 @@ pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
             let mut params = PemaParams::defaults(app.slo_ms);
             params.freeze_thresholds = freeze;
             params.seed = 0xAB3 + rep * 13;
-            let run = ctx.closed_loop(&app, 0x7E + rep)?.policy(Pema(params));
+            let policy = PemaController::new(params, app.generous_alloc.clone());
+            let run = ctx.closed_loop(&app, 0x7E + rep)?.policy(policy);
             Ok(run.rps(rps).iters(iters).run())
         })?;
         let (norm, viol_pct) = (runs.mean_total() / opt.total, runs.violation_pct());

@@ -55,7 +55,7 @@ pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
         params.explore_b = 0.0;
         let pema = Experiment::builder()
             .app(&app)
-            .policy(Pema(params))
+            .policy(PemaController::new(params, app.generous_alloc.clone()))
             .backend(UseFluid)
             .config(ctx.harness_cfg(0xC5))
             .rps(rps)

@@ -30,7 +30,7 @@ pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
         p.seed = 0xF111;
         let result = ctx
             .closed_loop(&app, 0x11)?
-            .policy(Pema(p))
+            .policy(PemaController::new(p, app.generous_alloc.clone()))
             .rps(rps)
             .iters(iters)
             .run();

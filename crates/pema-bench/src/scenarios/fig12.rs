@@ -22,7 +22,7 @@ pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
         params.seed = 0xF112;
         let result = ctx
             .closed_loop(&app, 0x12)?
-            .policy(Pema(params))
+            .policy(PemaController::new(params, app.generous_alloc.clone()))
             .rps(rps)
             .iters(iters)
             .run();

@@ -31,10 +31,8 @@ pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
         250.0 + 50.0 * (phase.sin() * 0.9 + (2.3 * phase).sin() * 0.1)
     };
 
-    let mut runner = ctx
-        .closed_loop(&app, 0x13)?
-        .policy(Managed(params, range_cfg))
-        .build();
+    let policy = WorkloadAwarePema::new(params, app.generous_alloc.clone(), range_cfg);
+    let mut runner = ctx.closed_loop(&app, 0x13)?.policy(policy).build();
     let mut rows = Vec::new();
     for i in 0..ctx.iters(130) {
         let rps = wander(i as f64 * 44.0);

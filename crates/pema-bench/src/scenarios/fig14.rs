@@ -33,9 +33,8 @@ pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     // Full-fidelity control interval: the paper's two minutes. Shorter
     // windows flag brief burst episodes as violations that a 2-minute
     // p95 dilutes.
-    let mut run = ctx
-        .closed_loop(&app, 0x14)?
-        .policy(Managed(params, range_cfg));
+    let policy = WorkloadAwarePema::new(params, app.generous_alloc.clone(), range_cfg);
+    let mut run = ctx.closed_loop(&app, 0x14)?.policy(policy);
     if !ctx.smoke() {
         run = run.interval_s(120.0).warmup_s(4.0);
     }

@@ -28,7 +28,8 @@ pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
             let pema = ctx.replicate(3, 10, |rep| {
                 let mut params = PemaParams::defaults(app.slo_ms);
                 params.seed = 0xF115 + rep * 101;
-                let run = ctx.closed_loop(&app, 0x15 + rep)?.policy(Pema(params));
+                let policy = PemaController::new(params, app.generous_alloc.clone());
+                let run = ctx.closed_loop(&app, 0x15 + rep)?.policy(policy);
                 Ok(run.rps(rps).iters(iters).run())
             })?;
             let pema_avg = pema.mean_total();
@@ -36,7 +37,7 @@ pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
             // RULE: converges in a few windows; settled over the tail.
             let rule = ctx
                 .closed_loop(&app, 0x5115)?
-                .policy(Rule)
+                .policy(RulePolicy::new(&app))
                 .rps(rps)
                 .iters(ctx.iters(12))
                 .run();

@@ -44,7 +44,8 @@ pub(crate) fn sweep(
                 let mut params = PemaParams::defaults(app.slo_ms);
                 set(&mut params, value);
                 params.seed = 0xF100 + seed + rep * 977;
-                let run = ctx.closed_loop(&app, seed + rep)?.policy(Pema(params));
+                let policy = PemaController::new(params, app.generous_alloc.clone());
+                let run = ctx.closed_loop(&app, seed + rep)?.policy(policy);
                 Ok(run.rps(rps).iters(iters).run())
             })?;
             let norm = runs.mean_total() / opt.total;

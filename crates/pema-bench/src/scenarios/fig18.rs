@@ -22,9 +22,8 @@ pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
         split_after: 8,
         m_learn_steps: 5,
     };
-    let mut run = ctx
-        .closed_loop(&app, 0x18)?
-        .policy(Managed(params, range_cfg));
+    let policy = WorkloadAwarePema::new(params, app.generous_alloc.clone(), range_cfg);
+    let mut run = ctx.closed_loop(&app, 0x18)?.policy(policy);
     if !ctx.smoke() {
         run = run.interval_s(30.0);
     }

@@ -21,7 +21,8 @@ pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let rps = 700.0;
     let mut params = PemaParams::defaults(app.slo_ms);
     params.seed = 0xF119;
-    let mut runner = ctx.closed_loop(&app, 0x19)?.policy(Pema(params)).build();
+    let policy = PemaController::new(params, app.generous_alloc.clone());
+    let mut runner = ctx.closed_loop(&app, 0x19)?.policy(policy).build();
 
     // Phase boundaries: clock change at s1 and s2 of n intervals.
     let (n, s1, s2) = if ctx.smoke() { (6, 2, 4) } else { (76, 32, 54) };

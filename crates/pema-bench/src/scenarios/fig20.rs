@@ -19,7 +19,8 @@ pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let rps = 700.0;
     let mut params = PemaParams::defaults(250.0);
     params.seed = 0xF121;
-    let mut runner = ctx.closed_loop(&app, 0x20)?.policy(Pema(params)).build();
+    let policy = PemaController::new(params, app.generous_alloc.clone());
+    let mut runner = ctx.closed_loop(&app, 0x20)?.policy(policy).build();
 
     // Phase boundaries: SLO change at s1 and s2 of n intervals.
     let (n, s1, s2) = if ctx.smoke() {

@@ -123,7 +123,7 @@ fn run_case(
             .floor(p.floor)
             .app(&p.app)
             .backend(UseFluid)
-            .policy(Rule)
+            .policy(RulePolicy::new(&p.app))
             .config(ctx.harness_cfg(seed_base + i as u64))
             .iters(iters)
             .observer(Capture(events));

@@ -47,8 +47,9 @@ pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let recorder = TraceRecorder::new(&app, "pema", params.seed, &cfg);
     let handle = recorder.handle();
     let t0 = std::time::Instant::now();
+    let policy = PemaController::new(params.clone(), app.generous_alloc.clone());
     ctx.closed_loop(&app, cfg.seed)?
-        .policy(Pema(params.clone()))
+        .policy(policy)
         .rps(rps)
         .iters(iters)
         .observer(recorder)

@@ -2,12 +2,12 @@
 //! induce a bottleneck in the simulator, harvest features, train, and
 //! verify the paper's feature choice discriminates.
 
-use pema::pema_classifier::{
+use pema_classifier::{
     cross_validate, generate_dataset, DatasetConfig, Feature, FitConfig, Logistic, Stump,
 };
 
-fn dataset() -> pema::pema_classifier::Dataset {
-    let app = pema::pema_apps::toy_chain();
+fn dataset() -> pema_classifier::Dataset {
+    let app = pema_apps::toy_chain();
     let cfg = DatasetConfig {
         rps: 150.0,
         levels: 7,

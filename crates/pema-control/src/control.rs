@@ -169,11 +169,11 @@ impl<F: FnMut(&IterationLog, &WindowStats)> Observer for F {
 /// The measure → observe → act → apply loop, generic over the policy
 /// and the cluster backend.
 ///
-/// Most callers should construct one through
-/// [`Experiment::builder`](crate::Experiment::builder) rather than
-/// [`ControlLoop::new`]; the struct itself stays public for stepping
-/// runs that script the policy or backend mid-flight (SLO changes,
-/// clock changes, …).
+/// Built by [`ControlLoop::new`] from a backend and a policy, or by
+/// [`Experiment::builder`](crate::Experiment::builder), which also
+/// derives the backend from an app and attaches observers and
+/// telemetry. Its policy and backend stay public for stepping runs
+/// that script either mid-flight (SLO changes, clock changes, …).
 pub struct ControlLoop<P: Policy, B: ClusterBackend = SimBackend> {
     /// The cluster under control (public for scenario scripting: speed
     /// changes, trace sampling, etc.).

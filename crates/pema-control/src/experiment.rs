@@ -1,16 +1,20 @@
 //! [`Experiment`] — the builder-style facade over the control loop.
 //!
-//! This is the one way examples, tests, and `pema-bench` scenarios
-//! construct runs:
+//! The builder describes a run against an app. The `pema-bench`
+//! scenarios, `pema-cli run|live|fleet`, the examples and most tests
+//! use it; `pema_trace::replay` and the benchmark harness, which have
+//! a backend and a policy in hand, call
+//! [`ControlLoop::new`](crate::ControlLoop::new) directly.
 //!
 //! ```
-//! use pema_control::{Experiment, HarnessConfig, Pema};
-//! use pema_core::PemaParams;
+//! use pema_control::{Experiment, HarnessConfig};
+//! use pema_core::{PemaController, PemaParams};
 //!
 //! let app = pema_apps::toy_chain();
+//! let params = PemaParams::defaults(app.slo_ms);
 //! let result = Experiment::builder()
 //!     .app(&app)
-//!     .policy(Pema(PemaParams::defaults(app.slo_ms)))
+//!     .policy(PemaController::new(params, app.generous_alloc.clone()))
 //!     .config(HarnessConfig {
 //!         interval_s: 10.0,
 //!         warmup_s: 1.0,
@@ -22,17 +26,15 @@
 //! assert_eq!(result.log.len(), 3);
 //! ```
 //!
-//! The builder is generic over two slots, each filled by a marker or an
-//! explicit instance:
+//! The builder is generic over two slots:
 //!
-//! * **policy** — [`Pema`], [`Managed`], [`Rule`], or any value
-//!   implementing [`Policy`] directly;
+//! * **policy** — any value implementing [`Policy`];
 //! * **backend** — [`UseSim`] (default), [`UseFluid`], or any value
 //!   implementing [`ClusterBackend`] directly.
 //!
-//! Markers defer construction to [`build`](ExperimentBuilder::build),
-//! so the app, seed, and SLO override can arrive in any order.
-//! [`build`] hands back the fully wired
+//! The backend markers defer construction to
+//! [`build`](ExperimentBuilder::build), so the app and seed can arrive
+//! in any order. [`build`] hands back the fully wired
 //! [`ControlLoop`](crate::ControlLoop) for stepping runs that script
 //! the policy or backend mid-flight; [`run`](ExperimentBuilder::run)
 //! drives the configured workload to completion in one call.
@@ -42,9 +44,8 @@
 use crate::backend::{ClusterBackend, FluidBackend, SimBackend};
 use crate::control::{ControlLoop, HarnessConfig, Load, Observer, Run, RunResult};
 use crate::fleet::ArbMeta;
-use crate::policy::{Policy, RulePolicy};
+use crate::policy::Policy;
 use crate::telemetry::LoopTelemetry;
-use pema_core::{PemaController, PemaParams, RangeConfig, WorkloadAwarePema};
 use pema_sim::AppSpec;
 use pema_telemetry::{EventSink, Telemetry};
 use pema_workload::Workload;
@@ -61,83 +62,9 @@ impl Experiment {
 }
 
 /// Placeholder for the not-yet-chosen policy slot. Does not implement
-/// [`IntoPolicy`], so forgetting `.policy(..)` is a compile error at
+/// [`Policy`], so forgetting `.policy(..)` is a compile error at
 /// `.build()` / `.run()`.
 pub struct Unset;
-
-/// Policy marker: the plain PEMA controller (Algorithm 1) starting from
-/// the app's generous allocation.
-pub struct Pema(pub PemaParams);
-
-/// Policy marker: the workload-aware range manager (§3.4) starting from
-/// the app's generous allocation.
-pub struct Managed(pub PemaParams, pub RangeConfig);
-
-/// Policy marker: the latency-blind k8s-style rule baseline, judged
-/// against the app's SLO (or the builder's [`slo_ms`] override).
-///
-/// [`slo_ms`]: ExperimentBuilder::slo_ms
-pub struct Rule;
-
-/// Anything the builder's policy slot accepts: a marker (constructed
-/// against the app at build time) or a ready [`Policy`] instance.
-pub trait IntoPolicy {
-    /// The concrete policy driving the loop.
-    type Policy: Policy;
-
-    /// Builds the policy. `slo_ms` is the builder-level override
-    /// (`None` → the app's / params' own SLO).
-    fn into_policy(self, app: &AppSpec, slo_ms: Option<f64>) -> Self::Policy;
-}
-
-impl IntoPolicy for Pema {
-    type Policy = PemaController;
-
-    fn into_policy(self, app: &AppSpec, slo_ms: Option<f64>) -> PemaController {
-        let mut params = self.0;
-        if let Some(s) = slo_ms {
-            params.slo_ms = s;
-        }
-        PemaController::new(params, app.generous_alloc.clone())
-    }
-}
-
-impl IntoPolicy for Managed {
-    type Policy = WorkloadAwarePema;
-
-    fn into_policy(self, app: &AppSpec, slo_ms: Option<f64>) -> WorkloadAwarePema {
-        let mut params = self.0;
-        if let Some(s) = slo_ms {
-            params.slo_ms = s;
-        }
-        WorkloadAwarePema::new(params, app.generous_alloc.clone(), self.1)
-    }
-}
-
-impl IntoPolicy for Rule {
-    type Policy = RulePolicy;
-
-    fn into_policy(self, app: &AppSpec, slo_ms: Option<f64>) -> RulePolicy {
-        let policy = RulePolicy::new(app);
-        match slo_ms {
-            Some(s) => policy.with_slo_ms(s),
-            None => policy,
-        }
-    }
-}
-
-impl<P: Policy> IntoPolicy for P {
-    type Policy = P;
-
-    fn into_policy(self, _app: &AppSpec, slo_ms: Option<f64>) -> P {
-        assert!(
-            slo_ms.is_none(),
-            "an explicit policy instance carries its own SLO; \
-             configure it on the policy instead of .slo_ms(..)"
-        );
-        self
-    }
-}
 
 /// Backend marker: the discrete-event simulator ([`SimBackend::new`] —
 /// generous allocation, 8×SLO request timeout), seeded from the
@@ -199,7 +126,6 @@ pub struct ExperimentBuilder<P = Unset, B = UseSim> {
 pub(crate) struct RunSpec {
     app: Option<AppSpec>,
     cfg: HarnessConfig,
-    slo_ms: Option<f64>,
     early_check_s: Option<f64>,
     load: Option<Load>,
     iters: usize,
@@ -221,7 +147,6 @@ impl ExperimentBuilder {
             run: RunSpec {
                 app: None,
                 cfg: HarnessConfig::default(),
-                slo_ms: None,
                 early_check_s: None,
                 load: None,
                 iters: 0,
@@ -273,12 +198,6 @@ impl<P, B> ExperimentBuilder<P, B> {
     /// Settling time before each measurement, seconds.
     pub fn warmup_s(mut self, warmup_s: f64) -> Self {
         self.run.cfg.warmup_s = warmup_s;
-        self
-    }
-
-    /// Overrides the SLO the policy targets (marker policies only).
-    pub fn slo_ms(mut self, slo_ms: f64) -> Self {
-        self.run.slo_ms = Some(slo_ms);
         self
     }
 
@@ -380,8 +299,13 @@ impl<P, B> ExperimentBuilder<P, B> {
         self
     }
 
-    /// Fills the policy slot (marker or explicit [`Policy`] instance).
-    pub fn policy<Q>(self, policy: Q) -> ExperimentBuilder<Q, B> {
+    /// Fills the policy slot. Anything that is not a [`Policy`] is
+    /// rejected here, not later at `.run()`:
+    ///
+    /// ```compile_fail,E0277
+    /// let _ = pema_control::Experiment::builder().policy(3.0_f64);
+    /// ```
+    pub fn policy<Q: Policy>(self, policy: Q) -> ExperimentBuilder<Q, B> {
         ExperimentBuilder {
             policy,
             backend: self.backend,
@@ -400,15 +324,14 @@ impl<P, B> ExperimentBuilder<P, B> {
     }
 }
 
-impl<P: IntoPolicy, B: IntoBackend> ExperimentBuilder<P, B> {
-    fn wire(self) -> (ControlLoop<P::Policy, B::Backend>, Option<Load>, usize) {
+impl<P: Policy, B: IntoBackend> ExperimentBuilder<P, B> {
+    fn wire(self) -> (ControlLoop<P, B::Backend>, Option<Load>, usize) {
         let run = self.run;
         let app = run
             .app
             .expect("Experiment::builder(): call .app(..) before .build()/.run()");
-        let policy = self.policy.into_policy(&app, run.slo_ms);
         let backend = self.backend.into_backend(&app, &run.cfg);
-        let mut control = ControlLoop::new(backend, policy, run.cfg);
+        let mut control = ControlLoop::new(backend, self.policy, run.cfg);
         if let Some(check_s) = run.early_check_s {
             control = control.with_early_check(check_s);
         }
@@ -427,7 +350,7 @@ impl<P: IntoPolicy, B: IntoBackend> ExperimentBuilder<P, B> {
 
     /// Wires everything up and hands back the loop for manual stepping
     /// (mid-run SLO / clock scripting, per-interval branching, …).
-    pub fn build(self) -> ControlLoop<P::Policy, B::Backend> {
+    pub fn build(self) -> ControlLoop<P, B::Backend> {
         self.wire().0
     }
 
@@ -437,7 +360,7 @@ impl<P: IntoPolicy, B: IntoBackend> ExperimentBuilder<P, B> {
     /// # Panics
     /// Panics unless both a load (`.rps(..)` / `.workload(..)`) and a
     /// positive `.iters(..)` were set.
-    pub(crate) fn into_run(self) -> Run<P::Policy, B::Backend> {
+    pub(crate) fn into_run(self) -> Run<P, B::Backend> {
         let (control, load, iters) = self.wire();
         Run::new(control, load, iters)
     }

@@ -115,16 +115,15 @@
 //! ## Example
 //!
 //! ```
-//! use pema_control::{
-//!     Experiment, Fleet, HarnessConfig, MemberSpec, Pema, UseFluid, WeightedFairShare,
-//! };
-//! use pema_core::PemaParams;
+//! use pema_control::{Fleet, HarnessConfig, MemberSpec, UseFluid, WeightedFairShare};
+//! use pema_core::{PemaController, PemaParams};
 //!
 //! let app = pema_apps::toy_chain();
 //! let member = |seed: u64| {
+//!     let params = PemaParams::defaults(app.slo_ms);
 //!     MemberSpec::new()
 //!         .app(&app)
-//!         .policy(Pema(PemaParams::defaults(app.slo_ms)))
+//!         .policy(PemaController::new(params, app.generous_alloc.clone()))
 //!         .backend(UseFluid)
 //!         .config(HarnessConfig::with_seed(seed))
 //!         .rps(150.0)
@@ -153,7 +152,7 @@ use crate::arbitration::{
 };
 use crate::backend::ClusterBackend;
 use crate::control::{LoopPoll, Run, RunResult};
-use crate::experiment::{ExperimentBuilder, IntoBackend, IntoPolicy, Unset, UseSim};
+use crate::experiment::{ExperimentBuilder, IntoBackend, Unset, UseSim};
 use crate::policy::Policy;
 use crate::telemetry::{LoopTelemetry, ShardTelemetry};
 use pema_telemetry::{EventSink, Telemetry};
@@ -444,14 +443,12 @@ impl Fleet {
     /// Panics unless the spec carries a load (`.rps(..)` /
     /// `.workload(..)`) and a positive `.iters(..)` — the fleet needs
     /// the complete run description up front.
-    pub fn member<P, B>(mut self, spec: impl Into<MemberSpec<P, B>>) -> Self
+    pub fn member<P, B>(mut self, mut spec: MemberSpec<P, B>) -> Self
     where
-        P: IntoPolicy,
+        P: Policy + Send + 'static,
         B: IntoBackend,
-        P::Policy: Send + 'static,
         B::Backend: Send + 'static,
     {
-        let mut spec = spec.into();
         let name = spec.run.name.take();
         let name = name.unwrap_or_else(|| format!("app{}", self.members.len()));
         self.meta.push(spec.run.arb);

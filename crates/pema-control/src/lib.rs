@@ -29,16 +29,20 @@
 //!
 //! ## Constructing runs
 //!
-//! All runs go through the [`Experiment`] builder:
+//! The [`Experiment`] builder wires a policy value and a backend to an
+//! app ([`ControlLoop::new`] is the same wiring without the app):
 //!
 //! ```
-//! use pema_control::{Experiment, HarnessConfig, Pema, UseFluid};
-//! use pema_core::PemaParams;
+//! use pema_control::{Experiment, HarnessConfig, UseFluid};
+//! use pema_core::{PemaController, PemaParams};
 //!
 //! let app = pema_apps::toy_chain();
 //! let result = Experiment::builder()
 //!     .app(&app)
-//!     .policy(Pema(PemaParams::defaults(app.slo_ms)))
+//!     .policy(PemaController::new(
+//!         PemaParams::defaults(app.slo_ms),
+//!         app.generous_alloc.clone(),
+//!     ))
 //!     .backend(UseFluid) // drop this line for the full-fidelity DES
 //!     .config(HarnessConfig::with_seed(7))
 //!     .rps(150.0)
@@ -83,10 +87,7 @@ pub use backend::{
 pub use control::{
     optimum_for, ControlLoop, HarnessConfig, IterationLog, LoopPoll, Observer, RunResult,
 };
-pub use experiment::{
-    Experiment, ExperimentBuilder, IntoBackend, IntoPolicy, Managed, Pema, Rule, Unset, UseFluid,
-    UseSim,
-};
+pub use experiment::{Experiment, ExperimentBuilder, IntoBackend, Unset, UseFluid, UseSim};
 pub use fleet::{resolve_threads, Clock, Fleet, FleetResult, FleetRun, MemberSpec};
 pub use policy::{policy_by_name, stats_to_obs, Decision, HoldPolicy, Policy, RulePolicy};
 pub use telemetry::LoopTelemetry;

@@ -181,12 +181,6 @@ impl RulePolicy {
             slo_ms: app.slo_ms,
         }
     }
-
-    /// Overrides the SLO violations are marked against.
-    pub fn with_slo_ms(mut self, slo_ms: f64) -> Self {
-        self.slo_ms = slo_ms;
-        self
-    }
 }
 
 impl Policy for RulePolicy {

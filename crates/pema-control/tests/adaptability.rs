@@ -1,7 +1,9 @@
 //! Integration: adaptability scenarios (paper §4.4) — hardware speed
 //! changes and dynamic SLOs.
 
-use pema::prelude::*;
+use pema_control::{ClusterBackend, ControlLoop, Experiment, HarnessConfig};
+use pema_core::{PemaController, PemaParams};
+use pema_sim::AppSpec;
 
 fn cfg(seed: u64) -> HarnessConfig {
     HarnessConfig {
@@ -18,14 +20,14 @@ fn pema_runner(
 ) -> ControlLoop<PemaController> {
     Experiment::builder()
         .app(app)
-        .policy(Pema(params))
+        .policy(PemaController::new(params, app.generous_alloc.clone()))
         .config(cfg)
         .build()
 }
 
 #[test]
 fn slowdown_raises_allocation_speedup_lowers_it() {
-    let app = pema::pema_apps::toy_chain();
+    let app = pema_apps::toy_chain();
     let mut params = PemaParams::defaults(app.slo_ms);
     params.seed = 21;
     let mut runner = pema_runner(&app, params, cfg(21));
@@ -60,7 +62,7 @@ fn slowdown_raises_allocation_speedup_lowers_it() {
 
 #[test]
 fn tighter_slo_costs_resources_looser_slo_saves_them() {
-    let app = pema::pema_apps::toy_chain(); // SLO 100 ms
+    let app = pema_apps::toy_chain(); // SLO 100 ms
     let mut params = PemaParams::defaults(app.slo_ms);
     params.seed = 22;
     let mut runner = pema_runner(&app, params, cfg(22));
@@ -96,7 +98,7 @@ fn tighter_slo_costs_resources_looser_slo_saves_them() {
 
 #[test]
 fn slo_violation_detection_follows_current_slo() {
-    let app = pema::pema_apps::toy_chain();
+    let app = pema_apps::toy_chain();
     let mut params = PemaParams::defaults(app.slo_ms);
     params.seed = 23;
     let mut runner = pema_runner(&app, params, cfg(23));

@@ -1,7 +1,9 @@
 //! Cross-crate integration: the full PEMA loop (controller × simulator)
 //! on real application models.
 
-use pema::prelude::*;
+use pema_control::{optimum_for, Experiment, HarnessConfig, RulePolicy, RunResult};
+use pema_core::{PemaController, PemaParams};
+use pema_sim::AppSpec;
 
 fn cfg(seed: u64) -> HarnessConfig {
     HarnessConfig {
@@ -21,7 +23,7 @@ fn pema_run(
 ) -> RunResult {
     Experiment::builder()
         .app(app)
-        .policy(Pema(params))
+        .policy(PemaController::new(params, app.generous_alloc.clone()))
         .config(cfg)
         .rps(rps)
         .iters(iters)
@@ -30,7 +32,7 @@ fn pema_run(
 
 #[test]
 fn pema_converges_and_preserves_qos_on_toy_chain() {
-    let app = pema::pema_apps::toy_chain();
+    let app = pema_apps::toy_chain();
     let mut params = PemaParams::defaults(app.slo_ms);
     params.seed = 1;
     let result = pema_run(&app, params, cfg(2), 150.0, 30);
@@ -49,13 +51,13 @@ fn pema_converges_and_preserves_qos_on_toy_chain() {
 
 #[test]
 fn pema_beats_rule_on_sockshop() {
-    let app = pema::pema_apps::sockshop();
+    let app = pema_apps::sockshop();
     let mut params = PemaParams::defaults(app.slo_ms);
     params.seed = 3;
     let pema = pema_run(&app, params, cfg(4), 550.0, 35);
     let rule = Experiment::builder()
         .app(&app)
-        .policy(Rule)
+        .policy(RulePolicy::new(&app))
         .config(cfg(4))
         .rps(550.0)
         .iters(10)
@@ -70,7 +72,7 @@ fn pema_beats_rule_on_sockshop() {
 
 #[test]
 fn optimum_is_a_lower_bound_for_pema() {
-    let app = pema::pema_apps::toy_chain();
+    let app = pema_apps::toy_chain();
     let rps = 150.0;
     let opt = optimum_for(&app, rps, 9).expect("optimum exists");
     let mut params = PemaParams::defaults(app.slo_ms);
@@ -93,7 +95,7 @@ fn optimum_is_a_lower_bound_for_pema() {
 
 #[test]
 fn rollback_recovers_from_violation() {
-    let app = pema::pema_apps::toy_chain();
+    let app = pema_apps::toy_chain();
     let mut params = PemaParams::defaults(app.slo_ms);
     // Very aggressive: guarantees overshoot and rollback.
     params.alpha = 0.1;
@@ -116,7 +118,7 @@ fn rollback_recovers_from_violation() {
 
 #[test]
 fn run_logs_are_complete_and_consistent() {
-    let app = pema::pema_apps::toy_chain();
+    let app = pema_apps::toy_chain();
     let params = PemaParams::defaults(app.slo_ms);
     let result = pema_run(&app, params, cfg(10), 100.0, 12);
     assert_eq!(result.log.len(), 12);
@@ -134,7 +136,7 @@ fn run_logs_are_complete_and_consistent() {
 
 #[test]
 fn different_seeds_give_different_but_sane_outcomes() {
-    let app = pema::pema_apps::toy_chain();
+    let app = pema_apps::toy_chain();
     let mut totals = Vec::new();
     for seed in [11, 22, 33] {
         let mut params = PemaParams::defaults(app.slo_ms);

@@ -19,10 +19,10 @@ use std::sync::{Arc, Mutex};
 
 use pema_control::{
     AimdBackoff, ArbitrationEvent, Clock, Experiment, Fleet, FleetPolicy, FleetResult,
-    HarnessConfig, HoldPolicy, IterationLog, MemberSpec, Observer, Pema, Rule, RunResult,
+    HarnessConfig, HoldPolicy, IterationLog, MemberSpec, Observer, RulePolicy, RunResult,
     Unlimited, UseFluid, WeightedFairShare,
 };
-use pema_core::PemaParams;
+use pema_core::{PemaController, PemaParams};
 use pema_sim::WindowStats;
 
 /// Bit-faithful rendering (see `fleet_behaviour.rs`): f64 `Debug` is
@@ -87,7 +87,7 @@ fn mixed_fleet() -> Fleet {
                 .name("des-pema")
                 .app(&app)
                 .config(cfg(11))
-                .policy(Pema(pema))
+                .policy(PemaController::new(pema, app.generous_alloc.clone()))
                 .early_check(2.0)
                 .rps(140.0)
                 .iters(4),
@@ -97,7 +97,7 @@ fn mixed_fleet() -> Fleet {
                 .name("fluid-rule")
                 .app(&app)
                 .config(cfg(12))
-                .policy(Rule)
+                .policy(RulePolicy::new(&app))
                 .backend(UseFluid)
                 .rps(120.0)
                 .iters(3),
@@ -124,7 +124,7 @@ fn mixed_solo() -> Vec<String> {
             &Experiment::builder()
                 .app(&app)
                 .config(cfg(11))
-                .policy(Pema(pema))
+                .policy(PemaController::new(pema, app.generous_alloc.clone()))
                 .early_check(2.0)
                 .rps(140.0)
                 .iters(4)
@@ -134,7 +134,7 @@ fn mixed_solo() -> Vec<String> {
             &Experiment::builder()
                 .app(&app)
                 .config(cfg(12))
-                .policy(Rule)
+                .policy(RulePolicy::new(&app))
                 .backend(UseFluid)
                 .rps(120.0)
                 .iters(3)
@@ -235,7 +235,7 @@ fn contended_fleet(
                 .floor(0.2)
                 .app(&app)
                 .config(cfg(20 + i as u64))
-                .policy(Pema(pema))
+                .policy(PemaController::new(pema, app.generous_alloc.clone()))
                 .backend(UseFluid)
                 .rps(130.0 + 15.0 * i as f64)
                 .iters(4)
@@ -350,7 +350,7 @@ fn contended_output_is_invariant_to_tie_breaks() {
                     .floor(0.2)
                     .app(&app)
                     .config(cfg(20 + i as u64))
-                    .policy(Pema(pema))
+                    .policy(PemaController::new(pema, app.generous_alloc.clone()))
                     .backend(UseFluid)
                     .rps(130.0 + 15.0 * i as f64)
                     .iters(4),
@@ -432,7 +432,7 @@ fn trace_recorder_captures_arbitration_events() {
         MemberSpec::new()
             .app(&app)
             .config(cfg(seed))
-            .policy(Rule)
+            .policy(RulePolicy::new(&app))
             .backend(UseFluid)
             .rps(150.0)
             .iters(3)
@@ -462,7 +462,7 @@ fn fleet_wall_pace_matches_virtual() {
         Experiment::builder()
             .app(&app)
             .config(cfg(seed))
-            .policy(Rule)
+            .policy(RulePolicy::new(&app))
             .backend(UseFluid)
             .rps(125.0)
             .iters(3)
@@ -492,7 +492,7 @@ fn infeasible_floors_panic_up_front() {
             .floor(2.0)
             .app(&app)
             .config(cfg(seed))
-            .policy(Rule)
+            .policy(RulePolicy::new(&app))
             .backend(UseFluid)
             .rps(100.0)
             .iters(2)

@@ -5,9 +5,9 @@
 
 use pema_control::{
     ClusterBackend, ControlLoop, Experiment, ExperimentBuilder, Fleet, HarnessConfig, HoldPolicy,
-    LoopPoll, MemberSpec, Pema, Rule, RunResult, SimBackend, UseFluid, UseSim,
+    LoopPoll, MemberSpec, RulePolicy, RunResult, SimBackend, UseFluid, UseSim,
 };
-use pema_core::PemaParams;
+use pema_core::{PemaController, PemaParams};
 use pema_sim::AppSpec;
 use pema_workload::StepPattern;
 
@@ -23,12 +23,12 @@ fn render(r: &RunResult) -> String {
     )
 }
 
-fn pema_exp(app: &AppSpec, early: bool) -> ExperimentBuilder<Pema, UseSim> {
+fn pema_exp(app: &AppSpec, early: bool) -> ExperimentBuilder<PemaController, UseSim> {
     let mut params = PemaParams::defaults(app.slo_ms);
     params.seed = 0xAB;
     let mut b = Experiment::builder()
         .app(app)
-        .policy(Pema(params))
+        .policy(PemaController::new(params, app.generous_alloc.clone()))
         .config(HarnessConfig {
             interval_s: 8.0,
             warmup_s: 1.0,
@@ -71,7 +71,7 @@ fn fleet_of_one_samples_a_time_varying_load_like_a_plain_run() {
             params.seed = 0xCD;
             let b = Experiment::builder()
                 .app(&app)
-                .policy(Pema(params))
+                .policy(PemaController::new(params, app.generous_alloc.clone()))
                 .config(HarnessConfig {
                     interval_s: 6.0,
                     warmup_s: 1.0,
@@ -108,7 +108,7 @@ fn a_run_reserves_its_log_once_for_exactly_its_intervals() {
     let member = |iters: usize| {
         MemberSpec::new()
             .app(&app)
-            .policy(Rule)
+            .policy(RulePolicy::new(&app))
             .backend(UseFluid)
             .rps(140.0)
             .iters(iters)
@@ -126,9 +126,12 @@ fn a_run_reserves_its_log_once_for_exactly_its_intervals() {
 }
 
 /// A run description complete but for what the caller leaves out.
-fn undescribed(load: bool, iters: bool) -> MemberSpec<Rule, UseFluid> {
+fn undescribed(load: bool, iters: bool) -> MemberSpec<RulePolicy, UseFluid> {
     let app = pema_apps::toy_chain();
-    let mut b = MemberSpec::new().app(&app).policy(Rule).backend(UseFluid);
+    let mut b = MemberSpec::new()
+        .app(&app)
+        .policy(RulePolicy::new(&app))
+        .backend(UseFluid);
     if load {
         b = b.rps(140.0);
     }
@@ -171,7 +174,7 @@ fn mixed_fleet_reports_members_in_insertion_order() {
             MemberSpec::new()
                 .name("fluid-rule")
                 .app(&app)
-                .policy(Rule)
+                .policy(RulePolicy::new(&app))
                 .backend(UseFluid)
                 .config(HarnessConfig::with_seed(3))
                 .rps(140.0)
@@ -251,7 +254,7 @@ fn sharded_fleet_matches_single_threaded_run() {
                 MemberSpec::new()
                     .name("fluid-rule")
                     .app(&app)
-                    .policy(Rule)
+                    .policy(RulePolicy::new(&app))
                     .backend(UseFluid)
                     .config(HarnessConfig::with_seed(3))
                     .rps(140.0)

@@ -15,10 +15,10 @@
 //! under adversarial tie-break permutations.
 
 use pema_control::{
-    Experiment, ExperimentBuilder, Fleet, HarnessConfig, HoldPolicy, IntoBackend, IntoPolicy, Pema,
-    Rule, RunResult, Unlimited, WeightedFairShare,
+    Experiment, ExperimentBuilder, Fleet, HarnessConfig, HoldPolicy, IntoBackend, Policy,
+    RulePolicy, RunResult, Unlimited, WeightedFairShare,
 };
-use pema_core::PemaParams;
+use pema_core::{PemaController, PemaParams};
 use pema_sim::AppSpec;
 use proptest::prelude::*;
 
@@ -62,22 +62,25 @@ impl MemberSpec {
             0 => {
                 let mut p = PemaParams::defaults(app.slo_ms);
                 p.seed = 0xF0 + i as u64;
-                FleetPiece::SimPema(base(Experiment::builder()).policy(Pema(p)))
+                FleetPiece::SimPema(
+                    base(Experiment::builder())
+                        .policy(PemaController::new(p, app.generous_alloc.clone())),
+                )
             }
-            1 => FleetPiece::SimRule(base(Experiment::builder()).policy(Rule)),
+            1 => FleetPiece::SimRule(base(Experiment::builder()).policy(RulePolicy::new(app))),
             // Fluid members (the default one-poll seam).
             2 => {
                 let mut p = PemaParams::defaults(app.slo_ms);
                 p.seed = 0xF0 + i as u64;
                 FleetPiece::FluidPema(
                     base(Experiment::builder())
-                        .policy(Pema(p))
+                        .policy(PemaController::new(p, app.generous_alloc.clone()))
                         .backend(pema_control::UseFluid),
                 )
             }
             3 => FleetPiece::FluidRule(
                 base(Experiment::builder())
-                    .policy(Rule)
+                    .policy(RulePolicy::new(app))
                     .backend(pema_control::UseFluid),
             ),
             _ => FleetPiece::FluidHold(
@@ -92,16 +95,16 @@ impl MemberSpec {
 /// A fully-typed experiment description (the builder is generic, so
 /// each policy/backend combination is its own type).
 enum FleetPiece {
-    SimPema(ExperimentBuilder<Pema, pema_control::UseSim>),
-    SimRule(ExperimentBuilder<Rule, pema_control::UseSim>),
-    FluidPema(ExperimentBuilder<Pema, pema_control::UseFluid>),
-    FluidRule(ExperimentBuilder<Rule, pema_control::UseFluid>),
+    SimPema(ExperimentBuilder<PemaController, pema_control::UseSim>),
+    SimRule(ExperimentBuilder<RulePolicy, pema_control::UseSim>),
+    FluidPema(ExperimentBuilder<PemaController, pema_control::UseFluid>),
+    FluidRule(ExperimentBuilder<RulePolicy, pema_control::UseFluid>),
     FluidHold(ExperimentBuilder<HoldPolicy, pema_control::UseFluid>),
 }
 
 impl FleetPiece {
     fn solo(self) -> RunResult {
-        fn go<P: IntoPolicy, B: IntoBackend>(b: ExperimentBuilder<P, B>) -> RunResult {
+        fn go<P: Policy, B: IntoBackend>(b: ExperimentBuilder<P, B>) -> RunResult {
             b.run()
         }
         match self {
@@ -320,7 +323,7 @@ proptest! {
         floor in 0.0f64..0.15,
     ) {
         use std::sync::{Arc, Mutex};
-        use pema_control::{ArbitrationEvent, IterationLog, Observer};
+        use pema_control::{ArbitrationEvent, IterationLog, Observer, RulePolicy};
         use pema_sim::WindowStats;
 
         #[derive(Clone)]
@@ -357,7 +360,7 @@ proptest! {
                             warmup_s: 1.0,
                             seed: 0x5EED + i as u64,
                         })
-                        .policy(Rule)
+                        .policy(RulePolicy::new(&app))
                         .backend(pema_control::UseFluid)
                         .rps(s.rps)
                         .iters(s.iters)

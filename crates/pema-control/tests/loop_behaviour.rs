@@ -5,9 +5,9 @@
 
 use pema_control::{
     policy_by_name, stats_to_obs, Decision, Experiment, HarnessConfig, HoldPolicy, IterationLog,
-    Managed, Pema, Policy, Rule, RulePolicy, SimBackend, UseFluid,
+    Policy, RulePolicy, SimBackend, UseFluid,
 };
-use pema_core::PemaParams;
+use pema_core::{PemaController, PemaParams, WorkloadAwarePema};
 use pema_sim::{Allocation, ClusterSim, WindowStats};
 use std::sync::{Arc, Mutex};
 
@@ -18,7 +18,7 @@ fn pema_reduces_toy_chain_through_the_facade() {
     params.seed = 3;
     let result = Experiment::builder()
         .app(&app)
-        .policy(Pema(params))
+        .policy(PemaController::new(params, app.generous_alloc.clone()))
         .config(HarnessConfig {
             interval_s: 15.0,
             warmup_s: 2.0,
@@ -41,7 +41,7 @@ fn rule_tracks_usage_through_the_facade() {
     let app = pema_apps::toy_chain();
     let result = Experiment::builder()
         .app(&app)
-        .policy(Rule)
+        .policy(RulePolicy::new(&app))
         .config(HarnessConfig {
             interval_s: 15.0,
             warmup_s: 2.0,
@@ -113,7 +113,11 @@ fn managed_policy_pre_switches_allocation() {
         pema_core::RangeConfig::new(pema_workload::WorkloadRange::new(100.0, 300.0), 50.0);
     let mut runner = Experiment::builder()
         .app(&app)
-        .policy(Managed(params, range_cfg))
+        .policy(WorkloadAwarePema::new(
+            params,
+            app.generous_alloc.clone(),
+            range_cfg,
+        ))
         .config(HarnessConfig {
             interval_s: 8.0,
             warmup_s: 1.0,
@@ -134,7 +138,10 @@ fn observers_see_every_interval_with_full_stats() {
     let sink = Arc::clone(&seen);
     let result = Experiment::builder()
         .app(&app)
-        .policy(Pema(PemaParams::defaults(app.slo_ms)))
+        .policy(PemaController::new(
+            PemaParams::defaults(app.slo_ms),
+            app.generous_alloc.clone(),
+        ))
         .config(HarnessConfig {
             interval_s: 6.0,
             warmup_s: 1.0,

@@ -14,10 +14,10 @@
 //!   lint.
 
 use pema_control::{
-    Experiment, Fleet, HarnessConfig, HoldPolicy, MemberSpec, Pema, Rule, RunResult, UseFluid,
+    Experiment, Fleet, HarnessConfig, HoldPolicy, MemberSpec, RulePolicy, RunResult, UseFluid,
     WeightedFairShare,
 };
-use pema_core::PemaParams;
+use pema_core::{PemaController, PemaParams};
 use pema_sim::AppSpec;
 use pema_telemetry::{lint, EventSink, Telemetry, DEFAULT_SECONDS_BUCKETS};
 
@@ -68,7 +68,7 @@ fn experiment_output_is_bit_identical_with_telemetry_attached() {
         params.seed = 0xBEEF;
         Experiment::builder()
             .app(&app)
-            .policy(Pema(params))
+            .policy(PemaController::new(params, app.generous_alloc.clone()))
             .config(cfg(21))
             .early_check(2.0)
             .rps(150.0)
@@ -127,7 +127,7 @@ fn mixed_fleet(app: &AppSpec) -> Fleet {
                 .name("des-pema")
                 .app(app)
                 .config(cfg(11))
-                .policy(Pema(pema))
+                .policy(PemaController::new(pema, app.generous_alloc.clone()))
                 .early_check(2.0)
                 .rps(140.0)
                 .iters(4),
@@ -137,7 +137,7 @@ fn mixed_fleet(app: &AppSpec) -> Fleet {
                 .name("fluid-rule")
                 .app(app)
                 .config(cfg(12))
-                .policy(Rule)
+                .policy(RulePolicy::new(app))
                 .backend(UseFluid)
                 .rps(120.0)
                 .iters(3),
@@ -229,7 +229,7 @@ fn virtual_clock_phase_spans_are_exact() {
     let iters = 5usize;
     Experiment::builder()
         .app(&app)
-        .policy(Rule)
+        .policy(RulePolicy::new(&app))
         .backend(UseFluid)
         .config(HarnessConfig {
             interval_s: 40.0,
@@ -280,7 +280,7 @@ fn event_stream_is_byte_identical_across_identical_runs() {
         params.seed = 7;
         Experiment::builder()
             .app(&app)
-            .policy(Pema(params))
+            .policy(PemaController::new(params, app.generous_alloc.clone()))
             .config(cfg(33))
             .rps(140.0)
             .iters(5)
@@ -330,9 +330,9 @@ fn event_log_matches_the_fixture_written_before_the_encoder_changed() {
             0 => {
                 let mut params = PemaParams::defaults(app.slo_ms);
                 params.seed = 7;
-                fleet.member(spec.policy(Pema(params)))
+                fleet.member(spec.policy(PemaController::new(params, app.generous_alloc.clone())))
             }
-            1 => fleet.member(spec.policy(Rule)),
+            1 => fleet.member(spec.policy(RulePolicy::new(app))),
             _ => fleet.member(spec.policy(HoldPolicy::new(app.generous_alloc.clone(), app.slo_ms))),
         };
     }

@@ -1,7 +1,10 @@
 //! Integration: workload-aware PEMA (dynamic ranging, bursts) against
 //! the simulator.
 
-use pema::prelude::*;
+use pema_control::{ControlLoop, Experiment, HarnessConfig};
+use pema_core::{PemaParams, RangeConfig, WorkloadAwarePema};
+use pema_sim::AppSpec;
+use pema_workload::WorkloadRange;
 
 fn cfg(seed: u64) -> HarnessConfig {
     HarnessConfig {
@@ -19,7 +22,11 @@ fn managed_runner(
 ) -> ControlLoop<WorkloadAwarePema> {
     Experiment::builder()
         .app(app)
-        .policy(Managed(params, ranges))
+        .policy(WorkloadAwarePema::new(
+            params,
+            app.generous_alloc.clone(),
+            ranges,
+        ))
         .config(cfg)
         .build()
 }
@@ -35,7 +42,7 @@ fn range_cfg() -> RangeConfig {
 
 #[test]
 fn manager_splits_ranges_under_varying_load() {
-    let app = pema::pema_apps::toy_chain();
+    let app = pema_apps::toy_chain();
     let params = PemaParams::defaults(app.slo_ms);
     let mut runner = managed_runner(&app, params, range_cfg(), cfg(1));
     for i in 0..40 {
@@ -54,7 +61,7 @@ fn manager_splits_ranges_under_varying_load() {
 
 #[test]
 fn manager_learns_workload_slope() {
-    let app = pema::pema_apps::toy_chain();
+    let app = pema_apps::toy_chain();
     let params = PemaParams::defaults(app.slo_ms);
     let mut runner = managed_runner(&app, params, range_cfg(), cfg(2));
     for i in 0..6 {
@@ -67,7 +74,7 @@ fn manager_learns_workload_slope() {
 
 #[test]
 fn burst_switch_keeps_qos() {
-    let app = pema::pema_apps::toy_chain();
+    let app = pema_apps::toy_chain();
     let params = PemaParams::defaults(app.slo_ms);
     let mut runner = managed_runner(&app, params, range_cfg(), cfg(3));
     // Mature both halves of the band.
@@ -94,7 +101,7 @@ fn burst_switch_keeps_qos() {
 
 #[test]
 fn per_range_allocations_order_with_load() {
-    let app = pema::pema_apps::toy_chain();
+    let app = pema_apps::toy_chain();
     let params = PemaParams::defaults(app.slo_ms);
     let mut runner = managed_runner(&app, params, range_cfg(), cfg(4));
     for i in 0..60 {
@@ -111,7 +118,7 @@ fn per_range_allocations_order_with_load() {
 
 #[test]
 fn managed_runner_result_accounting() {
-    let app = pema::pema_apps::toy_chain();
+    let app = pema_apps::toy_chain();
     let params = PemaParams::defaults(app.slo_ms);
     let mut runner = managed_runner(&app, params, range_cfg(), cfg(5));
     for _ in 0..10 {

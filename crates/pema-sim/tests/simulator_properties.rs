@@ -2,7 +2,7 @@
 //! behaviours PEMA's design *assumes* (monotonicity, throttle
 //! signatures) must hold in the substrate.
 
-use pema::prelude::*;
+use pema_sim::{Allocation, AppSpec, ClusterSim, Evaluator, FluidEvaluator, WindowStats};
 use proptest::prelude::*;
 
 fn measure(app: &AppSpec, alloc: &Allocation, rps: f64, seed: u64) -> WindowStats {
@@ -16,7 +16,7 @@ fn monotonic_reduction_mostly_increases_latency() {
     // The paper's Fig. 7a claim, checked end-to-end on the toy app:
     // random monotonic reductions increase mean latency in ≥ 85% of
     // trials.
-    let app = pema::pema_apps::toy_chain();
+    let app = pema_apps::toy_chain();
     let mut increases = 0;
     let trials = 20;
     for t in 0..trials {
@@ -38,7 +38,7 @@ fn monotonic_reduction_mostly_increases_latency() {
 
 #[test]
 fn throttling_spikes_when_starved() {
-    let app = pema::pema_apps::toy_chain();
+    let app = pema_apps::toy_chain();
     let healthy = measure(
         &app,
         &Allocation::new(app.generous_alloc.clone()),
@@ -58,7 +58,7 @@ fn throttling_spikes_when_starved() {
 
 #[test]
 fn utilization_is_bounded_and_consistent() {
-    let app = pema::pema_apps::sockshop();
+    let app = pema_apps::sockshop();
     let stats = measure(&app, &Allocation::new(app.generous_alloc.clone()), 550.0, 3);
     for (i, s) in stats.per_service.iter().enumerate() {
         assert!(
@@ -78,7 +78,7 @@ fn utilization_is_bounded_and_consistent() {
 
 #[test]
 fn percentiles_are_ordered() {
-    let app = pema::pema_apps::toy_chain();
+    let app = pema_apps::toy_chain();
     let stats = measure(&app, &Allocation::new(app.generous_alloc.clone()), 200.0, 9);
     assert!(stats.p50_ms <= stats.p95_ms);
     assert!(stats.p95_ms <= stats.p99_ms);
@@ -88,7 +88,7 @@ fn percentiles_are_ordered() {
 
 #[test]
 fn fluid_model_orders_allocations_like_des() {
-    let app = pema::pema_apps::toy_chain();
+    let app = pema_apps::toy_chain();
     let rich = Allocation::new(app.generous_alloc.clone());
     let mid = Allocation::new(app.generous_alloc.iter().map(|x| x * 0.5).collect());
     let poor = Allocation::new(app.generous_alloc.iter().map(|x| x * 0.28).collect());
@@ -116,7 +116,7 @@ proptest! {
     /// band.
     #[test]
     fn throughput_matches_offered_load(rps in 60.0f64..250.0) {
-        let app = pema::pema_apps::toy_chain();
+        let app = pema_apps::toy_chain();
         let stats = measure(&app, &Allocation::new(app.generous_alloc.clone()), rps, 55);
         prop_assert!(
             (stats.achieved_rps - rps).abs() < rps * 0.2 + 5.0,
@@ -127,7 +127,7 @@ proptest! {
     /// Latency monotone in uniform scale (coarse grid, exact seeds).
     #[test]
     fn latency_monotone_in_uniform_scale(seed in 0u64..50) {
-        let app = pema::pema_apps::toy_chain();
+        let app = pema_apps::toy_chain();
         let hi = Allocation::new(app.generous_alloc.clone());
         let lo = Allocation::new(app.generous_alloc.iter().map(|x| x * 0.3).collect());
         let s_hi = measure(&app, &hi, 150.0, seed);

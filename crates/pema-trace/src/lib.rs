@@ -20,8 +20,8 @@
 //! ## Record, then replay
 //!
 //! ```
-//! use pema_control::{Experiment, HarnessConfig, Pema};
-//! use pema_core::PemaParams;
+//! use pema_control::{Experiment, HarnessConfig};
+//! use pema_core::{PemaController, PemaParams};
 //! use pema_trace::{replay, TraceRecorder};
 //!
 //! let app = pema_apps::toy_chain();
@@ -34,7 +34,7 @@
 //! let handle = recorder.handle();
 //! Experiment::builder()
 //!     .app(&app)
-//!     .policy(Pema(params.clone()))
+//!     .policy(PemaController::new(params.clone(), app.generous_alloc.clone()))
 //!     .config(cfg)
 //!     .rps(120.0)
 //!     .iters(3)
@@ -46,7 +46,7 @@
 //! // recorded decision sequence is reproduced exactly.
 //! let rerun = replay(
 //!     &trace,
-//!     pema_core::PemaController::new(params, trace.meta.initial_alloc.clone()),
+//!     PemaController::new(params, trace.meta.initial_alloc.clone()),
 //! );
 //! assert!(rerun.summary.is_zero());
 //! for (recorded, replayed) in trace.records.iter().zip(&rerun.result.log) {

@@ -10,8 +10,8 @@
 //! handle after the run.
 //!
 //! ```
-//! use pema_control::{Experiment, HarnessConfig, Pema};
-//! use pema_core::PemaParams;
+//! use pema_control::{Experiment, HarnessConfig};
+//! use pema_core::{PemaController, PemaParams};
 //! use pema_trace::TraceRecorder;
 //!
 //! let app = pema_apps::toy_chain();
@@ -22,7 +22,7 @@
 //! let handle = recorder.handle();
 //! Experiment::builder()
 //!     .app(&app)
-//!     .policy(Pema(params))
+//!     .policy(PemaController::new(params, app.generous_alloc.clone()))
 //!     .config(cfg)
 //!     .rps(120.0)
 //!     .iters(2)
@@ -92,8 +92,8 @@ impl TraceRecorder {
     /// captured from the first observed window.
     ///
     /// The header's SLO defaults to the app's; the observer seam
-    /// cannot see the policy, so a run built with a builder-level
-    /// `.slo_ms(..)` override must mirror it via
+    /// cannot see the policy, so a run under a policy whose SLO is not
+    /// the app's must mirror it via
     /// [`with_slo_ms`](Self::with_slo_ms), and a run using
     /// `.early_check(..)` must mirror it via
     /// [`with_early_check`](Self::with_early_check) — otherwise the
@@ -125,8 +125,8 @@ impl TraceRecorder {
         }
     }
 
-    /// Records a builder-level SLO override (the SLO the run's policy
-    /// actually targets, when it is not the app's own).
+    /// Records the SLO the run's policy actually targets, when it is
+    /// not the app's own.
     pub fn with_slo_ms(self, slo_ms: f64) -> Self {
         self.inner.lock().unwrap().meta.slo_ms = slo_ms;
         self

@@ -15,8 +15,8 @@
 //! per binary, and a second test running beside this one would be
 //! counted with it.
 
-use pema_control::{Experiment, HarnessConfig, Pema, UseFluid};
-use pema_core::PemaParams;
+use pema_control::{Experiment, HarnessConfig, UseFluid};
+use pema_core::{PemaController, PemaParams};
 use pema_trace::{ReadMode, Trace, TraceRecorder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,7 +67,7 @@ fn encode_and_decode_stay_within_their_allocation_budgets() {
     let handle = recorder.handle();
     Experiment::builder()
         .app(&app)
-        .policy(Pema(params))
+        .policy(PemaController::new(params, app.generous_alloc.clone()))
         .backend(UseFluid)
         .config(cfg)
         .rps(250.0)

@@ -7,7 +7,7 @@
 //! — and reports zero divergence. Different policies produce honest
 //! divergence metrics instead.
 
-use pema_control::{Experiment, HarnessConfig, HoldPolicy, Pema, Rule, RulePolicy};
+use pema_control::{Experiment, HarnessConfig, HoldPolicy, RulePolicy};
 use pema_core::{PemaController, PemaParams};
 use pema_trace::{replay, ReadMode, Trace, TraceRecorder};
 
@@ -24,7 +24,7 @@ fn record_pema_run(iters: usize) -> (Trace, Vec<(String, Vec<f64>, f64)>) {
     let handle = recorder.handle();
     let result = Experiment::builder()
         .app(&app)
-        .policy(Pema(params))
+        .policy(PemaController::new(params, app.generous_alloc.clone()))
         .config(cfg)
         .rps(130.0)
         .iters(iters)
@@ -107,10 +107,10 @@ fn replayed_timeline_matches_the_recording() {
 
 #[test]
 fn early_check_and_slo_override_runs_replay_exactly() {
-    // A run with a builder-level SLO override tight enough to trigger
-    // §6 early aborts: the recorder mirrors both knobs into the
-    // header, and the replay must reproduce the `early-…` action tags
-    // and the shortened intervals exactly.
+    // A run whose policy targets an SLO other than the app's, tight
+    // enough to trigger §6 early aborts: the recorder mirrors both
+    // knobs into the header, and the replay must reproduce the
+    // `early-…` action tags and the shortened intervals exactly.
     let app = pema_apps::toy_chain();
     // An SLO the toy chain cannot meet even at the generous
     // allocation, so early checks fire from the first interval.
@@ -128,7 +128,10 @@ fn early_check_and_slo_override_runs_replay_exactly() {
     let handle = recorder.handle();
     let recorded = Experiment::builder()
         .app(&app)
-        .policy(Pema(params.clone()))
+        .policy(PemaController::new(
+            params.clone(),
+            app.generous_alloc.clone(),
+        ))
         .config(cfg)
         .early_check(2.0)
         .rps(170.0)
@@ -217,7 +220,7 @@ fn experiment_facade_accepts_a_trace_backend() {
     let app = pema_apps::toy_chain();
     let result = Experiment::builder()
         .app(&app)
-        .policy(Rule)
+        .policy(RulePolicy::new(&app))
         .backend(TraceBackend::new(trace.clone()))
         .config(HarnessConfig {
             interval_s: trace.meta.interval_s,

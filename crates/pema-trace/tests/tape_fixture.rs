@@ -7,8 +7,8 @@
 //! `format!`-free encode), from exactly the run below, and both
 //! directions are held to it.
 
-use pema_control::{Experiment, HarnessConfig, Pema, UseFluid};
-use pema_core::PemaParams;
+use pema_control::{Experiment, HarnessConfig, UseFluid};
+use pema_core::{PemaController, PemaParams};
 use pema_trace::{ReadMode, Trace, TraceRecorder};
 
 /// Eight fluid intervals of the toy chain under PEMA with §6 early
@@ -35,7 +35,7 @@ fn recorded_run() -> Trace {
     let handle = recorder.handle();
     let mut run = Experiment::builder()
         .app(&app)
-        .policy(Pema(params))
+        .policy(PemaController::new(params, app.generous_alloc.clone()))
         .backend(UseFluid)
         .config(cfg)
         .early_check(2.0)

@@ -94,7 +94,10 @@ fn main() {
 
     let result = Experiment::builder()
         .app(&app)
-        .policy(Pema(PemaParams::defaults(app.slo_ms)))
+        .policy(PemaController::new(
+            PemaParams::defaults(app.slo_ms),
+            app.generous_alloc.clone(),
+        ))
         .config(HarnessConfig {
             interval_s: 30.0,
             warmup_s: 3.0,

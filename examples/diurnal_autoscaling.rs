@@ -29,7 +29,11 @@ fn main() {
     // interval, independent of the simulator's virtual time.
     let mut runner = Experiment::builder()
         .app(&app)
-        .policy(Managed(params, range_cfg))
+        .policy(WorkloadAwarePema::new(
+            params,
+            app.generous_alloc.clone(),
+            range_cfg,
+        ))
         .config(HarnessConfig {
             interval_s: 30.0,
             warmup_s: 3.0,

@@ -27,7 +27,7 @@ fn main() {
     params.seed = 77;
     let mut runner = Experiment::builder()
         .app(&app)
-        .policy(Pema(params))
+        .policy(PemaController::new(params, app.generous_alloc.clone()))
         .config(HarnessConfig {
             interval_s: 40.0,
             warmup_s: 4.0,

@@ -46,17 +46,18 @@
 //! ## Quick start
 //!
 //! Runs are described through the [`Experiment`](pema_control::Experiment)
-//! builder: pick an app, a policy (marker or instance), a backend
-//! (DES by default, [`UseFluid`](pema_control::UseFluid) for fast
-//! approximate sweeps), and a load:
+//! builder: pick an app, a policy value, a backend (DES by default,
+//! [`UseFluid`](pema_control::UseFluid) for fast approximate sweeps),
+//! and a load:
 //!
 //! ```
 //! use pema::prelude::*;
 //!
 //! let app = pema_apps::sockshop();
+//! let params = PemaParams::defaults(app.slo_ms);
 //! let result = Experiment::builder()
 //!     .app(&app)
-//!     .policy(Pema(PemaParams::defaults(app.slo_ms)))
+//!     .policy(PemaController::new(params, app.generous_alloc.clone()))
 //!     .config(HarnessConfig { interval_s: 10.0, warmup_s: 2.0, seed: 7 })
 //!     .rps(700.0)
 //!     .iters(5)
@@ -78,34 +79,25 @@ pub use pema_workload;
 
 /// Common imports for examples and experiments.
 pub mod prelude {
-    pub use pema_baselines::{find_optimum, OptmConfig, RuleScaler};
+    pub use pema_baselines::{find_optimum, OptmConfig};
     pub use pema_control::{
-        optimum_for, policy_by_name, resolve_threads, squeeze_to_budget, stats_to_obs, AimdBackoff,
-        ArbitrationEvent, ArbitrationRequest, Clock, ClusterBackend, ControlLoop, Decision,
-        EarlyCheck, Experiment, ExperimentBuilder, Fleet, FleetArbitration, FleetPolicy,
-        FleetResult, FleetRun, FluidBackend, HarnessConfig, HoldPolicy, IterationLog, LoopPoll,
-        LoopTelemetry, Managed, MemberArbitration, MemberSpec, Observer, Pema, Policy, Rule,
-        RulePolicy, RunResult, SimBackend, Unlimited, UseFluid, UseSim, WeightedFairShare,
-        WindowPoll, WindowRequest,
+        optimum_for, policy_by_name, resolve_threads, AimdBackoff, ArbitrationEvent,
+        ClusterBackend, ControlLoop, Experiment, ExperimentBuilder, Fleet, FleetArbitration,
+        FleetPolicy, FleetResult, FluidBackend, HarnessConfig, HoldPolicy, IterationLog,
+        MemberSpec, Observer, Policy, RulePolicy, RunResult, SimBackend, Unlimited, UseFluid,
+        UseSim, WeightedFairShare,
     };
-    pub use pema_core::{
-        Action, Observation, PemaController, PemaParams, RangeConfig, ServiceObs, WorkloadAwarePema,
-    };
-    pub use pema_live::{
-        live_over_fake, FakeClock, FakeCluster, KubeConfigLite, LiveBackend, LiveConfig, LiveError,
-        RetryPolicy, TimeSource, WallClock,
-    };
+    pub use pema_core::{PemaController, PemaParams, RangeConfig, WorkloadAwarePema};
+    pub use pema_live::{FakeCluster, KubeConfigLite, LiveBackend, LiveConfig, WallClock};
     pub use pema_sim::{
         Allocation, AppSpec, ClusterSim, Evaluator, FluidEvaluator, SimEvaluator, TailCurve,
         TailModel, WindowStats,
     };
     pub use pema_telemetry::{EventSink, MetricsServer, Telemetry};
     pub use pema_trace::{
-        rebase_stats, rebase_stats_with, replay, DivergenceSummary, IntervalDivergence, ReadMode,
-        ReplayRun, Trace, TraceBackend, TraceRecorder,
+        rebase_stats_with, replay, ReadMode, ReplayRun, Trace, TraceBackend, TraceRecorder,
     };
     pub use pema_workload::{
-        wikipedia_like_trace, BurstPattern, Constant, DiurnalPattern, StepPattern, TracePattern,
-        Workload, WorkloadRange,
+        wikipedia_like_trace, BurstPattern, StepPattern, Workload, WorkloadRange,
     };
 }
