@@ -7,16 +7,17 @@
 //! sits below `pema-control` in the graph, `pema-trace` above. Two
 //! requirements shape it:
 //!
-//! * **bit-exact `f64` round trips.** Numbers are *written* with
-//!   Rust's shortest-round-trip `Display` and *read from the token in
-//!   place*: [`Reader::f64`] and [`Reader::u64`] parse the slice of
-//!   the input once, so `u64` counters survive above 2^53 and every
-//!   finite float parses back to the identical bits. The tree keeps
-//!   the token raw for the same reason ([`Value::Num`] stores it, not
-//!   an `f64`). Non-finite floats (a saturated window's `p95_ms` is
-//!   `inf`) have no JSON literal; they are written as the strings
-//!   `"inf"` / `"-inf"` / `"nan"`, which [`Reader::f64`] accepts
-//!   wherever it accepts a number.
+//! * **bit-exact `f64` round trips.** Numbers are *written* as the
+//!   shortest decimal that reads back to the same bits, byte for byte
+//!   what `Display` prints but through a Ryu kernel, not `core::fmt`;
+//!   and *read from the token in place*: [`Reader::f64`] and
+//!   [`Reader::u64`] parse the slice of the input once, so `u64`
+//!   counters survive above 2^53 and every finite float parses back to
+//!   the identical bits. The tree keeps the token raw for the same
+//!   reason ([`Value::Num`] stores it, not an `f64`). Non-finite floats
+//!   (a saturated window's `p95_ms` is `inf`) have no JSON literal;
+//!   they are written as the strings `"inf"` / `"-inf"` / `"nan"`,
+//!   which [`Reader::f64`] accepts wherever it accepts a number.
 //! * **one tokenizer, and no tree to read a record.** [`Reader`] is a
 //!   borrowing, single-pass pull reader: it hands out structure, keys,
 //!   strings and number tokens in document order, as slices of the
@@ -29,6 +30,7 @@
 //!   further: the text may come off a socket, and a document of nothing
 //!   but `[` must be an error, not a stack overflow.
 
+use crate::ryu;
 use std::borrow::Cow;
 
 /// A parsed JSON value. Numbers keep their raw token (see the module
@@ -153,42 +155,35 @@ pub fn push_quoted(out: &mut String, s: &str) {
 }
 
 /// Appends `v` in decimal, without going through `core::fmt`.
-pub fn push_u64(out: &mut String, mut v: u64) {
-    // u64::MAX has 20 digits.
+pub fn push_u64(out: &mut String, v: u64) {
     let mut buf = [0u8; 20];
-    let mut at = buf.len();
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.extend(buf[at..].iter().map(|&d| d as char));
+    // Most of what goes through here is a few digits long, and for so
+    // few a char each costs less than the UTF-8 check a `push_str`
+    // needs.
+    out.extend(ryu::digits(&mut buf, v).iter().map(|&d| char::from(d)));
 }
 
 /// Appends an `f64` in the trace encoding: shortest-round-trip decimal
-/// for finite values, the strings `"inf"` / `"-inf"` / `"nan"`
-/// otherwise.
+/// for finite values, byte for byte what `Display` prints; the strings
+/// `"inf"` / `"-inf"` / `"nan"` otherwise.
 ///
 /// An integer-valued float below 2^53 takes a digits-only route:
 /// `Display` prints exactly its integer digits for such a value (no
 /// point, no exponent), and on a virtual clock nearly every timestamp
-/// and span is one. `-0.0` is left to `Display`, which prints `-0`.
+/// and span is one. `-0.0` takes it too, as `-0`. Every other finite
+/// value goes through the Ryu kernel in `ryu.rs`.
 pub fn push_f64(out: &mut String, v: f64) {
-    use std::fmt::Write as _;
     const EXACT: f64 = (1u64 << 53) as f64;
     let mag = v.abs();
     // NaN and the infinities fail `mag < EXACT`; below it `as u64`
     // truncates, so surviving the round trip means no fraction.
-    if mag < EXACT && (mag as u64) as f64 == mag && (mag != 0.0 || v.is_sign_positive()) {
-        if v < 0.0 {
+    if mag < EXACT && (mag as u64) as f64 == mag {
+        if v.is_sign_negative() {
             out.push('-');
         }
         push_u64(out, mag as u64);
     } else if v.is_finite() {
-        let _ = write!(out, "{v}");
+        ryu::push_shortest(out, v);
     } else if v.is_nan() {
         out.push_str("\"nan\"");
     } else if v > 0.0 {
@@ -779,20 +774,26 @@ mod tests {
         Ok(v)
     }
 
-    /// What `push_f64` must print, from `Display` alone, and that it
-    /// reads back to the same bits.
-    fn check_f64(v: f64) -> Result<(), String> {
-        let mut got = String::new();
-        push_f64(&mut got, v);
-        let want = if v.is_finite() {
-            format!("{v}")
+    /// Appends what `push_f64` must print for `v`, from `Display` alone.
+    fn push_display(want: &mut String, v: f64) {
+        use std::fmt::Write as _;
+        if v.is_finite() {
+            write!(want, "{v}").unwrap();
         } else if v.is_nan() {
-            "\"nan\"".to_string()
+            want.push_str("\"nan\"");
         } else if v > 0.0 {
-            "\"inf\"".to_string()
+            want.push_str("\"inf\"");
         } else {
-            "\"-inf\"".to_string()
-        };
+            want.push_str("\"-inf\"");
+        }
+    }
+
+    /// That `push_f64` prints what `Display` prints, and that it reads
+    /// back to the same bits.
+    fn check_f64(v: f64) -> Result<(), String> {
+        let (mut got, mut want) = (String::new(), String::new());
+        push_f64(&mut got, v);
+        push_display(&mut want, v);
         if got != want {
             return Err(format!("{v:?} printed {got}, Display prints {want}"));
         }
@@ -806,6 +807,8 @@ mod tests {
     #[test]
     fn push_f64_pinned_cases_match_display() {
         const TWO_53: f64 = 9_007_199_254_740_992.0;
+        // Exact: the float spacing here is 0.25.
+        const TIE: f64 = 1_658_206_780_088_562.0 + 0.25;
         for v in [
             0.0,
             -0.0,
@@ -820,6 +823,7 @@ mod tests {
             1e21,
             0.1,
             -0.5,
+            TIE,
             f64::MIN_POSITIVE,
             f64::from_bits(1),
             f64::MAX,
@@ -830,18 +834,86 @@ mod tests {
         ] {
             check_f64(v).unwrap();
         }
-        let mut s = String::new();
-        push_f64(&mut s, -0.0);
-        assert_eq!(s, "-0");
+        let pushed = |v: f64| {
+            let mut s = String::new();
+            push_f64(&mut s, v);
+            s
+        };
+        assert_eq!(pushed(-0.0), "-0");
+        assert_eq!(pushed(1e21), format!("1{}", "0".repeat(21)));
+        assert_eq!(pushed(5e-324), format!("0.{}5", "0".repeat(323)));
+        // An exact tie: the float is ….25, and ….2 and ….3 are equally
+        // near and equally short. Reference Ryu's round-half-even step
+        // (`vrIsTrailingZeros && lastRemovedDigit == 5 && vr % 2 == 0`)
+        // would take ….2; `Display` rounds a tie up, and so does the
+        // kernel, which leaves that step out.
+        assert_eq!(pushed(TIE), "1658206780088562.3");
+    }
+
+    /// Every finite exponent field, subnormals included, with `per_field`
+    /// mantissas each, both signs: all-zero, one and all-one mantissas
+    /// (`MIN_POSITIVE`, the least subnormal, `f64::MAX`), then random
+    /// ones, every other with its low bits cleared. A short mantissa
+    /// makes a short exact decimal, which is where a tie between two
+    /// shortest candidates lives.
+    fn sweep_exponent_fields(per_field: u64, mut check: impl FnMut(f64)) {
+        const MANTISSA: u64 = (1 << 52) - 1;
+        let mut rng = Rng(0x5eed);
+        for field in 0..0x7ff {
+            for k in 0..per_field {
+                let mantissa = match k {
+                    0 => 0,
+                    1 => 1,
+                    2 => MANTISSA,
+                    k if k % 2 == 0 => rng.next() & MANTISSA,
+                    _ => rng.next() & MANTISSA & (u64::MAX << (1 + rng.below(52))),
+                };
+                for sign in [0, 1 << 63] {
+                    check(f64::from_bits(sign | field << 52 | mantissa));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn push_f64_matches_display_across_every_exponent_field() {
+        sweep_exponent_fields(12, |v| check_f64(v).unwrap());
+    }
+
+    /// The kernel against `Display` on 50 M random bit patterns and 80 M
+    /// values of the per-exponent sweep, about 30 s in a release build on
+    /// one core of a 2-core x86-64 host:
+    /// `cargo test --release -p pema-telemetry --lib -- --ignored
+    /// --exact json::tests::push_f64_soak_matches_display`.
+    #[test]
+    #[ignore]
+    fn push_f64_soak_matches_display() {
+        let (mut got, mut want) = (String::new(), String::new());
+        let mut check = |v: f64| {
+            got.clear();
+            want.clear();
+            push_f64(&mut got, v);
+            push_display(&mut want, v);
+            assert_eq!(got, want, "{v:?}");
+        };
+        let mut rng = Rng(0xba5e);
+        for _ in 0..50_000_000 {
+            check(f64::from_bits(rng.next()));
+        }
+        sweep_exponent_fields(20_000, check);
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(4096))]
+        #![proptest_config(ProptestConfig::with_cases(65_536))]
 
         #[test]
         fn push_f64_matches_display_for_any_bit_pattern(bits in 0u64..=u64::MAX) {
             check_f64(f64::from_bits(bits)).map_err(TestCaseError::fail)?;
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
 
         /// Random bit patterns are almost never integer-valued; these
         /// are, on both sides of 2^53, with halves mixed in.

@@ -36,6 +36,7 @@ pub mod http;
 pub mod json;
 pub mod lint;
 pub mod registry;
+mod ryu;
 pub mod server;
 
 pub use events::{EventField, EventSink};

@@ -453,6 +453,7 @@ fn parse_sample(l: &str) -> Result<Sample, String> {
 mod tests {
     use super::*;
     use crate::registry::Telemetry;
+    use proptest::prelude::*;
 
     fn demo() -> Telemetry {
         let t = Telemetry::new();
@@ -623,5 +624,47 @@ mod tests {
         let text = "# HELP x a\n# TYPE x counter\nx -1\n";
         let r = lint(text, None);
         assert!(!r.is_clean());
+    }
+
+    /// What a mutation puts in: the bytes the exposition grammar gives a
+    /// meaning to, line and token ends among them, the non-finite value
+    /// tokens, and a two-byte char.
+    const PIECES: &[&str] = &[
+        "{", "}", "=", ",", "\"", "\\", "#", "+", "-", ".", "e", "E", "0", "1", "2", "3", "4", "5",
+        "6", "7", "8", "9", "NaN", "Inf", "é", " ", "\n",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// A scrape comes off a socket, so the lint must return a report
+        /// for any text, whichever side of the comparison it is on.
+        #[test]
+        fn lint_returns_on_a_byte_mutated_exposition(
+            edits in proptest::collection::vec(
+                (0usize..=usize::MAX, 0u8..3, 0usize..PIECES.len()),
+                1..6,
+            ),
+        ) {
+            let t = demo();
+            t.counter("pema_esc_total", "esc", &[("m", "a\"b\\c\nd"), ("n", "é")])
+                .inc();
+            let clean = t.render();
+            let mut bytes = clean.clone().into_bytes();
+            for (at, op, piece) in edits {
+                let at = at % (bytes.len() + 1);
+                let piece = PIECES[piece].bytes();
+                match op {
+                    0 if at < bytes.len() => drop(bytes.splice(at..at + 1, piece)),
+                    1 if at < bytes.len() => drop(bytes.remove(at)),
+                    _ => drop(bytes.splice(at..at, piece)),
+                }
+            }
+            // A deleted byte may split a char; the lint reads `&str`.
+            let mutated = String::from_utf8_lossy(&bytes);
+            lint(&mutated, None);
+            lint(&mutated, Some(&clean));
+            lint(&clean, Some(&mutated));
+        }
     }
 }
