@@ -150,7 +150,7 @@ const COMMANDS: &[Cmd] = &[
     cmd("replay", None, cmd_replay, "replay a recorded trace under a policy; report divergence", &[
         flag("trace", Text("FILE"), Req, "a .jsonl file written by `run --out` or `live --out`"),
         flag("policy", Text("pema|rule|hold"), Opt, "counterfactual policy (default: the tape's)"),
-        flag("lenient", Switch, Opt, "skip malformed records instead of failing"),
+        flag("lenient", Switch, Opt, "ignore unknown keys, accept older versions (malformed lines still fail)"),
         flag("assert-zero-divergence", Switch, Opt, "exit 1 unless the replay tracked the tape"),
     ]),
     cmd("fleet", None, cmd_fleet, "drive many control loops concurrently from this one process", &[

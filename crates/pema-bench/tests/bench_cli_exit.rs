@@ -243,6 +243,41 @@ fn a_seed_above_2_pow_53_is_accepted() {
     ok("fleet --count 2 --iters 1 --backend fluid --seed 9007199254740993");
 }
 
+/// `replay --lenient` forgives schema drift, not damage: a record with
+/// a key this build does not know fails a strict read, naming the key,
+/// and replays leniently; a truncated record line fails either way.
+#[test]
+fn replay_lenient_forgives_schema_drift_not_damage() {
+    let tape = tmp("lenient.jsonl");
+    ok(&format!(
+        "run --app toy-chain --rps 120 --iters 3 --interval 6 --warmup 1 --out {}",
+        tape.display()
+    ));
+    let text = std::fs::read_to_string(&tape).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 4, "a header and three records:\n{text}");
+    // The tape with its first record replaced.
+    let replay = |record: &str, flags: &str| {
+        let body = format!("{}\n{record}\n{}\n", lines[0], lines[2..].join("\n"));
+        std::fs::write(&tape, body).unwrap();
+        cli(&format!("replay --trace {} {flags}", tape.display()))
+    };
+    let unknown = format!("{{\"added_later\":1,{}", &lines[1][1..]);
+    let strict = replay(&unknown, "");
+    let stderr = String::from_utf8_lossy(&strict.stderr);
+    assert_eq!(strict.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("unknown key"), "{stderr}");
+    let lenient = replay(&unknown, "--lenient");
+    let stderr = String::from_utf8_lossy(&lenient.stderr);
+    assert_eq!(lenient.status.code(), Some(0), "{stderr}");
+    let truncated = &lines[1][..lines[1].len() / 2];
+    for flags in ["", "--lenient"] {
+        let out = replay(truncated, flags);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "`replay {flags}`: {stderr}");
+    }
+}
+
 /// The `--flag` words of a text: `--`, a lowercase letter, then
 /// letters and inner dashes.
 fn flags_in(text: &str) -> BTreeSet<String> {

@@ -117,15 +117,15 @@ impl<B: ClusterBackend> IntoBackend for B {
 /// [`priority`](Self::priority), [`weight`](Self::weight) and
 /// [`floor`](Self::floor) are read by the fleet and inert outside one.
 pub struct ExperimentBuilder<P = Unset, B = UseSim> {
-    policy: P,
-    backend: B,
+    pub(crate) policy: P,
+    pub(crate) backend: B,
     pub(crate) run: RunSpec,
 }
 
 /// What a run description holds whatever fills its two slots.
 pub(crate) struct RunSpec {
-    app: Option<AppSpec>,
-    cfg: HarnessConfig,
+    pub(crate) app: Option<AppSpec>,
+    pub(crate) cfg: HarnessConfig,
     early_check_s: Option<f64>,
     load: Option<Load>,
     iters: usize,

@@ -30,20 +30,14 @@
 //! [`threads`](Fleet::threads) the shards run on `std::thread::scope`
 //! workers and the ceiling scales with cores.
 //!
-//! ## Pacing: virtual by default, wall-clock on request
+//! ## Pacing is the backend's
 //!
-//! Under the default [`Clock::Virtual`] pace the executor never
-//! sleeps: it services whichever loop is furthest behind and lets
-//! virtual time run as fast as the backends can measure — the byte-
-//! identical mode every simulation scenario uses. A live backend
-//! (`pema-live`) reports *wall* timestamps from `now_s`, and replaying
-//! its ready-at schedule at full speed would busy-poll windows that
-//! take real seconds to fill. [`Fleet::pace`]`(`[`Clock::Wall`]`)`
-//! makes each shard sleep until a popped member's ready-at before
-//! polling it, so a fleet of live loops wakes exactly at window
-//! boundaries instead of spinning; virtual-time members under wall
-//! pace are always already past their ready-at and run unchanged (the
-//! equivalence is pinned by `fleet_wall_pace_matches_virtual`).
+//! The executor never sleeps: it services whichever loop is furthest
+//! behind and lets virtual time run as fast as the backends measure.
+//! A live backend (`pema-live`) does its own waiting inside
+//! [`poll_window`](ClusterBackend::poll_window), a bounded sleep toward
+//! its window boundary per call, so a fleet of live loops needs no
+//! clock of its own.
 //!
 //! ## Determinism
 //!
@@ -74,12 +68,18 @@
 //!    window closes and its policy decides, the allocation is staged
 //!    (not applied) and the member parks. A shard drives its heap until
 //!    every member is parked or finished, then rendezvouses with the
-//!    other shards; the last shard to arrive assembles every parked
-//!    member's [`ArbitrationRequest`] **in fleet insertion order** and
-//!    invokes the [`FleetPolicy`] once;
+//!    other shards, bringing its parked members' proposals — none once
+//!    its members have all finished; the last shard to arrive
+//!    assembles every parked member's [`ArbitrationRequest`] **in fleet
+//!    insertion order** and invokes the [`FleetPolicy`] once;
 //! 2. **grant** — every shard wakes, reads its members' grants, commits
 //!    them (an under-grant scales the member's per-service allocation
 //!    proportionally), and resumes polling.
+//!
+//! Every shard meets every round, so the barrier always waits for all
+//! of them. A round in which no shard proposes means every member has
+//! finished: its leader runs no policy and counts no round, and every
+//! shard leaves. That empty round is the barrier's only exit.
 //!
 //! Arbitration round `k` therefore sees exactly the `k`-th proposal of
 //! every member that still has intervals left — a pure function of the
@@ -176,75 +176,10 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Object-safe view of one member's [`Run`]: the type-erased form of
-/// `Run<P, B>`, so one heap can hold members of any policy and
-/// backend. `Send` so shards can run on scoped worker threads.
-trait FleetDriver: Send {
-    /// Services the run once ([`Run::poll`]).
-    fn poll(&mut self) -> LoopPoll;
-
-    /// True once every interval is logged ([`Run::done`]).
-    fn done(&self) -> bool;
-
-    /// The loop's backend virtual time, seconds.
-    fn now_s(&self) -> f64;
-
-    /// Switches the loop into propose mode (fleet arbitration): polls
-    /// park at window close instead of applying the decision. Must be
-    /// called before the first poll.
-    fn set_propose_mode(&mut self);
-
-    /// Total cores of the staged proposal. Only valid while parked
-    /// (after a [`LoopPoll::Proposed`], before the commit).
-    fn proposed_total(&self) -> f64;
-
-    /// Applies an arbitration grant to the staged interval and logs
-    /// it.
-    fn commit_granted(&mut self, granted: f64, event: &ArbitrationEvent);
-
-    /// Attaches self-instrumentation to the member's loop (see
-    /// [`Fleet::telemetry`]). Called before the first poll.
-    fn set_telemetry(&mut self, telemetry: LoopTelemetry);
-
-    /// Finalizes into the run result.
-    fn finish(self: Box<Self>) -> RunResult;
-}
-
-impl<P: Policy + Send, B: ClusterBackend + Send> FleetDriver for Run<P, B> {
-    fn poll(&mut self) -> LoopPoll {
-        Run::poll(self)
-    }
-
-    fn done(&self) -> bool {
-        Run::done(self)
-    }
-
-    fn now_s(&self) -> f64 {
-        self.control.backend.now_s()
-    }
-
-    fn set_propose_mode(&mut self) {
-        self.control.set_propose_mode();
-    }
-
-    fn proposed_total(&self) -> f64 {
-        self.control
-            .staged_proposed_total()
-            .expect("proposed_total: member is parked with a staged decision")
-    }
-
-    fn commit_granted(&mut self, granted: f64, event: &ArbitrationEvent) {
-        self.control.commit_granted(granted, event);
-    }
-
-    fn set_telemetry(&mut self, telemetry: LoopTelemetry) {
-        self.control.set_telemetry(telemetry);
-    }
-
-    fn finish(self: Box<Self>) -> RunResult {
-        self.control.into_result()
-    }
-}
+/// A member's run with its policy and backend boxed: one concrete type
+/// whatever the member runs, so one heap holds every member. Both
+/// boxes are `Send`, so shards can run on scoped worker threads.
+type MemberRun = Run<Box<dyn Policy + Send>, Box<dyn ClusterBackend + Send>>;
 
 /// One member's completed run.
 #[derive(Debug, Clone)]
@@ -323,16 +258,20 @@ impl Ord for Slot {
     }
 }
 
-/// One member handed to a shard: the driver plus everything needed to
-/// report it back under its original insertion index.
+/// One fleet member: its boxed run plus everything needed to schedule
+/// it and report it back under its insertion index.
 struct Member {
     /// Insertion index in the fleet (the member id the partition and
     /// the result merge key on).
     idx: usize,
-    /// Tie-break rank among same-instant members of the same shard.
+    /// Tie-break rank among same-instant members of the same shard
+    /// (the insertion index unless [`Fleet::tie_break`] sets it).
     rank: usize,
     name: String,
-    driver: Box<dyn FleetDriver>,
+    arb: ArbMeta,
+    /// One heap block per member, so the member tables stay
+    /// pointer-sized.
+    run: Box<MemberRun>,
 }
 
 /// Arbitration metadata of one member, captured from its
@@ -354,36 +293,18 @@ pub(crate) struct ArbMeta {
 /// [`floor`](ExperimentBuilder::floor)). Hand it to [`Fleet::member`].
 pub type MemberSpec<P = Unset, B = UseSim> = ExperimentBuilder<P, B>;
 
-/// How a fleet shard treats a member's ready-at time (see the module
-/// docs, "Pacing").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Clock {
-    /// Never sleep: service loops as fast as their backends measure.
-    /// The deterministic default — output is byte-identical to every
-    /// prior fleet behavior.
-    #[default]
-    Virtual,
-    /// Sleep until a popped member's ready-at before polling it: for
-    /// fleets of live (wall-clock) backends, whose windows fill in
-    /// real time. Members already past their ready-at (every
-    /// virtual-time backend) are polled without sleeping.
-    Wall,
-}
-
 /// The fleet under construction — see the module docs. Add fully
 /// described members (policy, backend, load, and iteration count all
 /// set), optionally an [`arbitration`](Self::arbitration) budget, then
 /// [`run`](Self::run).
 #[derive(Default)]
 pub struct Fleet {
-    members: Vec<(String, Box<dyn FleetDriver>)>,
-    meta: Vec<ArbMeta>,
+    members: Vec<Member>,
     tie_break: Option<Vec<usize>>,
     /// Worker threads for [`run`](Self::run); 0 = one per core.
     /// Defaults to 1 (the PR 5 single-threaded cooperative scheduler).
     threads: usize,
     arbitration: Option<(f64, Box<dyn FleetPolicy>)>,
-    pace: Clock,
     telemetry: Option<Telemetry>,
     events: Option<EventSink>,
 }
@@ -393,11 +314,9 @@ impl Fleet {
     pub fn new() -> Self {
         Self {
             members: Vec::new(),
-            meta: Vec::new(),
             tie_break: None,
             threads: 1,
             arbitration: None,
-            pace: Clock::Virtual,
             telemetry: None,
             events: None,
         }
@@ -422,37 +341,51 @@ impl Fleet {
         self
     }
 
-    /// Sets the pacing clock (default [`Clock::Virtual`]). Use
-    /// [`Clock::Wall`] for fleets of live backends — shards then sleep
-    /// to each member's ready-at instead of busy-polling real-time
-    /// windows. Virtual members are unaffected (they are never behind
-    /// their ready-at), so mixed fleets work and `Clock::Virtual`
-    /// output stays byte-identical.
-    pub fn pace(mut self, pace: Clock) -> Self {
-        self.pace = pace;
-        self
-    }
-
     /// Adds a member: a [`MemberSpec`], i.e. any [`ExperimentBuilder`];
-    /// unnamed members are auto-named `app<i>`.
-    /// Members must be `Send` — every shipped policy and backend is,
-    /// and observers/workloads share state through `Arc<Mutex<…>>` —
-    /// so shards can run on worker threads.
+    /// unnamed members are auto-named `app<i>`. Its policy and backend
+    /// are boxed, so members of any types share one heap. Members must
+    /// be `Send` — every shipped policy and backend is, and
+    /// observers/workloads share state through `Arc<Mutex<…>>` — so
+    /// shards can run on worker threads.
     ///
     /// # Panics
-    /// Panics unless the spec carries a load (`.rps(..)` /
+    /// Panics unless the spec carries an app, a load (`.rps(..)` /
     /// `.workload(..)`) and a positive `.iters(..)` — the fleet needs
     /// the complete run description up front.
-    pub fn member<P, B>(mut self, mut spec: MemberSpec<P, B>) -> Self
+    pub fn member<P, B>(mut self, spec: MemberSpec<P, B>) -> Self
     where
         P: Policy + Send + 'static,
         B: IntoBackend,
         B::Backend: Send + 'static,
     {
-        let name = spec.run.name.take();
-        let name = name.unwrap_or_else(|| format!("app{}", self.members.len()));
-        self.meta.push(spec.run.arb);
-        self.members.push((name, Box::new(spec.into_run())));
+        let ExperimentBuilder {
+            policy,
+            backend,
+            run: mut desc,
+        } = spec;
+        let app = desc
+            .app
+            .as_ref()
+            .expect("Experiment::builder(): call .app(..) before .build()/.run()");
+        let backend: Box<dyn ClusterBackend + Send> =
+            Box::new(backend.into_backend(app, &desc.cfg));
+        let policy: Box<dyn Policy + Send> = Box::new(policy);
+        let idx = self.members.len();
+        let name = desc.name.take().unwrap_or_else(|| format!("app{idx}"));
+        let arb = desc.arb;
+        let run = ExperimentBuilder {
+            policy,
+            backend,
+            run: desc,
+        }
+        .into_run();
+        self.members.push(Member {
+            idx,
+            rank: idx,
+            name,
+            arb,
+            run: Box::new(run),
+        });
         self
     }
 
@@ -518,23 +451,23 @@ impl Fleet {
     /// member floors (the invariants would be unsatisfiable), or a
     /// [`FleetPolicy`] returns invalid grants.
     pub fn run(self) -> FleetResult {
-        let n = self.members.len();
-        let ranks = match self.tie_break {
-            Some(order) => {
-                assert_eq!(
-                    order.len(),
-                    n,
-                    "Fleet::tie_break: order must rank every member"
-                );
-                order
+        let mut members = self.members;
+        let n = members.len();
+        if let Some(order) = self.tie_break {
+            assert_eq!(
+                order.len(),
+                n,
+                "Fleet::tie_break: order must rank every member"
+            );
+            for (m, rank) in members.iter_mut().zip(order) {
+                m.rank = rank;
             }
-            None => (0..n).collect(),
-        };
+        }
         let shards_n = resolve_threads(self.threads).min(n.max(1));
 
-        let meta = self.meta;
         let arb = self.arbitration.map(|(budget, policy)| {
             assert!(budget > 0.0, "Fleet::arbitration: budget must be positive");
+            let meta: Vec<ArbMeta> = members.iter().map(|m| m.arb).collect();
             let floors: f64 = meta.iter().map(|m| m.floor).sum();
             assert!(
                 floors <= budget,
@@ -544,6 +477,7 @@ impl Fleet {
             ArbShared {
                 budget,
                 meta,
+                shards: shards_n,
                 state: Mutex::new(ArbState {
                     telemetry: FleetArbitration {
                         policy: policy.name().to_string(),
@@ -553,10 +487,9 @@ impl Fleet {
                         members: vec![MemberArbitration::default(); n],
                     },
                     policy,
-                    live_shards: shards_n,
                     waiting: 0,
                     generation: 0,
-                    round: 0,
+                    done: false,
                     proposals: vec![None; n],
                     events: vec![None; n],
                 }),
@@ -574,23 +507,19 @@ impl Fleet {
         let hub = self.telemetry;
         let events = self.events;
         let mut shards: Vec<Vec<Member>> = (0..shards_n).map(|_| Vec::new()).collect();
-        for (idx, (name, mut driver)) in self.members.into_iter().enumerate() {
+        for mut m in members {
+            let control = &mut m.run.control;
             if arb.is_some() {
-                driver.set_propose_mode();
+                control.set_propose_mode();
             }
             if let Some(hub) = &hub {
-                let mut tel = LoopTelemetry::new(hub, &name);
+                let mut tel = LoopTelemetry::new(hub, &m.name);
                 if let Some(sink) = &events {
                     tel = tel.with_events(sink.clone());
                 }
-                driver.set_telemetry(tel);
+                control.set_telemetry(tel);
             }
-            shards[idx % shards_n].push(Member {
-                idx,
-                rank: ranks[idx],
-                name,
-                driver,
-            });
+            shards[m.idx % shards_n].push(m);
         }
         let shard_tel: Vec<Option<ShardTelemetry>> = (0..shards_n)
             .map(|s| hub.as_ref().map(|h| ShardTelemetry::new(h, s)))
@@ -599,18 +528,17 @@ impl Fleet {
         let mut results: Vec<Option<FleetRun>> = (0..n).map(|_| None).collect();
         let mut polls = 0u64;
         let arb_ref = arb.as_ref();
-        let pace = self.pace;
         let shards = shards.into_iter().zip(shard_tel);
         let outcomes: Vec<_> = if shards_n <= 1 {
             // Single-threaded: run the one shard inline (the barrier
             // degenerates to "every arrival is the leader").
             shards
-                .map(|(shard, tel)| run_shard(shard, arb_ref, pace, tel))
+                .map(|(shard, tel)| run_shard(shard, arb_ref, tel))
                 .collect()
         } else {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = shards
-                    .map(|(shard, tel)| scope.spawn(move || run_shard(shard, arb_ref, pace, tel)))
+                    .map(|(shard, tel)| scope.spawn(move || run_shard(shard, arb_ref, tel)))
                     .collect();
                 handles
                     .into_iter()
@@ -648,6 +576,8 @@ struct ArbShared {
     budget: f64,
     /// Per-member arbitration metadata, fleet insertion order.
     meta: Vec<ArbMeta>,
+    /// Shards meeting at every round: all of them.
+    shards: usize,
     state: Mutex<ArbState>,
     cv: Condvar,
 }
@@ -655,15 +585,12 @@ struct ArbShared {
 /// The mutable barrier state, guarded by [`ArbShared::state`].
 struct ArbState {
     policy: Box<dyn FleetPolicy>,
-    /// Shards still participating (a shard deregisters when all its
-    /// members finished).
-    live_shards: usize,
     /// Shards that have arrived at the current round's barrier.
     waiting: usize,
-    /// Bumped once per completed round; sleeping shards wake on it.
+    /// Bumped once per resolved round; sleeping shards wake on it.
     generation: u64,
-    /// Next round index.
-    round: usize,
+    /// Set by the round in which no shard proposed: the fleet is done.
+    done: bool,
     /// This round's proposed totals, fleet-idx indexed (`None` =
     /// member finished, not proposing).
     proposals: Vec<Option<f64>>,
@@ -673,30 +600,17 @@ struct ArbState {
     telemetry: FleetArbitration,
 }
 
-/// Round-leader duty, run by whichever shard finds that every live
-/// shard has arrived (the last to [`rendezvous`], or one that
-/// [`deregister`]s while the rest wait): resolves the round and wakes
-/// the waiters. Returns whether it led. Caller holds the state lock.
-fn lead_if_all_arrived(shared: &ArbShared, state: &mut ArbState) -> bool {
-    let all_arrived = state.waiting > 0 && state.waiting == state.live_shards;
-    if all_arrived {
-        run_round(state, shared.budget, &shared.meta);
-        state.waiting = 0;
-        state.generation += 1;
-        shared.cv.notify_all();
-    }
-    all_arrived
-}
-
-/// Assembles this round's requests in pinned fleet order, runs the
-/// policy, validates and records the grants.
-fn run_round(state: &mut ArbState, budget: f64, meta: &[ArbMeta]) {
+/// Assembles this round's requests in pinned fleet order (taking the
+/// proposals), runs the policy, validates and records the grants.
+/// Returns `false`, having run no policy and counted no round, when no
+/// member proposed.
+fn run_round(state: &mut ArbState, budget: f64, meta: &[ArbMeta]) -> bool {
     let requests: Vec<ArbitrationRequest> = state
         .proposals
-        .iter()
+        .iter_mut()
         .enumerate()
         .filter_map(|(i, p)| {
-            p.map(|proposed| ArbitrationRequest {
+            p.take().map(|proposed| ArbitrationRequest {
                 member: i,
                 priority: meta[i].priority,
                 weight: meta[i].weight,
@@ -705,6 +619,9 @@ fn run_round(state: &mut ArbState, budget: f64, meta: &[ArbMeta]) {
             })
         })
         .collect();
+    if requests.is_empty() {
+        return false;
+    }
     let mut grants = state.policy.arbitrate(budget, &requests);
     assert_eq!(
         grants.len(),
@@ -743,7 +660,7 @@ fn run_round(state: &mut ArbState, budget: f64, meta: &[ArbMeta]) {
     let mut contended = false;
     for (g, r) in grants.iter().zip(&requests) {
         let ev = ArbitrationEvent {
-            round: state.round,
+            round: state.telemetry.rounds,
             budget,
             proposed: r.proposed,
             granted: *g,
@@ -760,49 +677,50 @@ fn run_round(state: &mut ArbState, budget: f64, meta: &[ArbMeta]) {
     }
     state.telemetry.rounds += 1;
     state.telemetry.contended_rounds += contended as usize;
-    state.round += 1;
-    for p in state.proposals.iter_mut() {
-        *p = None;
-    }
+    true
 }
 
-/// Two-phase collect/grant rendezvous: deposits this shard's proposals
-/// (`(fleet_idx, proposed_total)` pairs), blocks until the round
-/// resolves (the last shard to arrive is the leader and runs
-/// [`run_round`]), and returns this shard's grants in proposal order.
-fn rendezvous(shared: &ArbShared, proposals: &[(usize, f64)]) -> Vec<ArbitrationEvent> {
+/// Two-phase collect/grant rendezvous, entered by every shard every
+/// round: deposits this shard's proposals (`(fleet_idx,
+/// proposed_total)` pairs, possibly none) and blocks until every shard
+/// has arrived. The last to arrive leads: it runs [`run_round`] and
+/// wakes the others. Returns this shard's grants in proposal order, or
+/// `None` once a round brought no proposals at all — the fleet is done.
+fn rendezvous(shared: &ArbShared, proposals: &[(usize, f64)]) -> Option<Vec<ArbitrationEvent>> {
     let mut state = shared.state.lock().expect("arbitration state poisoned");
     for &(idx, p) in proposals {
         state.proposals[idx] = Some(p);
     }
     state.waiting += 1;
-    if !lead_if_all_arrived(shared, &mut state) {
+    if state.waiting == shared.shards {
+        let proposed = run_round(&mut state, shared.budget, &shared.meta);
+        state.done = !proposed;
+        state.waiting = 0;
+        state.generation += 1;
+        shared.cv.notify_all();
+    } else {
         let gen = state.generation;
         while state.generation == gen {
             state = shared.cv.wait(state).expect("arbitration state poisoned");
         }
     }
+    if state.done {
+        return None;
+    }
     // Read own grants under the same lock acquisition that observed
     // the new generation — no shard can start (and overwrite) the next
     // round before every waiter has collected its events, because the
-    // next leader needs `waiting == live_shards` again.
-    proposals
-        .iter()
-        .map(|&(idx, _)| {
-            state.events[idx]
-                .take()
-                .expect("arbitration round granted every proposer")
-        })
-        .collect()
-}
-
-/// Removes a finished shard from the barrier. If the remaining shards
-/// are all already waiting, the departing shard runs the round on
-/// their behalf (they can no longer be joined by anyone else).
-fn deregister(shared: &ArbShared) {
-    let mut state = shared.state.lock().expect("arbitration state poisoned");
-    state.live_shards -= 1;
-    lead_if_all_arrived(shared, &mut state);
+    // next leader needs every shard to arrive again.
+    Some(
+        proposals
+            .iter()
+            .map(|&(idx, _)| {
+                state.events[idx]
+                    .take()
+                    .expect("arbitration round granted every proposer")
+            })
+            .collect(),
+    )
 }
 
 /// One shard's scheduler state. Local indices are positions in
@@ -841,9 +759,9 @@ impl Shard {
     /// Member `local` is between intervals: retires it if its run is
     /// complete, else queues it at its own clock.
     fn settle(&mut self, local: usize) {
-        let driver = &self.member(local).driver;
-        let now_s = driver.now_s();
-        if !driver.done() {
+        let run = &self.member(local).run;
+        let now_s = run.control.backend.now_s();
+        if !run.done() {
             return self.requeue(local, now_s);
         }
         let m = self.members[local]
@@ -853,7 +771,7 @@ impl Shard {
             m.idx,
             FleetRun {
                 name: m.name,
-                result: m.driver.finish(),
+                result: m.run.control.into_result(),
                 end_s: now_s,
             },
         ));
@@ -862,15 +780,12 @@ impl Shard {
 
 /// Drives one shard's members to completion over its own ready-at
 /// min-heap; under arbitration (`arb` set) the shard parks proposing
-/// members and rendezvouses with the other shards at every round.
-/// Under [`Clock::Wall`] the shard sleeps each popped member's
-/// ready-at gap away before polling it. Returns each member's run
-/// keyed by its fleet-wide insertion index, plus the shard's poll
-/// count.
+/// members and rendezvouses with the other shards every round, until a
+/// round in which no shard proposes. Returns each member's run keyed by
+/// its fleet-wide insertion index, plus the shard's poll count.
 fn run_shard(
     members: Vec<Member>,
     arb: Option<&ArbShared>,
-    pace: Clock,
     tel: Option<ShardTelemetry>,
 ) -> (Vec<(usize, FleetRun)>, u64) {
     let n = members.len();
@@ -894,20 +809,8 @@ fn run_shard(
                 t.polls.inc();
             }
             let local = slot.idx;
-            let driver = &mut shard.member(local).driver;
-            if pace == Clock::Wall {
-                // Live backends report wall timestamps: sleep the gap
-                // to this member's ready-at away instead of having its
-                // poll_window spin it down in bounded waits. Virtual
-                // members are never behind their ready-at, so this
-                // branch never sleeps for them.
-                let gap_s = slot.ready_at - driver.now_s();
-                if gap_s > 1e-4 {
-                    std::thread::sleep(std::time::Duration::from_secs_f64(gap_s));
-                }
-            }
             polls += 1;
-            match driver.poll() {
+            match shard.member(local).run.poll() {
                 LoopPoll::Pending { resume_at_s } => shard.requeue(local, resume_at_s),
                 LoopPoll::Logged => shard.settle(local),
                 LoopPoll::Proposed => {
@@ -918,28 +821,39 @@ fn run_shard(
         }
         // Heap drained: every member is parked or finished.
         let Some(shared) = arb else { break };
-        if parked.is_empty() {
-            deregister(shared);
-            break;
-        }
         let proposals: Vec<(usize, f64)> = parked
             .iter()
             .map(|&local| {
                 let m = shard.member(local);
-                (m.idx, m.driver.proposed_total())
+                let proposed = m
+                    .run
+                    .control
+                    .staged_proposed_total()
+                    .expect("a parked member has a staged decision");
+                (m.idx, proposed)
             })
             .collect();
         // Barrier park time is honest wall time (std::time::Instant):
         // it diagnoses shard imbalance on the host, so the modelled
-        // clock is the wrong ruler. Side channel only — never fed back.
-        let parked_at = tel.as_ref().map(|_| Instant::now());
-        let events = rendezvous(shared, &proposals);
-        if let (Some(t), Some(at)) = (&tel, parked_at) {
+        // clock is the wrong ruler. Side channel only — never fed back,
+        // and kept only for rounds this shard brought proposals to.
+        let parked_at = tel
+            .as_ref()
+            .filter(|_| !parked.is_empty())
+            .map(|t| (t, Instant::now()));
+        let Some(events) = rendezvous(shared, &proposals) else {
+            break;
+        };
+        if let Some((t, at)) = parked_at {
             t.barrier_wait.observe(at.elapsed().as_secs_f64());
             t.rounds.inc();
         }
         for (&local, ev) in parked.iter().zip(&events) {
-            shard.member(local).driver.commit_granted(ev.granted, ev);
+            shard
+                .member(local)
+                .run
+                .control
+                .commit_granted(ev.granted, ev);
             shard.settle(local);
         }
         parked.clear();

@@ -18,12 +18,13 @@
 use std::sync::{Arc, Mutex};
 
 use pema_control::{
-    AimdBackoff, ArbitrationEvent, Clock, Experiment, Fleet, FleetPolicy, FleetResult,
-    HarnessConfig, HoldPolicy, IterationLog, MemberSpec, Observer, RulePolicy, RunResult,
-    Unlimited, UseFluid, WeightedFairShare,
+    AimdBackoff, ArbitrationEvent, Experiment, Fleet, FleetPolicy, FleetResult, HarnessConfig,
+    HoldPolicy, IterationLog, MemberSpec, Observer, RulePolicy, RunResult, Unlimited, UseFluid,
+    WeightedFairShare,
 };
 use pema_core::{PemaController, PemaParams};
 use pema_sim::WindowStats;
+use pema_telemetry::{Telemetry, DEFAULT_SECONDS_BUCKETS};
 
 /// Bit-faithful rendering (see `fleet_behaviour.rs`): f64 `Debug` is
 /// shortest-roundtrip, so equal strings ⇔ bit-equal runs.
@@ -422,65 +423,65 @@ fn aimd_scale_evolution_is_deterministic() {
     assert_eq!(ev_a, ev_b, "per-round AIMD events must be reproducible");
 }
 
+/// Shards run out of members at different rounds — iters 1, 6, 2 and 6
+/// split unevenly over 1, 2 and 3 shards — so a shard keeps meeting the
+/// barrier with no proposals until the round in which nobody proposes
+/// ends the fleet. The output is the same at every thread count, the
+/// fleet counts one round per interval of its longest member, and a
+/// shard counts (and times) only the rounds it brought proposals to.
 #[test]
-fn trace_recorder_captures_arbitration_events() {
-    use pema_trace::TraceRecorder;
+fn shards_that_run_dry_early_keep_meeting_the_barrier() {
     let app = pema_apps::toy_chain();
-    let recorder = TraceRecorder::new(&app, "rule", 0, &cfg(41));
-    let handle = recorder.handle();
-    let member = |seed: u64| {
-        MemberSpec::new()
-            .app(&app)
-            .config(cfg(seed))
-            .policy(RulePolicy::new(&app))
-            .backend(UseFluid)
-            .rps(150.0)
-            .iters(3)
+    let iters = [1usize, 6, 2, 6];
+    let run = |threads: usize| {
+        let hub = Telemetry::new();
+        let mut fleet = Fleet::new().threads(threads).telemetry(&hub);
+        for (i, &n) in iters.iter().enumerate() {
+            fleet = fleet.member(
+                MemberSpec::new()
+                    .floor(0.2)
+                    .app(&app)
+                    .config(cfg(70 + i as u64))
+                    .policy(RulePolicy::new(&app))
+                    .backend(UseFluid)
+                    .rps(120.0 + 10.0 * i as f64)
+                    .iters(n),
+            );
+        }
+        let result = fleet.arbitration(2.0, WeightedFairShare::new()).run();
+        (render_fleet(&result), result, hub)
     };
-    let result = Fleet::new()
-        .member(member(41).observer(recorder))
-        .member(member(42))
-        .arbitration(1.0, WeightedFairShare::new())
-        .run();
-    let events = handle.arbitration();
-    assert_eq!(events.len(), 3, "one event per recorded interval");
-    for (k, ev) in events.iter().enumerate() {
-        assert_eq!(ev.round, k);
-        assert!(ev.fleet_granted <= 1.0 + 1e-9);
+    let (single, ..) = run(1);
+    for threads in [1usize, 2, 3] {
+        let (rendered, result, hub) = run(threads);
+        assert_eq!(rendered, single, "output diverged at threads={threads}");
+        assert_eq!(result.arbitration.expect("budget was set").rounds, 6);
+        for shard in 0..threads {
+            let proposing_rounds = (0..iters.len())
+                .filter(|i| i % threads == shard)
+                .map(|i| iters[i])
+                .max()
+                .expect("every shard has a member");
+            let label = shard.to_string();
+            let labels: &[(&str, &str)] = &[("shard", &label)];
+            let rounds = hub
+                .counter("pema_fleet_arb_rounds_total", "", labels)
+                .value();
+            let waits = hub
+                .histogram(
+                    "pema_fleet_barrier_wait_seconds",
+                    "",
+                    labels,
+                    DEFAULT_SECONDS_BUCKETS,
+                )
+                .count();
+            assert_eq!(
+                rounds, proposing_rounds as f64,
+                "shard {shard} of {threads}"
+            );
+            assert_eq!(waits, proposing_rounds as u64, "shard {shard} of {threads}");
+        }
     }
-    assert!(result.arbitration.unwrap().contended_rounds > 0);
-}
-
-/// Wall pacing only ever *waits* — it cannot change what virtual-time
-/// members compute, because they are never behind their ready-at. A
-/// fluid fleet under `Clock::Wall` must therefore be byte-identical to
-/// the `Clock::Virtual` default (and finish promptly: no sleeps fire).
-#[test]
-fn fleet_wall_pace_matches_virtual() {
-    let app = pema_apps::toy_chain();
-    let builder = |seed: u64| {
-        Experiment::builder()
-            .app(&app)
-            .config(cfg(seed))
-            .policy(RulePolicy::new(&app))
-            .backend(UseFluid)
-            .rps(125.0)
-            .iters(3)
-    };
-    let build = |pace: Clock| {
-        Fleet::new()
-            .member(builder(51))
-            .member(MemberSpec::from(builder(52)).name("second"))
-            .pace(pace)
-            .run()
-    };
-    let start = std::time::Instant::now();
-    let wall = build(Clock::Wall);
-    assert!(
-        start.elapsed() < std::time::Duration::from_secs(5),
-        "wall pace slept on virtual members"
-    );
-    assert_eq!(render_fleet(&wall), render_fleet(&build(Clock::Virtual)));
 }
 
 #[test]

@@ -30,6 +30,11 @@ pub trait TimeSource: Send {
     fn pend_until(&self, target_s: f64);
 }
 
+/// Longest single sleep [`WallClock::pend_until`] takes, seconds.
+/// Bounds how stale a `Pending` poll result can get without
+/// busy-spinning.
+const MAX_POLL_WAIT_S: f64 = 0.05;
+
 /// Real time: `now_s` is **seconds since the unix epoch** (Prometheus
 /// interprets `query_range` start/end as unix timestamps, so the live
 /// backend's window bounds must be epoch-anchored), waits are
@@ -41,9 +46,6 @@ pub struct WallClock {
     epoch: Instant,
     /// Unix time at `epoch`, seconds.
     unix_at_epoch: f64,
-    /// Longest single sleep `pend_until` will take, seconds. Bounds how
-    /// stale a `Pending` poll result can get without busy-spinning.
-    pub max_poll_wait_s: f64,
 }
 
 impl WallClock {
@@ -56,7 +58,6 @@ impl WallClock {
         WallClock {
             epoch: Instant::now(),
             unix_at_epoch,
-            max_poll_wait_s: 0.05,
         }
     }
 }
@@ -83,7 +84,7 @@ impl TimeSource for WallClock {
     }
 
     fn pend_until(&self, target_s: f64) {
-        sleep_s((target_s - self.now_s()).min(self.max_poll_wait_s));
+        sleep_s((target_s - self.now_s()).min(MAX_POLL_WAIT_S));
     }
 }
 
@@ -143,11 +144,15 @@ mod tests {
 
     #[test]
     fn wall_clock_pend_is_bounded() {
-        let mut c = WallClock::new();
-        c.max_poll_wait_s = 0.01;
+        let c = WallClock::new();
         let before = Instant::now();
         c.pend_until(c.now_s() + 10.0);
-        assert!(before.elapsed() < Duration::from_secs(1));
+        let slept = before.elapsed();
+        assert!(
+            slept >= Duration::from_secs_f64(MAX_POLL_WAIT_S),
+            "{slept:?}"
+        );
+        assert!(slept < Duration::from_secs(1), "{slept:?}");
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //! aborts, wall-clock pacing, and the tentpole record→replay loop:
 //! a dry-run tape replays through `TraceBackend` with zero divergence.
 
-use pema_control::{
-    Clock, ClusterBackend, ControlLoop, Fleet, HarnessConfig, HoldPolicy, MemberSpec,
-};
+use pema_control::{ClusterBackend, ControlLoop, Fleet, HarnessConfig, HoldPolicy, MemberSpec};
 use pema_core::{PemaController, PemaParams};
 use pema_live::{
     live_over_fake, live_over_fake_with, Endpoint, FakeCluster, Fault, HttpClient, KubeClient,
@@ -320,11 +318,11 @@ fn wall_clock_paces_measurement_in_real_time() {
 }
 
 #[test]
-fn fleet_wall_pace_drives_a_live_member_in_real_time() {
+fn unpaced_fleet_drives_a_live_member_in_real_time() {
     // The acceptance shape: a fleet hosting a LiveBackend (WallClock)
-    // over a FakeCluster, paced by Clock::Wall, runs three intervals in
-    // real time — and the poll count shows the shard slept to each
-    // window boundary instead of busy-spinning.
+    // over a FakeCluster runs three intervals in real time with no
+    // pacing of its own: the backend's bounded waits reach each window
+    // boundary, and the poll count shows they sleep instead of spin.
     let app = app();
     let cluster = FakeCluster::start(&app, RPS);
     let http = HttpClient::default();
@@ -352,7 +350,6 @@ fn fleet_wall_pace_drives_a_live_member_in_real_time() {
     };
     let t0 = Instant::now();
     let result = Fleet::new()
-        .pace(Clock::Wall)
         .member(
             MemberSpec::new()
                 .name("live-0")
@@ -369,7 +366,7 @@ fn fleet_wall_pace_drives_a_live_member_in_real_time() {
     assert_eq!(result.runs[0].result.log.len(), 3);
     assert!(
         elapsed >= Duration::from_millis(400),
-        "3 × 0.15 s intervals finished in {elapsed:?} — wall pacing did not pace"
+        "3 × 0.15 s intervals finished in {elapsed:?} — the fleet did not wait for real time"
     );
     assert!(
         elapsed < Duration::from_secs(10),

@@ -32,7 +32,7 @@
 //! ```
 
 use crate::format::{Trace, TraceMeta, TraceRecord};
-use pema_control::{ArbitrationEvent, HarnessConfig, IterationLog, Observer};
+use pema_control::{HarnessConfig, IterationLog, Observer};
 use pema_sim::{Allocation, AppSpec, WindowStats};
 use std::sync::{Arc, Mutex};
 
@@ -40,7 +40,6 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug, Clone)]
 pub struct TraceHandle {
     trace: Arc<Mutex<Trace>>,
-    arbitration: Arc<Mutex<Vec<ArbitrationEvent>>>,
 }
 
 impl TraceHandle {
@@ -53,37 +52,11 @@ impl TraceHandle {
             records: std::mem::take(&mut inner.records),
         }
     }
-
-    /// A copy of the trace as recorded so far (mid-run snapshots).
-    pub fn snapshot(&self) -> Trace {
-        self.trace.lock().unwrap().clone()
-    }
-
-    /// The fleet-arbitration events observed so far (one per interval
-    /// when the recorded member ran under `Fleet::arbitration`; empty
-    /// otherwise). Kept as an in-memory side channel, deliberately
-    /// outside the serialized [`Trace`] — the versioned JSONL format
-    /// stays byte-stable for non-arbitrated runs, and a replayed
-    /// member re-arbitrates live rather than replaying stale grants.
-    pub fn arbitration(&self) -> Vec<ArbitrationEvent> {
-        self.arbitration.lock().unwrap().clone()
-    }
-
-    /// Number of intervals recorded so far.
-    pub fn len(&self) -> usize {
-        self.trace.lock().unwrap().records.len()
-    }
-
-    /// True when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// The recording observer. See the module docs for the wiring pattern.
 pub struct TraceRecorder {
     inner: Arc<Mutex<Trace>>,
-    arbitration: Arc<Mutex<Vec<ArbitrationEvent>>>,
 }
 
 impl TraceRecorder {
@@ -121,7 +94,6 @@ impl TraceRecorder {
                 meta,
                 records: Vec::new(),
             })),
-            arbitration: Arc::new(Mutex::new(Vec::new())),
         }
     }
 
@@ -143,7 +115,6 @@ impl TraceRecorder {
     pub fn handle(&self) -> TraceHandle {
         TraceHandle {
             trace: Arc::clone(&self.inner),
-            arbitration: Arc::clone(&self.arbitration),
         }
     }
 }
@@ -169,9 +140,5 @@ impl Observer for TraceRecorder {
             alloc: Allocation::new(log.alloc.clone()).0,
             stats: stats.clone(),
         });
-    }
-
-    fn on_arbitration(&mut self, event: &ArbitrationEvent) {
-        self.arbitration.lock().unwrap().push(*event);
     }
 }
