@@ -630,7 +630,8 @@ fn cmd_optimum(args: &Args) {
 }
 
 fn cmd_classify(args: &Args) {
-    use pema::pema_classifier::{feature_study, generate_dataset, DatasetConfig};
+    use pema_bench::dataset::{generate_dataset, DatasetConfig};
+    use pema_bench::eval::feature_study;
     let app = get_app(args);
     let cfg = DatasetConfig {
         rps: args.get("rps"),

@@ -60,11 +60,6 @@ impl Feature {
     }
 }
 
-/// Extracts a feature vector in the order given by `features`.
-pub fn extract_vector(features: &[Feature], s: &ServiceWindowStats) -> Vec<f64> {
-    features.iter().map(|f| f.extract(s)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,12 +87,6 @@ mod tests {
         assert_eq!(Feature::Memory.extract(&s), 4.2e8);
         assert_eq!(Feature::SelfTime.extract(&s), 1.25);
         assert_eq!(Feature::Duration.extract(&s), 3.75);
-    }
-
-    #[test]
-    fn vector_order_follows_request() {
-        let v = extract_vector(&[Feature::Throttling, Feature::Utilization], &stats());
-        assert_eq!(v, vec![2.25, 37.5]);
     }
 
     #[test]

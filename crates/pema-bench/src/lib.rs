@@ -22,12 +22,24 @@
 //! (round-tripped) values — so `--jobs 1` and `--jobs N` produce
 //! byte-identical CSVs under `$PEMA_RESULTS_DIR` (default `results/`).
 //!
+//! | module | contents |
+//! |---|---|
+//! | [`registry`](mod@registry), [`scenarios`] | the scenario table and one module per figure, table or study |
+//! | [`exec`], [`ctx`] | the parallel executor and everything a scenario needs to run |
+//! | [`optm`] | the OPTM result cache the scenarios share: one search per `(app, rps)` |
+//! | [`fleet`] | the fleet `pema-cli fleet`, `fleet_scale` and `fleet_contention` run, described once |
+//! | [`dataset`], [`features`], [`logistic`], [`eval`] | Table 1's offline study: starve a service, harvest its five candidate signals, and score each subset by cross-validated logistic regression. It is calibration evidence for PEMA's choice of utilization + throttling, not part of the controller |
+//!
 //! Performance is not measured here: the repo's perf ledger is
 //! `BENCHMARK.json` and the standalone harness under `benchmarks/e2e`.
 
 pub mod ctx;
+pub mod dataset;
+pub mod eval;
 pub mod exec;
+pub mod features;
 pub mod fleet;
+pub mod logistic;
 pub mod optm;
 pub mod registry;
 pub mod scenarios;

@@ -6,10 +6,10 @@
 //! front-end+search) with 5-fold cross-validated logistic regression,
 //! plus the per-feature study that justifies the util+throttle choice.
 
+use crate::dataset::{generate_dataset, DatasetConfig};
+use crate::eval::{cross_validate, feature_study};
+use crate::features::Feature;
 use crate::ExperimentCtx;
-use pema::pema_classifier::{
-    cross_validate, feature_study, generate_dataset, DatasetConfig, Feature,
-};
 use std::io;
 
 pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {

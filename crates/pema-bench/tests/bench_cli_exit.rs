@@ -238,6 +238,38 @@ fn run_is_every_policy_on_every_backend() {
     }
 }
 
+/// `optimum` prints the OPTM search's result for one load, byte for
+/// byte: the total, the p95 it reaches, the evaluations it spent and
+/// each service's cores.
+#[test]
+fn optimum_prints_the_search_result() {
+    assert_eq!(
+        ok("optimum --app toy-chain --rps 100 --seed 1"),
+        "searching OPTM for toy-chain @ 100 rps…\n\
+         optimum total = 0.73 cores (p95 51.7 ms, 27 evaluations)\n\
+         \x20            gateway  0.18\n\
+         \x20              logic  0.37\n\
+         \x20                 db  0.18\n"
+    );
+}
+
+/// `classify` prints the Table 1 study on one starved service, byte for
+/// byte: the dataset's size and one accuracy row per feature set.
+#[test]
+fn classify_prints_the_feature_study() {
+    assert_eq!(
+        ok("classify --app toy-chain --rps 100 --service logic"),
+        "dataset: 18 samples (9 positives)\n\
+         \x20 util             100.0%\n\
+         \x20 throttle         100.0%\n\
+         \x20 memory           38.9%\n\
+         \x20 self_time        88.9%\n\
+         \x20 duration         33.3%\n\
+         \x20 util+throttle    100.0%\n\
+         \x20 all five         88.9%\n"
+    );
+}
+
 #[test]
 fn a_seed_above_2_pow_53_is_accepted() {
     ok("fleet --count 2 --iters 1 --backend fluid --seed 9007199254740993");

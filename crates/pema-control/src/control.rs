@@ -10,8 +10,7 @@ use crate::arbitration::ArbitrationEvent;
 use crate::backend::{ClusterBackend, SimBackend, WindowPoll, WindowRequest};
 use crate::policy::{Decision, Policy};
 use crate::telemetry::{IntervalSpans, LoopTelemetry};
-use pema_sim::{Allocation, AppSpec, WindowStats};
-use pema_workload::Workload;
+use pema_sim::{Allocation, WindowStats, Workload};
 
 /// Harness timing parameters.
 #[derive(Debug, Clone, Copy)]
@@ -615,23 +614,4 @@ impl<P: Policy, B: ClusterBackend> Run<P, B> {
         }
         self.control.into_result()
     }
-}
-
-/// Convenience: OPTM search for an app at one workload, starting from
-/// the generous allocation.
-pub fn optimum_for(
-    app: &AppSpec,
-    rps: f64,
-    seed: u64,
-) -> Result<pema_baselines::OptmResult, pema_baselines::OptmError> {
-    let mut eval = pema_sim::SimEvaluator::new(app, seed)
-        .with_window(4.0, 20.0)
-        .with_robustness(2);
-    let start = Allocation::new(app.generous_alloc.clone());
-    pema_baselines::find_optimum(
-        &mut eval,
-        &start,
-        rps,
-        &pema_baselines::OptmConfig::default(),
-    )
 }

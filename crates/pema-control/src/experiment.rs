@@ -46,9 +46,8 @@ use crate::control::{ControlLoop, HarnessConfig, Load, Observer, Run, RunResult}
 use crate::fleet::ArbMeta;
 use crate::policy::Policy;
 use crate::telemetry::LoopTelemetry;
-use pema_sim::AppSpec;
+use pema_sim::{AppSpec, Workload};
 use pema_telemetry::{EventSink, Telemetry};
-use pema_workload::Workload;
 
 /// Entry point of the facade: [`Experiment::builder`].
 pub struct Experiment;

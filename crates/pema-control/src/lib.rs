@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | telemetry source | Prometheus + cAdvisor scrape | [`ClusterBackend::poll_window`] |
 //! | actuator | Kubernetes CPU-limit patch | [`ClusterBackend::apply`] |
-//! | decision logic | PEMA / manager / baselines | [`Policy`] implementations |
+//! | decision logic | PEMA / manager / RULE | [`Policy`] implementations: [`PemaController`](pema_core::PemaController), [`WorkloadAwarePema`](pema_core::WorkloadAwarePema), [`RulePolicy`], [`HoldPolicy`] |
 //! | control cycle | measure → observe → act → apply | [`ControlLoop`] |
 //! | experiment wiring | testbed scripts | [`Experiment`] builder facade |
 //! | fleet-wide deployment | one controller, many apps | [`Fleet`] cooperative scheduler |
@@ -75,6 +75,7 @@ mod control;
 mod experiment;
 mod fleet;
 mod policy;
+mod rule;
 pub mod telemetry;
 
 pub use arbitration::{
@@ -84,10 +85,9 @@ pub use arbitration::{
 pub use backend::{
     ClusterBackend, EarlyCheck, FluidBackend, SimBackend, WindowPoll, WindowRequest,
 };
-pub use control::{
-    optimum_for, ControlLoop, HarnessConfig, IterationLog, LoopPoll, Observer, RunResult,
-};
+pub use control::{ControlLoop, HarnessConfig, IterationLog, LoopPoll, Observer, RunResult};
 pub use experiment::{Experiment, ExperimentBuilder, IntoBackend, Unset, UseFluid, UseSim};
 pub use fleet::{resolve_threads, Fleet, FleetResult, FleetRun, MemberSpec};
-pub use policy::{policy_by_name, stats_to_obs, Decision, HoldPolicy, Policy, RulePolicy};
+pub use policy::{policy_by_name, stats_to_obs, Decision, HoldPolicy, Policy};
+pub use rule::RulePolicy;
 pub use telemetry::LoopTelemetry;

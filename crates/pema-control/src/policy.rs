@@ -10,9 +10,9 @@
 //! `live`, `replay`, `fleet`), [`policy_by_name`] is the one place its
 //! name becomes a value.
 
-use pema_baselines::RuleScaler;
+use crate::rule::RulePolicy;
 use pema_core::{Action, Observation, PemaController, PemaParams, ServiceObs, WorkloadAwarePema};
-use pema_sim::{Allocation, AppSpec, WindowStats};
+use pema_sim::{Allocation, WindowStats};
 use std::cell::RefCell;
 
 /// Converts a measured window into the controller's observation — the
@@ -116,10 +116,7 @@ pub fn policy_by_name(
             params.seed = seed;
             Box::new(PemaController::new(params, start.to_vec()))
         }
-        "rule" => Box::new(RulePolicy {
-            rule: RuleScaler::capped_at(start.to_vec()),
-            slo_ms,
-        }),
+        "rule" => Box::new(RulePolicy::capped_at(start.to_vec(), slo_ms)),
         "hold" => Box::new(HoldPolicy::new(start.to_vec(), slo_ms)),
         _ => return None,
     })
@@ -161,40 +158,6 @@ impl Policy for WorkloadAwarePema {
     fn slo_ms(&self) -> f64 {
         // The inherent accessor (disambiguated from this trait method).
         WorkloadAwarePema::slo_ms(self)
-    }
-}
-
-/// [`RuleScaler`] plus the SLO it is judged against. The rule itself is
-/// latency-blind (it never reads the SLO); the loop still needs the SLO
-/// to mark violating intervals.
-pub struct RulePolicy {
-    /// The rule-based scaler under test.
-    pub rule: RuleScaler,
-    slo_ms: f64,
-}
-
-impl RulePolicy {
-    /// Rule baseline for an app, judged against the app's SLO.
-    pub fn new(app: &AppSpec) -> Self {
-        Self {
-            rule: RuleScaler::new(app),
-            slo_ms: app.slo_ms,
-        }
-    }
-}
-
-impl Policy for RulePolicy {
-    fn decide(&mut self, stats: &WindowStats) -> Decision {
-        let next = self.rule.step(stats);
-        Decision {
-            alloc: next.0,
-            action: "rule".to_string(),
-            pema_id: 0,
-        }
-    }
-
-    fn slo_ms(&self) -> f64 {
-        self.slo_ms
     }
 }
 

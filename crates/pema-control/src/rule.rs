@@ -3,18 +3,13 @@
 //! The paper's commercial comparison point is Kubernetes' rule-based
 //! scaling: the HPA drives resources so that measured CPU usage sits at
 //! a target fraction of the allocation, and the companion VPA rule uses
-//! the 90th percentile of recent usage samples with overprovisioning
-//! headroom (§5 cites both). RULE is *latency-blind*: it never looks at
-//! the SLO, only at usage — so its safety comes entirely from the
-//! utilization headroom, which is exactly the inefficiency PEMA
-//! exploits (Fig. 15: PEMA saves up to 33% vs RULE).
-//!
-//! Implementation: per service, take the p90 of per-second usage
-//! samples over the last few monitoring windows and allocate
-//! `p90_usage / target_utilization` (a 65% target over 5 windows),
-//! clamped between the cluster floor and the service's generous
-//! allocation.
+//! the 90th percentile of recent usage samples (§5 cites both). RULE is
+//! *latency-blind*: it never looks at the SLO, only at usage — so its
+//! safety comes entirely from the utilization headroom, which is
+//! exactly the inefficiency PEMA exploits (Fig. 15: PEMA saves up to
+//! 33% vs RULE).
 
+use crate::policy::{Decision, Policy};
 use pema_sim::{Allocation, AppSpec, WindowStats, MIN_ALLOC};
 
 /// Target utilization: an allocation is sized so the p90 usage sits
@@ -23,9 +18,12 @@ const TARGET_UTIL: f64 = 0.65;
 /// Number of recent windows whose p90 samples are retained.
 const WINDOW: usize = 5;
 
-/// Kubernetes-flavoured rule-based vertical scaler.
-#[derive(Debug, Clone)]
-pub struct RuleScaler {
+/// The RULE baseline: per service, the max over the last 5 windows of
+/// the p90 of per-second CPU usage, divided by a 65% utilization
+/// target and clamped to `[MIN_ALLOC, cap]`, where the cap is the
+/// allocation the run starts from. The rule never reads the SLO; the
+/// loop still needs it to mark violating intervals.
+pub struct RulePolicy {
     /// Per-service upper clamp.
     cap: Vec<f64>,
     /// Recent p90-of-1s-usage samples: one ring of [`WINDOW`] slots per
@@ -35,30 +33,34 @@ pub struct RuleScaler {
     /// Slot the next sample overwrites — the oldest once the ring is
     /// full. All services advance together.
     head: usize,
+    slo_ms: f64,
 }
 
-impl RuleScaler {
-    /// Creates a scaler for an application, capped at its generous
-    /// allocation: a 65% utilization target over the last 5 windows.
+impl RulePolicy {
+    /// Rule baseline for an app: capped at its generous allocation and
+    /// judged against its SLO.
     pub fn new(app: &AppSpec) -> Self {
-        Self::capped_at(app.generous_alloc.clone())
+        Self::capped_at(app.generous_alloc.clone(), app.slo_ms)
     }
 
-    /// [`new`](Self::new) for any per-service upper clamp.
-    pub fn capped_at(cap: Vec<f64>) -> Self {
+    /// [`new`](Self::new) for any per-service upper clamp and SLO.
+    pub(crate) fn capped_at(cap: Vec<f64>, slo_ms: f64) -> Self {
         Self {
             ring: vec![0.0; WINDOW * cap.len()],
             cap,
             head: 0,
+            slo_ms,
         }
     }
+}
 
+impl Policy for RulePolicy {
     /// Ingests one monitoring window and returns the allocation for the
     /// next interval.
     ///
     /// # Panics
     /// Panics if the window's service count differs from the cap's.
-    pub fn step(&mut self, stats: &WindowStats) -> Allocation {
+    fn decide(&mut self, stats: &WindowStats) -> Decision {
         assert_eq!(stats.per_service.len(), self.cap.len());
         let mut next = Vec::with_capacity(self.cap.len());
         for ((s, h), cap) in stats
@@ -74,17 +76,30 @@ impl RuleScaler {
             next.push((p90 / TARGET_UTIL).clamp(MIN_ALLOC, *cap));
         }
         self.head = (self.head + 1) % WINDOW;
-        Allocation::new(next)
+        Decision {
+            alloc: Allocation::new(next).0,
+            action: "rule".to_string(),
+            pema_id: 0,
+        }
+    }
+
+    fn slo_ms(&self) -> f64 {
+        self.slo_ms
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pema_sim::stats::ServiceWindowStats;
+    use pema_sim::ServiceWindowStats;
 
     fn app() -> AppSpec {
         pema_apps::toy_chain()
+    }
+
+    /// One interval of the rule, as the allocation it decides.
+    fn next_alloc(rule: &mut RulePolicy, stats: &WindowStats) -> Allocation {
+        Allocation(rule.decide(stats).alloc)
     }
 
     fn window(p90s: &[f64]) -> WindowStats {
@@ -120,8 +135,8 @@ mod tests {
 
     #[test]
     fn sizes_for_target_utilization() {
-        let mut r = RuleScaler::new(&app());
-        let a = r.step(&window(&[0.39, 0.78, 0.195]));
+        let mut r = RulePolicy::new(&app());
+        let a = next_alloc(&mut r, &window(&[0.39, 0.78, 0.195]));
         assert!((a.get(0) - 0.6).abs() < 1e-9);
         assert!((a.get(1) - 1.2).abs() < 1e-9);
         assert!((a.get(2) - 0.3).abs() < 1e-9);
@@ -129,8 +144,8 @@ mod tests {
 
     #[test]
     fn default_target_overprovisions() {
-        let mut r = RuleScaler::new(&app());
-        let a = r.step(&window(&[0.65, 0.65, 0.65]));
+        let mut r = RulePolicy::new(&app());
+        let a = next_alloc(&mut r, &window(&[0.65, 0.65, 0.65]));
         // p90 0.65 at 65% target → exactly 1.0 core.
         for i in 0..3 {
             assert!((a.get(i) - 1.0).abs() < 1e-9);
@@ -139,8 +154,8 @@ mod tests {
 
     #[test]
     fn clamps_to_generous_cap() {
-        let mut r = RuleScaler::new(&app());
-        let a = r.step(&window(&[100.0, 100.0, 100.0]));
+        let mut r = RulePolicy::new(&app());
+        let a = next_alloc(&mut r, &window(&[100.0, 100.0, 100.0]));
         for (i, cap) in app().generous_alloc.iter().enumerate() {
             assert_eq!(a.get(i), *cap);
         }
@@ -148,8 +163,8 @@ mod tests {
 
     #[test]
     fn floors_idle_services() {
-        let mut r = RuleScaler::new(&app());
-        let a = r.step(&window(&[0.0, 0.0, 0.0]));
+        let mut r = RulePolicy::new(&app());
+        let a = next_alloc(&mut r, &window(&[0.0, 0.0, 0.0]));
         for i in 0..3 {
             assert_eq!(a.get(i), MIN_ALLOC);
         }
@@ -157,15 +172,15 @@ mod tests {
 
     #[test]
     fn remembers_spikes_within_window() {
-        let mut r = RuleScaler::new(&app());
-        r.step(&window(&[0.78, 0.065, 0.065]));
+        let mut r = RulePolicy::new(&app());
+        next_alloc(&mut r, &window(&[0.78, 0.065, 0.065]));
         // Four quiet windows: spike is still within the 5-window memory.
         for _ in 0..4 {
-            let a = r.step(&window(&[0.065, 0.065, 0.065]));
+            let a = next_alloc(&mut r, &window(&[0.065, 0.065, 0.065]));
             assert!((a.get(0) - 1.2).abs() < 1e-9, "spike forgotten early");
         }
         // Sixth window: spike evicted.
-        let a = r.step(&window(&[0.065, 0.065, 0.065]));
+        let a = next_alloc(&mut r, &window(&[0.065, 0.065, 0.065]));
         assert!((a.get(0) - 0.1).abs() < 1e-9);
     }
 
@@ -205,14 +220,14 @@ mod tests {
         let app = app();
         let n = app.services.len();
         for k in 0..7 {
-            let mut rule = RuleScaler::new(&app);
+            let mut rule = RulePolicy::new(&app);
             let mut reference = DequeRule {
                 history: vec![Default::default(); n],
             };
             let mut state = 0x5EED + k;
             for step in 0..30 {
                 let p90s: Vec<f64> = (0..n).map(|_| sample(&mut state)).collect();
-                let got = rule.step(&window(&p90s));
+                let got = next_alloc(&mut rule, &window(&p90s));
                 let want = reference.step(&p90s, &app.generous_alloc);
                 assert_eq!(got.0, want, "series {k}, step {step}");
             }

@@ -1,9 +1,9 @@
 //! Cross-crate integration: the full PEMA loop (controller × simulator)
 //! on real application models.
 
-use pema_control::{optimum_for, Experiment, HarnessConfig, RulePolicy, RunResult};
+use pema_control::{Experiment, HarnessConfig, RulePolicy, RunResult};
 use pema_core::{PemaController, PemaParams};
-use pema_sim::AppSpec;
+use pema_sim::{optimum_for, AppSpec};
 
 fn cfg(seed: u64) -> HarnessConfig {
     HarnessConfig {

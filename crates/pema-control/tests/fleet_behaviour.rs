@@ -8,8 +8,7 @@ use pema_control::{
     LoopPoll, MemberSpec, RulePolicy, RunResult, SimBackend, UseFluid, UseSim,
 };
 use pema_core::{PemaController, PemaParams};
-use pema_sim::AppSpec;
-use pema_workload::StepPattern;
+use pema_sim::{AppSpec, StepPattern};
 
 /// Bit-faithful rendering of a run: f64 `Debug` is shortest-roundtrip,
 /// so two runs render identically iff every logged float is

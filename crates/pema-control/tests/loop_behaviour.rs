@@ -109,8 +109,7 @@ fn custom_policy_drives_the_generic_loop() {
 fn managed_policy_pre_switches_allocation() {
     let app = pema_apps::toy_chain();
     let params = PemaParams::defaults(app.slo_ms);
-    let range_cfg =
-        pema_core::RangeConfig::new(pema_workload::WorkloadRange::new(100.0, 300.0), 50.0);
+    let range_cfg = pema_core::RangeConfig::new(pema_core::WorkloadRange::new(100.0, 300.0), 50.0);
     let mut runner = Experiment::builder()
         .app(&app)
         .policy(WorkloadAwarePema::new(

@@ -2,9 +2,8 @@
 //! the simulator.
 
 use pema_control::{ControlLoop, Experiment, HarnessConfig};
-use pema_core::{PemaParams, RangeConfig, WorkloadAwarePema};
+use pema_core::{PemaParams, RangeConfig, WorkloadAwarePema, WorkloadRange};
 use pema_sim::AppSpec;
-use pema_workload::WorkloadRange;
 
 fn cfg(seed: u64) -> HarnessConfig {
     HarnessConfig {

@@ -16,6 +16,7 @@
 //!   and randomized exploration (Eqn. 8).
 //! * [`WorkloadAwarePema`] — §3.4: dynamic workload-range splitting
 //!   with a workload-tilted response-time target (Eqn. 9).
+//! * [`WorkloadRange`] — the workload interval §3.4's manager splits.
 //! * [`Rhdb`] — the resource-allocation history database.
 //!
 //! ```
@@ -37,6 +38,7 @@ pub mod config;
 pub mod controller;
 pub mod manager;
 pub mod observation;
+pub mod ranges;
 pub mod rhdb;
 pub mod target;
 
@@ -44,5 +46,6 @@ pub use config::PemaParams;
 pub use controller::{Action, PemaController, StepOutcome};
 pub use manager::{ManagerOutcome, RangeConfig, WorkloadAwarePema};
 pub use observation::{Observation, ServiceObs};
+pub use ranges::WorkloadRange;
 pub use rhdb::{Rhdb, RhdbRecord};
 pub use target::{DynamicTarget, SlopeLearner};

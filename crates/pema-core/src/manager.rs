@@ -17,8 +17,8 @@
 use crate::config::PemaParams;
 use crate::controller::{Action, PemaController, StepOutcome};
 use crate::observation::Observation;
+use crate::ranges::WorkloadRange;
 use crate::target::{DynamicTarget, SlopeLearner};
-use pema_workload::WorkloadRange;
 
 /// Configuration for the range manager.
 #[derive(Debug, Clone)]

@@ -3,8 +3,8 @@
 //! PEMA discretizes the workload axis into ranges, learns one resource
 //! allocation per range, and recursively splits ranges in half as
 //! learning matures (Fig. 10b). The tree bookkeeping lives in
-//! `pema-core`; this module provides the interval type and its split
-//! rule so the arithmetic is testable in isolation.
+//! [`manager`](crate::manager); this module provides the interval type
+//! and its split rule so the arithmetic is testable in isolation.
 
 /// A half-open workload interval `[lo, hi)` in requests per second.
 /// The upper end is inclusive for the topmost range so the maximum

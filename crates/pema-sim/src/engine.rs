@@ -31,8 +31,7 @@ use rand::SeedableRng;
 use crate::queue::CalendarQueue;
 use crate::rng::{bernoulli, exponential, weight_total, weighted_index_with_total, LogNormal};
 use crate::runtime::{
-    DeadlineKind, RunningJob, ServiceRt, Stage, Visit, VisitSlot, CFS_PERIOD_NS, NO_PARENT,
-    QUOTA_EPS, WORK_EPS,
+    RunningJob, ServiceRt, Stage, Visit, VisitSlot, CFS_PERIOD_NS, NO_PARENT, QUOTA_EPS, WORK_EPS,
 };
 use crate::stats::{ServiceWindowStats, WindowStats};
 use crate::time::SimTime;
@@ -1222,12 +1221,6 @@ impl ClusterSim {
     pub fn live_visits(&self) -> usize {
         self.visits.iter().filter(|s| s.live).count()
     }
-
-    /// Kind of the next deadline for a service — exposed for tests.
-    #[doc(hidden)]
-    pub fn deadline_kind(&self, sid: usize) -> Option<DeadlineKind> {
-        self.services[sid].next_deadline(self.now).map(|(_, k)| k)
-    }
 }
 
 #[cfg(test)]
@@ -1382,6 +1375,7 @@ mod tests {
         sim.set_arrival_rate(0.0);
         sim.run_until(sim.now().plus_secs(10.0));
         assert_eq!(sim.live_visits(), 0, "visits leaked");
+        assert_eq!(sim.pending_events(), 0, "events leaked");
     }
 
     #[test]

@@ -47,6 +47,15 @@
 //! the repo benchmark (`BENCHMARK.json`, `sim.engine.ns_per_event` on
 //! `des_closed_loop`) divides wall time by it.
 //!
+//! ## Beside the engine
+//!
+//! | module | contents |
+//! |---|---|
+//! | [`fluid`] | the analytic fluid model: the same observables, orders of magnitude faster |
+//! | [`evaluator`] | [`Evaluator`], the "what does allocation x do at load λ?" seam both models implement |
+//! | [`optm`] | OPTM, the paper's optimum baseline (§4.2): a search over an [`Evaluator`] |
+//! | [`pattern`], [`mmpp`], [`wiki`] | the loads a run is offered: step, burst, diurnal, trace, MMPP and Wikipedia-shaped [`Workload`]s |
+//!
 //! ## Quick start
 //!
 //! ```
@@ -80,6 +89,9 @@
 pub mod engine;
 pub mod evaluator;
 pub mod fluid;
+pub mod mmpp;
+pub mod optm;
+pub mod pattern;
 pub mod queue;
 pub mod rng;
 pub mod runtime;
@@ -87,14 +99,19 @@ pub mod stats;
 pub mod time;
 pub mod topology;
 pub mod trace;
+pub mod wiki;
 
 pub use engine::{ClusterSim, OpenWindow};
 pub use evaluator::{Evaluator, SimEvaluator};
 pub use fluid::{
     FluidEvaluator, TailCurve, TailModel, BURST_P90_DEFAULT, LEGACY_P95_FACTOR, PEAK_FACTOR_DEFAULT,
 };
+pub use mmpp::{MmppState, MmppWorkload};
+pub use optm::{find_optimum, optimum_for, OptmConfig, OptmError, OptmResult};
+pub use pattern::{BurstPattern, DiurnalPattern, StepPattern, TracePattern, Workload};
 pub use queue::CalendarQueue;
 pub use stats::{ServiceWindowStats, WindowStats};
 pub use time::{SimDuration, SimTime};
 pub use topology::{Allocation, AppSpec, ServiceId, ServiceSpec, TopologyError, MIN_ALLOC};
 pub use trace::{attribute, tail_traces, RequestTrace, ServiceAttribution, TraceSpan};
+pub use wiki::wikipedia_like_trace;

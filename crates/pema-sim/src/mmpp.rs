@@ -94,11 +94,6 @@ impl MmppWorkload {
             seed,
         )
     }
-
-    /// Number of pre-sampled segments.
-    pub fn n_segments(&self) -> usize {
-        self.segments.len()
-    }
 }
 
 impl Workload for MmppWorkload {

@@ -15,7 +15,8 @@
 //! constantly); like in the paper it serves as the efficiency upper
 //! bound for Fig. 15.
 
-use pema_sim::{Allocation, Evaluator};
+use crate::evaluator::{Evaluator, SimEvaluator};
+use crate::topology::{Allocation, AppSpec, MIN_ALLOC};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -142,7 +143,7 @@ pub fn find_optimum(
         for &i in &order {
             loop {
                 let cur_i = current.get(i);
-                if cur_i <= pema_sim::MIN_ALLOC + 1e-12 {
+                if cur_i <= MIN_ALLOC + 1e-12 {
                     break;
                 }
                 let mut trial = current.clone();
@@ -172,10 +173,21 @@ pub fn find_optimum(
     })
 }
 
+/// OPTM for an app at one workload on the DES, starting from the
+/// generous allocation: 4 s warm-up, 20 s windows, the worse of two
+/// replications per evaluation.
+pub fn optimum_for(app: &AppSpec, rps: f64, seed: u64) -> Result<OptmResult, OptmError> {
+    let mut eval = SimEvaluator::new(app, seed)
+        .with_window(4.0, 20.0)
+        .with_robustness(2);
+    let start = Allocation::new(app.generous_alloc.clone());
+    find_optimum(&mut eval, &start, rps, &OptmConfig::default())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pema_sim::stats::{ServiceWindowStats, WindowStats};
+    use crate::stats::{ServiceWindowStats, WindowStats};
 
     /// Synthetic evaluator: p95 = Σ c_i / x_i (separable, convex-ish),
     /// SLO 100 ms. The unique local optimum per coordinate is reached
@@ -279,7 +291,7 @@ mod tests {
         let start = Allocation::new(vec![2.0; 8]);
         let r = find_optimum(&mut toy, &start, 100.0, &OptmConfig::default()).unwrap();
         assert!(
-            (r.total - 8.0 * pema_sim::MIN_ALLOC).abs() < 1e-9,
+            (r.total - 8.0 * MIN_ALLOC).abs() < 1e-9,
             "everything feasible ⇒ the optimum is the floor, got {}",
             r.total
         );

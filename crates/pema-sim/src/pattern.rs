@@ -1,33 +1,17 @@
 //! Deterministic request-rate patterns.
+//!
+//! The paper drives its three applications with several load shapes:
+//! fixed request rates for the core efficiency results, a 36-hour
+//! Wikipedia-derived diurnal trace for the extended run (Fig. 14,
+//! [`wiki`](crate::wiki)), and square bursts for the adaptability study
+//! (Fig. 18). A [`Workload`] is a function from time (seconds) to
+//! offered load (requests per second); the control loop samples it at
+//! each interval start. Random bursts are [`mmpp`](crate::mmpp).
 
 /// A workload: offered load (requests/second) as a function of time.
 pub trait Workload {
     /// Offered load at time `t_s` seconds.
     fn rps_at(&self, t_s: f64) -> f64;
-
-    /// Smallest and largest rate over `[0, horizon_s]`, probed at 1 s
-    /// resolution. Used to size workload ranges.
-    fn bounds(&self, horizon_s: f64) -> (f64, f64) {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        let steps = (horizon_s.max(1.0)) as usize;
-        for i in 0..=steps {
-            let r = self.rps_at(i as f64);
-            lo = lo.min(r);
-            hi = hi.max(r);
-        }
-        (lo, hi)
-    }
-}
-
-/// Constant offered load.
-#[derive(Debug, Clone, Copy)]
-pub struct Constant(pub f64);
-
-impl Workload for Constant {
-    fn rps_at(&self, _t_s: f64) -> f64 {
-        self.0.max(0.0)
-    }
 }
 
 /// Piecewise-constant steps: `(start_s, rps)` pairs; the rate of the
@@ -159,15 +143,18 @@ impl Workload for TracePattern {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    #[test]
-    fn constant_is_constant() {
-        let w = Constant(250.0);
-        assert_eq!(w.rps_at(0.0), 250.0);
-        assert_eq!(w.rps_at(1e6), 250.0);
-        assert_eq!(Constant(-5.0).rps_at(0.0), 0.0);
+    /// Smallest and largest rate of `w` over `[0, horizon_s]`, probed
+    /// at 1 s resolution.
+    pub(crate) fn range_over(w: &dyn Workload, horizon_s: f64) -> (f64, f64) {
+        let steps = horizon_s.max(1.0) as usize;
+        (0..=steps)
+            .map(|i| w.rps_at(i as f64))
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), r| {
+                (lo.min(r), hi.max(r))
+            })
     }
 
     #[test]
@@ -207,7 +194,7 @@ mod tests {
     #[test]
     fn diurnal_respects_bounds() {
         let w = DiurnalPattern::daily(200.0, 1100.0);
-        let (lo, hi) = w.bounds(86_400.0);
+        let (lo, hi) = range_over(&w, 86_400.0);
         assert!(lo >= 200.0 - 1e-9, "lo={lo}");
         assert!(hi <= 1100.0 + 1e-9, "hi={hi}");
         assert!(hi - lo > 600.0, "cycle should span most of the range");
@@ -240,7 +227,7 @@ mod tests {
     #[test]
     fn bounds_probe() {
         let w = StepPattern::new(vec![(0.0, 100.0), (5.0, 900.0)]);
-        let (lo, hi) = w.bounds(10.0);
+        let (lo, hi) = range_over(&w, 10.0);
         assert_eq!(lo, 100.0);
         assert_eq!(hi, 900.0);
     }

@@ -55,12 +55,13 @@ pub fn wikipedia_like_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pattern::tests::range_over;
     use crate::pattern::Workload;
 
     #[test]
     fn trace_spans_requested_band() {
         let t = wikipedia_like_trace(200.0, 1100.0, 120.0, 0.03);
-        let (lo, hi) = t.bounds(86_400.0);
+        let (lo, hi) = range_over(&t, 86_400.0);
         assert!((180.0..300.0).contains(&lo), "lo={lo}");
         assert!(hi > 1000.0 && hi <= 1210.0, "hi={hi}");
     }

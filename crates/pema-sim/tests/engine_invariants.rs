@@ -115,8 +115,9 @@ fn completions_never_exceed_arrivals_cumulatively() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Visit accounting: after draining, no live visits remain for any
-    /// (rate, allocation) combination that terminates.
+    /// Visit accounting: after draining, no live visits and no scheduled
+    /// events remain for any (rate, allocation) combination that
+    /// terminates.
     #[test]
     fn drain_leaves_no_live_visits(rps in 50.0f64..300.0, alloc in 0.8f64..4.0) {
         let app = two_svc_app(32.0);
@@ -126,6 +127,7 @@ proptest! {
         sim.set_arrival_rate(0.0);
         sim.run_until(sim.now().plus_secs(30.0));
         prop_assert_eq!(sim.live_visits(), 0);
+        prop_assert_eq!(sim.pending_events(), 0);
     }
 
     /// The same seed and schedule always produce identical statistics,

@@ -14,7 +14,7 @@
 //! cargo run --release --example flash_crowds
 //! ```
 
-use pema::pema_workload::MmppWorkload;
+use pema::pema_sim::MmppWorkload;
 use pema::prelude::*;
 
 fn main() {

@@ -14,17 +14,14 @@
 //! | crate | contents |
 //! |---|---|
 //! | `pema` (this crate) | umbrella re-exports, the [`prelude`], the examples |
-//! | [`pema_control`] | backend-agnostic control plane: [`ClusterBackend`](pema_control::ClusterBackend), [`ControlLoop`](pema_control::ControlLoop), [`Experiment`](pema_control::Experiment) facade |
-//! | [`pema_core`] | the PEMA controller (Algorithm 1, Eqns. 3–11) |
-//! | [`pema_sim`] | DES cluster: CFS throttling, thread pools, tail latency |
+//! | [`pema_control`] | backend-agnostic control plane: [`ClusterBackend`](pema_control::ClusterBackend), [`ControlLoop`](pema_control::ControlLoop), [`Experiment`](pema_control::Experiment) facade; the RULE baseline |
+//! | [`pema_core`] | the PEMA controller (Algorithm 1, Eqns. 3–11) and its workload ranges |
+//! | [`pema_sim`] | DES cluster: CFS throttling, thread pools, tail latency; the fluid model, OPTM search and load patterns |
 //! | [`pema_apps`] | SockShop (13), TrainTicket (41), HotelReservation (18) |
-//! | [`pema_workload`] | constant / step / burst / diurnal load patterns |
-//! | [`pema_baselines`] | OPTM optimum search, RULE k8s-style scaler |
-//! | [`pema_classifier`] | bottleneck-detection study (paper Table 1) |
-//! | [`pema_metrics`] | histograms, quantiles, counters, windows |
+//! | [`pema_metrics`] | histograms, quantiles, windows |
 //! | [`pema_trace`] | trace record/replay: versioned JSONL traces, [`TraceBackend`](pema_trace::TraceBackend) counterfactual replayer |
 //! | [`pema_live`] | live-cluster adapter: [`LiveBackend`](pema_live::LiveBackend) scrapes Prometheus / patches Kubernetes over hand-rolled HTTP, plus the in-process [`FakeCluster`](pema_live::FakeCluster) test server |
-//! | `pema-bench` | scenario registry + parallel deterministic executor; hosts `pema-cli`, the one executable |
+//! | `pema-bench` | scenario registry + parallel deterministic executor, the bottleneck-detection study (paper Table 1); hosts `pema-cli`, the one executable |
 //!
 //! ## The experiment suite
 //!
@@ -66,8 +63,6 @@
 //! ```
 
 pub use pema_apps;
-pub use pema_baselines;
-pub use pema_classifier;
 pub use pema_control;
 pub use pema_core;
 pub use pema_live;
@@ -75,29 +70,26 @@ pub use pema_metrics;
 pub use pema_sim;
 pub use pema_telemetry;
 pub use pema_trace;
-pub use pema_workload;
 
 /// Common imports for examples and experiments.
 pub mod prelude {
-    pub use pema_baselines::{find_optimum, OptmConfig};
     pub use pema_control::{
-        optimum_for, policy_by_name, resolve_threads, AimdBackoff, ArbitrationEvent,
-        ClusterBackend, ControlLoop, Experiment, ExperimentBuilder, Fleet, FleetArbitration,
-        FleetPolicy, FleetResult, FluidBackend, HarnessConfig, HoldPolicy, IterationLog,
-        MemberSpec, Observer, Policy, RulePolicy, RunResult, SimBackend, Unlimited, UseFluid,
-        UseSim, WeightedFairShare,
+        policy_by_name, resolve_threads, AimdBackoff, ArbitrationEvent, ClusterBackend,
+        ControlLoop, Experiment, ExperimentBuilder, Fleet, FleetArbitration, FleetPolicy,
+        FleetResult, FluidBackend, HarnessConfig, HoldPolicy, IterationLog, MemberSpec, Observer,
+        Policy, RulePolicy, RunResult, SimBackend, Unlimited, UseFluid, UseSim, WeightedFairShare,
     };
-    pub use pema_core::{PemaController, PemaParams, RangeConfig, WorkloadAwarePema};
+    pub use pema_core::{
+        PemaController, PemaParams, RangeConfig, WorkloadAwarePema, WorkloadRange,
+    };
     pub use pema_live::{FakeCluster, KubeConfigLite, LiveBackend, LiveConfig, WallClock};
     pub use pema_sim::{
-        Allocation, AppSpec, ClusterSim, Evaluator, FluidEvaluator, SimEvaluator, TailCurve,
-        TailModel, WindowStats,
+        find_optimum, optimum_for, wikipedia_like_trace, Allocation, AppSpec, BurstPattern,
+        ClusterSim, Evaluator, FluidEvaluator, OptmConfig, SimEvaluator, StepPattern, TailCurve,
+        TailModel, WindowStats, Workload,
     };
     pub use pema_telemetry::{EventSink, MetricsServer, Telemetry};
     pub use pema_trace::{
         rebase_stats_with, replay, ReadMode, ReplayRun, Trace, TraceBackend, TraceRecorder,
-    };
-    pub use pema_workload::{
-        wikipedia_like_trace, BurstPattern, StepPattern, Workload, WorkloadRange,
     };
 }
