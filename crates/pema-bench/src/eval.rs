@@ -2,7 +2,7 @@
 
 use crate::dataset::Dataset;
 use crate::features::Feature;
-use crate::logistic::{FitConfig, Logistic};
+use crate::logistic::Logistic;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -46,7 +46,7 @@ pub fn cross_validate(ds: &Dataset, features: &[Feature], k: usize, seed: u64) -
         if y.iter().all(|&l| l) || y.iter().all(|&l| !l) {
             continue; // degenerate fold
         }
-        let model = Logistic::fit(&x, &y, &FitConfig::default());
+        let model = Logistic::fit(&x, &y);
         for &i in &test {
             let pred = model.predict(&ds.samples[i].project(features));
             if pred == ds.samples[i].label {

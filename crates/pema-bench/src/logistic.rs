@@ -2,8 +2,9 @@
 //! approved list, and none is needed at this scale).
 //!
 //! Features are z-score standardized; the model is trained by full-batch
-//! gradient descent with L2 regularization. Deterministic given the
-//! data (no random initialization).
+//! gradient descent with L2 regularization (400 epochs, learning rate
+//! 0.5, L2 strength 1e-3). Deterministic given the data (no random
+//! initialization).
 
 /// A trained logistic-regression model.
 #[derive(Debug, Clone)]
@@ -18,26 +19,12 @@ pub struct Logistic {
     pub std: Vec<f64>,
 }
 
-/// Training hyperparameters.
-#[derive(Debug, Clone, Copy)]
-pub struct FitConfig {
-    /// Gradient-descent epochs.
-    pub epochs: usize,
-    /// Learning rate.
-    pub lr: f64,
-    /// L2 regularization strength.
-    pub l2: f64,
-}
-
-impl Default for FitConfig {
-    fn default() -> Self {
-        Self {
-            epochs: 400,
-            lr: 0.5,
-            l2: 1e-3,
-        }
-    }
-}
+/// Gradient-descent epochs.
+const EPOCHS: usize = 400;
+/// Learning rate.
+const LR: f64 = 0.5;
+/// L2 regularization strength.
+const L2: f64 = 1e-3;
 
 fn sigmoid(z: f64) -> f64 {
     if z >= 0.0 {
@@ -53,7 +40,7 @@ impl Logistic {
     ///
     /// # Panics
     /// Panics on empty data or inconsistent dimensions.
-    pub fn fit(x: &[Vec<f64>], y: &[bool], cfg: &FitConfig) -> Self {
+    pub fn fit(x: &[Vec<f64>], y: &[bool]) -> Self {
         assert!(!x.is_empty(), "empty training set");
         assert_eq!(x.len(), y.len(), "row/label count mismatch");
         let d = x[0].len();
@@ -88,7 +75,7 @@ impl Logistic {
 
         let mut w = vec![0.0; d];
         let mut b = 0.0;
-        for _ in 0..cfg.epochs {
+        for _ in 0..EPOCHS {
             let mut gw = vec![0.0; d];
             let mut gb = 0.0;
             for (r, &label) in xs.iter().zip(y) {
@@ -100,9 +87,9 @@ impl Logistic {
                 gb += err / n;
             }
             for j in 0..d {
-                w[j] -= cfg.lr * (gw[j] + cfg.l2 * w[j]);
+                w[j] -= LR * (gw[j] + L2 * w[j]);
             }
-            b -= cfg.lr * gb;
+            b -= LR * gb;
         }
         Logistic {
             weights: w,
@@ -138,7 +125,7 @@ mod tests {
     fn separable_1d_learned() {
         let x: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64]).collect();
         let y: Vec<bool> = (0..100).map(|i| i >= 50).collect();
-        let m = Logistic::fit(&x, &y, &FitConfig::default());
+        let m = Logistic::fit(&x, &y);
         assert!(!m.predict(&[10.0]));
         assert!(m.predict(&[90.0]));
         let acc = x.iter().zip(&y).filter(|(r, &l)| m.predict(r) == l).count();
@@ -150,7 +137,7 @@ mod tests {
         // Feature 0 informative, feature 1 constant noise-free junk.
         let x: Vec<Vec<f64>> = (0..200).map(|i| vec![(i % 100) as f64, 42.0]).collect();
         let y: Vec<bool> = (0..200).map(|i| (i % 100) >= 50).collect();
-        let m = Logistic::fit(&x, &y, &FitConfig::default());
+        let m = Logistic::fit(&x, &y);
         assert!(m.weights[0].abs() > m.weights[1].abs() * 10.0);
     }
 
@@ -158,7 +145,7 @@ mod tests {
     fn probabilities_are_probabilities() {
         let x = vec![vec![0.0], vec![1.0], vec![2.0], vec![3.0]];
         let y = vec![false, false, true, true];
-        let m = Logistic::fit(&x, &y, &FitConfig::default());
+        let m = Logistic::fit(&x, &y);
         for r in &x {
             let p = m.predict_proba(r);
             assert!((0.0..=1.0).contains(&p));
@@ -171,14 +158,14 @@ mod tests {
     fn constant_feature_does_not_nan() {
         let x = vec![vec![5.0], vec![5.0], vec![5.0]];
         let y = vec![true, false, true];
-        let m = Logistic::fit(&x, &y, &FitConfig::default());
+        let m = Logistic::fit(&x, &y);
         assert!(m.predict_proba(&[5.0]).is_finite());
     }
 
     #[test]
     #[should_panic]
     fn empty_data_panics() {
-        Logistic::fit(&[], &[], &FitConfig::default());
+        Logistic::fit(&[], &[]);
     }
 
     #[test]

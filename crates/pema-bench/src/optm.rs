@@ -189,11 +189,7 @@ impl OptmCache {
             // needs.
             let mut eval = FluidEvaluator::new(app);
             let start = Allocation::new(app.generous_alloc.clone());
-            let cfg = OptmConfig {
-                max_sweeps: 6,
-                ..OptmConfig::default()
-            };
-            return Ok(match find_optimum(&mut eval, &start, rps, &cfg) {
+            return Ok(match find_optimum(&mut eval, &start, rps) {
                 Ok(r) => CachedOptimum::canonical(&r.alloc, r.p95_ms),
                 // Infeasible even at the generous allocation: fall back
                 // to the generous allocation itself so smoke runs never
@@ -214,7 +210,7 @@ impl OptmCache {
             .with_window(4.0, window_s)
             .with_robustness(2);
         let start = Allocation::new(app.generous_alloc.clone());
-        let r = find_optimum(&mut eval, &start, rps, &OptmConfig::default()).map_err(|e| {
+        let r = find_optimum(&mut eval, &start, rps).map_err(|e| {
             io::Error::other(format!("OPTM failed for {} @ {rps} rps: {e}", app.name))
         })?;
         let _ = writeln!(

@@ -46,7 +46,7 @@ pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
         // cache — mixing models would make the ratio meaningless).
         let mut eval = FluidEvaluator::new(&app);
         let start = Allocation::new(app.generous_alloc.clone());
-        let opt = find_optimum(&mut eval, &start, rps, &OptmConfig::default())
+        let opt = find_optimum(&mut eval, &start, rps)
             .expect("generous allocation must satisfy the SLO on the fluid model");
 
         let mut params = PemaParams::defaults(app.slo_ms);

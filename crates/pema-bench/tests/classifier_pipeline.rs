@@ -5,7 +5,7 @@
 use pema_bench::dataset::{generate_dataset, Dataset, DatasetConfig};
 use pema_bench::eval::cross_validate;
 use pema_bench::features::Feature;
-use pema_bench::logistic::{FitConfig, Logistic};
+use pema_bench::logistic::Logistic;
 use stump::Stump;
 
 fn dataset() -> Dataset {
@@ -54,7 +54,7 @@ fn stump_agrees_with_logistic_on_throttle() {
         .collect();
     let y: Vec<bool> = ds.samples.iter().map(|s| s.label).collect();
     let stump = Stump::fit(&x, &y);
-    let logit = Logistic::fit(&x, &y, &FitConfig::default());
+    let logit = Logistic::fit(&x, &y);
     let agree = x
         .iter()
         .filter(|r| stump.predict(r) == logit.predict(r))

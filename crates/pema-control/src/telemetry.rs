@@ -38,9 +38,7 @@
 //! 10 000-member fleet produces four histogram series, not 40 000.
 
 use crate::control::IterationLog;
-use pema_telemetry::{
-    Counter, EventField, EventSink, Gauge, Histogram, Telemetry, DEFAULT_SECONDS_BUCKETS,
-};
+use pema_telemetry::{Counter, EventField, EventSink, Gauge, Histogram, Telemetry};
 
 /// Per-loop instrument: interval/violation counters (labelled by
 /// member) and phase-span histograms (labelled by phase), with an
@@ -70,7 +68,6 @@ impl LoopTelemetry {
                 "pema_ctrl_phase_seconds",
                 "Control-interval phase durations on the backend clock, by phase.",
                 &[("phase", p)],
-                DEFAULT_SECONDS_BUCKETS,
             )
         };
         Self {
@@ -190,7 +187,6 @@ impl ShardTelemetry {
                 "Wall-clock time this shard spent parked at the arbitration \
                  rendezvous (host diagnostics; not on the modelled clock).",
                 labels,
-                DEFAULT_SECONDS_BUCKETS,
             ),
             heap_depth: hub.gauge(
                 "pema_fleet_heap_depth",

@@ -24,7 +24,7 @@ use pema_control::{
 };
 use pema_core::{PemaController, PemaParams};
 use pema_sim::WindowStats;
-use pema_telemetry::{Telemetry, DEFAULT_SECONDS_BUCKETS};
+use pema_telemetry::Telemetry;
 
 /// Bit-faithful rendering (see `fleet_behaviour.rs`): f64 `Debug` is
 /// shortest-roundtrip, so equal strings ⇔ bit-equal runs.
@@ -468,12 +468,7 @@ fn shards_that_run_dry_early_keep_meeting_the_barrier() {
                 .counter("pema_fleet_arb_rounds_total", "", labels)
                 .value();
             let waits = hub
-                .histogram(
-                    "pema_fleet_barrier_wait_seconds",
-                    "",
-                    labels,
-                    DEFAULT_SECONDS_BUCKETS,
-                )
+                .histogram("pema_fleet_barrier_wait_seconds", "", labels)
                 .count();
             assert_eq!(
                 rounds, proposing_rounds as f64,

@@ -19,7 +19,7 @@ use pema_control::{
 };
 use pema_core::{PemaController, PemaParams};
 use pema_sim::AppSpec;
-use pema_telemetry::{lint, EventSink, Telemetry, DEFAULT_SECONDS_BUCKETS};
+use pema_telemetry::{lint, EventSink, Telemetry};
 
 /// Bit-faithful rendering (see `fleet_behaviour.rs`): f64 `Debug` is
 /// shortest-roundtrip, so equal strings ⇔ bit-equal runs.
@@ -241,14 +241,7 @@ fn virtual_clock_phase_spans_are_exact() {
         .telemetry(&hub)
         .run();
 
-    let phase = |p: &str| {
-        hub.histogram(
-            "pema_ctrl_phase_seconds",
-            "",
-            &[("phase", p)],
-            DEFAULT_SECONDS_BUCKETS,
-        )
-    };
+    let phase = |p: &str| hub.histogram("pema_ctrl_phase_seconds", "", &[("phase", p)]);
     let measure = phase("measure");
     assert_eq!(measure.count(), iters as u64);
     assert_eq!(

@@ -32,7 +32,7 @@ use crate::kube::{KubeClient, KubeError};
 use crate::prom::{PromClient, PromError, Series};
 use pema_control::{ClusterBackend, WindowPoll, WindowRequest};
 use pema_sim::{Allocation, AppSpec, ServiceWindowStats, WindowStats};
-use pema_telemetry::{Counter, Histogram, Telemetry, DEFAULT_SECONDS_BUCKETS};
+use pema_telemetry::{Counter, Histogram, Telemetry};
 use pema_trace::prom as queries;
 use pema_trace::rebase_stats;
 use std::time::Instant;
@@ -110,42 +110,25 @@ fn window_from_scrape(w: &ScrapedWindow) -> WindowStats {
     }
 }
 
-/// Retry schedule for Prometheus scrapes: exponential backoff with
-/// deterministic jitter (an xorshift stream seeded from
-/// [`LiveConfig::jitter_seed`], so tests replay the exact schedule).
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempts per query, including the first (≥ 1).
-    pub max_attempts: u32,
-    /// Backoff before the first retry, seconds; doubles per retry.
-    pub base_backoff_s: f64,
-    /// Backoff ceiling, seconds.
-    pub max_backoff_s: f64,
-}
+/// Attempts per Prometheus query, including the first.
+const MAX_ATTEMPTS: u32 = 3;
+/// Backoff before the first retry, seconds; doubles per retry.
+const BASE_BACKOFF_S: f64 = 0.25;
+/// Backoff ceiling, seconds.
+const MAX_BACKOFF_S: f64 = 5.0;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff_s: 0.25,
-            max_backoff_s: 5.0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before retry number `retry` (1-based), jittered into
-    /// `[½, 1]` of the exponential value to decorrelate loops that
-    /// fail together.
-    fn backoff_s(&self, retry: u32, jitter: &mut u64) -> f64 {
-        let exp = self.base_backoff_s * 2f64.powi(retry as i32 - 1);
-        let capped = exp.min(self.max_backoff_s);
-        *jitter ^= *jitter << 13;
-        *jitter ^= *jitter >> 7;
-        *jitter ^= *jitter << 17;
-        let u = (*jitter >> 11) as f64 / (1u64 << 53) as f64;
-        capped * (0.5 + 0.5 * u)
-    }
+/// Backoff before retry number `retry` (1-based): exponential, capped,
+/// and jittered into `[½, 1]` of that value to decorrelate loops that
+/// fail together. The jitter is an xorshift stream seeded from
+/// [`LiveConfig::jitter_seed`], so tests replay the exact schedule.
+fn backoff_s(retry: u32, jitter: &mut u64) -> f64 {
+    let exp = BASE_BACKOFF_S * 2f64.powi(retry as i32 - 1);
+    let capped = exp.min(MAX_BACKOFF_S);
+    *jitter ^= *jitter << 13;
+    *jitter ^= *jitter >> 7;
+    *jitter ^= *jitter << 17;
+    let u = (*jitter >> 11) as f64 / (1u64 << 53) as f64;
+    capped * (0.5 + 0.5 * u)
 }
 
 /// Operating parameters of a [`LiveBackend`].
@@ -155,11 +138,6 @@ pub struct LiveConfig {
     /// never PATCHes the cluster; scraped windows are projected onto
     /// the shadow so the recorded tape stays internally consistent.
     pub dry_run: bool,
-    /// Prometheus `query_range` step, seconds; `0` means one sample
-    /// per window (the scrape reduces samples to their mean anyway).
-    pub step_s: f64,
-    /// Scrape retry schedule.
-    pub retry: RetryPolicy,
     /// Seed of the deterministic backoff-jitter stream.
     pub jitter_seed: u64,
 }
@@ -168,8 +146,6 @@ impl Default for LiveConfig {
     fn default() -> Self {
         LiveConfig {
             dry_run: false,
-            step_s: 0.0,
-            retry: RetryPolicy::default(),
             jitter_seed: 0x5eed_cafe,
         }
     }
@@ -243,7 +219,6 @@ impl LiveTelemetry {
                 "pema_live_query_seconds",
                 "Wall-clock latency of one Prometheus range-query attempt.",
                 &[("target", "prom")],
-                DEFAULT_SECONDS_BUCKETS,
             ),
             retries: hub.counter(
                 "pema_live_retries_total",
@@ -269,7 +244,6 @@ impl LiveTelemetry {
                 "pema_live_patch_seconds",
                 "Wall-clock latency of one Kubernetes PATCH round-trip.",
                 &[("target", "kube")],
-                DEFAULT_SECONDS_BUCKETS,
             ),
         }
     }
@@ -357,20 +331,18 @@ impl LiveBackend {
         std::mem::take(&mut self.errors)
     }
 
-    /// One query with the retry schedule. Backoff waits go through the
-    /// [`TimeSource`], so virtual-clock tests replay the schedule
-    /// instantly.
+    /// One query with the retry schedule, answering the series and the
+    /// attempts it took. The step is the window length: one sample per
+    /// window, which the scrape reduces to its mean anyway. Backoff
+    /// waits go through the [`TimeSource`], so virtual-clock tests
+    /// replay the schedule instantly.
     fn retrying_query(
         &mut self,
         query: &str,
         start_s: f64,
         end_s: f64,
-    ) -> Result<Vec<Series>, LiveError> {
-        let step = if self.cfg.step_s > 0.0 {
-            self.cfg.step_s
-        } else {
-            end_s - start_s
-        };
+    ) -> Result<(Vec<Series>, u32), LiveError> {
+        let step = end_s - start_s;
         let mut attempt = 0u32;
         loop {
             attempt += 1;
@@ -381,9 +353,9 @@ impl LiveBackend {
                 tel.query_seconds.observe(t0.elapsed().as_secs_f64());
             }
             match result {
-                Ok(series) => return Ok(series),
+                Ok(series) => return Ok((series, attempt)),
                 Err(last) => {
-                    if attempt >= self.cfg.retry.max_attempts {
+                    if attempt >= MAX_ATTEMPTS {
                         return Err(LiveError::Scrape {
                             query: query.to_string(),
                             attempts: attempt,
@@ -393,7 +365,7 @@ impl LiveBackend {
                     if let Some(tel) = &self.telemetry {
                         tel.retries.inc();
                     }
-                    let backoff = self.cfg.retry.backoff_s(attempt, &mut self.jitter);
+                    let backoff = backoff_s(attempt, &mut self.jitter);
                     let now = self.clock.now_s();
                     self.clock.block_until(now + backoff);
                 }
@@ -406,12 +378,12 @@ impl LiveBackend {
     /// came back empty.
     fn scalar(&mut self, query: String, start_s: f64, end_s: f64) -> f64 {
         match self.retrying_query(&query, start_s, end_s) {
-            Ok(series) => match series.first() {
+            Ok((series, attempts)) => match series.first() {
                 Some(s) => s.value,
                 None => {
                     self.record_error(LiveError::Scrape {
                         query,
-                        attempts: 1,
+                        attempts,
                         last: PromError::Malformed("empty result".into()),
                     });
                     f64::NAN
@@ -428,7 +400,7 @@ impl LiveBackend {
     /// query records its error and degrades to an empty map.
     fn by_container(&mut self, query: String, start_s: f64, end_s: f64) -> Vec<Series> {
         match self.retrying_query(&query, start_s, end_s) {
-            Ok(series) => series,
+            Ok((series, _)) => series,
             Err(e) => {
                 self.record_error(e);
                 Vec::new()

@@ -11,7 +11,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`backend`] | [`LiveBackend`], [`LiveConfig`], [`RetryPolicy`], typed [`LiveError`]s |
+//! | [`backend`] | [`LiveBackend`], [`LiveConfig`], typed [`LiveError`]s, the scrape retry schedule |
 //! | [`clock`] | the [`TimeSource`] seam: [`WallClock`] in production, [`FakeClock`] in tests |
 //! | [`http`] | re-export of [`pema_telemetry::http`], the workspace's one hand-rolled HTTP/1.1 client + server (explicit timeouts, no async runtime) |
 //! | [`prom`] | `query_range` client + matrix parsing |
@@ -30,7 +30,7 @@ pub mod prom;
 
 pub use pema_telemetry::http;
 
-pub use backend::{LiveBackend, LiveConfig, LiveError, RetryPolicy};
+pub use backend::{LiveBackend, LiveConfig, LiveError};
 pub use clock::{FakeClock, TimeSource, WallClock};
 pub use fake::{
     live_over_fake, live_over_fake_with, FakeCluster, FakeLive, Fault, FaultStats, PatchEvent,

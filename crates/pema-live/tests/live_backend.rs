@@ -9,10 +9,11 @@
 
 use pema_control::{ClusterBackend, ControlLoop, Fleet, HarnessConfig, HoldPolicy, MemberSpec};
 use pema_core::{PemaController, PemaParams};
+use pema_live::http::{Reply, Server};
 use pema_live::{
-    live_over_fake, live_over_fake_with, Endpoint, FakeCluster, Fault, HttpClient, KubeClient,
-    KubeConfigLite, KubeError, LiveBackend, LiveConfig, LiveError, PromClient, PromError,
-    WallClock,
+    live_over_fake, live_over_fake_with, Endpoint, FakeClock, FakeCluster, Fault, HttpClient,
+    KubeClient, KubeConfigLite, KubeError, LiveBackend, LiveConfig, LiveError, PromClient,
+    PromError, WallClock,
 };
 use pema_sim::{Allocation, AppSpec, Evaluator as _, FluidEvaluator, MIN_ALLOC};
 use pema_trace::{replay, TraceRecorder};
@@ -160,7 +161,7 @@ fn delay_fault_times_out_and_the_retry_succeeds() {
         connect_timeout: Duration::from_secs(2),
         io_timeout: Duration::from_millis(100),
     };
-    let clock = pema_live::FakeClock::new();
+    let clock = FakeClock::new();
     let mut backend = LiveBackend::new(
         &app,
         PromClient {
@@ -176,13 +177,7 @@ fn delay_fault_times_out_and_the_retry_succeeds() {
             http,
         },
         Box::new(clock),
-        LiveConfig {
-            retry: pema_live::RetryPolicy {
-                max_attempts: 5,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
+        LiveConfig::default(),
     );
     cluster.inject_fault(Fault::Delay(Duration::from_millis(150)));
     let stats = backend.measure_window(RPS, 1.0, 8.0);
@@ -227,6 +222,67 @@ fn retry_exhaustion_degrades_the_window_with_typed_errors() {
     let healthy = live.measure_window(RPS, 1.0, 8.0);
     assert!(healthy.p95_ms.is_finite());
     assert!(live.backend.errors().is_empty());
+}
+
+#[test]
+fn an_empty_scalar_reports_the_attempts_its_query_took() {
+    // A stub Prometheus: one 500, then nothing but empty matrices.
+    let mut failed = false;
+    let prom = Server::serve("127.0.0.1:0", "stub-prom", move |_| {
+        Some(if std::mem::replace(&mut failed, true) {
+            Reply {
+                status: 200,
+                content_type: "application/json",
+                body: r#"{"status":"success","data":{"resultType":"matrix","result":[]}}"#.into(),
+            }
+        } else {
+            Reply::text(500, "injected")
+        })
+    })
+    .unwrap();
+    let endpoint = Endpoint {
+        host: "127.0.0.1".into(),
+        port: prom.local_addr().port(),
+    };
+    let app = app();
+    let mut backend = LiveBackend::new(
+        &app,
+        PromClient {
+            endpoint: endpoint.clone(),
+            http: HttpClient::default(),
+        },
+        KubeClient {
+            config: KubeConfigLite {
+                server: endpoint,
+                token: None,
+                namespace: "pema".into(),
+            },
+            http: HttpClient::default(),
+        },
+        Box::new(FakeClock::new()),
+        LiveConfig::default(),
+    );
+    let hub = pema_telemetry::Telemetry::new();
+    backend.set_telemetry(&hub);
+    let stats = backend.measure_window(RPS, 1.0, 8.0);
+    assert!(stats.p95_ms.is_nan() && stats.mean_ms.is_nan() && stats.offered_rps.is_nan());
+    // The three scalar queries (p95, mean, rps) each came back empty;
+    // the p95 query took a retry to get there.
+    let attempts: Vec<u32> = backend
+        .errors()
+        .iter()
+        .map(|e| match e {
+            LiveError::Scrape {
+                attempts,
+                last: PromError::Malformed(why),
+                ..
+            } if why == "empty result" => *attempts,
+            other => panic!("want an empty-result scrape error, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(attempts, [2, 1, 1]);
+    let retries = hub.counter("pema_live_retries_total", "", &[("target", "prom")]);
+    assert_eq!(retries.value(), 1.0);
 }
 
 #[test]

@@ -38,8 +38,9 @@
 //! exactly once, however many parents call it. Because the plan is
 //! compiled at construction, later edits to the `AppSpec` do not reach
 //! an evaluator built from it; the model's knobs (`speed`, `window_s`,
-//! `burst_p90`, `peak_factor`, `tail`) are fields of the evaluator and
-//! are read at evaluation time.
+//! `tail`) are fields of the evaluator and are read at evaluation time.
+//! The reported usage p90 and peak are fixed multiples of the mean
+//! usage rate (`BURST_P90`, `PEAK_FACTOR`).
 //!
 //! ## Why the operand order is frozen
 //!
@@ -87,14 +88,12 @@ const TAIL_MAX_SLOPE: f64 = -3.50;
 const TAIL_MAX_GAIN: f64 = 8.10;
 const TAIL_MAX_SHARP: f64 = 1.0;
 
-/// Default synthetic peak factor: the reported per-second usage *peak*
-/// as a multiple of the mean usage rate. Historically this floor was
-/// fused into the p90 expression (`burst_p90.max(2.5)`), which silently
-/// pinned the reported peak at 2.5× mean regardless of the calibrated
-/// burstiness knob; it is now its own knob
-/// ([`FluidEvaluator::peak_factor`]), with the reported peak clamped to
-/// never sit below the reported p90.
-pub const PEAK_FACTOR_DEFAULT: f64 = 2.5;
+/// Synthetic peak: the reported per-second usage *peak* as a multiple
+/// of the mean usage rate.
+const PEAK_FACTOR: f64 = 2.5;
+
+// The reported peak never sits below the reported p90.
+const _: () = assert!(PEAK_FACTOR >= BURST_P90);
 
 /// One load-dependent tail multiplier:
 /// `factor(ρ) = base + slope·ρ + gain·ρ^sharp`, where ρ is the
@@ -219,17 +218,16 @@ impl Default for TailModel {
     }
 }
 
-/// Default synthetic burstiness: the reported p90 of per-second CPU
-/// usage as a multiple of the mean usage rate. Calibrated against a
-/// DES window set (SockShop @ 550 rps, generous allocation, 20 s
-/// windows, seeds 7/42), where the per-service median of
-/// `usage_p90_cores / mean usage` is ≈ 1.15; the same probe puts the
-/// three paper apps between 1.06 and 1.31 overall. The historical
-/// hard-coded 1.6 overstated DES burstiness by ~40%, which made
-/// fluid-backed RULE baselines over-allocate (see README,
-/// "Fluid-model fidelity"). Override per run with
-/// [`FluidEvaluator::burst_p90`].
-pub const BURST_P90_DEFAULT: f64 = 1.15;
+/// Synthetic burstiness: the reported p90 of per-second CPU usage as a
+/// multiple of the mean usage rate (what rule-based allocators act
+/// on). Calibrated against a DES window set (SockShop @ 550 rps,
+/// generous allocation, 20 s windows, seeds 7/42), where the
+/// per-service median of `usage_p90_cores / mean usage` is ≈ 1.15; the
+/// same probe puts the three paper apps between 1.06 and 1.31 overall.
+/// The historical hard-coded 1.6 overstated DES burstiness by ~40%,
+/// which made fluid-backed RULE baselines over-allocate (see README,
+/// "Fluid-model fidelity").
+const BURST_P90: f64 = 1.15;
 
 /// One service's constants: expected visits and CPU-seconds per user
 /// request over the class mix, and the resident memory floor.
@@ -272,16 +270,6 @@ pub struct FluidEvaluator {
     pub speed: f64,
     /// Pretend window length used for reporting counters, seconds.
     pub window_s: f64,
-    /// Synthetic burstiness: reported per-second usage p90 as a
-    /// multiple of the mean usage rate (what rule-based allocators act
-    /// on). Defaults to [`BURST_P90_DEFAULT`], calibrated against DES
-    /// windows.
-    pub burst_p90: f64,
-    /// Synthetic peak: reported per-second usage peak as a multiple of
-    /// the mean usage rate. Defaults to [`PEAK_FACTOR_DEFAULT`]; the
-    /// reported peak never sits below the reported p90 however the two
-    /// knobs are set.
-    pub peak_factor: f64,
     /// Mean-to-quantile tail map evaluated at the bottleneck
     /// utilization. Defaults to [`TailModel::calibrated`]; use
     /// [`TailModel::constant`] for the legacy flat-factor behavior.
@@ -357,8 +345,6 @@ impl FluidEvaluator {
             ep_latency: vec![0.0; app.endpoints.len()],
             speed: 1.0,
             window_s: 20.0,
-            burst_p90: BURST_P90_DEFAULT,
-            peak_factor: PEAK_FACTOR_DEFAULT,
             tail: TailModel::calibrated(),
         }
     }
@@ -428,7 +414,6 @@ impl Evaluator for FluidEvaluator {
 
     fn evaluate(&mut self, alloc: &Allocation, rps: f64) -> WindowStats {
         assert_eq!(alloc.len(), self.services.len());
-        let peak_factor = self.peak_factor.max(self.burst_p90);
         let mut per_service = Vec::with_capacity(self.services.len());
         let mut rho_max: f64 = 0.0;
         for (i, s) in self.services.iter().enumerate() {
@@ -475,10 +460,8 @@ impl Evaluator for FluidEvaluator {
                 util_pct: cpu_rate / a * 100.0,
                 cpu_used_s: cpu_rate * self.window_s,
                 throttled_s: thr_frac * self.window_s,
-                usage_p90_cores: cpu_rate * self.burst_p90,
-                // Peak can never sit below the p90, however the two
-                // knobs are set.
-                usage_peak_cores: cpu_rate * peak_factor,
+                usage_p90_cores: cpu_rate * BURST_P90,
+                usage_peak_cores: cpu_rate * PEAK_FACTOR,
                 mem_bytes: s.mem_base_bytes,
                 // The DES counts actual events; round the expected
                 // count instead of flooring it.
@@ -620,24 +603,17 @@ mod tests {
     fn burstiness_knob_scales_reported_p90() {
         let mut f = FluidEvaluator::new(&app());
         let a = Allocation::new(vec![1.0, 1.0]);
-        let base = f.evaluate(&a, 100.0);
-        f.burst_p90 = 2.0 * BURST_P90_DEFAULT;
-        let bursty = f.evaluate(&a, 100.0);
-        for (b, s) in base.per_service.iter().zip(&bursty.per_service) {
-            assert!(
-                (s.usage_p90_cores - 2.0 * b.usage_p90_cores).abs() < 1e-12,
-                "p90 must scale with the knob: {} vs {}",
-                b.usage_p90_cores,
-                s.usage_p90_cores
-            );
-        }
-        // Latency is untouched by the burstiness knob.
-        assert_eq!(base.p95_ms, bursty.p95_ms);
-        // An extreme knob keeps the telemetry physically consistent.
-        f.burst_p90 = 4.0;
-        let spiky = f.evaluate(&a, 100.0);
-        for s in &spiky.per_service {
-            assert!(s.usage_peak_cores >= s.usage_p90_cores);
+        for rps in [50.0, 100.0] {
+            let s = f.evaluate(&a, rps);
+            for svc in &s.per_service {
+                let mean_rate = svc.cpu_used_s / s.duration_s;
+                assert!(
+                    (svc.usage_p90_cores - mean_rate * BURST_P90).abs() < 1e-12,
+                    "p90 must be BURST_P90 × mean: {} vs {}",
+                    svc.usage_p90_cores,
+                    mean_rate
+                );
+            }
         }
     }
 
@@ -646,7 +622,7 @@ mod tests {
         // Re-derive the calibration on the cheap two-service pair: one
         // DES window at the generous allocation, per-service p90/mean
         // usage ratio. Deterministic (fixed seed), so this pins that
-        // BURST_P90_DEFAULT stays in the DES-plausible band if either
+        // BURST_P90 stays in the DES-plausible band if either
         // side changes.
         use crate::ClusterSim;
         let app = app();
@@ -663,43 +639,25 @@ mod tests {
         ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = ratios[ratios.len() / 2];
         assert!(
-            (BURST_P90_DEFAULT - median).abs() < 0.25,
-            "calibrated default {BURST_P90_DEFAULT} drifted from the DES ratio {median:.3}"
+            (BURST_P90 - median).abs() < 0.25,
+            "calibrated default {BURST_P90} drifted from the DES ratio {median:.3}"
         );
     }
 
     #[test]
     fn peak_factor_is_its_own_knob() {
         let mut f = FluidEvaluator::new(&app());
-        let a = Allocation::new(vec![1.0, 1.0]);
-        let base = f.evaluate(&a, 100.0);
-        for s in &base.per_service {
-            let mean_rate = s.cpu_used_s / base.duration_s;
+        let s = f.evaluate(&Allocation::new(vec![1.0, 1.0]), 100.0);
+        for svc in &s.per_service {
+            let mean_rate = svc.cpu_used_s / s.duration_s;
+            assert!(mean_rate > 0.0);
             assert!(
-                (s.usage_peak_cores - mean_rate * PEAK_FACTOR_DEFAULT).abs() < 1e-12,
-                "default peak must be PEAK_FACTOR_DEFAULT × mean"
+                (svc.usage_peak_cores - mean_rate * PEAK_FACTOR).abs() < 1e-12,
+                "peak must be PEAK_FACTOR × mean"
             );
-        }
-        // Raising the peak knob moves the peak without touching the p90
-        // — the old fused `burst_p90.max(2.5)` could not do this.
-        f.peak_factor = 5.0;
-        let spiky = f.evaluate(&a, 100.0);
-        for (b, s) in base.per_service.iter().zip(&spiky.per_service) {
-            assert_eq!(s.usage_p90_cores, b.usage_p90_cores);
-            assert!((s.usage_peak_cores - 2.0 * b.usage_peak_cores).abs() < 1e-12);
-        }
-        // A p90 knob above the peak knob drags the peak up with it
-        // (peak ≥ p90 invariant), instead of being silently floored.
-        f.peak_factor = PEAK_FACTOR_DEFAULT;
-        f.burst_p90 = 4.0;
-        let bursty = f.evaluate(&a, 100.0);
-        for s in &bursty.per_service {
-            assert!(s.usage_peak_cores >= s.usage_p90_cores);
-            let mean_rate = s.cpu_used_s / bursty.duration_s;
-            assert!(
-                (s.usage_peak_cores - mean_rate * 4.0).abs() < 1e-12,
-                "peak must follow the p90 above PEAK_FACTOR_DEFAULT"
-            );
+            // The peak is not the p90 floored or fused: both are their
+            // own multiple of the mean, and the peak sits above.
+            assert!(svc.usage_peak_cores > svc.usage_p90_cores);
         }
     }
 

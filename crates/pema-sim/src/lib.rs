@@ -103,11 +103,9 @@ pub mod wiki;
 
 pub use engine::{ClusterSim, OpenWindow};
 pub use evaluator::{Evaluator, SimEvaluator};
-pub use fluid::{
-    FluidEvaluator, TailCurve, TailModel, BURST_P90_DEFAULT, LEGACY_P95_FACTOR, PEAK_FACTOR_DEFAULT,
-};
+pub use fluid::{FluidEvaluator, TailCurve, TailModel, LEGACY_P95_FACTOR};
 pub use mmpp::{MmppState, MmppWorkload};
-pub use optm::{find_optimum, optimum_for, OptmConfig, OptmError, OptmResult};
+pub use optm::{find_optimum, optimum_for, OptmError, OptmResult};
 pub use pattern::{BurstPattern, DiurnalPattern, StepPattern, TracePattern, Workload};
 pub use queue::CalendarQueue;
 pub use stats::{ServiceWindowStats, WindowStats};

@@ -4,12 +4,14 @@
 //! microservice by 0.1 CPU violates the SLO, and finds it by exhaustive
 //! manual trial and error. This module mechanizes that definition:
 //!
-//! 1. **Pre-scaling**: uniformly shrink the starting allocation while
-//!    it stays feasible (coarse, preserves the starting distribution);
+//! 1. **Pre-scaling**: uniformly shrink the starting allocation by
+//!    0.9× steps while it stays feasible (coarse, preserves the
+//!    starting distribution);
 //! 2. **Coordinate descent**: repeatedly sweep the services in a
-//!    seeded random order, accepting any single-service `step_cores`
+//!    seeded random order, accepting any single-service 0.1-core
 //!    reduction that keeps p95 ≤ SLO, until a full sweep makes no
-//!    progress — exactly the paper's local-optimality condition.
+//!    progress (at most 40 sweeps) — exactly the paper's
+//!    local-optimality condition.
 //!
 //! OPTM is *not* a deployable controller (its search violates the SLO
 //! constantly); like in the paper it serves as the efficiency upper
@@ -20,33 +22,14 @@ use crate::topology::{Allocation, AppSpec, MIN_ALLOC};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Search configuration.
-#[derive(Debug, Clone)]
-pub struct OptmConfig {
-    /// Single-service reduction step (the paper uses 0.1 CPU).
-    pub step_cores: f64,
-    /// Maximum coordinate-descent sweeps.
-    pub max_sweeps: usize,
-    /// Acceptance margin on the SLO: accept while `p95 ≤ margin × SLO`
-    /// (1.0 = the paper's definition; < 1 is conservative).
-    pub slo_margin: f64,
-    /// Uniform pre-scaling factor per coarse step.
-    pub prescale: f64,
-    /// RNG seed for sweep ordering.
-    pub seed: u64,
-}
-
-impl Default for OptmConfig {
-    fn default() -> Self {
-        Self {
-            step_cores: 0.1,
-            max_sweeps: 40,
-            slo_margin: 1.0,
-            prescale: 0.9,
-            seed: 1,
-        }
-    }
-}
+/// Single-service reduction step, cores (the paper's 0.1 CPU).
+const STEP_CORES: f64 = 0.1;
+/// Most coordinate-descent sweeps.
+const MAX_SWEEPS: usize = 40;
+/// Uniform pre-scaling factor per coarse step.
+const PRESCALE: f64 = 0.9;
+/// RNG seed for the sweep order.
+const SEED: u64 = 1;
 
 /// Result of an OPTM search.
 #[derive(Debug, Clone)]
@@ -92,9 +75,8 @@ pub fn find_optimum(
     eval: &mut dyn Evaluator,
     start: &Allocation,
     rps: f64,
-    cfg: &OptmConfig,
 ) -> Result<OptmResult, OptmError> {
-    let slo = eval.slo_ms() * cfg.slo_margin;
+    let slo = eval.slo_ms();
     let mut evaluations = 0u64;
     let feasible = |alloc: &Allocation, ev: &mut dyn Evaluator, n: &mut u64| {
         *n += 1;
@@ -115,7 +97,7 @@ pub fn find_optimum(
     // topologies under light per-service load, e.g. the fluid-backed
     // `cluster_scale` sweep).
     loop {
-        let trial = Allocation::new(current.0.iter().map(|x| x * cfg.prescale).collect());
+        let trial = Allocation::new(current.0.iter().map(|x| x * PRESCALE).collect());
         if trial.total() >= current.total() - 1e-9 {
             break;
         }
@@ -129,9 +111,9 @@ pub fn find_optimum(
 
     // Phase 2: coordinate descent to the paper's local optimum.
     let n = current.len();
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let mut rng = SmallRng::seed_from_u64(SEED);
     let mut sweeps = 0;
-    for _ in 0..cfg.max_sweeps {
+    for _ in 0..MAX_SWEEPS {
         sweeps += 1;
         let mut order: Vec<usize> = (0..n).collect();
         // Fisher–Yates with the seeded RNG.
@@ -147,7 +129,7 @@ pub fn find_optimum(
                     break;
                 }
                 let mut trial = current.clone();
-                trial.set(i, cur_i - cfg.step_cores);
+                trial.set(i, cur_i - STEP_CORES);
                 let (ok, _) = feasible(&trial, eval, &mut evaluations);
                 if ok {
                     current = trial;
@@ -181,7 +163,7 @@ pub fn optimum_for(app: &AppSpec, rps: f64, seed: u64) -> Result<OptmResult, Opt
         .with_window(4.0, 20.0)
         .with_robustness(2);
     let start = Allocation::new(app.generous_alloc.clone());
-    find_optimum(&mut eval, &start, rps, &OptmConfig::default())
+    find_optimum(&mut eval, &start, rps)
 }
 
 #[cfg(test)]
@@ -248,7 +230,7 @@ mod tests {
             coef: vec![10.0, 20.0, 5.0],
         };
         let start = Allocation::new(vec![3.0, 3.0, 3.0]);
-        let r = find_optimum(&mut toy, &start, 100.0, &OptmConfig::default()).unwrap();
+        let r = find_optimum(&mut toy, &start, 100.0).unwrap();
         // Final allocation is feasible...
         assert!(r.p95_ms <= 100.0);
         // ...and locally optimal: any 0.1 reduction violates.
@@ -270,7 +252,7 @@ mod tests {
             coef: vec![5.0, 40.0],
         };
         let start = Allocation::new(vec![4.0, 4.0]);
-        let r = find_optimum(&mut toy, &start, 100.0, &OptmConfig::default()).unwrap();
+        let r = find_optimum(&mut toy, &start, 100.0).unwrap();
         assert!(
             r.alloc.get(1) > r.alloc.get(0),
             "coef-40 service should keep more cores: {:?}",
@@ -289,7 +271,7 @@ mod tests {
             coef: vec![1e-6; 8],
         };
         let start = Allocation::new(vec![2.0; 8]);
-        let r = find_optimum(&mut toy, &start, 100.0, &OptmConfig::default()).unwrap();
+        let r = find_optimum(&mut toy, &start, 100.0).unwrap();
         assert!(
             (r.total - 8.0 * MIN_ALLOC).abs() < 1e-9,
             "everything feasible ⇒ the optimum is the floor, got {}",
@@ -301,7 +283,7 @@ mod tests {
     fn infeasible_start_is_an_error() {
         let mut toy = Toy { coef: vec![1000.0] };
         let start = Allocation::new(vec![1.0]);
-        let r = find_optimum(&mut toy, &start, 100.0, &OptmConfig::default());
+        let r = find_optimum(&mut toy, &start, 100.0);
         assert!(matches!(r, Err(OptmError::StartInfeasible { .. })));
     }
 
@@ -311,7 +293,7 @@ mod tests {
             coef: vec![10.0, 10.0, 10.0, 10.0],
         };
         let start = Allocation::new(vec![3.0; 4]);
-        let r = find_optimum(&mut toy, &start, 100.0, &OptmConfig::default()).unwrap();
+        let r = find_optimum(&mut toy, &start, 100.0).unwrap();
         assert!(r.alloc.dominated_by(&start));
         assert!(r.total < start.total());
     }
@@ -323,9 +305,7 @@ mod tests {
                 coef: vec![10.0, 20.0, 5.0, 2.0],
             };
             let start = Allocation::new(vec![3.0; 4]);
-            find_optimum(&mut toy, &start, 100.0, &OptmConfig::default())
-                .unwrap()
-                .alloc
+            find_optimum(&mut toy, &start, 100.0).unwrap().alloc
         };
         assert_eq!(run(), run());
     }

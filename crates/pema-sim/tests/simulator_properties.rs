@@ -2,7 +2,10 @@
 //! behaviours PEMA's design *assumes* (monotonicity, throttle
 //! signatures) must hold in the substrate.
 
-use pema_sim::{Allocation, AppSpec, ClusterSim, Evaluator, FluidEvaluator, WindowStats};
+use pema_sim::{
+    find_optimum, Allocation, AppSpec, ClusterSim, Evaluator, FluidEvaluator, WindowStats,
+    MIN_ALLOC,
+};
 use proptest::prelude::*;
 
 fn measure(app: &AppSpec, alloc: &Allocation, rps: f64, seed: u64) -> WindowStats {
@@ -106,6 +109,74 @@ fn fluid_model_orders_allocations_like_des() {
         flu[0] <= flu[1] && flu[1] <= flu[2],
         "fluid ordering {flu:?}"
     );
+}
+
+/// The paper's three applications, each with its Fig. 15 workloads.
+fn fig15_cells() -> Vec<(AppSpec, [f64; 3])> {
+    vec![
+        (pema_apps::sockshop(), pema_apps::sockshop::FIG15_WORKLOADS),
+        (
+            pema_apps::trainticket(),
+            pema_apps::trainticket::FIG15_WORKLOADS,
+        ),
+        (
+            pema_apps::hotelreservation(),
+            pema_apps::hotelreservation::FIG15_WORKLOADS,
+        ),
+    ]
+}
+
+#[test]
+fn fluid_optm_meets_the_papers_definition_on_every_fig15_cell() {
+    // §4.2: an allocation is optimum when reducing any single
+    // microservice by 0.1 CPU violates the SLO.
+    for (app, loads) in fig15_cells() {
+        for rps in loads {
+            let mut eval = FluidEvaluator::new(&app);
+            let start = Allocation::new(app.generous_alloc.clone());
+            let r = find_optimum(&mut eval, &start, rps)
+                .unwrap_or_else(|e| panic!("{} @ {rps}: {e}", app.name));
+            let slo = app.slo_ms;
+            assert!(r.p95_ms <= slo, "{} @ {rps}: infeasible optimum", app.name);
+            assert!(r.sweeps < 40, "{} @ {rps}: hit the sweep cap", app.name);
+            for i in 0..r.alloc.len() {
+                if r.alloc.get(i) <= MIN_ALLOC + 1e-12 {
+                    continue;
+                }
+                let mut cut = r.alloc.clone();
+                cut.set(i, r.alloc.get(i) - 0.1);
+                let p95 = eval.evaluate(&cut, rps).p95_ms;
+                assert!(
+                    p95 > slo,
+                    "{} @ {rps}: service {i} still reducible (p95 {p95} ms)",
+                    app.name
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn fluid_usage_p90_and_peak_are_fixed_multiples_of_the_mean() {
+    for (app, loads) in fig15_cells() {
+        let mut eval = FluidEvaluator::new(&app);
+        let stats = eval.evaluate(&Allocation::new(app.generous_alloc.clone()), loads[0]);
+        for (i, s) in stats.per_service.iter().enumerate() {
+            let mean = s.cpu_used_s / stats.duration_s;
+            assert!(
+                (s.usage_p90_cores - 1.15 * mean).abs() <= 1e-12 * mean,
+                "{} service {i}: p90 {} vs mean {mean}",
+                app.name,
+                s.usage_p90_cores
+            );
+            assert!(
+                (s.usage_peak_cores - 2.5 * mean).abs() <= 1e-12 * mean,
+                "{} service {i}: peak {} vs mean {mean}",
+                app.name,
+                s.usage_peak_cores
+            );
+        }
+    }
 }
 
 proptest! {

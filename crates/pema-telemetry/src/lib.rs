@@ -41,5 +41,5 @@ pub mod server;
 
 pub use events::{EventField, EventSink};
 pub use lint::{lint, LintReport};
-pub use registry::{Counter, Gauge, Histogram, MetricKind, Telemetry, DEFAULT_SECONDS_BUCKETS};
+pub use registry::{Counter, Gauge, Histogram, MetricKind, Telemetry};
 pub use server::MetricsServer;

@@ -460,7 +460,7 @@ mod tests {
         t.counter("pema_demo_total", "demo counter", &[("m", "a")])
             .add(3.0);
         t.gauge("pema_demo_depth", "demo gauge", &[]).set(2.0);
-        let h = t.histogram("pema_demo_seconds", "demo hist", &[], &[0.1, 1.0]);
+        let h = t.histogram("pema_demo_seconds", "demo hist", &[]);
         h.observe(0.05);
         h.observe(0.5);
         t
@@ -478,7 +478,7 @@ mod tests {
         let first = t.render();
         t.counter("pema_demo_total", "demo counter", &[("m", "a")])
             .inc();
-        t.histogram("pema_demo_seconds", "demo hist", &[], &[0.1, 1.0])
+        t.histogram("pema_demo_seconds", "demo hist", &[])
             .observe(5.0);
         let second = t.render();
         let r = lint(&second, Some(&first));

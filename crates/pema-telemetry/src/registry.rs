@@ -118,14 +118,16 @@ impl Gauge {
     }
 }
 
-#[derive(Debug)]
+/// Upper bounds of every histogram's finite buckets, in seconds: wide
+/// enough to span a sub-millisecond decide phase and a multi-minute
+/// live measurement window. An implicit `+Inf` bucket follows.
+const SECONDS_BUCKETS: [f64; 10] = [0.001, 0.005, 0.025, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0];
+
+#[derive(Debug, Default)]
 struct HistCore {
-    /// Upper bounds of the finite buckets, strictly increasing. An
-    /// implicit `+Inf` bucket follows.
-    bounds: Vec<f64>,
     /// One count per finite bound, plus the `+Inf` bucket. *Not*
     /// cumulative in storage; cumulated at render time.
-    counts: Vec<AtomicU64>,
+    counts: [AtomicU64; SECONDS_BUCKETS.len() + 1],
     sum: AtomicF64,
 }
 
@@ -142,12 +144,10 @@ impl Histogram {
         if v.is_nan() {
             return;
         }
-        let i = self
-            .core
-            .bounds
+        let i = SECONDS_BUCKETS
             .iter()
             .position(|&b| v <= b)
-            .unwrap_or(self.core.bounds.len());
+            .unwrap_or(SECONDS_BUCKETS.len());
         self.core.counts[i].fetch_add(1, Ordering::Relaxed);
         self.core.sum.add(v);
     }
@@ -170,21 +170,15 @@ impl Histogram {
     /// (`f64::INFINITY` last), exactly as a scrape would render them.
     pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
         let mut acc = 0u64;
-        let mut out = Vec::with_capacity(self.core.bounds.len() + 1);
+        let mut out = Vec::with_capacity(SECONDS_BUCKETS.len() + 1);
         for (i, c) in self.core.counts.iter().enumerate() {
             acc += c.load(Ordering::Relaxed);
-            let bound = self.core.bounds.get(i).copied().unwrap_or(f64::INFINITY);
+            let bound = SECONDS_BUCKETS.get(i).copied().unwrap_or(f64::INFINITY);
             out.push((bound, acc));
         }
         out
     }
 }
-
-/// Default bucket bounds for durations in seconds: wide enough to span
-/// a sub-millisecond decide phase and a multi-minute live measurement
-/// window.
-pub const DEFAULT_SECONDS_BUCKETS: &[f64] =
-    &[0.001, 0.005, 0.025, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0];
 
 #[derive(Clone)]
 enum SeriesValue {
@@ -199,8 +193,6 @@ type Labels = Vec<(String, String)>;
 struct Family {
     help: String,
     kind: MetricKind,
-    /// Bucket bounds all histogram series of this family share.
-    bounds: Vec<f64>,
     /// Keyed by label set, so resolving one of a fleet's per-member
     /// series does not scan the others. Render sorts by the *escaped*
     /// label block, which this order is close to but does not equal.
@@ -264,25 +256,16 @@ impl Telemetry {
         help: &str,
         kind: MetricKind,
         labels: &[(&str, &str)],
-        bounds: &[f64],
     ) -> SeriesValue {
         assert!(valid_name(name), "invalid metric name {name:?}");
         for (k, _) in labels {
             assert!(valid_label_name(k), "invalid label name {k:?} on {name}");
         }
         let mut fams = self.lock();
-        let fam = fams.entry(name.to_string()).or_insert_with(|| {
-            assert!(
-                kind != MetricKind::Histogram
-                    || bounds.windows(2).all(|w| w[0] < w[1]) && !bounds.is_empty(),
-                "histogram {name} needs non-empty strictly increasing bounds"
-            );
-            Family {
-                help: help.to_string(),
-                kind,
-                bounds: bounds.to_vec(),
-                series: BTreeMap::new(),
-            }
+        let fam = fams.entry(name.to_string()).or_insert_with(|| Family {
+            help: help.to_string(),
+            kind,
+            series: BTreeMap::new(),
         });
         assert_eq!(
             fam.kind,
@@ -297,15 +280,10 @@ impl Telemetry {
             .iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
-        let n_buckets = fam.bounds.len() + 1;
         fam.series
             .entry(labels)
             .or_insert_with(|| match kind {
-                MetricKind::Histogram => SeriesValue::Hist(Arc::new(HistCore {
-                    bounds: fam.bounds.clone(),
-                    counts: (0..n_buckets).map(|_| AtomicU64::new(0)).collect(),
-                    sum: AtomicF64::default(),
-                })),
+                MetricKind::Histogram => SeriesValue::Hist(Arc::default()),
                 _ => SeriesValue::Plain(Arc::new(AtomicF64::default())),
             })
             .clone()
@@ -313,7 +291,7 @@ impl Telemetry {
 
     /// Registers (or re-resolves) a counter series.
     pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        match self.register(name, help, MetricKind::Counter, labels, &[]) {
+        match self.register(name, help, MetricKind::Counter, labels) {
             SeriesValue::Plain(cell) => Counter { cell },
             SeriesValue::Hist(_) => unreachable!(),
         }
@@ -321,23 +299,16 @@ impl Telemetry {
 
     /// Registers (or re-resolves) a gauge series.
     pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        match self.register(name, help, MetricKind::Gauge, labels, &[]) {
+        match self.register(name, help, MetricKind::Gauge, labels) {
             SeriesValue::Plain(cell) => Gauge { cell },
             SeriesValue::Hist(_) => unreachable!(),
         }
     }
 
-    /// Registers (or re-resolves) a histogram series. The family's
-    /// bucket bounds are fixed by its first registration; later
-    /// registrations reuse them.
-    pub fn histogram(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        bounds: &[f64],
-    ) -> Histogram {
-        match self.register(name, help, MetricKind::Histogram, labels, bounds) {
+    /// Registers (or re-resolves) a histogram series of durations in
+    /// seconds, bucketed at 1 ms … 300 s.
+    pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
+        match self.register(name, help, MetricKind::Histogram, labels) {
             SeriesValue::Hist(core) => Histogram { core },
             SeriesValue::Plain(_) => unreachable!(),
         }
@@ -518,27 +489,31 @@ mod tests {
     #[test]
     fn histogram_buckets_are_cumulative() {
         let t = Telemetry::new();
-        let h = t.histogram("lat_seconds", "test", &[], &[0.1, 1.0, 10.0]);
-        for v in [0.05, 0.5, 0.5, 5.0, 50.0] {
+        let h = t.histogram("lat_seconds", "test", &[]);
+        for v in [0.0625, 0.25, 0.25, 2.0, 400.0] {
             h.observe(v);
         }
         assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 56.05);
+        assert_eq!(h.sum(), 402.5625);
         let buckets = h.cumulative_buckets();
-        assert_eq!(buckets.len(), 4);
-        assert_eq!(buckets[0], (0.1, 1));
-        assert_eq!(buckets[1], (1.0, 3));
-        assert_eq!(buckets[2], (10.0, 4));
-        assert_eq!(buckets[3].1, 5);
-        assert!(buckets[3].0.is_infinite());
+        assert_eq!(buckets.len(), 11);
+        assert_eq!(buckets[2], (0.025, 0));
+        assert_eq!(buckets[3], (0.1, 1));
+        assert_eq!(buckets[4], (0.5, 3));
+        assert_eq!(buckets[6], (5.0, 4));
+        assert_eq!(buckets[9], (300.0, 4));
+        assert_eq!(buckets[10].1, 5);
+        assert!(buckets[10].0.is_infinite());
     }
 
     #[test]
     fn histogram_boundary_lands_in_lower_bucket() {
         let t = Telemetry::new();
-        let h = t.histogram("b_seconds", "test", &[], &[1.0, 2.0]);
+        let h = t.histogram("b_seconds", "test", &[]);
         h.observe(1.0); // le="1" is inclusive
-        assert_eq!(h.cumulative_buckets()[0].1, 1);
+        let buckets = h.cumulative_buckets();
+        assert_eq!(buckets[4], (0.5, 0));
+        assert_eq!(buckets[5], (1.0, 1));
     }
 
     #[test]
@@ -567,20 +542,40 @@ mod tests {
     #[test]
     fn render_histogram_has_inf_bucket_sum_count() {
         let t = Telemetry::new();
-        let h = t.histogram("h_seconds", "hist", &[("phase", "decide")], &[0.5]);
+        let h = t.histogram("h_seconds", "hist", &[("phase", "decide")]);
         h.observe(0.25);
-        h.observe(2.0);
+        h.observe(400.0);
         let text = t.render();
         assert!(text.contains("h_seconds_bucket{phase=\"decide\",le=\"0.5\"} 1"));
         assert!(text.contains("h_seconds_bucket{phase=\"decide\",le=\"+Inf\"} 2"));
-        assert!(text.contains("h_seconds_sum{phase=\"decide\"} 2.25"));
+        assert!(text.contains("h_seconds_sum{phase=\"decide\"} 400.25"));
         assert!(text.contains("h_seconds_count{phase=\"decide\"} 2"));
+    }
+
+    #[test]
+    fn histogram_renders_the_seconds_bucket_set() {
+        let t = Telemetry::new();
+        t.histogram("pin_seconds", "pinned", &[]).observe(0.01);
+        let expect = "# HELP pin_seconds pinned\n# TYPE pin_seconds histogram\n\
+                      pin_seconds_bucket{le=\"0.001\"} 0\n\
+                      pin_seconds_bucket{le=\"0.005\"} 0\n\
+                      pin_seconds_bucket{le=\"0.025\"} 1\n\
+                      pin_seconds_bucket{le=\"0.1\"} 1\n\
+                      pin_seconds_bucket{le=\"0.5\"} 1\n\
+                      pin_seconds_bucket{le=\"1\"} 1\n\
+                      pin_seconds_bucket{le=\"5\"} 1\n\
+                      pin_seconds_bucket{le=\"15\"} 1\n\
+                      pin_seconds_bucket{le=\"60\"} 1\n\
+                      pin_seconds_bucket{le=\"300\"} 1\n\
+                      pin_seconds_bucket{le=\"+Inf\"} 1\n\
+                      pin_seconds_sum 0.01\npin_seconds_count 1\n";
+        assert_eq!(t.render(), expect);
     }
 
     #[test]
     fn concurrent_scrapes_are_never_torn() {
         let t = Telemetry::new();
-        let h = t.histogram("torn_seconds", "test", &[], &[0.5]);
+        let h = t.histogram("torn_seconds", "test", &[]);
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let (started, first) = std::sync::mpsc::channel();
         let writer = {

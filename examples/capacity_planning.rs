@@ -33,8 +33,8 @@ fn main() {
             .with_window(4.0, 20.0)
             .with_robustness(2);
         let start = Allocation::new(app.generous_alloc.clone());
-        let opt = find_optimum(&mut eval, &start, rps, &OptmConfig::default())
-            .expect("generous allocation must satisfy the SLO");
+        let opt =
+            find_optimum(&mut eval, &start, rps).expect("generous allocation must satisfy the SLO");
 
         // Same total, spread uniformly: distribution matters.
         let uniform = Allocation::uniform(app.n_services(), opt.total / app.n_services() as f64);

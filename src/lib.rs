@@ -85,8 +85,8 @@ pub mod prelude {
     pub use pema_live::{FakeCluster, KubeConfigLite, LiveBackend, LiveConfig, WallClock};
     pub use pema_sim::{
         find_optimum, optimum_for, wikipedia_like_trace, Allocation, AppSpec, BurstPattern,
-        ClusterSim, Evaluator, FluidEvaluator, OptmConfig, SimEvaluator, StepPattern, TailCurve,
-        TailModel, WindowStats, Workload,
+        ClusterSim, Evaluator, FluidEvaluator, SimEvaluator, StepPattern, TailCurve, TailModel,
+        WindowStats, Workload,
     };
     pub use pema_telemetry::{EventSink, MetricsServer, Telemetry};
     pub use pema_trace::{
