@@ -21,7 +21,7 @@
 //! allocation totals, the L1 allocation delta, the recorded /
 //! would-have-violated flags, and the recorded vs estimated
 //! counterfactual p95 (the recorded/fluid hybrid — see
-//! `pema_trace::rebase_stats_with`; `inf` marks a window the
+//! `pema_trace::rebase_stats`; `inf` marks a window the
 //! work-conservation check saturated). The recorded trace itself lands
 //! next to the CSV as `trace_replay.jsonl` (CI uploads it as an
 //! artifact).

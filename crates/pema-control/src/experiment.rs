@@ -34,10 +34,10 @@
 //!
 //! The backend markers defer construction to
 //! [`build`](ExperimentBuilder::build), so the app and seed can arrive
-//! in any order. [`build`] hands back the fully wired
-//! [`ControlLoop`](crate::ControlLoop) for stepping runs that script
-//! the policy or backend mid-flight; [`run`](ExperimentBuilder::run)
-//! drives the configured workload to completion in one call.
+//! in any order. [`build`] hands back the fully wired [`ControlLoop`]
+//! for stepping runs that script the policy or backend mid-flight;
+//! [`run`](ExperimentBuilder::run) drives the configured workload to
+//! completion in one call.
 //!
 //! [`build`]: ExperimentBuilder::build
 

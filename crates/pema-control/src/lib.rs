@@ -88,6 +88,6 @@ pub use backend::{
 pub use control::{ControlLoop, HarnessConfig, IterationLog, LoopPoll, Observer, RunResult};
 pub use experiment::{Experiment, ExperimentBuilder, IntoBackend, Unset, UseFluid, UseSim};
 pub use fleet::{resolve_threads, Fleet, FleetResult, FleetRun, MemberSpec};
-pub use policy::{policy_by_name, stats_to_obs, Decision, HoldPolicy, Policy};
+pub use policy::{policy_by_name, Decision, HoldPolicy, Policy};
 pub use rule::RulePolicy;
 pub use telemetry::LoopTelemetry;

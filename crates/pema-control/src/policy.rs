@@ -1,9 +1,12 @@
 //! [`Policy`] — the decision-making third of the control loop, plus the
 //! bundled policies of the paper's evaluation.
 //!
-//! A policy consumes one measured window and returns the allocation to
-//! apply for the next interval. Everything else — window measurement,
-//! early-abort checks, logging, allocation application — lives once in
+//! A policy consumes one measured window ([`WindowStats`], whichever
+//! backend measured it) and returns the allocation to apply for the
+//! next interval. The bundled policies read that window as it is: RULE
+//! its per-service usage, PEMA its p95, offered load, utilization and
+//! throttling. Everything else — window measurement, early-abort
+//! checks, logging, allocation application — lives once in
 //! [`ControlLoop`](crate::ControlLoop), and the cluster itself hides
 //! behind [`ClusterBackend`](crate::ClusterBackend); the policy sees
 //! neither. Where the policy is a run-time choice (`pema-cli run`,
@@ -11,47 +14,8 @@
 //! name becomes a value.
 
 use crate::rule::RulePolicy;
-use pema_core::{Action, Observation, PemaController, PemaParams, ServiceObs, WorkloadAwarePema};
+use pema_core::{Action, PemaController, PemaParams, WorkloadAwarePema};
 use pema_sim::{Allocation, WindowStats};
-use std::cell::RefCell;
-
-/// Converts a measured window into the controller's observation — the
-/// single place the telemetry vocabulary ([`WindowStats`]) is mapped
-/// onto the controller vocabulary ([`Observation`]).
-pub fn stats_to_obs(stats: &WindowStats) -> Observation {
-    observe_into(stats, Vec::new())
-}
-
-/// [`stats_to_obs`] into a recycled service vector.
-fn observe_into(stats: &WindowStats, mut services: Vec<ServiceObs>) -> Observation {
-    services.clear();
-    services.extend(stats.per_service.iter().map(|s| ServiceObs {
-        util_pct: s.util_pct,
-        throttle_s: s.throttled_s,
-    }));
-    Observation {
-        p95_ms: stats.p95_ms,
-        rps: stats.offered_rps,
-        services,
-    }
-}
-
-thread_local! {
-    /// The service vector of the last observation the bundled PEMA
-    /// policies built on this thread. A controller only reads its
-    /// observation during the step, so a fleet worker's members take
-    /// turns with one buffer instead of allocating one per interval.
-    static OBS_SERVICES: RefCell<Vec<ServiceObs>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Runs `step` on the observation of `stats`, built in this thread's
-/// recycled buffer.
-fn with_observation<R>(stats: &WindowStats, step: impl FnOnce(&Observation) -> R) -> R {
-    let obs = observe_into(stats, OBS_SERVICES.take());
-    let out = step(&obs);
-    OBS_SERVICES.set(obs.services);
-    out
-}
 
 /// What a policy decided at the end of one control interval.
 #[derive(Debug, Clone)]
@@ -124,7 +88,7 @@ pub fn policy_by_name(
 
 impl Policy for PemaController {
     fn decide(&mut self, stats: &WindowStats) -> Decision {
-        let out = with_observation(stats, |obs| self.step(obs));
+        let out = self.step(stats);
         Decision {
             action: action_name(&out.action),
             alloc: out.alloc,
@@ -143,7 +107,7 @@ impl Policy for WorkloadAwarePema {
     }
 
     fn decide(&mut self, stats: &WindowStats) -> Decision {
-        let out = with_observation(stats, |obs| self.step(obs));
+        let out = self.step(stats);
         Decision {
             action: out
                 .action

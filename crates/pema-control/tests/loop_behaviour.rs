@@ -4,11 +4,11 @@
 //! bit-identity guarantee the `pema-bench` golden snapshots build on.
 
 use pema_control::{
-    policy_by_name, stats_to_obs, Decision, Experiment, HarnessConfig, HoldPolicy, IterationLog,
-    Policy, RulePolicy, SimBackend, UseFluid,
+    policy_by_name, Decision, Experiment, HarnessConfig, HoldPolicy, IterationLog, Policy,
+    RulePolicy, SimBackend, UseFluid,
 };
-use pema_core::{PemaController, PemaParams, WorkloadAwarePema};
-use pema_sim::{Allocation, ClusterSim, WindowStats};
+use pema_core::{PemaController, PemaParams, RangeConfig, WorkloadAwarePema, WorkloadRange};
+use pema_sim::{Allocation, ClusterSim, ServiceWindowStats, StepPattern, WindowStats};
 use std::sync::{Arc, Mutex};
 
 #[test]
@@ -54,15 +54,107 @@ fn rule_tracks_usage_through_the_facade() {
     assert!(result.settled_total(3) < start_total);
 }
 
+/// `w` with every field PEMA must not read poisoned: NaN floats and
+/// `u64::MAX` counts. Only `p95_ms`, `offered_rps` and each service's
+/// `util_pct` and `throttled_s` survive.
+fn poisoned_twin(w: &WindowStats) -> WindowStats {
+    let nan = f64::NAN;
+    WindowStats {
+        start_s: nan,
+        duration_s: nan,
+        offered_rps: w.offered_rps,
+        achieved_rps: nan,
+        completed: u64::MAX,
+        arrivals: u64::MAX,
+        mean_ms: nan,
+        p50_ms: nan,
+        p95_ms: w.p95_ms,
+        p99_ms: nan,
+        max_ms: nan,
+        per_service: w
+            .per_service
+            .iter()
+            .map(|s| ServiceWindowStats {
+                alloc_cores: nan,
+                util_pct: s.util_pct,
+                cpu_used_s: nan,
+                throttled_s: s.throttled_s,
+                usage_p90_cores: nan,
+                usage_peak_cores: nan,
+                mem_bytes: nan,
+                visits: u64::MAX,
+                mean_self_ms: nan,
+                mean_visit_ms: nan,
+            })
+            .collect(),
+    }
+}
+
+/// Every decision `policy` takes on `windows`, allocations as bits.
+fn decisions(mut policy: impl Policy, windows: &[WindowStats]) -> Vec<(Vec<u64>, String, usize)> {
+    windows
+        .iter()
+        .map(|w| {
+            let d = policy.decide(w);
+            let bits = d.alloc.iter().map(|x| x.to_bits()).collect();
+            (bits, d.action, d.pema_id)
+        })
+        .collect()
+}
+
+/// PEMA reads exactly four signals of a window: the p95, the offered
+/// load (not the achieved one), and each service's utilization and
+/// throttling. Both bundled PEMA policies decide bit for bit the same
+/// on recorded DES windows and on their poisoned twins.
 #[test]
-fn stats_conversion_preserves_fields() {
+fn pema_reads_exactly_four_signals() {
     let app = pema_apps::toy_chain();
-    let mut sim = ClusterSim::new(&app, 1);
-    let stats = sim.run_window(100.0, 1.0, 5.0);
-    let obs = stats_to_obs(&stats);
-    assert_eq!(obs.n_services(), 3);
-    assert_eq!(obs.p95_ms, stats.p95_ms);
-    assert_eq!(obs.rps, stats.offered_rps);
+    let params = || {
+        let mut p = PemaParams::defaults(app.slo_ms);
+        p.seed = 21;
+        p
+    };
+    let recorded: Arc<Mutex<Vec<WindowStats>>> = Arc::default();
+    let sink = Arc::clone(&recorded);
+    let result = Experiment::builder()
+        .app(&app)
+        .policy(PemaController::new(params(), app.generous_alloc.clone()))
+        .config(HarnessConfig {
+            interval_s: 4.0,
+            warmup_s: 1.0,
+            seed: 8,
+        })
+        .workload(StepPattern::new(vec![
+            (0.0, 120.0),
+            (40.0, 180.0),
+            (80.0, 140.0),
+        ]))
+        .iters(30)
+        .observer(move |_log: &IterationLog, stats: &WindowStats| {
+            sink.lock().unwrap().push(stats.clone());
+        })
+        .run();
+    assert!(
+        result.log.iter().any(|l| l.action.starts_with("reduce")),
+        "the recorded run must reduce"
+    );
+    let windows = std::mem::take(&mut *recorded.lock().unwrap());
+    assert_eq!(windows.len(), 30);
+    let twins: Vec<WindowStats> = windows.iter().map(poisoned_twin).collect();
+
+    let pema = || PemaController::new(params(), app.generous_alloc.clone());
+    assert_eq!(decisions(pema(), &windows), decisions(pema(), &twins));
+
+    let ranges = RangeConfig {
+        initial: WorkloadRange::new(100.0, 200.0),
+        target_width: 25.0,
+        split_after: 4,
+        m_learn_steps: 3,
+    };
+    let managed = || WorkloadAwarePema::new(params(), app.generous_alloc.clone(), ranges.clone());
+    let want = decisions(managed(), &windows);
+    assert!(want.iter().any(|d| d.2 > 1), "the managed run must split");
+    assert_eq!(want, decisions(managed(), &twins));
 }
 
 #[test]

@@ -31,8 +31,6 @@ pub struct PemaParams {
     pub init_util_threshold: f64,
     /// Initial per-service CPU-throttling threshold, seconds.
     pub init_throttle_threshold: f64,
-    /// Floor on any service's allocation, cores.
-    pub min_cpu: f64,
     /// Disables the opportunistic threshold learning of Eqns. 6/7
     /// (thresholds stay at their initial values). Used by the
     /// `ablation_thresholds` experiment; always `false` in normal
@@ -55,7 +53,6 @@ impl PemaParams {
             response_buffer: 0.90,
             init_util_threshold: 15.0,
             init_throttle_threshold: 0.0,
-            min_cpu: 0.05,
             freeze_thresholds: false,
             seed: 0xC0FFEE,
         }
@@ -104,9 +101,6 @@ impl PemaParams {
         }
         if !(self.response_buffer > 0.0 && self.response_buffer <= 1.0) {
             return Err("response buffer must be in (0,1]".into());
-        }
-        if self.min_cpu <= 0.0 || self.min_cpu.is_nan() {
-            return Err("min_cpu must be positive".into());
         }
         Ok(())
     }

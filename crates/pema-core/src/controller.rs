@@ -29,9 +29,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::PemaParams;
-use crate::observation::Observation;
 use crate::rhdb::{Rhdb, RhdbRecord};
 use pema_metrics::MovingAvg;
+use pema_sim::{WindowStats, MIN_ALLOC};
 
 /// What the controller decided in one step.
 #[derive(Debug, Clone, PartialEq)]
@@ -190,18 +190,21 @@ impl PemaController {
     }
 
     /// Runs one control interval given the previous interval's
-    /// observations, returning the allocation for the next interval.
+    /// measured window, returning the allocation for the next interval.
+    ///
+    /// Reads four signals and nothing else: `p95_ms`, `offered_rps`,
+    /// and each service's `util_pct` and `throttled_s`.
     ///
     /// # Panics
-    /// Panics if the observation's service count does not match.
-    pub fn step(&mut self, obs: &Observation) -> StepOutcome {
+    /// Panics if the window's service count does not match.
+    pub fn step(&mut self, stats: &WindowStats) -> StepOutcome {
         assert_eq!(
-            obs.n_services(),
+            stats.per_service.len(),
             self.alloc.len(),
-            "observation/allocation service count mismatch"
+            "window/allocation service count mismatch"
         );
         self.t += 1;
-        let r_inst = obs.p95_ms;
+        let r_inst = stats.p95_ms;
         let violated = r_inst > self.params.slo_ms;
 
         // Line 3: log the interval we just observed.
@@ -210,7 +213,7 @@ impl PemaController {
             alloc: self.alloc.clone(),
             response_ms: r_inst,
             violated,
-            rps: obs.rps,
+            rps: stats.offered_rps,
         });
 
         // The moving average tracks every observation, including
@@ -238,7 +241,7 @@ impl PemaController {
             //    load — under a rising workload, feasibility records
             //    from lower loads are stale (§3.4's workload-awareness
             //    applied to rollback).
-            if let Some(r) = self.rhdb.best_proven_at_load(cap, obs.rps * 0.98) {
+            if let Some(r) = self.rhdb.best_proven_at_load(cap, stats.offered_rps * 0.98) {
                 self.alloc.clone_from(&r.alloc);
             } else {
                 // 2. No evidence at this load. A record from a lower
@@ -285,20 +288,20 @@ impl PemaController {
         let band = |th: f64| (0.5 * th).max(0.05);
         self.candidates.clear();
         self.candidates.extend((0..self.alloc.len()).filter(|&i| {
-            obs.services[i].throttle_s <= self.throttle_th[i] + band(self.throttle_th[i])
+            stats.per_service[i].throttled_s <= self.throttle_th[i] + band(self.throttle_th[i])
         }));
 
         // Lines 5: opportunistically raise thresholds (Eqns. 6/7),
         // unless frozen for the threshold-learning ablation.
         if !self.params.freeze_thresholds {
-            for (i, s) in obs.services.iter().enumerate() {
+            for (i, s) in stats.per_service.iter().enumerate() {
                 if s.util_pct.is_finite() {
                     self.util_th[i] = self.util_th[i].max(s.util_pct);
                 }
-                if s.throttle_s.is_finite()
-                    && s.throttle_s <= self.throttle_th[i] + band(self.throttle_th[i])
+                if s.throttled_s.is_finite()
+                    && s.throttled_s <= self.throttle_th[i] + band(self.throttle_th[i])
                 {
-                    self.throttle_th[i] = self.throttle_th[i].max(s.throttle_s);
+                    self.throttle_th[i] = self.throttle_th[i].max(s.throttled_s);
                 }
             }
         }
@@ -339,7 +342,7 @@ impl PemaController {
         self.u_star.clear();
         self.u_star.extend(self.candidates.iter().map(|&i| {
             let th = self.util_th[i].max(1e-9);
-            obs.services[i].util_pct / th
+            stats.per_service[i].util_pct / th
         }));
         let u_min = self.u_star.iter().copied().fold(f64::INFINITY, f64::min);
         let chosen = &mut self.chosen;
@@ -377,7 +380,7 @@ impl PemaController {
         }
 
         for &i in chosen.iter() {
-            self.alloc[i] = (self.alloc[i] * (1.0 - delta)).max(self.params.min_cpu);
+            self.alloc[i] = (self.alloc[i] * (1.0 - delta)).max(MIN_ALLOC);
         }
         chosen.sort_unstable();
         StepOutcome {
@@ -395,20 +398,27 @@ impl PemaController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observation::ServiceObs;
+    use pema_sim::ServiceWindowStats;
 
-    fn obs(p95: f64, n: usize) -> Observation {
-        Observation {
-            p95_ms: p95,
-            rps: 100.0,
-            services: vec![
-                ServiceObs {
-                    util_pct: 10.0,
-                    throttle_s: 0.0,
-                };
-                n
-            ],
+    fn svc(util_pct: f64, throttled_s: f64) -> ServiceWindowStats {
+        ServiceWindowStats {
+            util_pct,
+            throttled_s,
+            ..Default::default()
         }
+    }
+
+    fn window(p95: f64, services: Vec<ServiceWindowStats>) -> WindowStats {
+        WindowStats {
+            p95_ms: p95,
+            offered_rps: 100.0,
+            per_service: services,
+            ..Default::default()
+        }
+    }
+
+    fn obs(p95: f64, n: usize) -> WindowStats {
+        window(p95, vec![svc(10.0, 0.0); n])
     }
 
     fn controller(n: usize) -> PemaController {
@@ -509,20 +519,7 @@ mod tests {
         let mut c = controller(2);
         // Service 1 throttles hard; thresholds start at 0 so it is
         // filtered from candidates this step.
-        let o = Observation {
-            p95_ms: 50.0,
-            rps: 100.0,
-            services: vec![
-                ServiceObs {
-                    util_pct: 10.0,
-                    throttle_s: 0.0,
-                },
-                ServiceObs {
-                    util_pct: 10.0,
-                    throttle_s: 5.0,
-                },
-            ],
-        };
+        let o = window(50.0, vec![svc(10.0, 0.0), svc(10.0, 5.0)]);
         for _ in 0..20 {
             let out = c.step(&o);
             if let Action::Reduced { services, .. } = out.action {
@@ -534,20 +531,7 @@ mod tests {
     #[test]
     fn thresholds_learn_opportunistically() {
         let mut c = controller(2);
-        let mk = |throttle: f64| Observation {
-            p95_ms: 50.0,
-            rps: 100.0,
-            services: vec![
-                ServiceObs {
-                    util_pct: 42.0,
-                    throttle_s: throttle,
-                },
-                ServiceObs {
-                    util_pct: 8.0,
-                    throttle_s: 0.0,
-                },
-            ],
-        };
+        let mk = |throttle: f64| window(50.0, vec![svc(42.0, throttle), svc(8.0, 0.0)]);
         // Gradual throttle growth (within the band) is learned.
         c.step(&mk(0.04));
         assert_eq!(c.util_thresholds()[0], 42.0);
@@ -568,12 +552,12 @@ mod tests {
         let mut c = controller(2);
         // Step 1 raises service 0's threshold to 40%.
         let mut o = obs(50.0, 2);
-        o.services[0].util_pct = 40.0;
+        o.per_service[0].util_pct = 40.0;
         c.step(&o);
         // Now service 0 runs at exactly its threshold → p = 0.
         let mut o2 = obs(50.0, 2);
-        o2.services[0].util_pct = 40.0;
-        o2.services[1].util_pct = 5.0;
+        o2.per_service[0].util_pct = 40.0;
+        o2.per_service[1].util_pct = 5.0;
         for _ in 0..20 {
             let out = c.step(&o2);
             if let Action::Reduced { services, .. } = out.action {
@@ -589,7 +573,7 @@ mod tests {
             c.step(&obs(10.0, 2));
         }
         for &a in c.allocation() {
-            assert!(a >= c.params().min_cpu - 1e-12);
+            assert!(a >= MIN_ALLOC - 1e-12);
         }
     }
 

@@ -6,9 +6,11 @@
 //! through *opportunistic, monotonic resource reduction* — without ML
 //! training and without intentionally violating the SLO.
 //!
-//! The controller consumes one [`Observation`] per control interval
-//! (p95 latency + per-service utilization and CFS throttling) and emits
-//! the next allocation. The main types:
+//! The controller consumes one [`pema_sim::WindowStats`] per control
+//! interval — the window every backend measures — and reads four
+//! signals from it: the p95 latency, the offered load, and each
+//! service's CPU utilization and CFS throttling. It emits the next
+//! allocation. The main types:
 //!
 //! * [`PemaController`] — Algorithm 1: reduction sizing (Eqns. 3/4,
 //!   smoothed per Eqns. 10/11), bottleneck avoidance (Eqn. 5 with
@@ -20,24 +22,26 @@
 //! * [`Rhdb`] — the resource-allocation history database.
 //!
 //! ```
-//! use pema_core::{Observation, PemaController, PemaParams, ServiceObs};
+//! use pema_core::{PemaController, PemaParams};
+//! use pema_sim::{ServiceWindowStats, WindowStats};
 //!
 //! let params = PemaParams::defaults(/*slo_ms=*/250.0);
 //! let mut pema = PemaController::new(params, vec![2.0; 4]);
 //! // One control interval: plenty of headroom, so PEMA reduces.
-//! let obs = Observation {
+//! let service = ServiceWindowStats { util_pct: 12.0, throttled_s: 0.0, ..Default::default() };
+//! let window = WindowStats {
 //!     p95_ms: 80.0,
-//!     rps: 500.0,
-//!     services: vec![ServiceObs { util_pct: 12.0, throttle_s: 0.0 }; 4],
+//!     offered_rps: 500.0,
+//!     per_service: vec![service; 4],
+//!     ..Default::default()
 //! };
-//! let outcome = pema.step(&obs);
+//! let outcome = pema.step(&window);
 //! assert!(outcome.alloc.iter().sum::<f64>() <= 8.0);
 //! ```
 
 pub mod config;
 pub mod controller;
 pub mod manager;
-pub mod observation;
 pub mod ranges;
 pub mod rhdb;
 pub mod target;
@@ -45,7 +49,6 @@ pub mod target;
 pub use config::PemaParams;
 pub use controller::{Action, PemaController, StepOutcome};
 pub use manager::{ManagerOutcome, RangeConfig, WorkloadAwarePema};
-pub use observation::{Observation, ServiceObs};
 pub use ranges::WorkloadRange;
 pub use rhdb::{Rhdb, RhdbRecord};
 pub use target::{DynamicTarget, SlopeLearner};

@@ -6,8 +6,9 @@
 //! containing the current load, and recursively splits ranges in half
 //! once their controller has matured (Fig. 10b): the **high** child
 //! keeps the parent's PEMA process (same id, same state); the **low**
-//! child gets a *new* process bootstrapped from the parent's allocation
-//! — an allocation that satisfies the SLO at a higher workload also
+//! child gets a *new* process id that starts as a clone of the parent's
+//! controller — allocation, learned thresholds, RHDb and RNG state — an
+//! allocation that satisfies the SLO at a higher workload also
 //! satisfies it lower down.
 //!
 //! Per Eqn. 9, each step tilts the active controller's response-time
@@ -16,9 +17,9 @@
 
 use crate::config::PemaParams;
 use crate::controller::{Action, PemaController, StepOutcome};
-use crate::observation::Observation;
 use crate::ranges::WorkloadRange;
 use crate::target::{DynamicTarget, SlopeLearner};
+use pema_sim::WindowStats;
 
 /// Configuration for the range manager.
 #[derive(Debug, Clone)]
@@ -173,11 +174,11 @@ impl WorkloadAwarePema {
         }
     }
 
-    /// Runs one control interval.
-    pub fn step(&mut self, obs: &Observation) -> ManagerOutcome {
+    /// Runs one control interval on the measured window.
+    pub fn step(&mut self, stats: &WindowStats) -> ManagerOutcome {
         // Startup: learn the workload slope with allocation fixed.
         if self.m.is_none() {
-            self.learner.record(obs.rps, obs.p95_ms);
+            self.learner.record(stats.offered_rps, stats.p95_ms);
             if (self.learner.len() as u32) < self.cfg.m_learn_steps {
                 let e = &self.ranges[self.active];
                 return ManagerOutcome {
@@ -196,7 +197,7 @@ impl WorkloadAwarePema {
         }
 
         // Route to the range owning the current workload.
-        let idx = self.range_index(obs.rps);
+        let idx = self.range_index(stats.offered_rps);
         let switched = idx != self.active;
         self.active = idx;
 
@@ -220,9 +221,9 @@ impl WorkloadAwarePema {
             lambda_max: entry.range.hi,
             r_slo_ms: slo,
         };
-        let target_ms = target.at(obs.rps);
+        let target_ms = target.at(stats.offered_rps);
         entry.ctrl.set_target_ms(target_ms);
-        let out: StepOutcome = entry.ctrl.step(obs);
+        let out: StepOutcome = entry.ctrl.step(stats);
         entry.iterations += 1;
         let pema_id = entry.pema_id;
         let range = entry.range;
@@ -243,7 +244,7 @@ impl WorkloadAwarePema {
     }
 
     /// Splits range `idx` when it has matured: high child keeps the
-    /// controller, low child gets a bootstrapped clone.
+    /// controller, low child gets a clone of it.
     fn maybe_split(&mut self, idx: usize) -> Option<(usize, usize)> {
         let e = &self.ranges[idx];
         if e.iterations < self.cfg.split_after || e.range.is_final(self.cfg.target_width) {
@@ -254,30 +255,25 @@ impl WorkloadAwarePema {
         let new_id = self.next_pema_id;
         self.next_pema_id += 1;
 
-        // Low child: clone of the parent's controller, reseeded so the
-        // two processes decorrelate, counting iterations afresh.
-        // The paper bootstraps the low child from the parent's
-        // allocation; cloning carries the learned thresholds and the
-        // RHDb along, which only helps (feasible history transfers
-        // downward by monotonicity). Decorrelation between siblings
-        // comes from acting on different workloads.
-        let low_ctrl = e.ctrl.clone();
-
-        let high_entry = RangeEntry {
-            range: high,
-            ctrl: self.ranges[idx].ctrl.clone(),
-            pema_id: parent_id,
-            iterations: 0,
-        };
+        // Low child: a clone of the parent's controller, counting
+        // iterations afresh. The paper bootstraps the low child from
+        // the parent's allocation; cloning carries the learned
+        // thresholds and the RHDb along, which only helps (feasible
+        // history transfers downward by monotonicity). Nothing reseeds
+        // the clone: both children start from the same RNG state and
+        // decorrelate only by acting on different workloads.
         let low_entry = RangeEntry {
             range: low,
-            ctrl: low_ctrl,
+            ctrl: e.ctrl.clone(),
             pema_id: new_id,
             iterations: 0,
         };
-        // Replace idx with the two children, keeping order by workload.
-        self.ranges[idx] = low_entry;
-        self.ranges.insert(idx + 1, high_entry);
+        // High child: the parent entry itself, narrowed in place.
+        let parent = &mut self.ranges[idx];
+        parent.range = high;
+        parent.iterations = 0;
+        // The low child goes before it, keeping order by workload.
+        self.ranges.insert(idx, low_entry);
         // Fix the active pointer: it should follow the range containing
         // whatever workload we last served; the next step re-routes
         // anyway, so pointing at the high child is safe.
@@ -289,19 +285,19 @@ impl WorkloadAwarePema {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observation::ServiceObs;
+    use pema_sim::ServiceWindowStats;
 
-    fn obs(p95: f64, rps: f64) -> Observation {
-        Observation {
+    fn obs(p95: f64, rps: f64) -> WindowStats {
+        let service = ServiceWindowStats {
+            util_pct: 10.0,
+            throttled_s: 0.0,
+            ..Default::default()
+        };
+        WindowStats {
             p95_ms: p95,
-            rps,
-            services: vec![
-                ServiceObs {
-                    util_pct: 10.0,
-                    throttle_s: 0.0
-                };
-                4
-            ],
+            offered_rps: rps,
+            per_service: vec![service; 4],
+            ..Default::default()
         }
     }
 

@@ -2,29 +2,32 @@
 //! *any* observation sequence, not just the happy paths the unit tests
 //! cover.
 
-use pema_core::{Action, Observation, PemaController, PemaParams, ServiceObs};
+use pema_core::{Action, PemaController, PemaParams};
+use pema_sim::{ServiceWindowStats, WindowStats, MIN_ALLOC};
 use proptest::prelude::*;
 
 /// Arbitrary per-service observation.
-fn arb_service() -> impl Strategy<Value = ServiceObs> {
-    (0.0f64..120.0, 0.0f64..30.0).prop_map(|(u, h)| ServiceObs {
+fn arb_service() -> impl Strategy<Value = ServiceWindowStats> {
+    (0.0f64..120.0, 0.0f64..30.0).prop_map(|(u, h)| ServiceWindowStats {
         util_pct: u,
-        throttle_s: h,
+        throttled_s: h,
+        ..Default::default()
     })
 }
 
 /// Arbitrary observation for `n` services, p95 spanning healthy to
 /// deeply violating.
-fn arb_obs(n: usize) -> impl Strategy<Value = Observation> {
+fn arb_obs(n: usize) -> impl Strategy<Value = WindowStats> {
     (
         prop_oneof![10.0f64..240.0, 250.1f64..2000.0, Just(f64::INFINITY)],
         50.0f64..1000.0,
         proptest::collection::vec(arb_service(), n),
     )
-        .prop_map(|(p95, rps, services)| Observation {
+        .prop_map(|(p95, rps, services)| WindowStats {
             p95_ms: p95,
-            rps,
-            services,
+            offered_rps: rps,
+            per_service: services,
+            ..Default::default()
         })
 }
 
@@ -63,12 +66,11 @@ proptest! {
     ) {
         let mut params = PemaParams::defaults(250.0);
         params.seed = seed;
-        let min_cpu = params.min_cpu;
         let mut ctrl = PemaController::new(params, vec![1.5; 4]);
         for obs in &observations {
             let out = ctrl.step(obs);
             for &a in &out.alloc {
-                prop_assert!(a >= min_cpu - 1e-12);
+                prop_assert!(a >= MIN_ALLOC - 1e-12);
             }
         }
     }
@@ -86,10 +88,12 @@ proptest! {
         for obs in &preamble {
             ctrl.step(obs);
         }
-        let violating = Observation {
+        let service = ServiceWindowStats { util_pct: 50.0, throttled_s: 1.0, ..Default::default() };
+        let violating = WindowStats {
             p95_ms: 400.0,
-            rps: 100.0,
-            services: vec![ServiceObs { util_pct: 50.0, throttle_s: 1.0 }; 4],
+            offered_rps: 100.0,
+            per_service: vec![service; 4],
+            ..Default::default()
         };
         let out = ctrl.step(&violating);
         let rolled = matches!(out.action, Action::RolledBack { .. });

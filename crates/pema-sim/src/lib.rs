@@ -109,7 +109,7 @@ pub use optm::{find_optimum, optimum_for, OptmError, OptmResult};
 pub use pattern::{BurstPattern, DiurnalPattern, StepPattern, TracePattern, Workload};
 pub use queue::CalendarQueue;
 pub use stats::{ServiceWindowStats, WindowStats};
-pub use time::{SimDuration, SimTime};
+pub use time::SimTime;
 pub use topology::{Allocation, AppSpec, ServiceId, ServiceSpec, TopologyError, MIN_ALLOC};
 pub use trace::{attribute, tail_traces, RequestTrace, ServiceAttribution, TraceSpan};
 pub use wiki::wikipedia_like_trace;

@@ -5,7 +5,7 @@
 //! per-service CPU usage / CFS throttling (Prometheus + cAdvisor).
 
 /// Aggregated observations from one measurement window.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WindowStats {
     /// Virtual time at window start, seconds.
     pub start_s: f64,
@@ -48,7 +48,7 @@ impl WindowStats {
 }
 
 /// Per-service observations for one window.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceWindowStats {
     /// CPU cores allocated to the service during the window.
     pub alloc_cores: f64,

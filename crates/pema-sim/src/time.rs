@@ -5,7 +5,6 @@
 //! seconds and is converted at the boundary.
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Sub};
 
 /// A point in virtual time (nanoseconds since simulation start).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -62,51 +61,6 @@ impl fmt::Debug for SimTime {
     }
 }
 
-impl Add<SimDuration> for SimTime {
-    type Output = SimTime;
-    fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(rhs.0))
-    }
-}
-
-impl AddAssign<SimDuration> for SimTime {
-    fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 = self.0.saturating_add(rhs.0);
-    }
-}
-
-impl Sub<SimTime> for SimTime {
-    type Output = SimDuration;
-    fn sub(self, rhs: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
-    }
-}
-
-/// A span of virtual time (nanoseconds).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SimDuration(pub u64);
-
-impl SimDuration {
-    /// Builds a duration from seconds, clamping negatives to zero.
-    pub fn from_secs(s: f64) -> SimDuration {
-        if !s.is_finite() || s <= 0.0 {
-            return SimDuration(0);
-        }
-        SimDuration((s * 1e9).round().min(u64::MAX as f64) as u64)
-    }
-
-    /// This duration as fractional seconds.
-    pub fn as_secs(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-}
-
-impl fmt::Debug for SimDuration {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.6}s", self.as_secs())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,7 +76,6 @@ mod tests {
     fn negative_and_nan_clamp_to_zero() {
         assert_eq!(SimTime::from_secs(-5.0), SimTime::ZERO);
         assert_eq!(SimTime::from_secs(f64::NAN), SimTime::ZERO);
-        assert_eq!(SimDuration::from_secs(-1.0).0, 0);
     }
 
     #[test]
@@ -176,14 +129,5 @@ mod tests {
         v.sort();
         assert_eq!(v[0], SimTime::from_secs(1.0));
         assert_eq!(v[2], SimTime::from_secs(3.0));
-    }
-
-    #[test]
-    fn duration_arithmetic() {
-        let a = SimTime::from_secs(5.0);
-        let b = SimTime::from_secs(2.0);
-        let d = a - b;
-        assert_eq!(d.as_secs(), 3.0);
-        assert_eq!(b + d, a);
     }
 }

@@ -285,13 +285,6 @@ fn rebase(record: &TraceRecord, alloc: &Allocation) -> WindowStats {
     rebase_stats(&record.stats, alloc)
 }
 
-/// Re-bases a measured window onto a different allocation, using the
-/// DES-calibrated [`TailModel::calibrated`] for the latency hybrid.
-/// See [`rebase_stats_with`].
-pub fn rebase_stats(recorded: &WindowStats, alloc: &Allocation) -> WindowStats {
-    rebase_stats_with(recorded, alloc, &TailModel::calibrated())
-}
-
 /// Re-bases a measured window onto a different allocation.
 ///
 /// Bit-identical allocation ⇒ the recorded stats verbatim. Otherwise
@@ -306,8 +299,8 @@ pub fn rebase_stats(recorded: &WindowStats, alloc: &Allocation) -> WindowStats {
 /// quota) on each side,
 ///
 /// * mean and p50 scale by the M/G/1-PS ratio `(1−ρ_rec)/(1−ρ_cf)`;
-/// * p95/p99/max additionally scale by the [`TailModel`]'s
-///   load-dependent factor ratio `factor(ρ_cf)/factor(ρ_rec)`, so the
+/// * p95/p99/max additionally scale by the DES-calibrated
+///   [`TailModel::calibrated`]'s load-dependent factor ratio `factor(ρ_cf)/factor(ρ_rec)`, so the
 ///   estimated tail sharpens the way DES calibration says it does as
 ///   the counterfactual allocation approaches saturation.
 ///
@@ -320,11 +313,7 @@ pub fn rebase_stats(recorded: &WindowStats, alloc: &Allocation) -> WindowStats {
 /// shadow allocation: the recorded tape then carries exactly the
 /// allocations the policy decided, which is what makes a dry-run tape
 /// replay with zero divergence.
-pub fn rebase_stats_with(
-    recorded: &WindowStats,
-    alloc: &Allocation,
-    tail: &TailModel,
-) -> WindowStats {
+pub fn rebase_stats(recorded: &WindowStats, alloc: &Allocation) -> WindowStats {
     let identical = recorded
         .per_service
         .iter()
@@ -382,6 +371,7 @@ pub fn rebase_stats_with(
     let rho_rec = rho_rec.clamp(0.0, 0.995);
     let rho_cf = rho_cf.clamp(0.0, 0.995);
     let congestion = (1.0 - rho_rec) / (1.0 - rho_cf);
+    let tail = TailModel::calibrated();
     let scale = |v: &mut f64, extra: f64| {
         if v.is_finite() {
             *v *= congestion * extra;

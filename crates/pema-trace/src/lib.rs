@@ -69,8 +69,7 @@ pub mod prom;
 pub mod recorder;
 
 pub use backend::{
-    rebase_stats, rebase_stats_with, replay, DivergenceSummary, IntervalDivergence, ReplayRun,
-    TraceBackend,
+    rebase_stats, replay, DivergenceSummary, IntervalDivergence, ReplayRun, TraceBackend,
 };
 pub use format::{
     ReadMode, Trace, TraceError, TraceMeta, TraceRecord, FORMAT_NAME, FORMAT_VERSION,

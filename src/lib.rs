@@ -89,7 +89,5 @@ pub mod prelude {
         WindowStats, Workload,
     };
     pub use pema_telemetry::{EventSink, MetricsServer, Telemetry};
-    pub use pema_trace::{
-        rebase_stats_with, replay, ReadMode, ReplayRun, Trace, TraceBackend, TraceRecorder,
-    };
+    pub use pema_trace::{replay, ReadMode, ReplayRun, Trace, TraceBackend, TraceRecorder};
 }
