@@ -4,8 +4,8 @@
 //! bit-identity guarantee the `pema-bench` golden snapshots build on.
 
 use pema_control::{
-    policy_by_name, Decision, Experiment, HarnessConfig, HoldPolicy, IterationLog, Policy,
-    RulePolicy, SimBackend, UseFluid,
+    policy_by_name, Decision, Experiment, HarnessConfig, HoldPolicy, IntoBackend, IterationLog,
+    Policy, RulePolicy, RunResult, SimBackend, UseFluid, UseSim,
 };
 use pema_core::{PemaController, PemaParams, RangeConfig, WorkloadAwarePema, WorkloadRange};
 use pema_sim::{Allocation, ClusterSim, ServiceWindowStats, StepPattern, WindowStats};
@@ -365,5 +365,81 @@ fn rule_by_name_decides_as_rule_policy_new() {
             assert_eq!((n.violated, &n.action), (d.violated, &d.action));
         }
         assert!(policy_by_name("managed", app.slo_ms, &app.generous_alloc, 0).is_none());
+    }
+}
+
+/// One 60-interval run of a bundled policy on an app, on `backend`.
+fn sixty_intervals<B: IntoBackend>(
+    app: &pema_sim::AppSpec,
+    rps: f64,
+    policy: &str,
+    backend: B,
+) -> RunResult {
+    let policy = policy_by_name(policy, app.slo_ms, &app.generous_alloc, 7).expect("bundled");
+    Experiment::builder()
+        .app(app)
+        .policy(policy)
+        .backend(backend)
+        .config(HarnessConfig::with_seed(7))
+        .rps(rps)
+        .iters(60)
+        .run()
+}
+
+/// The three paper apps at the loads the policy-outcome tests use.
+fn paper_apps() -> [(pema_sim::AppSpec, f64); 3] {
+    [
+        (pema_apps::sockshop(), 560.0),
+        (pema_apps::trainticket(), 200.0),
+        (pema_apps::hotelreservation(), 480.0),
+    ]
+}
+
+/// The paper's headline (§4.2): PEMA finds an allocation cheaper than
+/// RULE's. On the fluid model's repeatable signal every service sits
+/// at its learned utilization threshold after each cut, so this pins
+/// Eqn. 5's all-at-threshold case: read as "no candidate", PEMA holds
+/// at 15.12 / 36.07 / 11.91 cores, above RULE on every app.
+#[test]
+fn pema_undercuts_rule_on_fluid() {
+    for (app, rps) in paper_apps() {
+        let pema = sixty_intervals(&app, rps, "pema", UseFluid);
+        let rule = sixty_intervals(&app, rps, "rule", UseFluid);
+        let best = pema.best_feasible_total().expect("a feasible interval");
+        let rule_settled = rule.settled_total(5);
+        assert!(
+            best < rule_settled,
+            "{} @ {rps}: PEMA best {best:.2} vs RULE settled {rule_settled:.2}",
+            app.name
+        );
+    }
+}
+
+/// The same comparison on the DES, which the fluid model approximates:
+/// PEMA settles below RULE, and PEMA's settled total on the fluid
+/// model lies within 20 % of the DES's. About 25 s in release, so it
+/// is run by name in CI.
+#[test]
+#[ignore = "DES-length; run by name"]
+fn pema_undercuts_rule_on_des_and_fluid_tracks_it() {
+    for (app, rps) in paper_apps() {
+        let des = sixty_intervals(&app, rps, "pema", UseSim);
+        let rule = sixty_intervals(&app, rps, "rule", UseSim);
+        let fluid = sixty_intervals(&app, rps, "pema", UseFluid);
+        let (des, rule, fluid) = (
+            des.settled_total(5),
+            rule.settled_total(5),
+            fluid.settled_total(5),
+        );
+        assert!(
+            des < rule,
+            "{} @ {rps}: DES PEMA {des:.2} vs RULE {rule:.2}",
+            app.name
+        );
+        assert!(
+            (fluid - des).abs() <= 0.2 * des,
+            "{} @ {rps}: fluid PEMA {fluid:.2} vs DES {des:.2}",
+            app.name
+        );
     }
 }

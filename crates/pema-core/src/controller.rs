@@ -15,7 +15,7 @@
 //!    against high-utilization services (Eqn. 5) and shrinks each by
 //!    `Δ_t` percent (Eqn. 4/11).
 //!
-//! ### One deliberate deviation from Algorithm 1 as printed
+//! ### A first deviation: filter before learning
 //!
 //! The paper updates thresholds (line 5) *before* filtering on them
 //! (line 8) with the same interval's metrics, which makes the throttle
@@ -24,6 +24,37 @@
 //! current metrics in — this preserves the opportunistic threshold
 //! learning of Eqns. 6/7 while letting a throttling jump actually
 //! exclude a service, which is the design intent of §3.2/Fig. 8.
+//!
+//! ### A second deviation: the 0/0 limit of Eqn. 5
+//!
+//! Eqn. 5 gives candidate `i` the inclusion probability
+//! `1 − (u*_i − u*_min)/(1 − u*_min)` with `u*_i = U_i/U_th,i`, and a
+//! service at its threshold (`u* = 1`) gets 0. When *every* candidate
+//! sits at its threshold the formula is 0/0, and the paper does not
+//! say what it means. On a repeatable signal this is the normal case:
+//! utilization at a fixed allocation is constant, Eqn. 6 folds each
+//! window into `U_th` before Eqn. 5 reads it, and after a cut the new
+//! utilization is always the new maximum. Reading 0/0 as 0 stops PEMA
+//! for good once every service crosses the initial 15 % threshold
+//! (SockShop @ 560 rps on the fluid model holds at 15.12 cores from
+//! interval 7 on, against RULE's 5.80). We read it as "no utilization
+//! evidence to rank by": each candidate gets p = 1 and line 10's `n_t`
+//! trim draws uniformly among them. That is the §3.2 design (reduce
+//! `n_t` services by `Δ_t`, both sized by SLO headroom) without the
+//! preference Eqn. 5 cannot express here. A service at its threshold
+//! while another candidate is below its own keeps p = 0, as printed.
+//! Cores after 60 fluid intervals (`pema-cli run --backend fluid
+//! --iters 60`, seed 7), with 0 violations in every run:
+//!
+//! | app @ rps | RULE settled | PEMA, 0/0 as 0 | PEMA, 0/0 as uniform |
+//! |---|---|---|---|
+//! | sockshop @ 560 | 5.80 | 15.12 | 4.56 |
+//! | trainticket @ 200 | 14.43 | 36.07 | 14.25 |
+//! | hotelreservation @ 480 | 4.41 | 11.91 | 3.39 |
+//!
+//! Another rule — learning `U_th` only from windows with SLO margin,
+//! or giving `U_th` a growth band like the throttle filter's — should
+//! replace this one only with the same table.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -53,7 +84,9 @@ pub enum Action {
         /// Fractional reduction applied to each (e.g. 0.12 = −12%).
         delta: f64,
     },
-    /// No change this interval (converged or no eligible candidate).
+    /// No change this interval: there is no SLO headroom (so `n_t` or
+    /// `Δ_t` is zero), every service is throttle-excluded, or Eqn. 5's
+    /// draw picked no candidate.
     Held,
 }
 
@@ -207,12 +240,14 @@ impl PemaController {
         let r_inst = stats.p95_ms;
         let violated = r_inst > self.params.slo_ms;
 
-        // Line 3: log the interval we just observed.
+        // Line 3: log the interval we just observed. A window without
+        // a p95 (NaN: a degraded live scrape) proves nothing, so it is
+        // logged as not feasible; it does not trigger a rollback.
         self.rhdb.insert(RhdbRecord {
             t: self.t - 1,
             alloc: self.alloc.clone(),
             response_ms: r_inst,
-            violated,
+            violated: violated || r_inst.is_nan(),
             rps: stats.offered_rps,
         });
 
@@ -345,13 +380,16 @@ impl PemaController {
             stats.per_service[i].util_pct / th
         }));
         let u_min = self.u_star.iter().copied().fold(f64::INFINITY, f64::min);
+        // Every candidate sits at its threshold: Eqn. 5 is 0/0 and
+        // ranks nothing, so each is drawn and line 10 trims uniformly
+        // (second deviation, module docs).
+        let all_at_threshold = self.u_star.iter().all(|&u| (u - 1.0).abs() < 1e-12);
         let chosen = &mut self.chosen;
         chosen.clear();
         for (&i, &u) in self.candidates.iter().zip(&self.u_star) {
-            let p = if u >= 1.0 {
-                0.0
-            } else if (1.0 - u_min).abs() < 1e-12 {
-                // Every candidate sits at its threshold.
+            let p = if all_at_threshold {
+                1.0
+            } else if u >= 1.0 {
                 0.0
             } else {
                 (1.0 - (u - u_min) / (1.0 - u_min)).clamp(0.0, 1.0)
@@ -564,6 +602,19 @@ mod tests {
                 assert!(!services.contains(&0), "at-threshold service reduced");
             }
         }
+    }
+
+    #[test]
+    fn nan_windows_are_not_feasible_evidence() {
+        let mut c = controller(3);
+        for _ in 0..5 {
+            let out = c.step(&obs(f64::NAN, 3));
+            assert!(!matches!(out.action, Action::RolledBack { .. }));
+        }
+        assert_eq!(c.rhdb().len(), 5);
+        let mut rng = SmallRng::seed_from_u64(1);
+        assert!(c.rhdb().random_feasible(&mut rng).is_none());
+        assert!(c.rhdb().best_feasible().is_none());
     }
 
     #[test]

@@ -10,10 +10,21 @@
 //!   (Eqn. 8).
 //!
 //! The paper stresses RHDb's lightweight single-table design; this is a
-//! bounded ring of records with linear scans, which at the paper's
-//! iteration counts (tens to hundreds) costs microseconds. Each
-//! record's total allocation is summed once, at insert, so a scan
-//! compares stored totals instead of re-adding every vector.
+//! bounded ring of records beside one index of its feasible records,
+//! the only records any query reads: their sequence numbers and totals,
+//! oldest first, in one compact array.
+//!
+//! * An exploration draw is one `gen_range` over the index and one
+//!   lookup, and picks the record a k-th-feasible scan of the ring
+//!   picks from the same draw.
+//! * A rollback query scans the index's totals newest first and reads
+//!   a record only when its total could be the cheapest so far. PEMA
+//!   cuts as it goes, so the cheapest records are the recent ones and
+//!   few older ones are read.
+//! * A dominance check reads only the records whose total could be
+//!   dominated.
+//!
+//! Each record's total is summed once, at insert.
 
 use rand::Rng;
 use std::collections::VecDeque;
@@ -27,7 +38,9 @@ pub struct RhdbRecord {
     pub alloc: Vec<f64>,
     /// Observed p95 response, ms.
     pub response_ms: f64,
-    /// Whether the interval violated the SLO.
+    /// Whether the interval is not evidence of feasibility: it violated
+    /// the SLO, was invalidated by a dominating violation, or had no
+    /// p95 to judge.
     pub violated: bool,
     /// Offered load during the interval.
     pub rps: f64,
@@ -40,17 +53,15 @@ impl RhdbRecord {
     }
 }
 
-/// A stored record beside its [`RhdbRecord::total`] as of insertion.
-#[derive(Debug, Clone)]
-struct Entry {
-    rec: RhdbRecord,
-    total: f64,
-}
-
 /// Bounded history of control intervals.
 #[derive(Debug, Clone)]
 pub struct Rhdb {
-    records: VecDeque<Entry>,
+    records: VecDeque<RhdbRecord>,
+    /// Sequence number of `records[0]`; record `s` sits at `s − head`.
+    head: u64,
+    /// The feasible records' sequence numbers and
+    /// [`RhdbRecord::total`]s, oldest first.
+    feasible: VecDeque<(u64, f64)>,
     capacity: usize,
 }
 
@@ -61,6 +72,8 @@ impl Rhdb {
         assert!(capacity > 0, "RHDb capacity must be positive");
         Self {
             records: VecDeque::new(),
+            head: 0,
+            feasible: VecDeque::new(),
             capacity,
         }
     }
@@ -79,46 +92,64 @@ impl Rhdb {
     pub fn insert(&mut self, rec: RhdbRecord) {
         if self.records.len() == self.capacity {
             self.records.pop_front();
+            if self
+                .feasible
+                .front()
+                .is_some_and(|&(seq, _)| seq == self.head)
+            {
+                self.feasible.pop_front();
+            }
+            self.head += 1;
         }
-        let total = rec.total();
-        self.records.push_back(Entry { rec, total });
+        if !rec.violated {
+            let seq = self.head + self.records.len() as u64;
+            self.feasible.push_back((seq, rec.total()));
+        }
+        self.records.push_back(rec);
     }
 
-    /// The cheapest record passing `keep` — the oldest such record on a
-    /// tie.
+    /// The record with sequence number `seq`.
+    fn get(&self, seq: u64) -> &RhdbRecord {
+        &self.records[(seq - self.head) as usize]
+    }
+
+    /// The cheapest feasible record passing `keep` — the oldest such
+    /// record on a tie. Newest first, a record is read only when its
+    /// total is at most the best so far.
     fn cheapest(&self, keep: impl Fn(&RhdbRecord) -> bool) -> Option<&RhdbRecord> {
-        self.records
-            .iter()
-            .filter(|e| keep(&e.rec))
-            .min_by(|a, b| a.total.partial_cmp(&b.total).unwrap())
-            .map(|e| &e.rec)
+        let (mut best, mut best_total) = (None, f64::INFINITY);
+        for &(seq, total) in self.feasible.iter().rev() {
+            if total <= best_total && keep(self.get(seq)) {
+                (best, best_total) = (Some(seq), total);
+            }
+        }
+        best.map(|seq| self.get(seq))
     }
 
     /// The feasible (non-violating) record with the smallest total
     /// allocation — the rollback target of Algorithm 1 line 4.
     pub fn best_feasible(&self) -> Option<&RhdbRecord> {
-        self.cheapest(|r| !r.violated)
+        self.cheapest(|_| true)
     }
 
-    /// The cheapest record whose response stayed at or below
+    /// The cheapest feasible record whose response stayed at or below
     /// `response_cap_ms`. Rolling back to a record with *margin* (cap
     /// below the SLO) avoids bouncing between a borderline allocation
     /// and violation — the failure mode §6 of the paper discusses.
     /// Falls back to [`Self::best_feasible`] when nothing has margin.
     pub fn best_with_margin(&self, response_cap_ms: f64) -> Option<&RhdbRecord> {
-        self.cheapest(|r| !r.violated && r.response_ms <= response_cap_ms)
+        self.cheapest(|r| r.response_ms <= response_cap_ms)
             .or_else(|| self.best_feasible())
     }
 
     /// A uniformly random feasible record — the exploration target of
-    /// Eqn. 8.
+    /// Eqn. 8. Draws nothing when there is none.
     pub fn random_feasible<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<&RhdbRecord> {
-        let feasible = || self.records.iter().map(|e| &e.rec).filter(|r| !r.violated);
-        let n = feasible().count();
-        if n == 0 {
+        if self.feasible.is_empty() {
             return None;
         }
-        feasible().nth(rng.gen_range(0..n))
+        let (seq, _) = self.feasible[rng.gen_range(0..self.feasible.len())];
+        Some(self.get(seq))
     }
 
     /// The cheapest record with margin that was observed at a workload
@@ -128,11 +159,11 @@ impl Rhdb {
     /// evidence gathered at or above the current load, and fall back
     /// to [`Self::best_with_margin`] only without it.
     pub fn best_proven_at_load(&self, response_cap_ms: f64, min_rps: f64) -> Option<&RhdbRecord> {
-        self.cheapest(|r| !r.violated && r.response_ms <= response_cap_ms && r.rps >= min_rps)
+        self.cheapest(|r| r.response_ms <= response_cap_ms && r.rps >= min_rps)
     }
 
     /// Marks every feasible record whose allocation is component-wise
-    /// ≤ `alloc` as violated.
+    /// ≤ `alloc` (within 1e-12 per component) as violated.
     ///
     /// Justification: the paper's monotonicity observation (§3.2) —
     /// monotonic resource reduction monotonically increases response
@@ -141,28 +172,41 @@ impl Rhdb {
     /// once recorded it as feasible. Without this, rollback bounces
     /// between a borderline allocation and violation (the §6 failure
     /// mode). Returns the number of records invalidated.
+    ///
+    /// A dominated allocation has a total at most `alloc`'s plus
+    /// n·1e-12. Allocations are core counts (non-negative), so each
+    /// stored sum is within n·ε/2 of its exact value, relative; a
+    /// record whose total exceeds `alloc`'s by more than
+    /// n·(1e-12 + 2ε·total) cannot be dominated and is not read.
     pub fn invalidate_dominated(&mut self, alloc: &[f64]) -> usize {
-        let mut n = 0;
-        for Entry { rec: r, .. } in &mut self.records {
-            if !r.violated
-                && r.alloc.len() == alloc.len()
-                && r.alloc.iter().zip(alloc).all(|(a, b)| *a <= *b + 1e-12)
-            {
-                r.violated = true;
-                n += 1;
+        let total: f64 = alloc.iter().sum();
+        let n = alloc.len() as f64;
+        let bound = total + n * (1e-12 + 2.0 * f64::EPSILON * total.abs());
+        let (records, head) = (&mut self.records, self.head);
+        let before = self.feasible.len();
+        self.feasible.retain(|&(seq, t)| {
+            if t > bound {
+                return true;
             }
-        }
-        n
+            let r = &mut records[(seq - head) as usize];
+            let dominated = r.alloc.len() == alloc.len()
+                && r.alloc.iter().zip(alloc).all(|(a, b)| *a <= *b + 1e-12);
+            if dominated {
+                r.violated = true;
+            }
+            !dominated
+        });
+        before - self.feasible.len()
     }
 
     /// Iterates over records, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &RhdbRecord> {
-        self.records.iter().map(|e| &e.rec)
+        self.records.iter()
     }
 
     /// The most recent record.
     pub fn last(&self) -> Option<&RhdbRecord> {
-        self.records.back().map(|e| &e.rec)
+        self.records.back()
     }
 }
 

@@ -144,4 +144,45 @@ proptest! {
             prop_assert_eq!(oa.alloc, ob.alloc);
         }
     }
+
+    /// On constant evidence with headroom — every service 15–90 %
+    /// utilized, none throttling, p95 at most half the target — PEMA
+    /// cuts on every step while any service is above the floor, and
+    /// the total never rises. A repeatable signal puts every service
+    /// at its learned threshold from the first step on (Eqn. 6), the
+    /// case where Eqn. 5 is 0/0.
+    #[test]
+    fn no_hold_on_constant_evidence(
+        seed in 0u64..1000,
+        utils in proptest::collection::vec(15.0f64..90.0, 2..9),
+        p95_frac in 0.0f64..0.5,
+        rps in 50.0f64..1000.0,
+    ) {
+        let n = utils.len();
+        let mut params = PemaParams::defaults(250.0);
+        params.seed = seed;
+        params.explore_a = 0.0;
+        params.explore_b = 0.0;
+        let mut ctrl = PemaController::new(params, vec![2.0; n]);
+        let window = WindowStats {
+            p95_ms: 250.0 * p95_frac,
+            offered_rps: rps,
+            per_service: utils
+                .iter()
+                .map(|&u| ServiceWindowStats { util_pct: u, throttled_s: 0.0, ..Default::default() })
+                .collect(),
+            ..Default::default()
+        };
+        let mut total = ctrl.total_alloc();
+        for step in 0..60 {
+            if ctrl.allocation().iter().all(|&a| a <= MIN_ALLOC) {
+                break;
+            }
+            let out = ctrl.step(&window);
+            let reduced = matches!(out.action, Action::Reduced { .. });
+            prop_assert!(reduced, "step {}: {:?}", step, out.action);
+            prop_assert!(ctrl.total_alloc() <= total);
+            total = ctrl.total_alloc();
+        }
+    }
 }
