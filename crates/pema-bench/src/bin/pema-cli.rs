@@ -507,10 +507,16 @@ fn control_loop(
     };
     let name: &str = args.get("policy");
     let start = &app.generous_alloc;
+    let out: Option<&str> = args.opt("out");
     let policy = match tuned {
         Some(_) if name != "pema" => usage_error(format!(
             "--alpha and --beta tune pema, not --policy '{name}'"
         )),
+        // A tape's header names its policy, not its tuning: `replay`
+        // would rebuild the paper's PEMA and diverge.
+        Some(_) if out.is_some() => {
+            usage_error("--alpha and --beta cannot go with --out: replay rebuilds the paper's pema")
+        }
         Some(params) => Box::new(PemaController::new(params, start.clone())),
         None => named_policy(name, app.slo_ms, start, cfg.seed),
     };
@@ -527,7 +533,6 @@ fn control_loop(
         recorder = recorder.with_early_check(s);
     }
     let tape = recorder.handle();
-    let out: Option<&str> = args.opt("out");
     if out.is_some() {
         builder = builder.observer(recorder);
     }

@@ -180,6 +180,11 @@ fn rejected_invocations_exit_2_and_name_the_offender() {
             "run --app toy-chain --rps 100 --policy rule --alpha 0.4",
             "--alpha and --beta tune pema, not --policy 'rule'",
         ),
+        // Its tape said `pema` and replayed the paper's α/β.
+        (
+            "run --app toy-chain --rps 100 --alpha 0.1 --beta 0.9 --out t.jsonl",
+            "--alpha and --beta cannot go with --out",
+        ),
         (
             "run --app toy-chain --rps 100 --policy managed",
             "unknown --policy 'managed'",

@@ -11,6 +11,7 @@ use crate::backend::{ClusterBackend, SimBackend, WindowPoll, WindowRequest};
 use crate::policy::{Decision, Policy};
 use crate::telemetry::{IntervalSpans, LoopTelemetry};
 use pema_sim::{Allocation, WindowStats, Workload};
+use std::fmt::Write as _;
 
 /// Harness timing parameters.
 #[derive(Debug, Clone, Copy)]
@@ -65,7 +66,10 @@ pub struct IterationLog {
     pub mean_ms: f64,
     /// Whether the interval violated the SLO.
     pub violated: bool,
-    /// Policy decision taken at the end of the interval.
+    /// Policy decision taken at the end of the interval: its
+    /// [`Action`](pema_core::Action) label, prefixed `early-` when an
+    /// early check aborted the window (`docs/trace-format.md` lists
+    /// the labels).
     pub action: String,
     /// Allocation applied for the *next* interval.
     pub alloc: Vec<f64>,
@@ -493,6 +497,13 @@ impl<P: Policy, B: ClusterBackend> ControlLoop<P, B> {
         self.applied.0.clone_from(&alloc);
         self.applied.clamp_floor();
         self.backend.apply(&self.applied);
+        // The one place a decision becomes its label, in one allocation
+        // with room for the longest ("early-reduce(NNN)").
+        let mut action = String::with_capacity(24);
+        if aborted {
+            action.push_str("early-");
+        }
+        let _ = write!(action, "{}", d.action);
         let entry = IterationLog {
             iter: self.iter,
             time_s,
@@ -501,11 +512,7 @@ impl<P: Policy, B: ClusterBackend> ControlLoop<P, B> {
             p95_ms: stats.p95_ms,
             mean_ms: stats.mean_ms,
             violated: stats.violates(slo_ms),
-            action: if aborted {
-                format!("early-{}", d.action)
-            } else {
-                d.action
-            },
+            action,
             alloc,
             pema_id: d.pema_id,
             interval_s: stats.duration_s,

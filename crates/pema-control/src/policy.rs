@@ -2,8 +2,10 @@
 //! bundled policies of the paper's evaluation.
 //!
 //! A policy consumes one measured window ([`WindowStats`], whichever
-//! backend measured it) and returns the allocation to apply for the
-//! next interval. The bundled policies read that window as it is: RULE
+//! backend measured it) and returns a [`Decision`]: the allocation to
+//! apply for the next interval and the [`Action`] behind it, a `Copy`
+//! value the loop renders to the log's label only when it commits the
+//! interval. The bundled policies read that window as it is: RULE
 //! its per-service usage, PEMA its p95, offered load, utilization and
 //! throttling. Everything else — window measurement, early-abort
 //! checks, logging, allocation application — lives once in
@@ -14,19 +16,9 @@
 //! name becomes a value.
 
 use crate::rule::RulePolicy;
+pub use pema_core::Decision;
 use pema_core::{Action, PemaController, PemaParams, WorkloadAwarePema};
 use pema_sim::{Allocation, WindowStats};
-
-/// What a policy decided at the end of one control interval.
-#[derive(Debug, Clone)]
-pub struct Decision {
-    /// Allocation to apply for the next interval.
-    pub alloc: Vec<f64>,
-    /// Human-readable action label for the log / CSVs.
-    pub action: String,
-    /// PEMA process id (workload-aware runs; 0 otherwise).
-    pub pema_id: usize,
-}
 
 /// The policy-specific third of the control loop.
 pub trait Policy {
@@ -88,12 +80,7 @@ pub fn policy_by_name(
 
 impl Policy for PemaController {
     fn decide(&mut self, stats: &WindowStats) -> Decision {
-        let out = self.step(stats);
-        Decision {
-            action: action_name(&out.action),
-            alloc: out.alloc,
-            pema_id: 0,
-        }
+        self.step(stats)
     }
 
     fn slo_ms(&self) -> f64 {
@@ -107,16 +94,7 @@ impl Policy for WorkloadAwarePema {
     }
 
     fn decide(&mut self, stats: &WindowStats) -> Decision {
-        let out = self.step(stats);
-        Decision {
-            action: out
-                .action
-                .as_ref()
-                .map(action_name)
-                .unwrap_or_else(|| "learn-m".to_string()),
-            alloc: out.alloc,
-            pema_id: out.pema_id,
-        }
+        self.step(stats)
     }
 
     fn slo_ms(&self) -> f64 {
@@ -150,21 +128,12 @@ impl Policy for HoldPolicy {
     fn decide(&mut self, _stats: &WindowStats) -> Decision {
         Decision {
             alloc: self.alloc.clone(),
-            action: "hold".to_string(),
+            action: Action::Held,
             pema_id: 0,
         }
     }
 
     fn slo_ms(&self) -> f64 {
         self.slo_ms
-    }
-}
-
-pub(crate) fn action_name(a: &Action) -> String {
-    match a {
-        Action::RolledBack { .. } => "rollback".to_string(),
-        Action::Explored { .. } => "explore".to_string(),
-        Action::Reduced { services, .. } => format!("reduce({})", services.len()),
-        Action::Held => "hold".to_string(),
     }
 }

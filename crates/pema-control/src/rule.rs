@@ -10,6 +10,7 @@
 //! 33% vs RULE).
 
 use crate::policy::{Decision, Policy};
+use pema_core::Action;
 use pema_sim::{Allocation, AppSpec, WindowStats, MIN_ALLOC};
 
 /// Target utilization: an allocation is sized so the p90 usage sits
@@ -78,7 +79,7 @@ impl Policy for RulePolicy {
         self.head = (self.head + 1) % WINDOW;
         Decision {
             alloc: Allocation::new(next).0,
-            action: "rule".to_string(),
+            action: Action::Rule,
             pema_id: 0,
         }
     }

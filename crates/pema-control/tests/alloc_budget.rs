@@ -52,11 +52,12 @@ const INTERVALS: usize = 200;
 const SETTLE: usize = 40;
 
 /// Allocations per interval over the last `INTERVALS - SETTLE` of a
-/// 200-interval run. The interval log and PEMA's history double their
-/// capacity a few times in that stretch; that is part of the steady
-/// state and is counted. `observed` attaches a hub and an event sink
-/// over an in-memory log with room for the whole run.
-fn per_interval<P: Policy>(policy: P, rps: f64, observed: bool) -> f64 {
+/// 200-interval run, and how many of those intervals cut. The interval
+/// log and PEMA's history double their capacity a few times in that
+/// stretch; that is part of the steady state and is counted.
+/// `observed` attaches a hub and an event sink over an in-memory log
+/// with room for the whole run.
+fn per_interval<P: Policy>(policy: P, rps: f64, observed: bool) -> (f64, usize) {
     let app = pema_apps::sockshop();
     let mut lp = ControlLoop::new(FluidBackend::new(&app), policy, HarnessConfig::with_seed(7));
     let log = observed.then(|| {
@@ -78,7 +79,11 @@ fn per_interval<P: Policy>(policy: P, rps: f64, observed: bool) -> f64 {
         let log = log.lock().unwrap();
         assert_eq!(log.iter().filter(|&&b| b == b'\n').count(), INTERVALS);
     }
-    counted as f64 / (INTERVALS - SETTLE) as f64
+    let cuts = lp.log()[SETTLE..]
+        .iter()
+        .filter(|l| l.action.starts_with("reduce("))
+        .count();
+    (counted as f64 / (INTERVALS - SETTLE) as f64, cuts)
 }
 
 #[test]
@@ -87,6 +92,7 @@ fn steady_state_interval_stays_within_its_allocation_budget() {
     let rps = 700.0;
     let mut params = PemaParams::defaults(app.slo_ms);
     params.seed = 11;
+    let pema = || PemaController::new(params.clone(), app.generous_alloc.clone());
     let run = |observed: bool| {
         [
             per_interval(RulePolicy::new(&app), rps, observed),
@@ -95,40 +101,53 @@ fn steady_state_interval_stays_within_its_allocation_budget() {
                 rps,
                 observed,
             ),
-            per_interval(
-                PemaController::new(params.clone(), app.generous_alloc.clone()),
-                rps,
-                observed,
-            ),
+            per_interval(pema(), rps, observed),
+            // Far below the knee PEMA cuts every interval.
+            per_interval(pema(), 150.0, observed),
         ]
     };
-    let [rule, hold, pema] = run(false);
-    println!("allocations per interval: RULE {rule:.3}, HOLD {hold:.3}, PEMA {pema:.3}");
+    let counted = run(false);
+    let [rule, hold, pema, cutting] = counted.map(|(allocs, _)| allocs);
+    let cuts = counted[3].1;
+    println!(
+        "allocations per interval: RULE {rule:.3}, HOLD {hold:.3}, PEMA {pema:.3}, \
+         cutting PEMA {cutting:.3} ({cuts} cuts)"
+    );
+    assert!(
+        cuts * 10 >= (INTERVALS - SETTLE) * 9,
+        "the cutting PEMA cut on only {cuts} intervals"
+    );
 
     // What an interval still has to allocate:
     //   all   the window's `per_service`, `ClusterBackend::allocation()`
     //         (it returns an owned vector), the decision's vector (it
     //         ends up in the log) and its action label — 4;
     //   HOLD  `pre_interval`'s owned allocation — 5;
-    //   PEMA  the RHDb record's vector, and on a reduction the list of
-    //         reduced services — 5 or 6;
+    //   PEMA  the RHDb record's vector — 5, whether it cuts or not;
     // plus the log and the RHDb doubling their capacity now and then.
-    // The same three runs measured 7.01, 9.01 and 13.39 before the flat
-    // plan and the scratch reuse.
+    // The first three runs measured 7.01, 9.01 and 13.39 before the
+    // flat plan and the scratch reuse; the cutting one 5.99 while a cut
+    // returned its list of reduced services and the label was formatted
+    // outside the loop.
     assert!(rule <= 4.1, "RULE allocates {rule:.3} times per interval");
     assert!(hold <= 5.1, "HOLD allocates {hold:.3} times per interval");
-    assert!(pema <= 6.1, "PEMA allocates {pema:.3} times per interval");
+    assert!(pema <= 5.1, "PEMA allocates {pema:.3} times per interval");
+    assert!(
+        cutting <= 5.1,
+        "a cutting PEMA allocates {cutting:.3} times per interval"
+    );
 
     // Observing an interval allocates nothing: the counters and
     // histograms are atomics, the event's fields are borrowed and its
     // line is built in a buffer that grew during the settling
     // intervals. (Two clones and a fresh line made this +3.)
-    let observed = run(true);
+    let observed = run(true).map(|(allocs, _)| allocs);
     println!("with hub and event sink: {observed:.3?}");
     for (name, bare, seen) in [
         ("RULE", rule, observed[0]),
         ("HOLD", hold, observed[1]),
         ("PEMA", pema, observed[2]),
+        ("cutting PEMA", cutting, observed[3]),
     ] {
         assert!(
             seen <= bare + 0.05,

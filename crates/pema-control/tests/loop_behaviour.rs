@@ -7,7 +7,9 @@ use pema_control::{
     policy_by_name, Decision, Experiment, HarnessConfig, HoldPolicy, IntoBackend, IterationLog,
     Policy, RulePolicy, RunResult, SimBackend, UseFluid, UseSim,
 };
-use pema_core::{PemaController, PemaParams, RangeConfig, WorkloadAwarePema, WorkloadRange};
+use pema_core::{
+    Action, PemaController, PemaParams, RangeConfig, WorkloadAwarePema, WorkloadRange,
+};
 use pema_sim::{Allocation, ClusterSim, ServiceWindowStats, StepPattern, WindowStats};
 use std::sync::{Arc, Mutex};
 
@@ -91,7 +93,7 @@ fn poisoned_twin(w: &WindowStats) -> WindowStats {
 }
 
 /// Every decision `policy` takes on `windows`, allocations as bits.
-fn decisions(mut policy: impl Policy, windows: &[WindowStats]) -> Vec<(Vec<u64>, String, usize)> {
+fn decisions(mut policy: impl Policy, windows: &[WindowStats]) -> Vec<(Vec<u64>, Action, usize)> {
     windows
         .iter()
         .map(|w| {
@@ -161,13 +163,13 @@ fn pema_reads_exactly_four_signals() {
 fn custom_policy_drives_the_generic_loop() {
     // A custom policy plugs into the same loop the named runners use:
     // one window per interval, logged totals matching the allocation
-    // in force, metadata passed through.
+    // in force, metadata passed through and the action rendered.
     struct Chill(Vec<f64>);
     impl Policy for Chill {
         fn decide(&mut self, _stats: &WindowStats) -> Decision {
             Decision {
                 alloc: self.0.clone(),
-                action: "chill".into(),
+                action: Action::Held,
                 pema_id: 7,
             }
         }
@@ -191,7 +193,7 @@ fn custom_policy_drives_the_generic_loop() {
     assert_eq!(result.log.len(), 3);
     for l in &result.log {
         assert_eq!(l.pema_id, 7);
-        assert_eq!(l.action, "chill");
+        assert_eq!(l.action, "hold");
         assert!((l.total_cpu - alloc.iter().sum::<f64>()).abs() < 1e-9);
     }
     assert_eq!(result.slo_ms, 100.0);

@@ -56,6 +56,8 @@
 //! or giving `U_th` a growth band like the throttle filter's — should
 //! replace this one only with the same table.
 
+use std::fmt;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -64,23 +66,20 @@ use crate::rhdb::{Rhdb, RhdbRecord};
 use pema_metrics::MovingAvg;
 use pema_sim::{WindowStats, MIN_ALLOC};
 
-/// What the controller decided in one step.
-#[derive(Debug, Clone, PartialEq)]
+/// What a policy did at the end of one control interval: one of
+/// Algorithm 1's four outcomes, the workload-aware manager's learning
+/// phase, or RULE. [`Display`](fmt::Display) prints the label the log,
+/// the CSVs and the tapes carry.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Action {
     /// SLO violated: rolled back to the cheapest feasible allocation.
-    RolledBack {
-        /// Total cores after the rollback.
-        to_total: f64,
-    },
+    RolledBack,
     /// Exploration fired: jumped to a random feasible allocation.
-    Explored {
-        /// Total cores after the jump.
-        to_total: f64,
-    },
-    /// Monotonic reduction applied to the listed services.
+    Explored,
+    /// Monotonic reduction of `n` services.
     Reduced {
-        /// Indices of the reduced services.
-        services: Vec<usize>,
+        /// Number of services reduced.
+        n: usize,
         /// Fractional reduction applied to each (e.g. 0.12 = −12%).
         delta: f64,
     },
@@ -88,19 +87,35 @@ pub enum Action {
     /// `Δ_t` is zero), every service is throttle-excluded, or Eqn. 5's
     /// draw picked no candidate.
     Held,
+    /// The workload-aware manager is still learning its slope `m`, with
+    /// the allocation held.
+    LearnM,
+    /// RULE's usage-sized allocation.
+    Rule,
 }
 
-/// Outcome of one control step.
+impl fmt::Display for Action {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Action::RolledBack => f.write_str("rollback"),
+            Action::Explored => f.write_str("explore"),
+            Action::Reduced { n, .. } => write!(f, "reduce({n})"),
+            Action::Held => f.write_str("hold"),
+            Action::LearnM => f.write_str("learn-m"),
+            Action::Rule => f.write_str("rule"),
+        }
+    }
+}
+
+/// What a policy decided at the end of one control interval.
 #[derive(Debug, Clone)]
-pub struct StepOutcome {
-    /// The decision taken.
-    pub action: Action,
-    /// Allocation to apply for the next interval (cores per service).
+pub struct Decision {
+    /// Allocation to apply for the next interval.
     pub alloc: Vec<f64>,
-    /// The response-time target used for the reduction math, ms.
-    pub target_ms: f64,
-    /// Smoothed (moving-average) response time, ms.
-    pub response_ma_ms: f64,
+    /// The action that produced it.
+    pub action: Action,
+    /// PEMA process id (workload-aware runs; 0 otherwise).
+    pub pema_id: usize,
 }
 
 /// The PEMA controller for one application (or one workload range).
@@ -119,9 +134,10 @@ pub struct PemaController {
     /// Response-time target `R` for Eqns. 3/4/8; defaults to the SLO
     /// and is overridden per-step by the workload-aware manager
     /// (Eqn. 9).
-    target_ms: f64,
+    pub(crate) target_ms: f64,
     /// Scratch reused across steps: the reduction candidates `I_t`,
-    /// their normalized utilizations, and the services drawn from them.
+    /// their normalized utilizations, and the services drawn from them
+    /// (unordered).
     candidates: Vec<usize>,
     u_star: Vec<f64>,
     chosen: Vec<usize>,
@@ -222,15 +238,25 @@ impl PemaController {
         ((r_target - r_ms) / (self.params.alpha * r_target)).clamp(0.0, 1.0)
     }
 
+    /// The decision to deploy the current allocation after `action`.
+    fn decision(&self, action: Action) -> Decision {
+        Decision {
+            alloc: self.alloc.clone(),
+            action,
+            pema_id: 0,
+        }
+    }
+
     /// Runs one control interval given the previous interval's
-    /// measured window, returning the allocation for the next interval.
+    /// measured window, returning the allocation for the next interval
+    /// and the action that chose it.
     ///
     /// Reads four signals and nothing else: `p95_ms`, `offered_rps`,
     /// and each service's `util_pct` and `throttled_s`.
     ///
     /// # Panics
     /// Panics if the window's service count does not match.
-    pub fn step(&mut self, stats: &WindowStats) -> StepOutcome {
+    pub fn step(&mut self, stats: &WindowStats) -> Decision {
         assert_eq!(
             stats.per_service.len(),
             self.alloc.len(),
@@ -301,14 +327,7 @@ impl PemaController {
             // With no feasible history we keep the current allocation;
             // the caller started us from an ample configuration, so
             // this only happens when the SLO itself is unattainable.
-            return StepOutcome {
-                action: Action::RolledBack {
-                    to_total: self.total_alloc(),
-                },
-                alloc: self.alloc.clone(),
-                target_ms: self.target_ms,
-                response_ma_ms: r_ma,
-            };
+            return self.decision(Action::RolledBack);
         }
 
         // Line 8 (moved before line 5 — see module docs): candidate set
@@ -347,14 +366,7 @@ impl PemaController {
         if self.rng.gen::<f64>() < p_e {
             if let Some(r) = self.rhdb.random_feasible(&mut self.rng) {
                 self.alloc.clone_from(&r.alloc);
-                return StepOutcome {
-                    action: Action::Explored {
-                        to_total: self.total_alloc(),
-                    },
-                    alloc: self.alloc.clone(),
-                    target_ms: self.target_ms,
-                    response_ma_ms: r_ma,
-                };
+                return self.decision(Action::Explored);
             }
         }
 
@@ -364,12 +376,7 @@ impl PemaController {
         let n_t = ((self.alloc.len() as f64) * h).floor() as usize;
         let delta = self.params.beta * h;
         if n_t == 0 || delta <= 1e-6 || self.candidates.is_empty() {
-            return StepOutcome {
-                action: Action::Held,
-                alloc: self.alloc.clone(),
-                target_ms: self.target_ms,
-                response_ma_ms: r_ma,
-            };
+            return self.decision(Action::Held);
         }
 
         // Line 9: inclusion probabilities (Eqn. 5) over normalized
@@ -409,27 +416,14 @@ impl PemaController {
             chosen.truncate(n_t);
         }
         if chosen.is_empty() {
-            return StepOutcome {
-                action: Action::Held,
-                alloc: self.alloc.clone(),
-                target_ms: self.target_ms,
-                response_ma_ms: r_ma,
-            };
+            return self.decision(Action::Held);
         }
 
         for &i in chosen.iter() {
             self.alloc[i] = (self.alloc[i] * (1.0 - delta)).max(MIN_ALLOC);
         }
-        chosen.sort_unstable();
-        StepOutcome {
-            action: Action::Reduced {
-                services: chosen.clone(),
-                delta,
-            },
-            alloc: self.alloc.clone(),
-            target_ms: self.target_ms,
-            response_ma_ms: r_ma,
-        }
+        let n = chosen.len();
+        self.decision(Action::Reduced { n, delta })
     }
 }
 
@@ -473,14 +467,11 @@ mod tests {
         let before = c.total_alloc();
         let out = c.step(&obs(50.0, 8));
         match out.action {
-            Action::Reduced {
-                ref services,
-                delta,
-            } => {
-                assert!(!services.is_empty());
+            Action::Reduced { n, delta } => {
+                assert!(n > 0);
                 assert!(delta > 0.0 && delta <= 0.3 + 1e-12);
             }
-            ref a => panic!("expected reduction, got {a:?}"),
+            a => panic!("expected reduction, got {a:?}"),
         }
         assert!(c.total_alloc() < before);
     }
@@ -512,15 +503,12 @@ mod tests {
         let feasible_total = c.total_alloc();
         // Now violate.
         let out = c.step(&obs(400.0, 4));
-        match out.action {
-            Action::RolledBack { to_total } => {
-                // Rolls back to the cheapest feasible record, which is
-                // the allocation in force during the feasible step
-                // (i.e. the *initial* allocation, totalling 8).
-                assert!(to_total >= feasible_total || (to_total - 8.0).abs() < 1e-9);
-            }
-            ref a => panic!("expected rollback, got {a:?}"),
-        }
+        assert_eq!(out.action, Action::RolledBack, "expected rollback");
+        // Rolls back to the cheapest feasible record, which is the
+        // allocation in force during the feasible step (i.e. the
+        // *initial* allocation, totalling 8).
+        let to_total = c.total_alloc();
+        assert!(to_total >= feasible_total || (to_total - 8.0).abs() < 1e-9);
     }
 
     #[test]
@@ -532,16 +520,13 @@ mod tests {
         }
         let cheapest = c.total_alloc();
         let out = c.step(&obs(1000.0, 4));
-        match out.action {
-            Action::RolledBack { to_total } => {
-                // The last allocation (cheapest) was logged *violating*,
-                // so the rollback target is the cheapest non-violating
-                // one: the allocation before the final reduction.
-                assert!(to_total >= cheapest);
-                assert!(to_total <= 8.0 + 1e-9);
-            }
-            ref a => panic!("expected rollback, got {a:?}"),
-        }
+        assert_eq!(out.action, Action::RolledBack, "expected rollback");
+        // The last allocation (cheapest) was logged *violating*, so the
+        // rollback target is the cheapest non-violating one: the
+        // allocation before the final reduction.
+        let to_total = c.total_alloc();
+        assert!(to_total >= cheapest);
+        assert!(to_total <= 8.0 + 1e-9);
     }
 
     #[test]
@@ -549,7 +534,7 @@ mod tests {
         let mut c = controller(4);
         c.step(&obs(50.0, 4));
         let out = c.step(&obs(f64::INFINITY, 4));
-        assert!(matches!(out.action, Action::RolledBack { .. }));
+        assert_eq!(out.action, Action::RolledBack);
     }
 
     #[test]
@@ -559,10 +544,8 @@ mod tests {
         // filtered from candidates this step.
         let o = window(50.0, vec![svc(10.0, 0.0), svc(10.0, 5.0)]);
         for _ in 0..20 {
-            let out = c.step(&o);
-            if let Action::Reduced { services, .. } = out.action {
-                assert!(!services.contains(&1), "throttling service reduced");
-            }
+            c.step(&o);
+            assert_eq!(c.allocation()[1], 2.0, "throttling service reduced");
         }
     }
 
@@ -592,15 +575,18 @@ mod tests {
         let mut o = obs(50.0, 2);
         o.per_service[0].util_pct = 40.0;
         c.step(&o);
+        let at_threshold = c.allocation()[0];
         // Now service 0 runs at exactly its threshold → p = 0.
         let mut o2 = obs(50.0, 2);
         o2.per_service[0].util_pct = 40.0;
         o2.per_service[1].util_pct = 5.0;
         for _ in 0..20 {
-            let out = c.step(&o2);
-            if let Action::Reduced { services, .. } = out.action {
-                assert!(!services.contains(&0), "at-threshold service reduced");
-            }
+            c.step(&o2);
+            assert_eq!(
+                c.allocation()[0],
+                at_threshold,
+                "at-threshold service reduced"
+            );
         }
     }
 
@@ -609,7 +595,7 @@ mod tests {
         let mut c = controller(3);
         for _ in 0..5 {
             let out = c.step(&obs(f64::NAN, 3));
-            assert!(!matches!(out.action, Action::RolledBack { .. }));
+            assert_ne!(out.action, Action::RolledBack);
         }
         assert_eq!(c.rhdb().len(), 5);
         let mut rng = SmallRng::seed_from_u64(1);
@@ -639,7 +625,7 @@ mod tests {
         let mut explored = false;
         for _ in 0..30 {
             let out = c.step(&obs(50.0, 4));
-            if matches!(out.action, Action::Explored { .. }) {
+            if out.action == Action::Explored {
                 explored = true;
                 break;
             }
@@ -657,7 +643,7 @@ mod tests {
         let mut prev = c.total_alloc();
         for _ in 0..100 {
             let out = c.step(&obs(50.0, 4));
-            if matches!(out.action, Action::Explored { .. }) && c.total_alloc() > prev + 1e-9 {
+            if out.action == Action::Explored && c.total_alloc() > prev + 1e-9 {
                 increased = true;
                 break;
             }
@@ -692,8 +678,8 @@ mod tests {
         let mut c = controller(2);
         c.set_target_ms(100.0);
         c.set_slo_ms(300.0);
-        let out = c.step(&obs(50.0, 2));
-        assert_eq!(out.target_ms, 300.0);
+        c.step(&obs(50.0, 2));
+        assert_eq!(c.target_ms, 300.0);
     }
 
     #[test]
@@ -709,6 +695,22 @@ mod tests {
             let oa = a.step(&obs(60.0, 6));
             let ob = b.step(&obs(60.0, 6));
             assert_eq!(oa.alloc, ob.alloc);
+        }
+    }
+
+    #[test]
+    fn every_action_renders_its_log_label() {
+        let cases = [
+            (Action::RolledBack, "rollback"),
+            (Action::Explored, "explore"),
+            (Action::Reduced { n: 1, delta: 0.3 }, "reduce(1)"),
+            (Action::Reduced { n: 13, delta: 1e-3 }, "reduce(13)"),
+            (Action::Held, "hold"),
+            (Action::LearnM, "learn-m"),
+            (Action::Rule, "rule"),
+        ];
+        for (action, label) in cases {
+            assert_eq!(action.to_string(), label, "{action:?}");
         }
     }
 

@@ -9,8 +9,10 @@
 //! The controller consumes one [`pema_sim::WindowStats`] per control
 //! interval — the window every backend measures — and reads four
 //! signals from it: the p95 latency, the offered load, and each
-//! service's CPU utilization and CFS throttling. It emits the next
-//! allocation. The main types:
+//! service's CPU utilization and CFS throttling. It emits a
+//! [`Decision`]: the next allocation and the [`Action`] that produced
+//! it, a `Copy` value whose `Display` is the label the logs carry. The
+//! main types:
 //!
 //! * [`PemaController`] — Algorithm 1: reduction sizing (Eqns. 3/4,
 //!   smoothed per Eqns. 10/11), bottleneck avoidance (Eqn. 5 with
@@ -35,8 +37,9 @@
 //!     per_service: vec![service; 4],
 //!     ..Default::default()
 //! };
-//! let outcome = pema.step(&window);
-//! assert!(outcome.alloc.iter().sum::<f64>() <= 8.0);
+//! let decision = pema.step(&window);
+//! assert!(decision.alloc.iter().sum::<f64>() <= 8.0);
+//! assert!(decision.action.to_string().starts_with("reduce("));
 //! ```
 
 pub mod config;
@@ -47,8 +50,8 @@ pub mod rhdb;
 pub mod target;
 
 pub use config::PemaParams;
-pub use controller::{Action, PemaController, StepOutcome};
-pub use manager::{ManagerOutcome, RangeConfig, WorkloadAwarePema};
+pub use controller::{Action, Decision, PemaController};
+pub use manager::{RangeConfig, WorkloadAwarePema};
 pub use ranges::WorkloadRange;
 pub use rhdb::{Rhdb, RhdbRecord};
 pub use target::{DynamicTarget, SlopeLearner};

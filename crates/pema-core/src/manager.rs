@@ -16,7 +16,7 @@
 //! allocation is held fixed.
 
 use crate::config::PemaParams;
-use crate::controller::{Action, PemaController, StepOutcome};
+use crate::controller::{Action, Decision, PemaController};
 use crate::ranges::WorkloadRange;
 use crate::target::{DynamicTarget, SlopeLearner};
 use pema_sim::WindowStats;
@@ -58,28 +58,6 @@ struct RangeEntry {
     pema_id: usize,
     /// Intervals run since this range was created.
     iterations: u32,
-}
-
-/// What the manager did in one step.
-#[derive(Debug, Clone)]
-pub struct ManagerOutcome {
-    /// Allocation to apply for the next interval.
-    pub alloc: Vec<f64>,
-    /// Controller action (None while still learning `m`).
-    pub action: Option<Action>,
-    /// Id of the PEMA process that acted.
-    pub pema_id: usize,
-    /// The range that acted.
-    pub range: WorkloadRange,
-    /// The dynamic response-time target used, ms.
-    pub target_ms: f64,
-    /// True while the manager is in the startup slope-learning phase.
-    pub learning_m: bool,
-    /// Set when this step split a range: `(parent_hi_id, new_low_id)`.
-    pub split: Option<(usize, usize)>,
-    /// True when the active range changed since the previous step
-    /// (burst handling: allocation switched to the new range's).
-    pub switched_range: bool,
 }
 
 /// Workload-aware PEMA: a forest of per-range controllers.
@@ -174,22 +152,18 @@ impl WorkloadAwarePema {
         }
     }
 
-    /// Runs one control interval on the measured window.
-    pub fn step(&mut self, stats: &WindowStats) -> ManagerOutcome {
+    /// Runs one control interval on the measured window; the decision
+    /// carries the id of the PEMA process that acted.
+    pub fn step(&mut self, stats: &WindowStats) -> Decision {
         // Startup: learn the workload slope with allocation fixed.
         if self.m.is_none() {
             self.learner.record(stats.offered_rps, stats.p95_ms);
             if (self.learner.len() as u32) < self.cfg.m_learn_steps {
                 let e = &self.ranges[self.active];
-                return ManagerOutcome {
+                return Decision {
                     alloc: e.ctrl.allocation().to_vec(),
-                    action: None,
+                    action: Action::LearnM,
                     pema_id: e.pema_id,
-                    range: e.range,
-                    target_ms: e.ctrl.params().slo_ms,
-                    learning_m: true,
-                    split: None,
-                    switched_range: false,
                 };
             }
             // Flat fallback when the workload never varied.
@@ -198,7 +172,6 @@ impl WorkloadAwarePema {
 
         // Route to the range owning the current workload.
         let idx = self.range_index(stats.offered_rps);
-        let switched = idx != self.active;
         self.active = idx;
 
         // Tilt the target (Eqn. 9). The learned slope is floored at a
@@ -221,37 +194,24 @@ impl WorkloadAwarePema {
             lambda_max: entry.range.hi,
             r_slo_ms: slo,
         };
-        let target_ms = target.at(stats.offered_rps);
-        entry.ctrl.set_target_ms(target_ms);
-        let out: StepOutcome = entry.ctrl.step(stats);
+        entry.ctrl.set_target_ms(target.at(stats.offered_rps));
+        let mut decision = entry.ctrl.step(stats);
         entry.iterations += 1;
-        let pema_id = entry.pema_id;
-        let range = entry.range;
+        decision.pema_id = entry.pema_id;
 
         // Maybe split this range.
-        let split = self.maybe_split(idx);
-
-        ManagerOutcome {
-            alloc: out.alloc,
-            action: Some(out.action),
-            pema_id,
-            range,
-            target_ms,
-            learning_m: false,
-            split,
-            switched_range: switched,
-        }
+        self.maybe_split(idx);
+        decision
     }
 
     /// Splits range `idx` when it has matured: high child keeps the
     /// controller, low child gets a clone of it.
-    fn maybe_split(&mut self, idx: usize) -> Option<(usize, usize)> {
+    fn maybe_split(&mut self, idx: usize) {
         let e = &self.ranges[idx];
         if e.iterations < self.cfg.split_after || e.range.is_final(self.cfg.target_width) {
-            return None;
+            return;
         }
         let (low, high) = e.range.split();
-        let parent_id = e.pema_id;
         let new_id = self.next_pema_id;
         self.next_pema_id += 1;
 
@@ -278,7 +238,6 @@ impl WorkloadAwarePema {
         // whatever workload we last served; the next step re-routes
         // anyway, so pointing at the high child is safe.
         self.active = idx + 1;
-        Some((parent_id, new_id))
     }
 }
 
@@ -318,14 +277,15 @@ mod tests {
     fn learns_m_before_acting() {
         let mut mgr = manager();
         let o1 = mgr.step(&obs(300.0, 200.0));
-        assert!(o1.learning_m);
-        assert!(o1.action.is_none());
+        assert!(mgr.m.is_none());
+        assert_eq!(o1.action, Action::LearnM);
         let o2 = mgr.step(&obs(350.0, 300.0));
-        assert!(o2.learning_m);
+        assert!(mgr.m.is_none());
+        assert_eq!(o2.action, Action::LearnM);
         // Third sample completes learning; acting starts.
         let o3 = mgr.step(&obs(400.0, 400.0));
-        assert!(!o3.learning_m);
-        assert!(o3.action.is_some());
+        assert!(mgr.m.is_some());
+        assert_ne!(o3.action, Action::LearnM);
         let m = mgr.slope_m().unwrap();
         assert!((m - 0.5).abs() < 1e-9, "m={m}");
     }
@@ -336,12 +296,13 @@ mod tests {
         mgr.step(&obs(300.0, 200.0));
         mgr.step(&obs(350.0, 300.0));
         mgr.step(&obs(400.0, 400.0));
+        let target = |mgr: &WorkloadAwarePema| mgr.ranges[mgr.active].ctrl.target_ms;
         // Low workload in the 200–400 range → target below SLO.
-        let out = mgr.step(&obs(300.0, 250.0));
-        assert!(out.target_ms < 900.0, "target={}", out.target_ms);
+        mgr.step(&obs(300.0, 250.0));
+        assert!(target(&mgr) < 900.0, "target={}", target(&mgr));
         // At the top of the range → target == SLO.
-        let out = mgr.step(&obs(400.0, 400.0));
-        assert!((out.target_ms - 900.0).abs() < 1e-9);
+        mgr.step(&obs(400.0, 400.0));
+        assert!((target(&mgr) - 900.0).abs() < 1e-9);
     }
 
     #[test]
@@ -350,8 +311,8 @@ mod tests {
         // 3 learning steps + enough control steps to trigger a split.
         for i in 0..12 {
             let rps = 200.0 + (i as f64 * 37.0) % 200.0;
-            let out = mgr.step(&obs(400.0, rps));
-            if out.split.is_some() {
+            mgr.step(&obs(400.0, rps));
+            if mgr.ranges.len() > 1 {
                 break;
             }
         }
@@ -368,17 +329,13 @@ mod tests {
         for _ in 0..3 {
             mgr.step(&obs(400.0, 300.0));
         }
-        let mut split = None;
         for _ in 0..8 {
-            let out = mgr.step(&obs(400.0, 300.0));
-            if out.split.is_some() {
-                split = out.split;
+            mgr.step(&obs(400.0, 300.0));
+            if mgr.ranges.len() > 1 {
                 break;
             }
         }
-        let (parent, new) = split.expect("split should fire");
-        assert_eq!(parent, 1);
-        assert_eq!(new, 2);
+        assert_eq!(mgr.ranges.len(), 2, "split should fire");
         let rs = mgr.ranges();
         // Low child carries the new id, high child the parent id.
         assert_eq!(rs[0].1, 2);
@@ -421,9 +378,10 @@ mod tests {
         let high_alloc = mgr.allocation_for(380.0).to_vec();
         assert_ne!(low_alloc, high_alloc, "ranges should have diverged");
         // A burst to 380 must switch the active range.
-        let out = mgr.step(&obs(350.0, 380.0));
-        assert!(out.switched_range);
-        assert_eq!(out.range.hi, 400.0);
+        let before = mgr.active;
+        mgr.step(&obs(350.0, 380.0));
+        assert_ne!(mgr.active, before);
+        assert_eq!(mgr.ranges[mgr.active].range.hi, 400.0);
     }
 
     #[test]
@@ -432,10 +390,10 @@ mod tests {
         for _ in 0..3 {
             mgr.step(&obs(300.0, 300.0));
         }
-        let lo = mgr.step(&obs(300.0, 50.0));
-        assert_eq!(lo.range.lo, 200.0);
-        let hi = mgr.step(&obs(300.0, 900.0));
-        assert!(hi.range.hi >= 399.0);
+        mgr.step(&obs(300.0, 50.0));
+        assert_eq!(mgr.ranges[mgr.active].range.lo, 200.0);
+        mgr.step(&obs(300.0, 900.0));
+        assert!(mgr.ranges[mgr.active].range.hi >= 399.0);
     }
 
     #[test]
@@ -447,8 +405,8 @@ mod tests {
         mgr.set_slo_ms(500.0);
         let out = mgr.step(&obs(499.0, 400.0));
         // 499 < 500: no violation expected.
-        assert!(!matches!(out.action, Some(Action::RolledBack { .. })));
+        assert_ne!(out.action, Action::RolledBack);
         let out = mgr.step(&obs(501.0, 400.0));
-        assert!(matches!(out.action, Some(Action::RolledBack { .. })));
+        assert_eq!(out.action, Action::RolledBack);
     }
 }

@@ -53,7 +53,10 @@ proptest! {
                         prop_assert!(*a <= *b + 1e-12);
                     }
                 }
-                Action::RolledBack { .. } | Action::Explored { .. } => {}
+                Action::RolledBack | Action::Explored => {}
+                a @ (Action::LearnM | Action::Rule) => {
+                    prop_assert!(false, "the controller never decides {:?}", a);
+                }
             }
         }
     }
@@ -96,8 +99,7 @@ proptest! {
             ..Default::default()
         };
         let out = ctrl.step(&violating);
-        let rolled = matches!(out.action, Action::RolledBack { .. });
-        prop_assert!(rolled);
+        prop_assert_eq!(out.action, Action::RolledBack);
     }
 
     /// Thresholds are monotone non-decreasing over any run.
