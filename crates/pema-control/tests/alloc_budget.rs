@@ -4,7 +4,9 @@
 //! plan, ring-buffered RULE history, scratch reuse in the controller,
 //! the backend and the loop) where a timer would need a quiet machine.
 //! The same loops are then run observed, with a telemetry hub and an
-//! event sink attached, which must not allocate anything more.
+//! event sink attached, which must not allocate anything more. Last,
+//! building a fluid member again while one of an equal spec is alive
+//! must share the compiled plan rather than compile a second one.
 //!
 //! Its own test binary, with a single test: a `#[global_allocator]` is
 //! per binary, and a second test running beside this one would be
@@ -152,6 +154,28 @@ fn steady_state_interval_stays_within_its_allocation_budget() {
         assert!(
             seen <= bare + 0.05,
             "{name} allocates {seen:.3} times per observed interval, {bare:.3} bare"
+        );
+    }
+
+    // A second member of a spec already in use shares its plan. What a
+    // build still allocates: `validate`'s visit marks, the two scratch
+    // arrays and the starting allocation — 4. Compiling the plan
+    // again made it 23, 28 and 24.
+    for app in [
+        pema_apps::sockshop(),
+        pema_apps::trainticket(),
+        pema_apps::hotelreservation(),
+    ] {
+        let _held = FluidBackend::new(&app);
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let again = FluidBackend::new(&app);
+        let built = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        drop(again);
+        println!("a second {} member: {built} allocations", app.name);
+        assert!(
+            built <= 4,
+            "a second {} member allocates {built} times",
+            app.name
         );
     }
 }

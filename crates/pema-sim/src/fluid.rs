@@ -15,8 +15,8 @@
 //!
 //! ## The evaluation plan
 //!
-//! [`FluidEvaluator::new`] compiles the [`AppSpec`] once into a flat
-//! plan and keeps no copy of the spec, so a fleet member's model is a
+//! [`FluidEvaluator::new`] compiles the [`AppSpec`] into a flat,
+//! immutable plan and keeps no copy of the spec, so a model is a
 //! handful of contiguous arrays instead of a few hundred small heap
 //! blocks:
 //!
@@ -29,18 +29,31 @@
 //! * `calls` — the spec's `CallTable` (see `topology.rs`), the same
 //!   flattened `(child, probability)` table the DES fans out from;
 //! * `classes` — `(weight, root)` pairs and the weight total;
-//! * `sojourn`, `ep_latency` — scratch reused across evaluations.
+//! * the network delay and the SLO.
+//!
+//! Evaluators built from equal specs share one plan behind an `Arc`,
+//! so a fleet of 10 000 members of three apps holds three plans. The
+//! key is every spec field the compile reads — per service `demand_s`
+//! and `mem_base_bytes`; per endpoint its service, `work_scale` and
+//! `(child, p)` calls group by group; per class `weight` and `root`;
+//! `net_delay_s` and `slo_ms` — with every `f64` compared by its bits,
+//! so `-0.0` and `0.0` get two plans and a NaN matches itself. A
+//! process-wide table of `Weak`s finds the plan; a hit allocates
+//! nothing, and a plan is freed with its last evaluator. What stays
+//! per evaluator is the scratch reused across evaluations (`sojourn`,
+//! `ep_latency`) and the knobs (`speed`, `window_s`, `tail`), which
+//! are read at evaluation time.
 //!
 //! One evaluation is two loops and no recursion: a pass over
 //! `services` computes each per-visit demand once and one
 //! `normal_tail` (an `exp`), shared by the sojourn and the throttle
 //! fraction; a pass over `order` computes each endpoint's latency
 //! exactly once, however many parents call it. Because the plan is
-//! compiled at construction, later edits to the `AppSpec` do not reach
-//! an evaluator built from it; the model's knobs (`speed`, `window_s`,
-//! `tail`) are fields of the evaluator and are read at evaluation time.
-//! The reported usage p90 and peak are fixed multiples of the mean
-//! usage rate (`BURST_P90`, `PEAK_FACTOR`).
+//! compiled (or found) at construction, a later edit to the `AppSpec`
+//! does not reach an evaluator built from it; building again from the
+//! edited spec compiles a new plan. The reported usage p90 and peak
+//! are fixed multiples of the mean usage rate (`BURST_P90`,
+//! `PEAK_FACTOR`).
 //!
 //! ## Why the operand order is frozen
 //!
@@ -59,6 +72,7 @@ use crate::evaluator::Evaluator;
 use crate::runtime::CFS_PERIOD_S;
 use crate::stats::{ServiceWindowStats, WindowStats};
 use crate::topology::{Allocation, AppSpec, CallTable};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 /// The historical constant multiplier from mean end-to-end latency to
 /// estimated p95 (the pre-calibration model: `p95 = 2.6 × mean`,
@@ -248,11 +262,11 @@ struct EndpointPlan {
     groups: (u32, u32),
 }
 
-/// Analytic evaluator implementing the same [`Evaluator`] interface as
-/// the DES-backed one. Compiles the spec at construction (see the
-/// module docs): change the model through the public fields here, not
-/// through the `AppSpec` it was built from.
-pub struct FluidEvaluator {
+/// The compiled, immutable half of an evaluator, shared by every
+/// evaluator built from a spec with the same [`spec_words`].
+struct Plan {
+    /// The [`spec_words`] of the spec this plan was compiled from.
+    key: Vec<u64>,
     services: Vec<ServicePlan>,
     order: Vec<EndpointPlan>,
     calls: CallTable,
@@ -261,6 +275,52 @@ pub struct FluidEvaluator {
     class_weight_total: f64,
     net_delay_s: f64,
     slo_ms: f64,
+}
+
+/// Every plan in use, with the hash of its key. Only `Weak`s: a plan
+/// is freed with its last evaluator, and its entry is pruned on a
+/// later insert.
+static PLANS: Mutex<Vec<(u64, Weak<Plan>)>> = Mutex::new(Vec::new());
+
+/// Emits everything of `app` that compiling a [`Plan`] reads, as
+/// words: each `f64` as its bits, each list after its length. Equal
+/// words compile to equal plans, and bits are stricter than `==`: a
+/// `-0.0` memory floor reports as `-0.0`, and a NaN equals itself.
+fn spec_words(app: &AppSpec, mut emit: impl FnMut(u64)) {
+    emit(app.services.len() as u64);
+    for s in &app.services {
+        emit(s.demand_s.to_bits());
+        emit(s.mem_base_bytes.to_bits());
+    }
+    emit(app.endpoints.len() as u64);
+    for e in &app.endpoints {
+        emit(e.service.0 as u64);
+        emit(e.work_scale.to_bits());
+        emit(e.groups.len() as u64);
+        for g in &e.groups {
+            emit(g.calls.len() as u64);
+            for &(child, p) in &g.calls {
+                emit(child as u64);
+                emit(p.to_bits());
+            }
+        }
+    }
+    emit(app.classes.len() as u64);
+    for c in &app.classes {
+        emit(c.weight.to_bits());
+        emit(c.root as u64);
+    }
+    emit(app.net_delay_s.to_bits());
+    emit(app.slo_ms.to_bits());
+}
+
+/// Analytic evaluator implementing the same [`Evaluator`] interface as
+/// the DES-backed one. Compiles the spec at construction, or shares the
+/// plan of an equal spec (see the module docs): change the model
+/// through the public fields here, not through the `AppSpec` it was
+/// built from.
+pub struct FluidEvaluator {
+    plan: Arc<Plan>,
     /// Scratch: mean sojourn per visit, by service.
     sojourn: Vec<f64>,
     /// Scratch: mean latency by endpoint (unreachable entries stay 0
@@ -313,10 +373,43 @@ fn bottom_up_order(app: &AppSpec, calls: &CallTable) -> Vec<EndpointPlan> {
     order
 }
 
-impl FluidEvaluator {
-    /// Builds the fluid model for an application.
-    pub fn new(app: &AppSpec) -> Self {
-        app.validate().expect("invalid AppSpec");
+impl Plan {
+    /// The plan for a validated `app`: one already in use for an equal
+    /// spec, or a new one.
+    fn shared(app: &AppSpec) -> Arc<Self> {
+        // FxHash's step: the hash only narrows the search, and
+        // `compiled_from` decides.
+        let mut hash = 0u64;
+        spec_words(app, |w| {
+            hash = (hash.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+        });
+        // The table holds only `Weak`s, so a panic that poisoned the
+        // lock cannot have left it inconsistent.
+        let mut plans = PLANS.lock().unwrap_or_else(PoisonError::into_inner);
+        let hit = plans
+            .iter()
+            .filter(|(h, _)| *h == hash)
+            .filter_map(|(_, plan)| plan.upgrade())
+            .find(|plan| plan.compiled_from(app));
+        if let Some(plan) = hit {
+            return plan;
+        }
+        let plan = Arc::new(Self::compile(app));
+        plans.retain(|(_, plan)| plan.strong_count() > 0);
+        plans.push((hash, Arc::downgrade(&plan)));
+        plan
+    }
+
+    fn compiled_from(&self, app: &AppSpec) -> bool {
+        let mut key = self.key.iter();
+        let mut same = true;
+        spec_words(app, |w| same &= key.next() == Some(&w));
+        same && key.next().is_none()
+    }
+
+    fn compile(app: &AppSpec) -> Self {
+        let mut key = Vec::new();
+        spec_words(app, |w| key.push(w));
         let services = app
             .expected_visits()
             .into_iter()
@@ -330,6 +423,7 @@ impl FluidEvaluator {
             .collect();
         let calls = app.call_table();
         Self {
+            key,
             services,
             order: bottom_up_order(app, &calls),
             calls,
@@ -341,6 +435,16 @@ impl FluidEvaluator {
             class_weight_total: app.classes.iter().map(|c| c.weight).sum(),
             net_delay_s: app.net_delay_s,
             slo_ms: app.slo_ms,
+        }
+    }
+}
+
+impl FluidEvaluator {
+    /// Builds the fluid model for an application.
+    pub fn new(app: &AppSpec) -> Self {
+        app.validate().expect("invalid AppSpec");
+        Self {
+            plan: Plan::shared(app),
             sojourn: vec![0.0; app.services.len()],
             ep_latency: vec![0.0; app.endpoints.len()],
             speed: 1.0,
@@ -363,7 +467,8 @@ impl FluidEvaluator {
     /// ρ the [`TailModel`] is evaluated at. ≥ 1 means some service
     /// cannot carry its offered work (the mean is infinite there).
     pub fn bottleneck_rho(&self, alloc: &Allocation, rps: f64) -> f64 {
-        self.services
+        self.plan
+            .services
             .iter()
             .enumerate()
             .map(|(i, s)| rps * s.visits * self.visit_demand(s) / alloc.get(i))
@@ -405,18 +510,19 @@ fn erfc(x: f64) -> f64 {
 
 impl Evaluator for FluidEvaluator {
     fn n_services(&self) -> usize {
-        self.services.len()
+        self.plan.services.len()
     }
 
     fn slo_ms(&self) -> f64 {
-        self.slo_ms
+        self.plan.slo_ms
     }
 
     fn evaluate(&mut self, alloc: &Allocation, rps: f64) -> WindowStats {
-        assert_eq!(alloc.len(), self.services.len());
-        let mut per_service = Vec::with_capacity(self.services.len());
+        let plan = &*self.plan;
+        assert_eq!(alloc.len(), plan.services.len());
+        let mut per_service = Vec::with_capacity(plan.services.len());
         let mut rho_max: f64 = 0.0;
-        for (i, s) in self.services.iter().enumerate() {
+        for (i, s) in plan.services.iter().enumerate() {
             let a = alloc.get(i);
             let lambda_i = rps * s.visits;
             let d_visit = self.visit_demand(s);
@@ -471,15 +577,15 @@ impl Evaluator for FluidEvaluator {
             });
         }
         // Endpoint latencies, children first.
-        let hop_s = 2.0 * self.net_delay_s;
-        for e in &self.order {
+        let hop_s = 2.0 * plan.net_delay_s;
+        for e in &plan.order {
             let mut total = self.sojourn[e.service as usize] * e.work_scale;
-            for &(lo, hi) in &self.calls.group_spans[e.groups.0 as usize..e.groups.1 as usize] {
+            for &(lo, hi) in &plan.calls.group_spans[e.groups.0 as usize..e.groups.1 as usize] {
                 // Parallel calls: expected makespan ≈ max of expected child
                 // latencies (slightly optimistic; acceptable for a fluid
                 // model), weighted by call probability.
                 let mut group_latency: f64 = 0.0;
-                for &(child, p) in &self.calls.flat_calls[lo as usize..hi as usize] {
+                for &(child, p) in &plan.calls.flat_calls[lo as usize..hi as usize] {
                     let l = p * (self.ep_latency[child as usize] + hop_s);
                     group_latency = group_latency.max(l);
                 }
@@ -488,8 +594,8 @@ impl Evaluator for FluidEvaluator {
             self.ep_latency[e.ep as usize] = total;
         }
         let mut mean_s = 0.0;
-        for &(weight, root) in &self.classes {
-            mean_s += weight / self.class_weight_total * self.ep_latency[root as usize];
+        for &(weight, root) in &plan.classes {
+            mean_s += weight / plan.class_weight_total * self.ep_latency[root as usize];
         }
         let p95 = mean_s * self.tail.p95.factor(rho_max);
         let p99 = mean_s * self.tail.p99.factor(rho_max);
@@ -785,5 +891,272 @@ mod tests {
         f.speed = 2.0;
         let fast = f.evaluate(&Allocation::new(vec![1.0, 1.0]), 100.0);
         assert!(fast.p95_ms < base.p95_ms);
+    }
+
+    /// A spec with every keyed shape the pair lacks: two call groups'
+    /// worth of calls, a shared leaf, a second class and an endpoint no
+    /// root reaches.
+    fn keyed_app() -> AppSpec {
+        let mut spec = app();
+        spec.services.push(ServiceSpec::new("c", 0.001));
+        spec.generous_alloc.push(1.5);
+        spec.endpoints[0].groups[0].calls.push((2, 0.5));
+        spec.endpoints.extend([
+            EndpointNode {
+                service: ServiceId(2),
+                work_scale: 1.0,
+                groups: vec![],
+            },
+            EndpointNode {
+                service: ServiceId(1),
+                work_scale: 0.5,
+                groups: vec![CallGroup {
+                    calls: vec![(2, 1.0)],
+                }],
+            },
+            EndpointNode {
+                service: ServiceId(0),
+                work_scale: 1.0,
+                groups: vec![],
+            },
+        ]);
+        spec.classes.push(RequestClass {
+            name: "s".into(),
+            weight: 2.0,
+            root: 3,
+        });
+        spec
+    }
+
+    /// Every `f64` and count of a window, as bits.
+    fn window_bits(w: &WindowStats) -> Vec<u64> {
+        let mut out: Vec<u64> = [
+            w.start_s,
+            w.duration_s,
+            w.offered_rps,
+            w.achieved_rps,
+            w.mean_ms,
+            w.p50_ms,
+            w.p95_ms,
+            w.p99_ms,
+            w.max_ms,
+        ]
+        .map(f64::to_bits)
+        .to_vec();
+        out.extend([w.completed, w.arrivals]);
+        for s in &w.per_service {
+            out.extend(
+                [
+                    s.alloc_cores,
+                    s.util_pct,
+                    s.cpu_used_s,
+                    s.throttled_s,
+                    s.usage_p90_cores,
+                    s.usage_peak_cores,
+                    s.mem_bytes,
+                    s.mean_self_ms,
+                    s.mean_visit_ms,
+                ]
+                .map(f64::to_bits),
+            );
+            out.push(s.visits);
+        }
+        out
+    }
+
+    #[test]
+    fn equal_specs_share_one_plan() {
+        let spec = keyed_app();
+        let a = FluidEvaluator::new(&spec);
+        let b = FluidEvaluator::new(&spec.clone());
+        assert!(Arc::ptr_eq(&a.plan, &b.plan));
+        // Fields the compile does not read are not part of the key.
+        let mut unread = spec.clone();
+        unread.name = "renamed".into();
+        unread.services[0].demand_cv = 2.0;
+        unread.services[0].mem_per_job_bytes = 1.0;
+        unread.nodes.push(NodeSpec { cores: 8.0 });
+        unread.generous_alloc[0] = 3.0;
+        let c = FluidEvaluator::new(&unread);
+        assert!(Arc::ptr_eq(&a.plan, &c.plan));
+    }
+
+    #[test]
+    fn every_keyed_field_separates_plans() {
+        type Edit = fn(&mut AppSpec);
+        let edits: [(&str, Edit); 15] = [
+            ("service count", |s| {
+                s.services.push(ServiceSpec::new("d", 0.001));
+                s.generous_alloc.push(1.0);
+            }),
+            ("demand_s", |s| s.services[1].demand_s = 0.004),
+            ("mem_base_bytes", |s| s.services[1].mem_base_bytes *= 2.0),
+            ("endpoint count", |s| {
+                s.endpoints.push(EndpointNode {
+                    service: ServiceId(2),
+                    work_scale: 1.0,
+                    groups: vec![],
+                })
+            }),
+            ("endpoint service", |s| {
+                s.endpoints[1].service = ServiceId(2)
+            }),
+            ("work_scale", |s| s.endpoints[0].work_scale = 2.0),
+            ("group split", |s| {
+                let last = s.endpoints[0].groups[0].calls.pop().unwrap();
+                s.endpoints[0].groups.push(CallGroup { calls: vec![last] });
+            }),
+            ("call count", |s| {
+                s.endpoints[0].groups[0].calls.pop();
+            }),
+            ("call child", |s| s.endpoints[3].groups[0].calls[0].0 = 1),
+            ("call p", |s| s.endpoints[0].groups[0].calls[1].1 = 0.25),
+            ("class count", |s| {
+                s.classes.pop();
+            }),
+            ("class weight", |s| s.classes[1].weight = 3.0),
+            ("class root", |s| s.classes[1].root = 1),
+            ("net_delay_s", |s| s.net_delay_s = 0.0003),
+            ("slo_ms", |s| s.slo_ms = 120.0),
+        ];
+        let base = FluidEvaluator::new(&keyed_app());
+        for (field, edit) in edits {
+            let mut spec = keyed_app();
+            edit(&mut spec);
+            let edited = FluidEvaluator::new(&spec);
+            assert!(
+                !Arc::ptr_eq(&base.plan, &edited.plan),
+                "editing {field} reused the plan"
+            );
+        }
+    }
+
+    #[test]
+    fn the_key_compares_bits_not_values() {
+        let with_mem = |mem: f64| {
+            let mut spec = app();
+            spec.services[1].mem_base_bytes = mem;
+            spec
+        };
+        let alloc = Allocation::new(vec![1.0, 1.0]);
+        let mut pos = FluidEvaluator::new(&with_mem(0.0));
+        let mut neg = FluidEvaluator::new(&with_mem(-0.0));
+        assert!(!Arc::ptr_eq(&pos.plan, &neg.plan));
+        let (p, n) = (pos.evaluate(&alloc, 100.0), neg.evaluate(&alloc, 100.0));
+        assert_eq!(p.per_service[1].mem_bytes.to_bits(), 0.0f64.to_bits());
+        assert_eq!(n.per_service[1].mem_bytes.to_bits(), (-0.0f64).to_bits());
+
+        let nan = || {
+            let mut spec = with_mem(f64::NAN);
+            spec.net_delay_s = f64::NAN;
+            spec
+        };
+        let mut a = FluidEvaluator::new(&nan());
+        let mut b = FluidEvaluator::new(&nan());
+        assert!(Arc::ptr_eq(&a.plan, &b.plan));
+        let (wa, wb) = (a.evaluate(&alloc, 100.0), b.evaluate(&alloc, 100.0));
+        assert!(wa.per_service[1].mem_bytes.is_nan());
+        assert_eq!(window_bits(&wa), window_bits(&wb));
+    }
+
+    #[test]
+    fn a_plan_dies_with_its_last_evaluator() {
+        // An SLO no other test uses, so no other test holds this plan.
+        let mut spec = app();
+        spec.slo_ms = 123.25;
+        let a = FluidEvaluator::new(&spec);
+        let b = FluidEvaluator::new(&spec);
+        let plan = Arc::downgrade(&a.plan);
+        drop(a);
+        assert!(plan.upgrade().is_some(), "b still holds the plan");
+        drop(b);
+        assert!(plan.upgrade().is_none());
+    }
+
+    /// The paper apps as this crate's `AppSpec`: `pema_apps` returns
+    /// the library build's type, which is not the test build's.
+    fn paper_apps() -> Vec<AppSpec> {
+        [
+            pema_apps::sockshop(),
+            pema_apps::trainticket(),
+            pema_apps::hotelreservation(),
+        ]
+        .into_iter()
+        .map(|a| AppSpec {
+            name: a.name,
+            services: a
+                .services
+                .into_iter()
+                .map(|s| ServiceSpec {
+                    name: s.name,
+                    demand_s: s.demand_s,
+                    demand_cv: s.demand_cv,
+                    threads: s.threads,
+                    node: s.node,
+                    mem_base_bytes: s.mem_base_bytes,
+                    mem_per_job_bytes: s.mem_per_job_bytes,
+                    pre_fraction: s.pre_fraction,
+                })
+                .collect(),
+            endpoints: a
+                .endpoints
+                .into_iter()
+                .map(|e| EndpointNode {
+                    service: ServiceId(e.service.0),
+                    work_scale: e.work_scale,
+                    groups: e
+                        .groups
+                        .into_iter()
+                        .map(|g| CallGroup { calls: g.calls })
+                        .collect(),
+                })
+                .collect(),
+            classes: a
+                .classes
+                .into_iter()
+                .map(|c| RequestClass {
+                    name: c.name,
+                    weight: c.weight,
+                    root: c.root,
+                })
+                .collect(),
+            nodes: a
+                .nodes
+                .into_iter()
+                .map(|n| NodeSpec { cores: n.cores })
+                .collect(),
+            net_delay_s: a.net_delay_s,
+            slo_ms: a.slo_ms,
+            generous_alloc: a.generous_alloc,
+        })
+        .collect()
+    }
+
+    #[test]
+    fn threads_building_at_once_share_the_plans() {
+        let apps = paper_apps();
+        let held: Vec<FluidEvaluator> = apps.iter().map(FluidEvaluator::new).collect();
+        // A spec no thread finds built: the four race to compile it.
+        let mut fresh = app();
+        fresh.slo_ms = 321.5;
+        let start = std::sync::Barrier::new(4);
+        let built: Vec<(Vec<FluidEvaluator>, FluidEvaluator)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        let paper = apps.iter().map(FluidEvaluator::new).collect();
+                        (paper, FluidEvaluator::new(&fresh))
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for (paper, raced) in &built {
+            for (mine, theirs) in held.iter().zip(paper) {
+                assert!(Arc::ptr_eq(&mine.plan, &theirs.plan));
+            }
+            assert!(Arc::ptr_eq(&built[0].1.plan, &raced.plan));
+        }
     }
 }

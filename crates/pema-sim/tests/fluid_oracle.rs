@@ -357,6 +357,37 @@ proptest! {
         (flat.tail, oracle.tail) = (legacy, legacy);
         compare(&mut flat, &mut oracle, &alloc_at(1.55 - scale), nominal * load)?;
     }
+
+    /// Two evaluators of one spec share its compiled plan; each keeps
+    /// its own scratch and knobs. The second gets every knob moved and
+    /// the two alternate over two allocations, so scratch or a knob
+    /// that leaked into the shared plan would reach the other's window.
+    #[test]
+    fn evaluators_sharing_a_plan_keep_their_own_state(
+        which in 0usize..6,
+        scales in (0.05f64..1.5, 0.05f64..1.5),
+        load in 0.2f64..1.8,
+        knobs in (0.5f64..2.0, 1.0f64..120.0),
+    ) {
+        let (app, nominal) = apps().swap_remove(which);
+        let (speed, window_s) = knobs;
+        let mut flat = [FluidEvaluator::new(&app), FluidEvaluator::new(&app)];
+        let mut oracle = [RecursiveFluid::new(&app), RecursiveFluid::new(&app)];
+        (flat[1].speed, oracle[1].speed) = (speed, speed);
+        (flat[1].window_s, oracle[1].window_s) = (window_s, window_s);
+        let legacy = TailModel::constant(pema_sim::LEGACY_P95_FACTOR);
+        (flat[1].tail, oracle[1].tail) = (legacy, legacy);
+        let at = |scale: f64| {
+            Allocation::new(app.generous_alloc.iter().map(|g| g * scale).collect())
+        };
+        let allocs = [at(scales.0), at(scales.1)];
+        for round in 0..2 {
+            for i in 0..2 {
+                let alloc = &allocs[(i + round) % 2];
+                compare(&mut flat[i], &mut oracle[i], alloc, nominal * load)?;
+            }
+        }
+    }
 }
 
 #[test]
