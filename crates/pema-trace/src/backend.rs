@@ -403,6 +403,10 @@ impl ClusterBackend for TraceBackend {
             self.trace.n_services()
         );
         // No-op against the tape: only the counterfactual view moves.
+        // A fresh clone, not `clone_from`: the vector it frees is where
+        // the next decision's allocation lands. Copying in place saved
+        // that allocation but cost `trace_replay` ≈ 10 % of its replay
+        // rate and 1.3–2.7 MB of peak RSS (2-core host, glibc malloc).
         self.alloc = alloc.clone();
     }
 

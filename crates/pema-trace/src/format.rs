@@ -18,7 +18,10 @@
 //! the replay determinism guarantee rests on.
 //!
 //! A line is read in a single pass, straight into the structs (no
-//! tree in between), with its keys in any order. Readers run in one of
+//! tree in between), with its keys in any order: a line in this
+//! writer's exact layout against that layout, any other by the general
+//! reader. A tape of 2 MiB or more is written and read on several
+//! threads, to the same bytes and the same result. Readers run in one of
 //! two [`ReadMode`]s:
 //!
 //! * [`Strict`](ReadMode::Strict) — the version must equal
@@ -40,6 +43,7 @@ use pema_telemetry::json::{self, Reader};
 use std::fmt;
 use std::io;
 use std::path::Path;
+use std::sync::mpsc;
 
 /// Format identifier carried in every header line.
 pub const FORMAT_NAME: &str = "pema-trace";
@@ -222,7 +226,16 @@ impl Trace {
     // ---- writing ----
 
     /// Serializes the trace to JSON lines.
+    ///
+    /// A tape of 2 MiB or more is written on up to one thread per MiB
+    /// and per CPU; the bytes are the same at any thread count.
     pub fn to_jsonl(&self) -> String {
+        self.encode(chunk_count)
+    }
+
+    /// [`to_jsonl`](Self::to_jsonl) on `chunks(estimated tape bytes)`
+    /// threads.
+    fn encode(&self, chunks: impl FnOnce(usize) -> usize) -> String {
         // Room for the header and one record, then the tape is sized
         // from that record. A run's records are about one size, but the
         // first is the short one (round allocations and a virtual clock
@@ -231,15 +244,19 @@ impl Trace {
         // outgrows its buffer is copied whole.
         let mut out = String::with_capacity(512 * (self.n_services() + 2));
         self.write_header(&mut out);
-        let mut records = self.records.iter();
-        if let Some(first) = records.next() {
-            let at = out.len();
-            write_record(&mut out, first);
-            let record_len = out.len() - at;
-            out.reserve((record_len + record_len / 4) * records.len());
-        }
-        for r in records {
-            write_record(&mut out, r);
+        let Some((first, rest)) = self.records.split_first() else {
+            return out;
+        };
+        let at = out.len();
+        write_record(&mut out, first);
+        let record_len = out.len() - at;
+        let room = record_len + record_len / 4;
+        out.reserve(room * rest.len());
+        let block = (BLOCK_BYTES / record_len).max(1);
+        let blocks = rest.len().div_ceil(block);
+        match chunks(record_len * self.records.len()).min(blocks) {
+            0 | 1 => rest.iter().for_each(|r| write_record(&mut out, r)),
+            k => write_interleaved(&mut out, rest, block, room * block, k),
         }
         out
     }
@@ -287,22 +304,45 @@ impl Trace {
 
     /// Parses a trace from JSON-lines text. Blank lines are skipped;
     /// errors name the real file line.
+    ///
+    /// A text of 2 MiB or more is read on up to one thread per MiB and
+    /// per CPU; the result, error included, is the same at any thread
+    /// count.
     pub fn parse_jsonl(text: &str, mode: ReadMode) -> Result<Self, TraceError> {
+        Self::decode(text, mode, chunk_count(text.len()))
+    }
+
+    /// [`parse_jsonl`](Self::parse_jsonl) with the lines after the
+    /// header cut into `chunks` runs, each read on a thread of its own.
+    fn decode(text: &str, mode: ReadMode, chunks: usize) -> Result<Self, TraceError> {
         let strict = mode == ReadMode::Strict;
-        let mut lines = text
+        let (header_idx, header) = text
             .lines()
             .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty());
-        let (header_idx, header) = lines.next().ok_or_else(|| err(0, "empty trace file"))?;
+            .find(|(_, l)| !l.trim().is_empty())
+            .ok_or_else(|| err(0, "empty trace file"))?;
         let header_line = header_idx + 1;
         let meta = parse_header(header, strict).map_err(|m| err(header_line, m))?;
         let n = meta.n_services();
+        // The rest of the header's line (its line ending, if any) and
+        // every line after it, so the body's lines count from the
+        // header's.
+        let body = &text[header.as_ptr().addr() - text.as_ptr().addr() + header.len()..];
         let mut records = Vec::new();
         let mut record_lines = Vec::new();
-        for (idx, line) in lines {
-            let record = parse_record(line, n, strict).map_err(|m| err(idx + 1, m))?;
-            records.push(record);
-            record_lines.push(idx + 1);
+        let mut first_idx = header_idx;
+        for chunk in on_threads(&split_lines(body, chunks), |lines| {
+            read_records(lines, n, strict)
+        }) {
+            let mut chunk = chunk.map_err(|(i, m)| err(first_idx + i + 1, m))?;
+            chunk.lines.iter_mut().for_each(|i| *i += first_idx + 1);
+            first_idx += chunk.line_count;
+            if records.is_empty() {
+                (records, record_lines) = (chunk.records, chunk.lines);
+            } else {
+                records.append(&mut chunk.records);
+                record_lines.append(&mut chunk.lines);
+            }
         }
         let trace = Trace { meta, records };
         trace.validate_at(&|i| record_lines[i], header_line)?;
@@ -321,6 +361,153 @@ impl Trace {
             )
         })
     }
+}
+
+// ---- coding a big tape on several threads ----
+
+/// Below two of these, in bytes, a tape is written and read on the
+/// calling thread alone; above, it is cut into one chunk per this many
+/// bytes, at most one per CPU.
+///
+/// Sized on a 2-core host (rustc 1.95.0, release build): spawning and
+/// joining one scoped thread took 31–38 µs, while one MiB of the
+/// TrainTicket tape took ≈ 1.7 ms to encode and ≈ 2.0 ms to decode on
+/// one thread. A thread handed a chunk this size spends about 2 % of
+/// its time being started and joined.
+const MIN_CHUNK: usize = 1 << 20;
+
+/// Bytes of records an encode thread writes between two hand-overs.
+const BLOCK_BYTES: usize = 64 << 10;
+
+/// Block buffers each encode worker cycles through: one it fills while
+/// the caller copies the other.
+const BUFFERS: usize = 2;
+
+/// How many threads code a tape of `bytes`.
+fn chunk_count(bytes: usize) -> usize {
+    match bytes / MIN_CHUNK {
+        0 | 1 => 1,
+        k => k.min(pema_control::resolve_threads(0)),
+    }
+}
+
+/// Writes `records` onto `out` on `k` threads, `block` records at a
+/// time. Blocks are dealt round-robin: the calling thread writes its
+/// blocks straight into `out`, and takes each other block, in record
+/// order, from the worker that wrote it into one of its `BUFFERS`
+/// reused buffers of `capacity` bytes. So a worker runs at most
+/// `BUFFERS` blocks ahead, and the tape is never held twice.
+fn write_interleaved(
+    out: &mut String,
+    records: &[TraceRecord],
+    block: usize,
+    capacity: usize,
+    k: usize,
+) {
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (1..k)
+            .map(|w| {
+                let (filled, filled_rx) = mpsc::sync_channel::<String>(BUFFERS);
+                let (free, free_rx) = mpsc::sync_channel::<String>(BUFFERS);
+                for _ in 0..BUFFERS {
+                    let _ = free.send(String::with_capacity(capacity));
+                }
+                s.spawn(move || {
+                    for part in records.chunks(block).skip(w).step_by(k) {
+                        let Ok(mut buf) = free_rx.recv() else { return };
+                        buf.clear();
+                        part.iter().for_each(|r| write_record(&mut buf, r));
+                        if filled.send(buf).is_err() {
+                            return;
+                        }
+                    }
+                });
+                (filled_rx, free)
+            })
+            .collect();
+        for (j, part) in records.chunks(block).enumerate() {
+            match j % k {
+                0 => part.iter().for_each(|r| write_record(out, r)),
+                w => {
+                    let (filled, free) = &workers[w - 1];
+                    let buf = filled.recv().expect("a trace encode thread panicked");
+                    out.push_str(&buf);
+                    // Its worker is gone once it has sent its last block.
+                    let _ = free.send(buf);
+                }
+            }
+        }
+    });
+}
+
+/// Cuts `text` after newlines into at most `k` runs of whole lines of
+/// about equal size (one, empty, for an empty text).
+fn split_lines(text: &str, k: usize) -> Vec<&str> {
+    let mut parts = Vec::with_capacity(k);
+    let mut rest = text;
+    for left in (2..=k).rev() {
+        let from = rest.len() / left;
+        let Some(nl) = rest.as_bytes()[from..].iter().position(|&b| b == b'\n') else {
+            break;
+        };
+        let (part, tail) = rest.split_at(from + nl + 1);
+        parts.push(part);
+        rest = tail;
+    }
+    if parts.is_empty() || !rest.is_empty() {
+        parts.push(rest);
+    }
+    parts
+}
+
+/// `f` of every part, in order: the first on the calling thread, each
+/// other one on a scoped thread of its own.
+fn on_threads<'t, T: Send>(parts: &[&'t str], f: impl Fn(&'t str) -> T + Sync) -> Vec<T> {
+    match parts {
+        [] => Vec::new(),
+        [one] => vec![f(one)],
+        [first, rest @ ..] => std::thread::scope(|s| {
+            let f = &f;
+            let others: Vec<_> = rest.iter().map(|&p| s.spawn(move || f(p))).collect();
+            let mut out = Vec::with_capacity(parts.len());
+            out.push(f(first));
+            out.extend(
+                others
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))),
+            );
+            out
+        }),
+    }
+}
+
+/// The records on a run of whole lines.
+struct Chunk {
+    records: Vec<TraceRecord>,
+    /// The 0-based index, within the run, of each record's line.
+    lines: Vec<usize>,
+    /// Lines in the run, blank ones included.
+    line_count: usize,
+}
+
+/// Reads a run of whole lines, skipping blank ones; a failure names
+/// the 0-based index of its line within the run.
+fn read_records(text: &str, n: usize, strict: bool) -> Result<Chunk, (usize, String)> {
+    let mut chunk = Chunk {
+        records: Vec::new(),
+        lines: Vec::new(),
+        line_count: 0,
+    };
+    for (i, line) in text.lines().enumerate() {
+        chunk.line_count = i + 1;
+        if !line.trim().is_empty() {
+            chunk
+                .records
+                .push(parse_record(line, n, strict).map_err(|m| (i, m))?);
+            chunk.lines.push(i);
+        }
+    }
+    Ok(chunk)
 }
 
 fn push_join<T>(out: &mut String, items: &[T], mut push: impl FnMut(&mut String, &T)) {
@@ -557,7 +744,152 @@ fn parse_header(line: &str, strict: bool) -> Result<TraceMeta, String> {
 /// Decodes one record line of a trace with `n` services (what `alloc`
 /// and `per_service` are reserved for; their lengths are checked by
 /// [`Trace::validate`], not here).
+///
+/// A line in the writer's own layout is read by [`read_writer_layout`];
+/// any other line, and every line that fails, by the general reader.
 fn parse_record(line: &str, n: usize, strict: bool) -> Result<TraceRecord, String> {
+    match read_writer_layout(line, n) {
+        Some(rec) => Ok(rec),
+        None => read_record_fields(line, n, strict),
+    }
+}
+
+/// Reads `line` if it is laid out exactly as [`write_record`] lays a
+/// record out: the writer's keys as byte literals in the writer's
+/// order, no whitespace, strings without escapes, nothing after the
+/// closing brace. A number is the `Reader`'s token (the run of
+/// `0-9 . e E + -`) read by `str::parse`, a non-finite float one of the
+/// writer's three string tokens.
+///
+/// At the first byte that departs from that layout, or a token
+/// `str::parse` refuses, the answer is `None` and the general reader
+/// takes the line: it alone reports errors and applies the reading
+/// modes. Where this reader answers, the general one would return the
+/// same record in either mode.
+fn read_writer_layout(line: &str, n: usize) -> Option<TraceRecord> {
+    let mut p = Layout { src: line, pos: 0 };
+    let rec = TraceRecord {
+        iter: p.u64("{\"iter\":")?,
+        time_s: p.f64(",\"time_s\":")?,
+        rps: p.f64(",\"rps\":")?,
+        action: p.string(",\"action\":")?.to_owned(),
+        pema_id: p.u64(",\"pema_id\":")?,
+        alloc: p.list(",\"alloc\":[", n, |p| p.f64(""))?,
+        stats: WindowStats {
+            start_s: p.f64(",\"stats\":{\"start_s\":")?,
+            duration_s: p.f64(",\"duration_s\":")?,
+            offered_rps: p.f64(",\"offered_rps\":")?,
+            achieved_rps: p.f64(",\"achieved_rps\":")?,
+            completed: p.u64(",\"completed\":")?,
+            arrivals: p.u64(",\"arrivals\":")?,
+            mean_ms: p.f64(",\"mean_ms\":")?,
+            p50_ms: p.f64(",\"p50_ms\":")?,
+            p95_ms: p.f64(",\"p95_ms\":")?,
+            p99_ms: p.f64(",\"p99_ms\":")?,
+            max_ms: p.f64(",\"max_ms\":")?,
+            per_service: p.list(",\"per_service\":[", n, |p| {
+                let s = ServiceWindowStats {
+                    alloc_cores: p.f64("{\"alloc_cores\":")?,
+                    util_pct: p.f64(",\"util_pct\":")?,
+                    cpu_used_s: p.f64(",\"cpu_used_s\":")?,
+                    throttled_s: p.f64(",\"throttled_s\":")?,
+                    usage_p90_cores: p.f64(",\"usage_p90_cores\":")?,
+                    usage_peak_cores: p.f64(",\"usage_peak_cores\":")?,
+                    mem_bytes: p.f64(",\"mem_bytes\":")?,
+                    visits: p.u64(",\"visits\":")?,
+                    mean_self_ms: p.f64(",\"mean_self_ms\":")?,
+                    mean_visit_ms: p.f64(",\"mean_visit_ms\":")?,
+                };
+                p.lit("}")?;
+                Some(s)
+            })?,
+        },
+    };
+    p.lit("}}")?;
+    (p.pos == line.len()).then_some(rec)
+}
+
+/// [`read_writer_layout`]'s cursor. Every read steps over a literal
+/// first (a key with its punctuation, or nothing) and answers `None`
+/// when the line does not go on with it.
+struct Layout<'a> {
+    src: &'a str,
+    pos: usize,
+}
+
+impl<'a> Layout<'a> {
+    fn lit(&mut self, lit: &str) -> Option<()> {
+        let rest = &self.src.as_bytes()[self.pos..];
+        rest.starts_with(lit.as_bytes())
+            .then(|| self.pos += lit.len())
+    }
+
+    /// The `Reader`'s number token at the cursor, possibly empty.
+    fn token(&mut self) -> &'a str {
+        let rest = &self.src.as_bytes()[self.pos..];
+        let n = rest
+            .iter()
+            .position(|c| !matches!(c, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+            .unwrap_or(rest.len());
+        self.pos += n;
+        &self.src[self.pos - n..self.pos]
+    }
+
+    fn u64(&mut self, key: &str) -> Option<u64> {
+        self.lit(key)?;
+        self.token().parse().ok()
+    }
+
+    fn f64(&mut self, key: &str) -> Option<f64> {
+        self.lit(key)?;
+        if self.src.as_bytes().get(self.pos) != Some(&b'"') {
+            return self.token().parse().ok();
+        }
+        [
+            ("\"inf\"", f64::INFINITY),
+            ("\"-inf\"", f64::NEG_INFINITY),
+            ("\"nan\"", f64::NAN),
+        ]
+        .into_iter()
+        .find_map(|(token, v)| self.lit(token).map(|()| v))
+    }
+
+    /// A string without escapes.
+    fn string(&mut self, key: &str) -> Option<&'a str> {
+        self.lit(key)?;
+        self.lit("\"")?;
+        let rest = &self.src.as_bytes()[self.pos..];
+        let n = rest.iter().position(|&c| c == b'"' || c == b'\\')?;
+        (rest[n] == b'"').then(|| {
+            self.pos += n + 1;
+            &self.src[self.pos - n - 1..self.pos - 1]
+        })
+    }
+
+    /// An array (`key` ends with its `[`) of what `item` reads, in a
+    /// vector with room for `n`.
+    fn list<T>(
+        &mut self,
+        key: &str,
+        n: usize,
+        mut item: impl FnMut(&mut Self) -> Option<T>,
+    ) -> Option<Vec<T>> {
+        self.lit(key)?;
+        let mut out = Vec::with_capacity(n);
+        if self.lit("]").is_none() {
+            out.push(item(self)?);
+            while self.lit(",").is_some() {
+                out.push(item(self)?);
+            }
+            self.lit("]")?;
+        }
+        Some(out)
+    }
+}
+
+/// The general record reader: keys in any order, whitespace, escapes,
+/// the reading modes, and every error message.
+fn read_record_fields(line: &str, n: usize, strict: bool) -> Result<TraceRecord, String> {
     let mut rec = TraceRecord {
         iter: 0,
         time_s: 0.0,
@@ -887,6 +1219,273 @@ mod tests {
                 let e = Trace::parse_jsonl(&text.replacen(from, to, 1), mode).unwrap_err();
                 assert_eq!(e.line, 2, "{to}: {e}");
                 assert!(e.message.contains(what), "{to}: {e}");
+            }
+        }
+    }
+
+    /// A tape of `records` intervals over `services` services whose
+    /// numbers print in many shapes (integers, fractions, large and
+    /// tiny magnitudes), with a saturated window every fifth record and
+    /// an `early-` action every seventh.
+    fn long_tape(records: usize, services: usize) -> Trace {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut f = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let r = state >> 11;
+            r as f64 / [1.0, 7.0, 1e9, 3e17][(r % 4) as usize]
+        };
+        let mut t = sample();
+        t.meta.services = (0..services).map(|i| format!("svc-{i}")).collect();
+        t.meta.initial_alloc = vec![1.0; services];
+        t.records.clear();
+        for i in 0..records {
+            let start = 10.0 * i as f64;
+            let mut alloc = Vec::new();
+            let mut per_service = Vec::new();
+            for _ in 0..services {
+                alloc.push(f());
+                per_service.push(ServiceWindowStats {
+                    alloc_cores: f(),
+                    util_pct: f(),
+                    cpu_used_s: f(),
+                    throttled_s: f(),
+                    usage_p90_cores: f(),
+                    usage_peak_cores: f(),
+                    mem_bytes: f(),
+                    visits: f() as u64,
+                    mean_self_ms: f(),
+                    mean_visit_ms: f(),
+                });
+            }
+            t.records.push(TraceRecord {
+                iter: i as u64,
+                time_s: start,
+                rps: f(),
+                action: if i % 7 == 3 {
+                    "early-reduce(1)"
+                } else {
+                    "hold"
+                }
+                .into(),
+                pema_id: i as u64 % 3,
+                alloc,
+                stats: WindowStats {
+                    start_s: start + 1.0,
+                    duration_s: f() % 9.0,
+                    offered_rps: f(),
+                    achieved_rps: f(),
+                    completed: f() as u64,
+                    arrivals: f() as u64,
+                    mean_ms: f(),
+                    p50_ms: f(),
+                    p95_ms: if i % 5 == 2 { f64::INFINITY } else { f() },
+                    p99_ms: f(),
+                    max_ms: f(),
+                    per_service,
+                },
+            });
+        }
+        t
+    }
+
+    fn decode_at(text: &str, mode: ReadMode, chunks: usize) -> Result<Trace, (usize, String)> {
+        Trace::decode(text, mode, chunks).map_err(|e| (e.line, e.message))
+    }
+
+    /// Every record line is damaged in turn, so each chunk count sees a
+    /// damaged line in its first chunk, on each of its boundaries and
+    /// in its last chunk; once with a second damaged line at the end,
+    /// which must not be the one reported.
+    #[test]
+    fn chunked_decode_reads_what_one_chunk_reads() {
+        let plain = long_tape(24, 2).to_jsonl();
+        // Blank lines before the header too.
+        let spaced: String = plain
+            .lines()
+            .enumerate()
+            .map(|(i, l)| match i % 9 {
+                0 | 2 => format!("\n{l}\n"),
+                5 => format!("  \t\n{l}\n"),
+                _ => format!("{l}\n"),
+            })
+            .collect();
+        let crlf = plain.replace('\n', "\r\n");
+        let mut boundaries = 0;
+        for text in [plain, spaced, crlf] {
+            let lines: Vec<&str> = text.split_inclusive('\n').collect();
+            let damage = |at: &[(usize, &str, &str)]| -> String {
+                let mut out = String::new();
+                for (i, l) in lines.iter().enumerate() {
+                    match at.iter().find(|d| d.0 == i) {
+                        Some(&(_, from, to)) => out.push_str(&l.replacen(from, to, 1)),
+                        None => out.push_str(l),
+                    }
+                }
+                out
+            };
+            // A syntax error, caught on its line; a short `alloc`,
+            // caught by validation after the merge.
+            let (syntax, short) = (("\"rps\":", "\"rps\":x"), ("],\"stats\"", ",1],\"stats\""));
+            let last = lines.len() - 1;
+            let mut cases = vec![(text.clone(), None)];
+            for i in (0..lines.len()).filter(|&i| lines[i].contains("\"iter\":")) {
+                for (from, to) in [syntax, short] {
+                    cases.push((damage(&[(i, from, to)]), Some(i + 1)));
+                    if i < last {
+                        cases.push((damage(&[(i, from, to), (last, from, to)]), Some(i + 1)));
+                    }
+                }
+                // Validation runs only once every line has been read.
+                if i < last {
+                    let (s, l) = (syntax, short);
+                    cases.push((damage(&[(i, l.0, l.1), (last, s.0, s.1)]), Some(last + 1)));
+                }
+            }
+            for (case, line) in &cases {
+                for mode in [ReadMode::Strict, ReadMode::Lenient] {
+                    let one = decode_at(case, mode, 1);
+                    assert_eq!(one.as_ref().err().map(|e| e.0), *line, "{one:?}");
+                    for k in [2, 3, 7] {
+                        assert_eq!(decode_at(case, mode, k), one, "{k} chunks");
+                    }
+                }
+                let starts: Vec<usize> = split_lines(case, 7)
+                    .iter()
+                    .map(|p| {
+                        case[..p.as_ptr().addr() - case.as_ptr().addr()]
+                            .matches('\n')
+                            .count()
+                            + 1
+                    })
+                    .collect();
+                boundaries += line.is_some_and(|l| starts[1..].contains(&l)) as usize;
+            }
+        }
+        assert!(boundaries > 0, "no damaged line opened a chunk");
+    }
+
+    #[test]
+    fn chunked_encode_writes_the_bytes_one_chunk_writes() {
+        for records in [0, 1, 2, 1500] {
+            let t = long_tape(records, 2);
+            let one = t.encode(|_| 1);
+            if records == 1500 {
+                assert!(one.len() > 8 * BLOCK_BYTES, "a tape of {} bytes", one.len());
+            }
+            for k in [2, 3, 7] {
+                assert!(t.encode(|_| k) == one, "{records} records on {k} chunks");
+            }
+        }
+    }
+
+    /// Big enough to be coded on every CPU a 2-core host has.
+    #[test]
+    fn a_tape_of_several_chunks_round_trips_through_the_public_entry_points() {
+        let t = long_tape(300, 41);
+        let text = t.to_jsonl();
+        assert!(
+            text.len() >= 2 * MIN_CHUNK,
+            "a tape of {} bytes",
+            text.len()
+        );
+        assert!(Trace::parse_jsonl(&text, ReadMode::Strict).unwrap() == t);
+        let mut lines = String::new();
+        for (i, r) in t.records.iter().enumerate() {
+            let one = Trace {
+                meta: t.meta.clone(),
+                records: vec![r.clone()],
+            }
+            .to_jsonl();
+            let (header, line) = one.split_once('\n').unwrap();
+            if i == 0 {
+                lines.push_str(header);
+                lines.push('\n');
+            }
+            lines.push_str(line);
+        }
+        assert!(text == lines, "a tape is its header and its records' lines");
+    }
+
+    #[test]
+    fn writer_lines_take_the_layout_path() {
+        let mut t = long_tape(30, 3);
+        t.records[4].stats.per_service[1].throttled_s = f64::NAN;
+        t.records[6].stats.mean_ms = f64::NEG_INFINITY;
+        let text = t.to_jsonl();
+        for token in [
+            "\"p95_ms\":\"inf\"",
+            "\"action\":\"early-",
+            "\"nan\"",
+            "\"-inf\"",
+        ] {
+            assert!(text.contains(token), "{token}");
+        }
+        for line in text.lines().skip(1) {
+            let fast = read_writer_layout(line, 3).unwrap_or_else(|| panic!("fell back: {line}"));
+            for strict in [true, false] {
+                let general = read_record_fields(line, 3, strict).unwrap();
+                // Debug, not `==`: one field is NaN.
+                assert_eq!(format!("{fast:?}"), format!("{general:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn departures_from_the_layout_fall_back_and_read_as_before() {
+        let text = sample().to_jsonl();
+        let line = text.lines().nth(1).unwrap();
+        let want = Ok(sample().records.remove(0));
+        let int = "expected a non-negative integer, found number";
+        for (what, departed, strict, lenient) in [
+            (
+                "a space after a colon",
+                line.replacen("\"rps\":", "\"rps\": ", 1),
+                want.clone(),
+                want.clone(),
+            ),
+            (
+                "two keys swapped",
+                line.replacen("\"time_s\":0,\"rps\":120", "\"rps\":120,\"time_s\":0", 1),
+                want.clone(),
+                want.clone(),
+            ),
+            (
+                "an escaped action",
+                line.replacen("\"reduce(2)\"", "\"\\u0072educe(2)\"", 1),
+                want.clone(),
+                want.clone(),
+            ),
+            (
+                "trailing spaces",
+                format!("{line}  "),
+                want.clone(),
+                want.clone(),
+            ),
+            (
+                "1.0 in iter",
+                line.replacen("\"iter\":0", "\"iter\":1.0", 1),
+                Err(int),
+                Err(int),
+            ),
+            (
+                "a misspelt key",
+                line.replacen("\"pema_id\"", "\"pema_ld\"", 1),
+                Err("unknown key \"pema_ld\" (strict mode)"),
+                Err("missing required key \"pema_id\""),
+            ),
+        ] {
+            assert_ne!(departed, line, "{what}");
+            assert!(read_writer_layout(&departed, 2).is_none(), "{what}");
+            for (strict, want) in [(true, strict), (false, lenient)] {
+                let got = parse_record(&departed, 2, strict);
+                assert_eq!(got, read_record_fields(&departed, 2, strict), "{what}");
+                assert_eq!(
+                    got.map_err(|e| e.to_string()),
+                    want.map_err(str::to_string),
+                    "{what}"
+                );
             }
         }
     }
