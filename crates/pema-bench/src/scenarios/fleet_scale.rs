@@ -35,9 +35,10 @@ pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let timing = ctx.harness_cfg(0);
 
     // Per-app interval rows, indexed by member — the observers append
-    // as the scheduler (possibly across shard threads) interleaves, but
-    // each member writes only its own bucket, so the concatenation
-    // below is scheduling- and thread-count-invariant.
+    // in commit order (each shard serves a member until it waits, and
+    // shards run on their own threads), but each member writes only
+    // its own bucket, so the concatenation below is scheduling- and
+    // thread-count-invariant.
     let interval_rows: Arc<Mutex<Vec<Vec<String>>>> =
         Arc::new(Mutex::new(vec![Vec::new(); n_apps]));
 

@@ -251,8 +251,9 @@ struct StagedInterval {
 #[derive(Debug, Clone, Copy)]
 pub enum LoopPoll {
     /// The interval's window is still measuring; poll again when the
-    /// backend's virtual clock reaches `resume_at_s` (a fleet services
-    /// whichever loop is furthest behind in virtual time first).
+    /// backend's virtual clock reaches `resume_at_s`. The loop waits: a
+    /// fleet shard serves it until it answers this, then serves
+    /// whichever waiting loop is furthest behind in virtual time.
     Pending {
         /// Backend virtual time to re-poll at, seconds.
         resume_at_s: f64,
@@ -574,7 +575,7 @@ pub(crate) enum Load {
 /// A run: the loop, the load it is offered and how many intervals it
 /// lasts. [`Experiment::run`](crate::ExperimentBuilder::run) drives one
 /// to completion on the calling thread; a [`Fleet`](crate::Fleet)
-/// polls many, interleaved.
+/// polls many, each until it waits.
 pub(crate) struct Run<P: Policy, B: ClusterBackend> {
     pub(crate) control: ControlLoop<P, B>,
     load: Load,

@@ -15,25 +15,34 @@
 //!
 //! The offline vendor set has no async runtime, and none is needed:
 //! every shipped backend runs on *virtual* time, so "concurrency" means
-//! interleaving loops along the reconstructed shared clock, not real
-//! I/O parallelism. Instead of futures + waker plumbing, each member is
-//! a plain state machine: the same `Run` (loop, load, interval budget)
+//! ordering loops along the reconstructed shared clock, not real I/O
+//! parallelism. Instead of futures + waker plumbing, each member is a
+//! plain state machine: the same `Run` (loop, load, interval budget)
 //! that [`Experiment::run`](crate::ExperimentBuilder::run) drives to
 //! completion in one call, here polled one step at a time. A poll
-//! reports when the member next wants service (`ready-at`, in its
-//! backend's virtual seconds), and [`Fleet::run`] partitions members
-//! **by member id** (`id % threads`) into shards, each shard a
-//! `pollster`-style block-on: a min-heap over `(ready_at, tie_rank)`
-//! that services whichever of its loops is furthest behind in virtual
-//! time until every loop completes. One core caps a single cooperative
+//! either logs an interval or reports when the member next wants
+//! service (`ready-at`, in its backend's virtual seconds), and
+//! [`Fleet::run`] partitions members **by member id** (`id % threads`)
+//! into shards, each shard a `pollster`-style block-on: a min-heap over
+//! `(ready_at, tie_rank)` of the members that wait. The shard pops
+//! whichever waiting member is furthest behind in virtual time and
+//! serves it **until it waits again**: a member whose interval logged
+//! is polled again at once, while its state is still in cache, and
+//! leaves only when a window answers `Pending` (back into the heap at
+//! its resume time), when it proposes under arbitration (parked for the
+//! barrier), or when its last interval logs (retired, its backend,
+//! policy and RHDb freed). Fluid, trace and DES members without early
+//! checks never wait, so within a shard they complete one after
+//! another, in rank order — which is what `/metrics` and the event log
+//! of a simulated fleet show. One core caps a single cooperative
 //! scheduler at a few hundred thousand app-intervals/sec; with
 //! [`threads`](Fleet::threads) the shards run on `std::thread::scope`
 //! workers and the ceiling scales with cores.
 //!
 //! ## Pacing is the backend's
 //!
-//! The executor never sleeps: it services whichever loop is furthest
-//! behind and lets virtual time run as fast as the backends measure.
+//! The executor never sleeps: it serves a member until it waits and
+//! lets virtual time run as fast as the backends measure.
 //! A live backend (`pema-live`) does its own waiting inside
 //! [`poll_window`](ClusterBackend::poll_window), a bounded sleep toward
 //! its window boundary per call, so a fleet of live loops needs no
@@ -333,9 +342,12 @@ impl Fleet {
         self
     }
 
-    /// Additionally streams one JSONL event per committed interval
-    /// (fleet-wide, any-member order under threading) to `sink`. Only
-    /// meaningful together with [`telemetry`](Self::telemetry).
+    /// Additionally streams one JSONL event per committed interval to
+    /// `sink`. Only meaningful together with
+    /// [`telemetry`](Self::telemetry). A shard writes a member's
+    /// intervals in one run until the member waits, so a simulated
+    /// member's lines are contiguous per shard; across shards the
+    /// lines interleave in any order.
     pub fn events(mut self, sink: EventSink) -> Self {
         self.events = Some(sink);
         self
@@ -401,12 +413,14 @@ impl Fleet {
         self
     }
 
-    /// Overrides the tie-break priority used when several members of
-    /// the same shard are ready at the same virtual instant: `order[i]`
-    /// is member `i`'s rank, lower ranks first (default: insertion
-    /// order). Per-member results are scheduling-invariant — this knob
-    /// exists so the property tests can *prove* it, and so experiments
-    /// can study scheduling artifacts if any ever appear.
+    /// Overrides the tie-break priority used when several waiting
+    /// members of the same shard are ready at the same virtual instant:
+    /// `order[i]` is member `i`'s rank, lower ranks first (default:
+    /// insertion order). Members that never wait start in this order
+    /// and each runs to completion before the next. Per-member results
+    /// are scheduling-invariant — this knob exists so the property
+    /// tests can *prove* it, and so experiments can study scheduling
+    /// artifacts if any ever appear.
     pub fn tie_break(mut self, order: Vec<usize>) -> Self {
         self.tie_break = Some(order);
         self
@@ -433,10 +447,11 @@ impl Fleet {
         self.members.is_empty()
     }
 
-    /// Drives every member to completion, interleaved along the shared
-    /// virtual clock (reconstructed from each member's `now_s`): within
-    /// each shard the member furthest behind in virtual time is
-    /// serviced first, ties broken by rank. With
+    /// Drives every member to completion. Members wait along the
+    /// shared virtual clock (reconstructed from each member's `now_s`):
+    /// within each shard the waiting member furthest behind in virtual
+    /// time is served first, ties broken by rank, and a member is
+    /// served until it waits again, proposes, or finishes. With
     /// [`threads`](Self::threads) > 1 the shards run concurrently on
     /// `std::thread::scope` workers; results are merged back in
     /// insertion order, so the output is identical for any thread
@@ -740,15 +755,19 @@ impl Shard {
             .expect("retired members leave the heap")
     }
 
+    /// Panics unless `t`, a time member `local` reported, is finite.
+    fn check_time(&mut self, local: usize, t: f64) {
+        assert!(
+            t.is_finite(),
+            "member {} reports non-finite time",
+            self.member(local).idx
+        );
+    }
+
     /// Queues member `local` for service at `ready_at`.
     fn requeue(&mut self, local: usize, ready_at: f64) {
-        let m = self.member(local);
-        assert!(
-            ready_at.is_finite(),
-            "member {} reports non-finite time",
-            m.idx
-        );
-        let rank = m.rank;
+        self.check_time(local, ready_at);
+        let rank = self.member(local).rank;
         self.heap.push(Slot {
             ready_at,
             rank,
@@ -756,13 +775,14 @@ impl Shard {
         });
     }
 
-    /// Member `local` is between intervals: retires it if its run is
-    /// complete, else queues it at its own clock.
-    fn settle(&mut self, local: usize) {
+    /// Member `local` is between intervals. Returns its clock if it
+    /// has intervals left; else retires it, freeing its backend,
+    /// policy and RHDb and keeping only its log, and returns `None`.
+    fn settle(&mut self, local: usize) -> Option<f64> {
         let run = &self.member(local).run;
         let now_s = run.control.backend.now_s();
         if !run.done() {
-            return self.requeue(local, now_s);
+            return Some(now_s);
         }
         let m = self.members[local]
             .take()
@@ -775,11 +795,21 @@ impl Shard {
                 end_s: now_s,
             },
         ));
+        None
+    }
+
+    /// Settles member `local` and queues it at its own clock unless it
+    /// was retired.
+    fn settle_and_queue(&mut self, local: usize) {
+        if let Some(now_s) = self.settle(local) {
+            self.requeue(local, now_s);
+        }
     }
 }
 
 /// Drives one shard's members to completion over its own ready-at
-/// min-heap; under arbitration (`arb` set) the shard parks proposing
+/// min-heap, serving each popped member until it waits; under
+/// arbitration (`arb` set) the shard parks proposing
 /// members and rendezvouses with the other shards every round, until a
 /// round in which no shard proposes. Returns each member's run keyed by
 /// its fleet-wide insertion index, plus the shard's poll count.
@@ -795,7 +825,7 @@ fn run_shard(
         out: Vec::with_capacity(n),
     };
     for local in 0..n {
-        shard.settle(local);
+        shard.settle_and_queue(local);
     }
 
     let mut polls = 0u64;
@@ -803,21 +833,39 @@ fn run_shard(
     let mut parked: Vec<usize> = Vec::new();
     loop {
         while let Some(slot) = shard.heap.pop() {
-            if let Some(t) = &tel {
-                // The popped slot still counts as live in the heap.
-                t.heap_depth.set(shard.heap.len() as f64 + 1.0);
-                t.polls.inc();
-            }
             let local = slot.idx;
-            polls += 1;
-            match shard.member(local).run.poll() {
-                LoopPoll::Pending { resume_at_s } => shard.requeue(local, resume_at_s),
-                LoopPoll::Logged => shard.settle(local),
-                LoopPoll::Proposed => {
-                    assert!(arb.is_some(), "member proposed without arbitration");
-                    parked.push(local);
+            if let Some(t) = &tel {
+                t.heap_depth.set(shard.heap.len() as f64);
+            }
+            // Serve the member until it waits: members share nothing,
+            // so one whose interval logged is polled again at once,
+            // while its state is still in cache. It leaves on
+            // `Pending` (requeued at its resume time), on `Proposed`
+            // (parked for the barrier) or when its last interval logs.
+            loop {
+                if let Some(t) = &tel {
+                    t.polls.inc();
+                }
+                polls += 1;
+                match shard.member(local).run.poll() {
+                    LoopPoll::Pending { resume_at_s } => {
+                        shard.requeue(local, resume_at_s);
+                        break;
+                    }
+                    LoopPoll::Logged => match shard.settle(local) {
+                        Some(now_s) => shard.check_time(local, now_s),
+                        None => break,
+                    },
+                    LoopPoll::Proposed => {
+                        assert!(arb.is_some(), "member proposed without arbitration");
+                        parked.push(local);
+                        break;
+                    }
                 }
             }
+        }
+        if let Some(t) = &tel {
+            t.heap_depth.set(shard.heap.len() as f64);
         }
         // Heap drained: every member is parked or finished.
         let Some(shared) = arb else { break };
@@ -854,7 +902,7 @@ fn run_shard(
                 .run
                 .control
                 .commit_granted(ev.granted, ev);
-            shard.settle(local);
+            shard.settle_and_queue(local);
         }
         parked.clear();
     }

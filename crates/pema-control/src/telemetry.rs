@@ -190,7 +190,7 @@ impl ShardTelemetry {
             ),
             heap_depth: hub.gauge(
                 "pema_fleet_heap_depth",
-                "Live members in this shard's ready-at heap.",
+                "Members waiting in this shard's ready-at heap.",
                 labels,
             ),
         }

@@ -1,14 +1,17 @@
 //! Fleet behaviour: the headline guarantee — a [`Fleet`] of one is
 //! **bit-identical** to the plain [`Experiment::run`] path — plus the
 //! mixed-fleet semantics the scheduler promises (insertion-order
-//! results, virtual-span accounting, mid-window teardown).
+//! results, virtual-span accounting, mid-window teardown), including
+//! the schedule itself: a ready member is served until it waits.
 
 use pema_control::{
-    ClusterBackend, ControlLoop, Experiment, ExperimentBuilder, Fleet, HarnessConfig, HoldPolicy,
-    LoopPoll, MemberSpec, RulePolicy, RunResult, SimBackend, UseFluid, UseSim,
+    ClusterBackend, ControlLoop, Experiment, ExperimentBuilder, Fleet, FluidBackend, HarnessConfig,
+    HoldPolicy, IterationLog, LoopPoll, MemberSpec, RulePolicy, RunResult, SimBackend, UseFluid,
+    UseSim, WindowPoll, WindowRequest,
 };
 use pema_core::{PemaController, PemaParams};
-use pema_sim::{AppSpec, StepPattern};
+use pema_sim::{Allocation, AppSpec, StepPattern, WindowStats};
+use std::sync::{Arc, Mutex};
 
 /// Bit-faithful rendering of a run: f64 `Debug` is shortest-roundtrip,
 /// so two runs render identically iff every logged float is
@@ -295,4 +298,149 @@ fn empty_fleet_completes_trivially() {
     assert_eq!(fleet.polls, 0);
     assert_eq!(fleet.total_intervals(), 0);
     assert_eq!(fleet.span_s(), 0.0);
+}
+
+/// Records which member committed each interval, in commit order,
+/// with the interval's start time.
+type CommitLog = Arc<Mutex<Vec<(usize, f64)>>>;
+
+fn recorded(
+    spec: MemberSpec<RulePolicy, UseFluid>,
+    id: usize,
+    log: &CommitLog,
+) -> MemberSpec<RulePolicy, UseFluid> {
+    let log = Arc::clone(log);
+    spec.observer(move |l: &IterationLog, _: &WindowStats| log.lock().unwrap().push((id, l.time_s)))
+}
+
+#[test]
+fn a_ready_member_is_served_until_it_finishes() {
+    // Fluid windows are ready in one poll, so nothing makes a member
+    // wait: each shard serves its members one after another, in rank
+    // order, each through all of its intervals.
+    let app = pema_apps::toy_chain();
+    let iters = 5;
+    let ranks = vec![3, 1, 5, 0, 4, 2];
+    for threads in [1usize, 2] {
+        let log = CommitLog::default();
+        let mut fleet = Fleet::new().threads(threads).tie_break(ranks.clone());
+        for id in 0..ranks.len() {
+            let spec = MemberSpec::new()
+                .app(&app)
+                .policy(RulePolicy::new(&app))
+                .backend(UseFluid)
+                .config(HarnessConfig::with_seed(id as u64))
+                .rps(100.0 + 10.0 * id as f64)
+                .iters(iters);
+            fleet = fleet.member(recorded(spec, id, &log));
+        }
+        fleet.run();
+        let order: Vec<usize> = log.lock().unwrap().iter().map(|&(id, _)| id).collect();
+        for shard in 0..threads {
+            let mut members: Vec<usize> =
+                (0..ranks.len()).filter(|i| i % threads == shard).collect();
+            members.sort_by_key(|&i| ranks[i]);
+            let expected: Vec<usize> = members
+                .iter()
+                .flat_map(|&i| std::iter::repeat_n(i, iters))
+                .collect();
+            let served: Vec<usize> = order
+                .iter()
+                .copied()
+                .filter(|i| i % threads == shard)
+                .collect();
+            assert_eq!(served, expected, "shard {shard} of {threads}");
+        }
+    }
+}
+
+#[test]
+fn a_member_whose_window_is_pending_yields_in_virtual_time_order() {
+    // Early checks split a DES window into one poll per check period,
+    // each answering `Pending`: the member waits, so two members with
+    // the same timing take turns, interval by interval, in rank order.
+    let app = pema_apps::toy_chain();
+    let log = CommitLog::default();
+    let mut fleet = Fleet::new();
+    for id in 0..2 {
+        let log = Arc::clone(&log);
+        fleet = fleet.member(
+            MemberSpec::new()
+                .app(&app)
+                .policy(HoldPolicy::new(app.generous_alloc.clone(), app.slo_ms))
+                .config(HarnessConfig {
+                    interval_s: 8.0,
+                    warmup_s: 1.0,
+                    seed: 5 + id as u64,
+                })
+                .early_check(2.0)
+                .rps(120.0)
+                .iters(3)
+                .observer(move |l: &IterationLog, _: &WindowStats| {
+                    log.lock().unwrap().push((id, l.time_s))
+                }),
+        );
+    }
+    let fleet = fleet.run();
+    assert!(fleet.polls > 6, "early checks must split the windows");
+    let log = log.lock().unwrap();
+    let order: Vec<usize> = log.iter().map(|&(id, _)| id).collect();
+    assert_eq!(order, [0, 1, 0, 1, 0, 1]);
+    assert!(
+        log.windows(2).all(|w| w[0].1 <= w[1].1),
+        "commits out of virtual-time order: {log:?}"
+    );
+}
+
+/// A fluid backend whose clock turns NaN once its first window closes.
+struct NanAfterFirstWindow {
+    inner: FluidBackend,
+    windows: usize,
+}
+
+impl ClusterBackend for NanAfterFirstWindow {
+    fn apply(&mut self, alloc: &Allocation) {
+        self.inner.apply(alloc)
+    }
+
+    fn allocation(&self) -> Allocation {
+        self.inner.allocation()
+    }
+
+    fn now_s(&self) -> f64 {
+        if self.windows > 0 {
+            f64::NAN
+        } else {
+            self.inner.now_s()
+        }
+    }
+
+    fn poll_window(&mut self, req: &WindowRequest) -> WindowPoll {
+        let poll = self.inner.poll_window(req);
+        if matches!(poll, WindowPoll::Ready { .. }) {
+            self.windows += 1;
+        }
+        poll
+    }
+}
+
+#[test]
+#[should_panic(expected = "non-finite time")]
+fn a_member_whose_clock_turns_non_finite_mid_run_panics() {
+    // The first interval logs and the member has more to go, so the
+    // shard checks its clock before serving it again.
+    let app = pema_apps::toy_chain();
+    Fleet::new()
+        .member(
+            MemberSpec::new()
+                .app(&app)
+                .policy(RulePolicy::new(&app))
+                .backend(NanAfterFirstWindow {
+                    inner: FluidBackend::new(&app),
+                    windows: 0,
+                })
+                .rps(120.0)
+                .iters(3),
+        )
+        .run();
 }

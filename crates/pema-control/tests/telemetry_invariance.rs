@@ -10,12 +10,14 @@
 //!   `warmup_s + interval_s` and its decide/commit spans are exactly
 //!   zero, so the histogram sums are pinned to exact bit patterns;
 //! * the JSONL event stream is byte-identical across identical runs;
+//! * shard poll counters sum to the fleet's poll count, and every
+//!   shard's heap-depth gauge reads 0 once its heap has drained;
 //! * every scrape rendered along the way passes the exposition-format
 //!   lint.
 
 use pema_control::{
-    Experiment, Fleet, HarnessConfig, HoldPolicy, MemberSpec, RulePolicy, RunResult, UseFluid,
-    WeightedFairShare,
+    resolve_threads, Experiment, Fleet, HarnessConfig, HoldPolicy, MemberSpec, RulePolicy,
+    RunResult, UseFluid, WeightedFairShare,
 };
 use pema_core::{PemaController, PemaParams};
 use pema_sim::AppSpec;
@@ -58,6 +60,17 @@ fn cfg(seed: u64) -> HarnessConfig {
 /// registration, so an empty one here reads the existing series).
 fn counter_value(hub: &Telemetry, name: &str, labels: &[(&str, &str)]) -> f64 {
     hub.counter(name, "", labels).value()
+}
+
+/// Asserts every shard's ready-at heap gauge reads 0 once the fleet
+/// has run: a drained shard has no member waiting.
+fn assert_heaps_drained(hub: &Telemetry, shards: usize, what: &str) {
+    for s in 0..shards {
+        let depth = hub
+            .gauge("pema_fleet_heap_depth", "", &[("shard", &s.to_string())])
+            .value();
+        assert_eq!(depth, 0.0, "shard {s} heap depth after the run ({what})");
+    }
 }
 
 #[test]
@@ -180,6 +193,11 @@ fn fleet_output_is_bit_identical_with_telemetry_at_any_thread_count() {
             polled as u64, observed.polls as u64,
             "shard poll counters must sum to the scheduler's poll count (threads={threads})"
         );
+        assert_heaps_drained(
+            &hub,
+            resolve_threads(threads).min(3),
+            &format!("threads={threads}"),
+        );
         let report = lint(&hub.render(), None);
         assert!(report.is_clean(), "scrape lint: {:?}", report.violations);
     }
@@ -215,6 +233,7 @@ fn arbitrated_fleet_is_bit_identical_with_telemetry() {
             rounds > 0.0,
             "arbitration rounds must be counted (threads={threads})"
         );
+        assert_heaps_drained(&hub, threads, &format!("arbitrated, threads={threads}"));
     }
 }
 

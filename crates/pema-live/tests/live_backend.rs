@@ -4,10 +4,13 @@
 //! Covers the happy path, actuation (PATCH recording, bearer auth),
 //! every injected fault kind (drop, delay, 500, garbage body), retry
 //! exhaustion degrading to typed errors instead of panics, §6 early
-//! aborts, wall-clock pacing, and the tentpole record→replay loop:
+//! aborts, wall-clock pacing (live fleet members still take turns),
+//! and the tentpole record→replay loop:
 //! a dry-run tape replays through `TraceBackend` with zero divergence.
 
-use pema_control::{ClusterBackend, ControlLoop, Fleet, HarnessConfig, HoldPolicy, MemberSpec};
+use pema_control::{
+    ClusterBackend, ControlLoop, Fleet, HarnessConfig, HoldPolicy, IterationLog, MemberSpec,
+};
 use pema_core::{PemaController, PemaParams};
 use pema_live::http::{Reply, Server};
 use pema_live::{
@@ -15,8 +18,9 @@ use pema_live::{
     KubeClient, KubeConfigLite, KubeError, LiveBackend, LiveConfig, LiveError, PromClient,
     PromError, WallClock,
 };
-use pema_sim::{Allocation, AppSpec, Evaluator as _, FluidEvaluator, MIN_ALLOC};
+use pema_sim::{Allocation, AppSpec, Evaluator as _, FluidEvaluator, WindowStats, MIN_ALLOC};
 use pema_trace::{replay, TraceRecorder};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn app() -> AppSpec {
@@ -432,6 +436,64 @@ fn unpaced_fleet_drives_a_live_member_in_real_time() {
         result.polls < 60,
         "{} polls for three short windows — the shard is spinning, not sleeping",
         result.polls
+    );
+}
+
+#[test]
+fn wall_clock_fleet_members_still_take_turns() {
+    // A WallClock window answers `Pending` while real time runs, so a
+    // live member waits and the shard serves the other: the second
+    // member's first interval commits before the first member's last.
+    let app = app();
+    let clusters = [FakeCluster::start(&app, RPS), FakeCluster::start(&app, RPS)];
+    let commits = Arc::new(Mutex::new(Vec::new()));
+    let cfg = HarnessConfig {
+        interval_s: 0.1,
+        warmup_s: 0.05,
+        seed: 3,
+    };
+    let mut fleet = Fleet::new();
+    for (id, cluster) in clusters.iter().enumerate() {
+        let http = HttpClient::default();
+        let backend = LiveBackend::new(
+            &app,
+            PromClient {
+                endpoint: cluster.endpoint(),
+                http: http.clone(),
+            },
+            KubeClient {
+                config: KubeConfigLite {
+                    server: cluster.endpoint(),
+                    token: None,
+                    namespace: "pema".into(),
+                },
+                http,
+            },
+            Box::new(WallClock::new()),
+            LiveConfig::default(),
+        );
+        let commits = Arc::clone(&commits);
+        fleet = fleet.member(
+            MemberSpec::new()
+                .app(&app)
+                .config(cfg)
+                .rps(RPS)
+                .iters(3)
+                .backend(backend)
+                .policy(HoldPolicy::new(app.generous_alloc.clone(), app.slo_ms))
+                .observer(move |_: &IterationLog, _: &WindowStats| {
+                    commits.lock().unwrap().push(id)
+                }),
+        );
+    }
+    let result = fleet.run();
+    assert_eq!(result.total_intervals(), 6);
+    let commits = commits.lock().unwrap();
+    let first_of_second = commits.iter().position(|&id| id == 1).unwrap();
+    let last_of_first = commits.iter().rposition(|&id| id == 0).unwrap();
+    assert!(
+        first_of_second < last_of_first,
+        "live members did not interleave: {commits:?}"
     );
 }
 
