@@ -131,11 +131,6 @@ pub fn toy_chain() -> AppSpec {
     b.build()
 }
 
-/// All three paper applications, in the order they appear in the paper.
-pub fn all_apps() -> Vec<AppSpec> {
-    vec![trainticket(), sockshop(), hotelreservation()]
-}
-
 /// The `(app, nominal rps)` mix every fleet surface cycles through —
 /// the `fleet_scale` scenario, `pema-cli fleet --app mixed`, and the
 /// repo benchmark's fleet workloads all share this one list so a
@@ -221,7 +216,7 @@ mod tests {
 
     #[test]
     fn by_name_roundtrip() {
-        for app in all_apps() {
+        for app in [trainticket(), sockshop(), hotelreservation()] {
             let again = by_name(&app.name).unwrap();
             assert_eq!(again.n_services(), app.n_services());
         }
@@ -236,7 +231,7 @@ mod tests {
 
     #[test]
     fn all_apps_validate() {
-        for app in all_apps() {
+        for app in [trainticket(), sockshop(), hotelreservation()] {
             app.validate().unwrap();
         }
     }

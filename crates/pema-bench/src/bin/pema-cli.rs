@@ -1005,9 +1005,23 @@ fn cmd_trace(args: &Args) {
         .map(|(i, a)| (i, a.exclusive_s / a.visits as f64 * 1e3))
         .collect();
     rows.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+    // A root span opens when its request arrives, so an entry service's
+    // exclusive time also holds the wait for one of its worker threads.
+    // Those threads stay held while downstream calls run, so a starved
+    // callee shows up there as back-pressure: entry services are
+    // listed after the ranking, not in it.
+    let entry: Vec<usize> = tail.iter().map(|t| t.spans[0].service as usize).collect();
+    let (entries, callees): (Vec<_>, Vec<_>) =
+        rows.into_iter().partition(|(i, _)| entry.contains(i));
     println!("mean exclusive time in the slowest 5% of requests:");
-    for (i, ms) in rows.iter().take(8) {
+    for (i, ms) in callees.iter().take(8) {
         println!("  {:>18}  {ms:.2} ms", names[*i]);
+    }
+    for (i, ms) in entries {
+        println!(
+            "  {:>18}  {ms:.2} ms (entry: with its wait for a worker thread)",
+            names[i]
+        );
     }
 }
 

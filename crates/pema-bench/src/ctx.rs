@@ -4,11 +4,10 @@
 //! pieces of the evaluation protocol every figure shares — a closed
 //! loop on the selected backend ([`closed_loop`]), a one-shot window
 //! measurement ([`measure`]) and the seed-replicated run fold
-//! ([`replicate`]).
+//! (`replicate`).
 //!
 //! [`closed_loop`]: ExperimentCtx::closed_loop
 //! [`measure`]: ExperimentCtx::measure
-//! [`replicate`]: ExperimentCtx::replicate
 //!
 //! Scenarios never print or touch the filesystem directly; routing all
 //! side effects through the context is what makes the parallel
@@ -223,7 +222,7 @@ impl ExperimentCtx {
     /// Folds `reps` seed-replicated runs (shrunk in smoke mode) into
     /// their [`Replicates`]; `run(rep)` is replicate `rep`'s completed
     /// run and `settle` the tail length its settled total averages.
-    pub fn replicate(
+    pub(crate) fn replicate(
         &self,
         reps: usize,
         settle: usize,
@@ -283,7 +282,7 @@ impl ExperimentCtx {
 /// The fold of a scenario's seed-replicated runs — the paper's "we
 /// run PEMA several times … and show the average" (§5), said once.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct Replicates {
+pub(crate) struct Replicates {
     /// Runs folded in.
     pub runs: usize,
     /// Sum of the runs' settled totals, cores.

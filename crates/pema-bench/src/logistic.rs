@@ -100,7 +100,7 @@ impl Logistic {
     }
 
     /// Probability of the positive class for one raw feature row.
-    pub fn predict_proba(&self, row: &[f64]) -> f64 {
+    fn predict_proba(&self, row: &[f64]) -> f64 {
         assert_eq!(row.len(), self.weights.len());
         let z = self.bias
             + row

@@ -64,7 +64,7 @@ pub struct KneePoint {
 impl KneePoint {
     /// Whether the point participates in fitting: both models finite
     /// and the fluid side below saturation.
-    pub fn fittable(&self) -> bool {
+    fn fittable(&self) -> bool {
         self.rho < 0.995
             && self.fluid_mean_ms.is_finite()
             && self.fluid_mean_ms > 0.0

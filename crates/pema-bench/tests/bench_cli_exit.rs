@@ -275,6 +275,31 @@ fn classify_prints_the_feature_study() {
     );
 }
 
+/// `trace` ranks the services a caller waited on by their mean
+/// exclusive time in the slowest 5% of requests, and lists the entry
+/// service after the ranking: its figure also holds the wait for a
+/// worker thread. With `carts` starved past the SLO, the README's
+/// command names `carts` first and `front-end` last.
+#[test]
+fn trace_names_the_starved_service_first() {
+    let line = "trace --app sockshop --rps 550 --starve carts=0.2";
+    let readme = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../README.md");
+    let readme = std::fs::read_to_string(readme).expect("README.md reads");
+    assert!(
+        readme.contains(&format!("pema-cli {line}\n")),
+        "README shows `{line}`"
+    );
+    let out = ok(line);
+    let listed: Vec<&str> = out
+        .lines()
+        .skip_while(|l| !l.starts_with("mean exclusive time"))
+        .skip(1)
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(listed.first(), Some(&"carts"), "{out}");
+    assert_eq!(listed.last(), Some(&"front-end"), "{out}");
+}
+
 #[test]
 fn a_seed_above_2_pow_53_is_accepted() {
     ok("fleet --count 2 --iters 1 --backend fluid --seed 9007199254740993");

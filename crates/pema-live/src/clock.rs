@@ -104,7 +104,7 @@ impl FakeClock {
     }
 
     /// Advances the clock to `target_s` (never backwards).
-    pub fn advance_to(&self, target_s: f64) {
+    fn advance_to(&self, target_s: f64) {
         let mut now = self.now.lock().unwrap();
         if target_s > *now {
             *now = target_s;

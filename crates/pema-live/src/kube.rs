@@ -66,7 +66,7 @@ pub struct KubeClient {
 
 impl KubeClient {
     /// The PATCH path for `deployment` in the configured namespace.
-    pub fn patch_path(&self, deployment: &str) -> String {
+    fn patch_path(&self, deployment: &str) -> String {
         format!(
             "/apis/apps/v1/namespaces/{}/deployments/{deployment}",
             self.config.namespace
@@ -74,7 +74,7 @@ impl KubeClient {
     }
 
     /// The strategic-merge-patch body setting `container`'s CPU limit.
-    pub fn cpu_limit_body(container: &str, cores: f64) -> String {
+    fn cpu_limit_body(container: &str, cores: f64) -> String {
         format!(
             concat!(
                 r#"{{"spec":{{"template":{{"spec":{{"containers":"#,

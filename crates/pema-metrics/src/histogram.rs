@@ -88,14 +88,6 @@ impl LatencyHistogram {
         Some(octave * SUBBUCKETS + sub.min(SUBBUCKETS - 1))
     }
 
-    /// Lower edge (seconds) of bucket `idx`.
-    fn bucket_low(idx: usize) -> f64 {
-        let octave = idx / SUBBUCKETS;
-        let sub = idx % SUBBUCKETS;
-        let base = (1u64 << octave) as f64;
-        UNIT * base * (1.0 + sub as f64 / SUBBUCKETS as f64)
-    }
-
     /// Representative value (geometric-ish midpoint) of bucket `idx`.
     fn bucket_mid(idx: usize) -> f64 {
         let octave = idx / SUBBUCKETS;
@@ -186,20 +178,6 @@ impl LatencyHistogram {
         self.min = f64::INFINITY;
         self.max = f64::NEG_INFINITY;
         self.underflow = 0;
-    }
-
-    /// Fraction of samples strictly greater than `threshold_s`.
-    pub fn fraction_above(&self, threshold_s: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let mut above = 0u64;
-        for (idx, &c) in self.counts.iter().enumerate() {
-            if Self::bucket_low(idx) > threshold_s {
-                above += c;
-            }
-        }
-        above as f64 / self.total as f64
     }
 }
 
@@ -317,17 +295,6 @@ mod tests {
         h.reset();
         assert_eq!(h.count(), 0);
         assert!(h.quantile(0.5).is_none());
-    }
-
-    #[test]
-    fn fraction_above_threshold() {
-        let mut h = LatencyHistogram::new();
-        for i in 1..=100 {
-            h.record(i as f64 * 1e-3); // 1ms..100ms
-        }
-        let f = h.fraction_above(0.050);
-        assert!((f - 0.5).abs() < 0.06, "fraction={f}");
-        assert_eq!(h.fraction_above(1.0), 0.0);
     }
 
     /// The reference bucketing the exponent-extraction fast path must

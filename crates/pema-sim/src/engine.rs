@@ -1210,12 +1210,6 @@ impl ClusterSim {
         self.events_dispatched + self.events_superseded
     }
 
-    /// Events dispatched (state-machine transitions actually run),
-    /// excluding in-place superseded deadlines.
-    pub fn events_dispatched(&self) -> u64 {
-        self.events_dispatched
-    }
-
     /// Number of live (in-flight) visits — exposed for tests.
     #[doc(hidden)]
     pub fn live_visits(&self) -> usize {

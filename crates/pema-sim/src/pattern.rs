@@ -81,18 +81,6 @@ pub struct DiurnalPattern {
     pub phase_s: f64,
 }
 
-impl DiurnalPattern {
-    /// A 24-hour cycle between the given bounds.
-    pub fn daily(min_rps: f64, max_rps: f64) -> Self {
-        Self {
-            min_rps,
-            max_rps,
-            period_s: 86_400.0,
-            phase_s: 0.0,
-        }
-    }
-}
-
 impl Workload for DiurnalPattern {
     fn rps_at(&self, t_s: f64) -> f64 {
         let w = 2.0 * std::f64::consts::PI * (t_s + self.phase_s) / self.period_s;
@@ -146,6 +134,16 @@ impl Workload for TracePattern {
 pub(crate) mod tests {
     use super::*;
 
+    /// A 24-hour cycle between the given bounds.
+    fn daily(min_rps: f64, max_rps: f64) -> DiurnalPattern {
+        DiurnalPattern {
+            min_rps,
+            max_rps,
+            period_s: 86_400.0,
+            phase_s: 0.0,
+        }
+    }
+
     /// Smallest and largest rate of `w` over `[0, horizon_s]`, probed
     /// at 1 s resolution.
     pub(crate) fn range_over(w: &dyn Workload, horizon_s: f64) -> (f64, f64) {
@@ -193,7 +191,7 @@ pub(crate) mod tests {
 
     #[test]
     fn diurnal_respects_bounds() {
-        let w = DiurnalPattern::daily(200.0, 1100.0);
+        let w = daily(200.0, 1100.0);
         let (lo, hi) = range_over(&w, 86_400.0);
         assert!(lo >= 200.0 - 1e-9, "lo={lo}");
         assert!(hi <= 1100.0 + 1e-9, "hi={hi}");
@@ -202,7 +200,7 @@ pub(crate) mod tests {
 
     #[test]
     fn diurnal_trough_at_zero_phase() {
-        let w = DiurnalPattern::daily(100.0, 200.0);
+        let w = daily(100.0, 200.0);
         assert!(w.rps_at(0.0) < 115.0);
         assert!(w.rps_at(43_200.0) > 180.0);
     }

@@ -230,13 +230,6 @@ impl<T: Copy> CalendarQueue<T> {
         (SimTime(t), payload)
     }
 
-    /// Removes and returns the earliest event with `t <= t_end`
-    /// (ties by `seq`), or `None` when every queued event is later.
-    pub fn pop_before(&mut self, t_end: SimTime) -> Option<(SimTime, T)> {
-        self.peek_min(t_end)?;
-        Some(self.pop_cached())
-    }
-
     /// Moves overflow events whose virtual bucket entered the ring
     /// window onto the ring. The overflow heap is empty in steady
     /// state (only far-future events land there), so the common path
@@ -298,6 +291,16 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    impl<T: Copy> CalendarQueue<T> {
+        /// Removes and returns the earliest event with `t <= t_end`
+        /// (ties by `seq`), or `None` when every queued event is later:
+        /// the engine's `peek_min` then `pop_cached`.
+        fn pop_before(&mut self, t_end: SimTime) -> Option<(SimTime, T)> {
+            self.peek_min(t_end)?;
+            Some(self.pop_cached())
+        }
+    }
 
     #[test]
     fn empty_queue_pops_nothing() {

@@ -4,7 +4,7 @@
 //! non-stalled running job on a node progresses at the node's processor-
 //! sharing rate, and each service's CFS quota drains at (rate × running
 //! jobs). [`ServiceRt::advance`] integrates this exactly from the last
-//! update to "now"; [`ServiceRt::next_deadline`] computes the earliest
+//! update to "now"; `ServiceRt::next_deadline` computes the earliest
 //! future state change (job completion, quota exhaustion, or CFS period
 //! boundary). The engine owns scheduling.
 
@@ -93,7 +93,7 @@ pub struct VisitSlot {
 /// `remaining` and `exec_self` live here (not in the arena slot) while
 /// the visit executes: the per-event integration in
 /// [`ServiceRt::advance`] and the min-scan in
-/// [`ServiceRt::next_deadline`] then walk a small contiguous array
+/// `ServiceRt::next_deadline` then walk a small contiguous array
 /// instead of chasing scattered arena slots — the single largest cache
 /// win in the engine's hot path. The authoritative values are written
 /// back to the [`Visit`] when the job leaves the running list.
@@ -109,7 +109,7 @@ pub struct RunningJob {
 
 /// What a service timer deadline means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeadlineKind {
+pub(crate) enum DeadlineKind {
     /// The CFS period boundary (quota replenish / unstall).
     Period,
     /// Quota will be exhausted (stall).
@@ -419,7 +419,7 @@ impl ServiceRt {
     /// Earliest future state change, given current rates, or `None`
     /// when idle. Returned times are strictly after `now`.
     #[inline]
-    pub fn next_deadline(&self, now: SimTime) -> Option<(SimTime, DeadlineKind)> {
+    pub(crate) fn next_deadline(&self, now: SimTime) -> Option<(SimTime, DeadlineKind)> {
         if self.stalled {
             return Some((
                 self.period_end.max(SimTime(now.0 + 1)),

@@ -168,7 +168,7 @@ impl Histogram {
 
     /// Cumulative bucket counts paired with their upper bounds
     /// (`f64::INFINITY` last), exactly as a scrape would render them.
-    pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
+    pub(crate) fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
         let mut acc = 0u64;
         let mut out = Vec::with_capacity(SECONDS_BUCKETS.len() + 1);
         for (i, c) in self.core.counts.iter().enumerate() {

@@ -20,9 +20,12 @@
 //! A line is read in a single pass, straight into the structs (no
 //! tree in between), with its keys in any order: a line in this
 //! writer's exact layout against that layout, any other by the general
-//! reader. A tape of 2 MiB or more is written and read on several
-//! threads, to the same bytes and the same result. Readers run in one of
-//! two [`ReadMode`]s:
+//! reader. Each object of a record ([`TraceRecord`], [`WindowStats`],
+//! [`ServiceWindowStats`]) is declared once, as its field names in
+//! writer order (`tape_object!`); the writer, both readers and the key
+//! lists all come from that declaration. A tape of 2 MiB or more is
+//! written and read on several threads, to the same bytes and the same
+//! result. Readers run in one of two [`ReadMode`]s:
 //!
 //! * [`Strict`](ReadMode::Strict) — the version must equal
 //!   [`FORMAT_VERSION`] and unknown or repeated keys are rejected. Use
@@ -276,9 +279,9 @@ impl Trace {
         json::push_u64(out, FORMAT_VERSION);
         out.push_str(",\"app\":");
         json::push_quoted(out, &m.app);
-        out.push_str(",\"services\":[");
-        push_join(out, &m.services, |out, s| json::push_quoted(out, s));
-        out.push_str("],\"slo_ms\":");
+        out.push_str(",\"services\":");
+        m.services.write(out);
+        out.push_str(",\"slo_ms\":");
         json::push_f64(out, m.slo_ms);
         out.push_str(",\"interval_s\":");
         json::push_f64(out, m.interval_s);
@@ -295,9 +298,9 @@ impl Trace {
             Some(s) => json::push_f64(out, s),
             None => out.push_str("null"),
         }
-        out.push_str(",\"initial_alloc\":[");
-        push_join(out, &m.initial_alloc, |out, v| json::push_f64(out, *v));
-        out.push_str("]}\n");
+        out.push_str(",\"initial_alloc\":");
+        m.initial_alloc.write(out);
+        out.push_str("}\n");
     }
 
     // ---- reading ----
@@ -510,85 +513,194 @@ fn read_records(text: &str, n: usize, strict: bool) -> Result<Chunk, (usize, Str
     Ok(chunk)
 }
 
-fn push_join<T>(out: &mut String, items: &[T], mut push: impl FnMut(&mut String, &T)) {
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+// ---- the schema ----
+
+/// A kind of value on a tape: how the writer prints it, how the general
+/// reader reads it, and how [`read_writer_layout`] reads it off a line
+/// in the writer's own layout. `n` is the trace's service count, what a
+/// vector is reserved for.
+trait Field: Sized {
+    fn write(&self, out: &mut String);
+    fn read(r: &mut Reader<'_>, n: usize, strict: bool) -> Result<Self, String>;
+    fn read_layout(p: &mut Layout<'_>, n: usize) -> Option<Self>;
+}
+
+impl Field for f64 {
+    fn write(&self, out: &mut String) {
+        json::push_f64(out, *self);
+    }
+
+    fn read(r: &mut Reader<'_>, _: usize, _: bool) -> Result<Self, String> {
+        r.f64()
+    }
+
+    /// A number token, or one of the writer's three string tokens.
+    fn read_layout(p: &mut Layout<'_>, _: usize) -> Option<Self> {
+        if p.src.as_bytes().get(p.pos) != Some(&b'"') {
+            return p.token().parse().ok();
         }
-        push(out, item);
+        [
+            ("\"inf\"", f64::INFINITY),
+            ("\"-inf\"", f64::NEG_INFINITY),
+            ("\"nan\"", f64::NAN),
+        ]
+        .into_iter()
+        .find_map(|(token, v)| p.lit(token).map(|()| v))
     }
 }
 
-fn write_record(out: &mut String, r: &TraceRecord) {
-    out.push_str("{\"iter\":");
-    json::push_u64(out, r.iter);
-    out.push_str(",\"time_s\":");
-    json::push_f64(out, r.time_s);
-    out.push_str(",\"rps\":");
-    json::push_f64(out, r.rps);
-    out.push_str(",\"action\":");
-    json::push_quoted(out, &r.action);
-    out.push_str(",\"pema_id\":");
-    json::push_u64(out, r.pema_id);
-    out.push_str(",\"alloc\":[");
-    push_join(out, &r.alloc, |out, v| json::push_f64(out, *v));
-    out.push_str("],\"stats\":");
-    write_stats(out, &r.stats);
-    out.push_str("}\n");
+impl Field for u64 {
+    fn write(&self, out: &mut String) {
+        json::push_u64(out, *self);
+    }
+
+    fn read(r: &mut Reader<'_>, _: usize, _: bool) -> Result<Self, String> {
+        r.u64()
+    }
+
+    fn read_layout(p: &mut Layout<'_>, _: usize) -> Option<Self> {
+        p.token().parse().ok()
+    }
 }
 
-fn write_stats(out: &mut String, s: &WindowStats) {
-    for (key, v) in [
-        ("{\"start_s\":", s.start_s),
-        (",\"duration_s\":", s.duration_s),
-        (",\"offered_rps\":", s.offered_rps),
-        (",\"achieved_rps\":", s.achieved_rps),
-    ] {
-        out.push_str(key);
-        json::push_f64(out, v);
+impl Field for String {
+    fn write(&self, out: &mut String) {
+        json::push_quoted(out, self);
     }
-    out.push_str(",\"completed\":");
-    json::push_u64(out, s.completed);
-    out.push_str(",\"arrivals\":");
-    json::push_u64(out, s.arrivals);
-    for (key, v) in [
-        (",\"mean_ms\":", s.mean_ms),
-        (",\"p50_ms\":", s.p50_ms),
-        (",\"p95_ms\":", s.p95_ms),
-        (",\"p99_ms\":", s.p99_ms),
-        (",\"max_ms\":", s.max_ms),
-    ] {
-        out.push_str(key);
-        json::push_f64(out, v);
+
+    fn read(r: &mut Reader<'_>, _: usize, _: bool) -> Result<Self, String> {
+        Ok(r.string()?.into_owned())
     }
-    out.push_str(",\"per_service\":[");
-    push_join(out, &s.per_service, |out, svc| {
-        for (key, v) in [
-            ("{\"alloc_cores\":", svc.alloc_cores),
-            (",\"util_pct\":", svc.util_pct),
-            (",\"cpu_used_s\":", svc.cpu_used_s),
-            (",\"throttled_s\":", svc.throttled_s),
-            (",\"usage_p90_cores\":", svc.usage_p90_cores),
-            (",\"usage_peak_cores\":", svc.usage_peak_cores),
-            (",\"mem_bytes\":", svc.mem_bytes),
-        ] {
-            out.push_str(key);
-            json::push_f64(out, v);
+
+    /// A string without escapes.
+    fn read_layout(p: &mut Layout<'_>, _: usize) -> Option<Self> {
+        p.lit("\"")?;
+        let rest = &p.src.as_bytes()[p.pos..];
+        let n = rest.iter().position(|&c| c == b'"' || c == b'\\')?;
+        (rest[n] == b'"').then(|| {
+            p.pos += n + 1;
+            p.src[p.pos - n - 1..p.pos - 1].to_owned()
+        })
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn write(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write(out);
         }
-        out.push_str(",\"visits\":");
-        json::push_u64(out, svc.visits);
-        out.push_str(",\"mean_self_ms\":");
-        json::push_f64(out, svc.mean_self_ms);
-        out.push_str(",\"mean_visit_ms\":");
-        json::push_f64(out, svc.mean_visit_ms);
-        out.push('}');
-    });
-    out.push_str("]}");
+        out.push(']');
+    }
+
+    fn read(r: &mut Reader<'_>, n: usize, strict: bool) -> Result<Self, String> {
+        let mut out = Vec::with_capacity(n);
+        r.begin_array()?;
+        while r.next_element()? {
+            out.push(T::read(r, n, strict)?);
+        }
+        Ok(out)
+    }
+
+    fn read_layout(p: &mut Layout<'_>, n: usize) -> Option<Self> {
+        p.lit("[")?;
+        let mut out = Vec::with_capacity(n);
+        if p.lit("]").is_none() {
+            out.push(T::read_layout(p, n)?);
+            while p.lit(",").is_some() {
+                out.push(T::read_layout(p, n)?);
+            }
+            p.lit("]")?;
+        }
+        Some(out)
+    }
 }
 
-// The keys of the four kinds of object in a trace file, in the order
-// the writer above emits them. The readers below dispatch on a key's
-// position in its list.
+/// Declares an object of the tape once: its type and its fields, each
+/// field's key being its name, in the order the writer emits them. From
+/// that list come the key list `$keys` and the object's [`Field`] impl:
+///
+/// * the writer, every key pushed as one literal with its punctuation;
+/// * the general reader: the object zero-filled, then each field set as
+///   [`read_fields`] hands over the position of its key in `$keys`;
+/// * the layout path: the same literals, in the same order.
+///
+/// The readers build the object by name, so a field left out of the
+/// list does not compile.
+macro_rules! tape_object {
+    ($keys:ident = $ty:ident { $first:ident $(, $rest:ident)* $(,)? }) => {
+        const $keys: &[&str] = &[stringify!($first) $(, stringify!($rest))*];
+
+        impl Field for $ty {
+            fn write(&self, out: &mut String) {
+                out.push_str(tape_object!(@key "{" $first));
+                self.$first.write(out);
+                $(
+                    out.push_str(tape_object!(@key "," $rest));
+                    self.$rest.write(out);
+                )*
+                out.push('}');
+            }
+
+            fn read(r: &mut Reader<'_>, n: usize, strict: bool) -> Result<Self, String> {
+                let mut v = $ty {
+                    $first: Default::default(),
+                    $($rest: Default::default(),)*
+                };
+                type Set<'f> = &'f mut dyn FnMut(&mut Reader<'_>) -> Result<(), String>;
+                let set: &mut [Set<'_>] = &mut [
+                    &mut |r| {
+                        v.$first = Field::read(r, n, strict)?;
+                        Ok(())
+                    },
+                    $(&mut |r| {
+                        v.$rest = Field::read(r, n, strict)?;
+                        Ok(())
+                    },)*
+                ];
+                read_fields(r, $keys, strict, |r, i| set[i](r))?;
+                Ok(v)
+            }
+
+            fn read_layout(p: &mut Layout<'_>, n: usize) -> Option<Self> {
+                let v = $ty {
+                    $first: p.field(tape_object!(@key "{" $first), n)?,
+                    $($rest: p.field(tape_object!(@key "," $rest), n)?,)*
+                };
+                p.lit("}")?;
+                Some(v)
+            }
+        }
+    };
+    (@key $open:literal $field:ident) => {
+        concat!($open, "\"", stringify!($field), "\":")
+    };
+}
+
+tape_object! {
+    RECORD_KEYS = TraceRecord { iter, time_s, rps, action, pema_id, alloc, stats }
+}
+
+tape_object! {
+    STATS_KEYS = WindowStats {
+        start_s, duration_s, offered_rps, achieved_rps, completed, arrivals,
+        mean_ms, p50_ms, p95_ms, p99_ms, max_ms, per_service,
+    }
+}
+
+tape_object! {
+    SERVICE_KEYS = ServiceWindowStats {
+        alloc_cores, util_pct, cpu_used_s, throttled_s, usage_p90_cores,
+        usage_peak_cores, mem_bytes, visits, mean_self_ms, mean_visit_ms,
+    }
+}
+
+/// The header's keys, in the order [`Trace::write_header`] emits them.
+/// The header is written and read by hand: only the general reader
+/// reads it, and `format` and `version` are checks, not fields.
 const HEADER_KEYS: [&str; 12] = [
     "format",
     "version",
@@ -603,35 +715,11 @@ const HEADER_KEYS: [&str; 12] = [
     "early_check_s",
     "initial_alloc",
 ];
-const RECORD_KEYS: [&str; 7] = [
-    "iter", "time_s", "rps", "action", "pema_id", "alloc", "stats",
-];
-const STATS_KEYS: [&str; 12] = [
-    "start_s",
-    "duration_s",
-    "offered_rps",
-    "achieved_rps",
-    "completed",
-    "arrivals",
-    "mean_ms",
-    "p50_ms",
-    "p95_ms",
-    "p99_ms",
-    "max_ms",
-    "per_service",
-];
-const SERVICE_KEYS: [&str; 10] = [
-    "alloc_cores",
-    "util_pct",
-    "cpu_used_s",
-    "throttled_s",
-    "usage_p90_cores",
-    "usage_peak_cores",
-    "mem_bytes",
-    "visits",
-    "mean_self_ms",
-    "mean_visit_ms",
-];
+
+fn write_record(out: &mut String, r: &TraceRecord) {
+    r.write(out);
+    out.push('\n');
+}
 
 /// Walks the object `r` is at, handing the value of `keys[i]` to
 /// `field(r, i)` as it goes by; `field` is called exactly once for
@@ -674,16 +762,6 @@ fn read_fields<'a>(
     }
 }
 
-/// Reads an array of trace-encoded `f64`s expected to hold `n`.
-fn read_f64_array(r: &mut Reader<'_>, n: usize) -> Result<Vec<f64>, String> {
-    let mut out = Vec::with_capacity(n);
-    r.begin_array()?;
-    while r.next_element()? {
-        out.push(r.f64()?);
-    }
-    Ok(out)
-}
-
 fn parse_header(line: &str, strict: bool) -> Result<TraceMeta, String> {
     let mut m = TraceMeta {
         app: String::new(),
@@ -720,12 +798,7 @@ fn parse_header(line: &str, strict: bool) -> Result<TraceMeta, String> {
                 }
             }
             2 => m.app = r.string()?.into_owned(),
-            3 => {
-                r.begin_array()?;
-                while r.next_element()? {
-                    m.services.push(r.string()?.into_owned());
-                }
-            }
+            3 => m.services = Field::read(r, 0, strict)?,
             4 => m.slo_ms = r.f64()?,
             5 => m.interval_s = r.f64()?,
             6 => m.warmup_s = r.f64()?,
@@ -733,7 +806,7 @@ fn parse_header(line: &str, strict: bool) -> Result<TraceMeta, String> {
             8 => m.policy = r.string()?.into_owned(),
             9 => m.policy_seed = r.u64()?,
             10 => m.early_check_s = if r.null()? { None } else { Some(r.f64()?) },
-            _ => m.initial_alloc = read_f64_array(r, m.services.len())?,
+            _ => m.initial_alloc = Field::read(r, m.services.len(), strict)?,
         }
         Ok(())
     })?;
@@ -768,50 +841,12 @@ fn parse_record(line: &str, n: usize, strict: bool) -> Result<TraceRecord, Strin
 /// same record in either mode.
 fn read_writer_layout(line: &str, n: usize) -> Option<TraceRecord> {
     let mut p = Layout { src: line, pos: 0 };
-    let rec = TraceRecord {
-        iter: p.u64("{\"iter\":")?,
-        time_s: p.f64(",\"time_s\":")?,
-        rps: p.f64(",\"rps\":")?,
-        action: p.string(",\"action\":")?.to_owned(),
-        pema_id: p.u64(",\"pema_id\":")?,
-        alloc: p.list(",\"alloc\":[", n, |p| p.f64(""))?,
-        stats: WindowStats {
-            start_s: p.f64(",\"stats\":{\"start_s\":")?,
-            duration_s: p.f64(",\"duration_s\":")?,
-            offered_rps: p.f64(",\"offered_rps\":")?,
-            achieved_rps: p.f64(",\"achieved_rps\":")?,
-            completed: p.u64(",\"completed\":")?,
-            arrivals: p.u64(",\"arrivals\":")?,
-            mean_ms: p.f64(",\"mean_ms\":")?,
-            p50_ms: p.f64(",\"p50_ms\":")?,
-            p95_ms: p.f64(",\"p95_ms\":")?,
-            p99_ms: p.f64(",\"p99_ms\":")?,
-            max_ms: p.f64(",\"max_ms\":")?,
-            per_service: p.list(",\"per_service\":[", n, |p| {
-                let s = ServiceWindowStats {
-                    alloc_cores: p.f64("{\"alloc_cores\":")?,
-                    util_pct: p.f64(",\"util_pct\":")?,
-                    cpu_used_s: p.f64(",\"cpu_used_s\":")?,
-                    throttled_s: p.f64(",\"throttled_s\":")?,
-                    usage_p90_cores: p.f64(",\"usage_p90_cores\":")?,
-                    usage_peak_cores: p.f64(",\"usage_peak_cores\":")?,
-                    mem_bytes: p.f64(",\"mem_bytes\":")?,
-                    visits: p.u64(",\"visits\":")?,
-                    mean_self_ms: p.f64(",\"mean_self_ms\":")?,
-                    mean_visit_ms: p.f64(",\"mean_visit_ms\":")?,
-                };
-                p.lit("}")?;
-                Some(s)
-            })?,
-        },
-    };
-    p.lit("}}")?;
+    let rec = TraceRecord::read_layout(&mut p, n)?;
     (p.pos == line.len()).then_some(rec)
 }
 
-/// [`read_writer_layout`]'s cursor. Every read steps over a literal
-/// first (a key with its punctuation, or nothing) and answers `None`
-/// when the line does not go on with it.
+/// [`read_writer_layout`]'s cursor. A read answers `None` when the line
+/// does not go on as the writer would have gone on.
 struct Layout<'a> {
     src: &'a str,
     pos: usize,
@@ -835,160 +870,20 @@ impl<'a> Layout<'a> {
         &self.src[self.pos - n..self.pos]
     }
 
-    fn u64(&mut self, key: &str) -> Option<u64> {
+    /// The value after `key`, a key with its punctuation.
+    fn field<T: Field>(&mut self, key: &str, n: usize) -> Option<T> {
         self.lit(key)?;
-        self.token().parse().ok()
-    }
-
-    fn f64(&mut self, key: &str) -> Option<f64> {
-        self.lit(key)?;
-        if self.src.as_bytes().get(self.pos) != Some(&b'"') {
-            return self.token().parse().ok();
-        }
-        [
-            ("\"inf\"", f64::INFINITY),
-            ("\"-inf\"", f64::NEG_INFINITY),
-            ("\"nan\"", f64::NAN),
-        ]
-        .into_iter()
-        .find_map(|(token, v)| self.lit(token).map(|()| v))
-    }
-
-    /// A string without escapes.
-    fn string(&mut self, key: &str) -> Option<&'a str> {
-        self.lit(key)?;
-        self.lit("\"")?;
-        let rest = &self.src.as_bytes()[self.pos..];
-        let n = rest.iter().position(|&c| c == b'"' || c == b'\\')?;
-        (rest[n] == b'"').then(|| {
-            self.pos += n + 1;
-            &self.src[self.pos - n - 1..self.pos - 1]
-        })
-    }
-
-    /// An array (`key` ends with its `[`) of what `item` reads, in a
-    /// vector with room for `n`.
-    fn list<T>(
-        &mut self,
-        key: &str,
-        n: usize,
-        mut item: impl FnMut(&mut Self) -> Option<T>,
-    ) -> Option<Vec<T>> {
-        self.lit(key)?;
-        let mut out = Vec::with_capacity(n);
-        if self.lit("]").is_none() {
-            out.push(item(self)?);
-            while self.lit(",").is_some() {
-                out.push(item(self)?);
-            }
-            self.lit("]")?;
-        }
-        Some(out)
+        T::read_layout(self, n)
     }
 }
 
 /// The general record reader: keys in any order, whitespace, escapes,
 /// the reading modes, and every error message.
 fn read_record_fields(line: &str, n: usize, strict: bool) -> Result<TraceRecord, String> {
-    let mut rec = TraceRecord {
-        iter: 0,
-        time_s: 0.0,
-        rps: 0.0,
-        action: String::new(),
-        pema_id: 0,
-        alloc: Vec::new(),
-        stats: WindowStats {
-            start_s: 0.0,
-            duration_s: 0.0,
-            offered_rps: 0.0,
-            achieved_rps: 0.0,
-            completed: 0,
-            arrivals: 0,
-            mean_ms: 0.0,
-            p50_ms: 0.0,
-            p95_ms: 0.0,
-            p99_ms: 0.0,
-            max_ms: 0.0,
-            per_service: Vec::new(),
-        },
-    };
     let mut r = Reader::new(line);
-    read_fields(&mut r, &RECORD_KEYS, strict, |r, i| {
-        match i {
-            0 => rec.iter = r.u64()?,
-            1 => rec.time_s = r.f64()?,
-            2 => rec.rps = r.f64()?,
-            3 => rec.action = r.string()?.into_owned(),
-            4 => rec.pema_id = r.u64()?,
-            5 => rec.alloc = read_f64_array(r, n)?,
-            _ => parse_stats(r, &mut rec.stats, n, strict)?,
-        }
-        Ok(())
-    })?;
+    let rec = TraceRecord::read(&mut r, n, strict)?;
     r.end()?;
     Ok(rec)
-}
-
-fn parse_stats(
-    r: &mut Reader<'_>,
-    s: &mut WindowStats,
-    n: usize,
-    strict: bool,
-) -> Result<(), String> {
-    read_fields(r, &STATS_KEYS, strict, |r, i| {
-        match i {
-            0 => s.start_s = r.f64()?,
-            1 => s.duration_s = r.f64()?,
-            2 => s.offered_rps = r.f64()?,
-            3 => s.achieved_rps = r.f64()?,
-            4 => s.completed = r.u64()?,
-            5 => s.arrivals = r.u64()?,
-            6 => s.mean_ms = r.f64()?,
-            7 => s.p50_ms = r.f64()?,
-            8 => s.p95_ms = r.f64()?,
-            9 => s.p99_ms = r.f64()?,
-            10 => s.max_ms = r.f64()?,
-            _ => {
-                s.per_service.reserve(n);
-                r.begin_array()?;
-                while r.next_element()? {
-                    s.per_service.push(parse_service(r, strict)?);
-                }
-            }
-        }
-        Ok(())
-    })
-}
-
-fn parse_service(r: &mut Reader<'_>, strict: bool) -> Result<ServiceWindowStats, String> {
-    let mut s = ServiceWindowStats {
-        alloc_cores: 0.0,
-        util_pct: 0.0,
-        cpu_used_s: 0.0,
-        throttled_s: 0.0,
-        usage_p90_cores: 0.0,
-        usage_peak_cores: 0.0,
-        mem_bytes: 0.0,
-        visits: 0,
-        mean_self_ms: 0.0,
-        mean_visit_ms: 0.0,
-    };
-    read_fields(r, &SERVICE_KEYS, strict, |r, i| {
-        match i {
-            0 => s.alloc_cores = r.f64()?,
-            1 => s.util_pct = r.f64()?,
-            2 => s.cpu_used_s = r.f64()?,
-            3 => s.throttled_s = r.f64()?,
-            4 => s.usage_p90_cores = r.f64()?,
-            5 => s.usage_peak_cores = r.f64()?,
-            6 => s.mem_bytes = r.f64()?,
-            7 => s.visits = r.u64()?,
-            8 => s.mean_self_ms = r.f64()?,
-            _ => s.mean_visit_ms = r.f64()?,
-        }
-        Ok(())
-    })?;
-    Ok(s)
 }
 
 #[cfg(test)]
@@ -1126,8 +1021,10 @@ mod tests {
     }
 
     /// The readers try the key the writer emits next before searching
-    /// for it, and dispatch on its position: the four lists must be the
-    /// writer's keys in the writer's order.
+    /// for it, and dispatch on its position. A record object's key list
+    /// and its writer come from one declaration; the header's list is
+    /// written by hand beside its writer. Either way, each list must be
+    /// the writer's keys in the writer's order.
     #[test]
     fn key_lists_are_the_writers_keys_in_the_writers_order() {
         fn keys(v: &json::Value) -> Vec<&str> {

@@ -26,7 +26,7 @@ pub const METRIC_LATENCY_BUCKET: &str = "pema_request_duration_seconds_bucket";
 pub const METRIC_LATENCY_SUM: &str = "pema_request_duration_seconds_sum";
 
 /// Application request-latency histogram count.
-pub const METRIC_LATENCY_COUNT: &str = "pema_request_duration_seconds_count";
+const METRIC_LATENCY_COUNT: &str = "pema_request_duration_seconds_count";
 
 /// Application request counter.
 pub const METRIC_REQUESTS: &str = "pema_requests_total";
