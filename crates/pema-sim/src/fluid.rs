@@ -21,14 +21,15 @@
 //! blocks:
 //!
 //! * `services` — per service, side by side: expected visits and CPU
-//!   demand per user request, and the memory floor;
+//!   demand per user request, the demand per visit, and the memory
+//!   floor;
 //! * `order` — the endpoints reachable from a class root, children
 //!   before parents (the spec is validated acyclic), each with its
 //!   service index, its `work_scale.max(0.0)` and its span of call
 //!   groups. An endpoint no root reaches is not in the plan;
 //! * `calls` — the spec's `CallTable` (see `topology.rs`), the same
 //!   flattened `(child, probability)` table the DES fans out from;
-//! * `classes` — `(weight, root)` pairs and the weight total;
+//! * `classes` — `(weight / total weight, root)` pairs;
 //! * the network delay and the SLO.
 //!
 //! Evaluators built from equal specs share one plan behind an `Arc`,
@@ -39,21 +40,27 @@
 //! `net_delay_s` and `slo_ms` — with every `f64` compared by its bits,
 //! so `-0.0` and `0.0` get two plans and a NaN matches itself. A
 //! process-wide table of `Weak`s finds the plan; a hit allocates
-//! nothing, and a plan is freed with its last evaluator. What stays
-//! per evaluator is the scratch reused across evaluations (`sojourn`,
-//! `ep_latency`) and the knobs (`speed`, `window_s`, `tail`), which
-//! are read at evaluation time.
+//! nothing, and a plan is freed with its last evaluator.
 //!
-//! One evaluation is two loops and no recursion: a pass over
-//! `services` computes each per-visit demand once and one
+//! What stays per evaluator is the knobs (`speed`, `window_s`,
+//! `tail`), which are read at evaluation time, the endpoint latencies
+//! (`ep_latency`, scratch), and what the last window left for reuse
+//! (see "Reuse across windows"): one solve per service (`solved`), the
+//! mean latency and the quantile factors. The first evaluation
+//! allocates the solves, in a block of one size for every app up to
+//! `SOLVE_BLOCK_SERVICES` services, so an evaluator that has not run
+//! yet holds one heap block of its own, `ep_latency`.
+//!
+//! One evaluation is three loops and no recursion: a pass over
+//! `services` solves each service whose allocation moved — one
 //! `normal_tail` (an `exp`), shared by the sojourn and the throttle
-//! fraction; a pass over `order` computes each endpoint's latency
-//! exactly once, however many parents call it. Because the plan is
-//! compiled (or found) at construction, a later edit to the `AppSpec`
-//! does not reach an evaluator built from it; building again from the
-//! edited spec compiles a new plan. The reported usage p90 and peak
-//! are fixed multiples of the mean usage rate (`BURST_P90`,
-//! `PEAK_FACTOR`).
+//! fraction; a pass builds every service's row; a pass over `order`
+//! computes each endpoint's latency exactly once, however many parents
+//! call it. Because the plan is compiled (or found) at construction, a
+//! later edit to the `AppSpec` does not reach an evaluator built from
+//! it; building again from the edited spec compiles a new plan. The
+//! reported usage p90 and peak are fixed multiples of the mean usage
+//! rate (`BURST_P90`, `PEAK_FACTOR`).
 //!
 //! ## Why the operand order is frozen
 //!
@@ -66,7 +73,46 @@
 //! `0 × ∞` makes of a never-taken call to a saturated child — and
 //! `tests/fluid_oracle.rs` holds that evaluator and compares the two
 //! `to_bits()` for `to_bits()`. Memoising a shared child is exact: its
-//! latency is a pure function of the sojourns.
+//! latency is a pure function of the sojourns. So is evaluating the
+//! left end of an expression once: the plan stores `demand / visits`
+//! and `weight / total`, and the division by `speed` and the product
+//! with the latency follow, in the same order. A count is rounded
+//! without a call into libm (`round_to_count`), to the same value.
+//!
+//! ## Reuse across windows
+//!
+//! A control loop evaluates one allocation after another, and most
+//! windows re-solve the stations of the window before: PEMA cuts a few
+//! services per interval and then holds, RULE and HOLD hold. So each
+//! service keeps its last solve — ρ, the sojourn, the throttle
+//! fraction, the per-visit demand and the CPU rate the load offers —
+//! and the key it was solved at:
+//!
+//! * the bits of `rps` and `speed`, shared by every service. When
+//!   either moves, every service is solved again; the per-visit demand
+//!   alone is kept while `speed` holds;
+//! * the bits of the service's allocation. A service whose allocation
+//!   kept its bits is not solved again; its row is rebuilt from the
+//!   solve and the current `window_s`, by the same expressions as a
+//!   fresh solve's row.
+//!
+//! None of the solved values depends on `window_s`, so a change of
+//! window length (`FluidBackend`'s early-check abort evaluates one
+//! allocation at two lengths) reuses every service. When no service
+//! was solved again, the sojourns are the last window's, so the mean
+//! latency is too and the endpoint pass is skipped; and ρ_max is too,
+//! so while the tail keeps its bits the three quantile factors (three
+//! `powf`) are reused.
+//!
+//! Reuse is exact because every reused value is a pure function of its
+//! key, compared by bits: the same operands in the same order give the
+//! same bits. Bits are stricter than `==`, as they must be: `-0.0` and
+//! `0.0` allocations report different rows, and a NaN allocation is
+//! equal to itself, so it is reused like any other.
+//! `tests/fluid_oracle.rs` drives one evaluator through long runs of
+//! repeated, cut, restored and poisoned allocations and moved knobs
+//! and compares it bit for bit, after every step, with the recursive
+//! evaluator and with an evaluator built for that step alone.
 
 use crate::evaluator::Evaluator;
 use crate::runtime::CFS_PERIOD_S;
@@ -244,11 +290,157 @@ impl Default for TailModel {
 const BURST_P90: f64 = 1.15;
 
 /// One service's constants: expected visits and CPU-seconds per user
-/// request over the class mix, and the resident memory floor.
+/// request over the class mix, the CPU-seconds per visit, and the
+/// resident memory floor.
 struct ServicePlan {
     visits: f64,
     demand: f64,
+    /// `demand / visits`; read only when `visits > 0`.
+    per_visit: f64,
     mem_base_bytes: f64,
+}
+
+impl ServicePlan {
+    /// Per-visit service demand (seconds of CPU) at `speed`, or 0 when
+    /// the service is never visited. Equal to `demand / visits / speed`,
+    /// which divides left to right.
+    fn visit_demand(&self, speed: f64) -> f64 {
+        if self.visits > 0.0 {
+            self.per_visit / speed
+        } else {
+            0.0
+        }
+    }
+}
+
+/// The fewest services an evaluator's block of solves is sized for. A
+/// fleet worker serves members of several apps one after another, each
+/// to its end; with one block size, each member reuses the block the
+/// one before it freed. Sized to each app, the blocks fragmented the
+/// worker's heap: `fleet_fluid_10k` peaked 22 MB higher, against none
+/// this way (`docs/fleet.md`, "Memory per member").
+const SOLVE_BLOCK_SERVICES: usize = 64;
+
+/// One service's last solve. Each value is kept while what it depends
+/// on keeps its bits: the per-visit demand depends on the speed, the
+/// offered CPU rate on the load and the speed, and the rest on those
+/// and the allocation. None depends on the window length.
+#[derive(Clone, Copy, Default)]
+struct ServiceSolve {
+    /// Per-visit demand, seconds of CPU.
+    d_visit: f64,
+    /// `rps * demand / speed`: the CPU rate the load asks for, cores.
+    offered: f64,
+    /// The allocation the values below were solved for.
+    alloc_bits: u64,
+    /// Utilization ρ of the service as an M/G/1-PS station.
+    rho: f64,
+    /// Mean sojourn of one visit, seconds.
+    sojourn: f64,
+    /// Fraction of wall time the service spends throttled.
+    thr_frac: f64,
+}
+
+impl ServiceSolve {
+    /// Solves the service at allocation `a`, `lambda_i` visits per
+    /// second, per-visit demand `d_visit` and offered rate `offered`.
+    fn new(a: f64, lambda_i: f64, d_visit: f64, offered: f64) -> Self {
+        let rho = lambda_i * d_visit / a;
+        let (sojourn, thr_frac) = if d_visit == 0.0 {
+            (0.0, 0.0)
+        } else if rho >= 1.0 {
+            (f64::INFINITY, 1.0)
+        } else {
+            // Burst throttling: the probability that the CPU work
+            // arriving within one CFS period exceeds the quota.
+            let quota = a * CFS_PERIOD_S;
+            let nu = lambda_i * CFS_PERIOD_S; // arrivals per period
+            let p_throttle = if nu <= 0.0 || d_visit <= 0.0 {
+                0.0
+            } else {
+                let thresh = quota / d_visit; // #jobs that exhaust quota
+                normal_tail((thresh - nu) / nu.sqrt().max(1e-9))
+            };
+            // The sojourn's stall term has always been guarded by the
+            // positive form of that test; the two disagree only when
+            // `nu` or `d_visit` is NaN.
+            let stall = if nu > 0.0 && d_visit > 0.0 {
+                p_throttle
+            } else {
+                0.0
+            };
+            // M/G/1-PS sojourn, plus the mean residual stall of half a
+            // period when throttled.
+            let base = d_visit / (1.0 - rho);
+            (base + stall * CFS_PERIOD_S * 0.5, p_throttle)
+        };
+        Self {
+            d_visit,
+            offered,
+            alloc_bits: a.to_bits(),
+            rho,
+            sojourn,
+            thr_frac,
+        }
+    }
+
+    /// The service's row of a `window_s`-second window.
+    fn row(&self, s: &ServicePlan, lambda_i: f64, window_s: f64) -> ServiceWindowStats {
+        let a = f64::from_bits(self.alloc_bits);
+        let cpu_rate = self.offered.min(a);
+        ServiceWindowStats {
+            alloc_cores: a,
+            util_pct: cpu_rate / a * 100.0,
+            cpu_used_s: cpu_rate * window_s,
+            throttled_s: self.thr_frac * window_s,
+            usage_p90_cores: cpu_rate * BURST_P90,
+            usage_peak_cores: cpu_rate * PEAK_FACTOR,
+            mem_bytes: s.mem_base_bytes,
+            // The DES counts actual events; round the expected count
+            // instead of flooring it.
+            visits: round_to_count(lambda_i * window_s),
+            mean_self_ms: self.d_visit * 1e3,
+            mean_visit_ms: self.sojourn * 1e3,
+        }
+    }
+}
+
+/// `x.round() as u64` without a call into libm: truncate, then add one
+/// when the dropped fraction is at least a half. Equal for every `x`,
+/// NaN and the infinities included (`fluid_oracle.rs` holds the libm
+/// form): below 2⁵² the subtraction is exact, and from there on every
+/// `f64` is a whole number.
+fn round_to_count(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add((x - t as f64 >= 0.5) as u64)
+}
+
+/// Every coefficient of `tail`, as bits.
+fn tail_bits(tail: &TailModel) -> [[u64; 4]; 3] {
+    [tail.p95, tail.p99, tail.max].map(|c| [c.base, c.slope, c.gain, c.sharp].map(f64::to_bits))
+}
+
+/// Whether `tail`'s coefficients have the bits `bits`. The words'
+/// differences are or-ed together rather than compared one by one,
+/// which would cost a call to `bcmp`.
+fn has_bits(tail: &TailModel, bits: &[[u64; 4]; 3]) -> bool {
+    let now = tail_bits(tail);
+    let diff = now
+        .iter()
+        .flatten()
+        .zip(bits.iter().flatten())
+        .fold(0, |d, (a, b)| d | (a ^ b));
+    diff == 0
+}
+
+/// The p95, p99 and max multipliers of `tail` at bottleneck
+/// utilization `rho`.
+fn quantile_factors(tail: &TailModel, rho: f64) -> [f64; 3] {
+    [
+        tail.p95.factor(rho),
+        tail.p99.factor(rho),
+        tail.max.factor(rho),
+    ]
 }
 
 /// One reachable endpoint, in bottom-up order.
@@ -270,9 +462,8 @@ struct Plan {
     services: Vec<ServicePlan>,
     order: Vec<EndpointPlan>,
     calls: CallTable,
-    /// `(weight, root endpoint)` per request class.
+    /// `(weight / total weight, root endpoint)` per request class.
     classes: Vec<(f64, u32)>,
-    class_weight_total: f64,
     net_delay_s: f64,
     slo_ms: f64,
 }
@@ -321,11 +512,23 @@ fn spec_words(app: &AppSpec, mut emit: impl FnMut(u64)) {
 /// built from.
 pub struct FluidEvaluator {
     plan: Arc<Plan>,
-    /// Scratch: mean sojourn per visit, by service.
-    sojourn: Vec<f64>,
+    /// Per service, its last solve; empty until the first evaluation.
+    solved: Vec<ServiceSolve>,
+    /// The `(rps, speed)` bits every entry of `solved` was solved at;
+    /// `None` until the first evaluation.
+    solved_at: Option<(u64, u64)>,
     /// Scratch: mean latency by endpoint (unreachable entries stay 0
     /// and are never read).
     ep_latency: Vec<f64>,
+    /// The last window's mean end-to-end latency, seconds: a function
+    /// of the sojourns in `solved` alone.
+    mean_s: f64,
+    /// Kept p95, p99 and max multipliers: a function of ρ_max, which is
+    /// one of `solved`, and of the tail.
+    factors: [f64; 3],
+    /// The tail's bits when `factors` were kept; `None` once an entry
+    /// of `solved` changed since.
+    factors_tail: Option<[[u64; 4]; 3]>,
     /// CPU speed factor, mirroring [`crate::ClusterSim::set_speed`].
     pub speed: f64,
     /// Pretend window length used for reporting counters, seconds.
@@ -418,10 +621,12 @@ impl Plan {
             .map(|((visits, demand), s)| ServicePlan {
                 visits,
                 demand,
+                per_visit: demand / visits,
                 mem_base_bytes: s.mem_base_bytes,
             })
             .collect();
         let calls = app.call_table();
+        let total_weight: f64 = app.classes.iter().map(|c| c.weight).sum();
         Self {
             key,
             services,
@@ -430,9 +635,8 @@ impl Plan {
             classes: app
                 .classes
                 .iter()
-                .map(|c| (c.weight, c.root as u32))
+                .map(|c| (c.weight / total_weight, c.root as u32))
                 .collect(),
-            class_weight_total: app.classes.iter().map(|c| c.weight).sum(),
             net_delay_s: app.net_delay_s,
             slo_ms: app.slo_ms,
         }
@@ -445,21 +649,15 @@ impl FluidEvaluator {
         app.validate().expect("invalid AppSpec");
         Self {
             plan: Plan::shared(app),
-            sojourn: vec![0.0; app.services.len()],
+            solved: Vec::new(),
+            solved_at: None,
             ep_latency: vec![0.0; app.endpoints.len()],
+            mean_s: 0.0,
+            factors: [0.0; 3],
+            factors_tail: None,
             speed: 1.0,
             window_s: 20.0,
             tail: TailModel::calibrated(),
-        }
-    }
-
-    /// Per-visit service demand (seconds of CPU) of `s`, or 0 when the
-    /// service is never visited.
-    fn visit_demand(&self, s: &ServicePlan) -> f64 {
-        if s.visits > 0.0 {
-            s.demand / s.visits / self.speed
-        } else {
-            0.0
         }
     }
 
@@ -471,7 +669,7 @@ impl FluidEvaluator {
             .services
             .iter()
             .enumerate()
-            .map(|(i, s)| rps * s.visits * self.visit_demand(s) / alloc.get(i))
+            .map(|(i, s)| rps * s.visits * s.visit_demand(self.speed) / alloc.get(i))
             .fold(0.0, f64::max)
     }
 }
@@ -519,88 +717,91 @@ impl Evaluator for FluidEvaluator {
 
     fn evaluate(&mut self, alloc: &Allocation, rps: f64) -> WindowStats {
         let plan = &*self.plan;
-        assert_eq!(alloc.len(), plan.services.len());
-        let mut per_service = Vec::with_capacity(plan.services.len());
-        let mut rho_max: f64 = 0.0;
-        for (i, s) in plan.services.iter().enumerate() {
-            let a = alloc.get(i);
-            let lambda_i = rps * s.visits;
-            let d_visit = self.visit_demand(s);
-            // Utilization ρ of the service as an M/G/1-PS station.
-            let rho = lambda_i * d_visit / a;
-            rho_max = rho_max.max(rho);
-            // Mean sojourn of one visit, and the fraction of wall time
-            // the service spends throttled.
-            let (sojourn, thr_frac) = if d_visit == 0.0 {
-                (0.0, 0.0)
-            } else if rho >= 1.0 {
-                (f64::INFINITY, 1.0)
-            } else {
-                // Burst throttling: the probability that the CPU work
-                // arriving within one CFS period exceeds the quota.
-                let quota = a * CFS_PERIOD_S;
-                let nu = lambda_i * CFS_PERIOD_S; // arrivals per period
-                let p_throttle = if nu <= 0.0 || d_visit <= 0.0 {
-                    0.0
-                } else {
-                    let thresh = quota / d_visit; // #jobs that exhaust quota
-                    normal_tail((thresh - nu) / nu.sqrt().max(1e-9))
-                };
-                // The sojourn's stall term has always been guarded by
-                // the positive form of that test; the two disagree
-                // only when `nu` or `d_visit` is NaN.
-                let stall = if nu > 0.0 && d_visit > 0.0 {
-                    p_throttle
-                } else {
-                    0.0
-                };
-                // M/G/1-PS sojourn, plus the mean residual stall of
-                // half a period when throttled.
-                let base = d_visit / (1.0 - rho);
-                (base + stall * CFS_PERIOD_S * 0.5, p_throttle)
-            };
-            self.sojourn[i] = sojourn;
-            let cpu_rate = (rps * s.demand / self.speed).min(a);
-            per_service.push(ServiceWindowStats {
-                alloc_cores: a,
-                util_pct: cpu_rate / a * 100.0,
-                cpu_used_s: cpu_rate * self.window_s,
-                throttled_s: thr_frac * self.window_s,
-                usage_p90_cores: cpu_rate * BURST_P90,
-                usage_peak_cores: cpu_rate * PEAK_FACTOR,
-                mem_bytes: s.mem_base_bytes,
-                // The DES counts actual events; round the expected
-                // count instead of flooring it.
-                visits: (lambda_i * self.window_s).round() as u64,
-                mean_self_ms: d_visit * 1e3,
-                mean_visit_ms: sojourn * 1e3,
-            });
-        }
-        // Endpoint latencies, children first.
-        let hop_s = 2.0 * plan.net_delay_s;
-        for e in &plan.order {
-            let mut total = self.sojourn[e.service as usize] * e.work_scale;
-            for &(lo, hi) in &plan.calls.group_spans[e.groups.0 as usize..e.groups.1 as usize] {
-                // Parallel calls: expected makespan ≈ max of expected child
-                // latencies (slightly optimistic; acceptable for a fluid
-                // model), weighted by call probability.
-                let mut group_latency: f64 = 0.0;
-                for &(child, p) in &plan.calls.flat_calls[lo as usize..hi as usize] {
-                    let l = p * (self.ep_latency[child as usize] + hop_s);
-                    group_latency = group_latency.max(l);
-                }
-                total += group_latency;
+        let n = plan.services.len();
+        assert_eq!(alloc.len(), n);
+        // A solve holds for its allocation at one load and speed: when
+        // either moves (or on the first window), every service misses.
+        // A service whose allocation kept its bits is not solved again;
+        // its row is rebuilt from the solve at this window's length.
+        let at = (rps.to_bits(), self.speed.to_bits());
+        let (primed, same_speed) = match self.solved_at {
+            Some(last) => (last == at, last.1 == at.1),
+            None => {
+                self.solved.reserve_exact(SOLVE_BLOCK_SERVICES.max(n));
+                self.solved.resize(n, ServiceSolve::default());
+                (false, false)
             }
-            self.ep_latency[e.ep as usize] = total;
+        };
+        self.solved_at = Some(at);
+        let mut changed = !primed;
+        for ((s, &a), solve) in plan.services.iter().zip(&alloc.0).zip(&mut self.solved) {
+            if primed && solve.alloc_bits == a.to_bits() {
+                continue;
+            }
+            let d_visit = if same_speed {
+                solve.d_visit
+            } else {
+                s.visit_demand(self.speed)
+            };
+            let offered = if primed {
+                solve.offered
+            } else {
+                rps * s.demand / self.speed
+            };
+            *solve = ServiceSolve::new(a, rps * s.visits, d_visit, offered);
+            changed = true;
         }
-        let mut mean_s = 0.0;
-        for &(weight, root) in &plan.classes {
-            mean_s += weight / plan.class_weight_total * self.ep_latency[root as usize];
+        let mut per_service = Vec::with_capacity(n);
+        let mut rho_max: f64 = 0.0;
+        for (s, solve) in plan.services.iter().zip(&self.solved) {
+            rho_max = rho_max.max(solve.rho);
+            per_service.push(solve.row(s, rps * s.visits, self.window_s));
         }
-        let p95 = mean_s * self.tail.p95.factor(rho_max);
-        let p99 = mean_s * self.tail.p99.factor(rho_max);
-        let max = mean_s * self.tail.max.factor(rho_max);
-        let completed = (rps * self.window_s).round() as u64;
+        if changed {
+            // Endpoint latencies, children first.
+            let hop_s = 2.0 * plan.net_delay_s;
+            for e in &plan.order {
+                let mut total = self.solved[e.service as usize].sojourn * e.work_scale;
+                for &(lo, hi) in &plan.calls.group_spans[e.groups.0 as usize..e.groups.1 as usize] {
+                    // Parallel calls: expected makespan ≈ max of expected
+                    // child latencies (slightly optimistic; acceptable for
+                    // a fluid model), weighted by call probability.
+                    let mut group_latency: f64 = 0.0;
+                    for &(child, p) in &plan.calls.flat_calls[lo as usize..hi as usize] {
+                        let l = p * (self.ep_latency[child as usize] + hop_s);
+                        group_latency = group_latency.max(l);
+                    }
+                    total += group_latency;
+                }
+                self.ep_latency[e.ep as usize] = total;
+            }
+            let mut mean_s = 0.0;
+            for &(share, root) in &plan.classes {
+                mean_s += share * self.ep_latency[root as usize];
+            }
+            self.mean_s = mean_s;
+        }
+        let factors = if changed {
+            self.factors_tail = None;
+            quantile_factors(&self.tail, rho_max)
+        } else {
+            // Nothing changed, so neither did ρ_max: the factors hold
+            // for as long as the tail keeps its bits. They are kept
+            // from the first such window on; keeping them on every
+            // changing window too measured slower on windows that all
+            // miss.
+            if self
+                .factors_tail
+                .is_none_or(|bits| !has_bits(&self.tail, &bits))
+            {
+                self.factors = quantile_factors(&self.tail, rho_max);
+                self.factors_tail = Some(tail_bits(&self.tail));
+            }
+            self.factors
+        };
+        let mean_s = self.mean_s;
+        let [p95, p99, max] = factors.map(|f| mean_s * f);
+        let completed = round_to_count(rps * self.window_s);
         WindowStats {
             start_s: 0.0,
             duration_s: self.window_s,
@@ -780,6 +981,50 @@ mod tests {
         assert_eq!(s.arrivals, 2000);
         for svc in &s.per_service {
             assert_eq!(svc.visits, 2000);
+        }
+    }
+
+    #[test]
+    fn round_to_count_is_round_as_u64() {
+        let two52 = 4_503_599_627_370_496.0f64;
+        let mut xs = vec![
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            -0.5,
+            -1.5,
+            0.499_999_999_999_999_94,
+            f64::MIN_POSITIVE,
+            two52 - 0.5,
+            two52 + 1.0,
+            two52 * 2.0 + 2.0,
+            (1u64 << 63) as f64,
+            u64::MAX as f64,
+            u64::MAX as f64 * 2.0,
+            f64::MAX,
+        ];
+        // Every bit pattern class, and counts in the range windows use.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..200_000 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            xs.push(f64::from_bits(state));
+            xs.push((state >> 11) as f64 / (1u64 << 53) as f64 * 1e7);
+            xs.push(((state >> 40) as f64 + 0.5) * if state & 1 == 0 { 1.0 } else { -1.0 });
+        }
+        for x in xs {
+            assert_eq!(
+                round_to_count(x),
+                x.round() as u64,
+                "{x:e} ({:#x})",
+                x.to_bits()
+            );
         }
     }
 

@@ -126,18 +126,37 @@ pub fn attribute(traces: &[RequestTrace], n_services: usize) -> Vec<ServiceAttri
             a.visits += 1;
             a.self_cpu_s += s.self_cpu_s;
             a.duration_s += s.duration_s();
-            let child_time: f64 = t
-                .children(i)
-                .into_iter()
-                .map(|c| t.spans[c].duration_s())
-                .sum();
-            a.exclusive_s += (s.duration_s() - child_time).max(0.0);
+            a.exclusive_s += (s.duration_s() - covered_by_children(t, i)).max(0.0);
         }
         for i in t.critical_path() {
             out[t.spans[i].service as usize].on_critical_path += 1;
         }
     }
     out
+}
+
+/// The time span `i` of `t` spends waiting on at least one child: the
+/// length of the union of its children's intervals, each clipped to
+/// span `i`. Parallel calls overlap, so their durations do not add.
+fn covered_by_children(t: &RequestTrace, i: usize) -> f64 {
+    let (lo, hi) = (t.spans[i].start_s, t.spans[i].end_s);
+    let mut kids: Vec<(f64, f64)> = t
+        .children(i)
+        .into_iter()
+        .map(|c| (t.spans[c].start_s.max(lo), t.spans[c].end_s.min(hi)))
+        .filter(|(start, end)| end > start)
+        .collect();
+    kids.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut covered = 0.0;
+    let mut reach = f64::NEG_INFINITY;
+    for (start, end) in kids {
+        let start = start.max(reach);
+        if end > start {
+            covered += end - start;
+            reach = end;
+        }
+    }
+    covered
 }
 
 /// Picks the traces whose latency is at or above the `q`-quantile —
@@ -225,11 +244,52 @@ mod tests {
         assert_eq!(attr[1].on_critical_path, 0);
         assert_eq!(attr[3].on_critical_path, 2);
         assert!((attr[3].self_cpu_s - 0.100).abs() < 1e-12);
-        // Exclusive time of the root: 100 ms total, children cover
-        // 20 ms (span 1) + 80 ms (span 2) = 100 ms → 0 exclusive; span
-        // 2's exclusive = 80 − 60 = 20 ms per trace.
-        assert!(attr[0].exclusive_s.abs() < 1e-12);
+        // Exclusive time of the root: 100 ms total, its parallel
+        // children cover 10–30 ms and 10–90 ms, 80 ms together → 20 ms
+        // exclusive per trace; span 2's exclusive = 80 − 60 = 20 ms.
+        assert!((attr[0].exclusive_s - 0.040).abs() < 1e-12);
         assert!((attr[2].exclusive_s - 0.040).abs() < 1e-12);
+    }
+
+    #[test]
+    fn exclusive_time_subtracts_the_union_of_overlapping_children() {
+        let span = |service: u32, parent: u32, start_s: f64, end_s: f64| TraceSpan {
+            service,
+            endpoint: service,
+            parent,
+            start_s,
+            end_s,
+            self_cpu_s: 0.0,
+        };
+        // Root 0–100 ms. Its children: 10–40, 20–30 (nested in the
+        // first), 35–60 (overlapping it), 90–120 (clipped to 90–100)
+        // and −5–5 (clipped to 0–5). They cover 0–5, 10–60 and 90–100:
+        // 65 ms, where their durations sum to 105 ms.
+        let t = RequestTrace {
+            class: 0,
+            spans: vec![
+                span(0, u32::MAX, 0.0, 0.100),
+                span(1, 0, 0.010, 0.040),
+                span(2, 0, 0.020, 0.030),
+                span(3, 0, 0.035, 0.060),
+                span(4, 0, 0.090, 0.120),
+                span(5, 0, -0.005, 0.005),
+                // A child of span 2, outside span 2 and outside every
+                // child of the root: only a span's own children cover
+                // it.
+                span(6, 2, 0.060, 0.080),
+            ],
+            latency_s: 0.100,
+            start_s: 0.0,
+        };
+        let attr = attribute(&[t], 7);
+        assert!((attr[0].exclusive_s - 0.035).abs() < 1e-12);
+        // Span 2 (10 ms) has a child wholly outside it: nothing of the
+        // child is clipped in, so all 10 ms are its own.
+        assert!((attr[2].exclusive_s - 0.010).abs() < 1e-12);
+        // Leaves keep their whole duration.
+        assert!((attr[1].exclusive_s - 0.030).abs() < 1e-12);
+        assert!((attr[4].exclusive_s - 0.030).abs() < 1e-12);
     }
 
     #[test]

@@ -390,6 +390,116 @@ proptest! {
     }
 }
 
+/// One step in the life of a long-lived evaluator. Service indices are
+/// taken modulo the app's service count.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Evaluate the last inputs again.
+    Repeat,
+    /// Scale each listed service's allocation by its factor (< 1).
+    Cut(Vec<(usize, f64)>),
+    /// Put one service back at its starting allocation.
+    Restore(usize),
+    /// A new load, as a multiple of the app's nominal rps.
+    Load(f64),
+    Speed(f64),
+    Window(f64),
+    /// The legacy flat tail (`true`) or the calibrated one.
+    LegacyTail(bool),
+    /// Set one allocation entry to `-0.0`, `+0.0` or NaN (by index).
+    Special(usize, usize),
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        Just(Step::Repeat),
+        Just(Step::Repeat),
+        proptest::collection::vec((0usize..1000, 0.5f64..0.99), 1..4).prop_map(Step::Cut),
+        (0usize..1000).prop_map(Step::Restore),
+        (0.2f64..1.8).prop_map(Step::Load),
+        (0.5f64..2.0).prop_map(Step::Speed),
+        (1.0f64..120.0).prop_map(Step::Window),
+        (0usize..2).prop_map(|b| Step::LegacyTail(b == 1)),
+        (0usize..1000, 0usize..3).prop_map(|(i, v)| Step::Special(i, v)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// One evaluator lives through a long run of steps that repeat,
+    /// cut, restore or poison the allocation, or move a knob, the way a
+    /// control loop drives it window after window. After every step
+    /// its window must equal, bit for bit, the oracle's and that of an
+    /// evaluator built fresh for that step: nothing reused from an
+    /// earlier window may show.
+    #[test]
+    fn a_long_lived_evaluator_matches_a_fresh_one_at_every_step(
+        which in 0usize..6,
+        scale in 0.3f64..1.5,
+        steps in proptest::collection::vec(step(), 32..48),
+    ) {
+        let (app, nominal) = apps().swap_remove(which);
+        let n = app.services.len();
+        let start: Vec<f64> = app.generous_alloc.iter().map(|g| g * scale).collect();
+        let mut alloc = start.clone();
+        let mut rps = nominal;
+        let mut flat = FluidEvaluator::new(&app);
+        let mut oracle = RecursiveFluid::new(&app);
+        for step in &steps {
+            match step {
+                Step::Repeat => {}
+                Step::Cut(cuts) => {
+                    for &(i, by) in cuts {
+                        alloc[i % n] *= by;
+                    }
+                }
+                Step::Restore(i) => alloc[i % n] = start[i % n],
+                Step::Load(load) => rps = nominal * load,
+                Step::Speed(speed) => (flat.speed, oracle.speed) = (*speed, *speed),
+                Step::Window(w) => (flat.window_s, oracle.window_s) = (*w, *w),
+                Step::LegacyTail(legacy) => {
+                    let tail = if *legacy {
+                        TailModel::constant(pema_sim::LEGACY_P95_FACTOR)
+                    } else {
+                        TailModel::calibrated()
+                    };
+                    (flat.tail, oracle.tail) = (tail, tail);
+                }
+                Step::Special(i, v) => alloc[i % n] = [-0.0, 0.0, f64::NAN][*v],
+            }
+            // Built raw: `Allocation::new` would floor the specials.
+            let a = Allocation(alloc.clone());
+            let got = compare(&mut flat, &mut oracle, &a, rps)?;
+            let mut fresh = FluidEvaluator::new(&app);
+            (fresh.speed, fresh.window_s, fresh.tail) = (flat.speed, flat.window_s, flat.tail);
+            prop_assert_eq!(bits(&got), bits(&fresh.evaluate(&a, rps)));
+        }
+    }
+}
+
+#[test]
+fn a_zero_allocation_reports_its_sign() {
+    // `-0.0 == 0.0`, but the two allocations report different rows:
+    // the allocation itself, and the CPU used, which is capped at it.
+    // An evaluator that keyed its reuse on `==` would report the sign
+    // of the earlier window.
+    let app = pema_apps::toy_chain();
+    let mut flat = FluidEvaluator::new(&app);
+    let mut oracle = RecursiveFluid::new(&app);
+    let with_first = |a0: f64| {
+        let mut alloc = app.generous_alloc.clone();
+        alloc[0] = a0;
+        Allocation(alloc)
+    };
+    let pos = compare(&mut flat, &mut oracle, &with_first(0.0), 150.0).unwrap();
+    let neg = compare(&mut flat, &mut oracle, &with_first(-0.0), 150.0).unwrap();
+    let (p, n) = (&pos.per_service[0], &neg.per_service[0]);
+    assert_eq!(p.alloc_cores.to_bits(), 0.0f64.to_bits());
+    assert_eq!(n.alloc_cores.to_bits(), (-0.0f64).to_bits());
+    assert_ne!(p.cpu_used_s.to_bits(), n.cpu_used_s.to_bits());
+}
+
 #[test]
 fn the_property_reaches_saturated_and_healthy_windows() {
     // The ranges above are only an oracle test if they land on both
