@@ -26,7 +26,6 @@ use crate::fleet::{fleet_member, member_load};
 use crate::ExperimentCtx;
 use pema::prelude::*;
 use std::io;
-use std::sync::{Arc, Mutex};
 
 pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let n_apps = if ctx.smoke() { 8 } else { 64 };
@@ -34,32 +33,17 @@ pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let templates = pema_apps::fleet_mix();
     let timing = ctx.harness_cfg(0);
 
-    // Per-app interval rows, indexed by member — the observers append
-    // in commit order (each shard serves a member until it waits, and
-    // shards run on their own threads), but each member writes only
-    // its own bucket, so the concatenation below is scheduling- and
-    // thread-count-invariant.
-    let interval_rows: Arc<Mutex<Vec<Vec<String>>>> =
-        Arc::new(Mutex::new(vec![Vec::new(); n_apps]));
-
     let mut fleet = Fleet::new().threads(ctx.fleet_threads());
     let mut labels: Vec<(String, String, f64)> = Vec::new(); // (app, policy, rps)
     for i in 0..n_apps {
         let (policy, rps, member) = fleet_member(&templates, i, "mixed", 0xF1EE7, |_, _| UseFluid)
             .expect("the mix names bundled policies");
-        let sink = Arc::clone(&interval_rows);
         let app_name = member_load(&templates, i).0.name.clone();
-        labels.push((app_name.clone(), policy.to_string(), rps));
+        labels.push((app_name, policy.to_string(), rps));
         let member = member
             .interval_s(timing.interval_s)
             .warmup_s(timing.warmup_s)
-            .iters(iters)
-            .observer(move |log: &IterationLog, _stats: &WindowStats| {
-                sink.lock().unwrap()[i].push(format!(
-                    "{i},{app_name},{},{:.0},{:.3},{:.2},{},{}",
-                    log.iter, log.rps, log.total_cpu, log.p95_ms, log.violated as u8, log.action
-                ));
-            });
+            .iters(iters);
         fleet = fleet.member(member);
     }
 
@@ -76,12 +60,22 @@ pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
         result.span_s(),
     ));
 
+    // Rows in member order, each member's in its log's order: the runs
+    // come back in insertion order, so the bytes do not depend on
+    // scheduling or the thread count.
+    let mut apps_rows = Vec::new();
     let mut summary_rows = Vec::new();
     let mut tbl = Vec::new();
     let mut fleet_cpu = 0.0f64;
     let mut fleet_violations = 0usize;
     for (i, run) in result.runs.iter().enumerate() {
         let (app, policy, rps) = &labels[i];
+        apps_rows.extend(run.result.log.iter().map(|log| {
+            format!(
+                "{i},{app},{},{:.0},{:.3},{:.2},{},{}",
+                log.iter, log.rps, log.total_cpu, log.p95_ms, log.violated as u8, log.action
+            )
+        }));
         let settled = run.result.settled_total(10);
         fleet_cpu += settled;
         fleet_violations += run.result.violations();
@@ -113,13 +107,6 @@ pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
         &tbl,
     );
 
-    let apps_rows: Vec<String> = interval_rows
-        .lock()
-        .unwrap()
-        .iter()
-        .flatten()
-        .cloned()
-        .collect();
     ctx.write_csv(
         "fleet_scale_apps",
         "app_idx,app,iter,rps,total_cpu,p95_ms,violated,action",

@@ -318,23 +318,30 @@ fn replay_lenient_forgives_schema_drift_not_damage() {
     let text = std::fs::read_to_string(&tape).unwrap();
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), 4, "a header and three records:\n{text}");
-    // The tape with its first record replaced.
-    let replay = |record: &str, flags: &str| {
-        let body = format!("{}\n{record}\n{}\n", lines[0], lines[2..].join("\n"));
+    // The tape with its header and first record replaced.
+    let replay = |header: &str, record: &str, flags: &str| {
+        let body = format!("{header}\n{record}\n{}\n", lines[2..].join("\n"));
         std::fs::write(&tape, body).unwrap();
         cli(&format!("replay --trace {} {flags}", tape.display()))
     };
     let unknown = format!("{{\"added_later\":1,{}", &lines[1][1..]);
-    let strict = replay(&unknown, "");
-    let stderr = String::from_utf8_lossy(&strict.stderr);
-    assert_eq!(strict.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("unknown key"), "{stderr}");
-    let lenient = replay(&unknown, "--lenient");
-    let stderr = String::from_utf8_lossy(&lenient.stderr);
-    assert_eq!(lenient.status.code(), Some(0), "{stderr}");
+    let older = lines[0].replacen("\"version\":1,", "\"version\":0,", 1);
+    assert_ne!(older, lines[0]);
+    for (header, record, complaint) in [
+        (lines[0], unknown.as_str(), "unknown key"),
+        (older.as_str(), lines[1], "strict mode; use lenient"),
+    ] {
+        let strict = replay(header, record, "");
+        let stderr = String::from_utf8_lossy(&strict.stderr);
+        assert_eq!(strict.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains(complaint), "{stderr}");
+        let lenient = replay(header, record, "--lenient");
+        let stderr = String::from_utf8_lossy(&lenient.stderr);
+        assert_eq!(lenient.status.code(), Some(0), "{stderr}");
+    }
     let truncated = &lines[1][..lines[1].len() / 2];
     for flags in ["", "--lenient"] {
-        let out = replay(truncated, flags);
+        let out = replay(lines[0], truncated, flags);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "`replay {flags}`: {stderr}");
     }

@@ -475,16 +475,15 @@ pub fn replay<P: Policy>(trace: &Trace, policy: P) -> ReplayRun {
         warmup_s: trace.meta.warmup_s,
         seed: trace.meta.backend_seed,
     };
-    let rps: Vec<f64> = trace.records.iter().map(|r| r.rps).collect();
     let mut control = ControlLoop::new(TraceBackend::new(trace.clone()), policy, cfg);
     if let Some(check_s) = trace.meta.early_check_s {
         control = control.with_early_check(check_s);
     }
-    for r in rps {
-        control.step_once(r);
+    for r in &trace.records {
+        control.step_once(r.rps);
     }
-    let divergence = control.backend.divergence().to_vec();
     let summary = control.backend.summary();
+    let divergence = std::mem::take(&mut control.backend.divergence);
     ReplayRun {
         result: control.into_result(),
         divergence,

@@ -20,10 +20,12 @@
 //! A line is read in a single pass, straight into the structs (no
 //! tree in between), with its keys in any order: a line in this
 //! writer's exact layout against that layout, any other by the general
-//! reader. Each object of a record ([`TraceRecord`], [`WindowStats`],
-//! [`ServiceWindowStats`]) is declared once, as its field names in
-//! writer order (`tape_object!`); the writer, both readers and the key
-//! lists all come from that declaration. A tape of 2 MiB or more is
+//! reader. Each object of the tape (the header's [`TraceMeta`], a
+//! record's [`TraceRecord`], [`WindowStats`] and [`ServiceWindowStats`])
+//! is declared once, as its field names in writer order
+//! (`tape_object!`), the header's after its two checks, `format` and
+//! `version`; the writer, both readers and the key lists all come from
+//! that declaration. A tape of 2 MiB or more is
 //! written and read on several threads, to the same bytes and the same
 //! result. Readers run in one of two [`ReadMode`]s:
 //!
@@ -174,7 +176,8 @@ impl Trace {
 
     /// Structural validation shared by both read modes: every
     /// allocation / per-service vector must match the header's service
-    /// count, and recorded window start times must not go backwards.
+    /// count, every window must start and last a finite time, and
+    /// recorded window start times must not go backwards.
     ///
     /// Errors use the dense-file convention (header = line 1, record
     /// `i` = line `i + 2`); the file reader remaps them onto real line
@@ -212,16 +215,22 @@ impl Trace {
                     format!("per_service has {} entries", r.stats.per_service.len()),
                 ));
             }
-            if r.stats.start_s < prev_end {
+            let (start, duration) = (r.stats.start_s, r.stats.duration_s);
+            if !(start.is_finite() && duration.is_finite()) {
+                return Err(err(
+                    line,
+                    format!("window start_s {start} and duration_s {duration} must be finite"),
+                ));
+            }
+            if start < prev_end {
                 return Err(err(
                     line,
                     format!(
-                        "window starts at {} before the previous window ended at {prev_end}",
-                        r.stats.start_s
+                        "window starts at {start} before the previous window ended at {prev_end}"
                     ),
                 ));
             }
-            prev_end = r.stats.start_s + r.stats.duration_s;
+            prev_end = start + duration;
         }
         Ok(())
     }
@@ -246,19 +255,19 @@ impl Trace {
         // quarter on top: spare capacity is never touched, a tape that
         // outgrows its buffer is copied whole.
         let mut out = String::with_capacity(512 * (self.n_services() + 2));
-        self.write_header(&mut out);
+        write_line(&mut out, &self.meta);
         let Some((first, rest)) = self.records.split_first() else {
             return out;
         };
         let at = out.len();
-        write_record(&mut out, first);
+        write_line(&mut out, first);
         let record_len = out.len() - at;
         let room = record_len + record_len / 4;
         out.reserve(room * rest.len());
         let block = (BLOCK_BYTES / record_len).max(1);
         let blocks = rest.len().div_ceil(block);
         match chunks(record_len * self.records.len()).min(blocks) {
-            0 | 1 => rest.iter().for_each(|r| write_record(&mut out, r)),
+            0 | 1 => rest.iter().for_each(|r| write_line(&mut out, r)),
             k => write_interleaved(&mut out, rest, block, room * block, k),
         }
         out
@@ -269,38 +278,6 @@ impl Trace {
         let path = path.as_ref();
         std::fs::write(path, self.to_jsonl())
             .map_err(|e| io::Error::new(e.kind(), format!("write trace {}: {e}", path.display())))
-    }
-
-    fn write_header(&self, out: &mut String) {
-        let m = &self.meta;
-        out.push_str("{\"format\":");
-        json::push_quoted(out, FORMAT_NAME);
-        out.push_str(",\"version\":");
-        json::push_u64(out, FORMAT_VERSION);
-        out.push_str(",\"app\":");
-        json::push_quoted(out, &m.app);
-        out.push_str(",\"services\":");
-        m.services.write(out);
-        out.push_str(",\"slo_ms\":");
-        json::push_f64(out, m.slo_ms);
-        out.push_str(",\"interval_s\":");
-        json::push_f64(out, m.interval_s);
-        out.push_str(",\"warmup_s\":");
-        json::push_f64(out, m.warmup_s);
-        out.push_str(",\"backend_seed\":");
-        json::push_u64(out, m.backend_seed);
-        out.push_str(",\"policy\":");
-        json::push_quoted(out, &m.policy);
-        out.push_str(",\"policy_seed\":");
-        json::push_u64(out, m.policy_seed);
-        out.push_str(",\"early_check_s\":");
-        match m.early_check_s {
-            Some(s) => json::push_f64(out, s),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"initial_alloc\":");
-        m.initial_alloc.write(out);
-        out.push_str("}\n");
     }
 
     // ---- reading ----
@@ -325,7 +302,7 @@ impl Trace {
             .find(|(_, l)| !l.trim().is_empty())
             .ok_or_else(|| err(0, "empty trace file"))?;
         let header_line = header_idx + 1;
-        let meta = parse_header(header, strict).map_err(|m| err(header_line, m))?;
+        let meta: TraceMeta = parse_line(header, 0, strict).map_err(|m| err(header_line, m))?;
         let n = meta.n_services();
         // The rest of the header's line (its line ending, if any) and
         // every line after it, so the body's lines count from the
@@ -419,7 +396,7 @@ fn write_interleaved(
                     for part in records.chunks(block).skip(w).step_by(k) {
                         let Ok(mut buf) = free_rx.recv() else { return };
                         buf.clear();
-                        part.iter().for_each(|r| write_record(&mut buf, r));
+                        part.iter().for_each(|r| write_line(&mut buf, r));
                         if filled.send(buf).is_err() {
                             return;
                         }
@@ -430,7 +407,7 @@ fn write_interleaved(
             .collect();
         for (j, part) in records.chunks(block).enumerate() {
             match j % k {
-                0 => part.iter().for_each(|r| write_record(out, r)),
+                0 => part.iter().for_each(|r| write_line(out, r)),
                 w => {
                     let (filled, free) = &workers[w - 1];
                     let buf = filled.recv().expect("a trace encode thread panicked");
@@ -506,7 +483,7 @@ fn read_records(text: &str, n: usize, strict: bool) -> Result<Chunk, (usize, Str
         if !line.trim().is_empty() {
             chunk
                 .records
-                .push(parse_record(line, n, strict).map_err(|m| (i, m))?);
+                .push(parse_line(line, n, strict).map_err(|m| (i, m))?);
             chunk.lines.push(i);
         }
     }
@@ -516,9 +493,9 @@ fn read_records(text: &str, n: usize, strict: bool) -> Result<Chunk, (usize, Str
 // ---- the schema ----
 
 /// A kind of value on a tape: how the writer prints it, how the general
-/// reader reads it, and how [`read_writer_layout`] reads it off a line
-/// in the writer's own layout. `n` is the trace's service count, what a
-/// vector is reserved for.
+/// reader reads it, and how [`parse_line`] reads it off a line in the
+/// writer's own layout. `n` is the trace's service count, what a vector
+/// is reserved for.
 trait Field: Sized {
     fn write(&self, out: &mut String);
     fn read(r: &mut Reader<'_>, n: usize, strict: bool) -> Result<Self, String>;
@@ -619,56 +596,146 @@ impl<T: Field> Field for Vec<T> {
     }
 }
 
+/// `null`, or a value.
+impl<T: Field> Field for Option<T> {
+    fn write(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write(out),
+            None => out.push_str("null"),
+        }
+    }
+
+    fn read(r: &mut Reader<'_>, n: usize, strict: bool) -> Result<Self, String> {
+        if r.null()? {
+            Ok(None)
+        } else {
+            T::read(r, n, strict).map(Some)
+        }
+    }
+
+    fn read_layout(p: &mut Layout<'_>, n: usize) -> Option<Self> {
+        match p.lit("null") {
+            Some(()) => Some(None),
+            None => T::read_layout(p, n).map(Some),
+        }
+    }
+}
+
+/// The header's `format` check: the writer's [`FORMAT_NAME`], and any
+/// other name an error in both modes.
+struct Format;
+
+impl Field for Format {
+    fn write(&self, out: &mut String) {
+        json::push_quoted(out, FORMAT_NAME);
+    }
+
+    fn read(r: &mut Reader<'_>, _: usize, _: bool) -> Result<Self, String> {
+        let format = r.string()?;
+        if format != FORMAT_NAME {
+            return Err(format!("not a {FORMAT_NAME} file (format = \"{format}\")"));
+        }
+        Ok(Format)
+    }
+
+    fn read_layout(p: &mut Layout<'_>, _: usize) -> Option<Self> {
+        p.lit("\"")?;
+        p.lit(FORMAT_NAME)?;
+        p.lit("\"").map(|()| Format)
+    }
+}
+
+/// The header's `version` check: a newer version is an error in both
+/// modes, an older one to a strict reader.
+struct Version;
+
+impl Field for Version {
+    fn write(&self, out: &mut String) {
+        json::push_u64(out, FORMAT_VERSION);
+    }
+
+    fn read(r: &mut Reader<'_>, _: usize, strict: bool) -> Result<Self, String> {
+        let version = r.u64()?;
+        if version > FORMAT_VERSION {
+            return Err(format!(
+                "version {version} is newer than this reader (max {FORMAT_VERSION})"
+            ));
+        }
+        if strict && version != FORMAT_VERSION {
+            return Err(format!(
+                "version {version} != {FORMAT_VERSION} (strict mode; use lenient to read older traces)"
+            ));
+        }
+        Ok(Version)
+    }
+
+    /// Only this writer's version, the one both modes read.
+    fn read_layout(p: &mut Layout<'_>, n: usize) -> Option<Self> {
+        (u64::read_layout(p, n)? == FORMAT_VERSION).then_some(Version)
+    }
+}
+
 /// Declares an object of the tape once: its type and its fields, each
-/// field's key being its name, in the order the writer emits them. From
-/// that list come the key list `$keys` and the object's [`Field`] impl:
+/// field's key being its name, in the order the writer emits them. An
+/// object may open with checks, `[key: Check, …]`: keys whose value is
+/// verified and dropped, a unit struct's [`Field`] impl writing the one
+/// value and reading it or failing. From that list come the key list
+/// `$keys` and the object's [`Field`] impl:
 ///
 /// * the writer, every key pushed as one literal with its punctuation;
-/// * the general reader: the object zero-filled, then each field set as
-///   [`read_fields`] hands over the position of its key in `$keys`;
+/// * the general reader: the object zero-filled, then each check read
+///   and each field set as [`read_fields`] hands over the position of
+///   its key in `$keys`;
 /// * the layout path: the same literals, in the same order.
 ///
 /// The readers build the object by name, so a field left out of the
 /// list does not compile.
 macro_rules! tape_object {
-    ($keys:ident = $ty:ident { $first:ident $(, $rest:ident)* $(,)? }) => {
-        const $keys: &[&str] = &[stringify!($first) $(, stringify!($rest))*];
+    ($keys:ident = $ty:ident [$c0:ident: $t0:ident $(, $c:ident: $t:ident)*] {
+        $($f:ident),+ $(,)?
+    }) => {
+        tape_object!(@impl $keys $ty ["{" $c0 $t0 $(, "," $c $t)*] [$("," $f),+]);
+    };
+    ($keys:ident = $ty:ident { $f0:ident $(, $f:ident)* $(,)? }) => {
+        tape_object!(@impl $keys $ty [] ["{" $f0 $(, "," $f)*]);
+    };
+    (@impl $keys:ident $ty:ident
+        [$($co:literal $c:ident $t:ident),*] [$($fo:literal $f:ident),+]) => {
+        const $keys: &[&str] = &[$(stringify!($c),)* $(stringify!($f)),+];
 
         impl Field for $ty {
             fn write(&self, out: &mut String) {
-                out.push_str(tape_object!(@key "{" $first));
-                self.$first.write(out);
                 $(
-                    out.push_str(tape_object!(@key "," $rest));
-                    self.$rest.write(out);
+                    out.push_str(tape_object!(@key $co $c));
+                    $t.write(out);
                 )*
+                $(
+                    out.push_str(tape_object!(@key $fo $f));
+                    self.$f.write(out);
+                )+
                 out.push('}');
             }
 
             fn read(r: &mut Reader<'_>, n: usize, strict: bool) -> Result<Self, String> {
                 let mut v = $ty {
-                    $first: Default::default(),
-                    $($rest: Default::default(),)*
+                    $($f: Default::default(),)+
                 };
                 type Set<'f> = &'f mut dyn FnMut(&mut Reader<'_>) -> Result<(), String>;
                 let set: &mut [Set<'_>] = &mut [
-                    &mut |r| {
-                        v.$first = Field::read(r, n, strict)?;
-                        Ok(())
-                    },
+                    $(&mut |r| $t::read(r, n, strict).map(drop),)*
                     $(&mut |r| {
-                        v.$rest = Field::read(r, n, strict)?;
+                        v.$f = Field::read(r, n, strict)?;
                         Ok(())
-                    },)*
+                    },)+
                 ];
                 read_fields(r, $keys, strict, |r, i| set[i](r))?;
                 Ok(v)
             }
 
             fn read_layout(p: &mut Layout<'_>, n: usize) -> Option<Self> {
+                $(p.field::<$t>(tape_object!(@key $co $c), n)?;)*
                 let v = $ty {
-                    $first: p.field(tape_object!(@key "{" $first), n)?,
-                    $($rest: p.field(tape_object!(@key "," $rest), n)?,)*
+                    $($f: p.field(tape_object!(@key $fo $f), n)?,)+
                 };
                 p.lit("}")?;
                 Some(v)
@@ -678,6 +745,13 @@ macro_rules! tape_object {
     (@key $open:literal $field:ident) => {
         concat!($open, "\"", stringify!($field), "\":")
     };
+}
+
+tape_object! {
+    HEADER_KEYS = TraceMeta [format: Format, version: Version] {
+        app, services, slo_ms, interval_s, warmup_s, backend_seed, policy,
+        policy_seed, early_check_s, initial_alloc,
+    }
 }
 
 tape_object! {
@@ -698,26 +772,8 @@ tape_object! {
     }
 }
 
-/// The header's keys, in the order [`Trace::write_header`] emits them.
-/// The header is written and read by hand: only the general reader
-/// reads it, and `format` and `version` are checks, not fields.
-const HEADER_KEYS: [&str; 12] = [
-    "format",
-    "version",
-    "app",
-    "services",
-    "slo_ms",
-    "interval_s",
-    "warmup_s",
-    "backend_seed",
-    "policy",
-    "policy_seed",
-    "early_check_s",
-    "initial_alloc",
-];
-
-fn write_record(out: &mut String, r: &TraceRecord) {
-    r.write(out);
+fn write_line(out: &mut String, v: &impl Field) {
+    v.write(out);
     out.push('\n');
 }
 
@@ -762,91 +818,38 @@ fn read_fields<'a>(
     }
 }
 
-fn parse_header(line: &str, strict: bool) -> Result<TraceMeta, String> {
-    let mut m = TraceMeta {
-        app: String::new(),
-        services: Vec::new(),
-        slo_ms: 0.0,
-        interval_s: 0.0,
-        warmup_s: 0.0,
-        backend_seed: 0,
-        policy: String::new(),
-        policy_seed: 0,
-        early_check_s: None,
-        initial_alloc: Vec::new(),
-    };
-    let mut r = Reader::new(line);
-    read_fields(&mut r, &HEADER_KEYS, strict, |r, i| {
-        match i {
-            0 => {
-                let format = r.string()?;
-                if format != FORMAT_NAME {
-                    return Err(format!("not a {FORMAT_NAME} file (format = \"{format}\")"));
-                }
-            }
-            1 => {
-                let version = r.u64()?;
-                if version > FORMAT_VERSION {
-                    return Err(format!(
-                        "version {version} is newer than this reader (max {FORMAT_VERSION})"
-                    ));
-                }
-                if strict && version != FORMAT_VERSION {
-                    return Err(format!(
-                        "version {version} != {FORMAT_VERSION} (strict mode; use lenient to read older traces)"
-                    ));
-                }
-            }
-            2 => m.app = r.string()?.into_owned(),
-            3 => m.services = Field::read(r, 0, strict)?,
-            4 => m.slo_ms = r.f64()?,
-            5 => m.interval_s = r.f64()?,
-            6 => m.warmup_s = r.f64()?,
-            7 => m.backend_seed = r.u64()?,
-            8 => m.policy = r.string()?.into_owned(),
-            9 => m.policy_seed = r.u64()?,
-            10 => m.early_check_s = if r.null()? { None } else { Some(r.f64()?) },
-            _ => m.initial_alloc = Field::read(r, m.services.len(), strict)?,
-        }
-        Ok(())
-    })?;
-    r.end()?;
-    Ok(m)
-}
-
-/// Decodes one record line of a trace with `n` services (what `alloc`
-/// and `per_service` are reserved for; their lengths are checked by
-/// [`Trace::validate`], not here).
+/// Decodes one line of a trace with `n` services (what its vectors are
+/// reserved for; their lengths are checked by [`Trace::validate`], not
+/// here): the header as a [`TraceMeta`], a record as a [`TraceRecord`].
 ///
-/// A line in the writer's own layout is read by [`read_writer_layout`];
-/// any other line, and every line that fails, by the general reader.
-fn parse_record(line: &str, n: usize, strict: bool) -> Result<TraceRecord, String> {
-    match read_writer_layout(line, n) {
-        Some(rec) => Ok(rec),
-        None => read_record_fields(line, n, strict),
-    }
-}
-
-/// Reads `line` if it is laid out exactly as [`write_record`] lays a
-/// record out: the writer's keys as byte literals in the writer's
-/// order, no whitespace, strings without escapes, nothing after the
-/// closing brace. A number is the `Reader`'s token (the run of
-/// `0-9 . e E + -`) read by `str::parse`, a non-finite float one of the
-/// writer's three string tokens.
+/// A line laid out exactly as [`write_line`] lays a `T` out is read
+/// against that layout: the writer's keys as byte literals in the
+/// writer's order, no whitespace, strings without escapes, nothing
+/// after the closing brace. A number is the `Reader`'s token (the run
+/// of `0-9 . e E + -`) read by `str::parse`, a non-finite float one of
+/// the writer's three string tokens.
 ///
-/// At the first byte that departs from that layout, or a token
-/// `str::parse` refuses, the answer is `None` and the general reader
-/// takes the line: it alone reports errors and applies the reading
-/// modes. Where this reader answers, the general one would return the
-/// same record in either mode.
-fn read_writer_layout(line: &str, n: usize) -> Option<TraceRecord> {
+/// At the first byte that departs from that layout, a token
+/// `str::parse` refuses, or a check the layout cannot vouch for
+/// (another format name, another version), the general reader reads the
+/// line again from its start: it alone reports errors and applies the
+/// reading modes. Where the layout answers, the general reader would
+/// return the same value in either mode.
+fn parse_line<T: Field>(line: &str, n: usize, strict: bool) -> Result<T, String> {
     let mut p = Layout { src: line, pos: 0 };
-    let rec = TraceRecord::read_layout(&mut p, n)?;
-    (p.pos == line.len()).then_some(rec)
+    if let Some(v) = T::read_layout(&mut p, n) {
+        if p.pos == line.len() {
+            return Ok(v);
+        }
+    }
+    let mut r = Reader::new(line);
+    let v = T::read(&mut r, n, strict)?;
+    r.end()?;
+    Ok(v)
 }
 
-/// [`read_writer_layout`]'s cursor. A read answers `None` when the line
-/// does not go on as the writer would have gone on.
+/// [`parse_line`]'s cursor on the writer's layout. A read answers
+/// `None` when the line does not go on as the writer would have gone on.
 struct Layout<'a> {
     src: &'a str,
     pos: usize,
@@ -875,15 +878,6 @@ impl<'a> Layout<'a> {
         self.lit(key)?;
         T::read_layout(self, n)
     }
-}
-
-/// The general record reader: keys in any order, whitespace, escapes,
-/// the reading modes, and every error message.
-fn read_record_fields(line: &str, n: usize, strict: bool) -> Result<TraceRecord, String> {
-    let mut r = Reader::new(line);
-    let rec = TraceRecord::read(&mut r, n, strict)?;
-    r.end()?;
-    Ok(rec)
 }
 
 #[cfg(test)]
@@ -961,13 +955,94 @@ mod tests {
         assert_eq!(t.records.len(), 1);
     }
 
+    /// The sample's header, key by key in writer order.
+    const SAMPLE_HEADER: [&str; 12] = [
+        "\"format\":\"pema-trace\"",
+        "\"version\":1",
+        "\"app\":\"toy-chain\"",
+        "\"services\":[\"gateway\",\"logic\"]",
+        "\"slo_ms\":100",
+        "\"interval_s\":8",
+        "\"warmup_s\":1",
+        "\"backend_seed\":42",
+        "\"policy\":\"pema\"",
+        "\"policy_seed\":7",
+        "\"early_check_s\":null",
+        "\"initial_alloc\":[1.5,2]",
+    ];
+
+    /// The sample tape with a header of `pairs` instead of its own.
+    fn with_header<'a>(pairs: impl IntoIterator<Item = &'a str>) -> String {
+        let text = sample().to_jsonl();
+        let (header, records) = text.split_once('\n').unwrap();
+        assert_eq!(header, format!("{{{}}}", SAMPLE_HEADER.join(",")));
+        let pairs: Vec<&str> = pairs.into_iter().collect();
+        format!("{{{}}}\n{records}", pairs.join(","))
+    }
+
+    /// `text` read strictly and leniently, an error as its line and
+    /// message.
+    fn both_modes(text: &str) -> [Result<Trace, (usize, String)>; 2] {
+        [ReadMode::Strict, ReadMode::Lenient]
+            .map(|mode| Trace::parse_jsonl(text, mode).map_err(|e| (e.line, e.message)))
+    }
+
+    #[test]
+    fn a_wrong_format_is_named_on_the_headers_line() {
+        let text = sample().to_jsonl().replacen("\"pema-trace\"", "\"x\"", 1);
+        let want = Err((3, "not a pema-trace file (format = \"x\")".to_string()));
+        assert_eq!(both_modes(&format!("\n  \n{text}")), [want.clone(), want]);
+    }
+
     #[test]
     fn newer_version_rejected_in_both_modes() {
         let text = sample()
             .to_jsonl()
             .replacen("\"version\":1", "\"version\":99", 1);
-        assert!(Trace::parse_jsonl(&text, ReadMode::Strict).is_err());
-        assert!(Trace::parse_jsonl(&text, ReadMode::Lenient).is_err());
+        let newer = "version 99 is newer than this reader (max 1)";
+        let want = Err((1, newer.to_string()));
+        assert_eq!(both_modes(&text), [want.clone(), want]);
+    }
+
+    #[test]
+    fn an_older_version_reads_leniently_only() {
+        let text = sample()
+            .to_jsonl()
+            .replacen("\"version\":1", "\"version\":0", 1);
+        let strict = "version 0 != 1 (strict mode; use lenient to read older traces)";
+        assert_eq!(
+            both_modes(&text),
+            [Err((1, strict.to_string())), Ok(sample())]
+        );
+    }
+
+    #[test]
+    fn header_keys_in_reverse_order_read_the_same() {
+        let text = with_header(SAMPLE_HEADER.into_iter().rev());
+        assert_eq!(both_modes(&text), [Ok(sample()), Ok(sample())]);
+    }
+
+    #[test]
+    fn an_unknown_header_key_is_rejected_strict_skipped_lenient() {
+        let (before, after) = SAMPLE_HEADER.split_at(3);
+        let added = "\"added_later\":{\"x\":[1,null]}";
+        let text = with_header([before, &[added], after].concat());
+        let strict = "unknown key \"added_later\" (strict mode)";
+        assert_eq!(
+            both_modes(&text),
+            [Err((1, strict.to_string())), Ok(sample())]
+        );
+    }
+
+    #[test]
+    fn a_header_without_early_check_s_is_rejected_in_both_modes() {
+        let text = with_header(
+            SAMPLE_HEADER
+                .into_iter()
+                .filter(|pair| !pair.starts_with("\"early_check_s\"")),
+        );
+        let want = Err((1, "missing required key \"early_check_s\"".to_string()));
+        assert_eq!(both_modes(&text), [want.clone(), want]);
     }
 
     #[test]
@@ -1014,6 +1089,39 @@ mod tests {
     }
 
     #[test]
+    fn a_window_must_start_and_last_a_finite_time() {
+        for (i, start, value) in [
+            (1, true, f64::NAN),
+            (3, true, f64::NEG_INFINITY),
+            (0, false, f64::NAN),
+            (2, false, f64::INFINITY),
+        ] {
+            let mut t = long_tape(5, 2);
+            let stats = &mut t.records[i].stats;
+            *if start {
+                &mut stats.start_s
+            } else {
+                &mut stats.duration_s
+            } = value;
+            let e = t.validate().unwrap_err();
+            assert_eq!(e.line, i + 2, "{e}");
+            assert!(e.message.ends_with("must be finite"), "{e}");
+            let want = Err((i + 2, e.message));
+            assert_eq!(both_modes(&t.to_jsonl()), [want.clone(), want]);
+        }
+        // The NaN is reported on its own line, ahead of the window after
+        // it that starts backwards.
+        let mut t = long_tape(5, 2);
+        t.records[1].stats.start_s = f64::NAN;
+        t.records[2].stats.start_s = -5.0;
+        assert_eq!(t.validate().unwrap_err().line, 3);
+        t.records[1].stats.start_s = 11.0;
+        let e = t.validate().unwrap_err();
+        assert_eq!(e.line, 4, "{e}");
+        assert!(e.message.starts_with("window starts at -5 before"), "{e}");
+    }
+
+    #[test]
     fn infinity_survives_the_file() {
         let t = sample();
         let back = Trace::parse_jsonl(&t.to_jsonl(), ReadMode::Strict).unwrap();
@@ -1021,10 +1129,10 @@ mod tests {
     }
 
     /// The readers try the key the writer emits next before searching
-    /// for it, and dispatch on its position. A record object's key list
-    /// and its writer come from one declaration; the header's list is
-    /// written by hand beside its writer. Either way, each list must be
-    /// the writer's keys in the writer's order.
+    /// for it, and dispatch on its position. Every object's key list and
+    /// its writer come from one `tape_object!`, the header's two checks
+    /// included; each list must be the writer's keys in the writer's
+    /// order.
     #[test]
     fn key_lists_are_the_writers_keys_in_the_writers_order() {
         fn keys(v: &json::Value) -> Vec<&str> {
@@ -1305,6 +1413,20 @@ mod tests {
         assert!(text == lines, "a tape is its header and its records' lines");
     }
 
+    /// What the layout path alone makes of a whole line.
+    fn layout<T: Field>(line: &str, n: usize) -> Option<T> {
+        let mut p = Layout { src: line, pos: 0 };
+        T::read_layout(&mut p, n).filter(|_| p.pos == line.len())
+    }
+
+    /// What the general reader alone makes of a line.
+    fn general<T: Field>(line: &str, n: usize, strict: bool) -> Result<T, String> {
+        let mut r = Reader::new(line);
+        let v = T::read(&mut r, n, strict)?;
+        r.end()?;
+        Ok(v)
+    }
+
     #[test]
     fn writer_lines_take_the_layout_path() {
         let mut t = long_tape(30, 3);
@@ -1319,12 +1441,47 @@ mod tests {
         ] {
             assert!(text.contains(token), "{token}");
         }
-        for line in text.lines().skip(1) {
-            let fast = read_writer_layout(line, 3).unwrap_or_else(|| panic!("fell back: {line}"));
+        let (header, records) = text.split_once('\n').unwrap();
+        for (early_check_s, header) in [
+            (None, header.to_string()),
+            (Some(2.5), header.replacen("null", "2.5", 1)),
+        ] {
+            let fast: TraceMeta = layout(&header, 0).expect("the header fell back");
+            assert_eq!(fast.early_check_s, early_check_s);
             for strict in [true, false] {
-                let general = read_record_fields(line, 3, strict).unwrap();
+                assert_eq!(Ok(&fast), general(&header, 0, strict).as_ref());
+            }
+        }
+        for line in records.lines() {
+            let fast: TraceRecord = layout(line, 3).unwrap_or_else(|| panic!("fell back: {line}"));
+            for strict in [true, false] {
+                let general: TraceRecord = general(line, 3, strict).unwrap();
                 // Debug, not `==`: one field is NaN.
                 assert_eq!(format!("{fast:?}"), format!("{general:?}"));
+            }
+        }
+    }
+
+    /// A header the layout cannot vouch for goes to the general reader,
+    /// which applies the modes.
+    #[test]
+    fn headers_of_another_name_or_version_fall_back() {
+        let text = sample().to_jsonl();
+        let header = text.lines().next().unwrap();
+        for (from, to) in [
+            ("\"version\":1", "\"version\":0"),
+            ("\"version\":1", "\"version\":10"),
+            ("\"pema-trace\"", "\"pema-tracer\""),
+            ("\"pema-trace\"", "\"pema\\u002dtrace\""),
+        ] {
+            let departed = header.replacen(from, to, 1);
+            assert!(layout::<TraceMeta>(&departed, 0).is_none(), "{to}");
+            for strict in [true, false] {
+                assert_eq!(
+                    parse_line::<TraceMeta>(&departed, 0, strict),
+                    general(&departed, 0, strict),
+                    "{to}"
+                );
             }
         }
     }
@@ -1374,10 +1531,10 @@ mod tests {
             ),
         ] {
             assert_ne!(departed, line, "{what}");
-            assert!(read_writer_layout(&departed, 2).is_none(), "{what}");
+            assert!(layout::<TraceRecord>(&departed, 2).is_none(), "{what}");
             for (strict, want) in [(true, strict), (false, lenient)] {
-                let got = parse_record(&departed, 2, strict);
-                assert_eq!(got, read_record_fields(&departed, 2, strict), "{what}");
+                let got = parse_line::<TraceRecord>(&departed, 2, strict);
+                assert_eq!(got, general(&departed, 2, strict), "{what}");
                 assert_eq!(
                     got.map_err(|e| e.to_string()),
                     want.map_err(str::to_string),

@@ -134,9 +134,11 @@ impl Observer for TraceRecorder {
             rps: log.rps,
             action: log.action.clone(),
             pema_id: log.pema_id as u64,
-            // The loop applies `Allocation::new(decision.alloc)`, which
-            // clamps to the cluster floor; record what was actually
-            // applied so the replay comparison is apples-to-apples.
+            // `ControlLoop::commit` logs the decided allocation and
+            // applies a scratch copy floored by `clamp_floor`;
+            // `Allocation::new` floors the same way, so the tape holds
+            // what was actually applied and the replay comparison is
+            // apples-to-apples.
             alloc: Allocation::new(log.alloc.clone()).0,
             stats: stats.clone(),
         });
