@@ -268,14 +268,15 @@ impl ExperimentCtx {
             .evaluate(alloc, rps)
     }
 
-    /// Returns the OPTM allocation for `(app, rps)`, computing and
-    /// caching it on first use. The cache is shared across concurrently
-    /// running scenarios (one computation per key) and persisted to
-    /// `<results_dir>/optm_cache.csv` in full-fidelity mode; smoke mode
-    /// uses a fast fluid-model search and never touches the disk cache.
+    /// Returns the OPTM allocation for `(app, rps)` on the context's
+    /// model, computing and caching it on first use. The cache is
+    /// shared across concurrently running scenarios (one computation
+    /// per key). A DES optimum is persisted to
+    /// `<results_dir>/optm_cache.csv`; smoke mode and `--backend fluid`
+    /// use a fast fluid-model search and never touch the disk cache.
     pub fn optimum_cached(&mut self, app: &AppSpec, rps: f64) -> io::Result<CachedOptimum> {
         let cache = Arc::clone(&self.optm);
-        cache.optimum(app, rps, &mut self.out)
+        cache.optimum(app, rps, &self.backend, &mut self.out)
     }
 }
 

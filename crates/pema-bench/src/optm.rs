@@ -2,7 +2,10 @@
 //!
 //! OPTM searches are the expensive part of the experiment suite and
 //! several scenarios need the same `(app, rps)` optimum
-//! (fig05/fig07/fig11/fig15/…). The cache guarantees:
+//! (fig05/fig07/fig11/fig15/…). An optimum is searched on the model the
+//! scenario runs on: the fluid model under `--backend fluid` and in
+//! smoke mode, the DES otherwise (a `trace:` tape cannot answer for an
+//! allocation it never saw). The cache guarantees:
 //!
 //! * **one computation per key**, even with scenarios running
 //!   concurrently (per-key locks; unrelated keys never block),
@@ -11,9 +14,13 @@
 //!   re-loaded from disk in a later run — which is what makes repeated
 //!   suite runs (and `--jobs 1` vs `--jobs N`) produce identical CSVs,
 //! * **durable reuse** across suite runs via
-//!   `<results_dir>/optm_cache.csv` (full-fidelity mode only; smoke
-//!   mode computes cheap fluid-model optima and stays off disk).
+//!   `<results_dir>/optm_cache.csv` (DES optima only; fluid-model
+//!   optima are cheap and stay off disk),
+//! * **the right shape**: an optimum is served only to an app with as
+//!   many services as it has entries, so a line left over from before
+//!   a topology edit is recomputed, not served.
 
+use crate::exec::BackendSel;
 use pema::prelude::*;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -52,10 +59,18 @@ impl CachedOptimum {
     }
 }
 
-type Key = (String, u64);
+/// The model an optimum is searched on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Model {
+    Des,
+    Fluid,
+}
 
-fn key(app: &str, rps: f64) -> Key {
-    (app.to_string(), rps.to_bits())
+/// An optimum's model, app, load and number of services.
+type Key = (Model, String, u64, usize);
+
+fn key(model: Model, app: &str, rps: f64, services: usize) -> Key {
+    (model, app.to_string(), rps.to_bits(), services)
 }
 
 /// Shared, thread-safe OPTM cache (see module docs).
@@ -89,8 +104,8 @@ impl OptmCache {
         self.dir.join("optm_cache.csv")
     }
 
-    /// Folds `optm_cache.csv` into the slot map (first full-mode access
-    /// only).
+    /// Folds `optm_cache.csv`'s DES optima into the slot map (first
+    /// full-mode access only).
     fn load_disk(&self) {
         let mut loaded = self.disk_loaded.lock().expect("optm cache lock poisoned");
         if *loaded || self.smoke {
@@ -117,7 +132,7 @@ impl OptmCache {
             }
             let value = CachedOptimum::canonical(&Allocation::new(alloc), p95);
             slots
-                .entry(key(app, rps))
+                .entry(key(Model::Des, app, rps, value.alloc.0.len()))
                 .or_insert_with(|| Arc::new(Mutex::new(None)))
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
@@ -125,11 +140,8 @@ impl OptmCache {
         }
     }
 
-    /// Appends one computed optimum to the cache file.
+    /// Appends one computed DES optimum to the cache file.
     fn persist(&self, app: &str, rps: f64, c: &CachedOptimum) -> io::Result<()> {
-        if self.smoke {
-            return Ok(());
-        }
         let _guard = self.file.lock().expect("optm cache lock poisoned");
         std::fs::create_dir_all(&self.dir).map_err(|e| {
             io::Error::new(
@@ -153,16 +165,28 @@ impl OptmCache {
             .map_err(|e| io::Error::new(e.kind(), format!("append to {}: {e}", path.display())))
     }
 
-    /// Returns the optimum for `(app, rps)`, computing it at most once
-    /// per process. Progress lines go to `log` (the calling scenario's
-    /// buffered output).
-    pub fn optimum(&self, app: &AppSpec, rps: f64, log: &mut String) -> io::Result<CachedOptimum> {
+    /// Returns the optimum for `(app, rps)` on the model of `backend`
+    /// (see the module docs), computing it at most once per process.
+    /// Progress lines go to `log` (the calling scenario's buffered
+    /// output).
+    pub fn optimum(
+        &self,
+        app: &AppSpec,
+        rps: f64,
+        backend: &BackendSel,
+        log: &mut String,
+    ) -> io::Result<CachedOptimum> {
+        let model = if self.smoke || *backend == BackendSel::Fluid {
+            Model::Fluid
+        } else {
+            Model::Des
+        };
         self.load_disk();
         let slot = {
             let mut slots = self.slots.lock().expect("optm cache lock poisoned");
             Arc::clone(
                 slots
-                    .entry(key(&app.name, rps))
+                    .entry(key(model, &app.name, rps, app.n_services()))
                     .or_insert_with(|| Arc::new(Mutex::new(None))),
             )
         };
@@ -175,24 +199,31 @@ impl OptmCache {
         if let Some(c) = slot.as_ref() {
             return Ok(c.clone());
         }
-        let computed = self.compute(app, rps, log)?;
-        self.persist(&app.name, rps, &computed)?;
+        let computed = self.compute(app, rps, model, log)?;
+        if model == Model::Des {
+            self.persist(&app.name, rps, &computed)?;
+        }
         *slot = Some(computed.clone());
         Ok(computed)
     }
 
-    fn compute(&self, app: &AppSpec, rps: f64, log: &mut String) -> io::Result<CachedOptimum> {
+    fn compute(
+        &self,
+        app: &AppSpec,
+        rps: f64,
+        model: Model,
+        log: &mut String,
+    ) -> io::Result<CachedOptimum> {
         let t0 = std::time::Instant::now();
-        if self.smoke {
+        if model == Model::Fluid {
             // Fluid-model search: orders of magnitude cheaper than the
-            // DES and fully deterministic — exactly what a sanity pass
-            // needs.
+            // DES and fully deterministic.
             let mut eval = FluidEvaluator::new(app);
             let start = Allocation::new(app.generous_alloc.clone());
             return Ok(match find_optimum(&mut eval, &start, rps) {
                 Ok(r) => CachedOptimum::canonical(&r.alloc, r.p95_ms),
                 // Infeasible even at the generous allocation: fall back
-                // to the generous allocation itself so smoke runs never
+                // to the generous allocation itself so fluid runs never
                 // abort on search feasibility.
                 Err(_) => {
                     let p95 = eval.evaluate(&start, rps).p95_ms;
@@ -241,8 +272,12 @@ mod tests {
         let cache = OptmCache::new(toy_dir("pema-optm-smoke"), true);
         let app = pema_apps::toy_chain();
         let mut log = String::new();
-        let a = cache.optimum(&app, 150.0, &mut log).unwrap();
-        let b = cache.optimum(&app, 150.0, &mut log).unwrap();
+        let a = cache
+            .optimum(&app, 150.0, &BackendSel::Sim, &mut log)
+            .unwrap();
+        let b = cache
+            .optimum(&app, 150.0, &BackendSel::Sim, &mut log)
+            .unwrap();
         assert_eq!(a.alloc, b.alloc);
         assert_eq!(a.total.to_bits(), b.total.to_bits());
         // Smoke mode must not touch the disk.
@@ -253,33 +288,95 @@ mod tests {
     fn full_mode_roundtrips_through_disk() {
         let dir = toy_dir("pema-optm-disk");
         let app = pema_apps::toy_chain();
-        // Seed the disk cache with two canonical-format entries: each
-        // persist appends its one line and leaves the other alone.
+        // Seed the disk cache with two canonical-format entries of
+        // toy-chain's three services: each persist appends its one line
+        // and leaves the other alone.
         {
             let cache = OptmCache::new(dir.clone(), false);
-            let value = CachedOptimum::canonical(&Allocation::new(vec![1.23456, 2.0]), 42.1234);
+            let value =
+                CachedOptimum::canonical(&Allocation::new(vec![1.23456, 2.0, 0.5]), 42.1234);
             cache.persist("toy-chain", 150.0, &value).unwrap();
-            let value = CachedOptimum::canonical(&Allocation::new(vec![0.5, 0.75]), 17.0);
+            let value = CachedOptimum::canonical(&Allocation::new(vec![0.5, 0.75, 1.0]), 17.0);
             cache.persist("toy-chain", 90.0, &value).unwrap();
             let file = std::fs::read_to_string(cache.cache_path()).unwrap();
             assert_eq!(
                 file,
-                "toy-chain,150,3.2346,42.123,1.2346;2.0000\n\
-                 toy-chain,90,1.2500,17.000,0.5000;0.7500\n"
+                "toy-chain,150,3.7346,42.123,1.2346;2.0000;0.5000\n\
+                 toy-chain,90,2.2500,17.000,0.5000;0.7500;1.0000\n"
             );
         }
         // A fresh cache must serve both without computing.
         let cache = OptmCache::new(dir, false);
         let mut log = String::new();
-        let got = cache.optimum(&app, 150.0, &mut log).unwrap();
-        assert_eq!(got.alloc.0, vec![1.2346, 2.0]);
+        let got = cache
+            .optimum(&app, 150.0, &BackendSel::Sim, &mut log)
+            .unwrap();
+        assert_eq!(got.alloc.0, vec![1.2346, 2.0, 0.5]);
         assert_eq!(got.p95_ms, 42.123);
-        let got = cache.optimum(&app, 90.0, &mut log).unwrap();
-        assert_eq!(got.alloc.0, vec![0.5, 0.75]);
+        let got = cache
+            .optimum(&app, 90.0, &BackendSel::Sim, &mut log)
+            .unwrap();
+        assert_eq!(got.alloc.0, vec![0.5, 0.75, 1.0]);
         assert!(
             !log.contains("computing"),
             "disk hit must not recompute: {log}"
         );
+    }
+
+    #[test]
+    fn full_mode_optimum_follows_the_backends_model() {
+        let dir = toy_dir("pema-optm-model");
+        let app = pema_apps::toy_chain();
+        let mut eval = FluidEvaluator::new(&app);
+        let start = Allocation::new(app.generous_alloc.clone());
+        let r = find_optimum(&mut eval, &start, 150.0).unwrap();
+        let want = CachedOptimum::canonical(&r.alloc, r.p95_ms);
+        let same = |got: &CachedOptimum| {
+            assert_eq!(got.alloc, want.alloc);
+            assert_eq!(got.total.to_bits(), want.total.to_bits());
+            assert_eq!(got.p95_ms.to_bits(), want.p95_ms.to_bits());
+        };
+        // A fluid request searches the fluid model and stays off disk.
+        let cache = OptmCache::new(dir.clone(), false);
+        let mut log = String::new();
+        same(
+            &cache
+                .optimum(&app, 150.0, &BackendSel::Fluid, &mut log)
+                .unwrap(),
+        );
+        assert!(!cache.cache_path().exists());
+        // A DES line for the same (app, rps) serves the DES only.
+        let des = CachedOptimum::canonical(&Allocation::new(vec![1.0, 2.0, 0.5]), 42.0);
+        cache.persist("toy-chain", 150.0, &des).unwrap();
+        let cache = OptmCache::new(dir, false);
+        let got = cache
+            .optimum(&app, 150.0, &BackendSel::Sim, &mut log)
+            .unwrap();
+        assert_eq!(got.alloc, des.alloc);
+        same(
+            &cache
+                .optimum(&app, 150.0, &BackendSel::Fluid, &mut log)
+                .unwrap(),
+        );
+        assert!(!log.contains("computing"), "no DES search: {log}");
+    }
+
+    #[test]
+    fn a_cached_optimum_of_the_wrong_length_is_never_served() {
+        let dir = toy_dir("pema-optm-length");
+        let app = pema_apps::toy_chain();
+        // A line from before toy-chain had its third service.
+        let stale = CachedOptimum::canonical(&Allocation::new(vec![1.0, 2.0]), 42.0);
+        OptmCache::new(dir.clone(), false)
+            .persist("toy-chain", 150.0, &stale)
+            .unwrap();
+        let cache = OptmCache::new(dir, false);
+        let mut log = String::new();
+        let got = cache
+            .optimum(&app, 150.0, &BackendSel::Sim, &mut log)
+            .unwrap();
+        assert_eq!(got.alloc.0.len(), app.n_services());
+        assert!(log.contains("computing"), "the DES searched: {log}");
     }
 
     #[test]
@@ -302,7 +399,9 @@ mod tests {
                     let app = app.clone();
                     s.spawn(move || {
                         let mut log = String::new();
-                        cache.optimum(&app, 150.0, &mut log).unwrap()
+                        cache
+                            .optimum(&app, 150.0, &BackendSel::Sim, &mut log)
+                            .unwrap()
                     })
                 })
                 .collect::<Vec<_>>()

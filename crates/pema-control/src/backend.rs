@@ -309,11 +309,11 @@ impl ClusterBackend for SimBackend {
 
     /// Without early checks the single poll runs the window to its end
     /// exactly like [`ClusterSim::run_window`]; with early checks each
-    /// poll advances one check period and a breach cancels the window
-    /// at that poll boundary, replicating
-    /// [`ClusterSim::run_window_abortable`] slice for slice (the
-    /// conformance suite and the `pema-bench` goldens pin both) while
-    /// letting a fleet interleave other loops between checks.
+    /// poll advances one check period ([`ClusterSim::advance_window`])
+    /// and a breach of [`ClusterSim::window_p95_ms`] cancels the window
+    /// at that poll boundary (the conformance suite and the
+    /// `pema-bench` goldens pin both) while letting a fleet interleave
+    /// other loops between checks.
     fn poll_window(&mut self, req: &WindowRequest) -> WindowPoll {
         let w = self
             .inflight

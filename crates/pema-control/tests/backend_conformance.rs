@@ -19,12 +19,12 @@
 //!   interval lengths;
 //! * a window polled by hand (`begin_window`/`poll_window`, as the
 //!   fleet does) is result-identical to its reference — for the DES
-//!   the engine's own `ClusterSim::run_window` /
-//!   `run_window_abortable`, for every other backend an identically
-//!   built twin driven through the provided `measure_window` /
-//!   `measure_window_abortable` — and `now_s` stays monotone while
-//!   windows of several backends are polled interleaved (the fleet
-//!   scheduler's contract);
+//!   the engine itself, `ClusterSim::run_window` or its window API
+//!   driven through the §6 early-check loop below, for every other
+//!   backend an identically built twin driven through the provided
+//!   `measure_window` / `measure_window_abortable` — and `now_s` stays
+//!   monotone while windows of several backends are polled interleaved
+//!   (the fleet scheduler's contract);
 //! * the provided blocking calls drive a `Pending`-returning poll to
 //!   its end.
 
@@ -33,8 +33,10 @@ use pema_control::{
     WindowPoll, WindowRequest,
 };
 use pema_live::{live_over_fake, Fault};
+use pema_sim::topology::{CallGroup, EndpointNode, NodeSpec, RequestClass};
 use pema_sim::{
-    Allocation, AppSpec, ClusterSim, Evaluator as _, FluidEvaluator, WindowStats, MIN_ALLOC,
+    Allocation, AppSpec, ClusterSim, Evaluator as _, FluidEvaluator, ServiceId, ServiceSpec,
+    WindowStats, MIN_ALLOC,
 };
 use pema_trace::{TraceBackend, TraceRecorder};
 
@@ -179,7 +181,8 @@ fn each_backend_pair(
 /// What a hand-polled window is compared against.
 enum Reference {
     /// The DES engine itself, configured as [`SimBackend::new`]
-    /// configures it: `run_window*` share no code with the poll seam.
+    /// configures it and driven through its window API: nothing here
+    /// goes through the poll seam.
     Engine(Box<ClusterSim>),
     /// An identically built twin, driven through the trait's provided
     /// blocking calls.
@@ -192,7 +195,19 @@ impl Reference {
         match (self, req.early) {
             (Reference::Engine(sim), None) => (sim.run_window(rps, warmup_s, window_s), false),
             (Reference::Engine(sim), Some(e)) => {
-                sim.run_window_abortable(rps, warmup_s, window_s, e.check_s, e.slo_ms)
+                // Advance one check period at a time; stop at the end or
+                // at the first check whose running p95 breaches the SLO.
+                let w = sim.open_window(rps, warmup_s, window_s);
+                let aborted = loop {
+                    let done = sim.advance_window(&w, e.check_s);
+                    if sim.window_p95_ms().is_some_and(|p95| p95 > e.slo_ms) {
+                        break true;
+                    }
+                    if done {
+                        break false;
+                    }
+                };
+                (sim.close_window_measured(w), aborted)
             }
             (Reference::Twin(b), None) => (b.measure_window(rps, warmup_s, window_s), false),
             (Reference::Twin(b), Some(e)) => {
@@ -577,4 +592,62 @@ fn live_backend_rides_out_first_poll_flakiness() {
         "live: clock must land at warmup + window (+ one short backoff), got {now}"
     );
     assert_eq!(stats.duration_s.to_bits(), 8.0f64.to_bits());
+}
+
+/// frontend -> backend chain with small demands.
+fn chain_app() -> AppSpec {
+    AppSpec {
+        name: "chain".into(),
+        services: vec![
+            ServiceSpec::new("frontend", 0.002).cv(0.5),
+            ServiceSpec::new("backend", 0.004).cv(0.5),
+        ],
+        endpoints: vec![
+            EndpointNode {
+                service: ServiceId(0),
+                work_scale: 1.0,
+                groups: vec![CallGroup {
+                    calls: vec![(1, 1.0)],
+                }],
+            },
+            EndpointNode {
+                service: ServiceId(1),
+                work_scale: 1.0,
+                groups: vec![],
+            },
+        ],
+        classes: vec![RequestClass {
+            name: "get".into(),
+            weight: 1.0,
+            root: 0,
+        }],
+        nodes: vec![NodeSpec { cores: 32.0 }],
+        net_delay_s: 0.0002,
+        slo_ms: 100.0,
+        generous_alloc: vec![2.0, 2.0],
+    }
+}
+
+#[test]
+fn abortable_window_triggers_under_starvation() {
+    let app = chain_app();
+    let mut sim = SimBackend::from_sim(ClusterSim::new(&app, 21));
+    sim.apply(&Allocation::new(vec![2.0, 0.2]));
+    let (stats, aborted) = sim.measure_window_abortable(150.0, 2.0, 60.0, 5.0, 100.0);
+    assert!(aborted, "starved backend should trip the early check");
+    assert!(
+        stats.duration_s < 59.0,
+        "window should have ended early: {}",
+        stats.duration_s
+    );
+    assert!(stats.p95_ms > 100.0);
+}
+
+#[test]
+fn abortable_window_completes_when_healthy() {
+    let app = chain_app();
+    let mut sim = SimBackend::from_sim(ClusterSim::new(&app, 22));
+    let (stats, aborted) = sim.measure_window_abortable(100.0, 1.0, 10.0, 2.0, 200.0);
+    assert!(!aborted);
+    assert!((stats.duration_s - 10.0).abs() < 0.2);
 }

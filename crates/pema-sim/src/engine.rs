@@ -383,36 +383,6 @@ impl ClusterSim {
         self.close_window(w)
     }
 
-    /// Like [`Self::run_window`], but checks the accumulated p95 every
-    /// `check_every_s` and aborts the window as soon as it exceeds
-    /// `abort_p95_ms` — the paper's §6 "higher-resolution performance
-    /// monitoring" improvement, which caps how long the application is
-    /// exposed to a bad configuration. Returns the (possibly partial)
-    /// window statistics and whether the window was aborted.
-    pub fn run_window_abortable(
-        &mut self,
-        rps: f64,
-        warmup_s: f64,
-        window_s: f64,
-        check_every_s: f64,
-        abort_p95_ms: f64,
-    ) -> (WindowStats, bool) {
-        assert!(check_every_s > 0.0, "check interval must be positive");
-        let w = self.open_window(rps, warmup_s, window_s);
-        let mut aborted = false;
-        loop {
-            let done = self.advance_window(&w, check_every_s);
-            if self.window_p95_ms().is_some_and(|p95| p95 > abort_p95_ms) {
-                aborted = true;
-                break;
-            }
-            if done {
-                break;
-            }
-        }
-        (self.close_window_measured(w), aborted)
-    }
-
     /// Sets the offered load, runs the settling time, and opens a
     /// measured window — the first half of [`Self::run_window`], split
     /// out so callers can advance the window in slices (and interleave
@@ -445,8 +415,8 @@ impl ClusterSim {
     }
 
     /// The running p95 of the open window, ms — `None` until a minimal
-    /// sample (50 completions) has accumulated, matching the guard the
-    /// abortable path has always used before trusting the estimate.
+    /// sample (50 completions) has accumulated, the guard a §6 early
+    /// check uses before trusting the estimate.
     pub fn window_p95_ms(&self) -> Option<f64> {
         if self.hist.count() >= 50 {
             self.hist.quantile(0.95).map(|p95| p95 * 1e3)
@@ -462,8 +432,8 @@ impl ClusterSim {
     }
 
     /// Closes a (possibly partial) window, reporting the *measured*
-    /// length as its duration — what [`Self::run_window_abortable`]
-    /// has always done, whether or not it aborted.
+    /// length as its duration — what a window with §6 early checks
+    /// reports, whether or not it aborted.
     pub fn close_window_measured(&mut self, w: OpenWindow) -> WindowStats {
         let measured = self.now.secs_since(w.start);
         self.end_window(measured.max(1e-9))
@@ -1459,30 +1429,6 @@ mod tests {
             (frac - 0.1).abs() < 0.04,
             "sampling fraction {frac} far from 0.1"
         );
-    }
-
-    #[test]
-    fn abortable_window_triggers_under_starvation() {
-        let app = chain_app();
-        let mut sim = ClusterSim::new(&app, 21);
-        sim.set_allocation(&Allocation::new(vec![2.0, 0.2]));
-        let (stats, aborted) = sim.run_window_abortable(150.0, 2.0, 60.0, 5.0, 100.0);
-        assert!(aborted, "starved backend should trip the early check");
-        assert!(
-            stats.duration_s < 59.0,
-            "window should have ended early: {}",
-            stats.duration_s
-        );
-        assert!(stats.p95_ms > 100.0);
-    }
-
-    #[test]
-    fn abortable_window_completes_when_healthy() {
-        let app = chain_app();
-        let mut sim = ClusterSim::new(&app, 22);
-        let (stats, aborted) = sim.run_window_abortable(100.0, 1.0, 10.0, 2.0, 200.0);
-        assert!(!aborted);
-        assert!((stats.duration_s - 10.0).abs() < 0.2);
     }
 
     #[test]
