@@ -16,19 +16,22 @@
 //! ## Event scheduling
 //!
 //! `run_until` merges three sources by a shared `(time, seq)` key —
-//! the [`CalendarQueue`] holding visit events, the arrival-chain slot,
-//! and the per-service timer table — dispatching in exactly the order
-//! the original single-heap engine did (the global `seq` counter ticks
-//! on every scheduling action, including in-place slot overwrites, so
+//! a binary heap holding visit events, the arrival-chain slot, and the
+//! per-service timer table — dispatching in exactly the order the
+//! original single-heap engine did (the global `seq` counter ticks on
+//! every scheduling action, including in-place slot overwrites, so
 //! FIFO tie-breaking is preserved). Timer- and arrival-class events
 //! are the ones that get *superseded* on nearly every dispatch; the
 //! indexed slots absorb those rewrites in O(1) instead of leaving
-//! stale heap entries to pop and discard later.
+//! stale heap entries to pop and discard later. What is left in the
+//! heap is RPC hops, a few dozen deep at most (see the crate doc), so
+//! `std`'s binary heap is all it needs.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-use crate::queue::CalendarQueue;
 use crate::rng::{bernoulli, exponential, weight_total, weighted_index_with_total, LogNormal};
 use crate::runtime::{
     RunningJob, ServiceRt, Stage, Visit, VisitSlot, CFS_PERIOD_NS, NO_PARENT, QUOTA_EPS, WORK_EPS,
@@ -39,11 +42,13 @@ use crate::topology::{Allocation, AppSpec, CallTable};
 use crate::trace::{RequestTrace, TraceSpan};
 use pema_metrics::LatencyHistogram;
 
-/// Events routed through the calendar queue. Timer- and arrival-class
-/// events do not appear here: they live in indexed slots (one per
-/// service, one for the arrival chain) where rescheduling is an O(1)
-/// overwrite instead of a push that leaves a stale entry behind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Events held in the visit-event heap, keyed by a unique `(t_ns, seq)`
+/// so the derived order of `Ev` itself never decides anything. Timer-
+/// and arrival-class events do not appear here: they live in indexed
+/// slots (one per service, one for the arrival chain) where
+/// rescheduling is an O(1) overwrite instead of a push that leaves a
+/// stale entry behind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
     /// A visit arrives at its service (index, slot generation).
     VisitStart(u32, u32),
@@ -82,7 +87,8 @@ pub struct ClusterSim {
     node_cores_floor: Vec<u64>,
     visits: Vec<VisitSlot>,
     free: Vec<usize>,
-    queue: CalendarQueue<Ev>,
+    /// Visit events as `(t_ns, seq, event)`, earliest first.
+    queue: BinaryHeap<Reverse<(u64, u64, Ev)>>,
     /// Global event sequence — the FIFO tie-breaker shared by the
     /// queue and the indexed timer/arrival slots. Bumped on every
     /// scheduling action exactly as the old single-heap engine bumped
@@ -228,7 +234,7 @@ impl ClusterSim {
             node_cores_floor: app.nodes.iter().map(|n| n.cores.floor() as u64).collect(),
             visits: Vec::with_capacity(4096),
             free: Vec::new(),
-            queue: CalendarQueue::new(),
+            queue: BinaryHeap::new(),
             seq: 0,
             events_dispatched: 0,
             events_superseded: 0,
@@ -448,9 +454,9 @@ impl ClusterSim {
     }
 
     /// Advances the simulation, processing all events up to `t_end`:
-    /// a three-way merge over the calendar queue (visit events), the
-    /// arrival slot, and the per-service timer table, ordered by the
-    /// shared `(t, seq)` key.
+    /// a three-way merge over the visit-event heap, the arrival slot,
+    /// and the per-service timer table, ordered by the shared
+    /// `(t, seq)` key.
     pub fn run_until(&mut self, t_end: SimTime) {
         loop {
             let (tm_t, tm_seq, tm_sid) = self.timer_min();
@@ -462,9 +468,9 @@ impl ClusterSim {
                 best_seq = self.arrival_seq;
                 src = Src::Arrival;
             }
-            if let Some((qt, qseq)) = self.queue.peek_min(t_end) {
-                if (qt.0, qseq) < (best_t, best_seq) {
-                    best_t = qt.0;
+            if let Some(&Reverse((qt, qseq, _))) = self.queue.peek() {
+                if (qt, qseq) < (best_t, best_seq) {
+                    best_t = qt;
                     src = Src::Queue;
                 }
             }
@@ -475,7 +481,7 @@ impl ClusterSim {
             self.events_dispatched += 1;
             match src {
                 Src::Queue => {
-                    let (_, ev) = self.queue.pop_cached();
+                    let Reverse((_, _, ev)) = self.queue.pop().expect("peeked event");
                     self.dispatch(ev);
                 }
                 Src::Arrival => {
@@ -644,7 +650,7 @@ impl ClusterSim {
     #[inline]
     fn push(&mut self, t: SimTime, ev: Ev) {
         self.seq += 1;
-        self.queue.push(t, self.seq, ev);
+        self.queue.push(Reverse((t.0, self.seq, ev)));
     }
 
     fn dispatch(&mut self, ev: Ev) {

@@ -21,14 +21,19 @@
 //!
 //! The engine is tuned so steady-state simulation is allocation-free
 //! and cache-friendly without changing a single simulated outcome
-//! (golden-snapshot tests in `pema-bench` pin CSVs byte-for-byte):
+//! (golden-snapshot tests in `pema-bench` pin CSVs byte-for-byte;
+//! `tests/alloc_budget.rs` counts the allocations of a warmed-up run):
 //!
-//! * **event scheduling** — visit events flow through an index-based
-//!   [`CalendarQueue`] (bucket ring + overflow heap, amortized O(1)),
-//!   while timer- and arrival-class events live in per-service /
-//!   per-chain *slots* where a reschedule is an O(1) overwrite: no
-//!   stale events exist anywhere, and a two-level argmin index keeps
-//!   the timer table scalable to cluster-sized topologies;
+//! * **event scheduling** — a binary heap of visit events keyed by
+//!   `(time, seq)`; timer- and arrival-class events live in
+//!   per-service / per-chain *slots* where a reschedule is an O(1)
+//!   overwrite: no stale events exist anywhere, and a two-level argmin
+//!   index keeps the timer table scalable to cluster-sized topologies.
+//!   That leaves only in-flight RPC hops in the heap. Sampled every
+//!   1 ms over 40 s, the paper's three applications and a 120-service
+//!   cluster held a mean of 2–15 and at most 63 scheduled events, from
+//!   generous allocation down to 0.12× of it: a plain heap is a few
+//!   levels deep, and it stops growing once warm;
 //! * **visit slot pool** — in-flight visits live in a generation-
 //!   checked arena ([`runtime::VisitSlot`]) with a free list, and the
 //!   per-job integration state rides inline in each service's running
@@ -92,7 +97,6 @@ pub mod fluid;
 pub mod mmpp;
 pub mod optm;
 pub mod pattern;
-pub mod queue;
 pub mod rng;
 pub mod runtime;
 pub mod stats;
@@ -107,7 +111,6 @@ pub use fluid::{FluidEvaluator, TailCurve, TailModel, LEGACY_P95_FACTOR};
 pub use mmpp::{MmppState, MmppWorkload};
 pub use optm::{find_optimum, optimum_for, OptmError, OptmResult};
 pub use pattern::{BurstPattern, DiurnalPattern, StepPattern, TracePattern, Workload};
-pub use queue::CalendarQueue;
 pub use stats::{ServiceWindowStats, WindowStats};
 pub use time::SimTime;
 pub use topology::{Allocation, AppSpec, ServiceId, ServiceSpec, TopologyError, MIN_ALLOC};
