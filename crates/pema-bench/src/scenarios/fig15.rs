@@ -8,9 +8,10 @@
 //! times … and show the average").
 //!
 //! Participates in the backend matrix (`--backend`, via
-//! `ctx.closed_loop`) — note the OPTM reference stays DES-cached, so
-//! under `--backend fluid` the normalized columns mix models and only
-//! the PEMA-vs-RULE comparison is internally consistent.
+//! `ctx.closed_loop`). The OPTM reference is searched on the fluid
+//! model under `--backend fluid` and in smoke mode, and on the DES
+//! otherwise, `trace:` included — so a smoke run on the DES normalizes
+//! its DES allocations by a fluid optimum.
 
 use crate::{paper_apps, ExperimentCtx};
 use pema::prelude::*;

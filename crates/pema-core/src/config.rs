@@ -27,10 +27,6 @@ pub struct PemaParams {
     /// e.g. to 95%; we default to 90% which suits the simulator's
     /// knee sharpness).
     pub response_buffer: f64,
-    /// Initial (conservative) per-service utilization threshold, %.
-    pub init_util_threshold: f64,
-    /// Initial per-service CPU-throttling threshold, seconds.
-    pub init_throttle_threshold: f64,
     /// Disables the opportunistic threshold learning of Eqns. 6/7
     /// (thresholds stay at their initial values). Used by the
     /// `ablation_thresholds` experiment; always `false` in normal
@@ -51,8 +47,6 @@ impl PemaParams {
             ma_window: 5,
             slo_ms,
             response_buffer: 0.90,
-            init_util_threshold: 15.0,
-            init_throttle_threshold: 0.0,
             freeze_thresholds: false,
             seed: 0xC0FFEE,
         }

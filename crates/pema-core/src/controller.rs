@@ -66,6 +66,11 @@ use crate::rhdb::{Rhdb, RhdbRecord};
 use pema_metrics::MovingAvg;
 use pema_sim::{WindowStats, MIN_ALLOC};
 
+/// Seed of every service's learned utilization threshold `U_th`, %.
+const INIT_UTIL_THRESHOLD: f64 = 15.0;
+/// Seed of every service's learned throttling threshold `H_th`, seconds.
+const INIT_THROTTLE_THRESHOLD: f64 = 0.0;
+
 /// What a policy did at the end of one control interval: one of
 /// Algorithm 1's four outcomes, the workload-aware manager's learning
 /// phase, or RULE. [`Display`](fmt::Display) prints the label the log,
@@ -156,8 +161,8 @@ impl PemaController {
         let seed = params.seed;
         let target = params.slo_ms;
         Self {
-            util_th: vec![params.init_util_threshold; n],
-            throttle_th: vec![params.init_throttle_threshold; n],
+            util_th: vec![INIT_UTIL_THRESHOLD; n],
+            throttle_th: vec![INIT_THROTTLE_THRESHOLD; n],
             rhdb: Rhdb::new(100_000),
             ma: MovingAvg::new(params.ma_window),
             rng: SmallRng::seed_from_u64(seed),

@@ -15,17 +15,18 @@
 //!
 //! ## Event scheduling
 //!
-//! `run_until` merges three sources by a shared `(time, seq)` key —
-//! a binary heap holding visit events, the arrival-chain slot, and the
-//! per-service timer table — dispatching in exactly the order the
-//! original single-heap engine did (the global `seq` counter ticks on
-//! every scheduling action, including in-place slot overwrites, so
-//! FIFO tie-breaking is preserved). Timer- and arrival-class events
-//! are the ones that get *superseded* on nearly every dispatch; the
-//! indexed slots absorb those rewrites in O(1) instead of leaving
-//! stale heap entries to pop and discard later. What is left in the
-//! heap is RPC hops, a few dozen deep at most (see the crate doc), so
-//! `std`'s binary heap is all it needs.
+//! `run_until` merges two sources by a shared `(time, seq)` key — a
+//! binary heap holding visit events, and a deadline table with one slot
+//! per service timer plus a last slot for the arrival chain —
+//! dispatching in exactly the order the original single-heap engine
+//! did (the global `seq` counter ticks on every scheduling action,
+//! including in-place slot overwrites, so FIFO tie-breaking is
+//! preserved). Timer and arrival deadlines are the ones that get
+//! *superseded* on nearly every dispatch; the table absorbs those
+//! rewrites in O(1) instead of leaving stale heap entries to pop and
+//! discard later. What is left in the heap is RPC hops, a few dozen
+//! deep at most (see the crate doc), so `std`'s binary heap is all it
+//! needs.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -34,20 +35,19 @@ use std::collections::BinaryHeap;
 
 use crate::rng::{bernoulli, exponential, weight_total, weighted_index_with_total, LogNormal};
 use crate::runtime::{
-    RunningJob, ServiceRt, Stage, Visit, VisitSlot, CFS_PERIOD_NS, NO_PARENT, QUOTA_EPS, WORK_EPS,
+    RunningJob, ServiceRt, Stage, Visit, VisitSlot, NO_PARENT, QUOTA_EPS, WORK_EPS,
 };
 use crate::stats::{ServiceWindowStats, WindowStats};
 use crate::time::SimTime;
 use crate::topology::{Allocation, AppSpec, CallTable};
 use crate::trace::{RequestTrace, TraceSpan};
-use pema_metrics::LatencyHistogram;
+use pema_metrics::{percentile_sorted, LatencyHistogram};
 
 /// Events held in the visit-event heap, keyed by a unique `(t_ns, seq)`
-/// so the derived order of `Ev` itself never decides anything. Timer-
-/// and arrival-class events do not appear here: they live in indexed
-/// slots (one per service, one for the arrival chain) where
-/// rescheduling is an O(1) overwrite instead of a push that leaves a
-/// stale entry behind.
+/// so the derived order of `Ev` itself never decides anything. Timer
+/// and arrival deadlines do not appear here: they live in the deadline
+/// table, where rescheduling is an O(1) overwrite instead of a push
+/// that leaves a stale entry behind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
     /// A visit arrives at its service (index, slot generation).
@@ -56,15 +56,7 @@ enum Ev {
     ChildDone(u32, u32),
 }
 
-/// Which event source won the three-way merge in `run_until`.
-#[derive(PartialEq)]
-enum Src {
-    Queue,
-    Arrival,
-    Timer,
-}
-
-/// Services per block of the two-level timer argmin index.
+/// Slots per block of the two-level deadline argmin index.
 const TIMER_BLOCK: usize = 16;
 
 /// A running simulation of one application on its cluster.
@@ -90,16 +82,15 @@ pub struct ClusterSim {
     /// Visit events as `(t_ns, seq, event)`, earliest first.
     queue: BinaryHeap<Reverse<(u64, u64, Ev)>>,
     /// Global event sequence — the FIFO tie-breaker shared by the
-    /// queue and the indexed timer/arrival slots. Bumped on every
-    /// scheduling action exactly as the old single-heap engine bumped
-    /// it on every push, so same-time events dispatch in the same
-    /// relative order.
+    /// queue and the deadline table. Bumped on every scheduling action
+    /// exactly as the old single-heap engine bumped it on every push,
+    /// so same-time events dispatch in the same relative order.
     seq: u64,
     events_dispatched: u64,
-    /// Scheduled events resolved *in place*: a timer or arrival slot
-    /// overwrite that replaced a still-armed deadline. The old
-    /// single-heap engine paid a deferred stale pop for each of these;
-    /// the indexed slots absorb them at reschedule time.
+    /// Scheduled events resolved *in place*: a deadline-table write
+    /// (timer or arrival slot) that replaced a still-armed deadline.
+    /// The old single-heap engine paid a deferred stale pop for each
+    /// of these; the table absorbs them at reschedule time.
     events_superseded: u64,
     now: SimTime,
     rng: SmallRng,
@@ -109,23 +100,20 @@ pub struct ClusterSim {
     /// are abandoned at their next scheduling point.
     timeout_s: Option<f64>,
     arrival_rate: f64,
-    /// Arrival-chain slot: next arrival time/seq (armed = chain live).
-    arrival_at: SimTime,
-    arrival_seq: u64,
-    arrival_armed: bool,
-    /// Per-service timer slots `(t_ns, seq)`: the service's next
-    /// deadline, or `(u64::MAX, u64::MAX)` when idle. Rescheduling
-    /// overwrites in place — no stale timer events exist anywhere.
+    /// The deadline table `(t_ns, seq)`: slot `sid < n` is service
+    /// `sid`'s next timer deadline, slot `n` (one past the last
+    /// service) the arrival chain's next arrival, and
+    /// `(u64::MAX, u64::MAX)` a disarmed slot. Rescheduling overwrites
+    /// in place — no stale deadline exists anywhere.
     timer_key: Vec<(u64, u64)>,
     /// Two-level argmin index over `timer_key`: per-block minima
-    /// (`t`, `seq`, `sid` per [`TIMER_BLOCK`] services, healed lazily
+    /// (`t`, `seq`, `slot` per [`TIMER_BLOCK`] slots, healed lazily
     /// via `block_dirty`) plus a cached global minimum. Keeps the
-    /// rescan after each timer fire O(block + #blocks) instead of
-    /// O(#services) — what lets the timer table scale to
-    /// cluster-sized topologies.
+    /// rescan after each fire O(block + #blocks) instead of O(#slots)
+    /// — what lets the table scale to cluster-sized topologies.
     block_min: Vec<(u64, u64, u32)>,
     block_dirty: Vec<bool>,
-    /// Cached global argmin (`t`, `seq`, `sid`); recomputed lazily.
+    /// Cached global argmin (`t`, `seq`, `slot`); recomputed lazily.
     timer_min: (u64, u64, u32),
     timer_min_valid: bool,
     class_weights: Vec<f64>,
@@ -224,6 +212,7 @@ impl ClusterSim {
             group_spans,
             flat_calls,
         } = app.call_table();
+        let slots = app.services.len() + 1;
         ClusterSim {
             app: app.clone(),
             services,
@@ -243,15 +232,9 @@ impl ClusterSim {
             speed: 1.0,
             timeout_s: None,
             arrival_rate: 0.0,
-            arrival_at: SimTime::ZERO,
-            arrival_seq: u64::MAX,
-            arrival_armed: false,
-            timer_key: vec![(u64::MAX, u64::MAX); app.services.len()],
-            block_min: vec![
-                (u64::MAX, u64::MAX, u32::MAX);
-                app.services.len().div_ceil(TIMER_BLOCK)
-            ],
-            block_dirty: vec![false; app.services.len().div_ceil(TIMER_BLOCK)],
+            timer_key: vec![(u64::MAX, u64::MAX); slots],
+            block_min: vec![(u64::MAX, u64::MAX, u32::MAX); slots.div_ceil(TIMER_BLOCK)],
+            block_dirty: vec![false; slots.div_ceil(TIMER_BLOCK)],
             timer_min: (u64::MAX, u64::MAX, u32::MAX),
             timer_min_valid: true,
             class_weights,
@@ -351,12 +334,21 @@ impl ClusterSim {
         self.timeout_s = timeout_s;
     }
 
-    /// True when the visit's root request has outlived the timeout.
-    fn timed_out(&self, vi: usize) -> bool {
-        match self.timeout_s {
-            Some(to) => self.now.secs_since(self.visits[vi].v.root_start) > to,
-            None => false,
+    /// Abandons visit `vi` when its root request has outlived the
+    /// timeout: the client is gone, so the visit skips all remaining
+    /// work and replies at once, draining the backlog fast. Returns
+    /// whether it did.
+    fn abandon_if_timed_out(&mut self, sid: usize, vi: usize) -> bool {
+        let Some(to) = self.timeout_s else {
+            return false;
+        };
+        if self.now.secs_since(self.visits[vi].v.root_start) <= to {
+            return false;
         }
+        self.visits[vi].v.stage = Stage::ExecPost;
+        self.visits[vi].v.remaining = 0.0;
+        self.finish_visit(sid, vi);
+        true
     }
 
     /// Sets the offered load (requests/second). Restarts the arrival
@@ -365,19 +357,15 @@ impl ClusterSim {
     pub fn set_arrival_rate(&mut self, rps: f64) {
         assert!(rps >= 0.0 && rps.is_finite(), "rps must be non-negative");
         self.arrival_rate = rps;
-        if self.arrival_armed {
-            self.events_superseded += 1;
-        }
-        if rps > 0.0 {
-            let dt = exponential(&mut self.rng, rps);
-            let t = self.now.plus_secs(dt);
-            self.seq += 1;
-            self.arrival_at = t;
-            self.arrival_seq = self.seq;
-            self.arrival_armed = true;
-        } else {
-            self.arrival_armed = false;
-        }
+        self.rearm_arrival();
+    }
+
+    /// Arms the arrival slot one exponential gap after now at the
+    /// current rate, or disarms it at rate 0.
+    fn rearm_arrival(&mut self) {
+        let rate = self.arrival_rate;
+        let next = (rate > 0.0).then(|| self.now.plus_secs(exponential(&mut self.rng, rate)));
+        self.rearm(self.services.len(), next);
     }
 
     /// Runs `warmup_s` of settling time followed by a measured window of
@@ -454,53 +442,44 @@ impl ClusterSim {
     }
 
     /// Advances the simulation, processing all events up to `t_end`:
-    /// a three-way merge over the visit-event heap, the arrival slot,
-    /// and the per-service timer table, ordered by the shared
-    /// `(t, seq)` key.
+    /// a two-way merge of the visit-event heap and the deadline table,
+    /// ordered by the shared `(t, seq)` key. A table slot that fires is
+    /// disarmed before its handler runs, so the handler's re-arm
+    /// supersedes nothing.
     pub fn run_until(&mut self, t_end: SimTime) {
         loop {
-            let (tm_t, tm_seq, tm_sid) = self.timer_min();
-            let mut best_t = tm_t;
-            let mut best_seq = tm_seq;
-            let mut src = Src::Timer;
-            if self.arrival_armed && (self.arrival_at.0, self.arrival_seq) < (best_t, best_seq) {
-                best_t = self.arrival_at.0;
-                best_seq = self.arrival_seq;
-                src = Src::Arrival;
-            }
-            if let Some(&Reverse((qt, qseq, _))) = self.queue.peek() {
-                if (qt, qseq) < (best_t, best_seq) {
-                    best_t = qt;
-                    src = Src::Queue;
+            let (mut t, seq, slot) = self.timer_min();
+            let queued = match self.queue.peek() {
+                Some(&Reverse((qt, qseq, _))) if (qt, qseq) < (t, seq) => {
+                    t = qt;
+                    true
                 }
-            }
-            if best_t > t_end.0 || (src == Src::Timer && tm_sid == u32::MAX) {
+                _ => false,
+            };
+            if t > t_end.0 || (!queued && slot == u32::MAX) {
                 break;
             }
-            self.now = SimTime(best_t);
+            self.now = SimTime(t);
             self.events_dispatched += 1;
-            match src {
-                Src::Queue => {
-                    let Reverse((_, _, ev)) = self.queue.pop().expect("peeked event");
-                    self.dispatch(ev);
-                }
-                Src::Arrival => {
-                    self.arrival_armed = false;
+            if queued {
+                let Reverse((_, _, ev)) = self.queue.pop().expect("peeked event");
+                self.dispatch(ev);
+            } else {
+                let slot = slot as usize;
+                self.set_timer_key(slot, (u64::MAX, u64::MAX));
+                if slot == self.services.len() {
                     self.on_arrival();
-                }
-                Src::Timer => {
-                    let sid = tm_sid as usize;
-                    self.set_timer_key(sid, (u64::MAX, u64::MAX));
-                    self.on_timer(sid);
+                } else {
+                    self.on_timer(slot);
                 }
             }
         }
         self.now = t_end;
     }
 
-    /// The earliest armed service timer as `(t, seq, sid)` —
-    /// `(MAX, MAX, MAX)` when every service is idle. Lazily recomputed
-    /// from the (small, contiguous) timer table when invalidated.
+    /// The earliest armed deadline as `(t, seq, slot)` —
+    /// `(MAX, MAX, MAX)` when every slot is disarmed. Lazily recomputed
+    /// from the (small, contiguous) table when invalidated.
     #[inline]
     fn timer_min(&mut self) -> (u64, u64, u32) {
         if !self.timer_min_valid {
@@ -511,10 +490,10 @@ impl ClusterSim {
                     let lo = b * TIMER_BLOCK;
                     let hi = (lo + TIMER_BLOCK).min(self.timer_key.len());
                     let mut bm = (u64::MAX, u64::MAX, u32::MAX);
-                    for sid in lo..hi {
-                        let key = self.timer_key[sid];
+                    for slot in lo..hi {
+                        let key = self.timer_key[slot];
                         if key < (bm.0, bm.1) {
-                            bm = (key.0, key.1, sid as u32);
+                            bm = (key.0, key.1, slot as u32);
                         }
                     }
                     self.block_min[b] = bm;
@@ -530,17 +509,17 @@ impl ClusterSim {
         self.timer_min
     }
 
-    /// Writes a service's timer slot, maintaining the block and global
-    /// argmin caches (`(u64::MAX, u64::MAX)` disarms).
+    /// Writes a deadline slot, maintaining the block and global argmin
+    /// caches (`(u64::MAX, u64::MAX)` disarms).
     #[inline]
-    fn set_timer_key(&mut self, sid: usize, key: (u64, u64)) {
-        self.timer_key[sid] = key;
-        let b = sid / TIMER_BLOCK;
+    fn set_timer_key(&mut self, slot: usize, key: (u64, u64)) {
+        self.timer_key[slot] = key;
+        let b = slot / TIMER_BLOCK;
         if !self.block_dirty[b] {
             let bm = self.block_min[b];
             if key < (bm.0, bm.1) {
-                self.block_min[b] = (key.0, key.1, sid as u32);
-            } else if bm.2 == sid as u32 {
+                self.block_min[b] = (key.0, key.1, slot as u32);
+            } else if bm.2 == slot as u32 {
                 // The block's minimum moved later; heal lazily.
                 self.block_dirty[b] = true;
             }
@@ -548,8 +527,8 @@ impl ClusterSim {
         if self.timer_min_valid {
             let gm = self.timer_min;
             if key < (gm.0, gm.1) {
-                self.timer_min = (key.0, key.1, sid as u32);
-            } else if gm.2 == sid as u32 {
+                self.timer_min = (key.0, key.1, slot as u32);
+            } else if gm.2 == slot as u32 {
                 self.timer_min_valid = false;
             }
         }
@@ -577,20 +556,17 @@ impl ClusterSim {
             self.services[i].advance(self.now);
             let s = &self.services[i];
             let spec = &self.app.services[i];
-            let mut buckets: Vec<f32> = s
+            let mut buckets: Vec<f64> = s
                 .usage_buckets
                 .iter()
                 .take(dur.floor().max(1.0) as usize)
-                .copied()
+                .map(|&u| f64::from(u))
                 .collect();
             buckets.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let p90 = if buckets.is_empty() {
-                0.0
-            } else {
-                let rank = ((0.90 * buckets.len() as f64).ceil() as usize).clamp(1, buckets.len());
-                buckets[rank - 1] as f64
+            let (p90, peak) = match buckets.last() {
+                Some(&peak) => (percentile_sorted(&buckets, 0.90), peak),
+                None => (0.0, 0.0),
             };
-            let peak = buckets.last().copied().unwrap_or(0.0) as f64;
             let avg_open = s.occupancy_integral / dur;
             per_service.push(ServiceWindowStats {
                 alloc_cores: s.alloc,
@@ -662,13 +638,7 @@ impl ClusterSim {
 
     fn on_arrival(&mut self) {
         debug_assert!(self.arrival_rate > 0.0, "disarmed chains never fire");
-        // Schedule the next arrival of the chain (slot overwrite).
-        let dt = exponential(&mut self.rng, self.arrival_rate);
-        let t = self.now.plus_secs(dt);
-        self.seq += 1;
-        self.arrival_at = t;
-        self.arrival_seq = self.seq;
-        self.arrival_armed = true;
+        self.rearm_arrival();
 
         if self.recording {
             self.arrivals_in_window += 1;
@@ -789,9 +759,7 @@ impl ClusterSim {
     fn ensure_period_current(&mut self, sid: usize) {
         let s = &mut self.services[sid];
         if self.now >= s.period_end && !s.stalled {
-            let k = (self.now.0 - s.period_end.0) / CFS_PERIOD_NS + 1;
-            s.period_end = SimTime(s.period_end.0 + k * CFS_PERIOD_NS);
-            s.quota_left = s.quota;
+            s.roll_period(self.now);
         }
     }
 
@@ -799,12 +767,7 @@ impl ClusterSim {
     /// stages are completed inline; timed-out requests are abandoned
     /// without consuming CPU.
     fn start_exec(&mut self, sid: usize, vi: usize) {
-        if self.timed_out(vi) {
-            // Skip all remaining work and reply immediately: the
-            // client is gone, drain the backlog fast.
-            self.visits[vi].v.stage = Stage::ExecPost;
-            self.visits[vi].v.remaining = 0.0;
-            self.finish_visit(sid, vi);
+        if self.abandon_if_timed_out(sid, vi) {
             return;
         }
         if self.visits[vi].v.remaining <= WORK_EPS {
@@ -835,10 +798,7 @@ impl ClusterSim {
     /// call set is empty are skipped; after the last group the visit
     /// proceeds to post-work.
     fn try_issue_group(&mut self, sid: usize, vi: usize, mut g: usize) {
-        if self.timed_out(vi) {
-            self.visits[vi].v.stage = Stage::ExecPost;
-            self.visits[vi].v.remaining = 0.0;
-            self.finish_visit(sid, vi);
+        if self.abandon_if_timed_out(sid, vi) {
             return;
         }
         loop {
@@ -1014,16 +974,12 @@ impl ClusterSim {
     fn on_timer(&mut self, sid: usize) {
         self.services[sid].advance(self.now);
 
-        if self.now >= self.services[sid].period_end {
+        let s = &mut self.services[sid];
+        if self.now >= s.period_end {
             // Period boundary: replenish and unstall.
-            let s = &mut self.services[sid];
-            let k = (self.now.0 - s.period_end.0) / CFS_PERIOD_NS + 1;
-            s.period_end = SimTime(s.period_end.0 + k * CFS_PERIOD_NS);
-            s.quota_left = s.quota;
-            s.stalled = false;
-        } else if !self.services[sid].stalled && self.services[sid].quota_left <= QUOTA_EPS {
+            s.roll_period(self.now);
+        } else if !s.stalled && s.quota_left <= QUOTA_EPS {
             // Quota exhausted: stall until period end.
-            let s = &mut self.services[sid];
             if !s.running.is_empty() {
                 s.stalled = true;
             } else {
@@ -1144,39 +1100,41 @@ impl ClusterSim {
     }
 
     /// Re-times the service: overwrites its timer slot with the next
-    /// deadline (or disarms it), maintaining the cached table minimum.
+    /// deadline, or disarms it when the service is idle.
     fn reschedule_timer(&mut self, sid: usize) {
-        if self.timer_key[sid].0 != u64::MAX {
-            // A still-armed deadline is being replaced — the event is
-            // resolved in place (the old engine popped it as stale).
+        self.rearm(sid, self.services[sid].next_deadline(self.now));
+    }
+
+    /// Arms deadline slot `slot` at `at` under a fresh `seq`, or
+    /// disarms it (`None`). Replacing a still-armed deadline resolves
+    /// that event in place (the old engine popped it as stale), counted
+    /// in `events_superseded`.
+    fn rearm(&mut self, slot: usize, at: Option<SimTime>) {
+        let armed = self.timer_key[slot].1 != u64::MAX;
+        if armed {
             self.events_superseded += 1;
         }
-        match self.services[sid].next_deadline(self.now) {
-            Some((t, _kind)) => {
+        match at {
+            Some(t) => {
                 self.seq += 1;
-                self.set_timer_key(sid, (t.0, self.seq));
+                self.set_timer_key(slot, (t.0, self.seq));
             }
-            None => {
-                if self.timer_key[sid].0 != u64::MAX {
-                    self.set_timer_key(sid, (u64::MAX, u64::MAX));
-                }
-            }
+            None if armed => self.set_timer_key(slot, (u64::MAX, u64::MAX)),
+            None => {}
         }
     }
 
     /// Number of scheduled events (queued visit events plus armed
-    /// timer/arrival slots) — exposed for tests guarding against event
-    /// leaks.
+    /// deadline-table slots, the arrival chain's included) — exposed
+    /// for tests guarding against event leaks.
     #[doc(hidden)]
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
-            + self.timer_key.iter().filter(|k| k.0 != u64::MAX).count()
-            + usize::from(self.arrival_armed)
+        self.queue.len() + self.timer_key.iter().filter(|k| k.1 != u64::MAX).count()
     }
 
     /// Total scheduled events *resolved* since construction: events
-    /// dispatched from the queue/slots plus timer and arrival
-    /// deadlines superseded in place by a reschedule. This is the
+    /// dispatched from the heap or the deadline table plus timer and
+    /// arrival deadlines superseded in place by a re-arm. This is the
     /// workload-invariant count the repo benchmark divides wall time by
     /// (`sim.engine.ns_per_event`): the pre-optimization single-heap
     /// engine resolved the same scheduled events for the same workload
@@ -1346,6 +1304,30 @@ mod tests {
         sim.run_until(sim.now().plus_secs(10.0));
         assert_eq!(sim.live_visits(), 0, "visits leaked");
         assert_eq!(sim.pending_events(), 0, "events leaked");
+    }
+
+    #[test]
+    fn arrival_slot_counts_superseded_arrivals() {
+        let app = chain_app();
+        let mut sim = ClusterSim::new(&app, 1);
+        let counts = |sim: &ClusterSim| (sim.pending_events(), sim.events_processed());
+        assert_eq!(counts(&sim), (0, 0));
+        sim.set_arrival_rate(100.0);
+        assert_eq!(counts(&sim), (1, 0), "arming an idle chain");
+        sim.set_arrival_rate(200.0);
+        assert_eq!(
+            counts(&sim),
+            (1, 1),
+            "re-arming supersedes the armed arrival"
+        );
+        sim.set_arrival_rate(0.0);
+        assert_eq!(counts(&sim), (0, 2), "disarming supersedes it too");
+        sim.set_arrival_rate(0.0);
+        assert_eq!(
+            counts(&sim),
+            (0, 2),
+            "a disarmed chain has nothing to supersede"
+        );
     }
 
     #[test]

@@ -25,10 +25,10 @@
 //! `tests/alloc_budget.rs` counts the allocations of a warmed-up run):
 //!
 //! * **event scheduling** — a binary heap of visit events keyed by
-//!   `(time, seq)`; timer- and arrival-class events live in
-//!   per-service / per-chain *slots* where a reschedule is an O(1)
-//!   overwrite: no stale events exist anywhere, and a two-level argmin
-//!   index keeps the timer table scalable to cluster-sized topologies.
+//!   `(time, seq)`, and one deadline table: a *slot* per service timer
+//!   and a last one for the arrival chain, where a reschedule is an
+//!   O(1) overwrite. No stale events exist anywhere, and a two-level
+//!   argmin index keeps the table scalable to cluster-sized topologies.
 //!   That leaves only in-flight RPC hops in the heap. Sampled every
 //!   1 ms over 40 s, the paper's three applications and a 120-service
 //!   cluster held a mean of 2–15 and at most 63 scheduled events, from

@@ -107,17 +107,6 @@ pub struct RunningJob {
     pub exec_self: f64,
 }
 
-/// What a service timer deadline means.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DeadlineKind {
-    /// The CFS period boundary (quota replenish / unstall).
-    Period,
-    /// Quota will be exhausted (stall).
-    Quota,
-    /// The earliest running job finishes its execution stage.
-    Work,
-}
-
 /// Mutable runtime state of one service.
 #[derive(Debug, Clone)]
 pub struct ServiceRt {
@@ -416,23 +405,30 @@ impl ServiceRt {
         self.quota_left = (self.quota_left + delta.max(0.0)).min(new_quota).max(0.0);
     }
 
-    /// Earliest future state change, given current rates, or `None`
-    /// when idle. Returned times are strictly after `now`.
+    /// Starts the CFS period that contains `now` (which must be at or
+    /// past the current period's end): the quota refills and a
+    /// throttled service resumes.
+    pub(crate) fn roll_period(&mut self, now: SimTime) {
+        let k = (now.0 - self.period_end.0) / CFS_PERIOD_NS + 1;
+        self.period_end = SimTime(self.period_end.0 + k * CFS_PERIOD_NS);
+        self.quota_left = self.quota;
+        self.stalled = false;
+    }
+
+    /// Earliest future state change, given current rates — the CFS
+    /// period boundary, quota exhaustion, or the earliest running job
+    /// finishing its stage — or `None` when idle. Returned times are
+    /// strictly after `now`.
     #[inline]
-    pub(crate) fn next_deadline(&self, now: SimTime) -> Option<(SimTime, DeadlineKind)> {
+    pub(crate) fn next_deadline(&self, now: SimTime) -> Option<SimTime> {
         if self.stalled {
-            return Some((
-                self.period_end.max(SimTime(now.0 + 1)),
-                DeadlineKind::Period,
-            ));
+            return Some(self.period_end.max(SimTime(now.0 + 1)));
         }
         if self.running.is_empty() {
             return None;
         }
         let n = self.running.len() as f64;
         let rate = self.rate.max(1e-12);
-        let mut best_t = self.period_end;
-        let mut kind = DeadlineKind::Period;
 
         // `x / 1.0 == x` bit-for-bit, so the uncontended-node common
         // case (PS rate exactly 1) skips the divisions.
@@ -442,11 +438,6 @@ impl ServiceRt {
         } else {
             (self.quota_left / (rate * n)).max(0.0)
         };
-        let t_quota = ceil_at(now, dt_quota);
-        if t_quota < best_t {
-            best_t = t_quota;
-            kind = DeadlineKind::Quota;
-        }
 
         let min_rem = if self.min_valid {
             self.min_remaining
@@ -464,17 +455,15 @@ impl ServiceRt {
         } else {
             (min_rem / rate).max(0.0)
         };
-        let t_work = ceil_at(now, dt_work);
-        if t_work < best_t {
-            best_t = t_work;
-            kind = DeadlineKind::Work;
-        }
-        Some((
+        let best_t = self
+            .period_end
+            .min(ceil_at(now, dt_quota))
+            .min(ceil_at(now, dt_work));
+        Some(
             best_t
                 .max(SimTime(now.0 + 1))
                 .min(SimTime(now.0).plus_secs(3600.0)),
-            kind,
-        ))
+        )
     }
 }
 
@@ -544,8 +533,7 @@ mod tests {
     fn deadline_work_before_quota_when_fast() {
         let mut s = ServiceRt::new(0, Some(4), 1.0);
         s.push_job(job(0.001));
-        let (t, k) = s.next_deadline(SimTime::ZERO).unwrap();
-        assert_eq!(k, DeadlineKind::Work);
+        let t = s.next_deadline(SimTime::ZERO).unwrap();
         assert!((t.as_secs() - 0.001).abs() < 1e-6);
     }
 
@@ -557,8 +545,7 @@ mod tests {
         for _ in 0..4 {
             s.push_job(job(0.05));
         }
-        let (t, k) = s.next_deadline(SimTime::ZERO).unwrap();
-        assert_eq!(k, DeadlineKind::Quota);
+        let t = s.next_deadline(SimTime::ZERO).unwrap();
         assert!((t.as_secs() - 0.025).abs() < 1e-6);
     }
 
@@ -567,8 +554,7 @@ mod tests {
         let mut s = ServiceRt::new(0, Some(4), 1.0);
         s.push_job(job(0.05));
         s.stalled = true;
-        let (t, k) = s.next_deadline(SimTime::from_secs(0.02)).unwrap();
-        assert_eq!(k, DeadlineKind::Period);
+        let t = s.next_deadline(SimTime::from_secs(0.02)).unwrap();
         assert_eq!(t, SimTime::from_secs(0.1));
     }
 

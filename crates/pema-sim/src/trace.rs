@@ -86,15 +86,6 @@ impl RequestTrace {
         }
         path
     }
-
-    /// Per-service CPU self-time along the critical path, as
-    /// `(service, self_cpu_s)` pairs in path order.
-    pub fn critical_path_breakdown(&self) -> Vec<(u32, f64)> {
-        self.critical_path()
-            .into_iter()
-            .map(|i| (self.spans[i].service, self.spans[i].self_cpu_s))
-            .collect()
-    }
 }
 
 /// Aggregated per-service attribution over a set of traces.
@@ -230,9 +221,6 @@ mod tests {
     fn critical_path_follows_latest_child() {
         let t = sample_trace();
         assert_eq!(t.critical_path(), vec![0, 2, 3]);
-        let breakdown = t.critical_path_breakdown();
-        assert_eq!(breakdown.len(), 3);
-        assert_eq!(breakdown[2], (3, 0.050));
     }
 
     #[test]

@@ -112,6 +112,62 @@ fn completions_never_exceed_arrivals_cumulatively() {
     );
 }
 
+/// Sockshop with `k` idle services appended (no endpoint reaches them;
+/// node 0, allocation 1.0) and the 13 real ones at 0.4× generous.
+fn padded_sockshop(k: usize) -> AppSpec {
+    let mut app = pema_apps::sockshop();
+    for c in &mut app.generous_alloc {
+        *c *= 0.4;
+    }
+    for i in 0..k {
+        app.services
+            .push(ServiceSpec::new(&format!("idle{i}"), 0.001));
+        app.generous_alloc.push(1.0);
+    }
+    app
+}
+
+/// The deadline table holds one slot per service and the arrival chain
+/// in the slot after the last service, so idle services move the
+/// arrival slot to every position of an argmin block (alone in a new
+/// block included). None of that may change what is simulated, nor
+/// how many events it takes.
+#[test]
+fn idle_services_leave_the_simulation_unchanged() {
+    let run = |k: usize| {
+        let app = padded_sockshop(k);
+        let mut sim = ClusterSim::new(&app, 3);
+        sim.set_request_timeout(Some(app.slo_ms / 1e3 * 8.0));
+        let mut out = Vec::new();
+        for rps in [300.0, 700.0, 0.0, 500.0] {
+            let w = sim.run_window(rps, 0.5, 2.0);
+            let real = w.per_service[..13]
+                .iter()
+                .map(|s| (s.cpu_used_s, s.throttled_s, s.visits))
+                .collect::<Vec<_>>();
+            out.push((w.completed, w.arrivals, w.p95_ms, w.mean_ms, w.max_ms, real));
+        }
+        (out, sim.events_processed())
+    };
+    let base = run(0);
+    assert!(base.0[1].0 > 0, "the 700 rps window completes requests");
+    for k in 1..=36 {
+        assert_eq!(run(k), base, "{k} idle services changed the run");
+    }
+}
+
+/// The events a fixed trainticket run resolves: the count
+/// `sim.engine.ns_per_event` divides by, pinned so a scheduling change
+/// that adds or drops events shows.
+#[test]
+fn trainticket_window_resolves_a_pinned_event_count() {
+    let app = pema_apps::trainticket();
+    let mut sim = ClusterSim::new(&app, 7);
+    sim.set_request_timeout(Some(app.slo_ms / 1e3 * 8.0));
+    sim.run_window(225.0, 4.0, 20.0);
+    assert_eq!(sim.events_processed(), 298_336);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
