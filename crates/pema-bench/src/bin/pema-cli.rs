@@ -137,7 +137,7 @@ const COMMANDS: &[Cmd] = &[
         OUT, METRICS_ADDR, EVENTS_OUT,
     ]),
     cmd("optimum", None, cmd_optimum, "search the OPTM allocation for one application and load", &[
-        APP, RPS, SEED,
+        APP, RPS, flag("seed", Uint("K"), Opt, "RNG seed (default: the suite's reference seed)"),
     ]),
     cmd("classify", None, cmd_classify, "bottleneck-classifier feature study (paper Table 1)", &[
         APP, RPS,
@@ -623,7 +623,7 @@ fn cmd_optimum(args: &Args) {
     let app = get_app(args);
     let rps: f64 = args.get("rps");
     println!("searching OPTM for {} @ {rps} rps…", app.name);
-    let opt = optimum_for(&app, rps, args.get("seed"))
+    let opt = optimum_for(&app, rps, args.opt("seed").unwrap_or(REFERENCE_SEED))
         .unwrap_or_else(|e| fail(format!("search failed: {e}")));
     println!(
         "optimum total = {:.2} cores (p95 {:.1} ms, {} evaluations)",
@@ -992,27 +992,10 @@ fn cmd_trace(args: &Args) {
         app.slo_ms,
         traces.len()
     );
-    let tail: Vec<_> = pema::pema_sim::tail_traces(&traces, 0.95)
-        .into_iter()
-        .cloned()
-        .collect();
-    let attr = pema::pema_sim::attribute(&tail, app.n_services());
+    let (ranked, callees) =
+        pema::pema_sim::trace::tail_exclusive_ranking(&traces, app.n_services());
+    let (callees, entries) = ranked.split_at(callees);
     let names = app.service_names();
-    let mut rows: Vec<(usize, f64)> = attr
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| a.visits > 0)
-        .map(|(i, a)| (i, a.exclusive_s / a.visits as f64 * 1e3))
-        .collect();
-    rows.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-    // A root span opens when its request arrives, so an entry service's
-    // exclusive time also holds the wait for one of its worker threads.
-    // Those threads stay held while downstream calls run, so a starved
-    // callee shows up there as back-pressure: entry services are
-    // listed after the ranking, not in it.
-    let entry: Vec<usize> = tail.iter().map(|t| t.spans[0].service as usize).collect();
-    let (entries, callees): (Vec<_>, Vec<_>) =
-        rows.into_iter().partition(|(i, _)| entry.contains(i));
     println!("mean exclusive time in the slowest 5% of requests:");
     for (i, ms) in callees.iter().take(8) {
         println!("  {:>18}  {ms:.2} ms", names[*i]);
@@ -1020,7 +1003,7 @@ fn cmd_trace(args: &Args) {
     for (i, ms) in entries {
         println!(
             "  {:>18}  {ms:.2} ms (entry: with its wait for a worker thread)",
-            names[i]
+            names[*i]
         );
     }
 }

@@ -5,7 +5,9 @@
 //! (fig05/fig07/fig11/fig15/…). An optimum is searched on the model the
 //! scenario runs on: the fluid model under `--backend fluid` and in
 //! smoke mode, the DES otherwise (a `trace:` tape cannot answer for an
-//! allocation it never saw). The cache guarantees:
+//! allocation it never saw): [`fluid_optimum_for`], or [`optimum_for`]
+//! at [`REFERENCE_SEED`] as `pema-cli optimum` runs it. The cache
+//! guarantees:
 //!
 //! * **one computation per key**, even with scenarios running
 //!   concurrently (per-key locks; unrelated keys never block),
@@ -21,6 +23,7 @@
 //!   a topology edit is recomputed, not served.
 
 use crate::exec::BackendSel;
+use pema::pema_sim::OptmError;
 use pema::prelude::*;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -218,16 +221,13 @@ impl OptmCache {
         if model == Model::Fluid {
             // Fluid-model search: orders of magnitude cheaper than the
             // DES and fully deterministic.
-            let mut eval = FluidEvaluator::new(app);
-            let start = Allocation::new(app.generous_alloc.clone());
-            return Ok(match find_optimum(&mut eval, &start, rps) {
+            return Ok(match fluid_optimum_for(app, rps) {
                 Ok(r) => CachedOptimum::canonical(&r.alloc, r.p95_ms),
                 // Infeasible even at the generous allocation: fall back
                 // to the generous allocation itself so fluid runs never
                 // abort on search feasibility.
-                Err(_) => {
-                    let p95 = eval.evaluate(&start, rps).p95_ms;
-                    CachedOptimum::canonical(&start, p95)
+                Err(OptmError::StartInfeasible { p95_ms }) => {
+                    CachedOptimum::canonical(&Allocation::new(app.generous_alloc.clone()), p95_ms)
                 }
             });
         }
@@ -236,12 +236,7 @@ impl OptmCache {
             "  [optm] computing optimum for {} @ {rps} rps…",
             app.name
         );
-        let window_s = if app.n_services() > 30 { 15.0 } else { 20.0 };
-        let mut eval = SimEvaluator::new(app, 0xA11C)
-            .with_window(4.0, window_s)
-            .with_robustness(2);
-        let start = Allocation::new(app.generous_alloc.clone());
-        let r = find_optimum(&mut eval, &start, rps).map_err(|e| {
+        let r = optimum_for(app, rps, REFERENCE_SEED).map_err(|e| {
             io::Error::other(format!("OPTM failed for {} @ {rps} rps: {e}", app.name))
         })?;
         let _ = writeln!(
@@ -327,9 +322,7 @@ mod tests {
     fn full_mode_optimum_follows_the_backends_model() {
         let dir = toy_dir("pema-optm-model");
         let app = pema_apps::toy_chain();
-        let mut eval = FluidEvaluator::new(&app);
-        let start = Allocation::new(app.generous_alloc.clone());
-        let r = find_optimum(&mut eval, &start, 150.0).unwrap();
+        let r = fluid_optimum_for(&app, 150.0).unwrap();
         let want = CachedOptimum::canonical(&r.alloc, r.p95_ms);
         let same = |got: &CachedOptimum| {
             assert_eq!(got.alloc, want.alloc);
@@ -359,6 +352,23 @@ mod tests {
                 .unwrap(),
         );
         assert!(!log.contains("computing"), "no DES search: {log}");
+    }
+
+    #[test]
+    fn the_des_optimum_is_the_reference_search() {
+        let app = pema_apps::toy_chain();
+        let cache = OptmCache::new(toy_dir("pema-optm-reference"), false);
+        let mut log = String::new();
+        let got = cache
+            .optimum(&app, 150.0, &BackendSel::Sim, &mut log)
+            .unwrap();
+        let r = optimum_for(&app, 150.0, REFERENCE_SEED).unwrap();
+        let want = CachedOptimum::canonical(&r.alloc, r.p95_ms);
+        let bits = |c: &CachedOptimum| {
+            let alloc: Vec<u64> = c.alloc.0.iter().map(|v| v.to_bits()).collect();
+            (alloc, c.total.to_bits(), c.p95_ms.to_bits())
+        };
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

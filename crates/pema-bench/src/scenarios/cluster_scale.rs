@@ -44,9 +44,7 @@ pub(crate) fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     for &rps in loads {
         // Reference bound on the same model (not the DES-backed shared
         // cache — mixing models would make the ratio meaningless).
-        let mut eval = FluidEvaluator::new(&app);
-        let start = Allocation::new(app.generous_alloc.clone());
-        let opt = find_optimum(&mut eval, &start, rps)
+        let opt = fluid_optimum_for(&app, rps)
             .expect("generous allocation must satisfy the SLO on the fluid model");
 
         let mut params = PemaParams::defaults(app.slo_ms);

@@ -258,6 +258,20 @@ fn optimum_prints_the_search_result() {
     );
 }
 
+/// Without `--seed`, `optimum` searches at the suite's reference seed:
+/// it prints the optimum the experiment suite divides by.
+#[test]
+fn optimum_defaults_to_the_suites_reference_seed() {
+    assert_eq!(
+        ok("optimum --app toy-chain --rps 100"),
+        "searching OPTM for toy-chain @ 100 rps…\n\
+         optimum total = 0.73 cores (p95 95.2 ms, 27 evaluations)\n\
+         \x20            gateway  0.25\n\
+         \x20              logic  0.33\n\
+         \x20                 db  0.15\n"
+    );
+}
+
 /// `classify` prints the Table 1 study on one starved service, byte for
 /// byte: the dataset's size and one accuracy row per feature set.
 #[test]

@@ -169,18 +169,6 @@ pub struct OpenWindow {
     window_s: f64,
 }
 
-impl OpenWindow {
-    /// Virtual time the window ends at, seconds.
-    pub fn end_s(&self) -> f64 {
-        self.end.as_secs()
-    }
-
-    /// The requested window length, seconds.
-    pub fn window_s(&self) -> f64 {
-        self.window_s
-    }
-}
-
 impl ClusterSim {
     /// Builds a simulator for a validated application spec.
     ///

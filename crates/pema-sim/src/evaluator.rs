@@ -31,13 +31,13 @@ pub struct SimEvaluator {
     app: AppSpec,
     seed: u64,
     /// Settling time before measurement, seconds.
-    pub warmup_s: f64,
+    warmup_s: f64,
     /// Measured window length, seconds.
-    pub window_s: f64,
+    window_s: f64,
     /// Independent replications per evaluation; the reported window is
     /// the one with the **worst p95** (robust evaluation). With 1, the
     /// evaluator is pure CRN.
-    pub replications: u32,
+    replications: u32,
     evaluations: u64,
 }
 
@@ -75,11 +75,6 @@ impl SimEvaluator {
     /// Number of `evaluate` calls so far.
     pub fn evaluations(&self) -> u64 {
         self.evaluations
-    }
-
-    /// The application spec under evaluation.
-    pub fn app(&self) -> &AppSpec {
-        &self.app
     }
 }
 

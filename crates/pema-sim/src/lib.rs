@@ -58,7 +58,7 @@
 //! |---|---|
 //! | [`fluid`] | the analytic fluid model: the same observables, orders of magnitude faster |
 //! | [`evaluator`] | [`Evaluator`], the "what does allocation x do at load λ?" seam both models implement |
-//! | [`optm`] | OPTM, the paper's optimum baseline (§4.2): a search over an [`Evaluator`] |
+//! | [`optm`] | OPTM, the paper's optimum baseline (§4.2): one search over an [`Evaluator`], run on the DES by [`optimum_for`] (the suite's at [`REFERENCE_SEED`]) and on the fluid model by [`fluid_optimum_for`] |
 //! | [`pattern`], [`mmpp`], [`wiki`] | the loads a run is offered: step, burst, diurnal, trace, MMPP and Wikipedia-shaped [`Workload`]s |
 //!
 //! ## Quick start
@@ -109,7 +109,10 @@ pub use engine::{ClusterSim, OpenWindow};
 pub use evaluator::{Evaluator, SimEvaluator};
 pub use fluid::{FluidEvaluator, TailCurve, TailModel, LEGACY_P95_FACTOR};
 pub use mmpp::{MmppState, MmppWorkload};
-pub use optm::{find_optimum, optimum_for, OptmError, OptmResult};
+pub use optm::{
+    des_evaluator, find_optimum, fluid_optimum_for, optimum_for, OptmError, OptmResult,
+    REFERENCE_SEED,
+};
 pub use pattern::{BurstPattern, DiurnalPattern, StepPattern, TracePattern, Workload};
 pub use stats::{ServiceWindowStats, WindowStats};
 pub use time::SimTime;

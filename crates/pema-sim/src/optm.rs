@@ -13,11 +13,16 @@
 //!    progress (at most 40 sweeps) — exactly the paper's
 //!    local-optimality condition.
 //!
+//! [`optimum_for`] runs it on the DES from the generous allocation
+//! (the suite's at [`REFERENCE_SEED`]), [`fluid_optimum_for`] on the
+//! fluid model.
+//!
 //! OPTM is *not* a deployable controller (its search violates the SLO
 //! constantly); like in the paper it serves as the efficiency upper
 //! bound for Fig. 15.
 
 use crate::evaluator::{Evaluator, SimEvaluator};
+use crate::fluid::FluidEvaluator;
 use crate::topology::{Allocation, AppSpec, MIN_ALLOC};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -78,15 +83,15 @@ pub fn find_optimum(
 ) -> Result<OptmResult, OptmError> {
     let slo = eval.slo_ms();
     let mut evaluations = 0u64;
-    let feasible = |alloc: &Allocation, ev: &mut dyn Evaluator, n: &mut u64| {
-        *n += 1;
-        let s = ev.evaluate(alloc, rps);
-        (s.p95_ms <= slo, s.p95_ms)
+    let mut measure = |alloc: &Allocation| {
+        evaluations += 1;
+        let p95 = eval.evaluate(alloc, rps).p95_ms;
+        (p95 <= slo, p95)
     };
 
-    let (ok, p95) = feasible(start, eval, &mut evaluations);
+    let (ok, p95_ms) = measure(start);
     if !ok {
-        return Err(OptmError::StartInfeasible { p95_ms: p95 });
+        return Err(OptmError::StartInfeasible { p95_ms });
     }
     let mut current = start.clone();
 
@@ -98,15 +103,10 @@ pub fn find_optimum(
     // `cluster_scale` sweep).
     loop {
         let trial = Allocation::new(current.0.iter().map(|x| x * PRESCALE).collect());
-        if trial.total() >= current.total() - 1e-9 {
+        if trial.total() >= current.total() - 1e-9 || !measure(&trial).0 {
             break;
         }
-        let (ok, _) = feasible(&trial, eval, &mut evaluations);
-        if ok {
-            current = trial;
-        } else {
-            break;
-        }
+        current = trial;
     }
 
     // Phase 2: coordinate descent to the paper's local optimum.
@@ -130,13 +130,11 @@ pub fn find_optimum(
                 }
                 let mut trial = current.clone();
                 trial.set(i, cur_i - STEP_CORES);
-                let (ok, _) = feasible(&trial, eval, &mut evaluations);
-                if ok {
-                    current = trial;
-                    improved = true;
-                } else {
+                if !measure(&trial).0 {
                     break;
                 }
+                current = trial;
+                improved = true;
             }
         }
         if !improved {
@@ -144,26 +142,41 @@ pub fn find_optimum(
         }
     }
 
-    let final_stats = eval.evaluate(&current, rps);
-    evaluations += 1;
+    let (_, p95_ms) = measure(&current);
     Ok(OptmResult {
         total: current.total(),
         alloc: current,
-        p95_ms: final_stats.p95_ms,
+        p95_ms,
         evaluations,
         sweeps,
     })
 }
 
-/// OPTM for an app at one workload on the DES, starting from the
-/// generous allocation: 4 s warm-up, 20 s windows, the worse of two
-/// replications per evaluation.
+/// The seed of the reference OPTM: the optimum the experiment suite
+/// divides by, and what `pema-cli optimum` searches without `--seed`.
+pub const REFERENCE_SEED: u64 = 0xA11C;
+
+/// The DES evaluator OPTM judges a candidate with: 4 s warm-up, a 15 s
+/// window above 30 services and 20 s otherwise, and the worse p95 of
+/// two seeded replications.
+pub fn des_evaluator(app: &AppSpec, seed: u64) -> SimEvaluator {
+    let window_s = if app.n_services() > 30 { 15.0 } else { 20.0 };
+    SimEvaluator::new(app, seed)
+        .with_window(4.0, window_s)
+        .with_robustness(2)
+}
+
+/// OPTM for an app at one workload on the DES, judged by
+/// [`des_evaluator`] and started from the generous allocation.
 pub fn optimum_for(app: &AppSpec, rps: f64, seed: u64) -> Result<OptmResult, OptmError> {
-    let mut eval = SimEvaluator::new(app, seed)
-        .with_window(4.0, 20.0)
-        .with_robustness(2);
     let start = Allocation::new(app.generous_alloc.clone());
-    find_optimum(&mut eval, &start, rps)
+    find_optimum(&mut des_evaluator(app, seed), &start, rps)
+}
+
+/// [`optimum_for`] on the fluid model, which needs no seed.
+pub fn fluid_optimum_for(app: &AppSpec, rps: f64) -> Result<OptmResult, OptmError> {
+    let start = Allocation::new(app.generous_alloc.clone());
+    find_optimum(&mut FluidEvaluator::new(app), &start, rps)
 }
 
 #[cfg(test)]

@@ -11,8 +11,8 @@
 //!
 //! A [`RequestTrace`] is a tree of [`TraceSpan`]s (one per service
 //! visit). This module also provides the analyses a practitioner runs
-//! on such traces: critical-path extraction and per-service self-time
-//! attribution on the tail.
+//! on such traces: critical-path extraction, per-service self-time
+//! attribution on the tail, and `pema-cli trace`'s ranking.
 
 /// One service visit inside a request trace.
 #[derive(Debug, Clone)]
@@ -160,6 +160,31 @@ pub fn tail_traces(traces: &[RequestTrace], q: f64) -> Vec<&RequestTrace> {
     lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let thresh = pema_metrics::percentile_sorted(&lat, q.clamp(0.0, 1.0));
     traces.iter().filter(|t| t.latency_s >= thresh).collect()
+}
+
+/// Tail forensics: services by mean exclusive time per visit, ms, in
+/// the slowest 5 % of `traces`, highest first, with the count of
+/// callees. Entry services come after the callees: a root span opens
+/// when its request arrives, and an entry service's worker threads stay
+/// held while downstream calls run, so its figure also holds the
+/// back-pressure of whichever callee is starved.
+pub fn tail_exclusive_ranking(
+    traces: &[RequestTrace],
+    n_services: usize,
+) -> (Vec<(usize, f64)>, usize) {
+    let tail: Vec<RequestTrace> = tail_traces(traces, 0.95).into_iter().cloned().collect();
+    let mut rows: Vec<(usize, f64)> = attribute(&tail, n_services)
+        .iter()
+        .enumerate()
+        .filter(|(_, a)| a.visits > 0)
+        .map(|(i, a)| (i, a.exclusive_s / a.visits as f64 * 1e3))
+        .collect();
+    rows.sort_by(|a, b| b.1.total_cmp(&a.1));
+    let entry: Vec<usize> = tail.iter().map(|t| t.spans[0].service as usize).collect();
+    // A stable sort: callees, then entries, each still highest first.
+    rows.sort_by_key(|(i, _)| entry.contains(i));
+    let callees = rows.partition_point(|(i, _)| !entry.contains(i));
+    (rows, callees)
 }
 
 #[cfg(test)]

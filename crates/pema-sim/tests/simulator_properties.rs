@@ -3,7 +3,7 @@
 //! signatures) must hold in the substrate.
 
 use pema_sim::{
-    find_optimum, Allocation, AppSpec, ClusterSim, Evaluator, FluidEvaluator, WindowStats,
+    fluid_optimum_for, Allocation, AppSpec, ClusterSim, Evaluator, FluidEvaluator, WindowStats,
     MIN_ALLOC,
 };
 use proptest::prelude::*;
@@ -132,10 +132,9 @@ fn fluid_optm_meets_the_papers_definition_on_every_fig15_cell() {
     // microservice by 0.1 CPU violates the SLO.
     for (app, loads) in fig15_cells() {
         for rps in loads {
-            let mut eval = FluidEvaluator::new(&app);
-            let start = Allocation::new(app.generous_alloc.clone());
-            let r = find_optimum(&mut eval, &start, rps)
+            let r = fluid_optimum_for(&app, rps)
                 .unwrap_or_else(|e| panic!("{} @ {rps}: {e}", app.name));
+            let mut eval = FluidEvaluator::new(&app);
             let slo = app.slo_ms;
             assert!(r.p95_ms <= slo, "{} @ {rps}: infeasible optimum", app.name);
             assert!(r.sweeps < 40, "{} @ {rps}: hit the sweep cap", app.name);

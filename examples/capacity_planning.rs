@@ -29,16 +29,12 @@ fn main() {
         "rps", "OPTM total", "OPTM p95", "uniform-same-total p95"
     );
     for rps in [400.0, 600.0, 800.0] {
-        let mut eval = SimEvaluator::new(&app, 1234)
-            .with_window(4.0, 20.0)
-            .with_robustness(2);
-        let start = Allocation::new(app.generous_alloc.clone());
-        let opt =
-            find_optimum(&mut eval, &start, rps).expect("generous allocation must satisfy the SLO");
+        let opt = optimum_for(&app, rps, 1234).expect("generous allocation must satisfy the SLO");
 
-        // Same total, spread uniformly: distribution matters.
+        // Same total, spread uniformly, judged by the evaluator OPTM
+        // searched with: distribution matters.
         let uniform = Allocation::uniform(app.n_services(), opt.total / app.n_services() as f64);
-        let u = eval.evaluate(&uniform, rps);
+        let u = des_evaluator(&app, 1234).evaluate(&uniform, rps);
 
         println!(
             "{:>6.0}  {:>12.2}  {:>9.1} ms  {:>15.1} ms{}",

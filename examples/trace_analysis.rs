@@ -12,7 +12,7 @@
 //! ```
 
 use pema::prelude::*;
-use pema_sim::trace::{attribute, tail_traces};
+use pema_sim::trace::{attribute, tail_exclusive_ranking, tail_traces};
 
 fn main() {
     let app = pema_apps::sockshop();
@@ -64,23 +64,8 @@ fn main() {
     // The starved service should top the *exclusive*-time ranking
     // (span duration not explained by downstream calls = queueing +
     // throttle stalls at that service) of the services a caller waited
-    // on. The entry service is left out: its span opens when the
-    // request arrives, so its exclusive time also holds the wait for
-    // one of its worker threads. A visit keeps its thread while its
-    // downstream calls run, so once the starved service holds up enough
-    // requests, front-end's threads are all taken and new requests
-    // queue for one — back-pressure, which lands on the entry service
-    // whichever service causes it.
-    let entry: Vec<usize> = tail.iter().map(|t| t.spans[0].service as usize).collect();
-    let top = rows
-        .iter()
-        .filter(|(i, _)| !entry.contains(i))
-        .max_by(|a, b| {
-            (a.1.exclusive_s / a.1.visits.max(1) as f64)
-                .partial_cmp(&(b.1.exclusive_s / b.1.visits.max(1) as f64))
-                .unwrap()
-        })
-        .unwrap();
+    // on; the ranking sets the entry service apart.
+    let top = tail_exclusive_ranking(&traces, app.n_services()).0[0];
     println!(
         "\nhighest mean exclusive time in the tail, entry service aside: {} — the starved \
          service was '{}'",

@@ -84,9 +84,9 @@ pub mod prelude {
     };
     pub use pema_live::{FakeCluster, KubeConfigLite, LiveBackend, LiveConfig, WallClock};
     pub use pema_sim::{
-        find_optimum, optimum_for, wikipedia_like_trace, Allocation, AppSpec, BurstPattern,
-        ClusterSim, Evaluator, FluidEvaluator, SimEvaluator, StepPattern, TailCurve, TailModel,
-        WindowStats, Workload,
+        des_evaluator, fluid_optimum_for, optimum_for, wikipedia_like_trace, Allocation, AppSpec,
+        BurstPattern, ClusterSim, Evaluator, FluidEvaluator, SimEvaluator, StepPattern, TailCurve,
+        TailModel, WindowStats, Workload, REFERENCE_SEED,
     };
     pub use pema_telemetry::{EventSink, MetricsServer, Telemetry};
     pub use pema_trace::{replay, ReadMode, ReplayRun, Trace, TraceBackend, TraceRecorder};
